@@ -124,7 +124,8 @@ def super_narayana_count(n: int) -> Poly:
         m, sinv, _, smaj = signed_stats(s)
         by_sinv[m, sinv] = by_sinv.get((m, sinv), 0) + 1
         by_smaj[m, smaj] = by_smaj.get((m, smaj), 0) + 1
-    assert by_sinv == by_smaj, "sinv and smaj distributions must agree"
+    if by_sinv != by_smaj:
+        raise AssertionError("sinv and smaj distributions must agree")
     t, q = Poly.var("t"), Poly.var("q")
     return sum((t ** m * q ** j * Poly.const(c)
                 for (m, j), c in by_sinv.items()), Poly())
@@ -402,7 +403,9 @@ def _sorted_signed_pfs(n: int):
 def schroder_polynomials(n: int) -> tuple[Poly, bool]:
     """P_n(t) = P_n(t, 0) by three routes: Schroeder paths by horizontal
     steps; signed parking functions without signed inversions by minus signs;
-    and the square-root generating series.  Returns (P_n(t), all agree)."""
+    and the square-root generating series.  Returns (P_n(t), ok) where ok
+    says that the three routes agree and no sorted word has a signed
+    inversion."""
     if n > 7:
         raise ValueError("schroder_polynomials supports n <= 7")
     t = Poly.var("t")
@@ -410,15 +413,17 @@ def schroder_polynomials(n: int) -> tuple[Poly, bool]:
     for p in schroder_paths(n):
         by_paths = by_paths + t ** p.count("h")
     by_words = Poly()
+    sorted_ok = True
     for s in _sorted_signed_pfs(n):
-        assert signed_stats(s)[1] == 0
+        if signed_stats(s)[1]:
+            sorted_ok = False
         by_words = by_words + t ** s.minus_count
     z = Poly.var("z")
     inner = (1 - t * z) ** 2 - 4 * z
     sqrt = series_sqrt_expand(inner, n + 1)
     numerator = 1 - t * z - sqrt
     by_series = numerator.coeffs_in("z").get(n + 1, Poly()).scale(Fraction(1, 2))
-    return by_paths, (by_paths == by_words == by_series)
+    return by_paths, sorted_ok and (by_paths == by_words == by_series)
 
 
 def narayana_from_pn(pn_t: Poly) -> Poly:

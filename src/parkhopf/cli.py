@@ -1,9 +1,9 @@
 """Command-line front end: enumeration, series expansion, polynomial tables,
 bijections, and the verification suites.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error.  All output is UTF-8
-text; JSON payloads carry a top-level "schema": "parkhopf/1".  The environment
-variable PARKHOPF_MAX_N caps the enumeration size (default 8).
+Exit codes: 0 ok, 1 a check failed, 2 usage error or malformed input.  All
+output is UTF-8 text; JSON payloads carry a top-level "schema": "parkhopf/1".
+The environment variable PARKHOPF_MAX_N caps the enumeration size (default 8).
 """
 
 from __future__ import annotations
@@ -330,6 +330,21 @@ def _cmd_verify(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type for an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parkhopf",
@@ -338,21 +353,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list a combinatorial family")
     p.add_argument("--family", required=True, choices=sorted(_ENUM_FAMILIES))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.add_argument("--format", default="lines",
                    choices=("lines", "json", "csv"))
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("series", help="expand a functional-equation series")
     p.add_argument("--which", required=True, choices=("g", "f", "G", "X"))
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("poly", help="print a polynomial")
     p.add_argument("--which", required=True,
                    choices=("super-narayana", "pn-t", "narayana",
                             "pn-alpha", "qn"))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("bijection", help="apply an encoding or bijection")
@@ -365,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True,
                    choices=(*sorted(_SUITES), "all"))
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=_int_at_least(1), default=5)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="emit a coefficient table")
     p.add_argument("--which", required=True,
                    choices=("qn-triangle", "a060693", "bar-distribution"))
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_at_least(0), required=True)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.set_defaults(func=_cmd_table)
 
@@ -383,6 +398,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except AssertionError as exc:
+        print(f"error: a check failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

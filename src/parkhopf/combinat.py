@@ -273,20 +273,24 @@ def tree_to_text(t) -> str:
 def tree_parse(text: str):
     pos = 0
 
+    def char():
+        # the empty string past the end, so truncated text is a ValueError
+        return text[pos:pos + 1]
+
     def rec():
         nonlocal pos
-        if text[pos] == ".":
+        if char() == ".":
             pos += 1
             return None
-        if text[pos] != "(":
+        if char() != "(":
             raise ValueError(f"bad tree text at {pos}: {text!r}")
         pos += 1
         left = rec()
-        if text[pos] != ",":
+        if char() != ",":
             raise ValueError(f"expected ',' at {pos}: {text!r}")
         pos += 1
         right = rec()
-        if text[pos] != ")":
+        if char() != ")":
             raise ValueError(f"expected ')' at {pos}: {text!r}")
         pos += 1
         return (left, right)

@@ -263,14 +263,6 @@ def poly_divexact(num: Poly, den: Poly) -> Poly:
     return Poly(quot)
 
 
-def _to_univariate(p: Poly, i: int) -> dict[int, Poly]:
-    out: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        rest = e[:i] + (0,) + e[i + 1:]
-        out.setdefault(e[i], {})[rest] = c
-    return {k: Poly(v) for k, v in out.items()}
-
-
 def _from_univariate(coeffs: dict[int, Poly], i: int) -> Poly:
     out: dict[tuple, Fraction] = {}
     for k, p in coeffs.items():
@@ -325,7 +317,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     i = _main_variable(a, b)
     if i is None:
         return P_ONE
-    ua, ub = _to_univariate(a, i), _to_univariate(b, i)
+    ua, ub = a.coeffs_in(VARS[i]), b.coeffs_in(VARS[i])
     if max(ua) == 0 or max(ub) == 0:
         # one argument is free of the main variable: gcd of contents only
         return _monic(poly_gcd(_content(ua.values()), _content(ub.values())))
@@ -449,11 +441,6 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def ratfun_normalize(r: RatFun) -> RatFun:
-    """Re-normalization (a no-op on well-formed values; construction normalizes)."""
-    return RatFun(r.num, r.den)
-
-
 def assert_polynomial(r: RatFun) -> Poly:
     return RatFun.coerce(r).as_poly()
 
@@ -461,15 +448,17 @@ def assert_polynomial(r: RatFun) -> Poly:
 # -- linear combinations ----------------------------------------------------
 
 
-def _coeff_is_zero(c) -> bool:
-    return not c
-
-
 class LinComb:
     """Finitely supported map from basis keys to coefficients.
 
     Keys can be any hashable value; coefficients any exact scalar type
     (int, Fraction, Poly, RatFun) closed under + and *.
+
+    ``LinComb(pairs)`` is how a sum is collected: it takes any iterable of
+    ``(key, coeff)`` pairs in one pass, merges repeated keys by adding their
+    coefficients and drops the keys whose sum is zero.  Build a product or a
+    map as one generator of pairs rather than by adding LinComb values in a
+    loop, which copies the whole accumulated dict on every step.
     """
 
     __slots__ = ("terms",)
@@ -480,7 +469,7 @@ class LinComb:
         for k, c in items:
             s = data.get(k)
             s = c if s is None else s + c
-            if _coeff_is_zero(s):
+            if not s:
                 data.pop(k, None)
             else:
                 data[k] = s
@@ -499,7 +488,7 @@ class LinComb:
         for k, c in other.terms.items():
             s = out.get(k)
             s = c if s is None else s + c
-            if _coeff_is_zero(s):
+            if not s:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -516,7 +505,7 @@ class LinComb:
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
-        if _coeff_is_zero(c):
+        if not c:
             return LinComb()
         res = LinComb.__new__(LinComb)
         res.terms = {k: c * v for k, v in self.terms.items()}
@@ -545,12 +534,6 @@ class LinComb:
     def map_keys(self, f: Callable) -> "LinComb":
         return LinComb((f(k), c) for k, c in self.terms.items())
 
-    def apply_linear(self, f: Callable[..., "LinComb"]) -> "LinComb":
-        out = LinComb()
-        for k, c in self.terms.items():
-            out = out + f(k).scale(c)
-        return out
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -559,19 +542,6 @@ class LinComb:
 
     def __repr__(self):
         return f"LinComb({self})"
-
-
-def lincomb_bilinear_extend(rule: Callable) -> Callable[[LinComb, LinComb], LinComb]:
-    """Extend a key-pair rule (returning a LinComb) bilinearly."""
-
-    def product(a: LinComb, b: LinComb) -> LinComb:
-        out = LinComb()
-        for k1, c1 in a.terms.items():
-            for k2, c2 in b.terms.items():
-                out = out + rule(k1, k2).scale(c1 * c2)
-        return out
-
-    return product
 
 
 def tensor(a: LinComb, b: LinComb) -> LinComb:
@@ -677,9 +647,3 @@ def series_sqrt_expand(p: Poly, order: int) -> Poly:
     for n, c in y.items():
         out = out + c * z ** n
     return out
-
-
-def series_truncate(p: Poly, order: int) -> Poly:
-    """Drop all terms of z-degree exceeding ``order``."""
-    z_idx = _VAR_INDEX["z"]
-    return Poly({e: c for e, c in p.terms.items() if e[z_idx] <= order})

@@ -16,7 +16,6 @@ module-level functions; everything is pure and stateless.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -40,12 +39,8 @@ def unit() -> LinComb:
 
 def pqsym_product(a: LinComb, b: LinComb) -> LinComb:
     """F_a F_b: length-shifted shuffle."""
-    out = LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            out = out + LinComb(
-                (w, c1 * c2) for w in shifted_shuffle(k1, k2, len(k1)))
-    return out
+    return LinComb((w, c1 * c2) for k1, c1 in a for k2, c2 in b
+                   for w in shifted_shuffle(k1, k2, len(k1)))
 
 
 def pqsym_dup_prec(a: LinComb, b: LinComb) -> LinComb:
@@ -54,26 +49,24 @@ def pqsym_dup_prec(a: LinComb, b: LinComb) -> LinComb:
     With m = max(a): F_a < F_b = (|a|_m! |b|_1! / (|a|_m + |b|_1)!) times the
     sum over the shuffle of a with b shifted by m - 1.
     """
-    out = LinComb()
-    for k1, c1 in a:
-        if not k1:
-            raise ValueError("left duplicial operation needs a nonempty left key")
-        m = max(k1)
-        am = k1.count(m)
-        for k2, c2 in b:
-            if not k2:
-                raise ValueError("duplicial operations live on the augmentation ideal")
-            b1 = k2.count(1)
-            coeff = Fraction(factorial(am) * factorial(b1),
-                             factorial(am + b1)) * c1 * c2
-            out = out + LinComb(
-                (w, coeff) for w in shifted_shuffle(k1, k2, m - 1))
-    return out
+    def terms():
+        for k1, c1 in a:
+            if not k1:
+                raise ValueError(
+                    "left duplicial operation needs a nonempty left key")
+            m = max(k1)
+            am = k1.count(m)
+            for k2, c2 in b:
+                if not k2:
+                    raise ValueError(
+                        "duplicial operations live on the augmentation ideal")
+                b1 = k2.count(1)
+                coeff = Fraction(factorial(am) * factorial(b1),
+                                 factorial(am + b1)) * c1 * c2
+                for w in shifted_shuffle(k1, k2, m - 1):
+                    yield w, coeff
 
-
-def pqsym_dup_succ(a: LinComb, b: LinComb) -> LinComb:
-    """The right duplicial operation on parking words is the ordinary product."""
-    return pqsym_product(a, b)
+    return LinComb(terms())
 
 
 # -- Catalan subalgebra (P basis on nondecreasing parking functions) ----------
@@ -81,29 +74,20 @@ def pqsym_dup_succ(a: LinComb, b: LinComb) -> LinComb:
 
 def cqsym_succ(a: LinComb, b: LinComb) -> LinComb:
     """P^alpha > P^beta = P^(alpha.beta[len]) - the multiplicative product."""
-    out = LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            out = out + LinComb.term(shifted_concat_len(k1, k2), c1 * c2)
-    return out
+    return LinComb((shifted_concat_len(k1, k2), c1 * c2)
+                   for k1, c1 in a for k2, c2 in b)
 
 
 def cqsym_prec(a: LinComb, b: LinComb) -> LinComb:
     """P^alpha < P^beta = P^(alpha.beta[max-1]); empty left keys are rejected."""
-    out = LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            out = out + LinComb.term(shifted_concat_max(k1, k2), c1 * c2)
-    return out
+    return LinComb((shifted_concat_max(k1, k2), c1 * c2)
+                   for k1, c1 in a for k2, c2 in b)
 
 
 def cqsym_expand_F(a: LinComb) -> LinComb:
     """P^pi = sum of F_a over the rearrangements a of pi."""
-    out = LinComb()
-    for pi, c in a:
-        out = out + LinComb(
-            (w, c) for w in set(itertools.permutations(pi)))
-    return out
+    return LinComb((w, c) for pi, c in a
+                   for w in set(itertools.permutations(pi)))
 
 
 def pqsym_project_P(a: LinComb) -> LinComb:
@@ -111,15 +95,17 @@ def pqsym_project_P(a: LinComb) -> LinComb:
     groups: dict[tuple, dict] = {}
     for w, c in a:
         groups.setdefault(sort_ascending(w), {})[w] = c
-    out = LinComb()
-    for pi, members in groups.items():
-        expected = set(itertools.permutations(pi))
-        coeffs = set(members.values())
-        if set(members) != expected or len(coeffs) != 1:
-            raise NotInSubalgebraError(
-                f"not constant on the reordering class of {pi}")
-        out = out + LinComb.term(pi, coeffs.pop())
-    return out
+
+    def terms():
+        for pi, members in groups.items():
+            expected = set(itertools.permutations(pi))
+            coeffs = set(members.values())
+            if set(members) != expected or len(coeffs) != 1:
+                raise NotInSubalgebraError(
+                    f"not constant on the reordering class of {pi}")
+            yield pi, coeffs.pop()
+
+    return LinComb(terms())
 
 
 def dup_coproduct(a: LinComb) -> LinComb:
@@ -129,13 +115,8 @@ def dup_coproduct(a: LinComb) -> LinComb:
     P^park(prefix) (x) P^park(suffix starting at k+1); single letters are
     primitive.
     """
-    out = LinComb()
-    for pi, c in a:
-        n = len(pi)
-        for k in range(1, n):
-            out = out + LinComb.term(
-                (parkize(pi[:k]), parkize(pi[k:])), c)
-    return out
+    return LinComb(((parkize(pi[:k]), parkize(pi[k:])), c)
+                   for pi, c in a for k in range(1, len(pi)))
 
 
 def dup_bracket(a: LinComb, b: LinComb) -> LinComb:
@@ -166,13 +147,16 @@ def _hypoplactic_classes(n: int) -> dict:
 
 def sqsym_expand_F(a: LinComb) -> LinComb:
     """P_q = sum of F_a over the hypoplactic class of q."""
-    out = LinComb()
-    for q, c in a:
-        members = _hypoplactic_classes(len(q)).get(q)
-        if members is None:
-            raise ValueError(f"no parking function has hypoplactic class {q}")
-        out = out + LinComb((w, c) for w in members)
-    return out
+    def terms():
+        for q, c in a:
+            members = _hypoplactic_classes(len(q)).get(q)
+            if members is None:
+                raise ValueError(
+                    f"no parking function has hypoplactic class {q}")
+            for w in members:
+                yield w, c
+
+    return LinComb(terms())
 
 
 def pqsym_project_sqsym(a: LinComb) -> LinComb:
@@ -180,15 +164,17 @@ def pqsym_project_sqsym(a: LinComb) -> LinComb:
     groups: dict[QuasiRibbon, dict] = {}
     for w, c in a:
         groups.setdefault(hypoplactic_quasi_ribbon(w), {})[w] = c
-    out = LinComb()
-    for q, members in groups.items():
-        expected = set(_hypoplactic_classes(len(q))[q])
-        coeffs = set(members.values())
-        if set(members) != expected or len(coeffs) != 1:
-            raise NotInSubalgebraError(
-                f"not constant on the hypoplactic class of {q}")
-        out = out + LinComb.term(q, coeffs.pop())
-    return out
+
+    def terms():
+        for q, members in groups.items():
+            expected = set(_hypoplactic_classes(len(q))[q])
+            coeffs = set(members.values())
+            if set(members) != expected or len(coeffs) != 1:
+                raise NotInSubalgebraError(
+                    f"not constant on the hypoplactic class of {q}")
+            yield q, coeffs.pop()
+
+    return LinComb(terms())
 
 
 def sqsym_product(a: LinComb, b: LinComb) -> LinComb:
@@ -251,36 +237,26 @@ def _convolution_terms(alpha, beta):
         yield u + v, (n + m) in chosen
 
 
+def _convolution(a: LinComb, b: LinComb, keep) -> LinComb:
+    """The terms of G_a G_b whose max-in-left flag is in ``keep``."""
+    return LinComb((g, c1 * c2) for k1, c1 in a for k2, c2 in b
+                   for g, max_left in _convolution_terms(k1, k2)
+                   if max_left in keep)
+
+
 def fqsym_product(a: LinComb, b: LinComb) -> LinComb:
     """G_alpha G_beta: the convolution product."""
-    out = LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            out = out + LinComb(
-                (g, c1 * c2) for g, _ in _convolution_terms(k1, k2))
-    return out
+    return _convolution(a, b, (True, False))
 
 
 def fqsym_left(a: LinComb, b: LinComb) -> LinComb:
     """Terms of the convolution whose maximum letter falls in the left factor."""
-    out = LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            out = out + LinComb(
-                (g, c1 * c2) for g, max_left in _convolution_terms(k1, k2)
-                if max_left)
-    return out
+    return _convolution(a, b, (True,))
 
 
 def fqsym_right(a: LinComb, b: LinComb) -> LinComb:
     """Complementary half: the maximum letter falls in the right factor."""
-    out = LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            out = out + LinComb(
-                (g, c1 * c2) for g, max_left in _convolution_terms(k1, k2)
-                if not max_left)
-    return out
+    return _convolution(a, b, (False,))
 
 
 def fqsym_F(sigma) -> LinComb:
@@ -296,11 +272,6 @@ def fqsym_scalar(a: LinComb, b: LinComb):
         if c2:
             total = total + c1 * c2
     return total
-
-
-def fqsym_product_F(a: LinComb, b: LinComb) -> LinComb:
-    """The product in F coordinates is the length-shifted shuffle."""
-    return pqsym_product(a, b)
 
 
 # -- packed-word algebra (M basis) --------------------------------------------
@@ -325,41 +296,34 @@ def _packed_convolution(u1, u2):
                 yield left + right, (m2 > m1) - (m2 < m1)
 
 
+def _packed_part(a: LinComb, b: LinComb, keep) -> LinComb:
+    """The terms of M_a M_b whose max comparison sign is in ``keep``."""
+    return LinComb((w, c1 * c2) for k1, c1 in a for k2, c2 in b
+                   for w, cmp in _packed_convolution(k1, k2) if cmp in keep)
+
+
 def wqsym_product(a: LinComb, b: LinComb) -> LinComb:
-    out = LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            out = out + LinComb(
-                (w, c1 * c2) for w, _ in _packed_convolution(k1, k2))
-    return out
+    return _packed_part(a, b, (-1, 0, 1))
+
+
+def wqsym_left(a, b):
+    """The terms whose maximum letter occurs only in the left factor."""
+    return _packed_part(a, b, (-1,))
+
+
+def wqsym_mid(a, b):
+    """The terms whose maximum letter occurs in both factors."""
+    return _packed_part(a, b, (0,))
+
+
+def wqsym_right(a, b):
+    """The terms whose maximum letter occurs only in the right factor."""
+    return _packed_part(a, b, (1,))
 
 
 def wqsym_thirds(a: LinComb, b: LinComb):
     """The tridendriform splitting (left, mid, right) by max comparison."""
-    left, mid, right = LinComb(), LinComb(), LinComb()
-    for k1, c1 in a:
-        for k2, c2 in b:
-            for w, cmp in _packed_convolution(k1, k2):
-                t = LinComb.term(w, c1 * c2)
-                if cmp < 0:
-                    left = left + t
-                elif cmp == 0:
-                    mid = mid + t
-                else:
-                    right = right + t
-    return left, mid, right
-
-
-def wqsym_left(a, b):
-    return wqsym_thirds(a, b)[0]
-
-
-def wqsym_mid(a, b):
-    return wqsym_thirds(a, b)[1]
-
-
-def wqsym_right(a, b):
-    return wqsym_thirds(a, b)[2]
+    return tuple(_packed_part(a, b, (cmp,)) for cmp in (-1, 0, 1))
 
 
 def _packed_fibers(sigma):
@@ -390,10 +354,7 @@ def _packed_fibers(sigma):
 
 def embed_fqsym_wqsym(a: LinComb) -> LinComb:
     """G_sigma -> sum of M_u over packed words with std(u) = sigma."""
-    out = LinComb()
-    for sigma, c in a:
-        out = out + LinComb((u, c) for u in _packed_fibers(sigma))
-    return out
+    return LinComb((u, c) for sigma, c in a for u in _packed_fibers(sigma))
 
 
 # -- morphisms ----------------------------------------------------------------
@@ -406,27 +367,19 @@ def morphism_istar(a: LinComb) -> LinComb:
 
 def istar_on_cqsym(a: LinComb) -> SymElem:
     """P^pi -> S^t(pi) with t the packed evaluation."""
-    out = SymElem.zero("S")
-    for pi, c in a:
-        out = out + SymElem.s(packed_evaluation(pi), c)
-    return out
+    return SymElem("S", LinComb((packed_evaluation(pi), c) for pi, c in a))
 
 
 def istar_on_sqsym(a: LinComb) -> SymElem:
     """P_q -> R_I with I the shape (segment lengths) of the quasi-ribbon q."""
-    out = SymElem.zero("R")
-    for q, c in a:
-        out = out + SymElem.r(q.shape(), c)
-    return out
+    return SymElem("R", LinComb((q.shape(), c) for q, c in a))
 
 
 def morphism_psi(a: LinComb) -> SymElem:
     """F_a -> S^t(a) / n!: the algebra morphism onto symmetric functions."""
-    out = SymElem.zero("S")
-    for w, c in a:
-        out = out + SymElem.s(packed_evaluation(w),
-                              Fraction(c) / factorial(len(w)))
-    return out
+    return SymElem("S", LinComb(
+        (packed_evaluation(w), Fraction(c) / factorial(len(w)))
+        for w, c in a))
 
 
 # -- axiom suites ---------------------------------------------------------------
@@ -566,13 +519,12 @@ def bialgebra_axiom_check(max_total: int = 5) -> bool:
         for a, b in _keys_by_total(ndpfs, max_total, 2):
             x, y = LinComb.term(a), LinComb.term(b)
             lhs = dup_coproduct(op(x, y))
-            rhs = LinComb.term((a, b))
-            for (x1, x2), c in dup_coproduct(x):
-                rhs = rhs + LinComb(
-                    ((x1, k), c * c2) for k, c2 in key_op(x2, b))
-            for (y1, y2), c in dup_coproduct(y):
-                rhs = rhs + LinComb(
-                    ((k, y2), c * c2) for k, c2 in key_op(a, y1))
+            rhs = LinComb(itertools.chain(
+                [((a, b), 1)],
+                (((x1, k), c * c2) for (x1, x2), c in dup_coproduct(x)
+                 for k, c2 in key_op(x2, b)),
+                (((k, y2), c * c2) for (y1, y2), c in dup_coproduct(y)
+                 for k, c2 in key_op(a, y1))))
             if lhs != rhs:
                 return False
     return True
@@ -584,16 +536,10 @@ def coassociativity_check(max_degree: int = 5) -> bool:
     for n in range(1, max_degree + 1):
         for pi in ndpfs(n):
             delta = dup_coproduct(LinComb.term(pi))
-            lhs = LinComb()
-            for (k1, k2), c in delta:
-                lhs = lhs + LinComb(
-                    ((a, b, k2), c * c2)
-                    for (a, b), c2 in dup_coproduct(LinComb.term(k1)))
-            rhs = LinComb()
-            for (k1, k2), c in delta:
-                rhs = rhs + LinComb(
-                    ((k1, a, b), c * c2)
-                    for (a, b), c2 in dup_coproduct(LinComb.term(k2)))
+            lhs = LinComb(((a, b, k2), c * c2) for (k1, k2), c in delta
+                          for (a, b), c2 in dup_coproduct(LinComb.term(k1)))
+            rhs = LinComb(((k1, a, b), c * c2) for (k1, k2), c in delta
+                          for (a, b), c2 in dup_coproduct(LinComb.term(k2)))
             if lhs != rhs:
                 return False
     return True
@@ -612,7 +558,3 @@ def element_to_json(a: LinComb, basis: str) -> dict:
     terms = sorted(((_key_text(k), str(c)) for k, c in a), key=lambda kv: kv[0])
     return {"basis": basis,
             "terms": [{"key": k, "coeff": c} for k, c in terms]}
-
-
-def element_to_json_str(a: LinComb, basis: str) -> str:
-    return json.dumps(element_to_json(a, basis), sort_keys=True)

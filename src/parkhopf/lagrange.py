@@ -5,7 +5,8 @@ functions; Tamari intervals; and the mirror involution.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 
 from .combinat import (binary_trees, canopy, comp_conjugate, is_ndpf, ndpfs,
                        packed_evaluation, tree_mirror, shifted_concat_len,
@@ -29,36 +30,35 @@ def _weak_compositions(total: int, parts: int):
 # -- the series g and f in the S bases ----------------------------------------
 
 
+def _lagrange_rhs(series: list[SymElem], n: int, extended: bool) -> SymElem:
+    """The degree-n part of S_0 + sum_k S_k y^k, y given through degree n-1.
+
+    S_0 is the degree-zero generator in the extended algebra and 1 otherwise;
+    as the k = 0 term it only occurs in degree 0.
+    """
+    def s(k):
+        return SymElem.s((k,) if k or extended else (), extended=extended)
+
+    return SymElem("S", LinComb(
+        kc for k in range(n + 1) for ms in _weak_compositions(n - k, k)
+        for kc in reduce(mul, (series[m] for m in ms), s(k)).terms),
+        extended)
+
+
 def solve_g(order: int) -> list[SymElem]:
     """Degreewise solution of g = sum_k S_k g^k (with S_0 = 1), g_0 = 1."""
     if order > 8:
         raise ValueError("solve_g supports order <= 8")
-    g = [SymElem.one("S")]
-    for n in range(1, order + 1):
-        comp = SymElem.zero("S")
-        for k in range(1, n + 1):
-            for ms in _weak_compositions(n - k, k):
-                term = SymElem.s((k,))
-                for m in ms:
-                    term = term * g[m]
-                comp = comp + term
-        g.append(comp)
+    g: list[SymElem] = []
+    for n in range(order + 1):
+        g.append(_lagrange_rhs(g, n, extended=False))
     return g
 
 
 def residual_g(g: list[SymElem]) -> bool:
     """True iff g - sum_k S_k g^k vanishes through the truncation order."""
-    for n in range(len(g)):
-        rhs = SymElem.one("S") if n == 0 else SymElem.zero("S")
-        for k in range(1, n + 1):
-            for ms in _weak_compositions(n - k, k):
-                term = SymElem.s((k,))
-                for m in ms:
-                    term = term * g[m]
-                rhs = rhs + term
-        if rhs != g[n]:
-            return False
-    return True
+    return all(_lagrange_rhs(g, n, extended=False) == g[n]
+               for n in range(len(g)))
 
 
 def solve_f(order: int) -> list[SymElem]:
@@ -66,52 +66,30 @@ def solve_f(order: int) -> list[SymElem]:
     extended by the degree-zero indeterminate S_0."""
     if order > 8:
         raise ValueError("solve_f supports order <= 8")
-    f = [SymElem.s((0,), extended=True)]
-    for n in range(1, order + 1):
-        comp = SymElem.zero("S", extended=True)
-        for k in range(1, n + 1):
-            for ms in _weak_compositions(n - k, k):
-                term = SymElem.s((k,), extended=True)
-                for m in ms:
-                    term = term * f[m]
-                comp = comp + term
-        f.append(comp)
+    f: list[SymElem] = []
+    for n in range(order + 1):
+        f.append(_lagrange_rhs(f, n, extended=True))
     return f
 
 
 def residual_f(f: list[SymElem]) -> bool:
-    for n in range(len(f)):
-        rhs = SymElem.s((0,), extended=True) if n == 0 \
-            else SymElem.zero("S", extended=True)
-        for k in range(1, n + 1):
-            for ms in _weak_compositions(n - k, k):
-                term = SymElem.s((k,), extended=True)
-                for m in ms:
-                    term = term * f[m]
-                rhs = rhs + term
-        if rhs != f[n]:
-            return False
-    return True
+    """True iff f - S_0 - sum_k S_k f^k vanishes through the truncation order."""
+    return all(_lagrange_rhs(f, n, extended=True) == f[n]
+               for n in range(len(f)))
 
 
 def f_closed_form(n: int) -> SymElem:
     """f_n = sum over nondecreasing parking functions pi of S^(ev(pi).0),
     the evaluation taken over the letters 1..n."""
-    out = SymElem.zero("S", extended=True)
-    for pi in ndpfs(n):
-        counts = [0] * n
-        for v in pi:
-            counts[v - 1] += 1
-        out = out + SymElem.s(tuple(counts) + (0,), extended=True)
-    return out
+    return SymElem("S", LinComb(
+        (tuple(pi.count(v) for v in range(1, n + 1)) + (0,), 1)
+        for pi in ndpfs(n)), extended=True)
 
 
 def f_unit_specialization(fn: SymElem) -> SymElem:
     """Set the degree-zero generator to 1: drop zero parts from every key."""
-    out = SymElem.zero("S")
-    for key, c in fn.terms:
-        out = out + SymElem.s(tuple(p for p in key if p), c)
-    return out
+    return SymElem("S", LinComb((tuple(p for p in key if p), c)
+                                for key, c in fn.terms))
 
 
 # -- the bilinear map B and the quadratic equations ----------------------------
@@ -149,10 +127,8 @@ def solve_series_B(order: int, algebra: str) -> list[LinComb]:
     """Degreewise solution of Y = 1 + B(Y, Y)."""
     y = [unit()]
     for n in range(1, order + 1):
-        comp = LinComb()
-        for i in range(n):
-            comp = comp + bilinear_B(y[i], y[n - 1 - i], algebra)
-        y.append(comp)
+        y.append(LinComb(kc for i in range(n)
+                         for kc in bilinear_B(y[i], y[n - 1 - i], algebra)))
     return y
 
 

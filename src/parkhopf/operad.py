@@ -58,23 +58,26 @@ def eval_tree_parse(text: str):
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def rec():
+    def take():
         nonlocal pos
-        tok = tokens[pos]
+        if pos == len(tokens):
+            raise ValueError(f"unexpected end of {text!r}")
         pos += 1
+        return tokens[pos - 1]
+
+    def rec():
+        tok = take()
         if tok == "x":
             return LEAF
         if tok != "(":
             raise ValueError(f"bad token {tok!r} in {text!r}")
         left = rec()
-        op = tokens[pos]
-        pos += 1
+        op = take()
         if op not in TRI_OPS:
             raise ValueError(f"bad operation {op!r} in {text!r}")
         right = rec()
-        if tokens[pos] != ")":
+        if take() != ")":
             raise ValueError(f"missing ')' in {text!r}")
-        pos += 1
         return (op, left, right)
 
     out = rec()

@@ -80,15 +80,10 @@ class SymElem:
 
     def __mul__(self, other: "SymElem") -> "SymElem":
         self._check_compatible(other)
-        if self.basis == "S":
-            rule = lambda k1, k2: LinComb.term(comp_concat(k1, k2))
-        else:
-            rule = _ribbon_rule
-        out = LinComb()
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                out = out + rule(k1, k2).scale(c1 * c2)
-        return self._like(out)
+        rule = _concat_rule if self.basis == "S" else _ribbon_rule
+        return self._like(LinComb(
+            (k, c1 * c2) for k1, c1 in self.terms for k2, c2 in other.terms
+            for k in rule(k1, k2)))
 
     def __eq__(self, other):
         return (isinstance(other, SymElem) and self.basis == other.basis
@@ -120,13 +115,16 @@ class SymElem:
         return f"SymElem({self})"
 
 
-def _ribbon_rule(i, j) -> LinComb:
+def _concat_rule(i, j) -> tuple:
+    """S^I S^J = S^{I.J}."""
+    return (comp_concat(i, j),)
+
+
+def _ribbon_rule(i, j) -> tuple:
     """R_I R_J = R_{I.J} + R_{I |> J}."""
-    if not i:
-        return LinComb.term(tuple(j))
-    if not j:
-        return LinComb.term(tuple(i))
-    return LinComb.term(comp_concat(i, j)) + LinComb.term(comp_near_concat(i, j))
+    if not i or not j:
+        return (comp_concat(i, j),)
+    return comp_concat(i, j), comp_near_concat(i, j)
 
 
 def s_product(a: SymElem, b: SymElem) -> SymElem:
@@ -151,12 +149,9 @@ def S_to_R(a: SymElem) -> SymElem:
     _check_not_extended(a)
     if a.basis == "R":
         return a
-    out = LinComb()
-    for i, c in a.terms:
-        for j in compositions(sum(i)):
-            if coarser_leq(j, i):
-                out = out + LinComb.term(j, c)
-    return SymElem("R", out)
+    return SymElem("R", LinComb((j, c) for i, c in a.terms
+                                for j in compositions(sum(i))
+                                if coarser_leq(j, i)))
 
 
 def R_to_S(a: SymElem) -> SymElem:
@@ -164,13 +159,10 @@ def R_to_S(a: SymElem) -> SymElem:
     _check_not_extended(a)
     if a.basis == "S":
         return a
-    out = LinComb()
-    for i, c in a.terms:
-        for j in compositions(sum(i)):
-            if coarser_leq(j, i):
-                sign = (-1) ** (len(i) - len(j))
-                out = out + LinComb.term(j, sign * c)
-    return SymElem("S", out)
+    return SymElem("S", LinComb((j, (-1) ** (len(i) - len(j)) * c)
+                                for i, c in a.terms
+                                for j in compositions(sum(i))
+                                if coarser_leq(j, i)))
 
 
 def as2_axioms_check(n: int) -> bool:

@@ -144,3 +144,40 @@ def test_help_runs(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--help"])
     assert err.value.code == 0
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["bijection", "--direction", "tree-to-ndpf", "--input", "(.,"],
+    ["bijection", "--direction", "tree-to-ndpf", "--input", "("],
+    ["series", "--which", "g", "--degree", "-1"],
+    ["enumerate", "--family", "dyck", "--n", "-1"],
+    ["poly", "--which", "qn", "--n", "-1"],
+    ["table", "--which", "qn-triangle", "--n-max", "-1"],
+    ["verify", "--suite", "rewriting", "--max-n", "-3"],
+    ["verify", "--suite", "all", "--max-n", "0"],
+])
+def test_malformed_input_exits_2(capsys, argv):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_failed_check_exits_1(capsys, monkeypatch):
+    from parkhopf import chars
+
+    def fail(n):
+        raise AssertionError("sinv and smaj distributions must agree")
+
+    monkeypatch.setattr(chars, "super_narayana_count", fail)
+    assert main(["poly", "--which", "super-narayana", "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from parkhopf.exact import (LinComb, NonPolynomialError, Poly, RatFun,
                             assert_polynomial, kernel_dimension,
-                            lincomb_bilinear_extend, poly_divexact, poly_gcd,
-                            ratfun_normalize, series_sqrt_expand,
+                            poly_divexact, poly_gcd, series_sqrt_expand,
                             span_dimension, tensor)
 
 q, t, x, z, a = (Poly.var(v) for v in ("q", "t", "x", "z", "a"))
@@ -50,7 +49,6 @@ def test_ratfun_normalization():
     assert RatFun(1 - x ** 2, 1 - x) == RatFun(1 + x)
     assert RatFun(1 - q, 1 - q) == RatFun(1)
     r = RatFun((1 - x) * (1 - q ** 2), (1 - q) ** 2)
-    assert ratfun_normalize(r) == r
     assert r == RatFun((1 - x) * (1 + q), 1 - q)
 
 
@@ -88,24 +86,6 @@ def test_series_sqrt_squares_back():
     assert square == expect
     with pytest.raises(ValueError):
         series_sqrt_expand(2 + z, 3)
-
-
-def test_lincomb_bilinear_extension():
-    concat = lincomb_bilinear_extend(
-        lambda k1, k2: LinComb.term(k1 + k2))
-    v = LinComb.term((1,)) + LinComb.term((2,))
-    w = LinComb.term((3,))
-    assert concat(v, w) == LinComb.term((1, 3)) + LinComb.term((2, 3))
-    # bilinearity over sums and scalars
-    assert concat(v.scale(2), w) == concat(v, w).scale(2)
-    assert concat(v + w, w) == concat(v, w) + concat(w, w)
-    # extension of the length-shifted concatenation rule on the
-    # multiplicative parking basis
-    from parkhopf.combinat import shifted_concat_len
-    bullet = lincomb_bilinear_extend(
-        lambda k1, k2: LinComb.term(shifted_concat_len(k1, k2)))
-    assert bullet(LinComb.term((1, 2)), LinComb.term((1, 1, 3))) == \
-        LinComb.term((1, 2, 3, 3, 5))
 
 
 def test_span_and_kernel_dimension():

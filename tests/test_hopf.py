@@ -237,8 +237,8 @@ def test_morphism_istar():
     pairs += _random_parking_pairs(rng, 6, 8)
     for a, b in pairs:
         lhs = hopf.morphism_istar(hopf.pqsym_product(F(a), F(b)))
-        rhs = hopf.fqsym_product_F(hopf.morphism_istar(F(a)),
-                                   hopf.morphism_istar(F(b)))
+        rhs = hopf.pqsym_product(hopf.morphism_istar(F(a)),
+                                 hopf.morphism_istar(F(b)))
         assert lhs == rhs
 
 
