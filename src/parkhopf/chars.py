@@ -676,8 +676,8 @@ def q_triangle(n_max: int) -> list[list[int]]:
 def lassalle_narayana(n: int) -> Poly:
     """c_n(q) through the rank-one alphabet: evaluate h_n on (n+1)(1-x),
     divide by n+1, substitute x = 1-q, divide by q."""
-    if n > 7:
-        raise ValueError("lassalle_narayana supports n <= 7")
+    if not 1 <= n <= 7:
+        raise ValueError("lassalle_narayana supports 1 <= n <= 7")
     alphabet = VirtualAlphabet("m_times_one_minus_x", m=n + 1)
     hn = assert_polynomial(alphabet.h(n)).scale(Fraction(1, n + 1))
     q = Poly.var("q")

@@ -22,10 +22,11 @@ SCHEMA = "parkhopf/1"
 
 
 def _max_n() -> int:
-    try:
-        return int(os.environ.get("PARKHOPF_MAX_N", "8"))
-    except ValueError:
-        return 8
+    raw = os.environ.get("PARKHOPF_MAX_N", "8")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(
+            f"PARKHOPF_MAX_N must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 # -- enumerate ----------------------------------------------------------------

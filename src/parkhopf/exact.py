@@ -5,11 +5,17 @@ Coefficients are `fractions.Fraction` throughout; there is no floating point
 anywhere in this package.  Polynomials live in the fixed variable set
 q, t, x, z, a (``a`` is the binomial-element parameter), stored as a sparse
 map from dense exponent vectors to rational coefficients.
+
+Span and kernel dimensions come from one sparse elimination routine on dict
+rows.  Integral and rational vectors are eliminated over Python ints with
+fraction-free (Bareiss-style) updates; only vectors with `Poly` or `RatFun`
+coefficients are eliminated over the field of rational functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping
 
 VARS = ("q", "t", "x", "z", "a")
@@ -554,62 +560,74 @@ def tensor(a: LinComb, b: LinComb) -> LinComb:
 # -- exact linear algebra ----------------------------------------------------
 
 
-def _field_lift(c):
-    if isinstance(c, (int, Fraction)):
-        return c
-    if isinstance(c, Poly):
-        return RatFun(c)
-    if isinstance(c, RatFun):
-        return c
-    raise TypeError(f"unsupported coefficient for elimination: {c!r}")
+def _rank(rows: Iterable[dict], field: bool) -> int:
+    """Rank of sparse rows ``{column: entry}`` by echelon insertion.
 
-
-def _rank(rows: list[list]) -> int:
-    """Rank by Gaussian elimination over an exact field."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
+    Each row is reduced by its leading (smallest) column against the stored
+    pivot with that leading column, until it is zero or leads in a column
+    with no pivot, where it is stored.  Over the integers the update is
+    fraction-free in the style of Bareiss (1968), ``row = a*row - b*pivot``
+    with ``b/a`` the ratio of the two leading entries in lowest terms, and
+    pivots are kept primitive.  With ``field`` the entries are `RatFun` and pivots are kept
+    monic, so ``a = 1`` and ``b`` is the row's leading entry.
+    """
+    pivots: dict = {}
+    for row in rows:
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                if field:
+                    inv = 1 / row[lead]
+                    pivots[lead] = {c: v * inv for c, v in row.items()}
+                else:
+                    g = gcd(*row.values())
+                    pivots[lead] = {c: v // g for c, v in row.items()}
                 break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pc = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            c = rows[r][col]
-            if c:
-                factor = c / pc
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+            b = row[lead]
+            if field:
+                new = dict(row)
+            else:
+                a = pivot[lead]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                new = {c: a * v for c, v in row.items()}
+            for c, v in pivot.items():
+                s = new.get(c, 0) - b * v
+                if s:
+                    new[c] = s
+                else:
+                    del new[c]
+            row = new
+    return len(pivots)
 
 
 def span_dimension(vectors: Iterable[LinComb]) -> int:
-    """Dimension of the span of the given free-module elements."""
+    """Dimension of the span of the given free-module elements.
+
+    Integer and `Fraction` coefficients are eliminated over the integers:
+    each vector's denominators are cleared and the rank is taken by sparse
+    fraction-free elimination.  Only when some coefficient is a `Poly` or
+    `RatFun` are all entries lifted to `RatFun` and eliminated over the
+    field of rational functions.  Columns are numbered in order of first
+    appearance, so no order on the keys is needed.
+    """
     vectors = list(vectors)
-    keys = sorted({k for v in vectors for k in v.terms}, key=repr)
-    index = {k: i for i, k in enumerate(keys)}
+    field = not all(isinstance(c, (int, Fraction))
+                    for v in vectors for c in v.terms.values())
+    index: dict = {}
     rows = []
     for v in vectors:
-        row = [0] * len(keys)
-        for k, c in v.terms.items():
-            row[index[k]] = c
+        row = {index.setdefault(k, len(index)): c
+               for k, c in v.terms.items() if c}
+        if field:
+            row = {i: RatFun.coerce(c) for i, c in row.items()}
+        else:
+            d = lcm(*(c.denominator for c in row.values()))
+            row = {i: c.numerator * (d // c.denominator)
+                   for i, c in row.items()}
         rows.append(row)
-    if any(isinstance(c, (Poly, RatFun)) for row in rows for c in row):
-        rows = [[_field_lift(Poly.coerce(c) if isinstance(c, (int, Fraction)) else c)
-                 for c in row] for row in rows]
-    else:
-        rows = [[Fraction(c) for c in row] for row in rows]
-    return _rank(rows)
+    return _rank(rows, field)
 
 
 def kernel_dimension(basis: Iterable, linear_map: Callable[..., LinComb]) -> int:

@@ -128,8 +128,8 @@ def primitive_dimension(n: int) -> int:
     """Kernel dimension of the duplicial coproduct in degree n."""
     from .combinat import ndpfs
     from .exact import kernel_dimension
-    if n > 7:
-        raise ValueError("primitive_dimension supports n <= 7")
+    if n > 8:
+        raise ValueError("primitive_dimension supports n <= 8")
     return kernel_dimension(
         ndpfs(n), lambda pi: dup_coproduct(LinComb.term(pi)))
 

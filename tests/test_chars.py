@@ -271,6 +271,9 @@ def test_lassalle_narayana():
     for n in range(1, 6):
         via_paths = ch.narayana_from_pn(ch.schroder_polynomials(n)[0])
         assert ch.lassalle_narayana(n) == via_paths.substitute("t", q)
+    for n in (0, -1, 8):
+        with pytest.raises(ValueError, match="1 <= n <= 7"):
+            ch.lassalle_narayana(n)
 
 
 def test_narayana_vs_bar_distribution():

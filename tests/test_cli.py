@@ -162,12 +162,23 @@ def _exit_code(argv):
     ["table", "--which", "qn-triangle", "--n-max", "-1"],
     ["verify", "--suite", "rewriting", "--max-n", "-3"],
     ["verify", "--suite", "all", "--max-n", "0"],
+    ["poly", "--which", "narayana", "--n", "0"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     assert _exit_code(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "", "2.5"])
+def test_bad_max_n_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("PARKHOPF_MAX_N", value)
+    assert main(["enumerate", "--family", "pf", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: PARKHOPF_MAX_N")
+    assert captured.err.count("\n") == 1
 
 
 def test_failed_check_exits_1(capsys, monkeypatch):

@@ -110,6 +110,53 @@ def test_span_dimension_over_rational_functions():
     v1 = LinComb.term("k1", q) + LinComb.term("k2", q ** 2)
     v2 = LinComb.term("k1", 1 - q) + LinComb.term("k2", q * (1 - q))
     assert span_dimension([v1, v2]) == 1
+    # (1/(1-q), q/(1-q)) is (1, q) scaled by 1/(1-q)
+    v1 = LinComb([("k1", RatFun(1, 1 - q)), ("k2", RatFun(q, 1 - q))])
+    v2 = LinComb([("k1", 1), ("k2", q)])
+    assert span_dimension([v1, v2]) == 1
+    assert span_dimension([v1, v2, LinComb.term("k2", RatFun(1, 1 + q))]) == 2
+    # rank two with Poly entries
+    v1 = LinComb([("k1", 1 + q), ("k2", t), ("k3", Poly.const(2))])
+    v2 = LinComb([("k1", q), ("k2", t * q), ("k3", 2 * q)])
+    v3 = LinComb([("k1", 1 + 2 * q), ("k2", t + t * q), ("k3", 2 + 2 * q)])
+    assert span_dimension([v1, v2, v3]) == 2  # v3 = v1 + v2
+
+
+def _dense_rank(vectors) -> int:
+    """Reference rank: dense Gaussian elimination over Fraction."""
+    keys = sorted({k for v in vectors for k in v.terms})
+    rows = [[Fraction(v.coeff(k)) for k in keys] for v in vectors]
+    rank = 0
+    for col in range(len(keys)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7))
+_vectors = st.dictionaries(st.integers(0, 5), _scalars, max_size=6).map(
+    LinComb)
+
+
+@given(st.lists(_vectors, max_size=7), st.data())
+def test_span_dimension_matches_dense_rank(vectors, data):
+    # append repeated and rescaled copies of some of the vectors
+    for v in list(vectors):
+        pick = data.draw(st.sampled_from(("keep", "repeat", "scale")))
+        if pick == "repeat":
+            vectors.append(v)
+        elif pick == "scale":
+            vectors.append(v.scale(data.draw(_scalars.filter(bool))))
+    assert span_dimension(vectors) == _dense_rank(vectors)
 
 
 def test_tensor():

@@ -5,7 +5,7 @@ import pytest
 from parkhopf.combinat import (NotInSubalgebraError, QuasiRibbon, ndpfs,
                                parking_functions, permutations, quasi_ribbons)
 from parkhopf.exact import LinComb
-from parkhopf import hopf
+from parkhopf import hopf, operad
 from parkhopf.symfun import SymElem
 
 
@@ -103,6 +103,11 @@ def test_dup_bracket_values():
 def test_primitive_dimension():
     assert [hopf.primitive_dimension(n) for n in range(1, 7)] == \
         [1, 1, 2, 5, 14, 42]
+    # the top size, against duplicial normal forms with 7 leaves (C_7)
+    assert hopf.primitive_dimension(8) == 429 == \
+        operad.count_normal_forms("dup", 7)
+    with pytest.raises(ValueError, match="n <= 8"):
+        hopf.primitive_dimension(9)
 
 
 def test_bialgebra_axiom_and_coassociativity():
