@@ -7,7 +7,10 @@ element, and the q-analogue triangle)."""
 
 __version__ = "0.1.0"
 
-from . import chars, cli, combinat, exact, hopf, lagrange, operad, symfun
+# cli is not imported here: `python -m parkhopf.cli` warns when the module is
+# already in sys.modules.  bench/child.py reads the other seven from
+# sys.modules right after `import parkhopf`.
+from . import chars, combinat, exact, hopf, lagrange, operad, symfun
 
 __all__ = ["chars", "cli", "combinat", "exact", "hopf", "lagrange", "operad",
            "symfun", "__version__"]

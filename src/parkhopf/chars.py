@@ -7,14 +7,16 @@ and the q-analogue triangle of (n+1)^(n-1).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .combinat import (QuasiRibbon, is_ndpf, is_parking, ndpfs,
                        packed_evaluation, parking_functions, quasi_ribbons,
                        shifted_shuffle)
-from .exact import (LinComb, NotDivisibleError, Poly, RatFun,
-                    assert_polynomial, poly_divexact, series_sqrt_expand)
+from .exact import (P_ONE, P_ZERO, LinComb, NotDivisibleError, Poly, RatFun,
+                    assert_polynomial, monomial, poly_divexact,
+                    series_sqrt_expand)
 from .lagrange import solve_g
 from .symfun import VirtualAlphabet, cycle_enumerator, evaluate
 
@@ -68,6 +70,12 @@ class SignedWord:
         return f"SignedWord({self})"
 
 
+def _signings(word):
+    """The 2^len(word) signed words on the letters of a parking word."""
+    return (SignedWord(word, signs)
+            for signs in itertools.product((-1, 1), repeat=len(word)))
+
+
 def signed_parking_functions(n: int):
     """All pairs (parking function, sign word); 2^n (n+1)^(n-1) of them."""
     for w in parking_functions(n):
@@ -100,10 +108,7 @@ def signed_stats(s: SignedWord):
 def _qfact(n: int) -> Poly:
     """(q)_n = (1-q)(1-q^2)...(1-q^n)."""
     q = Poly.var("q")
-    out = Poly.const(1)
-    for k in range(1, n + 1):
-        out = out * (1 - q ** k)
-    return out
+    return prod((1 - q ** k for k in range(1, n + 1)), start=P_ONE)
 
 
 def _qbinom(n: int, k: int) -> Poly:
@@ -118,17 +123,17 @@ def super_narayana_count(n: int) -> Poly:
     """
     if n > 6:
         raise ValueError("super_narayana_count supports n <= 6")
-    by_sinv: dict[tuple, int] = {}
-    by_smaj: dict[tuple, int] = {}
-    for s in signed_parking_functions(n):
-        m, sinv, _, smaj = signed_stats(s)
-        by_sinv[m, sinv] = by_sinv.get((m, sinv), 0) + 1
-        by_smaj[m, smaj] = by_smaj.get((m, smaj), 0) + 1
+    # one Counter over the whole stream counts in C; the few hundred distinct
+    # triples are then split into the two distributions
+    stats = Counter((m, sinv, smaj) for m, sinv, _, smaj
+                    in map(signed_stats, signed_parking_functions(n)))
+    by_sinv, by_smaj = Counter(), Counter()
+    for (m, sinv, smaj), c in stats.items():
+        by_sinv[m, sinv] += c
+        by_smaj[m, smaj] += c
     if by_sinv != by_smaj:
         raise AssertionError("sinv and smaj distributions must agree")
-    t, q = Poly.var("t"), Poly.var("q")
-    return sum((t ** m * q ** j * Poly.const(c)
-                for (m, j), c in by_sinv.items()), Poly())
+    return Poly((monomial(t=m, q=j), c) for (m, j), c in by_sinv.items())
 
 
 def super_narayana_sym(n: int) -> Poly:
@@ -143,14 +148,16 @@ def super_narayana_sym(n: int) -> Poly:
     return poly.substitute("x", -Poly.var("t"))
 
 
+def _signed_term(s: SignedWord) -> tuple:
+    """The signed weight (-x)^(minus) q^(smaj) of s as a pair
+    (monomial, coeff)."""
+    m, _, _, smaj = signed_stats(s)
+    return monomial(x=m, q=smaj), (-1) ** m
+
+
 def fsigma_signed_weight(sigma) -> Poly:
     """Sum over sign words of (-x)^(minus) q^(smaj of the signed permutation)."""
-    x, q = Poly.var("x"), Poly.var("q")
-    out = Poly()
-    for signs in itertools.product((-1, 1), repeat=len(sigma)):
-        m, _, _, smaj = signed_stats(SignedWord(sigma, signs))
-        out = out + (-x) ** m * q ** smaj
-    return out
+    return Poly(map(_signed_term, _signings(sigma)))
 
 
 def qtF_identity_check(sigma) -> bool:
@@ -168,9 +175,8 @@ def qtF_identity_check(sigma) -> bool:
     n = len(sigma)
     for tau in [(1,), (1, 2), (2, 1)]:
         m = len(tau)
-        lhs = Poly()
-        for gamma in shifted_shuffle(sigma, tau, n):
-            lhs = lhs + fsigma_signed_weight(gamma)
+        lhs = Poly(_signed_term(s) for gamma in shifted_shuffle(sigma, tau, n)
+                   for s in _signings(gamma))
         rhs = _qbinom(n + m, n) * fsigma_signed_weight(sigma) \
             * fsigma_signed_weight(tau)
         if lhs != rhs:
@@ -198,12 +204,6 @@ def signed_shifted_shuffle(a: SignedWord, b: SignedWord):
         yield SignedWord(word, signs)
 
 
-def _signed_weight(s: SignedWord) -> Poly:
-    x, q = Poly.var("x"), Poly.var("q")
-    m, _, _, smaj = signed_stats(s)
-    return (-x) ** m * q ** smaj
-
-
 def s_character_check(n: int) -> bool:
     """The sign-spreading map composed with the signed-weight character.
 
@@ -218,24 +218,13 @@ def s_character_check(n: int) -> bool:
         n2 = n - n1
         for a in parking_functions(n1):
             for b in parking_functions(n2):
-                lhs = Poly()
-                for sa in (SignedWord(a, e)
-                           for e in itertools.product((-1, 1), repeat=n1)):
-                    for sb in (SignedWord(b, e)
-                               for e in itertools.product((-1, 1), repeat=n2)):
-                        for s in signed_shifted_shuffle(sa, sb):
-                            lhs = lhs + _signed_weight(s)
-                wa = sum((_signed_weight(SignedWord(a, e))
-                          for e in itertools.product((-1, 1), repeat=n1)),
-                         Poly())
-                wb = sum((_signed_weight(SignedWord(b, e))
-                          for e in itertools.product((-1, 1), repeat=n2)),
-                         Poly())
-                if lhs != _qbinom(n, n1) * wa * wb:
+                lhs = Poly(_signed_term(s) for sa in _signings(a)
+                           for sb in _signings(b)
+                           for s in signed_shifted_shuffle(sa, sb))
+                if lhs != _qbinom(n, n1) * fsigma_signed_weight(a) \
+                        * fsigma_signed_weight(b):
                     return False
-    total = Poly()
-    for s in signed_parking_functions(n):
-        total = total + _signed_weight(s)
+    total = Poly(map(_signed_term, signed_parking_functions(n)))
     return total.substitute("x", -Poly.var("t")) == super_narayana_count(n)
 
 
@@ -409,20 +398,15 @@ def schroder_polynomials(n: int) -> tuple[Poly, bool]:
     if n > 7:
         raise ValueError("schroder_polynomials supports n <= 7")
     t = Poly.var("t")
-    by_paths = Poly()
-    for p in schroder_paths(n):
-        by_paths = by_paths + t ** p.count("h")
-    by_words = Poly()
-    sorted_ok = True
-    for s in _sorted_signed_pfs(n):
-        if signed_stats(s)[1]:
-            sorted_ok = False
-        by_words = by_words + t ** s.minus_count
+    by_paths = Poly((monomial(t=p.count("h")), 1) for p in schroder_paths(n))
+    words = list(_sorted_signed_pfs(n))
+    by_words = Poly((monomial(t=s.minus_count), 1) for s in words)
+    sorted_ok = not any(signed_stats(s)[1] for s in words)
     z = Poly.var("z")
     inner = (1 - t * z) ** 2 - 4 * z
     sqrt = series_sqrt_expand(inner, n + 1)
     numerator = 1 - t * z - sqrt
-    by_series = numerator.coeffs_in("z").get(n + 1, Poly()).scale(Fraction(1, 2))
+    by_series = numerator.coeffs_in("z").get(n + 1, P_ZERO).scale(Fraction(1, 2))
     return by_paths, sorted_ok and (by_paths == by_words == by_series)
 
 
@@ -438,11 +422,7 @@ def narayana_from_pn(pn_t: Poly) -> Poly:
 
 def bar_distribution(n: int) -> Poly:
     """Sum of t^(number of bars) over the parking quasi-ribbons of size n."""
-    t = Poly.var("t")
-    out = Poly()
-    for q in quasi_ribbons(n):
-        out = out + t ** q.bar_count
-    return out
+    return Poly((monomial(t=q.bar_count), 1) for q in quasi_ribbons(n))
 
 
 def _peak_after_last_h(path: str) -> bool:
@@ -474,29 +454,26 @@ def chi_path_model_check(n: int) -> bool:
     last h or no h at all}; equivalently #{paths, k+1 h-steps, no peak after
     the last h}; and also #{paths, k peaks, none at level one}.
     """
-    bars = bar_distribution(n).coeffs_in("t")
-    bar_counts = {k: p.constant_value() for k, p in bars.items()}
+    bar_counts = dict(enumerate(bar_distribution(n).coeff_row("t")))
     paths = schroder_paths(n)
-    with_peak: dict[int, int] = {}
-    without_peak: dict[int, int] = {}
-    by_peaks: dict[int, int] = {}
+    with_peak, without_peak, by_peaks = Counter(), Counter(), Counter()
     for p in paths:
         k = p.count("h")
         if "h" not in p or _peak_after_last_h(p):
-            with_peak[k] = with_peak.get(k, 0) + 1
+            with_peak[k] += 1
         else:
-            without_peak[k] = without_peak.get(k, 0) + 1
+            without_peak[k] += 1
         npeaks, level_one = _peaks(p)
         if not level_one:
-            by_peaks[npeaks] = by_peaks.get(npeaks, 0) + 1
+            by_peaks[npeaks] += 1
     kmax = max(bar_counts, default=0)
     for k in range(kmax + 2):
         expected = bar_counts.get(k, 0)
-        if with_peak.get(k, 0) != expected:
+        if with_peak[k] != expected:
             return False
-        if without_peak.get(k + 1, 0) != expected:
+        if without_peak[k + 1] != expected:
             return False
-        if by_peaks.get(k, 0) != expected:
+        if by_peaks[k] != expected:
             return False
     return True
 
@@ -537,9 +514,8 @@ def _chi_character_property(n: int) -> bool:
             for q1 in quasi_ribbons(n1):
                 for q2 in quasi_ribbons(n2):
                     product = sqsym_product(LinComb.term(q1), LinComb.term(q2))
-                    lhs = Poly()
-                    for q, c in product:
-                        lhs = lhs + _chi_value(q).scale(c)
+                    lhs = Poly(pair for q, c in product for pair
+                               in _chi_value(q).scale(c).terms.items())
                     if lhs != _chi_value(q1) * _chi_value(q2):
                         return False
     return True
@@ -555,12 +531,12 @@ def psi_alpha_value(w) -> Poly:
 
 
 def pn_alpha(n: int) -> Poly:
-    """P_n(a) = a (prod over k=1..n-1 of ((n+1) a + k))."""
+    """P_n(a) = a (prod over k=1..n-1 of ((n+1) a + k)) for n >= 1, and
+    P_0(a) = 1, the value on the one empty parking function."""
+    if n == 0:
+        return P_ONE
     alpha = Poly.var("a")
-    out = alpha
-    for k in range(1, n):
-        out = out * (alpha.scale(n + 1) + Poly.const(k))
-    return out
+    return prod((alpha.scale(n + 1) + k for k in range(1, n)), start=alpha)
 
 
 def fixed_pair_counts(n: int) -> dict[int, int]:
@@ -568,7 +544,6 @@ def fixed_pair_counts(n: int) -> dict[int, int]:
     with (a o sigma)_i = a_(sigma(i)); keyed by k."""
     if n > 5:
         raise ValueError("fixed_pair_counts supports n <= 5")
-    out: dict[int, int] = {}
     perms = list(itertools.permutations(range(1, n + 1)))
     cycles = {}
     for sigma in perms:
@@ -582,12 +557,9 @@ def fixed_pair_counts(n: int) -> dict[int, int]:
                     seen[j] = True
                     j = sigma[j] - 1
         cycles[sigma] = k
-    for a in parking_functions(n):
-        for sigma in perms:
-            if all(a[sigma[i] - 1] == a[i] for i in range(n)):
-                k = cycles[sigma]
-                out[k] = out.get(k, 0) + 1
-    return out
+    return Counter(cycles[sigma]
+                   for a in parking_functions(n) for sigma in perms
+                   if all(a[sigma[i] - 1] == a[i] for i in range(n)))
 
 
 def psi_alpha(n: int) -> tuple[Poly, bool]:
@@ -597,20 +569,14 @@ def psi_alpha(n: int) -> tuple[Poly, bool]:
     if n > 6:
         raise ValueError("psi_alpha supports n <= 6")
     target = pn_alpha(n)
-    by_eval: dict[tuple, int] = {}
-    for a in parking_functions(n):
-        comp = packed_evaluation(a)
-        by_eval[comp] = by_eval.get(comp, 0) + 1
-    total = sum((cycle_enumerator(comp).scale(count)
-                 for comp, count in by_eval.items()), Poly())
+    by_eval = Counter(packed_evaluation(a) for a in parking_functions(n))
+    total = Poly(pair for comp, count in by_eval.items()
+                 for pair in cycle_enumerator(comp).scale(count).terms.items())
     ok = total == target
     ok = ok and _psi_alpha_character_property(min(n, 4))
     if n <= 5:
         counts = fixed_pair_counts(n)
-        coeffs = target.coeffs_in("a")
-        ok = ok and all(
-            coeffs.get(k, Poly()).constant_value() == counts.get(k, 0)
-            for k in range(n + 1))
+        ok = ok and target.coeff_row("a") == [counts[k] for k in range(n + 1)]
     return target, ok
 
 
@@ -621,9 +587,8 @@ def _psi_alpha_character_property(n: int) -> bool:
             for a in parking_functions(n1):
                 for b in parking_functions(n2):
                     product = pqsym_product(LinComb.term(a), LinComb.term(b))
-                    lhs = Poly()
-                    for w, c in product:
-                        lhs = lhs + psi_alpha_value(w).scale(c)
+                    lhs = Poly(pair for w, c in product for pair
+                               in psi_alpha_value(w).scale(c).terms.items())
                     if lhs != psi_alpha_value(a) * psi_alpha_value(b):
                         return False
     return True
@@ -635,10 +600,7 @@ def _psi_alpha_character_property(n: int) -> bool:
 def qn_polynomial(n: int) -> Poly:
     """Q_n(q) = prod over k=2..n of ((n+1-k) q + k), a q-analogue of (n+1)^(n-1)."""
     q = Poly.var("q")
-    out = Poly.const(1)
-    for k in range(2, n + 1):
-        out = out * (q.scale(n + 1 - k) + Poly.const(k))
-    return out
+    return prod((q.scale(n + 1 - k) + k for k in range(2, n + 1)), start=P_ONE)
 
 
 def q_triangle(n_max: int) -> list[list[int]]:
@@ -655,15 +617,11 @@ def q_triangle(n_max: int) -> list[list[int]]:
     for n in range(1, n_max + 1):
         qn = qn_polynomial(n)
         # reciprocal identity through the alpha-coefficients of P_n
-        pn = pn_alpha(n)
-        recip = Poly()
-        for k, c in pn.coeffs_in("a").items():
-            recip = recip + c * (q - 1) ** (n - k)
+        recip = Poly(pair for k, c in pn_alpha(n).coeffs_in("a").items()
+                     for pair in (c * (q - 1) ** (n - k)).terms.items())
         if recip != qn:
             raise AssertionError(f"reciprocal identity fails at n={n}")
-        coeffs = qn.coeffs_in("q")
-        row = [int(coeffs.get(k, Poly()).constant_value())
-               for k in range(n)]
+        row = [int(c) for c in qn.coeff_row("q")]
         if row[0] != factorial(n):
             raise AssertionError(f"column 0 is not n! at n={n}")
         rows.append(row)

@@ -124,10 +124,8 @@ def _cmd_poly(args) -> int:
     elif args.which == "pn-alpha":
         print(chars.pn_alpha(n))
     else:  # qn
-        coeffs = chars.qn_polynomial(n).coeffs_in("q")
-        row = [str(int(coeffs.get(k, Poly()).constant_value()))
-               for k in range(max(n, 1))]
-        print(",".join(row))
+        print(",".join(str(int(c))
+                       for c in chars.qn_polynomial(n).coeff_row("q")))
     return 0
 
 
@@ -162,14 +160,11 @@ def _cmd_table(args) -> int:
             if not ok:
                 print("error: the three routes disagree", file=sys.stderr)
                 return 1
-            coeffs = pn.coeffs_in("t")
-            rows.append([int(coeffs.get(k, Poly()).constant_value())
-                         for k in range(n + 1)])
+            rows.append([int(c) for c in pn.coeff_row("t")])
     else:  # bar-distribution
         for n in range(1, args.n_max + 1):
-            coeffs = chars.bar_distribution(n).coeffs_in("t")
-            rows.append([int(coeffs.get(k, Poly()).constant_value())
-                         for k in range(max(coeffs) + 1)])
+            rows.append([int(c)
+                         for c in chars.bar_distribution(n).coeff_row("t")])
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "table": args.which,
                           "rows": rows}))
@@ -231,7 +226,7 @@ def _suite_rewriting(max_n: int):
     ok = True
     for n in range(1, min(max_n, 5) + 1):
         normal = [t for t in operad.all_eval_trees("tri", n)
-                  if operad.is_normal(t, "tri")]
+                  if operad.is_normal(t)]
         values = [operad.eval_tree(t, "tri") for t in normal]
         ok = ok and len(set(values)) == len(values) \
             and set(values) == set(combinat.quasi_ribbons(n))
@@ -239,7 +234,7 @@ def _suite_rewriting(max_n: int):
     ok = True
     for n in range(1, min(max_n, 6) + 1):
         normal = [t for t in operad.all_eval_trees("dup", n)
-                  if operad.is_normal(t, "dup")]
+                  if operad.is_normal(t)]
         values = [operad.eval_tree(t, "dup") for t in normal]
         ok = ok and len(set(values)) == len(values) \
             and set(values) == set(combinat.ndpfs(n))

@@ -10,6 +10,7 @@ is n <= 12.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -349,9 +350,9 @@ def ndpfs(n: int) -> tuple:
 
 
 def _multiset_permutations(word):
-    counts: dict[int, int] = {}
-    for v in word:
-        counts[v] = counts.get(v, 0) + 1
+    # a plain dict: the loop below indexes it, and indexing a dict subclass
+    # such as Counter is markedly slower
+    counts = dict(Counter(word))
     n = len(word)
     current = []
 

@@ -14,9 +14,12 @@ coefficients are eliminated over the field of rational functions.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Mapping
+from operator import add
+from typing import Callable, Iterable, Iterator
 
 VARS = ("q", "t", "x", "z", "a")
 NVARS = len(VARS)
@@ -40,34 +43,61 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"not a rational scalar: {c!r}")
 
 
+def _collect(pairs, data=None) -> dict:
+    """Merge ``(key, coeff)`` pairs, given as a mapping or any iterable, into
+    ``data`` (a new dict by default): coefficients of repeated keys are added
+    and keys whose sum is zero are dropped.  `LinComb` and `Poly` build every
+    sum and product through this one loop."""
+    if data is None:
+        data = {}
+    for k, c in (pairs.items() if isinstance(pairs, Mapping) else pairs):
+        s = data.get(k)
+        s = c if s is None else s + c
+        if s:
+            data[k] = s
+        else:
+            data.pop(k, None)
+    return data
+
+
+def monomial(**powers: int) -> tuple:
+    """The exponent tuple of a monomial, e.g. ``monomial(t=2, q=1)`` for
+    t^2 q; the key of `Poly` terms."""
+    exps = [0] * NVARS
+    for name, p in powers.items():
+        exps[_VAR_INDEX[name]] = p
+    return tuple(exps)
+
+
 def _term_key(exps):
     # graded lex, q most significant; used for leading terms and printing
     return (sum(exps), exps)
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q in the variables q,t,x,z,a."""
+    """Sparse multivariate polynomial over Q in the variables q,t,x,z,a.
+
+    ``Poly(pairs)`` is how a polynomial is collected: it takes a mapping or
+    any iterable of ``(exponent tuple, coeff)`` pairs in one pass, merges
+    repeated exponents by adding their coefficients, drops the exponents
+    whose sum is zero and coerces the surviving coefficients to `Fraction`.
+    Exponent tuples come from `monomial`.  Build a sum as one generator of
+    pairs rather than by adding Poly values in a loop, which copies the
+    whole polynomial on every step.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        cleaned: dict[tuple, Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = _as_fraction(c)
-                if c:
-                    cleaned[tuple(exps)] = c
-        self.terms = cleaned
+    def __init__(self, terms=()):
+        self.terms = {e: _as_fraction(c) for e, c in _collect(terms).items()}
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls({_ZERO: _as_fraction(c)})
+        return cls({_ZERO: c})
 
     @classmethod
     def var(cls, name: str, power: int = 1, coeff=1) -> "Poly":
-        exps = [0] * NVARS
-        exps[_VAR_INDEX[name]] = power
-        return cls({tuple(exps): _as_fraction(coeff)})
+        return cls({monomial(**{name: power}): coeff})
 
     @classmethod
     def coerce(cls, value) -> "Poly":
@@ -80,15 +110,7 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, RatFun):
             return NotImplemented
-        other = Poly.coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(out)
+        return Poly(_collect(Poly.coerce(other).terms, dict(self.terms)))
 
     __radd__ = __add__
 
@@ -107,16 +129,9 @@ class Poly:
         if isinstance(other, RatFun):
             return NotImplemented
         other = Poly.coerce(other)
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(out)
+        return Poly((tuple(map(add, e1, e2)), c1 * c2)
+                    for e1, c1 in self.terms.items()
+                    for e2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -182,23 +197,27 @@ class Poly:
             out.setdefault(e[i], {})[rest] = c
         return {k: Poly(v) for k, v in out.items()}
 
-    def coefficient(self, name: str, power: int) -> "Poly":
-        return self.coeffs_in(name).get(power, Poly())
+    def coeff_row(self, name: str) -> list[Fraction]:
+        """Scalar coefficients of v^0, v^1, ..., v^degree for the variable v
+        called ``name``, constant term first; ValueError if another variable
+        occurs."""
+        i = _VAR_INDEX[name]
+        row = [Fraction(0)] * (self.degree() + 1)
+        for e, c in self.terms.items():
+            if sum(e) != e[i]:
+                raise ValueError(f"not a polynomial in {name} alone: {self}")
+            row[e[i]] = c
+        return row
 
     def substitute(self, name: str, value) -> "Poly":
         """Substitute a polynomial (or scalar) for one variable."""
         value = Poly.coerce(value)
-        out = Poly()
-        powers: dict[int, Poly] = {0: Poly.const(1)}
-
-        def val_pow(k: int) -> Poly:
-            if k not in powers:
-                powers[k] = val_pow(k - 1) * value
-            return powers[k]
-
-        for k, coeff in self.coeffs_in(name).items():
-            out = out + coeff * val_pow(k)
-        return out
+        parts = self.coeffs_in(name)
+        powers = [P_ONE]
+        for _ in range(max(parts, default=0)):
+            powers.append(powers[-1] * value)
+        return Poly(pair for k, coeff in parts.items()
+                    for pair in (coeff * powers[k]).terms.items())
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
@@ -270,11 +289,8 @@ def poly_divexact(num: Poly, den: Poly) -> Poly:
 
 
 def _from_univariate(coeffs: dict[int, Poly], i: int) -> Poly:
-    out: dict[tuple, Fraction] = {}
-    for k, p in coeffs.items():
-        for e, c in p.terms.items():
-            out[e[:i] + (k,) + e[i + 1:]] = c
-    return Poly(out)
+    return Poly((e[:i] + (k,) + e[i + 1:], c)
+                for k, p in coeffs.items() for e, c in p.terms.items())
 
 
 def _main_variable(a: Poly, b: Poly) -> int | None:
@@ -285,10 +301,7 @@ def _main_variable(a: Poly, b: Poly) -> int | None:
 
 
 def _content(coeffs: Iterable[Poly]) -> Poly:
-    g = Poly()
-    for c in coeffs:
-        g = poly_gcd(g, c)
-    return g
+    return reduce(poly_gcd, coeffs, P_ZERO)
 
 
 def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
@@ -470,16 +483,7 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        data: dict = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for k, c in items:
-            s = data.get(k)
-            s = c if s is None else s + c
-            if not s:
-                data.pop(k, None)
-            else:
-                data[k] = s
-        self.terms = data
+        self.terms = _collect(terms)
 
     @classmethod
     def term(cls, key, coeff=1) -> "LinComb":
@@ -490,16 +494,8 @@ class LinComb:
         return cls()
 
     def __add__(self, other: "LinComb") -> "LinComb":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if not s:
-                out.pop(k, None)
-            else:
-                out[k] = s
         res = LinComb.__new__(LinComb)
-        res.terms = out
+        res.terms = _collect(other.terms, dict(self.terms))
         return res
 
     def __neg__(self):
@@ -533,9 +529,6 @@ class LinComb:
 
     def coeff(self, key):
         return self.terms.get(key, 0)
-
-    def support(self):
-        return set(self.terms)
 
     def map_keys(self, f: Callable) -> "LinComb":
         return LinComb((f(k), c) for k, c in self.terms.items())
@@ -650,18 +643,14 @@ def series_sqrt_expand(p: Poly, order: int) -> Poly:
     the square), entirely in exact arithmetic.
     """
     coeffs = p.coeffs_in("z")
-    c0 = coeffs.get(0, Poly())
+    c0 = coeffs.get(0, P_ZERO)
     if c0 != P_ONE:
         raise ValueError(f"series square root needs constant term 1, got {c0}")
-    y: dict[int, Poly] = {0: P_ONE}
+    y = [P_ONE]
     half = Fraction(1, 2)
     for n in range(1, order + 1):
-        acc = coeffs.get(n, Poly())
-        for i in range(1, n):
-            acc = acc - y[i] * y[n - i]
-        y[n] = acc.scale(half)
-    z = Poly.var("z")
-    out = Poly()
-    for n, c in y.items():
-        out = out + c * z ** n
-    return out
+        acc = coeffs.get(n, P_ZERO) - Poly(
+            pair for i in range(1, n)
+            for pair in (y[i] * y[n - i]).terms.items())
+        y.append(acc.scale(half))
+    return _from_univariate(dict(enumerate(y)), _VAR_INDEX["z"])

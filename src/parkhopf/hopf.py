@@ -204,18 +204,6 @@ def qr_mid(q1: QuasiRibbon, q2: QuasiRibbon) -> QuasiRibbon:
                        q1.bars | {k} | {b + k for b in q2.bars})
 
 
-def tridup_succ(a: LinComb, b: LinComb) -> LinComb:
-    return LinComb((qr_succ(k1, k2), c1 * c2) for k1, c1 in a for k2, c2 in b)
-
-
-def tridup_prec(a: LinComb, b: LinComb) -> LinComb:
-    return LinComb((qr_prec(k1, k2), c1 * c2) for k1, c1 in a for k2, c2 in b)
-
-
-def tridup_mid(a: LinComb, b: LinComb) -> LinComb:
-    return LinComb((qr_mid(k1, k2), c1 * c2) for k1, c1 in a for k2, c2 in b)
-
-
 # -- permutation algebra (G basis) --------------------------------------------
 
 

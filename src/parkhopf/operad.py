@@ -12,8 +12,9 @@ Every relation rewrites a left comb into a right comb:
 
 In tri mode the seven oriented rules are the pairs (r, l) other than
 ("o", "<") and (">", "<"); in dup mode the three rules are the pairs other
-than (">", "<").  Rewriting always terminates: the sum over nodes of
-left-subtree sizes strictly decreases.
+than (">", "<").  A dup tree holds no "o", so one rule table serves both
+modes and the rewriting functions take no mode.  Rewriting always
+terminates: the sum over nodes of left-subtree sizes strictly decreases.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def all_eval_trees(mode: str, n: int):
         yield from label(shape)
 
 
-def rewrite_step(t, mode: str):
+def rewrite_step(t):
     """One leftmost-outermost rewrite, or None if t is a normal form."""
     if t is LEAF:
         return None
@@ -112,41 +113,41 @@ def rewrite_step(t, mode: str):
     if left is not LEAF and _rule_applies(op, left[0]):
         lop, a, b = left
         return (lop, a, (op, b, right))
-    new_left = rewrite_step(left, mode)
+    new_left = rewrite_step(left)
     if new_left is not None:
         return (op, new_left, right)
-    new_right = rewrite_step(right, mode)
+    new_right = rewrite_step(right)
     if new_right is not None:
         return (op, left, new_right)
     return None
 
 
-def rewrite_normal_form(t, mode: str):
+def rewrite_normal_form(t):
     """Iterate oriented rules to a fixed point (leftmost-outermost strategy)."""
     while True:
-        nxt = rewrite_step(t, mode)
+        nxt = rewrite_step(t)
         if nxt is None:
             return t
         t = nxt
 
 
-def is_normal(t, mode: str) -> bool:
+def is_normal(t) -> bool:
     if t is LEAF:
         return True
     op, left, right = t
     if left is not LEAF and _rule_applies(op, left[0]):
         return False
-    return is_normal(left, mode) and is_normal(right, mode)
+    return is_normal(left) and is_normal(right)
 
 
 def count_normal_forms(mode: str, n: int) -> int:
     limit = 8 if mode == "tri" else 10
     if n > limit:
         raise ValueError(f"count_normal_forms({mode}) supports n <= {limit}")
-    return sum(1 for t in all_eval_trees(mode, n) if is_normal(t, mode))
+    return sum(1 for t in all_eval_trees(mode, n) if is_normal(t))
 
 
-def _matches_characterization(t, mode: str) -> bool:
+def _matches_characterization(t) -> bool:
     """Structural description of the fixed points, as in the counting proof:
     a leaf; or any operation at the root with a leaf as left child; or a root
     "o"/">" whose left child is a "<"-node with leaf left child - recursively.
@@ -155,15 +156,15 @@ def _matches_characterization(t, mode: str) -> bool:
         return True
     op, left, right = t
     if left is LEAF:
-        return _matches_characterization(right, mode)
+        return _matches_characterization(right)
     if op in (">", "o") and left[0] == "<" and left[1] is LEAF:
-        return (_matches_characterization(left[2], mode)
-                and _matches_characterization(right, mode))
+        return (_matches_characterization(left[2])
+                and _matches_characterization(right))
     return False
 
 
 def normal_form_shape_check(mode: str, n: int) -> bool:
-    return all(is_normal(t, mode) == _matches_characterization(t, mode)
+    return all(is_normal(t) == _matches_characterization(t)
                for t in all_eval_trees(mode, n))
 
 
@@ -189,7 +190,7 @@ def eval_tree(t, mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def rewrite_all_steps(t, mode: str):
+def rewrite_all_steps(t):
     """Every tree reachable by one rewrite anywhere (for confluence testing)."""
     out = []
     if t is LEAF:
@@ -198,25 +199,25 @@ def rewrite_all_steps(t, mode: str):
     if left is not LEAF and _rule_applies(op, left[0]):
         lop, a, b = left
         out.append((lop, a, (op, b, right)))
-    for nl in rewrite_all_steps(left, mode):
+    for nl in rewrite_all_steps(left):
         out.append((op, nl, right))
-    for nr in rewrite_all_steps(right, mode):
+    for nr in rewrite_all_steps(right):
         out.append((op, left, nr))
     return out
 
 
-def reachable_normal_forms(t, mode: str, memo=None) -> frozenset:
+def reachable_normal_forms(t, memo=None) -> frozenset:
     if memo is None:
         memo = {}
     if t in memo:
         return memo[t]
-    steps = rewrite_all_steps(t, mode)
+    steps = rewrite_all_steps(t)
     if not steps:
         result = frozenset((t,))
     else:
         acc = set()
         for s in steps:
-            acc |= reachable_normal_forms(s, mode, memo)
+            acc |= reachable_normal_forms(s, memo)
         result = frozenset(acc)
     memo[t] = result
     return result
@@ -225,7 +226,7 @@ def reachable_normal_forms(t, mode: str, memo=None) -> frozenset:
 def confluence_check(mode: str, n: int) -> bool:
     """Empirical confluence: every size-n tree reaches a unique normal form."""
     memo: dict = {}
-    return all(len(reachable_normal_forms(t, mode, memo)) == 1
+    return all(len(reachable_normal_forms(t, memo)) == 1
                for t in all_eval_trees(mode, n))
 
 

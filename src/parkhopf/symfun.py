@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .combinat import (coarser_leq, comp_concat, comp_near_concat,
                        compositions)
-from .exact import LinComb, Poly, RatFun
+from .exact import P_ONE, LinComb, Poly, RatFun
 
 
 class SymElem:
@@ -97,9 +97,6 @@ class SymElem:
 
     def coeff(self, key):
         return self.terms.coeff(tuple(key))
-
-    def homogeneous_component(self, n: int) -> "SymElem":
-        return self._like(LinComb((k, c) for k, c in self.terms if sum(k) == n))
 
     def __str__(self):
         if not self.terms:
@@ -257,26 +254,18 @@ def evaluate(a: SymElem, alphabet: VirtualAlphabet) -> RatFun:
 
 
 def rising_factorial(base: Poly, m: int) -> Poly:
-    out = Poly.const(1)
-    for j in range(m):
-        out = out * (base + Poly.const(j))
-    return out
+    return prod((base + j for j in range(m)), start=P_ONE)
 
 
 def cycle_enumerator(i) -> Poly:
     """Z_I(a) = prod_k a(a+1)...(a+i_k-1), the cycle enumerator of the
     Young subgroup S_(i_1) x ... x S_(i_r)."""
     alpha = Poly.var("a")
-    out = Poly.const(1)
-    for part in i:
-        out = out * rising_factorial(alpha, part)
-    return out
+    return prod((rising_factorial(alpha, part) for part in i), start=P_ONE)
 
 
 def binomial_poly(shift: int, n: int) -> Poly:
     """C(a + shift, n) as a polynomial in a."""
     alpha = Poly.var("a")
-    out = Poly.const(1)
-    for j in range(n):
-        out = out * (alpha + Poly.const(shift - j))
-    return out.scale(Fraction(1, factorial(n)))
+    return prod((alpha + (shift - j) for j in range(n)),
+                start=P_ONE).scale(Fraction(1, factorial(n)))

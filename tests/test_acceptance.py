@@ -131,7 +131,7 @@ def test_ac08_rewriting():
                               ("dup", 6, combinat.ndpfs)):
         for n in range(1, limit + 1):
             normal = [s for s in operad.all_eval_trees(mode, n)
-                      if operad.is_normal(s, mode)]
+                      if operad.is_normal(s)]
             values = [operad.eval_tree(s, mode) for s in normal]
             ok = ok and len(set(values)) == len(values)
             ok = ok and set(values) == set(keys(n))

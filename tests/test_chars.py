@@ -214,6 +214,7 @@ def test_chi_character_checks_through_degree_five():
 
 
 def test_pn_alpha_values():
+    assert ch.pn_alpha(0) == 1  # the one empty parking function
     assert ch.pn_alpha(1) == a
     assert ch.pn_alpha(2) == 3 * a ** 2 + a
     assert ch.pn_alpha(3) == 16 * a ** 3 + 12 * a ** 2 + 2 * a
@@ -226,6 +227,7 @@ def test_psi_alpha_value():
 
 
 def test_psi_alpha_checks():
+    assert ch.psi_alpha(0) == (1, True)
     for n in range(1, 6):
         poly, ok = ch.psi_alpha(n)
         assert ok

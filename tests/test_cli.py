@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import parkhopf
 from parkhopf.cli import main
 
 
@@ -83,6 +87,8 @@ def test_poly_outputs(capsys):
     assert out.strip() == "1 + 3q + q^2"
     code, out = run(capsys, "poly", "--which", "pn-alpha", "--n", "2")
     assert out.strip() == "a + 3a^2"
+    code, out = run(capsys, "poly", "--which", "pn-alpha", "--n", "0")
+    assert code == 0 and out.strip() == "1"
     code, out = run(capsys, "poly", "--which", "super-narayana", "--n", "2")
     assert out.strip() == "2 + q + 3t + 3qt + t^2 + 2qt^2"
 
@@ -192,3 +198,18 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_module_entry_point_writes_no_stderr():
+    # `python -m parkhopf.cli` must not find the module already imported by
+    # the package, which makes runpy warn on stderr
+    src = os.path.dirname(os.path.dirname(parkhopf.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "parkhopf.cli", "poly", "--which", "qn",
+         "--n", "4"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "24,58,37,6\n"
+    assert proc.stderr == ""

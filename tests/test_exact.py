@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from parkhopf.exact import (LinComb, NonPolynomialError, Poly, RatFun,
-                            assert_polynomial, kernel_dimension,
+                            assert_polynomial, kernel_dimension, monomial,
                             poly_divexact, poly_gcd, series_sqrt_expand,
                             span_dimension, tensor)
 
@@ -34,6 +34,11 @@ def test_substitute_and_coeffs():
     assert p.substitute("t", x - 1) == (1 + q) * (x - 1) ** 2 + x - 1
     parts = p.coeffs_in("t")
     assert parts[2] == 1 + q and parts[1] == Poly.const(1)
+    assert (3 * t ** 2 - 1).coeff_row("t") == [-1, 0, 3]
+    assert Poly.const(5).coeff_row("q") == [5] and Poly().coeff_row("q") == []
+    with pytest.raises(ValueError):
+        p.coeff_row("t")
+    assert Poly({monomial(t=2, q=1): 3}) == 3 * q * t ** 2
 
 
 def test_gcd_and_divexact():
@@ -184,3 +189,58 @@ def test_gcd_divides_both(c1, c2):
     if g:
         poly_divexact(p1, g)
         poly_divexact(p2, g)
+
+
+# Small polynomials in q and t: (q exponent, t exponent, coefficient) terms
+# over a 3 x 3 grid of exponents, so that random lists repeat exponents.
+_coeffs = st.one_of(st.integers(-3, 3),
+                    st.fractions(-3, 3, max_denominator=4))
+_terms = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), _coeffs),
+                  max_size=6)
+
+
+def _term_sum(terms) -> Poly:
+    """The polynomial of a term list, summed with + one term at a time."""
+    total = Poly()
+    for i, j, c in terms:
+        total = total + Poly.var("q", i, c) * Poly.var("t", j)
+    return total
+
+
+_polys = _terms.map(_term_sum)
+
+
+@given(_polys, _polys, _polys)
+def test_poly_ring_laws(p1, p2, p3):
+    assert p1 + p2 == p2 + p1
+    assert p1 * p2 == p2 * p1
+    assert (p1 + p2) + p3 == p1 + (p2 + p3)
+    assert (p1 * p2) * p3 == p1 * (p2 * p3)
+    assert p1 * (p2 + p3) == p1 * p2 + p1 * p3
+    assert p1 - p1 == 0 and not (p1 - p1).terms
+
+
+@given(_terms, st.data())
+def test_poly_collects_pairs(terms, data):
+    # repeat some terms and cancel others, then collect in one pass
+    if terms:
+        picked = data.draw(st.lists(st.sampled_from(terms), max_size=4))
+        terms = terms + [(i, j, data.draw(st.sampled_from((c, -c))))
+                         for i, j, c in picked]
+    p = Poly((monomial(q=i, t=j), c) for i, j, c in terms)
+    assert p == _term_sum(terms)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert Poly(p.terms) == p
+
+
+@given(_polys, _polys, _polys)
+def test_gcd_divides_both_bivariate(p1, p2, common):
+    a, b = p1 * common, p2 * common
+    g = poly_gcd(a, b)
+    if not g:
+        assert not a and not b
+        return
+    assert poly_divexact(a, g) * g == a
+    assert poly_divexact(b, g) * g == b
+    if common:
+        poly_divexact(g, common)  # the common factor divides the gcd

@@ -18,29 +18,29 @@ def test_tree_counts():
 
 def test_rewrite_single_steps():
     t = op.eval_tree_parse("((x < x) < x)")
-    assert op.rewrite_normal_form(t, "tri") == \
+    assert op.rewrite_normal_form(t) == \
         op.eval_tree_parse("(x < (x < x))")
     t = op.eval_tree_parse("((x o x) < x)")
-    assert op.rewrite_normal_form(t, "tri") == \
+    assert op.rewrite_normal_form(t) == \
         op.eval_tree_parse("(x o (x < x))")
     nf = op.eval_tree_parse("(x o (x < x))")
-    assert op.rewrite_step(nf, "tri") is None
-    assert op.rewrite_normal_form(nf, "tri") == nf
+    assert op.rewrite_step(nf) is None
+    assert op.rewrite_normal_form(nf) == nf
 
 
 def test_rewrite_preserves_evaluation():
     for mode in ("tri", "dup"):
         for n in range(2, 7):
             for t in op.all_eval_trees(mode, n):
-                s = op.rewrite_step(t, mode)
+                s = op.rewrite_step(t)
                 if s is not None:
                     assert op.eval_tree(t, mode) == op.eval_tree(s, mode)
 
 
-def _steps_to_normal(t, mode, bound):
+def _steps_to_normal(t, bound):
     steps = 0
     while True:
-        s = op.rewrite_step(t, mode)
+        s = op.rewrite_step(t)
         if s is None:
             return steps
         t = s
@@ -52,7 +52,7 @@ def test_rewrite_terminates_within_cubic_steps():
     for mode in ("tri", "dup"):
         for n in range(1, 6):
             for t in op.all_eval_trees(mode, n):
-                _steps_to_normal(t, mode, n ** 3)
+                _steps_to_normal(t, n ** 3)
 
 
 def _random_tree(rng, ops, leaves):
@@ -69,7 +69,7 @@ def test_rewrite_termination_sampled_at_larger_sizes():
     for mode, n in (("tri", 7), ("tri", 8), ("dup", 8), ("dup", 10)):
         ops = op.TRI_OPS if mode == "tri" else op.DUP_OPS
         for _ in range(400):
-            _steps_to_normal(_random_tree(rng, ops, n), mode, n ** 3)
+            _steps_to_normal(_random_tree(rng, ops, n), n ** 3)
 
 
 def test_normal_form_counts():
@@ -108,13 +108,13 @@ def test_eval_tree_values():
 def test_eval_bijection_on_normal_forms():
     for n in range(1, 7):
         normal = [t for t in op.all_eval_trees("dup", n)
-                  if op.is_normal(t, "dup")]
+                  if op.is_normal(t)]
         values = [op.eval_tree(t, "dup") for t in normal]
         assert len(set(values)) == len(values)
         assert set(values) == set(ndpfs(n))
     for n in range(1, 6):
         normal = [t for t in op.all_eval_trees("tri", n)
-                  if op.is_normal(t, "tri")]
+                  if op.is_normal(t)]
         values = [op.eval_tree(t, "tri") for t in normal]
         assert len(set(values)) == len(values)
         assert set(values) == set(quasi_ribbons(n))
