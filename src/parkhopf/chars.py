@@ -14,11 +14,10 @@ from math import factorial, prod
 from .combinat import (QuasiRibbon, is_ndpf, is_parking, ndpfs,
                        packed_evaluation, parking_functions, quasi_ribbons,
                        shifted_shuffle)
-from .exact import (P_ONE, P_ZERO, LinComb, NotDivisibleError, Poly, RatFun,
-                    assert_polynomial, monomial, poly_divexact,
-                    series_sqrt_expand)
+from .exact import (P_ONE, P_ZERO, LinComb, NotDivisibleError, Poly,
+                    monomial, poly_divexact, series_sqrt_expand)
 from .lagrange import solve_g
-from .symfun import VirtualAlphabet, cycle_enumerator, evaluate
+from .symfun import VirtualAlphabet, cycle_enumerator
 
 
 # -- signed words --------------------------------------------------------------
@@ -138,14 +137,30 @@ def super_narayana_count(n: int) -> Poly:
 
 def super_narayana_sym(n: int) -> Poly:
     """The symmetric-function route: (q)_n times the commutative image of g_n
-    on the alphabet (1-x)/(1-q), then x -> -t; polynomiality is asserted."""
+    on the alphabet (1-x)/(1-q), then x -> -t.
+
+    By the q-binomial theorem h_k((1-x)/(1-q)) = (x;q)_k / (q;q)_k, so for
+    g_n = sum_I c_I S^I
+
+        (q)_n g_n((1-x)/(1-q)) = sum_I c_I [n; I]_q prod_j (x;q)_(i_j),
+
+    with the q-multinomial [n; I]_q = (q)_n / prod_j (q)_(i_j) taken by exact
+    division.  Every step is a polynomial product or an exact quotient.
+    """
     if n > 6:
         raise ValueError("super_narayana_sym supports n <= 6")
-    alphabet = VirtualAlphabet("one_minus_x_over_one_minus_q")
-    gn = solve_g(n)[n]
-    value = evaluate(gn, alphabet) * RatFun(_qfact(n))
-    poly = assert_polynomial(value)
-    return poly.substitute("x", -Poly.var("t"))
+    x, q = Poly.var("x"), Poly.var("q")
+    qfact = [_qfact(k) for k in range(n + 1)]
+    x_poch = [P_ONE]  # (x;q)_k = (1-x)(1-xq)...(1-xq^(k-1))
+    for k in range(n):
+        x_poch.append(x_poch[-1] * (1 - x * q ** k))
+    value = Poly(
+        pair for key, c in solve_g(n)[n].terms
+        for pair in (poly_divexact(qfact[n],
+                                   prod((qfact[i] for i in key), start=P_ONE))
+                     * prod((x_poch[i] for i in key), start=P_ONE))
+        .scale(c).terms.items())
+    return value.substitute("x", -Poly.var("t"))
 
 
 def _signed_term(s: SignedWord) -> tuple:
@@ -539,27 +554,35 @@ def pn_alpha(n: int) -> Poly:
     return prod((alpha.scale(n + 1) + k for k in range(1, n)), start=alpha)
 
 
+def _cycle_count(sigma) -> int:
+    """The number of cycles of a permutation of 0..len(sigma)-1."""
+    seen = [False] * len(sigma)
+    k = 0
+    for i in range(len(sigma)):
+        if not seen[i]:
+            k += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = sigma[j]
+    return k
+
+
 def fixed_pair_counts(n: int) -> dict[int, int]:
     """#{(a, sigma) : a a parking function, sigma with k cycles, a o sigma = a}
-    with (a o sigma)_i = a_(sigma(i)); keyed by k."""
+    with (a o sigma)_i = a_(sigma(i)); keyed by k.
+
+    The permutations fixing a are the products of permutations inside its
+    blocks of equal letters, and the cycles of such a product are the cycles
+    of its factors; so only those products are enumerated, block by block.
+    """
     if n > 5:
         raise ValueError("fixed_pair_counts supports n <= 5")
-    perms = list(itertools.permutations(range(1, n + 1)))
-    cycles = {}
-    for sigma in perms:
-        seen = [False] * n
-        k = 0
-        for i in range(n):
-            if not seen[i]:
-                k += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = sigma[j] - 1
-        cycles[sigma] = k
-    return Counter(cycles[sigma]
-                   for a in parking_functions(n) for sigma in perms
-                   if all(a[sigma[i] - 1] == a[i] for i in range(n)))
+    cycles = {m: [_cycle_count(s) for s in itertools.permutations(range(m))]
+              for m in range(n + 1)}
+    return Counter(sum(ks) for a in parking_functions(n)
+                   for ks in itertools.product(
+                       *(cycles[m] for m in Counter(a).values())))
 
 
 def psi_alpha(n: int) -> tuple[Poly, bool]:
@@ -637,7 +660,7 @@ def lassalle_narayana(n: int) -> Poly:
     if not 1 <= n <= 7:
         raise ValueError("lassalle_narayana supports 1 <= n <= 7")
     alphabet = VirtualAlphabet("m_times_one_minus_x", m=n + 1)
-    hn = assert_polynomial(alphabet.h(n)).scale(Fraction(1, n + 1))
+    hn = alphabet.h(n).scale(Fraction(1, n + 1))
     q = Poly.var("q")
     value = hn.substitute("x", 1 - q)
     try:

@@ -225,17 +225,15 @@ def _suite_rewriting(max_n: int):
         for mode in ("tri", "dup") for n in range(1, min(max_n, 5) + 1))
     ok = True
     for n in range(1, min(max_n, 5) + 1):
-        normal = [t for t in operad.all_eval_trees("tri", n)
-                  if operad.is_normal(t)]
-        values = [operad.eval_tree(t, "tri") for t in normal]
+        values = [operad.eval_tree(t, "tri")
+                  for t in operad.normal_forms("tri", n)]
         ok = ok and len(set(values)) == len(values) \
             and set(values) == set(combinat.quasi_ribbons(n))
     yield "tri-eval-bijection", ok
     ok = True
     for n in range(1, min(max_n, 6) + 1):
-        normal = [t for t in operad.all_eval_trees("dup", n)
-                  if operad.is_normal(t)]
-        values = [operad.eval_tree(t, "dup") for t in normal]
+        values = [operad.eval_tree(t, "dup")
+                  for t in operad.normal_forms("dup", n)]
         ok = ok and len(set(values)) == len(values) \
             and set(values) == set(combinat.ndpfs(n))
     yield "dup-eval-bijection", ok

@@ -1,22 +1,22 @@
-"""Exact coefficient arithmetic: multivariate polynomials over Q, normalized
-rational functions, free-module linear combinations, and exact linear algebra.
+"""Exact coefficient arithmetic: multivariate polynomials over Q,
+free-module linear combinations, and exact linear algebra.
 
 Coefficients are `fractions.Fraction` throughout; there is no floating point
 anywhere in this package.  Polynomials live in the fixed variable set
 q, t, x, z, a (``a`` is the binomial-element parameter), stored as a sparse
-map from dense exponent vectors to rational coefficients.
+map from dense exponent vectors to rational coefficients.  The only division
+of polynomials is exact division (`poly_divexact`); there are no rational
+functions and no polynomial gcds.
 
 Span and kernel dimensions come from one sparse elimination routine on dict
-rows.  Integral and rational vectors are eliminated over Python ints with
-fraction-free (Bareiss-style) updates; only vectors with `Poly` or `RatFun`
-coefficients are eliminated over the field of rational functions.
+rows: integral and rational vectors are eliminated over Python ints with
+fraction-free (Bareiss-style) updates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Iterator
@@ -25,10 +25,6 @@ VARS = ("q", "t", "x", "z", "a")
 NVARS = len(VARS)
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _ZERO = (0,) * NVARS
-
-
-class NonPolynomialError(ArithmeticError):
-    """A rational function expected to be polynomial has a nontrivial denominator."""
 
 
 class NotDivisibleError(ArithmeticError):
@@ -108,8 +104,6 @@ class Poly:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, RatFun):
-            return NotImplemented
         return Poly(_collect(Poly.coerce(other).terms, dict(self.terms)))
 
     __radd__ = __add__
@@ -118,16 +112,12 @@ class Poly:
         return Poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, RatFun):
-            return NotImplemented
         return self + (-Poly.coerce(other))
 
     def __rsub__(self, other):
         return Poly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, RatFun):
-            return NotImplemented
         other = Poly.coerce(other)
         return Poly((tuple(map(add, e1, e2)), c1 * c2)
                     for e1, c1 in self.terms.items()
@@ -166,11 +156,8 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def is_constant(self) -> bool:
-        return all(e == _ZERO for e in self.terms)
-
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if any(e != _ZERO for e in self.terms):
             raise ValueError(f"not a constant: {self}")
         return self.terms.get(_ZERO, Fraction(0))
 
@@ -179,14 +166,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_term_key)
         return e, self.terms[e]
-
-    def variables(self) -> set[str]:
-        out = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    out.add(VARS[i])
-        return out
 
     def coeffs_in(self, name: str) -> dict[int, "Poly"]:
         """Split into coefficients of powers of one variable."""
@@ -265,7 +244,7 @@ P_ZERO = Poly()
 P_ONE = Poly.const(1)
 
 
-# -- polynomial division and gcd ------------------------------------------
+# -- exact polynomial division --------------------------------------------
 
 
 def poly_divexact(num: Poly, den: Poly) -> Poly:
@@ -293,177 +272,6 @@ def _from_univariate(coeffs: dict[int, Poly], i: int) -> Poly:
                 for k, p in coeffs.items() for e, c in p.terms.items())
 
 
-def _main_variable(a: Poly, b: Poly) -> int | None:
-    for i in reversed(range(NVARS)):
-        if any(e[i] for e in a.terms) or any(e[i] for e in b.terms):
-            return i
-    return None
-
-
-def _content(coeffs: Iterable[Poly]) -> Poly:
-    return reduce(poly_gcd, coeffs, P_ZERO)
-
-
-def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        new: dict[int, Poly] = {}
-        for k, c in r.items():
-            new[k] = c * lb
-        shift = dr - db
-        for k, c in b.items():
-            v = new.get(k + shift, Poly()) - lr * c
-            if v:
-                new[k + shift] = v
-            else:
-                new.pop(k + shift, None)
-        r = {k: c for k, c in new.items() if c}
-    return r
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via a primitive pseudo-remainder sequence."""
-    if not a and not b:
-        return Poly()
-    if not a:
-        return _monic(b)
-    if not b:
-        return _monic(a)
-    i = _main_variable(a, b)
-    if i is None:
-        return P_ONE
-    ua, ub = a.coeffs_in(VARS[i]), b.coeffs_in(VARS[i])
-    if max(ua) == 0 or max(ub) == 0:
-        # one argument is free of the main variable: gcd of contents only
-        return _monic(poly_gcd(_content(ua.values()), _content(ub.values())))
-    ca, cb = _content(ua.values()), _content(ub.values())
-    cont = poly_gcd(ca, cb)
-    pa = {k: poly_divexact(c, ca) for k, c in ua.items()}
-    pb = {k: poly_divexact(c, cb) for k, c in ub.items()}
-    if max(pa) < max(pb):
-        pa, pb = pb, pa
-    while True:
-        r = _pseudo_rem(pa, pb)
-        if not r:
-            break
-        cr = _content(r.values())
-        pa, pb = pb, {k: poly_divexact(c, cr) for k, c in r.items()}
-    return _monic(cont * _from_univariate(pb, i))
-
-
-def _monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    _, lc = p.leading()
-    return p.scale(Fraction(1) / lc)
-
-
-# -- rational functions ----------------------------------------------------
-
-
-class RatFun:
-    """Quotient of polynomials, gcd-normalized with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=P_ONE):
-        num = Poly.coerce(num)
-        den = Poly.coerce(den)
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
-            self.num, self.den = P_ZERO, P_ONE
-            return
-        g = poly_gcd(num, den)
-        if not g.is_constant() or g.constant_value() != 1:
-            num = poly_divexact(num, g)
-            den = poly_divexact(den, g)
-        _, lc = den.leading()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
-        self.num, self.den = num, den
-
-    @classmethod
-    def coerce(cls, value) -> "RatFun":
-        if isinstance(value, RatFun):
-            return value
-        return cls(Poly.coerce(value))
-
-    def __add__(self, other):
-        other = RatFun.coerce(other)
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RatFun.coerce(other))
-
-    def __rsub__(self, other):
-        return RatFun.coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = RatFun.coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFun.coerce(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFun.coerce(other) / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFun(self.den, self.num) ** (-n)
-        return RatFun(self.num ** n, self.den ** n)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RatFun.coerce(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den == P_ONE
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial():
-            raise NonPolynomialError(f"nontrivial denominator: {self.den}")
-        return self.num
-
-    def __str__(self):
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self):
-        return f"RatFun({self})"
-
-
-def assert_polynomial(r: RatFun) -> Poly:
-    return RatFun.coerce(r).as_poly()
-
-
 # -- linear combinations ----------------------------------------------------
 
 
@@ -471,7 +279,7 @@ class LinComb:
     """Finitely supported map from basis keys to coefficients.
 
     Keys can be any hashable value; coefficients any exact scalar type
-    (int, Fraction, Poly, RatFun) closed under + and *.
+    (int, Fraction, Poly) closed under + and *.
 
     ``LinComb(pairs)`` is how a sum is collected: it takes any iterable of
     ``(key, coeff)`` pairs in one pass, merges repeated keys by adding their
@@ -553,16 +361,15 @@ def tensor(a: LinComb, b: LinComb) -> LinComb:
 # -- exact linear algebra ----------------------------------------------------
 
 
-def _rank(rows: Iterable[dict], field: bool) -> int:
-    """Rank of sparse rows ``{column: entry}`` by echelon insertion.
+def _rank(rows: Iterable[dict]) -> int:
+    """Rank of sparse integer rows ``{column: entry}`` by echelon insertion.
 
     Each row is reduced by its leading (smallest) column against the stored
     pivot with that leading column, until it is zero or leads in a column
-    with no pivot, where it is stored.  Over the integers the update is
-    fraction-free in the style of Bareiss (1968), ``row = a*row - b*pivot``
-    with ``b/a`` the ratio of the two leading entries in lowest terms, and
-    pivots are kept primitive.  With ``field`` the entries are `RatFun` and pivots are kept
-    monic, so ``a = 1`` and ``b`` is the row's leading entry.
+    with no pivot, where it is stored.  The update is fraction-free in the
+    style of Bareiss (1968), ``row = a*row - b*pivot`` with ``b/a`` the ratio
+    of the two leading entries in lowest terms, and pivots are kept
+    primitive.
     """
     pivots: dict = {}
     for row in rows:
@@ -570,21 +377,13 @@ def _rank(rows: Iterable[dict], field: bool) -> int:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                if field:
-                    inv = 1 / row[lead]
-                    pivots[lead] = {c: v * inv for c, v in row.items()}
-                else:
-                    g = gcd(*row.values())
-                    pivots[lead] = {c: v // g for c, v in row.items()}
+                g = gcd(*row.values())
+                pivots[lead] = {c: v // g for c, v in row.items()}
                 break
-            b = row[lead]
-            if field:
-                new = dict(row)
-            else:
-                a = pivot[lead]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                new = {c: a * v for c, v in row.items()}
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {c: a * v for c, v in row.items()}
             for c, v in pivot.items():
                 s = new.get(c, 0) - b * v
                 if s:
@@ -596,31 +395,25 @@ def _rank(rows: Iterable[dict], field: bool) -> int:
 
 
 def span_dimension(vectors: Iterable[LinComb]) -> int:
-    """Dimension of the span of the given free-module elements.
+    """Dimension over Q of the span of the given free-module elements.
 
-    Integer and `Fraction` coefficients are eliminated over the integers:
-    each vector's denominators are cleared and the rank is taken by sparse
-    fraction-free elimination.  Only when some coefficient is a `Poly` or
-    `RatFun` are all entries lifted to `RatFun` and eliminated over the
-    field of rational functions.  Columns are numbered in order of first
-    appearance, so no order on the keys is needed.
+    Coefficients must be `int` or `Fraction`; any other type raises
+    TypeError.  Each vector's denominators are cleared and the rank is taken
+    by sparse fraction-free elimination.  Columns are numbered in order of
+    first appearance, so no order on the keys is needed.
     """
-    vectors = list(vectors)
-    field = not all(isinstance(c, (int, Fraction))
-                    for v in vectors for c in v.terms.values())
     index: dict = {}
     rows = []
     for v in vectors:
         row = {index.setdefault(k, len(index)): c
                for k, c in v.terms.items() if c}
-        if field:
-            row = {i: RatFun.coerce(c) for i, c in row.items()}
-        else:
-            d = lcm(*(c.denominator for c in row.values()))
-            row = {i: c.numerator * (d // c.denominator)
-                   for i, c in row.items()}
-        rows.append(row)
-    return _rank(rows, field)
+        if not all(isinstance(c, (int, Fraction)) for c in row.values()):
+            raise TypeError("span_dimension needs int or Fraction "
+                            f"coefficients, got {v!r}")
+        d = lcm(*(c.denominator for c in row.values()))
+        rows.append({i: c.numerator * (d // c.denominator)
+                     for i, c in row.items()})
+    return _rank(rows)
 
 
 def kernel_dimension(basis: Iterable, linear_map: Callable[..., LinComb]) -> int:

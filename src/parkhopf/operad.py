@@ -140,32 +140,49 @@ def is_normal(t) -> bool:
     return is_normal(left) and is_normal(right)
 
 
+def normal_forms(mode: str, n: int):
+    """The normal forms with n leaves, built from their structural
+    description in the counting proof rather than by testing every tree: a
+    leaf; any operation at the root over a leaf left child and a normal right
+    child; or a root ">"/"o" over a "<"-node with a leaf left child, with
+    normal subtrees below.  Only the smaller sizes are kept in memory; the
+    size-n trees are streamed."""
+    ops = _ops(mode)
+    if n < 1:
+        raise ValueError(f"normal forms have at least one leaf, got n={n}")
+    roots = [op for op in ops if op != "<"]
+    forms = [[], [LEAF]]
+
+    def grow(m):
+        for op in ops:
+            for right in forms[m - 1]:
+                yield (op, LEAF, right)
+        for k in range(1, m - 1):
+            for b in forms[k]:
+                left = ("<", LEAF, b)
+                for op in roots:
+                    for right in forms[m - 1 - k]:
+                        yield (op, left, right)
+
+    for m in range(2, n):
+        forms.append(list(grow(m)))
+    yield from grow(n) if n > 1 else forms[1]
+
+
 def count_normal_forms(mode: str, n: int) -> int:
     limit = 8 if mode == "tri" else 10
     if n > limit:
         raise ValueError(f"count_normal_forms({mode}) supports n <= {limit}")
-    return sum(1 for t in all_eval_trees(mode, n) if is_normal(t))
-
-
-def _matches_characterization(t) -> bool:
-    """Structural description of the fixed points, as in the counting proof:
-    a leaf; or any operation at the root with a leaf as left child; or a root
-    "o"/">" whose left child is a "<"-node with leaf left child - recursively.
-    """
-    if t is LEAF:
-        return True
-    op, left, right = t
-    if left is LEAF:
-        return _matches_characterization(right)
-    if op in (">", "o") and left[0] == "<" and left[1] is LEAF:
-        return (_matches_characterization(left[2])
-                and _matches_characterization(right))
-    return False
+    return sum(1 for _ in normal_forms(mode, n))
 
 
 def normal_form_shape_check(mode: str, n: int) -> bool:
-    return all(is_normal(t) == _matches_characterization(t)
-               for t in all_eval_trees(mode, n))
+    """The structural description and the rewriting rules agree: the
+    generated normal forms are distinct and are exactly the trees no rule
+    applies to."""
+    forms = list(normal_forms(mode, n))
+    return len(set(forms)) == len(forms) and set(forms) == {
+        t for t in all_eval_trees(mode, n) if is_normal(t)}
 
 
 def eval_tree(t, mode: str):

@@ -11,7 +11,7 @@ from math import factorial, prod
 
 from .combinat import (coarser_leq, comp_concat, comp_near_concat,
                        compositions)
-from .exact import P_ONE, LinComb, Poly, RatFun
+from .exact import P_ONE, LinComb, Poly
 
 
 class SymElem:
@@ -193,64 +193,58 @@ def as2_axioms_check(n: int) -> bool:
 class VirtualAlphabet:
     """A character of commutative symmetric functions given by its power sums.
 
-    The three alphabets used here: the binomial element (p_n = a), the
-    two-parameter alphabet (1-x)/(1-q) with p_n = (1-x^n)/(1-q^n), and the
-    rank-one multiple m(1-x) with p_n = m(1-x^n).
+    Its values are polynomials.  The two alphabets used here: the binomial
+    element (p_n = a) and the rank-one multiple m(1-x) with p_n = m(1-x^n).
+    The alphabet (1-x)/(1-q) of the super-Narayana polynomials is not one of
+    them: its complete functions have the closed form (x;q)_n / (q;q)_n of
+    the q-binomial theorem, which `chars.super_narayana_sym` uses directly.
     """
 
     def __init__(self, kind: str, m: int | None = None):
-        if kind not in ("binomial", "one_minus_x_over_one_minus_q",
-                        "m_times_one_minus_x"):
+        if kind not in ("binomial", "m_times_one_minus_x"):
             raise ValueError(f"unknown virtual alphabet {kind!r}")
         if kind == "m_times_one_minus_x" and m is None:
             raise ValueError("the rank-one alphabet needs its multiplier m")
         self.kind = kind
         self.m = m
-        self._h: dict[int, RatFun] = {0: RatFun(1)}
-        self._e: dict[int, RatFun] = {0: RatFun(1)}
+        self._h: dict[int, Poly] = {0: P_ONE}
+        self._e: dict[int, Poly] = {0: P_ONE}
 
-    def p(self, n: int) -> RatFun:
+    def p(self, n: int) -> Poly:
         if n < 1:
             raise ValueError("power sums are indexed by n >= 1")
         if self.kind == "binomial":
-            return RatFun(Poly.var("a"))
-        x, q = Poly.var("x"), Poly.var("q")
-        if self.kind == "one_minus_x_over_one_minus_q":
-            return RatFun(1 - x ** n, 1 - q ** n)
-        return RatFun((1 - x ** n).scale(self.m))
+            return Poly.var("a")
+        return (1 - Poly.var("x", n)).scale(self.m)
 
-    def h(self, n: int) -> RatFun:
+    def h(self, n: int) -> Poly:
         """Complete functions by the Newton recurrence n h_n = sum p_k h_(n-k)."""
         if n not in self._h:
-            acc = RatFun(0)
-            for k in range(1, n + 1):
-                acc = acc + self.p(k) * self.h(n - k)
-            self._h[n] = acc * RatFun(Poly.const(Fraction(1, n)))
+            self._h[n] = Poly(
+                pair for k in range(1, n + 1)
+                for pair in (self.p(k) * self.h(n - k)).terms.items()
+            ).scale(Fraction(1, n))
         return self._h[n]
 
-    def e(self, n: int) -> RatFun:
+    def e(self, n: int) -> Poly:
         """Elementary functions via sum_k (-1)^k e_k h_(n-k) = 0."""
         if n not in self._e:
-            acc = RatFun(0)
-            for k in range(n):
-                acc = acc + RatFun((-1) ** k) * self.e(k) * self.h(n - k)
-            self._e[n] = acc * RatFun((-1) ** (n + 1))
+            self._e[n] = Poly(
+                pair for k in range(n)
+                for pair in (self.e(k) * self.h(n - k))
+                .scale((-1) ** (n + 1 + k)).terms.items())
         return self._e[n]
 
 
-def evaluate(a: SymElem, alphabet: VirtualAlphabet) -> RatFun:
+def evaluate(a: SymElem, alphabet: VirtualAlphabet) -> Poly:
     """Commutative evaluation S^I -> prod_k h_(i_k)(A)."""
     if a.basis != "S":
         raise ValueError("evaluate expects the S basis")
     if a.extended:
         raise ValueError("evaluate rejects extended keys")
-    total = RatFun(0)
-    for key, c in a.terms:
-        term = RatFun(1)
-        for part in key:
-            term = term * alphabet.h(part)
-        total = total + RatFun(Poly.coerce(c)) * term
-    return total
+    return Poly(pair for key, c in a.terms
+                for pair in prod((alphabet.h(part) for part in key),
+                                 start=Poly.coerce(c)).terms.items())
 
 
 def rising_factorial(base: Poly, m: int) -> Poly:

@@ -85,6 +85,17 @@ def test_counting_equals_symmetric_route():
             (ch.super_narayana_count(n) if n else Poly.const(1))
 
 
+def test_symmetric_route_at_six():
+    # beyond the counting route's reach in a test: gate P_6(t, q) by its
+    # q = 0 slice (Schroeder paths) and its value at q = 1, the 2^6 7^5
+    # signed parking functions counted by minus signs
+    p6 = ch.super_narayana_sym(6)
+    assert p6.substitute("q", 0) == ch.schroder_polynomials(6)[0]
+    assert p6.substitute("q", 1) == (1 + t) ** 6 * 7 ** 5
+    with pytest.raises(ValueError):
+        ch.super_narayana_sym(7)
+
+
 def test_signed_weight_base_case():
     assert ch.fsigma_signed_weight((1,)) == 1 - x
 

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
-from parkhopf.cli import main
+from parkhopf.cli import _ENUM_FAMILIES, _SUITES, main
 
 
 def run(capsys, *argv):
@@ -213,3 +216,51 @@ def test_module_entry_point_writes_no_stderr():
     assert proc.returncode == 0
     assert proc.stdout == "24,58,37,6\n"
     assert proc.stderr == ""
+
+
+# Sizes are drawn in -2..4 only to bound the runtime; the other size texts
+# are not integers at all.
+_SIZE = st.one_of(st.integers(-2, 4).map(str),
+                  st.sampled_from(["", "abc", "2.5", "-0", "+3", "1e2", "0x3"]))
+_TEXT = st.one_of(
+    st.sampled_from(["", "(", "(.,", "(.,.)", "((.,.),.)", "(.,.", "x",
+                     "uuddd", "ud", "uhd", "uuhuddhd", "du", "h", "21",
+                     "1133444", "1a2", "-1", "0", "11,2", "1 2"]),
+    st.text(alphabet="(),.udh0123456789- ", max_size=10))
+
+
+def _choice(options):
+    return st.sampled_from([*options, "bogus"])
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just("enumerate"), st.just("--family"),
+              _choice(sorted(_ENUM_FAMILIES)), st.just("--n"), _SIZE,
+              st.just("--format"), _choice(("lines", "json", "csv"))),
+    st.tuples(st.just("series"), st.just("--which"),
+              _choice(("g", "f", "G", "X")), st.just("--degree"), _SIZE),
+    st.tuples(st.just("poly"), st.just("--which"),
+              _choice(("super-narayana", "pn-t", "narayana", "pn-alpha",
+                       "qn")), st.just("--n"), _SIZE),
+    st.tuples(st.just("bijection"), st.just("--direction"),
+              _choice(("tree-to-ndpf", "ndpf-to-tree", "dyck-encode",
+                       "schroder-encode")), st.just("--input"), _TEXT),
+    st.tuples(st.just("verify"), st.just("--suite"),
+              _choice((*sorted(_SUITES), "all")), st.just("--max-n"), _SIZE),
+    st.tuples(st.just("table"), st.just("--which"),
+              _choice(("qn-triangle", "a060693", "bar-distribution")),
+              st.just("--n-max"), _SIZE, st.just("--format"),
+              _choice(("csv", "json"))),
+).map(list)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_ARGV)
+def test_exit_code_contract(argv):
+    # any argv of any subcommand: exit 0, 1 or 2, and never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -97,6 +97,21 @@ def test_normal_form_shape_characterization():
             assert op.normal_form_shape_check(mode, n)
 
 
+def test_normal_forms_at_the_caps():
+    # every generated tree is a fixed point of the rules, with no repeats;
+    # the counts are little Schroeder (A001003) and Catalan (A000108)
+    for mode, n, count in (("tri", 8, 20793), ("dup", 10, 16796)):
+        forms = list(op.normal_forms(mode, n))
+        assert len(forms) == len(set(forms)) == count
+        assert all(op.is_normal(t) and op.tree_leaves(t) == n for t in forms)
+        assert op.count_normal_forms(mode, n) == count
+    assert op.normal_form_shape_check("tri", 6)
+    with pytest.raises(ValueError):
+        list(op.normal_forms("tri", 0))
+    with pytest.raises(ValueError):
+        list(op.normal_forms("quad", 2))
+
+
 def test_eval_tree_values():
     assert op.eval_tree(op.eval_tree_parse("(x o x)"), "tri") == \
         QuasiRibbon.parse("1|2")

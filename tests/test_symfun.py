@@ -1,11 +1,11 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
 from parkhopf.combinat import compositions
-from parkhopf.exact import Poly, RatFun, assert_polynomial
+from parkhopf.exact import P_ONE, Poly, poly_divexact
 from parkhopf.symfun import (R_to_S, S_to_R, SymElem, VirtualAlphabet,
                              as2_axioms_check, binomial_poly,
                              cycle_enumerator, evaluate, ribbon_product,
@@ -104,35 +104,60 @@ def test_mixed_as2_example():
 def test_binomial_alphabet():
     A = VirtualAlphabet("binomial")
     for n in range(1, 6):
-        assert assert_polynomial(A.h(n)) == binomial_poly(n - 1, n)
-        assert assert_polynomial(A.e(n)) == binomial_poly(0, n)
-    assert A.p(3) == RatFun(Poly.var("a"))
+        assert A.h(n) == binomial_poly(n - 1, n)
+        assert A.e(n) == binomial_poly(0, n)
+    assert A.p(3) == Poly.var("a")
 
 
-def test_two_parameter_alphabet():
-    A = VirtualAlphabet("one_minus_x_over_one_minus_q")
+def _q_pochhammer(base: Poly, n: int) -> Poly:
+    """(base;q)_n = (1-base)(1-base q)...(1-base q^(n-1))."""
+    q = Poly.var("q")
+    return prod((1 - base * q ** j for j in range(n)), start=P_ONE)
+
+
+def test_q_binomial_closed_form_newton_identity():
+    # h_n((1-x)/(1-q)) = (x;q)_n / (q;q)_n satisfies Newton's identity
+    # n h_n = sum_k p_k h_(n-k) with p_k = (1-x^k)/(1-q^k); times (q)_n:
+    # n (x;q)_n = sum_k (1-x^k) [(q)_n / ((1-q^k)(q)_(n-k))] (x;q)_(n-k)
     x, q = Poly.var("x"), Poly.var("q")
-    assert A.h(1) == RatFun(1 - x, 1 - q)
-    # h_n multiplied by (q)_n is the q-binomial-type product (1-x)(1-xq)...
-    qfact = (1 - q) * (1 - q ** 2)
-    assert A.h(2) * RatFun(qfact) == RatFun((1 - x) * (1 - x * q))
+    for n in range(1, 9):
+        rhs = Poly()
+        for k in range(1, n + 1):
+            bracket = poly_divexact(_q_pochhammer(q, n),
+                                    (1 - q ** k) * _q_pochhammer(q, n - k))
+            rhs = rhs + (1 - x ** k) * bracket * _q_pochhammer(x, n - k)
+        assert rhs == n * _q_pochhammer(x, n)
 
 
 def test_rank_one_alphabet():
     A = VirtualAlphabet("m_times_one_minus_x", m=3)
     x = Poly.var("x")
-    assert A.p(2) == RatFun((1 - x ** 2).scale(3))
+    assert A.p(2) == (1 - x ** 2).scale(3)
+    # h_1 = p_1 and 2 h_2 = p_1^2 + p_2
+    assert A.h(1) == 3 - 3 * x
+    assert A.h(2) == ((3 - 3 * x) ** 2 + 3 - 3 * x ** 2).scale(Fraction(1, 2))
+    # sum_k (-1)^k e_k h_(n-k) = 0
+    for n in range(1, 5):
+        assert sum((A.e(k) * A.h(n - k) * (-1) ** k for k in range(n + 1)),
+                   Poly()) == 0
     with pytest.raises(ValueError):
         VirtualAlphabet("m_times_one_minus_x")
+    with pytest.raises(ValueError):
+        VirtualAlphabet("one_minus_x_over_one_minus_q")
 
 
 def test_evaluate_is_algebra_morphism():
-    A = VirtualAlphabet("one_minus_x_over_one_minus_q")
     pairs = [((2,), (1, 1)), ((1, 2), (2,)), ((3,), (1, 1, 1)), ((1,), (2, 2))]
-    for i, j in pairs:
-        lhs = evaluate(s_product(SymElem.s(i), SymElem.s(j)), A)
-        rhs = evaluate(SymElem.s(i), A) * evaluate(SymElem.s(j), A)
-        assert lhs == rhs
+    for A in (VirtualAlphabet("binomial"),
+              VirtualAlphabet("m_times_one_minus_x", m=3)):
+        for i, j in pairs:
+            lhs = evaluate(s_product(SymElem.s(i), SymElem.s(j)), A)
+            rhs = evaluate(SymElem.s(i), A) * evaluate(SymElem.s(j), A)
+            assert lhs == rhs
+        # linear, with scalar coefficients
+        elem = SymElem.s((2, 1), 3) + SymElem.s((1, 2), Fraction(-1, 2))
+        assert evaluate(elem, A) == 3 * A.h(2) * A.h(1) \
+            - (A.h(1) * A.h(2)).scale(Fraction(1, 2))
 
 
 def test_evaluate_rejects_extended_and_ribbon():
@@ -181,13 +206,13 @@ def test_cycle_enumerator_vs_binomial_character():
     A = VirtualAlphabet("binomial")
     for n in range(1, 7):
         for i in compositions(n):
-            h_prod = RatFun(1)
+            h_prod = P_ONE
             denom = 1
             for part in i:
                 h_prod = h_prod * A.h(part)
                 denom *= factorial(part)
             lhs = cycle_enumerator(i).scale(Fraction(1, denom))
-            assert RatFun(lhs) == h_prod
+            assert lhs == h_prod
 
 
 def test_rising_factorial():
