@@ -1,7 +1,14 @@
-"""Characters and their combinatorial payloads: signed parking functions and
-their statistics, super-Narayana polynomials, Dyck and Schroeder path
-encodings, the bar character on quasi-ribbons, the binomial-element character,
-and the q-analogue triangle of (n+1)^(n-1).
+"""Characters and their combinatorial payloads.
+
+The generating functions of the paper are characters evaluated on the
+generic solution g_n of g = sum_k S_k g^k (`lagrange.solve_g`), through
+`symfun.evaluate` on the character's complete functions h_k: the binomial
+element (`psi_alpha`), the alphabet 1 - x (`lassalle_narayana`), and the
+alphabet (1-x)/(1-q), whose h_k are not polynomials and so are applied by
+the q-binomial theorem (`super_narayana_sym`).  Each has a second,
+combinatorial route: signed parking functions and their statistics, Dyck and
+Schroeder path encodings, the bar character on quasi-ribbons, fixed pairs of
+parking functions, and the q-analogue triangle of (n+1)^(n-1).
 """
 
 from __future__ import annotations
@@ -9,15 +16,15 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .combinat import (QuasiRibbon, is_ndpf, is_parking, ndpfs,
                        packed_evaluation, parking_functions, quasi_ribbons,
                        shifted_shuffle)
-from .exact import (P_ONE, P_ZERO, LinComb, NotDivisibleError, Poly,
-                    monomial, poly_divexact, series_sqrt_expand)
+from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
+                    series_sqrt_expand)
 from .lagrange import solve_g
-from .symfun import VirtualAlphabet, cycle_enumerator
+from .symfun import binomial_poly, cycle_enumerator, evaluate
 
 
 # -- signed words --------------------------------------------------------------
@@ -154,12 +161,10 @@ def super_narayana_sym(n: int) -> Poly:
     x_poch = [P_ONE]  # (x;q)_k = (1-x)(1-xq)...(1-xq^(k-1))
     for k in range(n):
         x_poch.append(x_poch[-1] * (1 - x * q ** k))
-    value = Poly(
-        pair for key, c in solve_g(n)[n].terms
-        for pair in (poly_divexact(qfact[n],
-                                   prod((qfact[i] for i in key), start=P_ONE))
-                     * prod((x_poch[i] for i in key), start=P_ONE))
-        .scale(c).terms.items())
+    value = Poly.sum(
+        (poly_divexact(qfact[n], prod((qfact[i] for i in key), start=P_ONE))
+         * prod((x_poch[i] for i in key), start=P_ONE)).scale(c)
+        for key, c in solve_g(n)[n].terms)
     return value.substitute("x", -Poly.var("t"))
 
 
@@ -529,8 +534,7 @@ def _chi_character_property(n: int) -> bool:
             for q1 in quasi_ribbons(n1):
                 for q2 in quasi_ribbons(n2):
                     product = sqsym_product(LinComb.term(q1), LinComb.term(q2))
-                    lhs = Poly(pair for q, c in product for pair
-                               in _chi_value(q).scale(c).terms.items())
+                    lhs = Poly.sum(_chi_value(q).scale(c) for q, c in product)
                     if lhs != _chi_value(q1) * _chi_value(q2):
                         return False
     return True
@@ -587,15 +591,19 @@ def fixed_pair_counts(n: int) -> dict[int, int]:
 
 def psi_alpha(n: int) -> tuple[Poly, bool]:
     """Returns (P_n(a), checks): the character property on small products,
-    the closed product formula for the degree-n sum, and (for n <= 5) the
-    fixed-pair interpretation of the coefficients."""
+    the closed product formula for the degree-n sum, n! times the character
+    evaluated on g_n, and (for n <= 5) the fixed-pair interpretation of the
+    coefficients."""
     if n > 6:
         raise ValueError("psi_alpha supports n <= 6")
     target = pn_alpha(n)
     by_eval = Counter(packed_evaluation(a) for a in parking_functions(n))
-    total = Poly(pair for comp, count in by_eval.items()
-                 for pair in cycle_enumerator(comp).scale(count).terms.items())
-    ok = total == target
+    total = Poly.sum(cycle_enumerator(comp).scale(count)
+                     for comp, count in by_eval.items())
+    # n! psi_a(g_n) = P_n(a), with h_k(binomial element) = C(a + k - 1, k)
+    on_g = evaluate(solve_g(n)[n], [binomial_poly(k - 1, k)
+                                    for k in range(n + 1)])
+    ok = total == target == on_g.scale(factorial(n))
     ok = ok and _psi_alpha_character_property(min(n, 4))
     if n <= 5:
         counts = fixed_pair_counts(n)
@@ -610,8 +618,8 @@ def _psi_alpha_character_property(n: int) -> bool:
             for a in parking_functions(n1):
                 for b in parking_functions(n2):
                     product = pqsym_product(LinComb.term(a), LinComb.term(b))
-                    lhs = Poly(pair for w, c in product for pair
-                               in psi_alpha_value(w).scale(c).terms.items())
+                    lhs = Poly.sum(psi_alpha_value(w).scale(c)
+                                   for w, c in product)
                     if lhs != psi_alpha_value(a) * psi_alpha_value(b):
                         return False
     return True
@@ -640,8 +648,8 @@ def q_triangle(n_max: int) -> list[list[int]]:
     for n in range(1, n_max + 1):
         qn = qn_polynomial(n)
         # reciprocal identity through the alpha-coefficients of P_n
-        recip = Poly(pair for k, c in pn_alpha(n).coeffs_in("a").items()
-                     for pair in (c * (q - 1) ** (n - k)).terms.items())
+        recip = Poly.sum((q - 1) ** (n - k) * c
+                         for k, c in enumerate(pn_alpha(n).coeff_row("a")))
         if recip != qn:
             raise AssertionError(f"reciprocal identity fails at n={n}")
         row = [int(c) for c in qn.coeff_row("q")]
@@ -655,16 +663,18 @@ def q_triangle(n_max: int) -> list[list[int]]:
 
 
 def lassalle_narayana(n: int) -> Poly:
-    """c_n(q) through the rank-one alphabet: evaluate h_n on (n+1)(1-x),
-    divide by n+1, substitute x = 1-q, divide by q."""
-    if not 1 <= n <= 7:
-        raise ValueError("lassalle_narayana supports 1 <= n <= 7")
-    alphabet = VirtualAlphabet("m_times_one_minus_x", m=n + 1)
-    hn = alphabet.h(n).scale(Fraction(1, n + 1))
-    q = Poly.var("q")
-    value = hn.substitute("x", 1 - q)
-    try:
-        return poly_divexact(value, q)
-    except NotDivisibleError as exc:
-        raise NotDivisibleError(
-            f"h_n((n+1)(1-x))/(n+1) is not divisible by q at n={n}") from exc
+    """c_n(q) from the character 1 - x on g_n: by Lagrange inversion
+    evaluate(g_n, 1 - x) = h_n((n+1)(1-x))/(n+1); substitute x = 1-q and
+    divide by q.  The value is checked against the closed form
+    sum_j C(n+1, j) (-x)^j C(2n-j, n-j) / (n+1) of that h_n."""
+    if not 1 <= n <= 8:
+        raise ValueError("lassalle_narayana supports 1 <= n <= 8")
+    x, q = Poly.var("x"), Poly.var("q")
+    value = evaluate(solve_g(n)[n], [P_ONE] + [1 - x] * n)
+    closed = Poly((monomial(x=j), Fraction((-1) ** j * comb(n + 1, j)
+                                           * comb(2 * n - j, n - j), n + 1))
+                  for j in range(n + 1))
+    if value != closed:
+        raise AssertionError(f"evaluate(g_n, 1-x) is not h_n((n+1)(1-x))/(n+1) "
+                             f"at n={n}")
+    return poly_divexact(value.substitute("x", 1 - q), q)

@@ -112,7 +112,7 @@ def _cmd_series(args) -> int:
 def _cmd_poly(args) -> int:
     n = args.n
     if args.which == "super-narayana":
-        print(chars.super_narayana_count(n))
+        print(chars.super_narayana_sym(n))
     elif args.which == "pn-t":
         pn, ok = chars.schroder_polynomials(n)
         if not ok:

@@ -25,13 +25,13 @@ class NotInSubalgebraError(ValueError):
 
 
 def is_parking(w) -> bool:
-    """True iff the nondecreasing reordering a^ satisfies a^_i <= i."""
-    return all(v <= i for i, v in enumerate(sorted(w), start=1))
+    """True iff the nondecreasing reordering a^ satisfies 1 <= a^_i <= i."""
+    return all(1 <= v <= i for i, v in enumerate(sorted(w), start=1))
 
 
 def is_ndpf(w) -> bool:
     return all(w[i] <= w[i + 1] for i in range(len(w) - 1)) and \
-        all(v <= i for i, v in enumerate(w, start=1))
+        all(1 <= v <= i for i, v in enumerate(w, start=1))
 
 
 def is_packed(w) -> bool:

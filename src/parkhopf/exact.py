@@ -96,6 +96,11 @@ class Poly:
         return cls({monomial(**{name: power}): coeff})
 
     @classmethod
+    def sum(cls, polys) -> "Poly":
+        """The sum of an iterable of polynomials, collected in one pass."""
+        return cls(pair for p in polys for pair in p.terms.items())
+
+    @classmethod
     def coerce(cls, value) -> "Poly":
         if isinstance(value, Poly):
             return value
@@ -195,8 +200,7 @@ class Poly:
         powers = [P_ONE]
         for _ in range(max(parts, default=0)):
             powers.append(powers[-1] * value)
-        return Poly(pair for k, coeff in parts.items()
-                    for pair in (coeff * powers[k]).terms.items())
+        return Poly.sum(coeff * powers[k] for k, coeff in parts.items())
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
@@ -442,8 +446,7 @@ def series_sqrt_expand(p: Poly, order: int) -> Poly:
     y = [P_ONE]
     half = Fraction(1, 2)
     for n in range(1, order + 1):
-        acc = coeffs.get(n, P_ZERO) - Poly(
-            pair for i in range(1, n)
-            for pair in (y[i] * y[n - i]).terms.items())
+        acc = coeffs.get(n, P_ZERO) - Poly.sum(
+            y[i] * y[n - i] for i in range(1, n))
         y.append(acc.scale(half))
     return _from_univariate(dict(enumerate(y)), _VAR_INDEX["z"])

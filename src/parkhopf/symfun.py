@@ -1,6 +1,7 @@
 """Noncommutative symmetric functions: S and R bases on composition keys,
-the extended algebra with a degree-zero generator, and the commutative
-specializations (virtual alphabets) used by the characters.
+the extended algebra with a degree-zero generator, and `evaluate`, the one
+commutative specialization S^I -> h_(i_1) h_(i_2) ... through which the
+characters are applied to the generic solution g_n.
 """
 
 from __future__ import annotations
@@ -187,64 +188,20 @@ def as2_axioms_check(n: int) -> bool:
     return True
 
 
-# -- virtual alphabets -------------------------------------------------------
+# -- commutative evaluation ---------------------------------------------------
 
 
-class VirtualAlphabet:
-    """A character of commutative symmetric functions given by its power sums.
-
-    Its values are polynomials.  The two alphabets used here: the binomial
-    element (p_n = a) and the rank-one multiple m(1-x) with p_n = m(1-x^n).
-    The alphabet (1-x)/(1-q) of the super-Narayana polynomials is not one of
-    them: its complete functions have the closed form (x;q)_n / (q;q)_n of
-    the q-binomial theorem, which `chars.super_narayana_sym` uses directly.
-    """
-
-    def __init__(self, kind: str, m: int | None = None):
-        if kind not in ("binomial", "m_times_one_minus_x"):
-            raise ValueError(f"unknown virtual alphabet {kind!r}")
-        if kind == "m_times_one_minus_x" and m is None:
-            raise ValueError("the rank-one alphabet needs its multiplier m")
-        self.kind = kind
-        self.m = m
-        self._h: dict[int, Poly] = {0: P_ONE}
-        self._e: dict[int, Poly] = {0: P_ONE}
-
-    def p(self, n: int) -> Poly:
-        if n < 1:
-            raise ValueError("power sums are indexed by n >= 1")
-        if self.kind == "binomial":
-            return Poly.var("a")
-        return (1 - Poly.var("x", n)).scale(self.m)
-
-    def h(self, n: int) -> Poly:
-        """Complete functions by the Newton recurrence n h_n = sum p_k h_(n-k)."""
-        if n not in self._h:
-            self._h[n] = Poly(
-                pair for k in range(1, n + 1)
-                for pair in (self.p(k) * self.h(n - k)).terms.items()
-            ).scale(Fraction(1, n))
-        return self._h[n]
-
-    def e(self, n: int) -> Poly:
-        """Elementary functions via sum_k (-1)^k e_k h_(n-k) = 0."""
-        if n not in self._e:
-            self._e[n] = Poly(
-                pair for k in range(n)
-                for pair in (self.e(k) * self.h(n - k))
-                .scale((-1) ** (n + 1 + k)).terms.items())
-        return self._e[n]
-
-
-def evaluate(a: SymElem, alphabet: VirtualAlphabet) -> Poly:
-    """Commutative evaluation S^I -> prod_k h_(i_k)(A)."""
+def evaluate(a: SymElem, h) -> Poly:
+    """Commutative evaluation S^I -> prod_k h[i_k], for a character given by
+    its complete-function values h[0] = 1, h[1], h[2], ... (polynomials or
+    scalars), e.g. ``[binomial_poly(k - 1, k) for k in range(n + 1)]`` for
+    the binomial element, or ``[1] + [1 - x] * n`` for the alphabet 1 - x."""
     if a.basis != "S":
         raise ValueError("evaluate expects the S basis")
     if a.extended:
         raise ValueError("evaluate rejects extended keys")
-    return Poly(pair for key, c in a.terms
-                for pair in prod((alphabet.h(part) for part in key),
-                                 start=Poly.coerce(c)).terms.items())
+    return Poly.sum(prod((h[part] for part in key), start=Poly.coerce(c))
+                    for key, c in a.terms)
 
 
 def rising_factorial(base: Poly, m: int) -> Poly:

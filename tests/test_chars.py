@@ -24,6 +24,8 @@ def test_signed_word_basics():
         ch.SignedWord((1, 2), (1,))
     with pytest.raises(ValueError):
         ch.SignedWord((2, 2), (1, 1))  # base word must be parking
+    with pytest.raises(ValueError):
+        ch.SignedWord.parse("0,1")  # letters start at 1
 
 
 def test_signed_stats_examples():
@@ -284,8 +286,12 @@ def test_lassalle_narayana():
     for n in range(1, 6):
         via_paths = ch.narayana_from_pn(ch.schroder_polynomials(n)[0])
         assert ch.lassalle_narayana(n) == via_paths.substitute("t", q)
-    for n in (0, -1, 8):
-        with pytest.raises(ValueError, match="1 <= n <= 7"):
+    # n = 8: the Narayana numbers C(8,k) C(8,k-1) / 8, and Catalan at q = 1
+    c8 = ch.lassalle_narayana(8)
+    assert c8.coeff_row("q") == [1, 28, 196, 490, 490, 196, 28, 1]
+    assert c8.substitute("q", 1) == 1430
+    for n in (0, -1, 9):
+        with pytest.raises(ValueError, match="1 <= n <= 8"):
             ch.lassalle_narayana(n)
 
 

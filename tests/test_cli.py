@@ -172,6 +172,7 @@ def _exit_code(argv):
     ["verify", "--suite", "rewriting", "--max-n", "-3"],
     ["verify", "--suite", "all", "--max-n", "0"],
     ["poly", "--which", "narayana", "--n", "0"],
+    ["bijection", "--direction", "ndpf-to-tree", "--input", "0"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     assert _exit_code(argv) == 2
@@ -194,9 +195,9 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     from parkhopf import chars
 
     def fail(n):
-        raise AssertionError("sinv and smaj distributions must agree")
+        raise AssertionError("the super-Narayana routes must agree")
 
-    monkeypatch.setattr(chars, "super_narayana_count", fail)
+    monkeypatch.setattr(chars, "super_narayana_sym", fail)
     assert main(["poly", "--which", "super-narayana", "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -17,6 +17,11 @@ def test_is_parking():
     assert cb.is_parking((1, 1, 3))
     assert cb.is_parking(())
     assert not cb.is_parking((2, 2))
+    assert not cb.is_parking((0,))
+    assert not cb.is_parking((1, -3))
+    assert cb.is_ndpf((1, 1, 3))
+    assert not cb.is_ndpf((0,))
+    assert not cb.is_ndpf((-3, 1))
 
 
 def test_parkize_examples():

@@ -191,6 +191,13 @@ def test_poly_collects_pairs(terms, data):
     assert p == _term_sum(terms)
     assert all(type(c) is Fraction and c for c in p.terms.values())
     assert Poly(p.terms) == p
+    # Poly.sum collects a list of polynomials like a +-fold, cancelling
+    # terms included
+    polys = [Poly.var("q", i, c) * Poly.var("t", j) for i, j, c in terms]
+    assert Poly.sum(polys) == p
+    assert Poly.sum(iter(polys + [-p])) == Poly()
+    assert Poly.sum([p, p, -p]) == p
+    assert not Poly.sum([]).terms
 
 
 @given(_polys, _polys)

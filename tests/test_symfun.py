@@ -1,15 +1,17 @@
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
 from parkhopf.combinat import compositions
-from parkhopf.exact import P_ONE, Poly, poly_divexact
-from parkhopf.symfun import (R_to_S, S_to_R, SymElem, VirtualAlphabet,
-                             as2_axioms_check, binomial_poly,
-                             cycle_enumerator, evaluate, ribbon_product,
-                             rising_factorial, s_product)
+from parkhopf.exact import P_ONE, Poly, monomial, poly_divexact
+from parkhopf.lagrange import solve_g
+from parkhopf.symfun import (R_to_S, S_to_R, SymElem, as2_axioms_check,
+                             binomial_poly, cycle_enumerator, evaluate,
+                             ribbon_product, rising_factorial, s_product)
+
+x, a = Poly.var("x"), Poly.var("a")
 
 
 def _coarsenings(j):
@@ -101,12 +103,32 @@ def test_mixed_as2_example():
     assert comp_concat((1,), comp_near_concat((1,), (1,))) == (1, 2)
 
 
+def _newton_h(p, n: int) -> list:
+    """Oracle: complete functions h_0..h_n of the alphabet with power sums
+    p(1), p(2), ..., by the Newton recurrence n h_n = sum_k p_k h_(n-k)."""
+    h = [P_ONE]
+    for m in range(1, n + 1):
+        h.append(sum((p(k) * h[m - k] for k in range(1, m + 1)),
+                     Poly()).scale(Fraction(1, m)))
+    return h
+
+
+def _binomial_h(n: int) -> list:
+    """h_k of the binomial element, C(a + k - 1, k)."""
+    return [binomial_poly(k - 1, k) for k in range(n + 1)]
+
+
+def _rank_one_h(m: int, n: int) -> list:
+    """h_k(m(1-x)) = sum_j C(m, j) (-x)^j C(m + k - j - 1, k - j)."""
+    return [Poly((monomial(x=j), (-1) ** j * comb(m, j)
+                  * comb(m + k - j - 1, k - j)) for j in range(k + 1))
+            for k in range(n + 1)]
+
+
 def test_binomial_alphabet():
-    A = VirtualAlphabet("binomial")
-    for n in range(1, 6):
-        assert A.h(n) == binomial_poly(n - 1, n)
-        assert A.e(n) == binomial_poly(0, n)
-    assert A.p(3) == Poly.var("a")
+    # the binomial element has every power sum p_k = a
+    assert _newton_h(lambda k: a, 8) == _binomial_h(8)
+    assert _binomial_h(2)[2] == (a * a + a).scale(Fraction(1, 2))
 
 
 def _q_pochhammer(base: Poly, n: int) -> Poly:
@@ -130,42 +152,48 @@ def test_q_binomial_closed_form_newton_identity():
 
 
 def test_rank_one_alphabet():
-    A = VirtualAlphabet("m_times_one_minus_x", m=3)
-    x = Poly.var("x")
-    assert A.p(2) == (1 - x ** 2).scale(3)
-    # h_1 = p_1 and 2 h_2 = p_1^2 + p_2
-    assert A.h(1) == 3 - 3 * x
-    assert A.h(2) == ((3 - 3 * x) ** 2 + 3 - 3 * x ** 2).scale(Fraction(1, 2))
-    # sum_k (-1)^k e_k h_(n-k) = 0
-    for n in range(1, 5):
-        assert sum((A.e(k) * A.h(n - k) * (-1) ** k for k in range(n + 1)),
-                   Poly()) == 0
-    with pytest.raises(ValueError):
-        VirtualAlphabet("m_times_one_minus_x")
-    with pytest.raises(ValueError):
-        VirtualAlphabet("one_minus_x_over_one_minus_q")
+    # m(1-x) has power sums p_k = m(1 - x^k)
+    for m in (1, 3, 9):
+        assert _newton_h(lambda k: (1 - x ** k).scale(m), 8) == \
+            _rank_one_h(m, 8)
+    h = _rank_one_h(3, 2)
+    assert h[1] == 3 - 3 * x
+    assert h[2] == ((3 - 3 * x) ** 2 + 3 - 3 * x ** 2).scale(Fraction(1, 2))
+    assert _rank_one_h(1, 4) == [P_ONE] + [1 - x] * 4
 
 
 def test_evaluate_is_algebra_morphism():
     pairs = [((2,), (1, 1)), ((1, 2), (2,)), ((3,), (1, 1, 1)), ((1,), (2, 2))]
-    for A in (VirtualAlphabet("binomial"),
-              VirtualAlphabet("m_times_one_minus_x", m=3)):
+    for h in (_binomial_h(4), _rank_one_h(3, 4)):
         for i, j in pairs:
-            lhs = evaluate(s_product(SymElem.s(i), SymElem.s(j)), A)
-            rhs = evaluate(SymElem.s(i), A) * evaluate(SymElem.s(j), A)
+            lhs = evaluate(s_product(SymElem.s(i), SymElem.s(j)), h)
+            rhs = evaluate(SymElem.s(i), h) * evaluate(SymElem.s(j), h)
             assert lhs == rhs
         # linear, with scalar coefficients
         elem = SymElem.s((2, 1), 3) + SymElem.s((1, 2), Fraction(-1, 2))
-        assert evaluate(elem, A) == 3 * A.h(2) * A.h(1) \
-            - (A.h(1) * A.h(2)).scale(Fraction(1, 2))
+        assert evaluate(elem, h) == 3 * h[2] * h[1] \
+            - (h[1] * h[2]).scale(Fraction(1, 2))
+    assert evaluate(SymElem.one(), [P_ONE]) == 1
+    assert evaluate(SymElem.s((2, 1), 5), [1, 2, 3]) == 30
+
+
+def test_lagrange_identity_on_g():
+    # evaluate(g_n, A) = h_n((n+1)A)/(n+1), with the h_n of the multiple
+    # (n+1)A from its power sums (n+1)p_k(A)
+    g = solve_g(8)
+    for p, h in ((lambda k: a, _binomial_h(8)),
+                 (lambda k: 1 - x ** k, _rank_one_h(1, 8))):
+        for n in range(1, 9):
+            hn = _newton_h(lambda k: p(k).scale(n + 1), n)[n]
+            assert evaluate(g[n], h) == hn.scale(Fraction(1, n + 1))
 
 
 def test_evaluate_rejects_extended_and_ribbon():
-    A = VirtualAlphabet("binomial")
+    h = _binomial_h(2)
     with pytest.raises(ValueError):
-        evaluate(SymElem.s((1, 0), extended=True), A)
+        evaluate(SymElem.s((1, 0), extended=True), h)
     with pytest.raises(ValueError):
-        evaluate(SymElem.r((1,)), A)
+        evaluate(SymElem.r((1,)), h)
 
 
 def test_basis_change_rejects_extended():
@@ -203,16 +231,12 @@ def test_cycle_enumerator_against_brute_force():
 
 def test_cycle_enumerator_vs_binomial_character():
     # Z_I(a) / prod(i_k!) = prod h_(i_k)(binomial)
-    A = VirtualAlphabet("binomial")
+    h = _binomial_h(6)
     for n in range(1, 7):
         for i in compositions(n):
-            h_prod = P_ONE
-            denom = 1
-            for part in i:
-                h_prod = h_prod * A.h(part)
-                denom *= factorial(part)
+            denom = prod(factorial(part) for part in i)
             lhs = cycle_enumerator(i).scale(Fraction(1, denom))
-            assert lhs == h_prod
+            assert lhs == evaluate(SymElem.s(i), h)
 
 
 def test_rising_factorial():
