@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from . import hopf
 from .combinat import (QuasiRibbon, is_ndpf, is_parking, ndpfs,
                        packed_evaluation, parking_functions, quasi_ribbons,
                        shifted_shuffle)
@@ -206,22 +207,12 @@ def qtF_identity_check(sigma) -> bool:
 
 def signed_shifted_shuffle(a: SignedWord, b: SignedWord):
     """Shifted shuffle of signed words: letters shift, signs travel along."""
-    n, m = len(a), len(b)
-    shifted = tuple(v + n for v in b.word)
-    for positions in itertools.combinations(range(n + m), n):
-        posset = set(positions)
-        word, signs = [], []
-        ia = ib = 0
-        for i in range(n + m):
-            if i in posset:
-                word.append(a.word[ia])
-                signs.append(a.signs[ia])
-                ia += 1
-            else:
-                word.append(shifted[ib])
-                signs.append(b.signs[ib])
-                ib += 1
-        yield SignedWord(word, signs)
+    n = len(a)
+    letters = a.word + tuple(v + n for v in b.word)
+    signs = a.signs + b.signs
+    for positions in shifted_shuffle(range(n), range(len(b)), n):
+        yield SignedWord([letters[i] for i in positions],
+                         [signs[i] for i in positions])
 
 
 def s_character_check(n: int) -> bool:
@@ -517,7 +508,8 @@ def chi_sqsym(n: int) -> tuple[Poly, bool]:
     ok = ok and chi_gn == (1 + t) * cn.substitute("t", 1 + t)
     ok = ok and dist == cn.substitute("t", 1 + t)
     ok = ok and chi_path_model_check(n)
-    ok = ok and _chi_character_property(min(n, 4))
+    ok = ok and _multiplicative(quasi_ribbons, hopf.sqsym_product, _chi_value,
+                                min(n, 4))
     return chi_gn, ok
 
 
@@ -526,18 +518,16 @@ def _chi_value(q: QuasiRibbon) -> Poly:
     return (1 + t) * t ** q.bar_count
 
 
-def _chi_character_property(n: int) -> bool:
-    """chi(P_q' P_q'') = chi(P_q') chi(P_q'') for total degree <= n."""
-    from .hopf import sqsym_product
-    for n1 in range(1, n):
-        for n2 in range(1, n - n1 + 1):
-            for q1 in quasi_ribbons(n1):
-                for q2 in quasi_ribbons(n2):
-                    product = sqsym_product(LinComb.term(q1), LinComb.term(q2))
-                    lhs = Poly.sum(_chi_value(q).scale(c) for q, c in product)
-                    if lhs != _chi_value(q1) * _chi_value(q2):
-                        return False
-    return True
+def _multiplicative(family, product, value, n: int) -> bool:
+    """value(x y) = value(x) value(y) for basis keys x, y of total degree
+    <= n, where x y is expanded by ``product`` and ``value`` is applied
+    linearly."""
+    pairs = ((x, y) for n1 in range(1, n) for n2 in range(1, n - n1 + 1)
+             for x in family(n1) for y in family(n2))
+    return all(
+        Poly.sum(value(k).scale(c)
+                 for k, c in product(LinComb.term(x), LinComb.term(y)))
+        == value(x) * value(y) for x, y in pairs)
 
 
 # -- the binomial-element character ------------------------------------------------
@@ -604,25 +594,12 @@ def psi_alpha(n: int) -> tuple[Poly, bool]:
     on_g = evaluate(solve_g(n)[n], [binomial_poly(k - 1, k)
                                     for k in range(n + 1)])
     ok = total == target == on_g.scale(factorial(n))
-    ok = ok and _psi_alpha_character_property(min(n, 4))
+    ok = ok and _multiplicative(parking_functions, hopf.pqsym_product,
+                                psi_alpha_value, min(n, 4))
     if n <= 5:
         counts = fixed_pair_counts(n)
         ok = ok and target.coeff_row("a") == [counts[k] for k in range(n + 1)]
     return target, ok
-
-
-def _psi_alpha_character_property(n: int) -> bool:
-    from .hopf import pqsym_product
-    for n1 in range(1, n):
-        for n2 in range(1, n - n1 + 1):
-            for a in parking_functions(n1):
-                for b in parking_functions(n2):
-                    product = pqsym_product(LinComb.term(a), LinComb.term(b))
-                    lhs = Poly.sum(psi_alpha_value(w).scale(c)
-                                   for w, c in product)
-                    if lhs != psi_alpha_value(a) * psi_alpha_value(b):
-                        return False
-    return True
 
 
 # -- the q-triangle -----------------------------------------------------------------

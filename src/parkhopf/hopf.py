@@ -90,22 +90,28 @@ def cqsym_expand_F(a: LinComb) -> LinComb:
                    for w in set(itertools.permutations(pi)))
 
 
-def pqsym_project_P(a: LinComb) -> LinComb:
-    """Regroup an F-expansion on reordering classes; fail if not constant."""
-    groups: dict[tuple, dict] = {}
+def _regroup(a: LinComb, class_of, members_of, kind: str) -> LinComb:
+    """Regroup an F-expansion on the classes ``class_of``; fail unless each
+    class met is all of ``members_of(cls)`` with one constant coefficient."""
+    groups: dict = {}
     for w, c in a:
-        groups.setdefault(sort_ascending(w), {})[w] = c
+        groups.setdefault(class_of(w), {})[w] = c
 
     def terms():
-        for pi, members in groups.items():
-            expected = set(itertools.permutations(pi))
+        for cls, members in groups.items():
             coeffs = set(members.values())
-            if set(members) != expected or len(coeffs) != 1:
+            if set(members) != members_of(cls) or len(coeffs) != 1:
                 raise NotInSubalgebraError(
-                    f"not constant on the reordering class of {pi}")
-            yield pi, coeffs.pop()
+                    f"not constant on the {kind} class of {cls}")
+            yield cls, coeffs.pop()
 
     return LinComb(terms())
+
+
+def pqsym_project_P(a: LinComb) -> LinComb:
+    """Regroup an F-expansion on reordering classes; fail if not constant."""
+    return _regroup(a, sort_ascending,
+                    lambda pi: set(itertools.permutations(pi)), "reordering")
 
 
 def dup_coproduct(a: LinComb) -> LinComb:
@@ -161,20 +167,9 @@ def sqsym_expand_F(a: LinComb) -> LinComb:
 
 def pqsym_project_sqsym(a: LinComb) -> LinComb:
     """Regroup an F-expansion on hypoplactic classes; fail if not closed."""
-    groups: dict[QuasiRibbon, dict] = {}
-    for w, c in a:
-        groups.setdefault(hypoplactic_quasi_ribbon(w), {})[w] = c
-
-    def terms():
-        for q, members in groups.items():
-            expected = set(_hypoplactic_classes(len(q))[q])
-            coeffs = set(members.values())
-            if set(members) != expected or len(coeffs) != 1:
-                raise NotInSubalgebraError(
-                    f"not constant on the hypoplactic class of {q}")
-            yield q, coeffs.pop()
-
-    return LinComb(terms())
+    return _regroup(a, hypoplactic_quasi_ribbon,
+                    lambda q: set(_hypoplactic_classes(len(q))[q]),
+                    "hypoplactic")
 
 
 def sqsym_product(a: LinComb, b: LinComb) -> LinComb:
@@ -383,20 +378,32 @@ def _keys_by_total(family, max_total: int, arity: int):
         yield from itertools.product(*pools)
 
 
+def _relations_hold(family, max_total: int, relations, lift=None) -> bool:
+    """(a f b) g c == a h (b k c) for every (f, g, h, k) in ``relations`` and
+    every triple of basis keys of total size <= max_total, each key passed
+    through ``lift`` first when given."""
+    triples = _keys_by_total(family, max_total, 3)
+    if lift is not None:
+        triples = (tuple(map(lift, t)) for t in triples)
+    return not any(g(f(a, b), c) != h(a, k(b, c))
+                   for a, b, c in triples for f, g, h, k in relations)
+
+
+def _splitting_holds(family, max_total: int, product, parts) -> bool:
+    """product(x, y) is the sum of ``parts(x, y)`` on basis pairs."""
+    return all(
+        product(x, y) == LinComb(itertools.chain.from_iterable(parts(x, y)))
+        for x, y in (map(LinComb.term, pair)
+                     for pair in _keys_by_total(family, max_total, 2)))
+
+
 def duplicial_axioms_cqsym(max_total: int = 6) -> bool:
     """Both associativities and (x>y)<z = x>(y<z) on the multiplicative basis."""
     from .combinat import ndpfs
-    for a, b, c in _keys_by_total(ndpfs, max_total, 3):
-        if shifted_concat_max(shifted_concat_max(a, b), c) != \
-                shifted_concat_max(a, shifted_concat_max(b, c)):
-            return False
-        if shifted_concat_len(shifted_concat_len(a, b), c) != \
-                shifted_concat_len(a, shifted_concat_len(b, c)):
-            return False
-        if shifted_concat_max(shifted_concat_len(a, b), c) != \
-                shifted_concat_len(a, shifted_concat_max(b, c)):
-            return False
-    return True
+    prec, succ = shifted_concat_max, shifted_concat_len
+    return _relations_hold(ndpfs, max_total, [
+        (prec, prec, prec, prec), (succ, succ, succ, succ),
+        (succ, prec, succ, prec)])
 
 
 def cross_relation_fails_cqsym() -> bool:
@@ -410,86 +417,43 @@ def cross_relation_fails_cqsym() -> bool:
 def duplicial_axioms_pqsym(max_total: int = 5) -> bool:
     """The normalized duplicial pair on parking words, on basis triples."""
     from .combinat import parking_functions
-    for a, b, c in _keys_by_total(parking_functions, max_total, 3):
-        fa, fb, fc = LinComb.term(a), LinComb.term(b), LinComb.term(c)
-        if pqsym_dup_prec(pqsym_dup_prec(fa, fb), fc) != \
-                pqsym_dup_prec(fa, pqsym_dup_prec(fb, fc)):
-            return False
-        if pqsym_product(pqsym_product(fa, fb), fc) != \
-                pqsym_product(fa, pqsym_product(fb, fc)):
-            return False
-        if pqsym_dup_prec(pqsym_product(fa, fb), fc) != \
-                pqsym_product(fa, pqsym_dup_prec(fb, fc)):
-            return False
-    return True
+    prec, prod = pqsym_dup_prec, pqsym_product
+    return _relations_hold(parking_functions, max_total, [
+        (prec, prec, prec, prec), (prod, prod, prod, prod),
+        (prod, prec, prod, prec)], LinComb.term)
 
 
 def triduplicial_axioms(max_total: int = 6) -> bool:
     """Three associativities and the four mixed relations on quasi-ribbons."""
     from .combinat import quasi_ribbons
-    pairs = [(qr_succ, qr_prec), (qr_mid, qr_prec),
-             (qr_succ, qr_mid), (qr_mid, qr_succ)]
-    for a, b, c in _keys_by_total(quasi_ribbons, max_total, 3):
-        for op in (qr_prec, qr_succ, qr_mid):
-            if op(op(a, b), c) != op(a, op(b, c)):
-                return False
-        for f, g in pairs:
-            if g(f(a, b), c) != f(a, g(b, c)):
-                return False
-    return True
+    return _relations_hold(quasi_ribbons, max_total, [
+        *((op, op, op, op) for op in (qr_prec, qr_succ, qr_mid)),
+        *((f, g, f, g) for f, g in [(qr_succ, qr_prec), (qr_mid, qr_prec),
+                                    (qr_succ, qr_mid), (qr_mid, qr_succ)])])
 
 
 def dendriform_axioms_fqsym(max_total: int = 6) -> bool:
     """(x<y)<z = x<(yz), (x>y)<z = x>(y<z), (xy)>z = x>(y>z), and the
     splitting of the convolution product into the two halves."""
     from .combinat import permutations
-    for a, b, c in _keys_by_total(permutations, max_total, 3):
-        ga, gb, gc = LinComb.term(a), LinComb.term(b), LinComb.term(c)
-        if fqsym_left(fqsym_left(ga, gb), gc) != \
-                fqsym_left(ga, fqsym_product(gb, gc)):
-            return False
-        if fqsym_left(fqsym_right(ga, gb), gc) != \
-                fqsym_right(ga, fqsym_left(gb, gc)):
-            return False
-        if fqsym_right(fqsym_product(ga, gb), gc) != \
-                fqsym_right(ga, fqsym_right(gb, gc)):
-            return False
-    for a, b in _keys_by_total(permutations, min(max_total, 5), 2):
-        ga, gb = LinComb.term(a), LinComb.term(b)
-        if fqsym_product(ga, gb) != fqsym_left(ga, gb) + fqsym_right(ga, gb):
-            return False
-    return True
+    left, right, prod = fqsym_left, fqsym_right, fqsym_product
+    return _relations_hold(permutations, max_total, [
+        (left, left, left, prod), (right, left, right, left),
+        (prod, right, right, right)], LinComb.term) and _splitting_holds(
+        permutations, min(max_total, 5), prod,
+        lambda x, y: (left(x, y), right(x, y)))
 
 
 def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
     """The seven relations of the three-piece splitting on packed words."""
     from .combinat import packed_words
-    for a, b, c in _keys_by_total(packed_words, max_total, 3):
-        ma, mb, mc = LinComb.term(a), LinComb.term(b), LinComb.term(c)
-        checks = (
-            wqsym_left(wqsym_left(ma, mb), mc)
-            == wqsym_left(ma, wqsym_product(mb, mc)),
-            wqsym_left(wqsym_right(ma, mb), mc)
-            == wqsym_right(ma, wqsym_left(mb, mc)),
-            wqsym_right(wqsym_product(ma, mb), mc)
-            == wqsym_right(ma, wqsym_right(mb, mc)),
-            wqsym_mid(wqsym_right(ma, mb), mc)
-            == wqsym_right(ma, wqsym_mid(mb, mc)),
-            wqsym_mid(wqsym_left(ma, mb), mc)
-            == wqsym_mid(ma, wqsym_right(mb, mc)),
-            wqsym_left(wqsym_mid(ma, mb), mc)
-            == wqsym_mid(ma, wqsym_left(mb, mc)),
-            wqsym_mid(wqsym_mid(ma, mb), mc)
-            == wqsym_mid(ma, wqsym_mid(mb, mc)),
-        )
-        if not all(checks):
-            return False
-    for a, b in _keys_by_total(packed_words, min(max_total, 4), 2):
-        ma, mb = LinComb.term(a), LinComb.term(b)
-        left, mid, right = wqsym_thirds(ma, mb)
-        if wqsym_product(ma, mb) != left + mid + right:
-            return False
-    return True
+    left, mid, right = wqsym_left, wqsym_mid, wqsym_right
+    return _relations_hold(packed_words, max_total, [
+        (left, left, left, wqsym_product), (right, left, right, left),
+        (wqsym_product, right, right, right), (right, mid, right, mid),
+        (left, mid, mid, right), (mid, left, mid, left),
+        (mid, mid, mid, mid)], LinComb.term) and _splitting_holds(
+        packed_words, min(max_total, 4), wqsym_product, wqsym_thirds)
 
 
 def _pair_key_op(op):

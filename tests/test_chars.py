@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from parkhopf import chars as ch
-from parkhopf.combinat import ndpfs
+from parkhopf.combinat import ndpfs, shifted_shuffle
 from parkhopf.exact import Poly
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
@@ -26,6 +26,21 @@ def test_signed_word_basics():
         ch.SignedWord((2, 2), (1, 1))  # base word must be parking
     with pytest.raises(ValueError):
         ch.SignedWord.parse("0,1")  # letters start at 1
+
+
+def test_signed_shifted_shuffle():
+    for a, b in [(ch.SignedWord((2, 1), (-1, 1)),
+                  ch.SignedWord((1, 1, 2), (1, -1, -1))),
+                 (ch.SignedWord((1,), (-1,)), ch.SignedWord((1, 1), (1, -1)))]:
+        n = len(a)
+        out = list(ch.signed_shifted_shuffle(a, b))
+        assert [s.word for s in out] == shifted_shuffle(a.word, b.word, n)
+        for s in out:  # letters <= n come from a, the others from b
+            pairs = list(zip(s.word, s.signs))
+            assert [(v, e) for v, e in pairs if v <= n] == \
+                list(zip(a.word, a.signs))
+            assert [(v - n, e) for v, e in pairs if v > n] == \
+                list(zip(b.word, b.signs))
 
 
 def test_signed_stats_examples():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
-from parkhopf.cli import _ENUM_FAMILIES, _SUITES, main
+from parkhopf.cli import _CHECKS, _ENUM_FAMILIES, _SUITES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -141,6 +142,31 @@ def test_verify_all_deterministic(capsys):
     assert out1 == out2
 
 
+def test_check_table(capsys):
+    names = [check for _, check, _, _ in _CHECKS]
+    assert len(names) == len(set(names)) == 36  # the bench verify gate count
+    assert all(type(top) is int and top >= 1 for _, _, top, _ in _CHECKS)
+    assert _SUITES == sorted({suite for suite, _, _, _ in _CHECKS})
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions
+                 if a.dest == "suite")
+    assert list(suite.choices) == [*_SUITES, "all"]
+    code, out = run(capsys, "verify", "--suite", "all", "--max-n", "1")
+    assert code == 0
+    assert [r["check"] for r in json.loads(out)["results"]] == \
+        [check for name in _SUITES
+         for s, check, _, _ in _CHECKS if s == name]
+    # --max-n stops at the largest top in the table
+    top = max(top for _, _, top, _ in _CHECKS)
+    assert build_parser().parse_args(
+        ["verify", "--suite", "all", "--max-n", str(top)]).max_n == top == 8
+    assert _exit_code(["verify", "--suite", "all",
+                       "--max-n", str(top + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "must be at most 8" in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--family", "bogus", "--n", "2"])
@@ -173,6 +199,7 @@ def _exit_code(argv):
     ["verify", "--suite", "all", "--max-n", "0"],
     ["poly", "--which", "narayana", "--n", "0"],
     ["bijection", "--direction", "ndpf-to-tree", "--input", "0"],
+    ["verify", "--suite", "all", "--max-n", "9"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     assert _exit_code(argv) == 2

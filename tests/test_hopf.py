@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from parkhopf.combinat import (NotInSubalgebraError, QuasiRibbon, ndpfs,
-                               parking_functions, permutations, quasi_ribbons)
+                               parking_functions, permutations, quasi_ribbons,
+                               shifted_concat_len, shifted_concat_max)
 from parkhopf.exact import LinComb
 from parkhopf import hopf, operad
 from parkhopf.symfun import SymElem
@@ -178,6 +179,25 @@ def test_fqsym_product_and_halves():
 
 def test_fqsym_dendriform_axioms():
     assert hopf.dendriform_axioms_fqsym(6)
+
+
+def test_relation_checker_rejects_false_relations():
+    prec, succ = shifted_concat_max, shifted_concat_len
+    assert hopf._relations_hold(ndpfs, 4, [(succ, prec, succ, prec)])
+    # the absent cross relation (x<y)>z = x<(y>z)
+    assert not hopf._relations_hold(ndpfs, 4, [(prec, succ, prec, succ)])
+    left, right, prod = hopf.fqsym_left, hopf.fqsym_right, hopf.fqsym_product
+    relations = [(left, left, left, prod), (right, left, right, left),
+                 (prod, right, right, right)]
+    assert hopf._relations_hold(permutations, 4, relations, G)
+    swap = {left: right, right: left}
+    for relation in relations:
+        swapped = tuple(swap.get(op, op) for op in relation)
+        assert not hopf._relations_hold(permutations, 4, [swapped], G)
+    assert hopf._splitting_holds(permutations, 4, prod,
+                                 lambda x, y: (left(x, y), right(x, y)))
+    assert not hopf._splitting_holds(permutations, 4, prod,
+                                     lambda x, y: (left(x, y),))
 
 
 def test_fqsym_duality():

@@ -1,4 +1,5 @@
-"""Checks in library code must still run under ``python -O``."""
+"""Static checks on the library source: checks that still run under
+``python -O``, and verify sizes clamped in one place."""
 
 import ast
 import pathlib
@@ -14,3 +15,23 @@ def test_no_bare_assert_in_library():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert SOURCES and not found, f"bare assert statements: {found}"
+
+
+def _clamps_of_max_n(tree):
+    """The min(...) calls with an argument that mentions max_n."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "min"
+            and any(isinstance(sub, ast.Name) and sub.id == "max_n"
+                    or isinstance(sub, ast.Attribute) and sub.attr == "max_n"
+                    for arg in node.args for sub in ast.walk(arg))]
+
+
+def test_verify_sizes_clamped_once():
+    # every verify check runs at min(--max-n, its top in the check table)
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), str(path))
+    verify = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_cmd_verify")
+    assert len(_clamps_of_max_n(tree)) == len(_clamps_of_max_n(verify)) == 1
