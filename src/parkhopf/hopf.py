@@ -10,7 +10,12 @@ Elements are LinComb values over the natural basis keys of each algebra:
 
 Products, the duplicial / dendriform / tridendriform partial operations, the
 duplicial coproduct, and the morphisms between the algebras all live here as
-module-level functions; everything is pure and stateless.
+module-level functions; everything is pure.
+
+The permutation and packed-word products relabel each pair of keys through
+index tables that depend on the pair's shape only and are cached per shape
+(never per word).  The tables are split by the tag that selects a half or a
+third, so a partial product walks only the terms it keeps.
 """
 
 from __future__ import annotations
@@ -199,6 +204,33 @@ def qr_mid(q1: QuasiRibbon, q2: QuasiRibbon) -> QuasiRibbon:
                        q1.bars | {k} | {b + k for b in q2.bars})
 
 
+# -- products by relabelling: the permutation and packed-word algebras --------
+
+
+def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
+    """The terms of a product whose tag is in ``keep``, from index tables.
+
+    For basis keys k1, k2 with maxima s1, s2, let w be k1 followed by k2
+    shifted by s1.  Each row T of ``tables(s1, s2)[tag]`` maps the letters of
+    w to one term, tuple(T[x] for x in w), with coefficient c1 * c2.  The
+    tables depend on the shape (s1, s2) only and are cached.
+    """
+    b_terms = [(k2, max(k2, default=0), c2) for k2, c2 in b]
+
+    def terms():
+        for k1, c1 in a:
+            s1 = max(k1, default=0)
+            for k2, s2, c2 in b_terms:
+                w = k1 + tuple(s1 + x for x in k2)
+                c = c1 * c2
+                rows = tables(s1, s2)
+                for tag in keep:
+                    for row in rows[tag]:
+                        yield tuple(map(row.__getitem__, w)), c
+
+    return LinComb(terms())
+
+
 # -- permutation algebra (G basis) --------------------------------------------
 
 
@@ -209,37 +241,31 @@ def perm_inverse(sigma) -> tuple:
     return tuple(inv)
 
 
-def _convolution_terms(alpha, beta):
-    """All gamma = uv with std(u) = alpha, std(v) = beta."""
-    n, m = len(alpha), len(beta)
+@lru_cache(maxsize=None)
+def _shuffle_tables(n: int, m: int) -> dict:
+    """Index rows (0,) + chosen + rest over the n-subsets ``chosen`` of
+    [n+m], ``rest`` its complement, keyed by whether n+m is chosen."""
     values = range(1, n + m + 1)
+    rows: dict = {True: [], False: []}
     for chosen in itertools.combinations(values, n):
-        rest = sorted(set(values) - set(chosen))
-        u = tuple(chosen[v - 1] for v in alpha)
-        v = tuple(rest[w - 1] for w in beta)
-        yield u + v, (n + m) in chosen
-
-
-def _convolution(a: LinComb, b: LinComb, keep) -> LinComb:
-    """The terms of G_a G_b whose max-in-left flag is in ``keep``."""
-    return LinComb((g, c1 * c2) for k1, c1 in a for k2, c2 in b
-                   for g, max_left in _convolution_terms(k1, k2)
-                   if max_left in keep)
+        rest = tuple(sorted(set(values).difference(chosen)))
+        rows[(n + m) in chosen].append((0,) + chosen + rest)
+    return rows
 
 
 def fqsym_product(a: LinComb, b: LinComb) -> LinComb:
     """G_alpha G_beta: the convolution product."""
-    return _convolution(a, b, (True, False))
+    return _relabelled(a, b, _shuffle_tables, (True, False))
 
 
 def fqsym_left(a: LinComb, b: LinComb) -> LinComb:
     """Terms of the convolution whose maximum letter falls in the left factor."""
-    return _convolution(a, b, (True,))
+    return _relabelled(a, b, _shuffle_tables, (True,))
 
 
 def fqsym_right(a: LinComb, b: LinComb) -> LinComb:
     """Complementary half: the maximum letter falls in the right factor."""
-    return _convolution(a, b, (False,))
+    return _relabelled(a, b, _shuffle_tables, (False,))
 
 
 def fqsym_F(sigma) -> LinComb:
@@ -260,53 +286,48 @@ def fqsym_scalar(a: LinComb, b: LinComb):
 # -- packed-word algebra (M basis) --------------------------------------------
 
 
-def _packed_convolution(u1, u2):
-    """All packed v.w with pack(v) = u1, pack(w) = u2, with a max comparison tag.
+@lru_cache(maxsize=None)
+def _packed_tables(k1: int, k2: int) -> dict:
+    """Index rows (0,) + img1 + img2 over the images img1, img2 of [k1] and
+    [k2] in [k] that cover [k], keyed by the sign of max(img2) - max(img1).
 
-    Yields (word, cmp) where cmp is the sign of max(second part) - max(first).
+    img2 is the complement of img1 plus k1 + k2 - k letters of img1, for
+    max(k1, k2) <= k <= k1 + k2, so no non-covering pair is formed.
     """
-    k1 = max(u1, default=0)
-    k2 = max(u2, default=0)
+    rows: dict = {-1: [], 0: [], 1: []}
     for k in range(max(k1, k2), k1 + k2 + 1):
         for img1 in itertools.combinations(range(1, k + 1), k1):
-            for img2 in itertools.combinations(range(1, k + 1), k2):
-                if set(img1) | set(img2) != set(range(1, k + 1)):
-                    continue
-                left = tuple(img1[v - 1] for v in u1)
-                right = tuple(img2[v - 1] for v in u2)
-                m1 = max(left, default=0)
-                m2 = max(right, default=0)
-                yield left + right, (m2 > m1) - (m2 < m1)
-
-
-def _packed_part(a: LinComb, b: LinComb, keep) -> LinComb:
-    """The terms of M_a M_b whose max comparison sign is in ``keep``."""
-    return LinComb((w, c1 * c2) for k1, c1 in a for k2, c2 in b
-                   for w, cmp in _packed_convolution(k1, k2) if cmp in keep)
+            free = set(range(1, k + 1)).difference(img1)
+            for extra in itertools.combinations(img1, k1 + k2 - k):
+                img2 = tuple(sorted(free.union(extra)))
+                m1, m2 = max(img1, default=0), max(img2, default=0)
+                rows[(m2 > m1) - (m2 < m1)].append((0,) + img1 + img2)
+    return rows
 
 
 def wqsym_product(a: LinComb, b: LinComb) -> LinComb:
-    return _packed_part(a, b, (-1, 0, 1))
+    return _relabelled(a, b, _packed_tables, (-1, 0, 1))
 
 
 def wqsym_left(a, b):
     """The terms whose maximum letter occurs only in the left factor."""
-    return _packed_part(a, b, (-1,))
+    return _relabelled(a, b, _packed_tables, (-1,))
 
 
 def wqsym_mid(a, b):
     """The terms whose maximum letter occurs in both factors."""
-    return _packed_part(a, b, (0,))
+    return _relabelled(a, b, _packed_tables, (0,))
 
 
 def wqsym_right(a, b):
     """The terms whose maximum letter occurs only in the right factor."""
-    return _packed_part(a, b, (1,))
+    return _relabelled(a, b, _packed_tables, (1,))
 
 
 def wqsym_thirds(a: LinComb, b: LinComb):
     """The tridendriform splitting (left, mid, right) by max comparison."""
-    return tuple(_packed_part(a, b, (cmp,)) for cmp in (-1, 0, 1))
+    return tuple(_relabelled(a, b, _packed_tables, (cmp,))
+                 for cmp in (-1, 0, 1))
 
 
 def _packed_fibers(sigma):

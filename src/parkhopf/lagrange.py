@@ -139,8 +139,8 @@ def solve_G_cqsym(order: int) -> list[LinComb]:
 
 
 def solve_X_fqsym(order: int) -> list[LinComb]:
-    if order > 6:
-        raise ValueError("solve_X_fqsym supports order <= 6")
+    if order > 8:
+        raise ValueError("solve_X_fqsym supports order <= 8")
     return solve_series_B(order, "fqsym")
 
 

@@ -263,8 +263,8 @@ def tridendriform_span_dimension(n: int) -> int:
     generator under the three tridendriform operations of the packed-word
     algebra."""
     from .exact import span_dimension
-    if n > 5:
-        raise ValueError("tridendriform_span_dimension supports n <= 5")
+    if n > 6:
+        raise ValueError("tridendriform_span_dimension supports n <= 6")
     return span_dimension(eval_tree_wqsym(t) for t in all_eval_trees("tri", n))
 
 

@@ -192,6 +192,7 @@ def _exit_code(argv):
     ["bijection", "--direction", "tree-to-ndpf", "--input", "(.,"],
     ["bijection", "--direction", "tree-to-ndpf", "--input", "("],
     ["series", "--which", "g", "--degree", "-1"],
+    ["series", "--which", "X", "--degree", "9"],
     ["enumerate", "--family", "dyck", "--n", "-1"],
     ["poly", "--which", "qn", "--n", "-1"],
     ["table", "--which", "qn-triangle", "--n-max", "-1"],

@@ -1,3 +1,5 @@
+import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -175,6 +177,90 @@ def test_fqsym_product_and_halves():
             ga, gb = G(a), G(b)
             assert hopf.fqsym_product(ga, gb) == \
                 hopf.fqsym_left(ga, gb) + hopf.fqsym_right(ga, gb)
+
+
+# Brute-force definitions of the two products, independent of the kernel.
+
+
+def _pack(word) -> tuple:
+    """Relabel the distinct letters of ``word`` to 1..r in increasing order:
+    std of a word with distinct letters, pack of any word."""
+    letters = sorted(set(word))
+    return tuple(letters.index(x) + 1 for x in word)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _words_by_factors(words, n):
+    """The words filed under (rank of the first n letters, rank of the rest,
+    sign of max(rest) - max(first n)), empty maxima read as 0."""
+    out = defaultdict(list)
+    for w in words:
+        u, v = w[:n], w[n:]
+        tag = _sign(max(v, default=0) - max(u, default=0))
+        out[_pack(u), _pack(v), tag].append(w)
+    return out
+
+
+def _packed(length):
+    return [w for w in itertools.product(range(1, length + 1), repeat=length)
+            if _pack(w) == w]
+
+
+def _sum(words) -> LinComb:
+    return LinComb((w, 1) for w in words)
+
+
+def test_fqsym_halves_match_brute_force():
+    # G_a G_b is the sum of G_g over the permutations g of size n+m with
+    # std(g[:n]) = a and std(g[n:]) = b; the left half keeps the g whose
+    # letter n+m lies in g[:n].  G_() G_() = G_(), the one word filed
+    # under tag 0, counts as right.
+    for total in range(6):
+        for n in range(total + 1):
+            m = total - n
+            filed = _words_by_factors(
+                itertools.permutations(range(1, total + 1)), n)
+            for a in itertools.permutations(range(1, n + 1)):
+                for b in itertools.permutations(range(1, m + 1)):
+                    left = _sum(filed[a, b, -1])
+                    right = _sum(filed[a, b, 1] + filed[a, b, 0])
+                    assert hopf.fqsym_left(G(a), G(b)) == left
+                    assert hopf.fqsym_right(G(a), G(b)) == right
+                    assert hopf.fqsym_product(G(a), G(b)) == left + right
+
+
+def test_wqsym_thirds_match_brute_force():
+    # M_u M_v is the sum of M_w over the packed words w of length |u|+|v|
+    # with pack(w[:|u|]) = u and pack(w[|u|:]) = v; the left, mid and right
+    # thirds keep the w whose max(w[|u|:]) - max(w[:|u|]) is <0, 0, >0.
+    thirds = (hopf.wqsym_left, hopf.wqsym_mid, hopf.wqsym_right)
+    packed = [_packed(length) for length in range(6)]
+    for total in range(6):
+        for n in range(total + 1):
+            filed = _words_by_factors(packed[total], n)
+            for u in packed[n]:
+                for v in packed[total - n]:
+                    expected = [_sum(filed[u, v, tag]) for tag in (-1, 0, 1)]
+                    got = [third(M(u), M(v)) for third in thirds]
+                    assert got == expected
+                    assert list(hopf.wqsym_thirds(M(u), M(v))) == expected
+                    assert hopf.wqsym_product(M(u), M(v)) == \
+                        expected[0] + expected[1] + expected[2]
+
+
+def test_product_tables_are_cached_per_shape():
+    # one cache entry per pair of key maxima, never one per pair of words
+    tables = (hopf._shuffle_tables, hopf._packed_tables)
+    for table in tables:
+        table.cache_clear()
+    assert hopf.dendriform_axioms_fqsym(6)
+    assert hopf.tridendriform_axioms_wqsym(5)
+    for table in tables:
+        info = table.cache_info()
+        assert 0 < info.currsize <= 7 * 7 and info.hits > info.currsize
 
 
 def test_fqsym_dendriform_axioms():

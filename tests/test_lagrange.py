@@ -98,11 +98,14 @@ def test_tree_terms_are_single_basis_keys():
 
 
 def test_X_fqsym():
-    X = lg.solve_X_fqsym(5)
+    X = lg.solve_X_fqsym(8)
     import itertools
-    for n in range(6):
-        assert set(X[n].terms) == set(itertools.permutations(range(1, n + 1)))
-        assert all(c == 1 for _, c in X[n])
+    # up to the top order, every permutation once, listed independently
+    for n in range(9):
+        perms = itertools.permutations(range(1, n + 1))
+        assert X[n] == LinComb((p, 1) for p in perms)
+    with pytest.raises(ValueError, match="order <= 8"):
+        lg.solve_X_fqsym(9)
     # the 14 tree terms at n=4 partition the 24 permutations
     supports = [set(lg.tree_term(t, "fqsym").terms) for t in binary_trees(4)]
     assert sum(len(s) for s in supports) == 24

@@ -151,5 +151,10 @@ def test_dual_dimensions():
 
 
 def test_tridendriform_span_dimensions():
-    assert [op.tridendriform_span_dimension(n) for n in range(1, 5)] == \
-        [1, 3, 11, 45]
+    assert [op.tridendriform_span_dimension(n) for n in range(1, 6)] == \
+        [1, 3, 11, 45, 197]
+    # the top size, against the little Schroeder number (OEIS A001003)
+    assert op.tridendriform_span_dimension(6) == 903 == \
+        op.count_normal_forms("tri", 6)
+    with pytest.raises(ValueError, match="n <= 6"):
+        op.tridendriform_span_dimension(7)
