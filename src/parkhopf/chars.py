@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, prod
 
 from . import hopf
@@ -242,51 +243,33 @@ def s_character_check(n: int) -> bool:
 # -- Dyck and Schroeder paths ----------------------------------------------------
 
 
+# (name, width, rise) of each lattice step; paths are listed in this order
+_STEPS = (("u", 1, 1), ("d", 1, -1), ("h", 2, 0))
+
+
+def _paths(n: int, steps) -> list:
+    """The paths of width 2n over ``steps`` from the axis back to it that
+    never dip below it, in lexicographic order of the step table."""
+    @cache
+    def ends(width, height):
+        # every way to finish from a point, built once per point
+        if width == 0:
+            return [""]
+        return [name + rest for name, dw, dh in steps
+                if dw <= width and 0 <= height + dh <= width - dw
+                for rest in ends(width - dw, height + dh)]
+
+    return ends(2 * n, 0)
+
+
 def dyck_paths(n: int):
     """All Dyck paths of semi-length n as strings over u, d."""
-    out = []
-
-    def rec(path, ups, downs):
-        if ups == n and downs == n:
-            out.append("".join(path))
-            return
-        if ups < n:
-            path.append("u")
-            rec(path, ups + 1, downs)
-            path.pop()
-        if downs < ups:
-            path.append("d")
-            rec(path, ups, downs + 1)
-            path.pop()
-
-    rec([], 0, 0)
-    return out
+    return _paths(n, _STEPS[:2])
 
 
 def schroder_paths(n: int):
     """All Schroeder paths of semi-length n (h has width 2) as strings."""
-    out = []
-
-    def rec(path, width, height):
-        if width == 0:
-            if height == 0:
-                out.append("".join(path))
-            return
-        if height < width:
-            path.append("u")
-            rec(path, width - 1, height + 1)
-            path.pop()
-        if height > 0:
-            path.append("d")
-            rec(path, width - 1, height - 1)
-            path.pop()
-        if width >= 2 and height <= width - 2:
-            path.append("h")
-            rec(path, width - 2, height)
-            path.pop()
-
-    rec([], 2 * n, 0)
-    return out
+    return _paths(n, _STEPS)
 
 
 def _validate_path(path: str, allow_h: bool):
@@ -522,12 +505,11 @@ def _multiplicative(family, product, value, n: int) -> bool:
     """value(x y) = value(x) value(y) for basis keys x, y of total degree
     <= n, where x y is expanded by ``product`` and ``value`` is applied
     linearly."""
-    pairs = ((x, y) for n1 in range(1, n) for n2 in range(1, n - n1 + 1)
-             for x in family(n1) for y in family(n2))
     return all(
         Poly.sum(value(k).scale(c)
                  for k, c in product(LinComb.term(x), LinComb.term(y)))
-        == value(x) * value(y) for x, y in pairs)
+        == value(x) * value(y)
+        for x, y in hopf._keys_by_total(family, n, 2))
 
 
 # -- the binomial-element character ------------------------------------------------

@@ -5,7 +5,8 @@ Every verify check is one row of ``_CHECKS``: its suite, its name, the
 largest size it runs at, and the check itself.  A check runs at
 min(--max-n, its top), and --max-n takes 1 up to the largest top (8).
 
-Exit codes: 0 ok, 1 a check failed, 2 usage error or malformed input.  All
+Exit codes: 0 ok, 1 a check failed, 2 usage error or malformed input.  A
+reader that closes stdout early is no error: the command stops quietly.  All
 output is UTF-8 text; JSON payloads carry a top-level "schema": "parkhopf/1".
 The environment variable PARKHOPF_MAX_N caps the enumeration size (default 8).
 """
@@ -400,14 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, which fails no check: stop quietly,
+        # and point stdout at devnull so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except AssertionError as exc:
         print(f"error: a check failed: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -477,27 +477,20 @@ def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
         packed_words, min(max_total, 4), wqsym_product, wqsym_thirds)
 
 
-def _pair_key_op(op):
-    def apply(x_key, y_key):
-        return op(LinComb.term(x_key), LinComb.term(y_key))
-    return apply
-
-
 def bialgebra_axiom_check(max_total: int = 5) -> bool:
     """delta(x*y) = x(x)y + sum x1 (x) (x2*y) + sum (x*y1) (x) y2
     for * in {<, >} on pairs of basis keys of total degree <= max_total."""
     from .combinat import ndpfs
     for op in (cqsym_prec, cqsym_succ):
-        key_op = _pair_key_op(op)
         for a, b in _keys_by_total(ndpfs, max_total, 2):
             x, y = LinComb.term(a), LinComb.term(b)
             lhs = dup_coproduct(op(x, y))
             rhs = LinComb(itertools.chain(
                 [((a, b), 1)],
                 (((x1, k), c * c2) for (x1, x2), c in dup_coproduct(x)
-                 for k, c2 in key_op(x2, b)),
+                 for k, c2 in op(LinComb.term(x2), y)),
                 (((k, y2), c * c2) for (y1, y2), c in dup_coproduct(y)
-                 for k, c2 in key_op(a, y1))))
+                 for k, c2 in op(x, LinComb.term(y1)))))
             if lhs != rhs:
                 return False
     return True

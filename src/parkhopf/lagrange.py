@@ -5,15 +5,15 @@ functions; Tamari intervals; and the mirror involution.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import mul
 
 from .combinat import (binary_trees, canopy, comp_conjugate, is_ndpf, ndpfs,
                        packed_evaluation, tree_mirror, shifted_concat_len,
                        shifted_concat_max)
 from .exact import LinComb
-from .hopf import (cqsym_prec, cqsym_succ, fqsym_left, fqsym_right,
-                   istar_on_cqsym, unit)
+from .hopf import (_keys_by_total, cqsym_prec, cqsym_succ, fqsym_left,
+                   fqsym_right, istar_on_cqsym, unit)
 from .symfun import SymElem
 
 
@@ -28,6 +28,15 @@ def _weak_compositions(total: int, parts: int):
 
 
 # -- the series g and f in the S bases ----------------------------------------
+
+
+def _solve_degreewise(order: int, term) -> list:
+    """The series y_0, ..., y_order with y_n = term(y, n), where y holds the
+    components of degree below n."""
+    y: list = []
+    for n in range(order + 1):
+        y.append(term(y, n))
+    return y
 
 
 def _lagrange_rhs(series: list[SymElem], n: int, extended: bool) -> SymElem:
@@ -49,10 +58,7 @@ def solve_g(order: int) -> list[SymElem]:
     """Degreewise solution of g = sum_k S_k g^k (with S_0 = 1), g_0 = 1."""
     if order > 8:
         raise ValueError("solve_g supports order <= 8")
-    g: list[SymElem] = []
-    for n in range(order + 1):
-        g.append(_lagrange_rhs(g, n, extended=False))
-    return g
+    return _solve_degreewise(order, partial(_lagrange_rhs, extended=False))
 
 
 def residual_g(g: list[SymElem]) -> bool:
@@ -66,10 +72,7 @@ def solve_f(order: int) -> list[SymElem]:
     extended by the degree-zero indeterminate S_0."""
     if order > 8:
         raise ValueError("solve_f supports order <= 8")
-    f: list[SymElem] = []
-    for n in range(order + 1):
-        f.append(_lagrange_rhs(f, n, extended=True))
-    return f
+    return _solve_degreewise(order, partial(_lagrange_rhs, extended=True))
 
 
 def residual_f(f: list[SymElem]) -> bool:
@@ -124,12 +127,14 @@ def bilinear_B(f: LinComb, g: LinComb, algebra: str = "cqsym") -> LinComb:
 
 
 def solve_series_B(order: int, algebra: str) -> list[LinComb]:
-    """Degreewise solution of Y = 1 + B(Y, Y)."""
-    y = [unit()]
-    for n in range(1, order + 1):
-        y.append(LinComb(kc for i in range(n)
-                         for kc in bilinear_B(y[i], y[n - 1 - i], algebra)))
-    return y
+    """Degreewise solution of Y = 1 + B(Y, Y); Y_0 = 1 for any order."""
+    def term(y, n):
+        if n == 0:
+            return unit()
+        return LinComb(kc for i in range(n)
+                       for kc in bilinear_B(y[i], y[n - 1 - i], algebra))
+
+    return _solve_degreewise(max(order, 0), term)
 
 
 def solve_G_cqsym(order: int) -> list[LinComb]:
@@ -293,15 +298,9 @@ def q_basis_product_check(n: int) -> bool:
     The mirror involution reverses factors, exchanging the two shifted
     concatenations as an anti-isomorphism; hence the transposed arguments.
     """
-    for n1 in range(1, n):
-        for n2 in range(1, n - n1 + 1):
-            for a in ndpfs(n1):
-                for b in ndpfs(n2):
-                    lhs = shifted_concat_len(iota(a), iota(b))
-                    rhs = iota(shifted_concat_max(b, a))
-                    if lhs != rhs:
-                        return False
-    return True
+    return all(shifted_concat_len(iota(a), iota(b))
+               == iota(shifted_concat_max(b, a))
+               for a, b in _keys_by_total(ndpfs, n, 2))
 
 
 def symmetry_of_g(order: int) -> bool:
@@ -318,4 +317,4 @@ def phi_of_G(order: int) -> bool:
     """Applying P^pi -> S^t(pi) degreewise to G gives g."""
     g = solve_g(order)
     big_g = solve_G_cqsym(order)
-    return all(istar_on_cqsym(big_g[n]) == g[n] for n in range(order + 1))
+    return all(istar_on_cqsym(big) == gn for big, gn in zip(big_g, g))

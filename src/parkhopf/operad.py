@@ -15,16 +15,22 @@ In tri mode the seven oriented rules are the pairs (r, l) other than
 than (">", "<").  A dup tree holds no "o", so one rule table serves both
 modes and the rewriting functions take no mode.  Rewriting always
 terminates: the sum over nodes of left-subtree sizes strictly decreases.
+
+Rewriting is one walk, `rewrite_all_steps`, which yields every one-step
+rewrite leftmost-outermost first: `rewrite_step` takes its first item and
+`is_normal` asks that it yields none.  Evaluating a tree in any algebra is
+one walk too, given the value at the leaves and a function per operation.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .combinat import QuasiRibbon, binary_trees
+from .combinat import (QuasiRibbon, binary_trees, shifted_concat_len,
+                       shifted_concat_max)
 from .exact import LinComb
-from .hopf import qr_mid, qr_prec, qr_succ
-from .combinat import shifted_concat_len, shifted_concat_max
+from .hopf import (qr_mid, qr_prec, qr_succ, wqsym_left, wqsym_mid,
+                   wqsym_right)
 
 DUP_OPS = ("<", ">")
 TRI_OPS = ("<", ">", "o")
@@ -105,21 +111,25 @@ def all_eval_trees(mode: str, n: int):
         yield from label(shape)
 
 
-def rewrite_step(t):
-    """One leftmost-outermost rewrite, or None if t is a normal form."""
+def rewrite_all_steps(t):
+    """Every tree one rewrite away from t, leftmost-outermost first: the rule
+    at the root, then the rewrites inside the left subtree, then those inside
+    the right subtree."""
     if t is LEAF:
-        return None
+        return
     op, left, right = t
     if left is not LEAF and _rule_applies(op, left[0]):
         lop, a, b = left
-        return (lop, a, (op, b, right))
-    new_left = rewrite_step(left)
-    if new_left is not None:
-        return (op, new_left, right)
-    new_right = rewrite_step(right)
-    if new_right is not None:
-        return (op, left, new_right)
-    return None
+        yield (lop, a, (op, b, right))
+    for nl in rewrite_all_steps(left):
+        yield (op, nl, right)
+    for nr in rewrite_all_steps(right):
+        yield (op, left, nr)
+
+
+def rewrite_step(t):
+    """One leftmost-outermost rewrite, or None if t is a normal form."""
+    return next(rewrite_all_steps(t), None)
 
 
 def rewrite_normal_form(t):
@@ -132,12 +142,7 @@ def rewrite_normal_form(t):
 
 
 def is_normal(t) -> bool:
-    if t is LEAF:
-        return True
-    op, left, right = t
-    if left is not LEAF and _rule_applies(op, left[0]):
-        return False
-    return is_normal(left) and is_normal(right)
+    return rewrite_step(t) is None
 
 
 def normal_forms(mode: str, n: int):
@@ -185,6 +190,21 @@ def normal_form_shape_check(mode: str, n: int) -> bool:
         t for t in all_eval_trees(mode, n) if is_normal(t)}
 
 
+def _evaluate(t, leaf, ops):
+    """t with ``leaf`` at every leaf and ``ops[op]`` applied at every node."""
+    if t is LEAF:
+        return leaf
+    op, left, right = t
+    return ops[op](_evaluate(left, leaf, ops), _evaluate(right, leaf, ops))
+
+
+# (leaf value, op table) of eval_tree in each mode
+_EVAL_MODES = {
+    "tri": (QuasiRibbon((1,)), {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
+    "dup": ((1,), {"<": shifted_concat_max, ">": shifted_concat_len}),
+}
+
+
 def eval_tree(t, mode: str):
     """Evaluate with the generator at the leaves; always a single basis key.
 
@@ -192,35 +212,9 @@ def eval_tree(t, mode: str):
     the three quasi-ribbon operations; in dup mode the leaf is the word (1)
     and the nodes apply the two shifted concatenations.
     """
-    if mode == "tri":
-        if t is LEAF:
-            return QuasiRibbon((1,))
-        op, left, right = t
-        f = {"<": qr_prec, ">": qr_succ, "o": qr_mid}[op]
-        return f(eval_tree(left, mode), eval_tree(right, mode))
-    if mode == "dup":
-        if t is LEAF:
-            return (1,)
-        op, left, right = t
-        f = {"<": shifted_concat_max, ">": shifted_concat_len}[op]
-        return f(eval_tree(left, mode), eval_tree(right, mode))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def rewrite_all_steps(t):
-    """Every tree reachable by one rewrite anywhere (for confluence testing)."""
-    out = []
-    if t is LEAF:
-        return out
-    op, left, right = t
-    if left is not LEAF and _rule_applies(op, left[0]):
-        lop, a, b = left
-        out.append((lop, a, (op, b, right)))
-    for nl in rewrite_all_steps(left):
-        out.append((op, nl, right))
-    for nr in rewrite_all_steps(right):
-        out.append((op, left, nr))
-    return out
+    if mode not in _EVAL_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _evaluate(t, *_EVAL_MODES[mode])
 
 
 def reachable_normal_forms(t, memo=None) -> frozenset:
@@ -228,7 +222,7 @@ def reachable_normal_forms(t, memo=None) -> frozenset:
         memo = {}
     if t in memo:
         return memo[t]
-    steps = rewrite_all_steps(t)
+    steps = list(rewrite_all_steps(t))
     if not steps:
         result = frozenset((t,))
     else:
@@ -250,12 +244,8 @@ def confluence_check(mode: str, n: int) -> bool:
 def eval_tree_wqsym(t) -> LinComb:
     """Evaluate a three-operation tree in the packed-word algebra with the
     one-letter generator at the leaves and the tridendriform thirds inside."""
-    from .hopf import wqsym_left, wqsym_mid, wqsym_right
-    if t is LEAF:
-        return LinComb.term((1,))
-    op, left, right = t
-    f = {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid}[op]
-    return f(eval_tree_wqsym(left), eval_tree_wqsym(right))
+    return _evaluate(t, LinComb.term((1,)),
+                     {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid})
 
 
 def tridendriform_span_dimension(n: int) -> int:

@@ -172,6 +172,20 @@ def test_schroder_counts():
     for n in range(5):
         no_h = [p for p in ch.schroder_paths(n) if "h" not in p]
         assert sorted(no_h) == sorted(ch.dyck_paths(n))
+    # Catalan and large Schroeder (OEIS A006318) counts through n = 8; both
+    # lists are valid paths in strictly increasing order under u < d < h
+    catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+    schroder = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
+    rank = "udh".index
+    for n in range(9):
+        for paths, allow_h, count in ((ch.dyck_paths(n), False, catalan[n]),
+                                      (ch.schroder_paths(n), True,
+                                       schroder[n])):
+            assert isinstance(paths, list) and len(paths) == count
+            for p in paths:
+                ch._validate_path(p, allow_h)
+            keys = [list(map(rank, p)) for p in paths]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_schroder_polynomial_rows():

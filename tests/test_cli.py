@@ -232,19 +232,56 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def _module_env():
+    src = os.path.dirname(os.path.dirname(parkhopf.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def test_module_entry_point_writes_no_stderr():
     # `python -m parkhopf.cli` must not find the module already imported by
     # the package, which makes runpy warn on stderr
-    src = os.path.dirname(os.path.dirname(parkhopf.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ,
-           "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "parkhopf.cli", "poly", "--which", "qn",
-         "--n", "4"], capture_output=True, text=True, env=env, timeout=60)
+         "--n", "4"], capture_output=True, text=True, env=_module_env(),
+        timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "24,58,37,6\n"
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--family", "pf", "--n", "6"],
+    ["verify", "--suite", "all", "--max-n", "2"],
+])
+def test_closed_stdout_ends_quietly(argv):
+    # like `parkhopf ... | head -1`: the reader is gone before the first
+    # write, which is no failure and prints no traceback.  stdout is block
+    # buffered, as by default, so the small verify output fails only when
+    # flushed and the large enumeration fails while it is printed.
+    env = _module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "parkhopf.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_verify_runs_under_optimize_flag():
+    # the checks raise instead of asserting, so -O changes nothing
+    argv = ["-m", "parkhopf.cli", "verify", "--suite", "all", "--max-n", "4"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       env=_module_env(), timeout=120)
+        for flags in ([], ["-O"]))
+    assert optimized.returncode == plain.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert optimized.stderr == b""
 
 
 # Sizes are drawn in -2..4 only to bound the runtime; the other size texts

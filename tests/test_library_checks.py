@@ -1,5 +1,6 @@
 """Static checks on the library source: checks that still run under
-``python -O``, and verify sizes clamped in one place."""
+``python -O``, verify sizes clamped in one place, and the rewrite and series
+walks written once."""
 
 import ast
 import pathlib
@@ -35,3 +36,22 @@ def test_verify_sizes_clamped_once():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_cmd_verify")
     assert len(_clamps_of_max_n(tree)) == len(_clamps_of_max_n(verify)) == 1
+
+
+def _tree_of(name):
+    path = next(p for p in SOURCES if p.name == name)
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_rewrite_and_series_walks_written_once():
+    # the rule-site test lives in the one rewrite walk, and the lagrange
+    # solvers share one degreewise loop
+    rule_calls = [node for node in ast.walk(_tree_of("operad.py"))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "_rule_applies"]
+    assert len(rule_calls) == 1
+    order_loops = [node for node in ast.walk(_tree_of("lagrange.py"))
+                   if isinstance(node, (ast.For, ast.comprehension))
+                   and ast.unparse(node.iter) == "range(order + 1)"]
+    assert len(order_loops) == 1

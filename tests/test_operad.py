@@ -37,6 +37,34 @@ def test_rewrite_preserves_evaluation():
                     assert op.eval_tree(t, mode) == op.eval_tree(s, mode)
 
 
+# the oriented rules as (root op, left-child op) pairs, from the module docs
+_RULES = {(r, l) for r in op.TRI_OPS for l in op.TRI_OPS} - {("o", "<"),
+                                                             (">", "<")}
+
+
+def _one_step_rewrites(t):
+    """Oracle: the rule applied at every node, the root first, then every
+    node of the left subtree, then every node of the right subtree."""
+    if t is op.LEAF:
+        return []
+    o, left, right = t
+    here = []
+    if left is not op.LEAF and (o, left[0]) in _RULES:
+        here.append((left[0], left[1], (o, left[2], right)))
+    return (here + [(o, s, right) for s in _one_step_rewrites(left)]
+            + [(o, left, s) for s in _one_step_rewrites(right)])
+
+
+def test_rewrite_walk_matches_oracle():
+    for mode, top in (("tri", 5), ("dup", 6)):
+        for n in range(1, top + 1):
+            for t in op.all_eval_trees(mode, n):
+                steps = list(op.rewrite_all_steps(t))
+                assert steps == _one_step_rewrites(t)
+                assert op.rewrite_step(t) == (steps[0] if steps else None)
+                assert op.is_normal(t) == (not steps)
+
+
 def _steps_to_normal(t, bound):
     steps = 0
     while True:
