@@ -20,9 +20,9 @@ from functools import cache
 from math import comb, factorial, prod
 
 from . import hopf
-from .combinat import (QuasiRibbon, is_ndpf, is_parking, ndpfs,
-                       packed_evaluation, parking_functions, quasi_ribbons,
-                       shifted_shuffle)
+from .combinat import (QuasiRibbon, is_ndpf, is_parking,
+                       iter_parking_functions, ndpfs, packed_evaluation,
+                       parking_functions, quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
 from .lagrange import solve_g
@@ -86,7 +86,7 @@ def _signings(word):
 
 def signed_parking_functions(n: int):
     """All pairs (parking function, sign word); 2^n (n+1)^(n-1) of them."""
-    for w in parking_functions(n):
+    for w in iter_parking_functions(n):
         for signs in itertools.product((-1, 1), repeat=n):
             yield SignedWord(w, signs)
 

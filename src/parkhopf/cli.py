@@ -5,6 +5,13 @@ Every verify check is one row of ``_CHECKS``: its suite, its name, the
 largest size it runs at, and the check itself.  A check runs at
 min(--max-n, its top), and --max-n takes 1 up to the largest top (8).
 
+Every enumerate family is one row of ``_ENUM_FAMILIES``: its items as text
+in the library's order, and its count from a closed form.  enumerate writes
+each item as it is produced, so no format holds the family in memory; JSON
+prints the formula count before it streams the items.  A family whose count
+is over ``_ENUM_BUDGET`` exits 2 before it enumerates anything, and a stream
+whose length differs from its formula exits 1.
+
 Exit codes: 0 ok, 1 a check failed, 2 usage error or malformed input.  A
 reader that closes stdout early is no error: the command stops quietly.  All
 output is UTF-8 text; JSON payloads carry a top-level "schema": "parkhopf/1".
@@ -19,6 +26,7 @@ import io
 import json
 import os
 import sys
+from math import comb, factorial
 
 from . import chars, combinat, hopf, lagrange, operad
 from .exact import LinComb, Poly
@@ -37,22 +45,56 @@ def _max_n() -> int:
 # -- enumerate ----------------------------------------------------------------
 
 
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+def _large_schroder(n: int) -> int:
+    """OEIS A006318: the sum over k of C(n+k, 2k) C_k."""
+    return sum(comb(n + k, 2 * k) * _catalan(k) for k in range(n + 1))
+
+
+def _little_schroder(n: int) -> int:
+    """OEIS A001003: half the large Schroeder number, for n >= 1."""
+    return _large_schroder(n) // 2 if n else 1
+
+
+def _ordered_bell(n: int) -> int:
+    """OEIS A000670: sum over k of k! S(n, k), with the Stirling numbers
+    counted by inclusion-exclusion."""
+    return sum((-1) ** (k - j) * comb(k, j) * j ** n
+               for k in range(n + 1) for j in range(k + 1))
+
+
+def _parking_count(n: int) -> int:
+    return (n + 1) ** (n - 1) if n else 1
+
+
+# family: (its items of size n as text, in the library's order; their
+# number, from a closed form)
 _ENUM_FAMILIES = {
-    "pf": lambda n: [combinat.word_to_text(w)
-                     for w in combinat.parking_functions(n)],
-    "ndpf": lambda n: [combinat.word_to_text(w) for w in combinat.ndpfs(n)],
-    "qribbon": lambda n: [str(q) for q in combinat.quasi_ribbons(n)],
-    "packed": lambda n: [combinat.word_to_text(w)
-                         for w in combinat.packed_words(n)],
-    "perm": lambda n: [combinat.word_to_text(w)
-                       for w in combinat.permutations(n)],
-    "signed-pf": lambda n: [str(s)
-                            for s in chars.signed_parking_functions(n)],
-    "dyck": chars.dyck_paths,
-    "schroder": chars.schroder_paths,
-    "tree": lambda n: [combinat.tree_to_text(t)
-                       for t in combinat.binary_trees(n)],
+    "pf": (lambda n: map(combinat.word_to_text,
+                         combinat.iter_parking_functions(n)),
+           _parking_count),
+    "ndpf": (lambda n: map(combinat.word_to_text, combinat.ndpfs(n)),
+             _catalan),
+    "qribbon": (lambda n: map(str, combinat.quasi_ribbons(n)),
+                _little_schroder),
+    "packed": (lambda n: map(combinat.word_to_text,
+                             combinat.iter_packed_words(n)),
+               _ordered_bell),
+    "perm": (lambda n: map(combinat.word_to_text, combinat.permutations(n)),
+             factorial),
+    "signed-pf": (lambda n: map(str, chars.signed_parking_functions(n)),
+                  lambda n: 2 ** n * _parking_count(n)),
+    "dyck": (chars.dyck_paths, _catalan),
+    "schroder": (chars.schroder_paths, _large_schroder),
+    "tree": (lambda n: map(combinat.tree_to_text, combinat.binary_trees(n)),
+             _catalan),
 }
+# the most items one enumerate run may print: parking functions of size 8
+# (4,782,969) fit, signed parking functions of size 7 (33,554,432) do not
+_ENUM_BUDGET = 10_000_000
 
 
 def _cmd_enumerate(args) -> int:
@@ -61,18 +103,40 @@ def _cmd_enumerate(args) -> int:
         print(f"error: n={args.n} exceeds the enumeration cap {cap} "
               "(set PARKHOPF_MAX_N to raise it)", file=sys.stderr)
         return 2
-    items = list(_ENUM_FAMILIES[args.family](args.n))
+    items, count_of = _ENUM_FAMILIES[args.family]
+    # no count falls as n grows, so the scan stops at the first size over
+    # the budget, and a huge n never evaluates its formula
+    if any(count_of(k) > _ENUM_BUDGET for k in range(args.n + 1)):
+        print(f"error: {args.family} of size {args.n} has more than "
+              f"{_ENUM_BUDGET:,} items, the enumeration budget",
+              file=sys.stderr)
+        return 2
+    count = count_of(args.n)
+    # each line is written as its item is produced, so no list of lines is
+    # built, and the streamed families are never held in memory
+    items = items(args.n)
+    write = sys.stdout.write
+    written = 0
     if args.format == "lines":
-        for item in items:
-            print(item)
+        for written, item in enumerate(items, 1):
+            write(f"{item}\n")
     elif args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "family": args.family,
-                          "n": args.n, "count": len(items), "items": items}))
+        # the bytes of json.dumps of the whole report, items streamed last
+        head = json.dumps({"schema": SCHEMA, "family": args.family,
+                           "n": args.n, "count": count, "items": []})
+        write(head[:-2])
+        for written, item in enumerate(items, 1):
+            write(json.dumps(item) if written == 1
+                  else ", " + json.dumps(item))
+        write("]}\n")
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["item"])
-        for item in items:
+        for written, item in enumerate(items, 1):
             writer.writerow([item])
+    if written != count:
+        raise AssertionError(f"{args.family} of size {args.n} gave {written} "
+                             f"items, its closed form {count}")
     return 0
 
 

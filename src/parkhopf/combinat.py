@@ -1,18 +1,21 @@
 """Word-like combinatorial objects, their statistics, and exhaustive enumerators.
 
 Words are 1-indexed tuples of machine integers.  All values are immutable and
-all operations are pure functions.  Enumerators produce duplicate-free lists
-in a fixed canonical order: lexicographic on letter sequences, and for binary
-trees by left-subtree size then recursively.  The supported enumeration range
-is n <= 12.
+all operations are pure functions.  Every family comes in a fixed canonical
+order, free of duplicates: lexicographic on letter sequences, and for binary
+trees by left-subtree size then recursively.  The word families are walked
+one letter at a time by `_words`; `iter_parking_functions` and
+`iter_packed_words` yield their words as they are found, and the cached
+tuples the algebra code reuses (`parking_functions`, `packed_words`, ...) are
+built from the same walks.  The supported enumeration range is n <= 12.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 MAX_ENUM_N = 12
 
@@ -329,90 +332,107 @@ def _check_n(n: int):
         raise ValueError(f"enumeration size must be in 0..{MAX_ENUM_N}, got {n}")
 
 
+# The last letters of every word come from a table of tails built once per
+# state, so most words cost one tuple concatenation; three letters keep the
+# table small (at most n^3 tails per state).
+_TAIL = 3
+
+
+def _words(n: int, start, moves):
+    """The words of length n spelled from the state ``start``, one at a time
+    in lexicographic order.
+
+    ``moves(state)`` lists the (letter, next state) pairs by increasing
+    letter, and is called once per state.  Each move should lead to a state
+    that can finish the word, so that no time goes to dead ends.
+    """
+    moves = cache(moves)
+
+    @cache
+    def tails(state, r):
+        if r == 0:
+            return ((),)
+        return tuple((v,) + t for v, after in moves(state)
+                     for t in tails(after, r - 1))
+
+    def walk(prefix, state, r):
+        if r <= _TAIL:
+            yield from map(prefix.__add__, tails(state, r))
+            return
+        for v, after in moves(state):
+            yield from walk(prefix + (v,), after, r - 1)
+
+    return walk((), start, n)
+
+
+def _ndpf_moves(state):
+    # state (lo, hi): the next letter is at least the last one and at most
+    # the next position
+    lo, hi = state
+    return [(v, (v, hi + 1)) for v in range(lo, hi + 1)]
+
+
+def _parking_moves(free):
+    # free: the spots no car has taken.  A car preferring spot v takes the
+    # first free spot >= v, so it parks iff v <= the last free spot.
+    out = []
+    for v in range(1, free[-1] + 1):
+        j = bisect_left(free, v)
+        out.append((v, free[:j] + free[j + 1:]))
+    return out
+
+
+def _packed_moves(state):
+    # state (r, top, missing): r letters still to place, the largest letter
+    # so far, and the letters below it not used yet, which the r letters
+    # must all fill
+    r, top, missing = state
+    out = [(v, (r - 1, top, tuple(m for m in missing if m != v)))
+           for v in range(1, top + 1) if v in missing or len(missing) < r]
+    out += [(v, (r - 1, v, missing + tuple(range(top + 1, v))))
+            for v in range(top + 1, top + r - len(missing) + 1)]
+    return out
+
+
 @lru_cache(maxsize=None)
 def ndpfs(n: int) -> tuple:
     """All nondecreasing parking functions of length n, lexicographically."""
     _check_n(n)
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        lo = prefix[-1] if prefix else 1
-        for v in range(lo, len(prefix) + 2):
-            prefix.append(v)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return tuple(out)
+    return tuple(_words(n, (1, 1), _ndpf_moves))
 
 
-def _multiset_permutations(word):
-    # a plain dict: the loop below indexes it, and indexing a dict subclass
-    # such as Counter is markedly slower
-    counts = dict(Counter(word))
-    n = len(word)
-    current = []
+def iter_parking_functions(n: int):
+    """The parking functions of length n, lexicographically, one at a time.
 
-    def rec():
-        if len(current) == n:
-            yield tuple(current)
-            return
-        for v in sorted(counts):
-            if counts[v]:
-                counts[v] -= 1
-                current.append(v)
-                yield from rec()
-                current.pop()
-                counts[v] += 1
-
-    yield from rec()
+    Letter v may follow a prefix with r letters still to place iff every
+    i < v has i - #{prefix letters <= i} <= r - 1.  Equivalently, when each
+    letter is a car that parks at the first free spot at or after it, the
+    letters allowed next are 1 up to the last free spot.
+    """
+    _check_n(n)
+    return _words(n, tuple(range(1, n + 1)), _parking_moves)
 
 
 @lru_cache(maxsize=None)
 def parking_functions(n: int) -> tuple:
     """All parking functions of length n, lexicographically."""
+    return tuple(iter_parking_functions(n))
+
+
+def iter_packed_words(n: int):
+    """The packed words of length n, lexicographically, one at a time.
+
+    A letter may come next iff the letters still to place can fill every
+    gap below the largest letter so far.
+    """
     _check_n(n)
-    out = []
-    for pi in ndpfs(n):
-        out.extend(_multiset_permutations(pi))
-    return tuple(sorted(out))
+    return _words(n, (n, 0, ()), _packed_moves)
 
 
 @lru_cache(maxsize=None)
 def packed_words(n: int) -> tuple:
     """All packed words of length n, lexicographically (ordered Bell many)."""
-    _check_n(n)
-    if n == 0:
-        return ((),)
-    out = []
-    seen = [0] * (n + 1)
-
-    def rec(prefix, top, missing):
-        remaining = n - len(prefix)
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(1, n + 1):
-            # `missing` counts letters in 1..top not seen yet
-            if v > top:
-                new_missing = missing + (v - top - 1)
-            elif seen[v] == 0:
-                new_missing = missing - 1
-            else:
-                new_missing = missing
-            if new_missing > remaining - 1:
-                continue
-            seen[v] += 1
-            prefix.append(v)
-            rec(prefix, max(top, v), new_missing)
-            prefix.pop()
-            seen[v] -= 1
-
-    rec([], 0, 0)
-    return tuple(out)
+    return tuple(iter_packed_words(n))
 
 
 def permutations(n: int) -> tuple:
@@ -487,11 +507,15 @@ def enumerate_family(family: str, n: int) -> tuple:
 # -- text encodings ----------------------------------------------------------
 
 
+# byte v -> the digit v, for words whose letters are all digits
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def word_to_text(w) -> str:
     """Digit string, with comma separation as soon as a letter exceeds 9."""
-    if any(v >= 10 for v in w):
-        return ",".join(str(v) for v in w)
-    return "".join(str(v) for v in w)
+    if w and (min(w) < 0 or max(w) >= 10):
+        return ("," if max(w) >= 10 else "").join(map(str, w))
+    return bytes(w).translate(_DIGITS).decode()
 
 
 def text_to_word(s: str) -> tuple:

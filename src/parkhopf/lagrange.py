@@ -127,14 +127,15 @@ def bilinear_B(f: LinComb, g: LinComb, algebra: str = "cqsym") -> LinComb:
 
 
 def solve_series_B(order: int, algebra: str) -> list[LinComb]:
-    """Degreewise solution of Y = 1 + B(Y, Y); Y_0 = 1 for any order."""
+    """Degreewise solution of Y = 1 + B(Y, Y) through the given order, with
+    Y_0 = 1; like every solver here, empty for a negative order."""
     def term(y, n):
         if n == 0:
             return unit()
         return LinComb(kc for i in range(n)
                        for kc in bilinear_B(y[i], y[n - 1 - i], algebra))
 
-    return _solve_degreewise(max(order, 0), term)
+    return _solve_degreewise(order, term)
 
 
 def solve_G_cqsym(order: int) -> list[LinComb]:

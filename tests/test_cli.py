@@ -1,15 +1,19 @@
 import argparse
 import contextlib
+import csv
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
+from parkhopf import chars, combinat
 from parkhopf.cli import _CHECKS, _ENUM_FAMILIES, _SUITES, build_parser, main
 
 
@@ -51,6 +55,94 @@ def test_enumerate_cap(capsys, monkeypatch):
     monkeypatch.setenv("PARKHOPF_MAX_N", "4")
     assert main(["enumerate", "--family", "pf", "--n", "4"]) == 0
     capsys.readouterr()
+
+
+# each family as the cached library tuples give it, rendered in the test
+_LIBRARY_ITEMS = {
+    "pf": lambda n: map(combinat.word_to_text, combinat.parking_functions(n)),
+    "ndpf": lambda n: map(combinat.word_to_text, combinat.ndpfs(n)),
+    "qribbon": lambda n: map(str, combinat.quasi_ribbons(n)),
+    "packed": lambda n: map(combinat.word_to_text, combinat.packed_words(n)),
+    "perm": lambda n: map(combinat.word_to_text, combinat.permutations(n)),
+    "signed-pf": lambda n: (
+        str(chars.SignedWord(w, signs)) for w in combinat.parking_functions(n)
+        for signs in itertools.product((-1, 1), repeat=n)),
+    "dyck": chars.dyck_paths,
+    "schroder": chars.schroder_paths,
+    "tree": lambda n: map(combinat.tree_to_text, combinat.binary_trees(n)),
+}
+
+
+def _rendered(family, n, fmt):
+    items = list(_LIBRARY_ITEMS[family](n))
+    if fmt == "lines":
+        return "".join(f"{item}\n" for item in items)
+    if fmt == "json":
+        return json.dumps({"schema": "parkhopf/1", "family": family, "n": n,
+                           "count": len(items), "items": items}) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["item"])
+    for item in items:
+        writer.writerow([item])
+    return out.getvalue()
+
+
+def test_every_family_streams_the_library_rendering(capsys):
+    assert set(_LIBRARY_ITEMS) == set(_ENUM_FAMILIES)
+    for family in _LIBRARY_ITEMS:
+        for n in range(6):
+            for fmt in ("lines", "json", "csv"):
+                code, out = run(capsys, "enumerate", "--family", family,
+                                "--n", str(n), "--format", fmt)
+                assert code == 0
+                assert out == _rendered(family, n, fmt), (family, n, fmt)
+
+
+def test_enumerate_counts_come_from_closed_forms():
+    # an independent count of every family, compared with its formula
+    for family, (_, count) in _ENUM_FAMILIES.items():
+        for n in range(6 if family == "signed-pf" else 8):
+            assert count(n) == sum(1 for _ in _LIBRARY_ITEMS[family](n)), \
+                (family, n)
+    assert isinstance(_ENUM_FAMILIES["pf"][1](0), int)
+
+
+def test_enumerate_over_budget_exits_2_at_once(capsys):
+    start = time.monotonic()
+    code = main(["enumerate", "--family", "signed-pf", "--n", "8"])
+    assert time.monotonic() - start < 2
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") \
+        and captured.err.count("\n") == 1
+    assert _exit_code(["enumerate", "--family", "signed-pf", "--n", "7"]) == 2
+    capsys.readouterr()
+
+
+def test_enumerate_budget_ignores_huge_raised_caps(capsys, monkeypatch):
+    # far past the budget no formula is evaluated at size n, so a raised
+    # cap still fails at once, with a one-line message
+    monkeypatch.setenv("PARKHOPF_MAX_N", "100000")
+    for family in _ENUM_FAMILIES:
+        start = time.monotonic()
+        code = main(["enumerate", "--family", family, "--n", "100000"])
+        assert time.monotonic() - start < 2
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+    for _, count in _ENUM_FAMILIES.values():
+        assert all(count(n) <= count(n + 1) for n in range(20))
+
+
+def test_enumerate_short_stream_exits_1(capsys, monkeypatch):
+    items, count = _ENUM_FAMILIES["ndpf"]
+    monkeypatch.setitem(_ENUM_FAMILIES, "ndpf",
+                        (lambda n: itertools.islice(items(n), 1, None), count))
+    assert main(["enumerate", "--family", "ndpf", "--n", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a check failed") and err.count("\n") == 1
 
 
 def test_series_g_degree_four_terms(capsys):
@@ -253,6 +345,8 @@ def test_module_entry_point_writes_no_stderr():
 
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--family", "pf", "--n", "6"],
+    # 4,782,969 lines: it ends in time only if it writes as it enumerates
+    ["enumerate", "--family", "pf", "--n", "8"],
     ["verify", "--suite", "all", "--max-n", "2"],
 ])
 def test_closed_stdout_ends_quietly(argv):

@@ -240,9 +240,37 @@ def test_enumerations_are_sorted_and_duplicate_free():
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+def _parking_by_brute_force(n):
+    # every word on 1..n whose sorted letters satisfy a_(i) <= i
+    return [w for w in itertools.product(range(1, n + 1), repeat=n)
+            if all(v <= i for i, v in enumerate(sorted(w), 1))]
+
+
+def _packed_by_brute_force(n):
+    return [w for w in itertools.product(range(1, n + 1), repeat=n)
+            if set(w) == set(range(1, max(w, default=0) + 1))]
+
+
+def test_parking_stream_matches_brute_force():
+    for n in range(7):
+        assert list(cb.iter_parking_functions(n)) == _parking_by_brute_force(n)
+    for n in range(6):
+        assert list(cb.iter_packed_words(n)) == _packed_by_brute_force(n)
+
+
+def test_streams_match_cached_tuples():
+    for n in range(8):
+        assert tuple(cb.iter_parking_functions(n)) == cb.parking_functions(n)
+        assert tuple(cb.iter_packed_words(n)) == cb.packed_words(n)
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         cb.ndpfs(13)
+    # the streams check their size when called, before the first item
+    for stream in (cb.iter_parking_functions, cb.iter_packed_words):
+        with pytest.raises(ValueError):
+            stream(13)
     with pytest.raises(ValueError):
         cb.enumerate_family("nonsense", 3)
 
@@ -256,6 +284,9 @@ def test_quasi_ribbon_list_n3_matches_known_list():
 def test_word_text_roundtrip():
     assert cb.word_to_text((1, 10, 2)) == "1,10,2"
     assert cb.word_to_text((1, 2, 3)) == "123"
+    assert cb.word_to_text(()) == ""
+    assert cb.word_to_text((0, 9)) == "09"
+    assert cb.word_to_text((-1, 2)) == "-12"
     assert cb.text_to_word("1,10,2") == (1, 10, 2)
     assert cb.text_to_word("123") == (1, 2, 3)
     assert cb.text_to_word("") == ()

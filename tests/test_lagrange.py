@@ -71,6 +71,12 @@ def test_B_unit_conventions():
                          "cqsym") == target
 
 
+def test_negative_order_gives_empty_series():
+    for solve in (lg.solve_g, lg.solve_f, lg.solve_G_cqsym, lg.solve_X_fqsym,
+                  lambda order: lg.solve_series_B(order, "cqsym")):
+        assert solve(-1) == []
+
+
 def test_G_solves_functional_equation():
     G = lg.solve_G_cqsym(6)
     for n in range(7):
