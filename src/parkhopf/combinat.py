@@ -16,6 +16,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from operator import le
 
 MAX_ENUM_N = 12
 
@@ -33,8 +34,9 @@ def is_parking(w) -> bool:
 
 
 def is_ndpf(w) -> bool:
-    return all(w[i] <= w[i + 1] for i in range(len(w) - 1)) and \
-        all(1 <= v <= i for i, v in enumerate(w, start=1))
+    """True iff 1 <= w_1 <= w_2 <= ... and w_i <= i for every position i."""
+    return not w or (w[0] >= 1 and all(map(le, w, w[1:]))
+                     and all(map(le, w, range(1, len(w) + 1))))
 
 
 def is_packed(w) -> bool:
@@ -155,13 +157,15 @@ class QuasiRibbon:
     bars: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(self.word))
+        word = tuple(self.word)
+        object.__setattr__(self, "word", word)
         object.__setattr__(self, "bars", frozenset(self.bars))
-        if not is_ndpf(self.word):
-            raise ValueError(f"not a nondecreasing parking function: {self.word}")
+        if not is_ndpf(word):
+            raise ValueError(f"not a nondecreasing parking function: {word}")
+        n = len(word)
         for i in self.bars:
-            if not (1 <= i < len(self.word)) or not self.word[i - 1] < self.word[i]:
-                raise ValueError(f"bar at {i} not at a strict ascent of {self.word}")
+            if not (0 < i < n and word[i - 1] < word[i]):
+                raise ValueError(f"bar at {i} not at a strict ascent of {word}")
 
     def __len__(self):
         return len(self.word)
@@ -485,23 +489,6 @@ def binary_trees(n: int) -> tuple:
             for right in binary_trees(n - 1 - k):
                 out.append((left, right))
     return tuple(out)
-
-
-_FAMILIES = {
-    "parking": parking_functions,
-    "ndpf": ndpfs,
-    "packed": packed_words,
-    "permutation": permutations,
-    "quasi_ribbon": quasi_ribbons,
-    "composition": compositions,
-    "binary_tree": binary_trees,
-}
-
-
-def enumerate_family(family: str, n: int) -> tuple:
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    return _FAMILIES[family](n)
 
 
 # -- text encodings ----------------------------------------------------------

@@ -24,6 +24,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 
 from .combinat import (NotInSubalgebraError, QuasiRibbon,
                        hypoplactic_quasi_ribbon, packed_evaluation,
@@ -213,22 +214,25 @@ def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
     For basis keys k1, k2 with maxima s1, s2, let w be k1 followed by k2
     shifted by s1.  Each row T of ``tables(s1, s2)[tag]`` maps the letters of
     w to one term, tuple(T[x] for x in w), with coefficient c1 * c2.  The
-    tables depend on the shape (s1, s2) only and are cached.
+    tables depend on the shape (s1, s2) only and are cached.  One
+    ``itemgetter(*w)`` per pair of keys reads every row; a w of fewer than
+    two letters, for which itemgetter gives no tuple, maps each row directly.
     """
     b_terms = [(k2, max(k2, default=0), c2) for k2, c2 in b]
 
-    def terms():
+    def runs():
         for k1, c1 in a:
             s1 = max(k1, default=0)
             for k2, s2, c2 in b_terms:
                 w = k1 + tuple(s1 + x for x in k2)
-                c = c1 * c2
+                c = itertools.repeat(c1 * c2)
                 rows = tables(s1, s2)
+                get = itemgetter(*w) if len(w) > 1 else \
+                    (lambda row, w=w: tuple(map(row.__getitem__, w)))
                 for tag in keep:
-                    for row in rows[tag]:
-                        yield tuple(map(row.__getitem__, w)), c
+                    yield zip(map(get, rows[tag]), c)
 
-    return LinComb(terms())
+    return LinComb(itertools.chain.from_iterable(runs()))
 
 
 # -- permutation algebra (G basis) --------------------------------------------
@@ -389,25 +393,47 @@ def morphism_psi(a: LinComb) -> SymElem:
 # -- axiom suites ---------------------------------------------------------------
 
 
+def _splits(max_total: int, arity: int):
+    """The tuples of ``arity`` positive sizes summing to at most max_total."""
+    return (split for split in itertools.product(range(1, max_total),
+                                                 repeat=arity)
+            if sum(split) <= max_total)
+
+
 def _keys_by_total(family, max_total: int, arity: int):
     """Tuples of basis keys with positive sizes summing to at most max_total."""
-    sizes = range(1, max_total)
-    for split in itertools.product(sizes, repeat=arity):
-        if sum(split) > max_total:
-            continue
-        pools = [family(s) for s in split]
-        yield from itertools.product(*pools)
+    for split in _splits(max_total, arity):
+        yield from itertools.product(*map(family, split))
 
 
 def _relations_hold(family, max_total: int, relations, lift=None) -> bool:
     """(a f b) g c == a h (b k c) for every (f, g, h, k) in ``relations`` and
     every triple of basis keys of total size <= max_total, each key passed
-    through ``lift`` first when given."""
-    triples = _keys_by_total(family, max_total, 3)
-    if lift is not None:
-        triples = (tuple(map(lift, t)) for t in triples)
-    return not any(g(f(a, b), c) != h(a, k(b, c))
-                   for a, b, c in triples for f, g, h, k in relations)
+    through ``lift`` first when given.
+
+    The keys of each size are lifted once.  The triples are walked one size
+    split at a time, in the order of `_keys_by_total`, and each distinct
+    inner operation runs once per pair of keys: b k c for every pair of the
+    split before its first triple, a f b once before the keys c.  Only the
+    outer operations g and h run per triple.
+    """
+    pools = {size: family(size) if lift is None
+             else tuple(map(lift, family(size)))
+             for size in range(1, max_total - 1)}
+    fs = list(dict.fromkeys(f for f, _, _, _ in relations))
+    ks = list(dict.fromkeys(k for _, _, _, k in relations))
+    checks = [(fs.index(f), g, h, ks.index(k)) for f, g, h, k in relations]
+    for s1, s2, s3 in _splits(max_total, 3):
+        xs, ys, zs = pools[s1], pools[s2], pools[s3]
+        yz = [[[k(b, c) for k in ks] for c in zs] for b in ys]
+        for a in xs:
+            for b, b_yz in zip(ys, yz):
+                ab = [f(a, b) for f in fs]
+                for c, bc in zip(zs, b_yz):
+                    for i, g, h, j in checks:
+                        if g(ab[i], c) != h(a, bc[j]):
+                            return False
+    return True
 
 
 def _splitting_holds(family, max_total: int, product, parts) -> bool:

@@ -2,7 +2,7 @@ import itertools
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from parkhopf import combinat as cb
 
@@ -22,6 +22,30 @@ def test_is_parking():
     assert cb.is_ndpf((1, 1, 3))
     assert not cb.is_ndpf((0,))
     assert not cb.is_ndpf((-3, 1))
+
+
+def _is_ndpf_by_generators(w):
+    # is_ndpf as it was written before it used map(le, ...)
+    return all(w[i] <= w[i + 1] for i in range(len(w) - 1)) and \
+        all(1 <= v <= i for i, v in enumerate(w, start=1))
+
+
+# letters <= 0 and above their position, half the lists sorted so that
+# nondecreasing parking functions come up too
+_letters = st.lists(st.integers(-1, 7), max_size=7)
+_near_ndpf = st.one_of(_letters, _letters.map(sorted))
+
+
+@given(_near_ndpf, st.booleans())
+@example([], True)
+@example([], False)
+@example([0], True)
+@example([1, 1, 0], False)
+@example([1, 3], True)
+@example([2], False)
+def test_is_ndpf_matches_generator_definition(letters, as_tuple):
+    w = tuple(letters) if as_tuple else letters
+    assert cb.is_ndpf(w) == _is_ndpf_by_generators(w)
 
 
 def test_parkize_examples():
@@ -134,6 +158,12 @@ def test_quasi_ribbon_validation_and_text():
         cb.QuasiRibbon((1, 1, 3), {1})  # not a strict ascent
     with pytest.raises(ValueError):
         cb.QuasiRibbon((2, 2), set())  # not a parking word
+    for word in [(0,), (1, 3), (2, 1), (1, 1, 0), [0, 1]]:
+        with pytest.raises(ValueError, match="nondecreasing"):
+            cb.QuasiRibbon(word)
+    for bar in [0, 1, 3, -1]:  # outside the word or at a tie
+        with pytest.raises(ValueError, match="strict ascent"):
+            cb.QuasiRibbon((1, 1, 2), {bar})
     q = cb.QuasiRibbon.parse("1|2|3")
     assert q.word == (1, 2, 3) and q.bars == frozenset({1, 2})
     assert cb.QuasiRibbon.parse(str(q)) == q
@@ -142,6 +172,18 @@ def test_quasi_ribbon_validation_and_text():
     big = cb.QuasiRibbon(tuple(range(1, 12)), {10})
     assert str(big) == "1,2,3,4,5,6,7,8,9,10|11"
     assert cb.QuasiRibbon.parse(str(big)) == big
+
+
+@given(_near_ndpf, st.sets(st.integers(-1, 8), max_size=3))
+def test_quasi_ribbon_accepts_exactly_the_valid_pairs(letters, bars):
+    valid = _is_ndpf_by_generators(letters) and all(
+        1 <= i < len(letters) and letters[i - 1] < letters[i] for i in bars)
+    if valid:
+        q = cb.QuasiRibbon(letters, bars)
+        assert q.word == tuple(letters) and q.bars == frozenset(bars)
+    else:
+        with pytest.raises(ValueError):
+            cb.QuasiRibbon(letters, bars)
 
 
 # -- compositions ----------------------------------------------------------------
@@ -231,11 +273,11 @@ def test_enumeration_counts():
 
 def test_enumerations_are_sorted_and_duplicate_free():
     for n in range(6):
-        for family in ("parking", "ndpf", "packed", "permutation",
-                       "composition"):
-            items = cb.enumerate_family(family, n)
+        for family in (cb.parking_functions, cb.ndpfs, cb.packed_words,
+                       cb.permutations, cb.compositions):
+            items = family(n)
             assert list(items) == sorted(set(items))
-        ribbons = cb.enumerate_family("quasi_ribbon", n)
+        ribbons = cb.quasi_ribbons(n)
         keys = [r.sort_key() for r in ribbons]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
@@ -271,8 +313,6 @@ def test_enumeration_cap():
     for stream in (cb.iter_parking_functions, cb.iter_packed_words):
         with pytest.raises(ValueError):
             stream(13)
-    with pytest.raises(ValueError):
-        cb.enumerate_family("nonsense", 3)
 
 
 def test_quasi_ribbon_list_n3_matches_known_list():

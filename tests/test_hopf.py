@@ -1,6 +1,7 @@
 import itertools
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -161,6 +162,18 @@ def test_tridup_generates_all_quasi_ribbons():
     assert generated3 == set(quasi_ribbons(3))
 
 
+def test_tridup_results_pass_the_validating_constructor():
+    # every qr_* result on key pairs of total <= 6 is a quasi-ribbon that
+    # the constructor, checks and all, rebuilds from its word and bars
+    for n1 in range(1, 6):
+        for n2 in range(1, 7 - n1):
+            for q1 in quasi_ribbons(n1):
+                for q2 in quasi_ribbons(n2):
+                    for op in (hopf.qr_prec, hopf.qr_succ, hopf.qr_mid):
+                        q = op(q1, q2)
+                        assert q == QuasiRibbon(list(q.word), set(q.bars))
+
+
 def test_triduplicial_axioms():
     assert hopf.triduplicial_axioms(6)
 
@@ -209,6 +222,10 @@ def _packed(length):
             if _pack(w) == w]
 
 
+def _perms(length):
+    return list(itertools.permutations(range(1, length + 1)))
+
+
 def _sum(words) -> LinComb:
     return LinComb((w, 1) for w in words)
 
@@ -251,6 +268,41 @@ def test_wqsym_thirds_match_brute_force():
                         expected[0] + expected[1] + expected[2]
 
 
+@lru_cache(maxsize=None)
+def _filed(words_of, total, n):
+    return _words_by_factors(words_of(total), n)
+
+
+def _brute_halves(u, v, words_of):
+    """(left, right, product) for the keys u, v, from the words of length
+    |u| + |v| filed by `_words_by_factors`, the tag-0 words counted right."""
+    filed = _filed(words_of, len(u) + len(v), len(u))
+    left = _sum(filed[u, v, -1])
+    right = _sum(filed[u, v, 0] + filed[u, v, 1])
+    return left, right, left + right
+
+
+def test_products_with_empty_and_one_letter_keys():
+    # a word of fewer than two letters is relabelled without itemgetter: put
+    # the keys () and (1,) on either side of every key of size <= 4, then
+    # multiply their sum by itself, so one product mixes words of 0, 1 and 2
+    # letters
+    edge = [(), (1,)]
+    fqsym = (hopf.fqsym_left, hopf.fqsym_right, hopf.fqsym_product)
+    for words_of, pieces in [(_perms, fqsym), (_packed, (hopf.wqsym_product,))]:
+        keys = [w for n in range(5) for w in words_of(n)]
+        for u, v in [*itertools.product(edge, keys),
+                     *itertools.product(keys, edge)]:
+            expected = _brute_halves(u, v, words_of)[-len(pieces):]
+            assert [piece(G(u), G(v)) for piece in pieces] == list(expected)
+        both = G(()) + G((1,))
+        expected = [_sum([]) for _ in pieces]
+        for u, v in itertools.product(edge, repeat=2):
+            halves = _brute_halves(u, v, words_of)[-len(pieces):]
+            expected = [e + h for e, h in zip(expected, halves)]
+        assert [piece(both, both) for piece in pieces] == expected
+
+
 def test_product_tables_are_cached_per_shape():
     # one cache entry per pair of key maxima, never one per pair of words
     tables = (hopf._shuffle_tables, hopf._packed_tables)
@@ -284,6 +336,98 @@ def test_relation_checker_rejects_false_relations():
                                  lambda x, y: (left(x, y), right(x, y)))
     assert not hopf._splitting_holds(permutations, 4, prod,
                                      lambda x, y: (left(x, y),))
+
+
+# A brute-force relation checker, independent of the one in hopf: one triple
+# and one relation at a time, each key lifted where it is used.
+
+
+def _brute_triples(family, max_total):
+    for sizes in itertools.product(range(1, max_total + 1), repeat=3):
+        if sum(sizes) <= max_total:
+            yield from itertools.product(*map(family, sizes))
+
+
+def _same(key):
+    return key
+
+
+def _relations_hold_by_brute_force(family, max_total, relations, lift=None):
+    for triple in _brute_triples(family, max_total):
+        x, y, z = map(lift or _same, triple)
+        for f, g, h, k in relations:
+            if g(f(x, y), z) != h(x, k(y, z)):
+                return False
+    return True
+
+
+def _wrong_on(op, target, wrong):
+    """``op``, except that on the one pair ``target`` it returns
+    ``wrong(op(*target))``."""
+    def perturbed(x, y):
+        value = op(x, y)
+        return wrong(value) if (x, y) == target else value
+    return perturbed
+
+
+def _not_a_value(value):
+    return object()  # unequal to every key and element
+
+
+_RELATION_CASES = [
+    (ndpfs, [(shifted_concat_max,) * 4, (shifted_concat_len,) * 4,
+             (shifted_concat_len, shifted_concat_max) * 2,
+             (shifted_concat_max, shifted_concat_len) * 2], None),
+    (quasi_ribbons, [(hopf.qr_prec,) * 4, (hopf.qr_succ, hopf.qr_mid) * 2,
+                     (hopf.qr_mid, hopf.qr_succ) * 2,
+                     (hopf.qr_prec, hopf.qr_mid) * 2], None),
+    (permutations, [(hopf.fqsym_left,) * 3 + (hopf.fqsym_product,),
+                    (hopf.fqsym_right, hopf.fqsym_left) * 2,
+                    (hopf.fqsym_left, hopf.fqsym_right) * 2], G),
+]
+
+
+@pytest.mark.parametrize("family, relations, lift", _RELATION_CASES,
+                         ids=["ndpf", "quasi_ribbon", "permutation"])
+def test_relation_checker_matches_brute_force(family, relations, lift):
+    # the last relation of each case is false, the others hold
+    *true, false = relations
+    assert _relations_hold_by_brute_force(family, 5, true, lift)
+    assert not _relations_hold_by_brute_force(family, 5, [false], lift)
+    for max_total in range(6):
+        for chosen in [true, [false], relations, [false, *true]]:
+            assert hopf._relations_hold(family, max_total, chosen, lift) == \
+                _relations_hold_by_brute_force(family, max_total, chosen, lift)
+
+
+@pytest.mark.parametrize("family, relations, lift", _RELATION_CASES,
+                         ids=["ndpf", "quasi_ribbon", "permutation"])
+def test_relation_checker_visits_every_triple(family, relations, lift):
+    # a true relation with one outer operation made wrong on the one pair
+    # that a triple of total <= 5 feeds it, for every such triple: a walk
+    # that skips any triple or split passes one of these
+    f, g, h, k = relations[0]
+    for triple in _brute_triples(family, 5):
+        x, y, z = map(lift or _same, triple)
+        for relation in [
+                (f, _wrong_on(g, (f(x, y), z), _not_a_value), h, k),
+                (f, g, _wrong_on(h, (x, k(y, z)), _not_a_value), k)]:
+            assert not _relations_hold_by_brute_force(family, 5, [relation],
+                                                      lift)
+            assert not hopf._relations_hold(family, 5, [relation], lift)
+
+
+def test_relation_checker_pairs_inner_products_with_their_keys():
+    # an inner operation doubled on one pair of total 4, the largest total
+    # an inner pair has when the triples total 5
+    relation = (hopf.fqsym_left,) * 3 + (hopf.fqsym_product,)
+    for split in [(1, 3), (2, 2), (3, 1)]:
+        for y, z in itertools.product(*map(permutations, split)):
+            pair = (G(y), G(z))
+            for i in (0, 3):
+                doubled = list(relation)
+                doubled[i] = _wrong_on(relation[i], pair, lambda v: v.scale(2))
+                assert not hopf._relations_hold(permutations, 5, [doubled], G)
 
 
 def test_fqsym_duality():
