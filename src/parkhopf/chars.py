@@ -20,9 +20,9 @@ from functools import cache
 from math import comb, factorial, prod
 
 from . import hopf
-from .combinat import (QuasiRibbon, is_ndpf, is_parking,
-                       iter_parking_functions, ndpfs, packed_evaluation,
-                       parking_functions, quasi_ribbons, shifted_shuffle)
+from .combinat import (QuasiRibbon, is_parking, iter_parking_functions,
+                       ndpfs, packed_evaluation, parking_functions,
+                       quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
 from .lagrange import solve_g
@@ -245,30 +245,46 @@ def s_character_check(n: int) -> bool:
 
 # (name, width, rise) of each lattice step; paths are listed in this order
 _STEPS = (("u", 1, 1), ("d", 1, -1), ("h", 2, 0))
+# The last columns of every path come from a table of endings built once per
+# point, so most paths cost one string concatenation; eight columns keep the
+# table small (at most 146 endings per point).
+_TAIL = 8
 
 
-def _paths(n: int, steps) -> list:
+def _paths(n: int, steps):
     """The paths of width 2n over ``steps`` from the axis back to it that
-    never dip below it, in lexicographic order of the step table."""
+    never dip below it, one at a time in lexicographic order of the step
+    table."""
+    def moves(width, height):
+        return [(name, width - dw, height + dh) for name, dw, dh in steps
+                if dw <= width and 0 <= height + dh <= width - dw]
+
     @cache
     def ends(width, height):
-        # every way to finish from a point, built once per point
+        # every way to finish from a point of the last columns
         if width == 0:
-            return [""]
-        return [name + rest for name, dw, dh in steps
-                if dw <= width and 0 <= height + dh <= width - dw
-                for rest in ends(width - dw, height + dh)]
+            return ("",)
+        return tuple(name + rest for name, w, h in moves(width, height)
+                     for rest in ends(w, h))
 
-    return ends(2 * n, 0)
+    def walk(prefix, width, height):
+        if width <= _TAIL:
+            yield from map(prefix.__add__, ends(width, height))
+            return
+        for name, w, h in moves(width, height):
+            yield from walk(prefix + name, w, h)
+
+    return walk("", 2 * n, 0)
 
 
 def dyck_paths(n: int):
-    """All Dyck paths of semi-length n as strings over u, d."""
+    """The Dyck paths of semi-length n as strings over u, d, one at a time."""
     return _paths(n, _STEPS[:2])
 
 
 def schroder_paths(n: int):
-    """All Schroeder paths of semi-length n (h has width 2) as strings."""
+    """The Schroeder paths of semi-length n (h has width 2) as strings, one
+    at a time."""
     return _paths(n, _STEPS)
 
 
@@ -291,31 +307,17 @@ def _validate_path(path: str, allow_h: bool):
 
 def dyck_encode(path: str) -> tuple:
     """Each up step contributes the number of its diagonal
-    (one plus the number of down steps before it); the word is an NDPF."""
+    (one plus the number of down steps before it); the word is an NDPF.
+    This is the Schroeder encoding of a path without h."""
     _validate_path(path, allow_h=False)
-    word = []
-    downs = 0
-    for step in path:
-        if step == "u":
-            word.append(downs + 1)
-        else:
-            downs += 1
-    return tuple(word)
+    return schroder_encode(path).word
 
 
 def dyck_decode(pi) -> str:
+    """The Dyck path of a nondecreasing parking function: the Schroeder
+    decoding of its word with every sign +1."""
     pi = tuple(pi)
-    if not is_ndpf(pi):
-        raise ValueError(f"not a nondecreasing parking function: {pi}")
-    n = len(pi)
-    path = []
-    prev = 1
-    for v in pi:
-        path.append("d" * (v - prev))
-        path.append("u")
-        prev = v
-    path.append("d" * (n - prev + 1))
-    return "".join(path)
+    return schroder_decode(SignedWord(pi, (1,) * len(pi)))
 
 
 def schroder_encode(path: str) -> SignedWord:
@@ -416,6 +418,8 @@ def narayana_from_pn(pn_t: Poly) -> Poly:
 
 def bar_distribution(n: int) -> Poly:
     """Sum of t^(number of bars) over the parking quasi-ribbons of size n."""
+    if n > 8:
+        raise ValueError("bar_distribution supports n <= 8")
     return Poly((monomial(t=q.bar_count), 1) for q in quasi_ribbons(n))
 
 
@@ -524,6 +528,8 @@ def psi_alpha_value(w) -> Poly:
 def pn_alpha(n: int) -> Poly:
     """P_n(a) = a (prod over k=1..n-1 of ((n+1) a + k)) for n >= 1, and
     P_0(a) = 1, the value on the one empty parking function."""
+    if n > 10:
+        raise ValueError("pn_alpha supports n <= 10")
     if n == 0:
         return P_ONE
     alpha = Poly.var("a")
@@ -589,6 +595,8 @@ def psi_alpha(n: int) -> tuple[Poly, bool]:
 
 def qn_polynomial(n: int) -> Poly:
     """Q_n(q) = prod over k=2..n of ((n+1-k) q + k), a q-analogue of (n+1)^(n-1)."""
+    if n > 10:
+        raise ValueError("qn_polynomial supports n <= 10")
     q = Poly.var("q")
     return prod((q.scale(n + 1 - k) + k for k in range(2, n + 1)), start=P_ONE)
 

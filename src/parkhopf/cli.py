@@ -8,14 +8,18 @@ min(--max-n, its top), and --max-n takes 1 up to the largest top (8).
 Every enumerate family is one row of ``_ENUM_FAMILIES``: its items as text
 in the library's order, and its count from a closed form.  enumerate writes
 each item as it is produced, so no format holds the family in memory; JSON
-prints the formula count before it streams the items.  A family whose count
-is over ``_ENUM_BUDGET`` exits 2 before it enumerates anything, and a stream
-whose length differs from its formula exits 1.
+prints the formula count before it streams the items.  ``_ENUM_BUDGET`` is
+the one bound on enumerate: a family whose count is over it exits 2 before
+it enumerates anything, and a stream whose length differs from its formula
+exits 1.  The cached families (ndpf, tree) also keep the library's n <= 12.
+
+The other commands are bounded by their library functions' size caps, and
+bijection takes at most ``_MAX_INPUT`` characters of input, which keeps the
+recursive tree bijections inside Python's recursion limit.
 
 Exit codes: 0 ok, 1 a check failed, 2 usage error or malformed input.  A
 reader that closes stdout early is no error: the command stops quietly.  All
 output is UTF-8 text; JSON payloads carry a top-level "schema": "parkhopf/1".
-The environment variable PARKHOPF_MAX_N caps the enumeration size (default 8).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -32,14 +37,6 @@ from . import chars, combinat, hopf, lagrange, operad
 from .exact import LinComb, Poly
 
 SCHEMA = "parkhopf/1"
-
-
-def _max_n() -> int:
-    raw = os.environ.get("PARKHOPF_MAX_N", "8")
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(
-            f"PARKHOPF_MAX_N must be a non-negative integer, got {raw!r}")
-    return int(raw)
 
 
 # -- enumerate ----------------------------------------------------------------
@@ -70,20 +67,21 @@ def _parking_count(n: int) -> int:
     return (n + 1) ** (n - 1) if n else 1
 
 
-# family: (its items of size n as text, in the library's order; their
-# number, from a closed form)
+# family: (its items of size n as text, in the library's order, with every
+# size check made before the first item; their number, from a closed form)
 _ENUM_FAMILIES = {
     "pf": (lambda n: map(combinat.word_to_text,
                          combinat.iter_parking_functions(n)),
            _parking_count),
     "ndpf": (lambda n: map(combinat.word_to_text, combinat.ndpfs(n)),
              _catalan),
-    "qribbon": (lambda n: map(str, combinat.quasi_ribbons(n)),
+    "qribbon": (lambda n: map(str, combinat.iter_quasi_ribbons(n)),
                 _little_schroder),
     "packed": (lambda n: map(combinat.word_to_text,
                              combinat.iter_packed_words(n)),
                _ordered_bell),
-    "perm": (lambda n: map(combinat.word_to_text, combinat.permutations(n)),
+    "perm": (lambda n: map(combinat.word_to_text,
+                           itertools.permutations(range(1, n + 1))),
              factorial),
     "signed-pf": (lambda n: map(str, chars.signed_parking_functions(n)),
                   lambda n: 2 ** n * _parking_count(n)),
@@ -98,11 +96,6 @@ _ENUM_BUDGET = 10_000_000
 
 
 def _cmd_enumerate(args) -> int:
-    cap = _max_n()
-    if args.n > cap:
-        print(f"error: n={args.n} exceeds the enumeration cap {cap} "
-              "(set PARKHOPF_MAX_N to raise it)", file=sys.stderr)
-        return 2
     items, count_of = _ENUM_FAMILIES[args.family]
     # no count falls as n grows, so the scan stops at the first size over
     # the budget, and a huge n never evaluates its formula
@@ -394,6 +387,11 @@ def _cmd_verify(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
+# the longest bijection input: the tree bijections recurse once per letter
+# or tree node, so 500 characters stay inside Python's recursion limit
+_MAX_INPUT = 500
+
+
 def _int_in(low: int, high: int | None = None):
     """An argparse type for an integer in ``low..high`` (no upper bound when
     ``high`` is None)."""
@@ -410,6 +408,16 @@ def _int_in(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(
                 f"must be at most {high}, got {value}")
         return value
+    return parse
+
+
+def _text_up_to(limit: int):
+    """An argparse type for a text of at most ``limit`` characters."""
+    def parse(text: str) -> str:
+        if len(text) > limit:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {limit} characters, got {len(text)}")
+        return text
     return parse
 
 
@@ -442,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True,
                    choices=("tree-to-ndpf", "ndpf-to-tree",
                             "dyck-encode", "schroder-encode"))
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", type=_text_up_to(_MAX_INPUT), required=True)
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -4,10 +4,11 @@ Words are 1-indexed tuples of machine integers.  All values are immutable and
 all operations are pure functions.  Every family comes in a fixed canonical
 order, free of duplicates: lexicographic on letter sequences, and for binary
 trees by left-subtree size then recursively.  The word families are walked
-one letter at a time by `_words`; `iter_parking_functions` and
-`iter_packed_words` yield their words as they are found, and the cached
-tuples the algebra code reuses (`parking_functions`, `packed_words`, ...) are
-built from the same walks.  The supported enumeration range is n <= 12.
+one letter at a time by `_words`; `iter_parking_functions`,
+`iter_packed_words` and `iter_quasi_ribbons` yield their items as they are
+found, and the cached tuples the algebra code reuses (`parking_functions`,
+`packed_words`, `quasi_ribbons`, ...) are built from the same streams.  The
+supported enumeration range is n <= 12.
 """
 
 from __future__ import annotations
@@ -444,17 +445,25 @@ def permutations(n: int) -> tuple:
     return tuple(itertools.permutations(range(1, n + 1)))
 
 
+def iter_quasi_ribbons(n: int):
+    """The parking quasi-ribbons of size n in `QuasiRibbon.sort_key` order,
+    one at a time: for each ndpf in turn, the subsets of its strict ascents
+    as bars, in lexicographic order."""
+    def ribbons(pi):
+        ascents = [i for i in range(1, n) if pi[i - 1] < pi[i]]
+        bar_sets = itertools.chain.from_iterable(
+            itertools.combinations(ascents, r)
+            for r in range(len(ascents) + 1))
+        return (QuasiRibbon(pi, bars) for bars in sorted(bar_sets))
+
+    # ndpfs checks n now, before the first quasi-ribbon is asked for
+    return itertools.chain.from_iterable(map(ribbons, ndpfs(n)))
+
+
 @lru_cache(maxsize=None)
 def quasi_ribbons(n: int) -> tuple:
     """All parking quasi-ribbons of size n (little Schroeder many)."""
-    _check_n(n)
-    out = []
-    for pi in ndpfs(n):
-        ascents = [i for i in range(1, n) if pi[i - 1] < pi[i]]
-        for r in range(len(ascents) + 1):
-            for bars in itertools.combinations(ascents, r):
-                out.append(QuasiRibbon(pi, frozenset(bars)))
-    return tuple(sorted(out, key=QuasiRibbon.sort_key))
+    return tuple(iter_quasi_ribbons(n))
 
 
 @lru_cache(maxsize=None)

@@ -141,7 +141,7 @@ def test_dyck_encode_examples():
 
 def test_dyck_bijection():
     for n in range(7):
-        paths = ch.dyck_paths(n)
+        paths = list(ch.dyck_paths(n))
         words = [ch.dyck_encode(p) for p in paths]
         assert sorted(words) == sorted(ndpfs(n))
         for p in paths:
@@ -167,7 +167,8 @@ def test_schroder_roundtrip_and_sorted_no_inversions():
 
 
 def test_schroder_counts():
-    assert [len(ch.schroder_paths(n)) for n in range(5)] == [1, 2, 6, 22, 90]
+    assert [len(list(ch.schroder_paths(n))) for n in range(5)] == \
+        [1, 2, 6, 22, 90]
     # 0 horizontal steps: exactly the Dyck paths
     for n in range(5):
         no_h = [p for p in ch.schroder_paths(n) if "h" not in p]
@@ -178,10 +179,10 @@ def test_schroder_counts():
     schroder = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
     rank = "udh".index
     for n in range(9):
-        for paths, allow_h, count in ((ch.dyck_paths(n), False, catalan[n]),
-                                      (ch.schroder_paths(n), True,
-                                       schroder[n])):
-            assert isinstance(paths, list) and len(paths) == count
+        for paths, allow_h, count in (
+                (list(ch.dyck_paths(n)), False, catalan[n]),
+                (list(ch.schroder_paths(n)), True, schroder[n])):
+            assert len(paths) == count
             for p in paths:
                 ch._validate_path(p, allow_h)
             keys = [list(map(rank, p)) for p in paths]
@@ -262,6 +263,8 @@ def test_pn_alpha_values():
     assert ch.pn_alpha(3) == 16 * a ** 3 + 12 * a ** 2 + 2 * a
     assert ch.pn_alpha(4) == \
         125 * a ** 4 + 150 * a ** 3 + 55 * a ** 2 + 6 * a
+    with pytest.raises(ValueError, match="n <= 10"):
+        ch.pn_alpha(11)
 
 
 def test_psi_alpha_value():
@@ -300,10 +303,14 @@ def test_q_triangle_rows():
     assert rows[:4] == [[1], [2, 1], [6, 8, 2], [24, 58, 37, 6]]
     assert [r[0] for r in rows] == [factorial(n) for n in range(1, 6)]
     assert [rows[n][1] for n in range(1, 5)] == [1, 8, 58, 444]
+    # the check of Q_n against P_n holds up to their top size, n = 10
+    assert len(ch.q_triangle(10)) == 10
 
 
 def test_qn_polynomial():
     assert ch.qn_polynomial(2) == q + 2
+    with pytest.raises(ValueError, match="n <= 10"):
+        ch.qn_polynomial(11)
 
 
 # -- the Narayana cross-check --------------------------------------------------------------------
@@ -325,6 +332,9 @@ def test_lassalle_narayana():
 
 
 def test_narayana_vs_bar_distribution():
-    for n in range(1, 6):
+    # lassalle_narayana gates bar_distribution up to its top size
+    for n in range(1, 9):
         cn = ch.lassalle_narayana(n)
         assert ch.bar_distribution(n) == cn.substitute("q", 1 + t)
+    with pytest.raises(ValueError, match="n <= 8"):
+        ch.bar_distribution(9)

@@ -48,15 +48,6 @@ def test_enumerate_csv(capsys):
     assert '"((.,.),.)"' in lines or "((.,.),.)" in lines
 
 
-def test_enumerate_cap(capsys, monkeypatch):
-    monkeypatch.setenv("PARKHOPF_MAX_N", "3")
-    code = main(["enumerate", "--family", "pf", "--n", "4"])
-    assert code == 2
-    monkeypatch.setenv("PARKHOPF_MAX_N", "4")
-    assert main(["enumerate", "--family", "pf", "--n", "4"]) == 0
-    capsys.readouterr()
-
-
 # each family as the cached library tuples give it, rendered in the test
 _LIBRARY_ITEMS = {
     "pf": lambda n: map(combinat.word_to_text, combinat.parking_functions(n)),
@@ -121,10 +112,9 @@ def test_enumerate_over_budget_exits_2_at_once(capsys):
     capsys.readouterr()
 
 
-def test_enumerate_budget_ignores_huge_raised_caps(capsys, monkeypatch):
-    # far past the budget no formula is evaluated at size n, so a raised
-    # cap still fails at once, with a one-line message
-    monkeypatch.setenv("PARKHOPF_MAX_N", "100000")
+def test_enumerate_budget_ignores_huge_raised_caps(capsys):
+    # far past the budget no formula is evaluated at size n, so a huge size
+    # fails at once, with a one-line message
     for family in _ENUM_FAMILIES:
         start = time.monotonic()
         code = main(["enumerate", "--family", family, "--n", "100000"])
@@ -134,6 +124,13 @@ def test_enumerate_budget_ignores_huge_raised_caps(capsys, monkeypatch):
         assert captured.err.count("\n") == 1
     for _, count in _ENUM_FAMILIES.values():
         assert all(count(n) <= count(n + 1) for n in range(20))
+
+
+def test_enumerate_trees_past_the_old_cap(capsys):
+    code, out = run(capsys, "enumerate", "--family", "tree", "--n", "9")
+    assert code == 0
+    assert out.splitlines() == [combinat.tree_to_text(t)
+                                for t in combinat.binary_trees(9)]
 
 
 def test_enumerate_short_stream_exits_1(capsys, monkeypatch):
@@ -273,6 +270,10 @@ def test_help_runs(capsys):
     assert err.value.code == 0
 
 
+# a tree nested 1,200 deep
+_DEEP_TREE = "(" * 1200 + "." + ",.)" * 1200
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -293,22 +294,37 @@ def _exit_code(argv):
     ["poly", "--which", "narayana", "--n", "0"],
     ["bijection", "--direction", "ndpf-to-tree", "--input", "0"],
     ["verify", "--suite", "all", "--max-n", "9"],
+    # within the budget but past the library's n <= 12, checked before the
+    # first byte of any format
+    ["enumerate", "--family", "ndpf", "--n", "13", "--format", "json"],
+    ["enumerate", "--family", "tree", "--n", "13", "--format", "csv"],
+    # inputs over 500 characters, which the tree bijections would recurse
+    # through past Python's limit
+    ["bijection", "--direction", "ndpf-to-tree", "--input", "1" * 1200],
+    ["bijection", "--direction", "tree-to-ndpf", "--input", _DEEP_TREE],
+    ["bijection", "--direction", "dyck-encode", "--input", "u" * 501],
+    ["poly", "--which", "pn-alpha", "--n", "11"],
+    ["poly", "--which", "qn", "--n", "1500"],
+    ["table", "--which", "bar-distribution", "--n-max", "9"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
+    start = time.monotonic()
     assert _exit_code(argv) == 2
+    assert time.monotonic() - start < 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    assert captured.err.count("error:") == 1
 
 
-@pytest.mark.parametrize("value", ["abc", "-1", "", "2.5"])
-def test_bad_max_n_env_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setenv("PARKHOPF_MAX_N", value)
-    assert main(["enumerate", "--family", "pf", "--n", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: PARKHOPF_MAX_N")
-    assert captured.err.count("\n") == 1
+def test_bijection_input_at_the_bound(capsys):
+    # 500 characters is the longest input, and the deepest recursion
+    code, out = run(capsys, "bijection", "--direction", "ndpf-to-tree",
+                    "--input", "1" * 500)
+    assert code == 0
+    code, back = run(capsys, "bijection", "--direction", "tree-to-ndpf",
+                     "--input", "(" * 124 + "." + ",.)" * 124)
+    assert code == 0 and back == ",".join(map(str, range(1, 125))) + "\n"
 
 
 def test_failed_check_exits_1(capsys, monkeypatch):
@@ -378,14 +394,17 @@ def test_verify_runs_under_optimize_flag():
     assert optimized.stderr == b""
 
 
-# Sizes are drawn in -2..4 only to bound the runtime; the other size texts
-# are not integers at all.
+# Small sizes are drawn in -2..4 to bound the runtime, and 100000 is past
+# every cap and budget; the other size texts are not integers at all.
 _SIZE = st.one_of(st.integers(-2, 4).map(str),
-                  st.sampled_from(["", "abc", "2.5", "-0", "+3", "1e2", "0x3"]))
+                  st.sampled_from(["", "abc", "2.5", "-0", "+3", "1e2", "0x3",
+                                   "100000"]))
 _TEXT = st.one_of(
     st.sampled_from(["", "(", "(.,", "(.,.)", "((.,.),.)", "(.,.", "x",
                      "uuddd", "ud", "uhd", "uuhuddhd", "du", "h", "21",
-                     "1133444", "1a2", "-1", "0", "11,2", "1 2"]),
+                     "1133444", "1a2", "-1", "0", "11,2", "1 2",
+                     "1" * 1200, "u" * 600 + "d" * 600, "uh" * 600,
+                     "(" * 300 + "." + ",.)" * 300, _DEEP_TREE]),
     st.text(alphabet="(),.udh0123456789- ", max_size=10))
 
 

@@ -282,6 +282,17 @@ def test_enumerations_are_sorted_and_duplicate_free():
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+def test_quasi_ribbon_stream_matches_sorted_build():
+    # every (ndpf, subset of its strict ascents), sorted as a whole
+    for n in range(8):
+        built = sorted(
+            (cb.QuasiRibbon(pi, bars) for pi in cb.ndpfs(n)
+             for r in range(n + 1) for bars in itertools.combinations(
+                 [i for i in range(1, n) if pi[i - 1] < pi[i]], r)),
+            key=cb.QuasiRibbon.sort_key)
+        assert list(cb.iter_quasi_ribbons(n)) == built
+
+
 def _parking_by_brute_force(n):
     # every word on 1..n whose sorted letters satisfy a_(i) <= i
     return [w for w in itertools.product(range(1, n + 1), repeat=n)
@@ -310,7 +321,8 @@ def test_enumeration_cap():
     with pytest.raises(ValueError):
         cb.ndpfs(13)
     # the streams check their size when called, before the first item
-    for stream in (cb.iter_parking_functions, cb.iter_packed_words):
+    for stream in (cb.iter_parking_functions, cb.iter_packed_words,
+                   cb.iter_quasi_ribbons):
         with pytest.raises(ValueError):
             stream(13)
 
