@@ -18,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
+from operator import add
 
 from . import hopf
 from .combinat import (QuasiRibbon, is_parking, iter_parking_functions,
@@ -46,6 +47,15 @@ class SignedWord:
             raise ValueError(f"signs must be +-1: {signs}")
         if not is_parking(self.word):
             raise ValueError(f"base word is not parking: {self.word}")
+
+    @classmethod
+    def _trusted(cls, word: tuple, signs: tuple) -> "SignedWord":
+        """The signed word on tuples that are already valid, with no check:
+        for the producers below, which keep their inputs valid."""
+        s = object.__new__(cls)
+        s.word = word
+        s.signs = signs
+        return s
 
     def values(self) -> tuple:
         """The signed letters e_i a_i, compared in the usual integer order."""
@@ -80,7 +90,8 @@ class SignedWord:
 
 def _signings(word):
     """The 2^len(word) signed words on the letters of a parking word."""
-    return (SignedWord(word, signs)
+    word = tuple(word)
+    return (SignedWord._trusted(word, signs)
             for signs in itertools.product((-1, 1), repeat=len(word)))
 
 
@@ -88,26 +99,65 @@ def signed_parking_functions(n: int):
     """All pairs (parking function, sign word); 2^n (n+1)^(n-1) of them."""
     for w in iter_parking_functions(n):
         for signs in itertools.product((-1, 1), repeat=n):
-            yield SignedWord(w, signs)
+            yield SignedWord._trusted(w, signs)
+
+
+def _beaten_by(b):
+    """The test of an earlier signed value a against a later one b: a beats
+    b when a > b, or when a == b and the common sign is negative.  It is a
+    bound comparison, so that ``map`` runs it without a Python call."""
+    return b.__le__ if b < 0 else b.__lt__
 
 
 def signed_stats(s: SignedWord):
     """(minus count, signed inversions, signed descent set, signed major index).
 
-    (i, j) with i < j is a signed inversion when v_i > v_j, or v_i = v_j with
-    the common sign negative; descents are the adjacent version.
+    (i, j) with i < j is a signed inversion when v_i beats v_j: v_i > v_j, or
+    v_i = v_j with the common sign negative; descents are the adjacent version.
     """
     v = s.values()
-    n = len(v)
-    sinv = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v[i] > v[j] or (v[i] == v[j] and s.signs[i] == -1):
-                sinv += 1
-    sdes = frozenset(
-        i for i in range(1, n)
-        if v[i - 1] > v[i] or (v[i - 1] == v[i] and s.signs[i - 1] == -1))
+    beaten = [_beaten_by(b) for b in v]
+    sinv = sum(sum(map(beaten[j], v[:j])) for j in range(len(v)))
+    sdes = frozenset(j for j in range(1, len(v)) if beaten[j](v[j - 1]))
     return s.minus_count, sinv, sdes, sum(sdes)
+
+
+def _signing_stats(word):
+    """(minus count, sinv, smaj) of each of the 2^len(word) signings of a
+    word, by one walk over its prefixes.
+
+    Letter j enters as +x or -x.  The new value adds to sinv the number of
+    earlier values that beat it, and adds j to smaj when the value just
+    before it beats it.  The signings of a prefix are columns numbered by
+    their sets of minus signs (bit i set: letter i is negative), so the
+    earlier values that beat v in column k form the bit set
+    pos ^ (k & (pos ^ neg)), where pos and neg hold the earlier letters that
+    beat v when signed + and when signed -.
+    """
+    sinv, smaj = [0], [0]
+    plus, minus, bits = [], [], []
+    for j, x in enumerate(word):
+        columns = range(1 << j)
+        next_sinv, next_smaj = [], []
+        for v in (x, -x):  # +x makes the first half of the new columns
+            beaten = _beaten_by(v)
+            pos = sum(itertools.compress(bits, map(beaten, plus)))
+            neg = sum(itertools.compress(bits, map(beaten, minus)))
+            beaters = map(pos.__xor__, map((pos ^ neg).__and__, columns))
+            next_sinv += map(add, sinv, map(int.bit_count, beaters))
+            if not j:
+                next_smaj += smaj
+                continue
+            # letter j-1 is signed + in the first half of the columns and
+            # - in the second, so the descent at j is fixed on each half
+            half = 1 << (j - 1)
+            for part, beats in ((smaj[:half], pos), (smaj[half:], neg)):
+                next_smaj += map(j.__add__, part) if beats & half else part
+        sinv, smaj = next_sinv, next_smaj
+        plus.append(x)
+        minus.append(-x)
+        bits.append(1 << j)
+    return zip(map(int.bit_count, range(1 << len(word))), sinv, smaj)
 
 
 # -- super-Narayana polynomials --------------------------------------------------
@@ -126,15 +176,17 @@ def _qbinom(n: int, k: int) -> Poly:
 def super_narayana_count(n: int) -> Poly:
     """Sum of t^(minus) q^(sinv) over all signed parking functions of length n.
 
-    The same polynomial with smaj in place of sinv is computed alongside and
-    the equality of the two distributions is asserted.
+    Every signing of every parking function is counted, its statistics taken
+    by the prefix walk `_signing_stats`, with no signed word built.  The same
+    polynomial with smaj in place of sinv is computed alongside and the
+    equality of the two distributions is asserted.
     """
     if n > 6:
         raise ValueError("super_narayana_count supports n <= 6")
     # one Counter over the whole stream counts in C; the few hundred distinct
     # triples are then split into the two distributions
-    stats = Counter((m, sinv, smaj) for m, sinv, _, smaj
-                    in map(signed_stats, signed_parking_functions(n)))
+    stats = Counter(itertools.chain.from_iterable(
+        map(_signing_stats, iter_parking_functions(n))))
     by_sinv, by_smaj = Counter(), Counter()
     for (m, sinv, smaj), c in stats.items():
         by_sinv[m, sinv] += c
@@ -170,16 +222,17 @@ def super_narayana_sym(n: int) -> Poly:
     return value.substitute("x", -Poly.var("t"))
 
 
-def _signed_term(s: SignedWord) -> tuple:
-    """The signed weight (-x)^(minus) q^(smaj) of s as a pair
+def _signed_term(stats: tuple) -> tuple:
+    """The signed weight (-x)^(minus) q^(smaj) of a statistics tuple that
+    starts with the minus count and ends with smaj, as a pair
     (monomial, coeff)."""
-    m, _, _, smaj = signed_stats(s)
+    m, smaj = stats[0], stats[-1]
     return monomial(x=m, q=smaj), (-1) ** m
 
 
 def fsigma_signed_weight(sigma) -> Poly:
     """Sum over sign words of (-x)^(minus) q^(smaj of the signed permutation)."""
-    return Poly(map(_signed_term, _signings(sigma)))
+    return Poly(map(_signed_term, _signing_stats(sigma)))
 
 
 def qtF_identity_check(sigma) -> bool:
@@ -197,8 +250,8 @@ def qtF_identity_check(sigma) -> bool:
     n = len(sigma)
     for tau in [(1,), (1, 2), (2, 1)]:
         m = len(tau)
-        lhs = Poly(_signed_term(s) for gamma in shifted_shuffle(sigma, tau, n)
-                   for s in _signings(gamma))
+        lhs = Poly.sum(map(fsigma_signed_weight,
+                           shifted_shuffle(sigma, tau, n)))
         rhs = _qbinom(n + m, n) * fsigma_signed_weight(sigma) \
             * fsigma_signed_weight(tau)
         if lhs != rhs:
@@ -212,8 +265,8 @@ def signed_shifted_shuffle(a: SignedWord, b: SignedWord):
     letters = a.word + tuple(v + n for v in b.word)
     signs = a.signs + b.signs
     for positions in shifted_shuffle(range(n), range(len(b)), n):
-        yield SignedWord([letters[i] for i in positions],
-                         [signs[i] for i in positions])
+        yield SignedWord._trusted(tuple(letters[i] for i in positions),
+                                  tuple(signs[i] for i in positions))
 
 
 def s_character_check(n: int) -> bool:
@@ -230,13 +283,13 @@ def s_character_check(n: int) -> bool:
         n2 = n - n1
         for a in parking_functions(n1):
             for b in parking_functions(n2):
-                lhs = Poly(_signed_term(s) for sa in _signings(a)
-                           for sb in _signings(b)
+                lhs = Poly(_signed_term(signed_stats(s))
+                           for sa in _signings(a) for sb in _signings(b)
                            for s in signed_shifted_shuffle(sa, sb))
                 if lhs != _qbinom(n, n1) * fsigma_signed_weight(a) \
                         * fsigma_signed_weight(b):
                     return False
-    total = Poly(map(_signed_term, signed_parking_functions(n)))
+    total = Poly.sum(map(fsigma_signed_weight, parking_functions(n)))
     return total.substitute("x", -Poly.var("t")) == super_narayana_count(n)
 
 
@@ -364,7 +417,8 @@ def schroder_decode(s: SignedWord) -> str:
 def schroder_sort(s: SignedWord) -> SignedWord:
     """Reorder the letters by the signed-integer order (so -4 < -1 < 1 < 2)."""
     pairs = sorted(zip(s.word, s.signs), key=lambda p: p[0] * p[1])
-    return SignedWord(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+    return SignedWord._trusted(tuple(p[0] for p in pairs),
+                               tuple(p[1] for p in pairs))
 
 
 def _sorted_signed_pfs(n: int):
@@ -382,7 +436,7 @@ def _sorted_signed_pfs(n: int):
                     remaining.remove(v)
                 word = tuple(sorted(negs, reverse=True)) + tuple(remaining)
                 signs = (-1,) * r + (1,) * (n - r)
-                yield SignedWord(word, signs)
+                yield SignedWord._trusted(word, signs)
 
 
 def schroder_polynomials(n: int) -> tuple[Poly, bool]:

@@ -11,7 +11,8 @@ each item as it is produced, so no format holds the family in memory; JSON
 prints the formula count before it streams the items.  ``_ENUM_BUDGET`` is
 the one bound on enumerate: a family whose count is over it exits 2 before
 it enumerates anything, and a stream whose length differs from its formula
-exits 1.  The cached families (ndpf, tree) also keep the library's n <= 12.
+exits 1.  ndpf and tree also keep the library's n <= 12; tree is the one
+family built whole, as the library's cached tuple, before its first line.
 
 The other commands are bounded by their library functions' size caps, and
 bijection takes at most ``_MAX_INPUT`` characters of input, which keeps the
@@ -73,7 +74,7 @@ _ENUM_FAMILIES = {
     "pf": (lambda n: map(combinat.word_to_text,
                          combinat.iter_parking_functions(n)),
            _parking_count),
-    "ndpf": (lambda n: map(combinat.word_to_text, combinat.ndpfs(n)),
+    "ndpf": (lambda n: map(combinat.word_to_text, combinat.iter_ndpfs(n)),
              _catalan),
     "qribbon": (lambda n: map(str, combinat.iter_quasi_ribbons(n)),
                 _little_schroder),

@@ -4,11 +4,11 @@ Words are 1-indexed tuples of machine integers.  All values are immutable and
 all operations are pure functions.  Every family comes in a fixed canonical
 order, free of duplicates: lexicographic on letter sequences, and for binary
 trees by left-subtree size then recursively.  The word families are walked
-one letter at a time by `_words`; `iter_parking_functions`,
+one letter at a time by `_words`; `iter_ndpfs`, `iter_parking_functions`,
 `iter_packed_words` and `iter_quasi_ribbons` yield their items as they are
-found, and the cached tuples the algebra code reuses (`parking_functions`,
-`packed_words`, `quasi_ribbons`, ...) are built from the same streams.  The
-supported enumeration range is n <= 12.
+found, and the cached tuples the algebra code reuses (`ndpfs`,
+`parking_functions`, `packed_words`, `quasi_ribbons`, ...) are built from
+the same streams.  The supported enumeration range is n <= 12.
 """
 
 from __future__ import annotations
@@ -185,10 +185,12 @@ class QuasiRibbon:
 
     def __str__(self):
         cuts = [0, *sorted(self.bars), len(self.word)]
-        segments = [self.word[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-        if any(v >= 10 for v in self.word):
-            return "|".join(",".join(str(v) for v in s) for s in segments)
-        return "|".join("".join(str(v) for v in s) for s in segments)
+        if self.word and max(self.word) >= 10:
+            return "|".join(",".join(map(str, self.word[a:b]))
+                            for a, b in zip(cuts, cuts[1:]))
+        # one letter per character: cut the digit string at the bars
+        return "|".join(map(word_to_text(self.word).__getitem__,
+                            map(slice, cuts, cuts[1:])))
 
     @classmethod
     def parse(cls, text: str) -> "QuasiRibbon":
@@ -399,11 +401,17 @@ def _packed_moves(state):
     return out
 
 
+def iter_ndpfs(n: int):
+    """The nondecreasing parking functions of length n, lexicographically,
+    one at a time."""
+    _check_n(n)
+    return _words(n, (1, 1), _ndpf_moves)
+
+
 @lru_cache(maxsize=None)
 def ndpfs(n: int) -> tuple:
     """All nondecreasing parking functions of length n, lexicographically."""
-    _check_n(n)
-    return tuple(_words(n, (1, 1), _ndpf_moves))
+    return tuple(iter_ndpfs(n))
 
 
 def iter_parking_functions(n: int):
@@ -456,8 +464,8 @@ def iter_quasi_ribbons(n: int):
             for r in range(len(ascents) + 1))
         return (QuasiRibbon(pi, bars) for bars in sorted(bar_sets))
 
-    # ndpfs checks n now, before the first quasi-ribbon is asked for
-    return itertools.chain.from_iterable(map(ribbons, ndpfs(n)))
+    # iter_ndpfs checks n now, before the first quasi-ribbon is asked for
+    return itertools.chain.from_iterable(map(ribbons, iter_ndpfs(n)))
 
 
 @lru_cache(maxsize=None)

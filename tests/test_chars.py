@@ -1,11 +1,14 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from parkhopf import chars as ch
-from parkhopf.combinat import ndpfs, shifted_shuffle
-from parkhopf.exact import Poly
+from parkhopf.combinat import (iter_parking_functions, ndpfs,
+                               parking_functions, shifted_shuffle)
+from parkhopf.exact import Poly, monomial
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
@@ -76,6 +79,51 @@ def test_signed_stats_as_standardized_inversions():
         assert sinv == bs and smaj == bm
 
 
+def test_signing_walk_matches_signed_words():
+    # the prefix walk against signed_stats on every signed parking function,
+    # and against the definition
+    for n in range(6):
+        walk = Counter(itertools.chain.from_iterable(
+            map(ch._signing_stats, iter_parking_functions(n))))
+        words = list(ch.signed_parking_functions(n))
+        by_words = Counter((m, sinv, smaj) for m, sinv, _, smaj
+                           in map(ch.signed_stats, words))
+        brute = Counter((s.minus_count, *_brute_stats(s)) for s in words)
+        assert walk == by_words == brute
+        assert sum(walk.values()) == 2 ** n * (n + 1) ** (n - 1)
+
+
+def test_signed_weight_matches_signed_words():
+    for n in range(5):
+        for w in parking_functions(n):
+            by_words = Poly((monomial(x=m, q=smaj), (-1) ** m)
+                            for m, _, _, smaj
+                            in map(ch.signed_stats, ch._signings(w)))
+            assert ch.fsigma_signed_weight(w) == by_words
+
+
+def test_unchecked_producers_make_valid_signed_words():
+    # every signed word built without the constructor's check, rebuilt by
+    # the validating constructor, for total size <= 5; equality also needs
+    # tuple fields, as the constructor makes them
+    signed = [list(ch.signed_parking_functions(n)) for n in range(6)]
+
+    def made(n):
+        yield from signed[n]
+        yield from ch._sorted_signed_pfs(n)
+        yield from map(ch.schroder_sort, signed[n])
+        for w in parking_functions(n):
+            yield from ch._signings(w)
+        for k in range(n + 1):
+            for a in signed[k]:
+                for b in signed[n - k]:
+                    yield from ch.signed_shifted_shuffle(a, b)
+
+    for n in range(6):
+        for s in made(n):
+            assert ch.SignedWord(s.word, s.signs) == s
+
+
 # -- super-Narayana ----------------------------------------------------------------
 
 
@@ -103,10 +151,11 @@ def test_counting_equals_symmetric_route():
 
 
 def test_symmetric_route_at_six():
-    # beyond the counting route's reach in a test: gate P_6(t, q) by its
-    # q = 0 slice (Schroeder paths) and its value at q = 1, the 2^6 7^5
-    # signed parking functions counted by minus signs
+    # gate P_6(t, q) by the counting route, by its q = 0 slice (Schroeder
+    # paths) and by its value at q = 1, the 2^6 7^5 signed parking functions
+    # counted by minus signs
     p6 = ch.super_narayana_sym(6)
+    assert p6 == ch.super_narayana_count(6)
     assert p6.substitute("q", 0) == ch.schroder_polynomials(6)[0]
     assert p6.substitute("q", 1) == (1 + t) ** 6 * 7 ** 5
     with pytest.raises(ValueError):

@@ -174,6 +174,25 @@ def test_quasi_ribbon_validation_and_text():
     assert cb.QuasiRibbon.parse(str(big)) == big
 
 
+def _segment_text(q):
+    """The text of a quasi-ribbon formatted segment by segment, letter by
+    letter, with commas once a letter reaches 10."""
+    cuts = [0, *sorted(q.bars), len(q.word)]
+    segments = [q.word[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+    sep = "," if any(v >= 10 for v in q.word) else ""
+    return "|".join(sep.join(str(v) for v in s) for s in segments)
+
+
+def test_quasi_ribbon_text_matches_segment_formula():
+    ribbons = [q for n in range(8) for q in cb.quasi_ribbons(n)]
+    ribbons.append(cb.QuasiRibbon((1, 1, 3, 4, 5, 6, 7, 8, 9, 10, 10),
+                                  {2, 9}))
+    for q in ribbons:
+        assert str(q) == _segment_text(q)
+        assert cb.QuasiRibbon.parse(str(q)) == q
+    assert str(ribbons[-1]) == "1,1|3,4,5,6,7,8,9|10,10"
+
+
 @given(_near_ndpf, st.sets(st.integers(-1, 8), max_size=3))
 def test_quasi_ribbon_accepts_exactly_the_valid_pairs(letters, bars):
     valid = _is_ndpf_by_generators(letters) and all(
@@ -313,6 +332,7 @@ def test_parking_stream_matches_brute_force():
 
 def test_streams_match_cached_tuples():
     for n in range(8):
+        assert tuple(cb.iter_ndpfs(n)) == cb.ndpfs(n)
         assert tuple(cb.iter_parking_functions(n)) == cb.parking_functions(n)
         assert tuple(cb.iter_packed_words(n)) == cb.packed_words(n)
 
@@ -321,8 +341,8 @@ def test_enumeration_cap():
     with pytest.raises(ValueError):
         cb.ndpfs(13)
     # the streams check their size when called, before the first item
-    for stream in (cb.iter_parking_functions, cb.iter_packed_words,
-                   cb.iter_quasi_ribbons):
+    for stream in (cb.iter_ndpfs, cb.iter_parking_functions,
+                   cb.iter_packed_words, cb.iter_quasi_ribbons):
         with pytest.raises(ValueError):
             stream(13)
 
