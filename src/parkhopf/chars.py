@@ -21,9 +21,9 @@ from math import comb, factorial, prod
 from operator import add
 
 from . import hopf
-from .combinat import (QuasiRibbon, is_parking, iter_parking_functions,
-                       ndpfs, packed_evaluation, parking_functions,
-                       quasi_ribbons, shifted_shuffle)
+from .combinat import (QuasiRibbon, is_ndpf, is_parking,
+                       iter_parking_functions, ndpfs, packed_evaluation,
+                       parking_functions, quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
 from .lagrange import solve_g
@@ -31,75 +31,41 @@ from .symfun import binomial_poly, cycle_enumerator, evaluate
 
 
 # -- signed words --------------------------------------------------------------
+#
+# A signed word is a tuple of nonzero ints: the letter x signed - (the barred
+# letter) is -x.  It is a signed parking function when the absolute values
+# form a parking function.  The signed statistics compare letters in the
+# integer order, so -4 < -1 < 1 < 2.
 
 
-class SignedWord:
-    """A parking function with a sign in {+1, -1} attached to every letter."""
+def is_signed_parking(v) -> bool:
+    """True iff the absolute values are parking, so that no letter is 0."""
+    return is_parking(map(abs, v))
 
-    __slots__ = ("word", "signs")
 
-    def __init__(self, word, signs):
-        self.word = tuple(word)
-        self.signs = tuple(signs)
-        if len(self.word) != len(self.signs):
-            raise ValueError("sign word length mismatch")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError(f"signs must be +-1: {signs}")
-        if not is_parking(self.word):
-            raise ValueError(f"base word is not parking: {self.word}")
+def signed_to_text(v) -> str:
+    """The letters joined by commas, a barred letter x written as -x."""
+    return ",".join(map(str, v))
 
-    @classmethod
-    def _trusted(cls, word: tuple, signs: tuple) -> "SignedWord":
-        """The signed word on tuples that are already valid, with no check:
-        for the producers below, which keep their inputs valid."""
-        s = object.__new__(cls)
-        s.word = word
-        s.signs = signs
-        return s
 
-    def values(self) -> tuple:
-        """The signed letters e_i a_i, compared in the usual integer order."""
-        return tuple(s * v for s, v in zip(self.signs, self.word))
-
-    @property
-    def minus_count(self) -> int:
-        return self.signs.count(-1)
-
-    def __len__(self):
-        return len(self.word)
-
-    def __eq__(self, other):
-        return (isinstance(other, SignedWord) and self.word == other.word
-                and self.signs == other.signs)
-
-    def __hash__(self):
-        return hash((self.word, self.signs))
-
-    def __str__(self):
-        return ",".join(str(s * v) for s, v in zip(self.signs, self.word))
-
-    @classmethod
-    def parse(cls, text: str) -> "SignedWord":
-        vals = [int(p) for p in text.split(",") if p.strip()]
-        return cls(tuple(abs(v) for v in vals),
-                   tuple(1 if v > 0 else -1 for v in vals))
-
-    def __repr__(self):
-        return f"SignedWord({self})"
+def text_to_signed(text: str) -> tuple:
+    """The signed parking function written by `signed_to_text`."""
+    v = tuple(int(p) for p in text.split(",") if p.strip())
+    if not is_signed_parking(v):
+        raise ValueError(f"not a signed parking function: {text!r}")
+    return v
 
 
 def _signings(word):
     """The 2^len(word) signed words on the letters of a parking word."""
-    word = tuple(word)
-    return (SignedWord._trusted(word, signs)
-            for signs in itertools.product((-1, 1), repeat=len(word)))
+    return itertools.product(*((-x, x) for x in word))
 
 
 def signed_parking_functions(n: int):
-    """All pairs (parking function, sign word); 2^n (n+1)^(n-1) of them."""
-    for w in iter_parking_functions(n):
-        for signs in itertools.product((-1, 1), repeat=n):
-            yield SignedWord._trusted(w, signs)
+    """All signed parking functions of length n, 2^n (n+1)^(n-1) of them:
+    the signings of each parking function in turn."""
+    return itertools.chain.from_iterable(
+        map(_signings, iter_parking_functions(n)))
 
 
 def _beaten_by(b):
@@ -109,17 +75,16 @@ def _beaten_by(b):
     return b.__le__ if b < 0 else b.__lt__
 
 
-def signed_stats(s: SignedWord):
+def signed_stats(v):
     """(minus count, signed inversions, signed descent set, signed major index).
 
     (i, j) with i < j is a signed inversion when v_i beats v_j: v_i > v_j, or
     v_i = v_j with the common sign negative; descents are the adjacent version.
     """
-    v = s.values()
     beaten = [_beaten_by(b) for b in v]
     sinv = sum(sum(map(beaten[j], v[:j])) for j in range(len(v)))
     sdes = frozenset(j for j in range(1, len(v)) if beaten[j](v[j - 1]))
-    return s.minus_count, sinv, sdes, sum(sdes)
+    return sum(x < 0 for x in v), sinv, sdes, sum(sdes)
 
 
 def _signing_stats(word):
@@ -259,14 +224,11 @@ def qtF_identity_check(sigma) -> bool:
     return True
 
 
-def signed_shifted_shuffle(a: SignedWord, b: SignedWord):
-    """Shifted shuffle of signed words: letters shift, signs travel along."""
+def signed_shifted_shuffle(a, b):
+    """Shifted shuffle of signed words: the letters of b move len(a) away
+    from 0 and keep their signs."""
     n = len(a)
-    letters = a.word + tuple(v + n for v in b.word)
-    signs = a.signs + b.signs
-    for positions in shifted_shuffle(range(n), range(len(b)), n):
-        yield SignedWord._trusted(tuple(letters[i] for i in positions),
-                                  tuple(signs[i] for i in positions))
+    return shifted_shuffle(a, (x + n if x > 0 else x - n for x in b), 0)
 
 
 def s_character_check(n: int) -> bool:
@@ -363,62 +325,57 @@ def dyck_encode(path: str) -> tuple:
     (one plus the number of down steps before it); the word is an NDPF.
     This is the Schroeder encoding of a path without h."""
     _validate_path(path, allow_h=False)
-    return schroder_encode(path).word
+    return schroder_encode(path)
 
 
 def dyck_decode(pi) -> str:
-    """The Dyck path of a nondecreasing parking function: the Schroeder
-    decoding of its word with every sign +1."""
+    """The Dyck path of a nondecreasing parking function: its Schroeder
+    decoding, every letter signed +."""
     pi = tuple(pi)
-    return schroder_decode(SignedWord(pi, (1,) * len(pi)))
+    if not is_ndpf(pi):
+        raise ValueError(f"not a nondecreasing parking function: {pi}")
+    return schroder_decode(pi)
 
 
-def schroder_encode(path: str) -> SignedWord:
-    """Up steps give their diagonal; an h gives the barred diagonal of the
+def schroder_encode(path: str) -> tuple:
+    """Up steps give their diagonal; an h gives the barred diagonal -d of the
     peak it replaces.  The result is a nondecreasing-type signed word."""
     _validate_path(path, allow_h=True)
-    word, signs = [], []
+    word = []
     diag = 1
     for step in path:
         if step == "u":
             word.append(diag)
-            signs.append(1)
         elif step == "d":
             diag += 1
         else:
-            word.append(diag)
-            signs.append(-1)
+            word.append(-diag)
             diag += 1
-    return SignedWord(word, signs)
+    return tuple(word)
 
 
-def schroder_decode(s: SignedWord) -> str:
+def schroder_decode(v) -> str:
     path = []
     diag = 1
     height = 0
-    for v, sign in zip(s.word, s.signs):
-        if v < diag:
-            raise ValueError(f"letters out of order for a path: {s}")
-        path.append("d" * (v - diag))
-        height -= v - diag
-        diag = v
-        if sign == 1:
+    for x in v:
+        letter = abs(x)
+        if letter < diag:
+            raise ValueError(
+                f"letters out of order for a path: {signed_to_text(v)}")
+        path.append("d" * (letter - diag))
+        height -= letter - diag
+        diag = letter
+        if x > 0:
             path.append("u")
             height += 1
         else:
             path.append("h")
             diag += 1
         if height < 0:
-            raise ValueError(f"not a path encoding: {s}")
+            raise ValueError(f"not a path encoding: {signed_to_text(v)}")
     path.append("d" * height)
     return "".join(path)
-
-
-def schroder_sort(s: SignedWord) -> SignedWord:
-    """Reorder the letters by the signed-integer order (so -4 < -1 < 1 < 2)."""
-    pairs = sorted(zip(s.word, s.signs), key=lambda p: p[0] * p[1])
-    return SignedWord._trusted(tuple(p[0] for p in pairs),
-                               tuple(p[1] for p in pairs))
 
 
 def _sorted_signed_pfs(n: int):
@@ -434,9 +391,7 @@ def _sorted_signed_pfs(n: int):
                 remaining = list(pi)
                 for v in negs:
                     remaining.remove(v)
-                word = tuple(sorted(negs, reverse=True)) + tuple(remaining)
-                signs = (-1,) * r + (1,) * (n - r)
-                yield SignedWord._trusted(word, signs)
+                yield tuple(-x for x in reversed(negs)) + tuple(remaining)
 
 
 def schroder_polynomials(n: int) -> tuple[Poly, bool]:
@@ -449,9 +404,9 @@ def schroder_polynomials(n: int) -> tuple[Poly, bool]:
         raise ValueError("schroder_polynomials supports n <= 7")
     t = Poly.var("t")
     by_paths = Poly((monomial(t=p.count("h")), 1) for p in schroder_paths(n))
-    words = list(_sorted_signed_pfs(n))
-    by_words = Poly((monomial(t=s.minus_count), 1) for s in words)
-    sorted_ok = not any(signed_stats(s)[1] for s in words)
+    stats = list(map(signed_stats, _sorted_signed_pfs(n)))
+    by_words = Poly((monomial(t=m), 1) for m, *_ in stats)
+    sorted_ok = not any(sinv for _, sinv, _, _ in stats)
     z = Poly.var("z")
     inner = (1 - t * z) ** 2 - 4 * z
     sqrt = series_sqrt_expand(inner, n + 1)
@@ -545,8 +500,7 @@ def chi_sqsym(n: int) -> tuple[Poly, bool]:
     pn, routes_ok = schroder_polynomials(n)
     cn = narayana_from_pn(pn)
     ok = routes_ok
-    # chi(G_n) = (1+t) c_n(1+t)
-    ok = ok and chi_gn == (1 + t) * cn.substitute("t", 1 + t)
+    # chi(G_n) = (1+t) dist = (1+t) c_n(1+t)
     ok = ok and dist == cn.substitute("t", 1 + t)
     ok = ok and chi_path_model_check(n)
     ok = ok and _multiplicative(quasi_ribbons, hopf.sqsym_product, _chi_value,

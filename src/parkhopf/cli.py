@@ -84,7 +84,8 @@ _ENUM_FAMILIES = {
     "perm": (lambda n: map(combinat.word_to_text,
                            itertools.permutations(range(1, n + 1))),
              factorial),
-    "signed-pf": (lambda n: map(str, chars.signed_parking_functions(n)),
+    "signed-pf": (lambda n: map(chars.signed_to_text,
+                                chars.signed_parking_functions(n)),
                   lambda n: 2 ** n * _parking_count(n)),
     "dyck": (chars.dyck_paths, _catalan),
     "schroder": (chars.schroder_paths, _large_schroder),
@@ -143,29 +144,26 @@ def _symelem_json(elem) -> list[dict]:
             for k, c in keys]
 
 
+# series: (its solver, up to a degree; the JSON fields of one component).
+# Rows look the library up when they run, as the ``_CHECKS`` rows do.
+_SERIES = {
+    "g": (lambda n: lagrange.solve_g(n),
+          lambda comp: {"terms": _symelem_json(comp)}),
+    "f": (lambda n: lagrange.solve_f(n),
+          lambda comp: {"terms": _symelem_json(comp)}),
+    "G": (lambda n: lagrange.solve_G_cqsym(n),
+          lambda comp: hopf.element_to_json(comp, "P")),
+    "X": (lambda n: lagrange.solve_X_fqsym(n),
+          lambda comp: hopf.element_to_json(comp, "G")),
+}
+
+
 def _cmd_series(args) -> int:
-    n = args.degree
-    components: list[dict] = []
-    if args.which == "g":
-        series = lagrange.solve_g(n)
-        for d, comp in enumerate(series):
-            components.append({"degree": d, "terms": _symelem_json(comp)})
-    elif args.which == "f":
-        series = lagrange.solve_f(n)
-        for d, comp in enumerate(series):
-            components.append({"degree": d, "terms": _symelem_json(comp)})
-    elif args.which == "G":
-        series = lagrange.solve_G_cqsym(n)
-        for d, comp in enumerate(series):
-            components.append(
-                {"degree": d, **hopf.element_to_json(comp, "P")})
-    else:
-        series = lagrange.solve_X_fqsym(n)
-        for d, comp in enumerate(series):
-            components.append(
-                {"degree": d, **hopf.element_to_json(comp, "G")})
+    solve, component_json = _SERIES[args.which]
+    components = [{"degree": d, **component_json(comp)}
+                  for d, comp in enumerate(solve(args.degree))]
     print(json.dumps({"schema": SCHEMA, "series": args.which,
-                      "degree": n, "components": components}))
+                      "degree": args.degree, "components": components}))
     return 0
 
 
@@ -206,7 +204,7 @@ def _cmd_bijection(args) -> int:
     elif args.direction == "dyck-encode":
         print(combinat.word_to_text(chars.dyck_encode(text)))
     else:  # schroder-encode
-        print(str(chars.schroder_encode(text)))
+        print(chars.signed_to_text(chars.schroder_encode(text)))
     return 0
 
 
@@ -436,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("series", help="expand a functional-equation series")
-    p.add_argument("--which", required=True, choices=("g", "f", "G", "X"))
+    p.add_argument("--which", required=True, choices=tuple(_SERIES))
     p.add_argument("--degree", type=_int_in(0), required=True)
     p.set_defaults(func=_cmd_series)
 

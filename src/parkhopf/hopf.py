@@ -27,11 +27,12 @@ from math import factorial
 from operator import itemgetter
 
 from .combinat import (NotInSubalgebraError, QuasiRibbon,
-                       hypoplactic_quasi_ribbon, packed_evaluation,
-                       parking_functions, parkize, shifted_concat_len,
+                       hypoplactic_quasi_ribbon, ndpfs, packed_evaluation,
+                       packed_words, parking_functions, parkize,
+                       permutations, quasi_ribbons, shifted_concat_len,
                        shifted_concat_max, shifted_shuffle,
                        sort_ascending, standardize, word_to_text)
-from .exact import LinComb
+from .exact import LinComb, kernel_dimension
 from .symfun import SymElem
 
 
@@ -138,8 +139,6 @@ def dup_bracket(a: LinComb, b: LinComb) -> LinComb:
 
 def primitive_dimension(n: int) -> int:
     """Kernel dimension of the duplicial coproduct in degree n."""
-    from .combinat import ndpfs
-    from .exact import kernel_dimension
     if n > 8:
         raise ValueError("primitive_dimension supports n <= 8")
     return kernel_dimension(
@@ -446,7 +445,6 @@ def _splitting_holds(family, max_total: int, product, parts) -> bool:
 
 def duplicial_axioms_cqsym(max_total: int = 6) -> bool:
     """Both associativities and (x>y)<z = x>(y<z) on the multiplicative basis."""
-    from .combinat import ndpfs
     prec, succ = shifted_concat_max, shifted_concat_len
     return _relations_hold(ndpfs, max_total, [
         (prec, prec, prec, prec), (succ, succ, succ, succ),
@@ -463,7 +461,6 @@ def cross_relation_fails_cqsym() -> bool:
 
 def duplicial_axioms_pqsym(max_total: int = 5) -> bool:
     """The normalized duplicial pair on parking words, on basis triples."""
-    from .combinat import parking_functions
     prec, prod = pqsym_dup_prec, pqsym_product
     return _relations_hold(parking_functions, max_total, [
         (prec, prec, prec, prec), (prod, prod, prod, prod),
@@ -472,7 +469,6 @@ def duplicial_axioms_pqsym(max_total: int = 5) -> bool:
 
 def triduplicial_axioms(max_total: int = 6) -> bool:
     """Three associativities and the four mixed relations on quasi-ribbons."""
-    from .combinat import quasi_ribbons
     return _relations_hold(quasi_ribbons, max_total, [
         *((op, op, op, op) for op in (qr_prec, qr_succ, qr_mid)),
         *((f, g, f, g) for f, g in [(qr_succ, qr_prec), (qr_mid, qr_prec),
@@ -482,7 +478,6 @@ def triduplicial_axioms(max_total: int = 6) -> bool:
 def dendriform_axioms_fqsym(max_total: int = 6) -> bool:
     """(x<y)<z = x<(yz), (x>y)<z = x>(y<z), (xy)>z = x>(y>z), and the
     splitting of the convolution product into the two halves."""
-    from .combinat import permutations
     left, right, prod = fqsym_left, fqsym_right, fqsym_product
     return _relations_hold(permutations, max_total, [
         (left, left, left, prod), (right, left, right, left),
@@ -493,7 +488,6 @@ def dendriform_axioms_fqsym(max_total: int = 6) -> bool:
 
 def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
     """The seven relations of the three-piece splitting on packed words."""
-    from .combinat import packed_words
     left, mid, right = wqsym_left, wqsym_mid, wqsym_right
     return _relations_hold(packed_words, max_total, [
         (left, left, left, wqsym_product), (right, left, right, left),
@@ -506,7 +500,6 @@ def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
 def bialgebra_axiom_check(max_total: int = 5) -> bool:
     """delta(x*y) = x(x)y + sum x1 (x) (x2*y) + sum (x*y1) (x) y2
     for * in {<, >} on pairs of basis keys of total degree <= max_total."""
-    from .combinat import ndpfs
     for op in (cqsym_prec, cqsym_succ):
         for a, b in _keys_by_total(ndpfs, max_total, 2):
             x, y = LinComb.term(a), LinComb.term(b)
@@ -524,7 +517,6 @@ def bialgebra_axiom_check(max_total: int = 5) -> bool:
 
 def coassociativity_check(max_degree: int = 5) -> bool:
     """(delta (x) id) delta = (id (x) delta) delta, flattened to triples."""
-    from .combinat import ndpfs
     for n in range(1, max_degree + 1):
         for pi in ndpfs(n):
             delta = dup_coproduct(LinComb.term(pi))

@@ -28,7 +28,7 @@ import itertools
 
 from .combinat import (QuasiRibbon, binary_trees, shifted_concat_len,
                        shifted_concat_max)
-from .exact import LinComb
+from .exact import LinComb, span_dimension
 from .hopf import (qr_mid, qr_prec, qr_succ, wqsym_left, wqsym_mid,
                    wqsym_right)
 
@@ -252,7 +252,6 @@ def tridendriform_span_dimension(n: int) -> int:
     """Dimension of the span of all degree-n products of the one-letter
     generator under the three tridendriform operations of the packed-word
     algebra."""
-    from .exact import span_dimension
     if n > 6:
         raise ValueError("tridendriform_span_dimension supports n <= 6")
     return span_dimension(eval_tree_wqsym(t) for t in all_eval_trees("tri", n))

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from parkhopf import chars as ch
-from parkhopf.combinat import (iter_parking_functions, ndpfs,
+from parkhopf.combinat import (is_ndpf, iter_parking_functions, ndpfs,
                                parking_functions, shifted_shuffle)
 from parkhopf.exact import Poly, monomial
 
@@ -17,40 +17,37 @@ t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
 
 def test_signed_word_basics():
-    s = ch.SignedWord((1, 1), (-1, -1))
-    assert s.minus_count == 2 and s.values() == (-1, -1)
-    assert str(ch.SignedWord((4, 1, 1, 1, 2), (-1, -1, 1, 1, 1))) == \
-        "-4,-1,1,1,2"
-    assert ch.SignedWord.parse("-4,-1,1,1,2") == \
-        ch.SignedWord((4, 1, 1, 1, 2), (-1, -1, 1, 1, 1))
+    s = (-1, -1)
+    assert ch.is_signed_parking(s) and ch.signed_stats(s)[0] == 2
+    assert ch.signed_to_text((-4, -1, 1, 1, 2)) == "-4,-1,1,1,2"
+    assert ch.text_to_signed("-4,-1,1,1,2") == (-4, -1, 1, 1, 2)
+    assert not ch.is_signed_parking((2, 2))  # base word must be parking
+    assert not ch.is_signed_parking((0, 1))  # letters start at 1
     with pytest.raises(ValueError):
-        ch.SignedWord((1, 2), (1,))
+        ch.text_to_signed("2,2")
     with pytest.raises(ValueError):
-        ch.SignedWord((2, 2), (1, 1))  # base word must be parking
+        ch.text_to_signed("0,1")
     with pytest.raises(ValueError):
-        ch.SignedWord.parse("0,1")  # letters start at 1
+        ch.text_to_signed("1,x")
 
 
 def test_signed_shifted_shuffle():
-    for a, b in [(ch.SignedWord((2, 1), (-1, 1)),
-                  ch.SignedWord((1, 1, 2), (1, -1, -1))),
-                 (ch.SignedWord((1,), (-1,)), ch.SignedWord((1, 1), (1, -1)))]:
+    for a, b in [((-2, 1), (1, -1, -2)), ((-1,), (1, -1))]:
         n = len(a)
         out = list(ch.signed_shifted_shuffle(a, b))
-        assert [s.word for s in out] == shifted_shuffle(a.word, b.word, n)
+        assert [tuple(map(abs, s)) for s in out] == \
+            shifted_shuffle(map(abs, a), map(abs, b), n)
         for s in out:  # letters <= n come from a, the others from b
-            pairs = list(zip(s.word, s.signs))
-            assert [(v, e) for v, e in pairs if v <= n] == \
-                list(zip(a.word, a.signs))
-            assert [(v - n, e) for v, e in pairs if v > n] == \
-                list(zip(b.word, b.signs))
+            assert [x for x in s if abs(x) <= n] == list(a)
+            assert [x - n if x > 0 else x + n for x in s if abs(x) > n] == \
+                list(b)
 
 
 def test_signed_stats_examples():
-    m, sinv, sdes, smaj = ch.signed_stats(ch.SignedWord((1, 1), (-1, -1)))
+    m, sinv, sdes, smaj = ch.signed_stats((-1, -1))
     assert (m, sinv) == (2, 1)
-    assert ch.signed_stats(ch.SignedWord((2, 1), (1, 1)))[1] == 1
-    m, sinv, sdes, smaj = ch.signed_stats(ch.SignedWord((1, 2), (1, 1)))
+    assert ch.signed_stats((2, 1))[1] == 1
+    m, sinv, sdes, smaj = ch.signed_stats((1, 2))
     assert sinv == 0 and smaj == 0
 
 
@@ -60,13 +57,12 @@ def test_signed_counts():
         assert count == 2 ** n * (n + 1) ** (n - 1)
 
 
-def _brute_stats(s):
+def _brute_stats(v):
     """Independent recomputation of the statistics from the definition."""
-    v = [e * w for e, w in zip(s.signs, s.word)]
     sinv = sum(1 for i in range(len(v)) for j in range(i + 1, len(v))
-               if v[i] > v[j] or (v[i] == v[j] and s.signs[i] == -1))
+               if v[i] > v[j] or (v[i] == v[j] and v[i] < 0))
     des = [i for i in range(1, len(v))
-           if v[i - 1] > v[i] or (v[i - 1] == v[i] and s.signs[i - 1] == -1)]
+           if v[i - 1] > v[i] or (v[i - 1] == v[i] and v[i - 1] < 0)]
     return sinv, sum(des)
 
 
@@ -88,7 +84,8 @@ def test_signing_walk_matches_signed_words():
         words = list(ch.signed_parking_functions(n))
         by_words = Counter((m, sinv, smaj) for m, sinv, _, smaj
                            in map(ch.signed_stats, words))
-        brute = Counter((s.minus_count, *_brute_stats(s)) for s in words)
+        brute = Counter((sum(x < 0 for x in s), *_brute_stats(s))
+                        for s in words)
         assert walk == by_words == brute
         assert sum(walk.values()) == 2 ** n * (n + 1) ** (n - 1)
 
@@ -103,15 +100,14 @@ def test_signed_weight_matches_signed_words():
 
 
 def test_unchecked_producers_make_valid_signed_words():
-    # every signed word built without the constructor's check, rebuilt by
-    # the validating constructor, for total size <= 5; equality also needs
-    # tuple fields, as the constructor makes them
+    # every signed word a producer builds without a check, for total size
+    # <= 5, is a tuple that passes the predicate and survives the text round
+    # trip
     signed = [list(ch.signed_parking_functions(n)) for n in range(6)]
 
     def made(n):
         yield from signed[n]
         yield from ch._sorted_signed_pfs(n)
-        yield from map(ch.schroder_sort, signed[n])
         for w in parking_functions(n):
             yield from ch._signings(w)
         for k in range(n + 1):
@@ -121,7 +117,9 @@ def test_unchecked_producers_make_valid_signed_words():
 
     for n in range(6):
         for s in made(n):
-            assert ch.SignedWord(s.word, s.signs) == s
+            assert type(s) is tuple and len(s) == n
+            assert ch.is_signed_parking(s)
+            assert ch.text_to_signed(ch.signed_to_text(s)) == s
 
 
 # -- super-Narayana ----------------------------------------------------------------
@@ -197,14 +195,24 @@ def test_dyck_bijection():
             assert ch.dyck_decode(ch.dyck_encode(p)) == p
 
 
+def test_dyck_decode_rejects_what_is_not_an_ndpf():
+    for k in range(5):
+        for w in itertools.product(range(-2, 6), repeat=k):
+            if not is_ndpf(w):
+                with pytest.raises(ValueError):
+                    ch.dyck_decode(w)
+    for k in range(8):
+        for pi in ndpfs(k):
+            assert ch.dyck_encode(ch.dyck_decode(pi)) == pi
+
+
 def test_schroder_encode_examples():
     enc = ch.schroder_encode("uuhuddhd")
-    assert enc == ch.SignedWord((1, 1, 1, 2, 4), (1, 1, -1, 1, -1))
-    assert str(ch.schroder_sort(enc)) == "-4,-1,1,1,2"
-    assert ch.schroder_encode("h") == ch.SignedWord((1,), (-1,))
+    assert enc == (1, 1, -1, 2, -4)
+    assert ch.signed_to_text(sorted(enc)) == "-4,-1,1,1,2"
+    assert ch.schroder_encode("h") == (-1,)
     # a pure Dyck path encodes without bars, matching the Dyck encoding
-    assert ch.schroder_encode("uudd") == \
-        ch.SignedWord(ch.dyck_encode("uudd"), (1, 1))
+    assert ch.schroder_encode("uudd") == ch.dyck_encode("uudd") == (1, 1)
 
 
 def test_schroder_roundtrip_and_sorted_no_inversions():
@@ -212,7 +220,8 @@ def test_schroder_roundtrip_and_sorted_no_inversions():
         for p in ch.schroder_paths(n):
             enc = ch.schroder_encode(p)
             assert ch.schroder_decode(enc) == p
-            assert ch.signed_stats(ch.schroder_sort(enc))[1] == 0
+            assert ch.is_signed_parking(enc)
+            assert ch.signed_stats(tuple(sorted(enc)))[1] == 0
 
 
 def test_schroder_counts():
@@ -251,10 +260,9 @@ def test_schroder_polynomial_rows():
 
 def test_sorted_signed_pfs_against_brute_force():
     for n in range(1, 5):
-        brute = sorted(
-            (s.word, s.signs) for s in ch.signed_parking_functions(n)
-            if ch.signed_stats(s)[1] == 0)
-        direct = sorted((s.word, s.signs) for s in ch._sorted_signed_pfs(n))
+        brute = sorted(s for s in ch.signed_parking_functions(n)
+                       if ch.signed_stats(s)[1] == 0)
+        direct = sorted(ch._sorted_signed_pfs(n))
         assert brute == direct
 
 

@@ -56,7 +56,8 @@ _LIBRARY_ITEMS = {
     "packed": lambda n: map(combinat.word_to_text, combinat.packed_words(n)),
     "perm": lambda n: map(combinat.word_to_text, combinat.permutations(n)),
     "signed-pf": lambda n: (
-        str(chars.SignedWord(w, signs)) for w in combinat.parking_functions(n)
+        chars.signed_to_text(e * x for e, x in zip(signs, w))
+        for w in combinat.parking_functions(n)
         for signs in itertools.product((-1, 1), repeat=n)),
     "dyck": chars.dyck_paths,
     "schroder": chars.schroder_paths,
