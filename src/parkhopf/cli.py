@@ -6,13 +6,15 @@ largest size it runs at, and the check itself.  A check runs at
 min(--max-n, its top), and --max-n takes 1 up to the largest top (8).
 
 Every enumerate family is one row of ``_ENUM_FAMILIES``: its items as text
-in the library's order, and its count from a closed form.  enumerate writes
-each item as it is produced, so no format holds the family in memory; JSON
-prints the formula count before it streams the items.  ``_ENUM_BUDGET`` is
-the one bound on enumerate: a family whose count is over it exits 2 before
-it enumerates anything, and a stream whose length differs from its formula
-exits 1.  ndpf and tree also keep the library's n <= 12; tree is the one
-family built whole, as the library's cached tuple, before its first line.
+in the library's order, and its count from a closed form.  Every family,
+tree included, streams: enumerate renders and writes its items in fixed
+blocks as they are produced, so no format holds the family in memory, and
+JSON prints the formula count before it streams the items.  The word
+families render a block as one byte translation when its letters are all
+digits, and word by word otherwise.  ``_ENUM_BUDGET`` is the one bound on
+enumerate: a family whose count is over it exits 2 before it enumerates
+anything, and a stream whose length differs from its formula exits 1.  ndpf
+and tree also keep the library's n <= 12.
 
 The other commands are bounded by their library functions' size caps, and
 bijection takes at most ``_MAX_INPUT`` characters of input, which keeps the
@@ -71,25 +73,26 @@ def _parking_count(n: int) -> int:
 # family: (its items of size n as text, in the library's order, with every
 # size check made before the first item; their number, from a closed form)
 _ENUM_FAMILIES = {
-    "pf": (lambda n: map(combinat.word_to_text,
-                         combinat.iter_parking_functions(n)),
+    "pf": (lambda n: combinat.words_to_text(
+               combinat.iter_parking_functions(n)),
            _parking_count),
-    "ndpf": (lambda n: map(combinat.word_to_text, combinat.iter_ndpfs(n)),
+    "ndpf": (lambda n: combinat.words_to_text(combinat.iter_ndpfs(n)),
              _catalan),
     "qribbon": (lambda n: map(str, combinat.iter_quasi_ribbons(n)),
                 _little_schroder),
-    "packed": (lambda n: map(combinat.word_to_text,
-                             combinat.iter_packed_words(n)),
+    "packed": (lambda n: combinat.words_to_text(
+                   combinat.iter_packed_words(n)),
                _ordered_bell),
-    "perm": (lambda n: map(combinat.word_to_text,
-                           itertools.permutations(range(1, n + 1))),
+    "perm": (lambda n: combinat.words_to_text(
+                 itertools.permutations(range(1, n + 1))),
              factorial),
     "signed-pf": (lambda n: map(chars.signed_to_text,
                                 chars.signed_parking_functions(n)),
                   lambda n: 2 ** n * _parking_count(n)),
     "dyck": (chars.dyck_paths, _catalan),
     "schroder": (chars.schroder_paths, _large_schroder),
-    "tree": (lambda n: map(combinat.tree_to_text, combinat.binary_trees(n)),
+    "tree": (lambda n: map(combinat.tree_to_text,
+                           combinat.iter_binary_trees(n)),
              _catalan),
 }
 # the most items one enumerate run may print: parking functions of size 8
@@ -107,28 +110,31 @@ def _cmd_enumerate(args) -> int:
               file=sys.stderr)
         return 2
     count = count_of(args.n)
-    # each line is written as its item is produced, so no list of lines is
-    # built, and the streamed families are never held in memory
-    items = items(args.n)
+    # the items are written one block at a time as they are produced, so no
+    # list of all the lines is built, and no family is held in memory
+    items = iter(items(args.n))
+    blocks = iter(lambda: list(itertools.islice(items, combinat._BLOCK)), [])
     write = sys.stdout.write
     written = 0
     if args.format == "lines":
-        for written, item in enumerate(items, 1):
-            write(f"{item}\n")
+        for block in blocks:
+            write("\n".join(block) + "\n")
+            written += len(block)
     elif args.format == "json":
         # the bytes of json.dumps of the whole report, items streamed last
         head = json.dumps({"schema": SCHEMA, "family": args.family,
                            "n": args.n, "count": count, "items": []})
         write(head[:-2])
-        for written, item in enumerate(items, 1):
-            write(json.dumps(item) if written == 1
-                  else ", " + json.dumps(item))
+        for block in blocks:
+            write(("" if written == 0 else ", ") + json.dumps(block)[1:-1])
+            written += len(block)
         write("]}\n")
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["item"])
-        for written, item in enumerate(items, 1):
-            writer.writerow([item])
+        for block in blocks:
+            writer.writerows(zip(block))
+            written += len(block)
     if written != count:
         raise AssertionError(f"{args.family} of size {args.n} gave {written} "
                              f"items, its closed form {count}")

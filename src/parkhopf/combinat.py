@@ -5,10 +5,11 @@ all operations are pure functions.  Every family comes in a fixed canonical
 order, free of duplicates: lexicographic on letter sequences, and for binary
 trees by left-subtree size then recursively.  The word families are walked
 one letter at a time by `_words`; `iter_ndpfs`, `iter_parking_functions`,
-`iter_packed_words` and `iter_quasi_ribbons` yield their items as they are
-found, and the cached tuples the algebra code reuses (`ndpfs`,
-`parking_functions`, `packed_words`, `quasi_ribbons`, ...) are built from
-the same streams.  The supported enumeration range is n <= 12.
+`iter_packed_words`, `iter_quasi_ribbons` and `iter_binary_trees` yield
+their items as they are found, and the cached tuples the algebra code reuses
+(`ndpfs`, `parking_functions`, `packed_words`, `quasi_ribbons`,
+`binary_trees`, ...) are built from the same streams.  The supported
+enumeration range is n <= 12.
 """
 
 from __future__ import annotations
@@ -186,8 +187,9 @@ class QuasiRibbon:
     def __str__(self):
         cuts = [0, *sorted(self.bars), len(self.word)]
         if self.word and max(self.word) >= 10:
-            return "|".join(",".join(map(str, self.word[a:b]))
-                            for a, b in zip(cuts, cuts[1:]))
+            parts = list(map(str, self.word))
+            return "|".join(map(",".join, map(parts.__getitem__,
+                                              map(slice, cuts, cuts[1:]))))
         # one letter per character: cut the digit string at the bars
         return "|".join(map(word_to_text(self.word).__getitem__,
                             map(slice, cuts, cuts[1:])))
@@ -494,18 +496,20 @@ def compositions(n: int) -> tuple:
     return tuple(out)
 
 
+def iter_binary_trees(n: int):
+    """The binary trees with n internal nodes, by left-subtree size, one at
+    a time, each built from the cached trees of the smaller sizes."""
+    _check_n(n)
+    if n == 0:
+        return iter((None,))
+    return ((left, right) for k in range(n) for left in binary_trees(k)
+            for right in binary_trees(n - 1 - k))
+
+
 @lru_cache(maxsize=None)
 def binary_trees(n: int) -> tuple:
     """All binary trees with n internal nodes, by left-subtree size."""
-    _check_n(n)
-    if n == 0:
-        return (None,)
-    out = []
-    for k in range(n):
-        for left in binary_trees(k):
-            for right in binary_trees(n - 1 - k):
-                out.append((left, right))
-    return tuple(out)
+    return tuple(iter_binary_trees(n))
 
 
 # -- text encodings ----------------------------------------------------------
@@ -520,6 +524,34 @@ def word_to_text(w) -> str:
     if w and (min(w) < 0 or max(w) >= 10):
         return ("," if max(w) >= 10 else "").join(map(str, w))
     return bytes(w).translate(_DIGITS).decode()
+
+
+# words per block of `words_to_text` (and lines per write of `enumerate`):
+# enough to spread the per-call costs over many words, while larger blocks
+# raise peak memory and gain no speed
+_BLOCK = 256
+
+
+def words_to_text(words):
+    """The texts `word_to_text` gives the words, one at a time, converted a
+    block at a time.
+
+    A block is one `bytes.translate` when the block shows that every letter
+    is a digit: `bytes` takes each letter as a byte (no letter is below 0 or
+    above 255), no byte is above the newline 10 that joins the words, and
+    the only newlines are the joins.  Any other block goes word by word.
+    """
+    words = iter(words)
+    for block in iter(lambda: list(itertools.islice(words, _BLOCK)), []):
+        try:
+            joined = b"\n".join(map(bytes, block))
+        except ValueError:
+            joined = None
+        if joined is not None and max(joined, default=0) <= 10 \
+                and joined.count(10) == len(block) - 1:
+            yield from joined.translate(_DIGITS).decode().split("\n")
+        else:
+            yield from map(word_to_text, block)
 
 
 def text_to_word(s: str) -> tuple:

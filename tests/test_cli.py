@@ -91,6 +91,17 @@ def test_every_family_streams_the_library_rendering(capsys):
                 assert out == _rendered(family, n, fmt), (family, n, fmt)
 
 
+def test_block_rendering_matches_item_rendering(capsys):
+    # sizes with many blocks of words, a last partial block among them
+    for family in ("pf", "ndpf", "packed", "perm"):
+        for n in (6, 7):
+            for fmt in ("lines", "json", "csv"):
+                code, out = run(capsys, "enumerate", "--family", family,
+                                "--n", str(n), "--format", fmt)
+                assert code == 0
+                assert out == _rendered(family, n, fmt), (family, n, fmt)
+
+
 def test_enumerate_counts_come_from_closed_forms():
     # an independent count of every family, compared with its formula
     for family, (_, count) in _ENUM_FAMILIES.items():

@@ -337,12 +337,27 @@ def test_streams_match_cached_tuples():
         assert tuple(cb.iter_packed_words(n)) == cb.packed_words(n)
 
 
+def _trees_by_recursion(n):
+    # every (left, right) with k and n - 1 - k nodes, k increasing
+    if n == 0:
+        return [None]
+    return [(left, right) for k in range(n) for left in _trees_by_recursion(k)
+            for right in _trees_by_recursion(n - 1 - k)]
+
+
+def test_tree_stream_matches_recursive_build():
+    for n in range(9):
+        assert list(cb.iter_binary_trees(n)) == _trees_by_recursion(n)
+        assert cb.binary_trees(n) == tuple(_trees_by_recursion(n))
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         cb.ndpfs(13)
     # the streams check their size when called, before the first item
     for stream in (cb.iter_ndpfs, cb.iter_parking_functions,
-                   cb.iter_packed_words, cb.iter_quasi_ribbons):
+                   cb.iter_packed_words, cb.iter_quasi_ribbons,
+                   cb.iter_binary_trees):
         with pytest.raises(ValueError):
             stream(13)
 
@@ -362,3 +377,39 @@ def test_word_text_roundtrip():
     assert cb.text_to_word("1,10,2") == (1, 10, 2)
     assert cb.text_to_word("123") == (1, 2, 3)
     assert cb.text_to_word("") == ()
+
+
+def _words_to_text_agrees(words):
+    words = list(words)
+    assert list(cb.words_to_text(words)) == list(map(cb.word_to_text, words))
+
+
+def test_words_to_text_matches_word_to_text():
+    # blocks that take the one-translate path, and each way of leaving it
+    for block in ([()], [(), (), ()], [(0,)], [(9,), (0, 9)], [(10,)],
+                  [(1, 10, 2), (3,)], [(), (10,), ()], [(11,), (255, 1)],
+                  [(256,)], [(1,), (300, 2)], [(-12,)], [(1,), (-1, 2)],
+                  [(5,)] * 3 + [(10, 1)]):
+        _words_to_text_agrees(block)
+    # around one block: the last word of a block, or the first of the next,
+    # leaves the fast path
+    for size in (cb._BLOCK - 1, cb._BLOCK, cb._BLOCK + 1):
+        digits = [(1 + i % 9, i % 10) for i in range(size)]
+        _words_to_text_agrees(digits)
+        _words_to_text_agrees([()] * size)
+        for bad in (0, size - 1, cb._BLOCK - 1):
+            if bad < size:
+                for letter in (10, 11, 256, -3):
+                    _words_to_text_agrees(
+                        digits[:bad] + [(2, letter)] + digits[bad + 1:])
+
+
+def test_words_to_text_on_every_family():
+    for n in range(8):
+        for stream in (cb.iter_ndpfs, cb.iter_parking_functions,
+                       cb.iter_packed_words, cb.permutations):
+            _words_to_text_agrees(stream(n))
+    # at n = 10 some blocks hold only digits and some a letter 10
+    _words_to_text_agrees(cb.iter_ndpfs(10))
+    _words_to_text_agrees(itertools.islice(
+        itertools.permutations(range(1, 11)), 5000))
