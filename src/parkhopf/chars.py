@@ -21,8 +21,8 @@ from math import comb, factorial, prod
 from operator import add
 
 from . import hopf
-from .combinat import (QuasiRibbon, is_ndpf, is_parking,
-                       iter_parking_functions, ndpfs, packed_evaluation,
+from .combinat import (is_ndpf, is_parking, iter_parking_functions,
+                       iter_quasi_ribbons, ndpfs, packed_evaluation,
                        parking_functions, quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
@@ -427,9 +427,10 @@ def narayana_from_pn(pn_t: Poly) -> Poly:
 
 def bar_distribution(n: int) -> Poly:
     """Sum of t^(number of bars) over the parking quasi-ribbons of size n."""
-    if n > 8:
-        raise ValueError("bar_distribution supports n <= 8")
-    return Poly((monomial(t=q.bar_count), 1) for q in quasi_ribbons(n))
+    if n > 10:
+        raise ValueError("bar_distribution supports n <= 10")
+    counts = Counter(len(bars) for _, bars in iter_quasi_ribbons(n))
+    return Poly((monomial(t=k), c) for k, c in counts.items())
 
 
 def _peak_after_last_h(path: str) -> bool:
@@ -508,9 +509,9 @@ def chi_sqsym(n: int) -> tuple[Poly, bool]:
     return chi_gn, ok
 
 
-def _chi_value(q: QuasiRibbon) -> Poly:
+def _chi_value(q) -> Poly:
     t = Poly.var("t")
-    return (1 + t) * t ** q.bar_count
+    return (1 + t) * t ** len(q[1])
 
 
 def _multiplicative(family, product, value, n: int) -> bool:

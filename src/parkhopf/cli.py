@@ -78,7 +78,8 @@ _ENUM_FAMILIES = {
            _parking_count),
     "ndpf": (lambda n: combinat.words_to_text(combinat.iter_ndpfs(n)),
              _catalan),
-    "qribbon": (lambda n: map(str, combinat.iter_quasi_ribbons(n)),
+    "qribbon": (lambda n: combinat.ribbons_to_text(
+                    combinat.iter_quasi_ribbons(n)),
                 _little_schroder),
     "packed": (lambda n: combinat.words_to_text(
                    combinat.iter_packed_words(n)),
@@ -229,9 +230,9 @@ def _cmd_table(args) -> int:
                 return 1
             rows.append([int(c) for c in pn.coeff_row("t")])
     else:  # bar-distribution
-        for n in range(1, args.n_max + 1):
-            rows.append([int(c)
-                         for c in chars.bar_distribution(n).coeff_row("t")])
+        # largest first, so an n_max past the cap fails before any work
+        rows = [[int(c) for c in chars.bar_distribution(n).coeff_row("t")]
+                for n in range(args.n_max, 0, -1)][::-1]
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "table": args.which,
                           "rows": rows}))

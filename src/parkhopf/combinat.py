@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from operator import le
+from operator import itemgetter, le, lt
 
 MAX_ENUM_N = 12
 
@@ -149,70 +148,35 @@ def recoils(sigma) -> frozenset:
 
 
 # -- quasi-ribbons -----------------------------------------------------------
+#
+# A parking quasi-ribbon is a pair (word, bars): a nondecreasing parking
+# function and the increasing tuple of its bar positions, a bar at i sitting
+# between letters i and i + 1, at a strict ascent.  Tuple order is the
+# canonical order: by word, then by bars.  The enumerators and the
+# operations on quasi-ribbons build valid pairs without checking them; the
+# checks sit at the boundary, in `is_quasi_ribbon` and `text_to_ribbon`.
 
 
-@dataclass(frozen=True)
-class QuasiRibbon:
-    """A nondecreasing parking function with bars at strict ascents only."""
-
-    word: tuple
-    bars: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        word = tuple(self.word)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "bars", frozenset(self.bars))
-        if not is_ndpf(word):
-            raise ValueError(f"not a nondecreasing parking function: {word}")
-        n = len(word)
-        for i in self.bars:
-            if not (0 < i < n and word[i - 1] < word[i]):
-                raise ValueError(f"bar at {i} not at a strict ascent of {word}")
-
-    def __len__(self):
-        return len(self.word)
-
-    @property
-    def bar_count(self) -> int:
-        return len(self.bars)
-
-    def shape(self) -> tuple:
-        """Composition of segment lengths between consecutive bars."""
-        cuts = [0, *sorted(self.bars), len(self.word)]
-        return tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a)
-
-    def sort_key(self):
-        return (self.word, tuple(sorted(self.bars)))
-
-    def __str__(self):
-        cuts = [0, *sorted(self.bars), len(self.word)]
-        if self.word and max(self.word) >= 10:
-            parts = list(map(str, self.word))
-            return "|".join(map(",".join, map(parts.__getitem__,
-                                              map(slice, cuts, cuts[1:]))))
-        # one letter per character: cut the digit string at the bars
-        return "|".join(map(word_to_text(self.word).__getitem__,
-                            map(slice, cuts, cuts[1:])))
-
-    @classmethod
-    def parse(cls, text: str) -> "QuasiRibbon":
-        comma_mode = "," in text
-        word, bars = [], set()
-        for segment_index, segment in enumerate(text.split("|")):
-            if segment_index:
-                bars.add(len(word))
-            if comma_mode:
-                word.extend(int(p) for p in segment.split(",") if p)
-            else:
-                word.extend(int(ch) for ch in segment)
-        return cls(tuple(word), frozenset(bars))
+def is_quasi_ribbon(q) -> bool:
+    """True iff q = (word, bars) with word a nondecreasing parking function
+    and bars increasing positions of its strict ascents."""
+    word, bars = q
+    return is_ndpf(word) and all(map(lt, bars, bars[1:])) and all(
+        0 < i < len(word) and word[i - 1] < word[i] for i in bars)
 
 
-def hypoplactic_quasi_ribbon(a) -> QuasiRibbon:
+def shape(q) -> tuple:
+    """Composition of segment lengths between consecutive bars."""
+    word, bars = q
+    cuts = (0, *bars, len(word))
+    return tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a)
+
+
+def hypoplactic_quasi_ribbon(a) -> tuple:
     """The hypoplactic class P(a): sorted word with bars at the recoils of std(a)."""
     if not is_parking(a):
         raise ValueError(f"not a parking function: {a}")
-    return QuasiRibbon(sort_ascending(a), recoils(standardize(a)))
+    return sort_ascending(a), tuple(sorted(recoils(standardize(a))))
 
 
 # -- compositions ------------------------------------------------------------
@@ -456,18 +420,17 @@ def permutations(n: int) -> tuple:
 
 
 def iter_quasi_ribbons(n: int):
-    """The parking quasi-ribbons of size n in `QuasiRibbon.sort_key` order,
-    one at a time: for each ndpf in turn, the subsets of its strict ascents
-    as bars, in lexicographic order."""
-    def ribbons(pi):
+    """The parking quasi-ribbons of size n in tuple order, one at a time:
+    for each ndpf in turn, the subsets of its strict ascents as bars, in
+    lexicographic order."""
+    def bar_sets(pi):
         ascents = [i for i in range(1, n) if pi[i - 1] < pi[i]]
-        bar_sets = itertools.chain.from_iterable(
+        return sorted(itertools.chain.from_iterable(
             itertools.combinations(ascents, r)
-            for r in range(len(ascents) + 1))
-        return (QuasiRibbon(pi, bars) for bars in sorted(bar_sets))
+            for r in range(len(ascents) + 1)))
 
     # iter_ndpfs checks n now, before the first quasi-ribbon is asked for
-    return itertools.chain.from_iterable(map(ribbons, iter_ndpfs(n)))
+    return ((pi, bars) for pi in iter_ndpfs(n) for bars in bar_sets(pi))
 
 
 @lru_cache(maxsize=None)
@@ -561,3 +524,41 @@ def text_to_word(s: str) -> tuple:
     if "," in s:
         return tuple(int(p) for p in s.split(",") if p)
     return tuple(int(ch) for ch in s)
+
+
+def ribbon_to_text(q) -> str:
+    """The word's text with "|" at each bar: "11|3", or
+    "1,2,3,4,5,6,7,8,9|10" once a letter exceeds 9."""
+    return next(ribbons_to_text((q,)))
+
+
+def ribbons_to_text(ribbons):
+    """The texts `ribbon_to_text` gives the quasi-ribbons, one at a time:
+    each run of ribbons on one word renders the word once and cuts that
+    text at the bars of each."""
+    for word, run in itertools.groupby(ribbons, key=itemgetter(0)):
+        text = word_to_text(word)
+        ends = (len(word),)
+        if "," in text:
+            letters = text.split(",")
+            yield from ("|".join(map(",".join, map(letters.__getitem__, map(
+                slice, (0, *bars), bars + ends)))) for _, bars in run)
+        else:
+            yield from ("|".join(map(text.__getitem__, map(
+                slice, (0, *bars), bars + ends))) for _, bars in run)
+
+
+def text_to_ribbon(s: str) -> tuple:
+    """The quasi-ribbon `ribbon_to_text` writes as s: letters split at
+    commas if s holds one, else one digit each.  ValueError unless valid."""
+    comma = "," in s
+    word, bars = [], []
+    for i, segment in enumerate(s.split("|")):
+        if i:
+            bars.append(len(word))
+        word.extend(int(p) for p in (segment.split(",") if comma else segment)
+                    if p)
+    q = tuple(word), tuple(bars)
+    if not is_quasi_ribbon(q):
+        raise ValueError(f"not a quasi-ribbon: {s!r}")
+    return q

@@ -4,7 +4,7 @@ Elements are LinComb values over the natural basis keys of each algebra:
 
 * parking-word algebra, F basis, keys = parking functions (tuples);
 * Catalan subalgebra, P basis, keys = nondecreasing parking functions;
-* Schroeder subalgebra, P basis, keys = QuasiRibbon;
+* Schroeder subalgebra, P basis, keys = parking quasi-ribbons (word, bars);
 * permutation algebra, G basis (F handled through inversion), keys = permutations;
 * packed-word algebra, M basis, keys = packed words.
 
@@ -26,12 +26,12 @@ from functools import lru_cache
 from math import factorial
 from operator import itemgetter
 
-from .combinat import (NotInSubalgebraError, QuasiRibbon,
-                       hypoplactic_quasi_ribbon, ndpfs, packed_evaluation,
-                       packed_words, parking_functions, parkize,
-                       permutations, quasi_ribbons, shifted_concat_len,
-                       shifted_concat_max, shifted_shuffle,
-                       sort_ascending, standardize, word_to_text)
+from .combinat import (NotInSubalgebraError, hypoplactic_quasi_ribbon,
+                       ndpfs, packed_evaluation, packed_words,
+                       parking_functions, parkize, permutations,
+                       quasi_ribbons, shape, shifted_concat_len,
+                       shifted_concat_max, shifted_shuffle, sort_ascending,
+                       standardize, word_to_text)
 from .exact import LinComb, kernel_dimension
 from .symfun import SymElem
 
@@ -150,7 +150,7 @@ def primitive_dimension(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _hypoplactic_classes(n: int) -> dict:
-    classes: dict[QuasiRibbon, tuple] = {}
+    classes: dict[tuple, list] = {}
     for w in parking_functions(n):
         classes.setdefault(hypoplactic_quasi_ribbon(w), []).append(w)
     return {q: tuple(ws) for q, ws in classes.items()}
@@ -160,7 +160,7 @@ def sqsym_expand_F(a: LinComb) -> LinComb:
     """P_q = sum of F_a over the hypoplactic class of q."""
     def terms():
         for q, c in a:
-            members = _hypoplactic_classes(len(q)).get(q)
+            members = _hypoplactic_classes(len(q[0])).get(q)
             if members is None:
                 raise ValueError(
                     f"no parking function has hypoplactic class {q}")
@@ -173,7 +173,7 @@ def sqsym_expand_F(a: LinComb) -> LinComb:
 def pqsym_project_sqsym(a: LinComb) -> LinComb:
     """Regroup an F-expansion on hypoplactic classes; fail if not closed."""
     return _regroup(a, hypoplactic_quasi_ribbon,
-                    lambda q: set(_hypoplactic_classes(len(q))[q]),
+                    lambda q: set(_hypoplactic_classes(len(q[0]))[q]),
                     "hypoplactic")
 
 
@@ -183,25 +183,27 @@ def sqsym_product(a: LinComb, b: LinComb) -> LinComb:
         pqsym_product(sqsym_expand_F(a), sqsym_expand_F(b)))
 
 
-def qr_succ(q1: QuasiRibbon, q2: QuasiRibbon) -> QuasiRibbon:
+def qr_succ(q1, q2) -> tuple:
     """Shift the second factor by the length of the first; bars carried along."""
-    k = len(q1)
-    return QuasiRibbon(shifted_concat_len(q1.word, q2.word),
-                       q1.bars | {b + k for b in q2.bars})
+    (w1, b1), (w2, b2) = q1, q2
+    k = len(w1)
+    return shifted_concat_len(w1, w2), b1 + tuple(b + k for b in b2)
 
 
-def qr_prec(q1: QuasiRibbon, q2: QuasiRibbon) -> QuasiRibbon:
+def qr_prec(q1, q2) -> tuple:
     """Shift the second factor by max - 1; bars carried along, none added."""
-    k = len(q1)
-    return QuasiRibbon(shifted_concat_max(q1.word, q2.word),
-                       q1.bars | {b + k for b in q2.bars})
+    (w1, b1), (w2, b2) = q1, q2
+    k = len(w1)
+    return shifted_concat_max(w1, w2), b1 + tuple(b + k for b in b2)
 
 
-def qr_mid(q1: QuasiRibbon, q2: QuasiRibbon) -> QuasiRibbon:
+def qr_mid(q1, q2) -> tuple:
     """Length-shifted concatenation with a new bar at the junction."""
-    k = len(q1)
-    return QuasiRibbon(shifted_concat_len(q1.word, q2.word),
-                       q1.bars | {k} | {b + k for b in q2.bars})
+    (w1, b1), (w2, b2) = q1, q2
+    if not (w1 and w2):
+        raise ValueError("the middle operation needs two nonempty factors")
+    k = len(w1)
+    return shifted_concat_len(w1, w2), b1 + (k,) + tuple(b + k for b in b2)
 
 
 # -- products by relabelling: the permutation and packed-word algebras --------
@@ -379,7 +381,7 @@ def istar_on_cqsym(a: LinComb) -> SymElem:
 
 def istar_on_sqsym(a: LinComb) -> SymElem:
     """P_q -> R_I with I the shape (segment lengths) of the quasi-ribbon q."""
-    return SymElem("R", LinComb((q.shape(), c) for q, c in a))
+    return SymElem("R", LinComb((shape(q), c) for q, c in a))
 
 
 def morphism_psi(a: LinComb) -> SymElem:
@@ -532,13 +534,7 @@ def coassociativity_check(max_degree: int = 5) -> bool:
 # -- serialization -------------------------------------------------------------
 
 
-def _key_text(key) -> str:
-    if isinstance(key, QuasiRibbon):
-        return str(key)
-    return word_to_text(key)
-
-
 def element_to_json(a: LinComb, basis: str) -> dict:
-    terms = sorted(((_key_text(k), str(c)) for k, c in a), key=lambda kv: kv[0])
+    terms = sorted((word_to_text(k), str(c)) for k, c in a)
     return {"basis": basis,
             "terms": [{"key": k, "coeff": c} for k, c in terms]}

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .combinat import (QuasiRibbon, binary_trees, shifted_concat_len,
-                       shifted_concat_max)
+from .combinat import binary_trees, shifted_concat_len, shifted_concat_max
 from .exact import LinComb, span_dimension
 from .hopf import (qr_mid, qr_prec, qr_succ, wqsym_left, wqsym_mid,
                    wqsym_right)
@@ -200,7 +199,7 @@ def _evaluate(t, leaf, ops):
 
 # (leaf value, op table) of eval_tree in each mode
 _EVAL_MODES = {
-    "tri": (QuasiRibbon((1,)), {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
+    "tri": (((1,), ()), {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
     "dup": ((1,), {"<": shifted_concat_max, ">": shifted_concat_len}),
 }
 

@@ -1,7 +1,7 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -296,8 +296,8 @@ def test_chi_values_and_checks():
     assert ok
     assert chi_g3 == 5 + 10 * t + 6 * t ** 2 + t ** 3
     two_bars = (1 + t) * t ** 2
-    from parkhopf.combinat import QuasiRibbon
-    assert ch._chi_value(QuasiRibbon.parse("1|2|3")) == two_bars
+    from parkhopf.combinat import text_to_ribbon
+    assert ch._chi_value(text_to_ribbon("1|2|3")) == two_bars
 
 
 def test_chi_path_model():
@@ -389,9 +389,14 @@ def test_lassalle_narayana():
 
 
 def test_narayana_vs_bar_distribution():
-    # lassalle_narayana gates bar_distribution up to its top size
+    # lassalle_narayana gates bar_distribution up to its top size, and the
+    # Narayana closed form sum_p N(n, p) (1+t)^(p-1) beyond it
     for n in range(1, 9):
         cn = ch.lassalle_narayana(n)
         assert ch.bar_distribution(n) == cn.substitute("q", 1 + t)
-    with pytest.raises(ValueError, match="n <= 8"):
-        ch.bar_distribution(9)
+    for n in range(1, 11):
+        closed = sum((comb(n, p) * comb(n, p - 1) // n * (1 + t) ** (p - 1)
+                      for p in range(1, n + 1)), Poly.const(0))
+        assert ch.bar_distribution(n) == closed
+    with pytest.raises(ValueError, match="n <= 10"):
+        ch.bar_distribution(11)

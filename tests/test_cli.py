@@ -52,7 +52,8 @@ def test_enumerate_csv(capsys):
 _LIBRARY_ITEMS = {
     "pf": lambda n: map(combinat.word_to_text, combinat.parking_functions(n)),
     "ndpf": lambda n: map(combinat.word_to_text, combinat.ndpfs(n)),
-    "qribbon": lambda n: map(str, combinat.quasi_ribbons(n)),
+    "qribbon": lambda n: map(combinat.ribbon_to_text,
+                             combinat.quasi_ribbons(n)),
     "packed": lambda n: map(combinat.word_to_text, combinat.packed_words(n)),
     "perm": lambda n: map(combinat.word_to_text, combinat.permutations(n)),
     "signed-pf": lambda n: (
@@ -317,7 +318,7 @@ def _exit_code(argv):
     ["bijection", "--direction", "dyck-encode", "--input", "u" * 501],
     ["poly", "--which", "pn-alpha", "--n", "11"],
     ["poly", "--which", "qn", "--n", "1500"],
-    ["table", "--which", "bar-distribution", "--n-max", "9"],
+    ["table", "--which", "bar-distribution", "--n-max", "11"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     start = time.monotonic()
@@ -369,6 +370,16 @@ def test_module_entry_point_writes_no_stderr():
     assert proc.returncode == 0
     assert proc.stdout == "24,58,37,6\n"
     assert proc.stderr == ""
+
+
+def test_package_import_skips_dataclasses_and_inspect():
+    # every process pays for what `import parkhopf` loads
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, parkhopf; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=_module_env(), timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -139,9 +139,9 @@ def test_shuffle_multiset_size(u, v):
 def test_hypoplactic_examples():
     q1 = cb.hypoplactic_quasi_ribbon((1, 3, 1))
     q2 = cb.hypoplactic_quasi_ribbon((3, 1, 1))
-    assert q1 == q2 == cb.QuasiRibbon((1, 1, 3), {2})
-    assert str(q1) == "11|3"
-    assert cb.hypoplactic_quasi_ribbon((1, 1, 3)) == cb.QuasiRibbon((1, 1, 3))
+    assert q1 == q2 == ((1, 1, 3), (2,))
+    assert cb.ribbon_to_text(q1) == "11|3"
+    assert cb.hypoplactic_quasi_ribbon((1, 1, 3)) == ((1, 1, 3), ())
     classes = {cb.hypoplactic_quasi_ribbon(w) for w in cb.parking_functions(3)}
     assert len(classes) == 11
 
@@ -150,59 +150,73 @@ def test_quasi_ribbon_invariant_never_violated():
     # recoil positions of std(a) always sit at strict ascents of sorted(a)
     for n in range(7):
         for w in cb.parking_functions(n):
-            cb.hypoplactic_quasi_ribbon(w)
+            assert cb.is_quasi_ribbon(cb.hypoplactic_quasi_ribbon(w))
 
 
 def test_quasi_ribbon_validation_and_text():
-    with pytest.raises(ValueError):
-        cb.QuasiRibbon((1, 1, 3), {1})  # not a strict ascent
-    with pytest.raises(ValueError):
-        cb.QuasiRibbon((2, 2), set())  # not a parking word
-    for word in [(0,), (1, 3), (2, 1), (1, 1, 0), [0, 1]]:
-        with pytest.raises(ValueError, match="nondecreasing"):
-            cb.QuasiRibbon(word)
+    assert cb.is_quasi_ribbon(((1, 1, 3), (2,)))
+    assert cb.is_quasi_ribbon(((), ()))
+    assert not cb.is_quasi_ribbon(((1, 1, 3), (1,)))  # not a strict ascent
+    assert not cb.is_quasi_ribbon(((2, 2), ()))  # not a parking word
+    assert not cb.is_quasi_ribbon(((1, 2, 3), (2, 1)))  # bars out of order
+    assert not cb.is_quasi_ribbon(((1, 2, 3), (1, 1)))  # a repeated bar
+    for word in [(0,), (1, 3), (2, 1), (1, 1, 0)]:
+        assert not cb.is_quasi_ribbon((word, ()))
     for bar in [0, 1, 3, -1]:  # outside the word or at a tie
-        with pytest.raises(ValueError, match="strict ascent"):
-            cb.QuasiRibbon((1, 1, 2), {bar})
-    q = cb.QuasiRibbon.parse("1|2|3")
-    assert q.word == (1, 2, 3) and q.bars == frozenset({1, 2})
-    assert cb.QuasiRibbon.parse(str(q)) == q
-    assert q.shape() == (1, 1, 1)
-    assert cb.QuasiRibbon((1, 1, 3), {2}).shape() == (2, 1)
-    big = cb.QuasiRibbon(tuple(range(1, 12)), {10})
-    assert str(big) == "1,2,3,4,5,6,7,8,9,10|11"
-    assert cb.QuasiRibbon.parse(str(big)) == big
+        assert not cb.is_quasi_ribbon(((1, 1, 2), (bar,)))
+    for text in ["1|13", "22", "0", "1|", "|1", "1||2", "12|", "1a", "-1"]:
+        with pytest.raises(ValueError, match="not a quasi-ribbon|invalid"):
+            cb.text_to_ribbon(text)
+    q = cb.text_to_ribbon("1|2|3")
+    assert q == ((1, 2, 3), (1, 2))
+    assert cb.text_to_ribbon(cb.ribbon_to_text(q)) == q
+    assert cb.shape(q) == (1, 1, 1)
+    assert cb.shape(((1, 1, 3), (2,))) == (2, 1)
+    big = (tuple(range(1, 12)), (10,))
+    assert cb.ribbon_to_text(big) == "1,2,3,4,5,6,7,8,9,10|11"
+    assert cb.text_to_ribbon(cb.ribbon_to_text(big)) == big
 
 
 def _segment_text(q):
     """The text of a quasi-ribbon formatted segment by segment, letter by
     letter, with commas once a letter reaches 10."""
-    cuts = [0, *sorted(q.bars), len(q.word)]
-    segments = [q.word[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
-    sep = "," if any(v >= 10 for v in q.word) else ""
+    word, bars = q
+    cuts = [0, *bars, len(word)]
+    segments = [word[a:b] for a, b in zip(cuts, cuts[1:]) if b > a]
+    sep = "," if any(v >= 10 for v in word) else ""
     return "|".join(sep.join(str(v) for v in s) for s in segments)
 
 
 def test_quasi_ribbon_text_matches_segment_formula():
     ribbons = [q for n in range(8) for q in cb.quasi_ribbons(n)]
-    ribbons.append(cb.QuasiRibbon((1, 1, 3, 4, 5, 6, 7, 8, 9, 10, 10),
-                                  {2, 9}))
-    for q in ribbons:
-        assert str(q) == _segment_text(q)
-        assert cb.QuasiRibbon.parse(str(q)) == q
-    assert str(ribbons[-1]) == "1,1|3,4,5,6,7,8,9|10,10"
+    ribbons.append(((1, 1, 3, 4, 5, 6, 7, 8, 9, 10, 10), (2, 9)))
+    texts = list(map(_segment_text, ribbons))
+    assert list(cb.ribbons_to_text(ribbons)) == texts
+    for q, text in zip(ribbons, texts):
+        assert cb.ribbon_to_text(q) == text
+        assert cb.text_to_ribbon(text) == q
+    assert texts[-1] == "1,1|3,4,5,6,7,8,9|10,10"
 
 
-@given(_near_ndpf, st.sets(st.integers(-1, 8), max_size=3))
-def test_quasi_ribbon_accepts_exactly_the_valid_pairs(letters, bars):
+@given(_near_ndpf, st.sets(st.integers(0, 8), max_size=3), st.booleans())
+@example([1, 1, 2], {1}, False)
+@example([1, 2], {1}, True)
+@example([1, 2], {2}, False)
+def test_quasi_ribbon_accepts_exactly_the_valid_pairs(letters, bars, commas):
+    # a bar at i is a "|" before letter i + 1, or at the end for i >= the
+    # length; letters are joined by commas, or run together as digits
+    sep = "," if commas else ""
+    segments = [letters[a:b] for a, b in zip([0, *sorted(bars)],
+                                             [*sorted(bars), len(letters)])]
+    text = "|".join(sep.join(map(str, s)) for s in segments)
     valid = _is_ndpf_by_generators(letters) and all(
         1 <= i < len(letters) and letters[i - 1] < letters[i] for i in bars)
     if valid:
-        q = cb.QuasiRibbon(letters, bars)
-        assert q.word == tuple(letters) and q.bars == frozenset(bars)
+        assert cb.text_to_ribbon(text) == (tuple(letters),
+                                           tuple(sorted(bars)))
     else:
         with pytest.raises(ValueError):
-            cb.QuasiRibbon(letters, bars)
+            cb.text_to_ribbon(text)
 
 
 # -- compositions ----------------------------------------------------------------
@@ -293,23 +307,21 @@ def test_enumeration_counts():
 def test_enumerations_are_sorted_and_duplicate_free():
     for n in range(6):
         for family in (cb.parking_functions, cb.ndpfs, cb.packed_words,
-                       cb.permutations, cb.compositions):
+                       cb.permutations, cb.compositions, cb.quasi_ribbons):
             items = family(n)
             assert list(items) == sorted(set(items))
-        ribbons = cb.quasi_ribbons(n)
-        keys = [r.sort_key() for r in ribbons]
-        assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_quasi_ribbon_stream_matches_sorted_build():
     # every (ndpf, subset of its strict ascents), sorted as a whole
-    for n in range(8):
+    for n in range(9):
         built = sorted(
-            (cb.QuasiRibbon(pi, bars) for pi in cb.ndpfs(n)
-             for r in range(n + 1) for bars in itertools.combinations(
-                 [i for i in range(1, n) if pi[i - 1] < pi[i]], r)),
-            key=cb.QuasiRibbon.sort_key)
-        assert list(cb.iter_quasi_ribbons(n)) == built
+            (pi, bars) for pi in cb.ndpfs(n)
+            for r in range(n + 1) for bars in itertools.combinations(
+                [i for i in range(1, n) if pi[i - 1] < pi[i]], r))
+        stream = list(cb.iter_quasi_ribbons(n))
+        assert stream == built
+        assert all(map(cb.is_quasi_ribbon, stream))
 
 
 def _parking_by_brute_force(n):
@@ -365,7 +377,7 @@ def test_enumeration_cap():
 def test_quasi_ribbon_list_n3_matches_known_list():
     expected = {"111", "112", "11|2", "113", "11|3", "122", "1|22",
                 "123", "1|23", "12|3", "1|2|3"}
-    assert {str(q) for q in cb.quasi_ribbons(3)} == expected
+    assert set(map(cb.ribbon_to_text, cb.quasi_ribbons(3))) == expected
 
 
 def test_word_text_roundtrip():

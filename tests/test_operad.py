@@ -1,6 +1,7 @@
 import pytest
 
-from parkhopf.combinat import QuasiRibbon, ndpfs, quasi_ribbons
+from parkhopf.combinat import (is_quasi_ribbon, ndpfs, quasi_ribbons,
+                               text_to_ribbon)
 from parkhopf import operad as op
 
 
@@ -142,7 +143,7 @@ def test_normal_forms_at_the_caps():
 
 def test_eval_tree_values():
     assert op.eval_tree(op.eval_tree_parse("(x o x)"), "tri") == \
-        QuasiRibbon.parse("1|2")
+        text_to_ribbon("1|2")
     assert op.eval_tree(op.eval_tree_parse("(x > (x < x))"), "dup") == \
         (1, 2, 2)
     assert op.eval_tree(op.LEAF, "dup") == (1,)
@@ -161,6 +162,13 @@ def test_eval_bijection_on_normal_forms():
         values = [op.eval_tree(t, "tri") for t in normal]
         assert len(set(values)) == len(values)
         assert set(values) == set(quasi_ribbons(n))
+
+
+def test_tri_evaluation_builds_quasi_ribbons():
+    # the qr_* operations check nothing, so check every tree's value
+    for n in range(1, 6):
+        assert all(is_quasi_ribbon(op.eval_tree(t, "tri"))
+                   for t in op.all_eval_trees("tri", n))
 
 
 def test_confluence_empirically():
