@@ -183,7 +183,7 @@ def super_narayana_sym(n: int) -> Poly:
     value = Poly.sum(
         (poly_divexact(qfact[n], prod((qfact[i] for i in key), start=P_ONE))
          * prod((x_poch[i] for i in key), start=P_ONE)).scale(c)
-        for key, c in solve_g(n)[n].terms)
+        for key, c in solve_g(n)[n])
     return value.substitute("x", -Poly.var("t"))
 
 

@@ -145,19 +145,19 @@ def _cmd_enumerate(args) -> int:
 # -- series -------------------------------------------------------------------
 
 
-def _symelem_json(elem) -> list[dict]:
-    keys = sorted(elem.terms.terms.items(), key=lambda kv: kv[0])
+def _nsym_json(elem: LinComb) -> list[dict]:
+    """The terms of a LinComb on composition keys, in key order."""
     return [{"key": "".join(str(p) for p in k), "coeff": str(c)}
-            for k, c in keys]
+            for k, c in sorted(elem)]
 
 
 # series: (its solver, up to a degree; the JSON fields of one component).
 # Rows look the library up when they run, as the ``_CHECKS`` rows do.
 _SERIES = {
     "g": (lambda n: lagrange.solve_g(n),
-          lambda comp: {"terms": _symelem_json(comp)}),
+          lambda comp: {"terms": _nsym_json(comp)}),
     "f": (lambda n: lagrange.solve_f(n),
-          lambda comp: {"terms": _symelem_json(comp)}),
+          lambda comp: {"terms": _nsym_json(comp)}),
     "G": (lambda n: lagrange.solve_G_cqsym(n),
           lambda comp: hopf.element_to_json(comp, "P")),
     "X": (lambda n: lagrange.solve_X_fqsym(n),
@@ -177,23 +177,28 @@ def _cmd_series(args) -> int:
 # -- poly -----------------------------------------------------------------------
 
 
+def _schroder_pn(n: int) -> Poly:
+    """P_n(t), once its three routes agree; AssertionError otherwise."""
+    pn, ok = chars.schroder_polynomials(n)
+    if not ok:
+        raise AssertionError(f"the three routes to P_{n}(t) disagree")
+    return pn
+
+
+# poly: the text printed for size n.  Rows look the library up when they
+# run, as the ``_CHECKS`` rows do.
+_POLY = {
+    "super-narayana": lambda n: chars.super_narayana_sym(n),
+    "pn-t": _schroder_pn,
+    "narayana": lambda n: chars.lassalle_narayana(n),
+    "pn-alpha": lambda n: chars.pn_alpha(n),
+    "qn": lambda n: ",".join(str(int(c)) for c in
+                             chars.qn_polynomial(n).coeff_row("q")),
+}
+
+
 def _cmd_poly(args) -> int:
-    n = args.n
-    if args.which == "super-narayana":
-        print(chars.super_narayana_sym(n))
-    elif args.which == "pn-t":
-        pn, ok = chars.schroder_polynomials(n)
-        if not ok:
-            print("error: the three routes disagree", file=sys.stderr)
-            return 1
-        print(pn)
-    elif args.which == "narayana":
-        print(chars.lassalle_narayana(n))
-    elif args.which == "pn-alpha":
-        print(chars.pn_alpha(n))
-    else:  # qn
-        print(",".join(str(int(c))
-                       for c in chars.qn_polynomial(n).coeff_row("q")))
+    print(_POLY[args.which](args.n))
     return 0
 
 
@@ -219,16 +224,11 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows: list[list[int]] = []
     if args.which == "qn-triangle":
         rows = chars.q_triangle(args.n_max)
     elif args.which == "a060693":
-        for n in range(1, args.n_max + 1):
-            pn, ok = chars.schroder_polynomials(n)
-            if not ok:
-                print("error: the three routes disagree", file=sys.stderr)
-                return 1
-            rows.append([int(c) for c in pn.coeff_row("t")])
+        rows = [[int(c) for c in _schroder_pn(n).coeff_row("t")]
+                for n in range(1, args.n_max + 1)]
     else:  # bar-distribution
         # largest first, so an n_max past the cap fails before any work
         rows = [[int(c) for c in chars.bar_distribution(n).coeff_row("t")]
@@ -446,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("poly", help="print a polynomial")
-    p.add_argument("--which", required=True,
-                   choices=("super-narayana", "pn-t", "narayana",
-                            "pn-alpha", "qn"))
+    p.add_argument("--which", required=True, choices=tuple(_POLY))
     p.add_argument("--n", type=_int_in(0), required=True)
     p.set_defaults(func=_cmd_poly)
 

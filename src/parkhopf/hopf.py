@@ -8,6 +8,9 @@ Elements are LinComb values over the natural basis keys of each algebra:
 * permutation algebra, G basis (F handled through inversion), keys = permutations;
 * packed-word algebra, M basis, keys = packed words.
 
+The morphisms into noncommutative symmetric functions return LinComb values
+on composition keys as well, in the S or R basis of `symfun`.
+
 Products, the duplicial / dendriform / tridendriform partial operations, the
 duplicial coproduct, and the morphisms between the algebras all live here as
 module-level functions; everything is pure.
@@ -33,7 +36,6 @@ from .combinat import (NotInSubalgebraError, hypoplactic_quasi_ribbon,
                        shifted_concat_max, shifted_shuffle, sort_ascending,
                        standardize, word_to_text)
 from .exact import LinComb, kernel_dimension
-from .symfun import SymElem
 
 
 def unit() -> LinComb:
@@ -374,21 +376,22 @@ def morphism_istar(a: LinComb) -> LinComb:
     return a.map_keys(standardize)
 
 
-def istar_on_cqsym(a: LinComb) -> SymElem:
-    """P^pi -> S^t(pi) with t the packed evaluation."""
-    return SymElem("S", LinComb((packed_evaluation(pi), c) for pi, c in a))
+def istar_on_cqsym(a: LinComb) -> LinComb:
+    """P^pi -> S^t(pi) with t the packed evaluation (S-basis keys)."""
+    return a.map_keys(packed_evaluation)
 
 
-def istar_on_sqsym(a: LinComb) -> SymElem:
-    """P_q -> R_I with I the shape (segment lengths) of the quasi-ribbon q."""
-    return SymElem("R", LinComb((shape(q), c) for q, c in a))
+def istar_on_sqsym(a: LinComb) -> LinComb:
+    """P_q -> R_I with I the shape (segment lengths) of the quasi-ribbon q
+    (R-basis keys)."""
+    return a.map_keys(shape)
 
 
-def morphism_psi(a: LinComb) -> SymElem:
-    """F_a -> S^t(a) / n!: the algebra morphism onto symmetric functions."""
-    return SymElem("S", LinComb(
-        (packed_evaluation(w), Fraction(c) / factorial(len(w)))
-        for w, c in a))
+def morphism_psi(a: LinComb) -> LinComb:
+    """F_a -> S^t(a) / n!: the algebra morphism onto symmetric functions
+    (S-basis keys)."""
+    return LinComb((packed_evaluation(w), Fraction(c) / factorial(len(w)))
+                   for w, c in a)
 
 
 # -- axiom suites ---------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Noncommutative Lagrange inversion: the graded series g, f, G, X; the
 bilinear map B; the bijection between binary trees and nondecreasing parking
 functions; Tamari intervals; and the mirror involution.
+
+A series is the list of its degree components.  The components of g and f
+are S-basis LinComb values on composition keys, multiplied by
+`symfun.s_product`.  f lives in the algebra extended by the degree-zero
+generator S_0, written as the part 0 of a key; the ``extended`` flag of
+`_lagrange_rhs` is the one place that algebra is chosen.  Such keys are for
+`s_product` only: `symfun.evaluate` and the basis changes reject them, and
+`f_unit_specialization` sets S_0 to 1 to leave the extended algebra.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
-from operator import mul
 
 from .combinat import (binary_trees, canopy, comp_conjugate, is_ndpf, ndpfs,
                        packed_evaluation, tree_mirror, shifted_concat_len,
@@ -14,7 +21,7 @@ from .combinat import (binary_trees, canopy, comp_conjugate, is_ndpf, ndpfs,
 from .exact import LinComb
 from .hopf import (_keys_by_total, cqsym_prec, cqsym_succ, fqsym_left,
                    fqsym_right, istar_on_cqsym, unit)
-from .symfun import SymElem
+from .symfun import s_product
 
 
 def _weak_compositions(total: int, parts: int):
@@ -39,35 +46,34 @@ def _solve_degreewise(order: int, term) -> list:
     return y
 
 
-def _lagrange_rhs(series: list[SymElem], n: int, extended: bool) -> SymElem:
+def _lagrange_rhs(series: list[LinComb], n: int, extended: bool) -> LinComb:
     """The degree-n part of S_0 + sum_k S_k y^k, y given through degree n-1.
 
-    S_0 is the degree-zero generator in the extended algebra and 1 otherwise;
-    as the k = 0 term it only occurs in degree 0.
+    S_0 is the degree-zero generator, the key (0,), in the extended algebra
+    and 1, the key (), otherwise; as the k = 0 term it only occurs in
+    degree 0.
     """
-    def s(k):
-        return SymElem.s((k,) if k or extended else (), extended=extended)
-
-    return SymElem("S", LinComb(
+    s_0 = (0,) if extended else ()
+    return LinComb(
         kc for k in range(n + 1) for ms in _weak_compositions(n - k, k)
-        for kc in reduce(mul, (series[m] for m in ms), s(k)).terms),
-        extended)
+        for kc in reduce(s_product, (series[m] for m in ms),
+                         LinComb.term((k,) if k else s_0)))
 
 
-def solve_g(order: int) -> list[SymElem]:
+def solve_g(order: int) -> list[LinComb]:
     """Degreewise solution of g = sum_k S_k g^k (with S_0 = 1), g_0 = 1."""
     if order > 8:
         raise ValueError("solve_g supports order <= 8")
     return _solve_degreewise(order, partial(_lagrange_rhs, extended=False))
 
 
-def residual_g(g: list[SymElem]) -> bool:
+def residual_g(g: list[LinComb]) -> bool:
     """True iff g - sum_k S_k g^k vanishes through the truncation order."""
     return all(_lagrange_rhs(g, n, extended=False) == g[n]
                for n in range(len(g)))
 
 
-def solve_f(order: int) -> list[SymElem]:
+def solve_f(order: int) -> list[LinComb]:
     """Degreewise solution of f = S_0 + S_1 f + S_2 f^2 + ... in the algebra
     extended by the degree-zero indeterminate S_0."""
     if order > 8:
@@ -75,27 +81,33 @@ def solve_f(order: int) -> list[SymElem]:
     return _solve_degreewise(order, partial(_lagrange_rhs, extended=True))
 
 
-def residual_f(f: list[SymElem]) -> bool:
+def residual_f(f: list[LinComb]) -> bool:
     """True iff f - S_0 - sum_k S_k f^k vanishes through the truncation order."""
     return all(_lagrange_rhs(f, n, extended=True) == f[n]
                for n in range(len(f)))
 
 
-def f_closed_form(n: int) -> SymElem:
+def f_closed_form(n: int) -> LinComb:
     """f_n = sum over nondecreasing parking functions pi of S^(ev(pi).0),
     the evaluation taken over the letters 1..n."""
-    return SymElem("S", LinComb(
-        (tuple(pi.count(v) for v in range(1, n + 1)) + (0,), 1)
-        for pi in ndpfs(n)), extended=True)
+    return LinComb((tuple(pi.count(v) for v in range(1, n + 1)) + (0,), 1)
+                   for pi in ndpfs(n))
 
 
-def f_unit_specialization(fn: SymElem) -> SymElem:
+def f_unit_specialization(fn: LinComb) -> LinComb:
     """Set the degree-zero generator to 1: drop zero parts from every key."""
-    return SymElem("S", LinComb((tuple(p for p in key if p), c)
-                                for key, c in fn.terms))
+    return fn.map_keys(lambda key: tuple(p for p in key if p))
 
 
 # -- the bilinear map B and the quadratic equations ----------------------------
+
+
+# algebra: its (succ, prec) pair.  The pair is looked up when B runs, so a
+# patched or traced operation is the one called.
+_B_OPERATIONS = {
+    "cqsym": lambda: (cqsym_succ, cqsym_prec),
+    "fqsym": lambda: (fqsym_right, fqsym_left),
+}
 
 
 def bilinear_B(f: LinComb, g: LinComb, algebra: str = "cqsym") -> LinComb:
@@ -105,12 +117,9 @@ def bilinear_B(f: LinComb, g: LinComb, algebra: str = "cqsym") -> LinComb:
     B(1,G) = x < G.  The partial operations only act on the augmentation
     ideal, so the unit coefficient is split off first.
     """
-    if algebra == "cqsym":
-        succ, prec = cqsym_succ, cqsym_prec
-    elif algebra == "fqsym":
-        succ, prec = fqsym_right, fqsym_left
-    else:
+    if algebra not in _B_OPERATIONS:
         raise ValueError(f"unknown algebra {algebra!r}")
+    succ, prec = _B_OPERATIONS[algebra]()
     x = LinComb.term((1,))
     cf = f.coeff(())
     cg = g.coeff(())
@@ -308,7 +317,7 @@ def symmetry_of_g(order: int) -> bool:
     """The coefficients of g are invariant under composition conjugation."""
     g = solve_g(order)
     for n in range(1, order + 1):
-        for key, c in g[n].terms:
+        for key, c in g[n]:
             if g[n].coeff(comp_conjugate(key)) != c:
                 return False
     return True

@@ -1,7 +1,17 @@
-"""Noncommutative symmetric functions: S and R bases on composition keys,
-the extended algebra with a degree-zero generator, and `evaluate`, the one
-commutative specialization S^I -> h_(i_1) h_(i_2) ... through which the
-characters are applied to the generic solution g_n.
+"""Noncommutative symmetric functions on composition keys.
+
+An element is a LinComb on composition keys, like an element of every other
+algebra here; the basis is the caller's to know.  In the S basis the key I
+stands for S^I = S_(i_1) S_(i_2) ..., and the product is `s_product`; in the
+R basis it stands for the ribbon R_I, and the product is `ribbon_product`.
+`S_to_R` and `R_to_S` change between the two.
+
+A part 0 stands for S_0, the degree-zero generator of the extended algebra
+that `lagrange.solve_f` works in.  Only `s_product` is defined there:
+`evaluate`, `S_to_R` and `R_to_S` raise ValueError on a key with a part 0.
+
+`evaluate` is the one commutative specialization S^I -> h_(i_1) h_(i_2) ...
+through which the characters are applied to the generic solution g_n.
 """
 
 from __future__ import annotations
@@ -15,152 +25,38 @@ from .combinat import (coarser_leq, comp_concat, comp_near_concat,
 from .exact import P_ONE, LinComb, Poly
 
 
-class SymElem:
-    """An element of the free algebra on S_1, S_2, ... (or its R-basis form).
-
-    ``extended`` admits zero parts in the keys, for words like ev(pi).0 in
-    the algebra with the extra degree-zero indeterminate.
-    """
-
-    __slots__ = ("basis", "terms", "extended")
-
-    def __init__(self, basis: str, terms: LinComb | None = None,
-                 extended: bool = False):
-        if basis not in ("S", "R"):
-            raise ValueError(f"unknown basis {basis!r}")
-        self.basis = basis
-        self.terms = terms if terms is not None else LinComb()
-        self.extended = extended
-        floor = 0 if extended else 1
-        for key, _ in self.terms:
-            if any(p < floor for p in key):
-                raise ValueError(f"invalid composition key {key} (extended={extended})")
-        if extended and basis != "S":
-            raise ValueError("the extended algebra only carries the S basis")
-
-    @classmethod
-    def s(cls, key, coeff=1, extended: bool = False) -> "SymElem":
-        return cls("S", LinComb.term(tuple(key), coeff), extended)
-
-    @classmethod
-    def r(cls, key, coeff=1) -> "SymElem":
-        return cls("R", LinComb.term(tuple(key), coeff))
-
-    @classmethod
-    def one(cls, basis: str = "S", extended: bool = False) -> "SymElem":
-        return cls(basis, LinComb.term((), 1), extended)
-
-    @classmethod
-    def zero(cls, basis: str = "S", extended: bool = False) -> "SymElem":
-        return cls(basis, LinComb(), extended)
-
-    def _like(self, terms: LinComb) -> "SymElem":
-        return SymElem(self.basis, terms, self.extended)
-
-    def __add__(self, other: "SymElem") -> "SymElem":
-        self._check_compatible(other)
-        return self._like(self.terms + other.terms)
-
-    def __sub__(self, other: "SymElem") -> "SymElem":
-        self._check_compatible(other)
-        return self._like(self.terms - other.terms)
-
-    def __neg__(self):
-        return self._like(-self.terms)
-
-    def scale(self, c) -> "SymElem":
-        return self._like(self.terms.scale(c))
-
-    def _check_compatible(self, other: "SymElem"):
-        if not isinstance(other, SymElem):
-            raise TypeError(f"not a SymElem: {other!r}")
-        if self.basis != other.basis or self.extended != other.extended:
-            raise ValueError(
-                f"basis mismatch: {self.basis}/{self.extended} vs "
-                f"{other.basis}/{other.extended}")
-
-    def __mul__(self, other: "SymElem") -> "SymElem":
-        self._check_compatible(other)
-        rule = _concat_rule if self.basis == "S" else _ribbon_rule
-        return self._like(LinComb(
-            (k, c1 * c2) for k1, c1 in self.terms for k2, c2 in other.terms
-            for k in rule(k1, k2)))
-
-    def __eq__(self, other):
-        return (isinstance(other, SymElem) and self.basis == other.basis
-                and self.extended == other.extended and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash((self.basis, self.extended, frozenset(self.terms.terms.items())))
-
-    def coeff(self, key):
-        return self.terms.coeff(tuple(key))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        def key_str(k):
-            return self.basis + "^{" + ("".join(map(str, k)) or "()") + "}"
-        bits = []
-        for k, c in sorted(self.terms, key=lambda kv: (sum(kv[0]), kv[0])):
-            bits.append(f"{c}*{key_str(k)}" if c != 1 else key_str(k))
-        return " + ".join(bits)
-
-    def __repr__(self):
-        return f"SymElem({self})"
-
-
-def _concat_rule(i, j) -> tuple:
+def s_product(a: LinComb, b: LinComb) -> LinComb:
     """S^I S^J = S^{I.J}."""
-    return (comp_concat(i, j),)
+    return LinComb((comp_concat(i, j), c1 * c2) for i, c1 in a for j, c2 in b)
 
 
-def _ribbon_rule(i, j) -> tuple:
-    """R_I R_J = R_{I.J} + R_{I |> J}."""
-    if not i or not j:
-        return (comp_concat(i, j),)
-    return comp_concat(i, j), comp_near_concat(i, j)
+def ribbon_product(a: LinComb, b: LinComb) -> LinComb:
+    """R_I R_J = R_{I.J} + R_{I |> J}, with R_() the unit."""
+    return LinComb((k, c1 * c2) for i, c1 in a for j, c2 in b
+                   for k in ((comp_concat(i, j), comp_near_concat(i, j))
+                             if i and j else (comp_concat(i, j),)))
 
 
-def s_product(a: SymElem, b: SymElem) -> SymElem:
-    if a.basis != "S" or b.basis != "S":
-        raise ValueError("s_product needs both factors in the S basis")
-    return a * b
+def _without_part_0(a: LinComb, name: str) -> LinComb:
+    """``a``, once no key of it has a part 0 (the extended generator S_0)."""
+    for key, _ in a:
+        if 0 in key:
+            raise ValueError(f"{name} rejects the key {key}: its part 0 is "
+                             f"S_0 of the extended algebra")
+    return a
 
 
-def ribbon_product(a: SymElem, b: SymElem) -> SymElem:
-    if a.basis != "R" or b.basis != "R":
-        raise ValueError("ribbon_product needs both factors in the R basis")
-    return a * b
-
-
-def _check_not_extended(a: SymElem):
-    if a.extended:
-        raise ValueError("basis change is not defined on extended keys")
-
-
-def S_to_R(a: SymElem) -> SymElem:
+def S_to_R(a: LinComb) -> LinComb:
     """S^I = sum of R_J over all J coarser than or equal to I."""
-    _check_not_extended(a)
-    if a.basis == "R":
-        return a
-    return SymElem("R", LinComb((j, c) for i, c in a.terms
-                                for j in compositions(sum(i))
-                                if coarser_leq(j, i)))
+    return LinComb((j, c) for i, c in _without_part_0(a, "S_to_R")
+                   for j in compositions(sum(i)) if coarser_leq(j, i))
 
 
-def R_to_S(a: SymElem) -> SymElem:
+def R_to_S(a: LinComb) -> LinComb:
     """R_I = sum over J <= I of (-1)^(l(I)-l(J)) S^J (Moebius inversion)."""
-    _check_not_extended(a)
-    if a.basis == "S":
-        return a
-    return SymElem("S", LinComb((j, (-1) ** (len(i) - len(j)) * c)
-                                for i, c in a.terms
-                                for j in compositions(sum(i))
-                                if coarser_leq(j, i)))
+    return LinComb((j, (-1) ** (len(i) - len(j)) * c)
+                   for i, c in _without_part_0(a, "R_to_S")
+                   for j in compositions(sum(i)) if coarser_leq(j, i))
 
 
 def as2_axioms_check(n: int) -> bool:
@@ -181,9 +77,13 @@ def as2_axioms_check(n: int) -> bool:
                         for op1, op2 in itertools.product(ops, repeat=2):
                             if op2(op1(i, j), k) != op1(i, op2(j, k)):
                                 return False
-                        lhs = SymElem.r(comp_concat(i, j)) * SymElem.r(k)
-                        rhs = SymElem.r(i) * (SymElem.r(j) * SymElem.r(k))
-                        if (SymElem.r(i) * SymElem.r(j)) * SymElem.r(k) != rhs or not lhs:
+                        ri, rj, rk = (LinComb.term(key)
+                                      for key in (i, j, k))
+                        lhs = ribbon_product(LinComb.term(comp_concat(i, j)),
+                                             rk)
+                        rhs = ribbon_product(ri, ribbon_product(rj, rk))
+                        if (ribbon_product(ribbon_product(ri, rj), rk) != rhs
+                                or not lhs):
                             return False
     return True
 
@@ -191,17 +91,15 @@ def as2_axioms_check(n: int) -> bool:
 # -- commutative evaluation ---------------------------------------------------
 
 
-def evaluate(a: SymElem, h) -> Poly:
-    """Commutative evaluation S^I -> prod_k h[i_k], for a character given by
-    its complete-function values h[0] = 1, h[1], h[2], ... (polynomials or
-    scalars), e.g. ``[binomial_poly(k - 1, k) for k in range(n + 1)]`` for
-    the binomial element, or ``[1] + [1 - x] * n`` for the alphabet 1 - x."""
-    if a.basis != "S":
-        raise ValueError("evaluate expects the S basis")
-    if a.extended:
-        raise ValueError("evaluate rejects extended keys")
+def evaluate(a: LinComb, h) -> Poly:
+    """Commutative evaluation S^I -> prod_k h[i_k] of an S-basis LinComb on
+    composition keys, for a character given by its complete-function values
+    h[0] = 1, h[1], h[2], ... (polynomials or scalars), e.g.
+    ``[binomial_poly(k - 1, k) for k in range(n + 1)]`` for the binomial
+    element, or ``[1] + [1 - x] * n`` for the alphabet 1 - x.  A key with a
+    part 0 (the extended generator S_0) raises ValueError."""
     return Poly.sum(prod((h[part] for part in key), start=Poly.coerce(c))
-                    for key, c in a.terms)
+                    for key, c in _without_part_0(a, "evaluate"))
 
 
 def rising_factorial(base: Poly, m: int) -> Poly:

@@ -10,7 +10,7 @@ from math import comb, factorial
 
 from parkhopf import chars, combinat, hopf, lagrange, operad
 from parkhopf.exact import LinComb, Poly, series_sqrt_expand
-from parkhopf.symfun import SymElem
+from parkhopf.symfun import s_product
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
@@ -37,7 +37,7 @@ def test_ac01_dimensions():
 
 def test_ac02_f_series():
     f = lagrange.solve_f(6)
-    E = lambda key: SymElem.s(key, extended=True)
+    E = LinComb.term  # a part 0 is the extended generator S_0
     ok = f[2] == E((1, 1, 0)) + E((2, 0, 0))
     ok = ok and f[3] == (E((1, 1, 1, 0)) + E((1, 2, 0, 0)) + E((2, 0, 1, 0))
                          + E((2, 1, 0, 0)) + E((3, 0, 0, 0)))
@@ -48,7 +48,7 @@ def test_ac02_f_series():
 
 def test_ac03_g_series():
     g = lagrange.solve_g(7)
-    S = SymElem.s
+    S = LinComb.term
     expected_g4 = (S((4,)) + S((3, 1), 3) + S((2, 2), 2) + S((1, 3))
                    + S((2, 1, 1), 3) + S((1, 2, 1), 2) + S((1, 1, 2))
                    + S((1, 1, 1, 1)))
@@ -238,8 +238,8 @@ def test_ac15_psi_characters():
                 for w2 in combinat.parking_functions(n2):
                     lhs = hopf.morphism_psi(
                         hopf.pqsym_product(LinComb.term(w1), LinComb.term(w2)))
-                    rhs = hopf.morphism_psi(LinComb.term(w1)) * \
-                        hopf.morphism_psi(LinComb.term(w2))
+                    rhs = s_product(hopf.morphism_psi(LinComb.term(w1)),
+                                    hopf.morphism_psi(LinComb.term(w2)))
                     ok = ok and lhs == rhs
     closed = {1: a, 2: 3 * a ** 2 + a, 3: 16 * a ** 3 + 12 * a ** 2 + 2 * a,
               4: 125 * a ** 4 + 150 * a ** 3 + 55 * a ** 2 + 6 * a}

@@ -353,6 +353,21 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("poly", "--which", "pn-t", "--n", "3"),
+    ("table", "--which", "a060693", "--n-max", "3"),
+], ids=["poly-pn-t", "table-a060693"])
+def test_disagreeing_schroder_routes_exit_1(capsys, monkeypatch, argv):
+    pn = chars.schroder_polynomials(3)[0]
+    monkeypatch.setattr(chars, "schroder_polynomials", lambda n: (pn, False))
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def _module_env():
     src = os.path.dirname(os.path.dirname(parkhopf.__file__))
     path = os.environ.get("PYTHONPATH")

@@ -11,7 +11,7 @@ from parkhopf.combinat import (NotInSubalgebraError, is_quasi_ribbon, ndpfs,
                                shifted_concat_max, text_to_ribbon)
 from parkhopf.exact import LinComb
 from parkhopf import hopf, operad
-from parkhopf.symfun import SymElem
+from parkhopf.symfun import ribbon_product, s_product
 
 
 def P(w):
@@ -502,31 +502,32 @@ def test_morphism_istar():
 
 
 def test_istar_on_subalgebras():
-    assert hopf.istar_on_cqsym(P((1, 1, 3))) == SymElem.s((2, 1))
-    assert hopf.istar_on_sqsym(QR("11|3")) == SymElem.r((2, 1))
+    assert hopf.istar_on_cqsym(P((1, 1, 3))) == LinComb.term((2, 1))
+    assert hopf.istar_on_sqsym(QR("11|3")) == LinComb.term((2, 1))
     # multiplicativity of the quasi-ribbon restriction, small degrees
     for q1 in quasi_ribbons(2):
         for q2 in quasi_ribbons(2):
             prod = hopf.sqsym_product(LinComb.term(q1), LinComb.term(q2))
             lhs = hopf.istar_on_sqsym(prod)
-            rhs = hopf.istar_on_sqsym(LinComb.term(q1)) * \
-                hopf.istar_on_sqsym(LinComb.term(q2))
+            rhs = ribbon_product(hopf.istar_on_sqsym(LinComb.term(q1)),
+                                 hopf.istar_on_sqsym(LinComb.term(q2)))
             assert lhs == rhs
     # multiplicativity on the nondecreasing basis
     for a in ndpfs(2):
         for b in ndpfs(3):
             lhs = hopf.istar_on_cqsym(hopf.cqsym_succ(P(a), P(b)))
-            rhs = hopf.istar_on_cqsym(P(a)) * hopf.istar_on_cqsym(P(b))
+            rhs = s_product(hopf.istar_on_cqsym(P(a)),
+                            hopf.istar_on_cqsym(P(b)))
             assert lhs == rhs
 
 
 def test_morphism_psi():
     assert hopf.morphism_psi(F((1, 1))) == \
-        SymElem.s((2,), Fraction(1, 2))
-    assert hopf.morphism_psi(hopf.unit()) == SymElem.one("S")
+        LinComb.term((2,), Fraction(1, 2))
+    assert hopf.morphism_psi(hopf.unit()) == LinComb.term(())
     lhs = hopf.morphism_psi(hopf.pqsym_product(F((1,)), F((1,))))
-    rhs = hopf.morphism_psi(F((1,))) * hopf.morphism_psi(F((1,)))
-    assert lhs == rhs == SymElem.s((1, 1))
+    rhs = s_product(hopf.morphism_psi(F((1,))), hopf.morphism_psi(F((1,))))
+    assert lhs == rhs == LinComb.term((1, 1))
     # multiplicative on pairs of total degree <= 5, plus random degree 6
     import random
     for n1 in range(1, 4):
@@ -534,12 +535,14 @@ def test_morphism_psi():
             for a in parking_functions(n1)[:6]:
                 for b in parking_functions(n2)[:6]:
                     lhs = hopf.morphism_psi(hopf.pqsym_product(F(a), F(b)))
-                    rhs = hopf.morphism_psi(F(a)) * hopf.morphism_psi(F(b))
+                    rhs = s_product(hopf.morphism_psi(F(a)),
+                                    hopf.morphism_psi(F(b)))
                     assert lhs == rhs
     rng = random.Random(99)
     for a, b in _random_parking_pairs(rng, 6, 6):
         lhs = hopf.morphism_psi(hopf.pqsym_product(F(a), F(b)))
-        assert lhs == hopf.morphism_psi(F(a)) * hopf.morphism_psi(F(b))
+        assert lhs == s_product(hopf.morphism_psi(F(a)),
+                                hopf.morphism_psi(F(b)))
 
 
 def test_serialization():

@@ -5,16 +5,14 @@ from parkhopf.combinat import (binary_trees, compositions, ndpfs,
 from parkhopf.exact import LinComb
 from parkhopf import lagrange as lg
 from parkhopf.hopf import istar_on_cqsym, unit
-from parkhopf.symfun import SymElem
 
-
-def S(key, coeff=1, extended=False):
-    return SymElem.s(key, coeff, extended)
+# an S-basis element is a LinComb on composition keys; a part 0 is S_0
+S = LinComb.term
 
 
 def test_g_small_components():
     g = lg.solve_g(4)
-    assert g[0] == SymElem.one("S")
+    assert g[0] == S(())
     assert g[1] == S((1,))
     assert g[3] == S((3,)) + S((2, 1), 2) + S((1, 2)) + S((1, 1, 1))
     assert g[4] == S((4,)) + S((3, 1), 3) + S((2, 2), 2) + S((1, 3)) + \
@@ -36,14 +34,11 @@ def test_g_counts_ndpf_by_packed_evaluation():
 
 def test_f_small_components():
     f = lg.solve_f(3)
-    assert f[0] == S((0,), extended=True)
-    assert f[1] == S((1, 0), extended=True)
-    assert f[2] == S((1, 1, 0), extended=True) + S((2, 0, 0), extended=True)
-    expected3 = (S((1, 1, 1, 0), extended=True)
-                 + S((1, 2, 0, 0), extended=True)
-                 + S((2, 0, 1, 0), extended=True)
-                 + S((2, 1, 0, 0), extended=True)
-                 + S((3, 0, 0, 0), extended=True))
+    assert f[0] == S((0,))
+    assert f[1] == S((1, 0))
+    assert f[2] == S((1, 1, 0)) + S((2, 0, 0))
+    expected3 = (S((1, 1, 1, 0)) + S((1, 2, 0, 0)) + S((2, 0, 1, 0))
+                 + S((2, 1, 0, 0)) + S((3, 0, 0, 0)))
     assert f[3] == expected3
 
 
@@ -69,6 +64,15 @@ def test_B_unit_conventions():
     target = LinComb.term((1, 1, 2)) + LinComb.term((1, 1, 1))
     assert lg.bilinear_B(one, LinComb.term((1, 2)) + LinComb.term((1, 1)),
                          "cqsym") == target
+
+
+def test_B_rejects_unknown_algebra():
+    one = unit()
+    for algebra in ("sqsym", "CQSym", ""):
+        with pytest.raises(ValueError, match="unknown algebra"):
+            lg.bilinear_B(one, one, algebra)
+    with pytest.raises(ValueError, match="unknown algebra"):
+        lg.solve_series_B(2, "wqsym")
 
 
 def test_negative_order_gives_empty_series():

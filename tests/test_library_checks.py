@@ -1,6 +1,6 @@
 """Static checks on the library source: checks that still run under
-``python -O``, verify sizes clamped in one place, and the rewrite and series
-walks written once."""
+``python -O``, verify sizes clamped in one place, the rewrite and series
+walks written once, and one element format for every algebra."""
 
 import ast
 import pathlib
@@ -55,3 +55,15 @@ def test_rewrite_and_series_walks_written_once():
                    if isinstance(node, (ast.For, ast.comprehension))
                    and ast.unparse(node.iter) == "range(order + 1)"]
     assert len(order_loops) == 1
+
+
+def test_one_element_format():
+    # every algebra's elements are LinComb values on plain tuple keys, so
+    # the library defines no class besides the polynomial, the linear
+    # combination and two error types
+    allowed = {"Poly", "LinComb", "NotDivisibleError", "NotInSubalgebraError"}
+    found = {f"{path.name}:{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ClassDef) and node.name not in allowed}
+    assert SOURCES and not found, f"classes besides {sorted(allowed)}: {found}"
