@@ -9,9 +9,11 @@ Every enumerate family is one row of ``_ENUM_FAMILIES``: its items as text
 in the library's order, and its count from a closed form.  Every family,
 tree included, streams: enumerate renders and writes its items in fixed
 blocks as they are produced, so no format holds the family in memory, and
-JSON prints the formula count before it streams the items.  The word
-families render a block as one byte translation when its letters are all
-digits, and word by word otherwise.  ``_ENUM_BUDGET`` is the one bound on
+JSON prints the formula count before it streams the items.  Each block is
+one text, its items joined by newlines, from its rendering to its write;
+JSON and CSV split it into its items.  The word families render a block
+as one byte translation when its letters are all digits, and word by word
+otherwise.  ``_ENUM_BUDGET`` is the one bound on
 enumerate: a family whose count is over it exits 2 before it enumerates
 anything, and a stream whose length differs from its formula exits 1.  ndpf
 and tree also keep the library's n <= 12.
@@ -70,16 +72,22 @@ def _parking_count(n: int) -> int:
     return (n + 1) ** (n - 1) if n else 1
 
 
-# family: (its items of size n as text, in the library's order, with every
-# size check made before the first item; their number, from a closed form)
+def _joined(texts):
+    """The texts joined by newlines, ``combinat._BLOCK`` at a time."""
+    return map("\n".join, combinat._chunks(texts))
+
+
+# family: (its items of size n as text in the library's order, in blocks,
+# each block one str of items joined by newlines, with every size check made
+# before the first block; their number, from a closed form)
 _ENUM_FAMILIES = {
     "pf": (lambda n: combinat.words_to_text(
                combinat.iter_parking_functions(n)),
            _parking_count),
     "ndpf": (lambda n: combinat.words_to_text(combinat.iter_ndpfs(n)),
              _catalan),
-    "qribbon": (lambda n: combinat.ribbons_to_text(
-                    combinat.iter_quasi_ribbons(n)),
+    "qribbon": (lambda n: _joined(combinat.ribbons_to_text(
+                    combinat.iter_quasi_ribbons(n))),
                 _little_schroder),
     "packed": (lambda n: combinat.words_to_text(
                    combinat.iter_packed_words(n)),
@@ -87,13 +95,13 @@ _ENUM_FAMILIES = {
     "perm": (lambda n: combinat.words_to_text(
                  itertools.permutations(range(1, n + 1))),
              factorial),
-    "signed-pf": (lambda n: map(chars.signed_to_text,
-                                chars.signed_parking_functions(n)),
+    "signed-pf": (lambda n: _joined(map(chars.signed_to_text,
+                                        chars.signed_parking_functions(n))),
                   lambda n: 2 ** n * _parking_count(n)),
-    "dyck": (chars.dyck_paths, _catalan),
-    "schroder": (chars.schroder_paths, _large_schroder),
-    "tree": (lambda n: map(combinat.tree_to_text,
-                           combinat.iter_binary_trees(n)),
+    "dyck": (lambda n: _joined(chars.dyck_paths(n)), _catalan),
+    "schroder": (lambda n: _joined(chars.schroder_paths(n)), _large_schroder),
+    "tree": (lambda n: _joined(map(combinat.tree_to_text,
+                                   combinat.iter_binary_trees(n))),
              _catalan),
 }
 # the most items one enumerate run may print: parking functions of size 8
@@ -102,7 +110,7 @@ _ENUM_BUDGET = 10_000_000
 
 
 def _cmd_enumerate(args) -> int:
-    items, count_of = _ENUM_FAMILIES[args.family]
+    render, count_of = _ENUM_FAMILIES[args.family]
     # no count falls as n grows, so the scan stops at the first size over
     # the budget, and a huge n never evaluates its formula
     if any(count_of(k) > _ENUM_BUDGET for k in range(args.n + 1)):
@@ -111,31 +119,33 @@ def _cmd_enumerate(args) -> int:
               file=sys.stderr)
         return 2
     count = count_of(args.n)
-    # the items are written one block at a time as they are produced, so no
-    # list of all the lines is built, and no family is held in memory
-    items = iter(items(args.n))
-    blocks = iter(lambda: list(itertools.islice(items, combinat._BLOCK)), [])
+    # the family checks its size here, before anything is written
+    blocks = render(args.n)
+    # each block is one text from its rendering to its write, so no list of
+    # all the lines is built, and no family is held in memory; no item text
+    # holds a newline, so json and csv split a block into its items there
     write = sys.stdout.write
     written = 0
     if args.format == "lines":
-        for block in blocks:
-            write("\n".join(block) + "\n")
-            written += len(block)
+        for text in blocks:
+            write(text + "\n")
+            written += text.count("\n") + 1
     elif args.format == "json":
         # the bytes of json.dumps of the whole report, items streamed last
         head = json.dumps({"schema": SCHEMA, "family": args.family,
                            "n": args.n, "count": count, "items": []})
         write(head[:-2])
-        for block in blocks:
-            write(("" if written == 0 else ", ") + json.dumps(block)[1:-1])
-            written += len(block)
+        for text in blocks:
+            write(("" if written == 0 else ", ")
+                  + json.dumps(text.split("\n"))[1:-1])
+            written += text.count("\n") + 1
         write("]}\n")
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(["item"])
-        for block in blocks:
-            writer.writerows(zip(block))
-            written += len(block)
+        for text in blocks:
+            writer.writerows(zip(text.split("\n")))
+            written += text.count("\n") + 1
     if written != count:
         raise AssertionError(f"{args.family} of size {args.n} gave {written} "
                              f"items, its closed form {count}")

@@ -4,12 +4,14 @@ Words are 1-indexed tuples of machine integers.  All values are immutable and
 all operations are pure functions.  Every family comes in a fixed canonical
 order, free of duplicates: lexicographic on letter sequences, and for binary
 trees by left-subtree size then recursively.  The word families are walked
-one letter at a time by `_words`; `iter_ndpfs`, `iter_parking_functions`,
-`iter_packed_words`, `iter_quasi_ribbons` and `iter_binary_trees` yield
-their items as they are found, and the cached tuples the algebra code reuses
-(`ndpfs`, `parking_functions`, `packed_words`, `quasi_ribbons`,
-`binary_trees`, ...) are built from the same streams.  The supported
-enumeration range is n <= 12.
+one letter at a time by `_words`, which chains one run of words per prefix,
+so each word passes through one `itertools.chain`; `iter_ndpfs`,
+`iter_parking_functions`, `iter_packed_words`, `iter_quasi_ribbons` and
+`iter_binary_trees` yield their items as they are found, and the cached
+tuples the algebra code reuses (`ndpfs`, `parking_functions`,
+`packed_words`, `quasi_ribbons`, `binary_trees`, ...) are built from the
+same streams.  `words_to_text` renders words a block at a time, each block
+one text.  The supported enumeration range is n <= 12.
 """
 
 from __future__ import annotations
@@ -328,14 +330,16 @@ def _words(n: int, start, moves):
         return tuple((v,) + t for v, after in moves(state)
                      for t in tails(after, r - 1))
 
-    def walk(prefix, state, r):
+    def runs(prefix, state, r):
+        # one run of words per prefix of n - _TAIL letters, so a word passes
+        # through the one chain below and no generator frame
         if r <= _TAIL:
-            yield from map(prefix.__add__, tails(state, r))
+            yield map(prefix.__add__, tails(state, r))
             return
         for v, after in moves(state):
-            yield from walk(prefix + (v,), after, r - 1)
+            yield from runs(prefix + (v,), after, r - 1)
 
-    return walk((), start, n)
+    return itertools.chain.from_iterable(runs((), start, n))
 
 
 def _ndpf_moves(state):
@@ -489,32 +493,43 @@ def word_to_text(w) -> str:
     return bytes(w).translate(_DIGITS).decode()
 
 
-# words per block of `words_to_text` (and lines per write of `enumerate`):
+# words per block of `words_to_text` (and items per write of `enumerate`):
 # enough to spread the per-call costs over many words, while larger blocks
-# raise peak memory and gain no speed
+# raise peak memory and gain no speed.  A block stays one text from its
+# rendering to its write.
 _BLOCK = 256
+
+# the bytes 0 up to the newline 10: deleting them from a block leaves
+# nothing exactly when no byte of the block is above 10
+_SMALL = bytes(range(11))
+
+
+def _chunks(items):
+    """The items in lists of `_BLOCK`, the last list shorter."""
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, _BLOCK)), [])
 
 
 def words_to_text(words):
-    """The texts `word_to_text` gives the words, one at a time, converted a
-    block at a time.
+    """The texts `word_to_text` gives the words, one block of up to `_BLOCK`
+    words at a time: each block is one str, its words' texts joined by
+    newlines, with no newline at the end.
 
     A block is one `bytes.translate` when the block shows that every letter
     is a digit: `bytes` takes each letter as a byte (no letter is below 0 or
     above 255), no byte is above the newline 10 that joins the words, and
     the only newlines are the joins.  Any other block goes word by word.
     """
-    words = iter(words)
-    for block in iter(lambda: list(itertools.islice(words, _BLOCK)), []):
+    for block in _chunks(words):
         try:
             joined = b"\n".join(map(bytes, block))
         except ValueError:
             joined = None
-        if joined is not None and max(joined, default=0) <= 10 \
+        if joined is not None and not joined.translate(None, _SMALL) \
                 and joined.count(10) == len(block) - 1:
-            yield from joined.translate(_DIGITS).decode().split("\n")
+            yield joined.translate(_DIGITS).decode()
         else:
-            yield from map(word_to_text, block)
+            yield "\n".join(map(word_to_text, block))
 
 
 def text_to_word(s: str) -> tuple:

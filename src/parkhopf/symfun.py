@@ -79,11 +79,8 @@ def as2_axioms_check(n: int) -> bool:
                                 return False
                         ri, rj, rk = (LinComb.term(key)
                                       for key in (i, j, k))
-                        lhs = ribbon_product(LinComb.term(comp_concat(i, j)),
-                                             rk)
-                        rhs = ribbon_product(ri, ribbon_product(rj, rk))
-                        if (ribbon_product(ribbon_product(ri, rj), rk) != rhs
-                                or not lhs):
+                        if ribbon_product(ribbon_product(ri, rj), rk) \
+                                != ribbon_product(ri, ribbon_product(rj, rk)):
                             return False
     return True
 

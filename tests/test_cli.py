@@ -93,14 +93,17 @@ def test_every_family_streams_the_library_rendering(capsys):
 
 
 def test_block_rendering_matches_item_rendering(capsys):
-    # sizes with many blocks of words, a last partial block among them
-    for family in ("pf", "ndpf", "packed", "perm"):
-        for n in (6, 7):
-            for fmt in ("lines", "json", "csv"):
-                code, out = run(capsys, "enumerate", "--family", family,
-                                "--n", str(n), "--format", fmt)
-                assert code == 0
-                assert out == _rendered(family, n, fmt), (family, n, fmt)
+    # sizes with many blocks of items, a last partial block among them
+    sizes = [(family, n) for family in ("pf", "ndpf", "packed", "perm")
+             for n in (6, 7)]
+    sizes += [("qribbon", 7), ("tree", 8), ("dyck", 8), ("schroder", 6),
+              ("signed-pf", 4)]
+    for family, n in sizes:
+        for fmt in ("lines", "json", "csv"):
+            code, out = run(capsys, "enumerate", "--family", family,
+                            "--n", str(n), "--format", fmt)
+            assert code == 0
+            assert out == _rendered(family, n, fmt), (family, n, fmt)
 
 
 def test_enumerate_counts_come_from_closed_forms():
@@ -401,6 +404,10 @@ def test_package_import_skips_dataclasses_and_inspect():
     ["enumerate", "--family", "pf", "--n", "6"],
     # 4,782,969 lines: it ends in time only if it writes as it enumerates
     ["enumerate", "--family", "pf", "--n", "8"],
+    # blocks that leave the one-translate path, split for csv
+    ["enumerate", "--family", "perm", "--n", "10", "--format", "csv"],
+    # blocks of an item family, split for json
+    ["enumerate", "--family", "qribbon", "--n", "11", "--format", "json"],
     ["verify", "--suite", "all", "--max-n", "2"],
 ])
 def test_closed_stdout_ends_quietly(argv):

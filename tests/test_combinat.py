@@ -374,6 +374,14 @@ def test_enumeration_cap():
             stream(13)
 
 
+def test_word_streams_are_lazy():
+    # there are 13^11 parking functions of size 12: the first comes at once
+    # only if the walk does not build the family first
+    for stream in (cb.iter_parking_functions, cb.iter_ndpfs,
+                   cb.iter_packed_words):
+        assert next(iter(stream(12))) == (1,) * 12
+
+
 def test_quasi_ribbon_list_n3_matches_known_list():
     expected = {"111", "112", "11|2", "113", "11|3", "122", "1|22",
                 "123", "1|23", "12|3", "1|2|3"}
@@ -392,8 +400,15 @@ def test_word_text_roundtrip():
 
 
 def _words_to_text_agrees(words):
+    # the lines of all blocks are the texts of the words, and block i holds
+    # the lines of words i * _BLOCK up to (i + 1) * _BLOCK
     words = list(words)
-    assert list(cb.words_to_text(words)) == list(map(cb.word_to_text, words))
+    blocks = list(cb.words_to_text(words))
+    assert [line for text in blocks for line in text.split("\n")] \
+        == list(map(cb.word_to_text, words))
+    assert [len(text.split("\n")) for text in blocks] \
+        == [len(words[i:i + cb._BLOCK])
+            for i in range(0, len(words), cb._BLOCK)]
 
 
 def test_words_to_text_matches_word_to_text():
