@@ -21,9 +21,10 @@ from math import comb, factorial, prod
 from operator import add
 
 from . import hopf
-from .combinat import (is_ndpf, is_parking, iter_parking_functions,
-                       iter_quasi_ribbons, ndpfs, packed_evaluation,
-                       parking_functions, quasi_ribbons, shifted_shuffle)
+from .combinat import (comma_ints, is_ndpf, is_parking,
+                       iter_parking_functions, iter_quasi_ribbons, ndpfs,
+                       pack, packed_evaluation, parking_functions,
+                       quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
 from .lagrange import solve_g
@@ -50,7 +51,7 @@ def signed_to_text(v) -> str:
 
 def text_to_signed(text: str) -> tuple:
     """The signed parking function written by `signed_to_text`."""
-    v = tuple(int(p) for p in text.split(",") if p.strip())
+    v = comma_ints(text) if text.strip() else ()
     if not is_signed_parking(v):
         raise ValueError(f"not a signed parking function: {text!r}")
     return v
@@ -141,21 +142,29 @@ def _qbinom(n: int, k: int) -> Poly:
 def super_narayana_count(n: int) -> Poly:
     """Sum of t^(minus) q^(sinv) over all signed parking functions of length n.
 
-    Every signing of every parking function is counted, its statistics taken
-    by the prefix walk `_signing_stats`, with no signed word built.  The same
-    polynomial with smaj in place of sinv is computed alongside and the
-    equality of the two distributions is asserted.
+    The prefix walk `_signing_stats` compares the letters only with one
+    another, so the statistics of the signings of a parking function depend
+    only on its packed word.  Every parking function is packed and counted,
+    and each distinct packed word is walked once, its statistics weighted by
+    the number of parking functions that pack to it.  The same polynomial
+    with smaj in place of sinv is computed alongside and the equality of the
+    two distributions is asserted.
     """
     if n > 6:
         raise ValueError("super_narayana_count supports n <= 6")
-    # one Counter over the whole stream counts in C; the few hundred distinct
-    # triples are then split into the two distributions
-    stats = Counter(itertools.chain.from_iterable(
-        map(_signing_stats, iter_parking_functions(n))))
+    # the packed words of each multiplicity share one Counter, which counts
+    # the stream of their triples in C; the few hundred distinct triples are
+    # then weighted and split into the two distributions
+    groups = {}
+    for word, mult in Counter(map(pack, iter_parking_functions(n))).items():
+        groups.setdefault(mult, []).append(word)
     by_sinv, by_smaj = Counter(), Counter()
-    for (m, sinv, smaj), c in stats.items():
-        by_sinv[m, sinv] += c
-        by_smaj[m, smaj] += c
+    for mult, words in groups.items():
+        stats = Counter(itertools.chain.from_iterable(
+            map(_signing_stats, words)))
+        for (m, sinv, smaj), c in stats.items():
+            by_sinv[m, sinv] += mult * c
+            by_smaj[m, smaj] += mult * c
     if by_sinv != by_smaj:
         raise AssertionError("sinv and smaj distributions must agree")
     return Poly((monomial(t=m, q=j), c) for (m, j), c in by_sinv.items())

@@ -57,18 +57,25 @@ def is_permutation(w) -> bool:
 def parkize(w) -> tuple:
     """Closure sending any word of positive integers to a parking function.
 
-    While the word is not parking, find the least i whose prefix count
-    #{j : w_j <= i} falls short of i and decrement every letter above it.
-    Terminates because the letter sum strictly decreases.
+    The closure repeats "find the least i whose prefix count
+    #{j : w_j <= i} falls short of i, and decrement every letter above it"
+    until the word is parking.  It is computed in one pass over the distinct
+    letters v_1 < v_2 < ...: with g_0 = v_0 = 0, the letter v_k becomes
+
+        g_k = min(g_(k-1) + v_k - v_(k-1), 1 + #{letters < v_k}),
+
+    so the gap below each letter is kept until it would open a deficit.
     """
     w = tuple(w)
-    if any(v < 1 for v in w):
+    letters = sorted(w)
+    if letters and letters[0] < 1:
         raise ValueError(f"letters must be >= 1: {w}")
-    n = len(w)
-    while not is_parking(w):
-        d = next(i for i in range(1, n + 1) if sum(1 for v in w if v <= i) < i)
-        w = tuple(v - 1 if v > d else v for v in w)
-    return w
+    value, prev, g = {}, 0, 0
+    for below, v in enumerate(letters):
+        if v != prev:
+            g = value[v] = min(g + v - prev, below + 1)
+            prev = v
+    return tuple(map(value.__getitem__, w))
 
 
 def standardize(w) -> tuple:
@@ -532,12 +539,24 @@ def words_to_text(words):
             yield "\n".join(map(word_to_text, block))
 
 
+def comma_ints(text: str, source: str = "") -> tuple:
+    """The ints of the comma-separated fields of text.  ValueError on an
+    empty field, so "1,,2" and "1,2," are rejected, not read as (1, 2).  The
+    error names ``source``, when given, as the input text is a part of."""
+    fields = text.split(",")
+    if not all(map(str.strip, fields)):
+        raise ValueError(f"empty field in {source or text!r}")
+    return tuple(map(int, fields))
+
+
 def text_to_word(s: str) -> tuple:
+    """The word `word_to_text` writes as s: letters split at commas if s
+    holds one, else one digit each; the empty text is the empty word."""
     s = s.strip()
     if not s:
         return ()
     if "," in s:
-        return tuple(int(p) for p in s.split(",") if p)
+        return comma_ints(s)
     return tuple(int(ch) for ch in s)
 
 
@@ -571,8 +590,7 @@ def text_to_ribbon(s: str) -> tuple:
     for i, segment in enumerate(s.split("|")):
         if i:
             bars.append(len(word))
-        word.extend(int(p) for p in (segment.split(",") if comma else segment)
-                    if p)
+        word.extend(comma_ints(segment, s) if comma else map(int, segment))
     q = tuple(word), tuple(bars)
     if not is_quasi_ribbon(q):
         raise ValueError(f"not a quasi-ribbon: {s!r}")

@@ -186,12 +186,18 @@ def ndpf_to_tree(pi):
     pi = tuple(pi)
     if not is_ndpf(pi):
         raise ValueError(f"not a nondecreasing parking function: {pi}")
+    return _ndpf_to_tree(pi)
+
+
+def _ndpf_to_tree(pi):
+    """`ndpf_to_tree` of an NDPF: alpha and beta are NDPFs whenever pi is,
+    so the check at the outer call covers the recursion."""
     if not pi:
         return None
     k = max(i for i in range(1, len(pi) + 1) if pi[i - 1] == i)
     alpha = pi[:k - 1]
     beta = tuple(v - (k - 1) for v in pi[k:])
-    return (ndpf_to_tree(alpha), ndpf_to_tree(beta))
+    return (_ndpf_to_tree(alpha), _ndpf_to_tree(beta))
 
 
 # -- the Tamari order -----------------------------------------------------------

@@ -240,20 +240,48 @@ def confluence_check(mode: str, n: int) -> bool:
                for t in all_eval_trees(mode, n))
 
 
+def _wqsym_ops():
+    """The tridendriform thirds by operation.  The names are read at each
+    call, so a wrapper put on this module's names (a profiler's, say) sees
+    every product."""
+    return {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid}
+
+
 def eval_tree_wqsym(t) -> LinComb:
     """Evaluate a three-operation tree in the packed-word algebra with the
     one-letter generator at the leaves and the tridendriform thirds inside."""
-    return _evaluate(t, LinComb.term((1,)),
-                     {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid})
+    return _evaluate(t, LinComb.term((1,)), _wqsym_ops())
+
+
+def _eval_trees_wqsym(trees):
+    """`eval_tree_wqsym` of each tree in turn.  The value of each distinct
+    proper subtree is computed once and shared; the trees' own values are
+    yielded, not kept."""
+    ops = _wqsym_ops()
+    values = {LEAF: LinComb.term((1,))}
+
+    def value(t):
+        if t not in values:
+            op, left, right = t
+            values[t] = ops[op](value(left), value(right))
+        return values[t]
+
+    for t in trees:
+        if t is LEAF:
+            yield values[LEAF]
+        else:
+            op, left, right = t
+            yield ops[op](value(left), value(right))
 
 
 def tridendriform_span_dimension(n: int) -> int:
     """Dimension of the span of all degree-n products of the one-letter
     generator under the three tridendriform operations of the packed-word
-    algebra."""
+    algebra.  The trees share the values of their subtrees, so each distinct
+    subtree of fewer than n leaves is evaluated once."""
     if n > 6:
         raise ValueError("tridendriform_span_dimension supports n <= 6")
-    return span_dimension(eval_tree_wqsym(t) for t in all_eval_trees("tri", n))
+    return span_dimension(_eval_trees_wqsym(all_eval_trees("tri", n)))
 
 
 # -- dual-operad dimension statements ------------------------------------------

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from parkhopf import chars as ch
-from parkhopf.combinat import (is_ndpf, iter_parking_functions, ndpfs,
+from parkhopf.combinat import (is_ndpf, iter_parking_functions, ndpfs, pack,
                                parking_functions, shifted_shuffle)
 from parkhopf.exact import Poly, monomial
 
@@ -29,6 +29,10 @@ def test_signed_word_basics():
         ch.text_to_signed("0,1")
     with pytest.raises(ValueError):
         ch.text_to_signed("1,x")
+    assert ch.text_to_signed("") == ()
+    for text in ["1,,2", "1,", ",", "-1,,1"]:
+        with pytest.raises(ValueError, match="empty field"):
+            ch.text_to_signed(text)
 
 
 def test_signed_shifted_shuffle():
@@ -88,6 +92,25 @@ def test_signing_walk_matches_signed_words():
                         for s in words)
         assert walk == by_words == brute
         assert sum(walk.values()) == 2 ** n * (n + 1) ** (n - 1)
+
+
+def test_signing_walk_depends_only_on_the_packed_word():
+    # the lemma behind super_narayana_count's grouping by packed word
+    for n in range(6):
+        for w in iter_parking_functions(n):
+            assert Counter(ch._signing_stats(w)) == \
+                Counter(ch._signing_stats(pack(w)))
+
+
+def test_grouped_count_matches_every_signing_walked():
+    for n in range(1, 6):
+        stats = Counter(itertools.chain.from_iterable(
+            map(ch._signing_stats, iter_parking_functions(n))))
+        by_sinv = Counter()
+        for (m, sinv, _), c in stats.items():
+            by_sinv[m, sinv] += c
+        assert ch.super_narayana_count(n) == Poly(
+            (monomial(t=m, q=j), c) for (m, j), c in by_sinv.items())
 
 
 def test_signed_weight_matches_signed_words():

@@ -309,6 +309,9 @@ def _exit_code(argv):
     ["verify", "--suite", "all", "--max-n", "0"],
     ["poly", "--which", "narayana", "--n", "0"],
     ["bijection", "--direction", "ndpf-to-tree", "--input", "0"],
+    # empty comma fields are rejected, not skipped
+    ["bijection", "--direction", "ndpf-to-tree", "--input", ",,,"],
+    ["bijection", "--direction", "ndpf-to-tree", "--input", "1,,2"],
     ["verify", "--suite", "all", "--max-n", "9"],
     # within the budget but past the library's n <= 12, checked before the
     # first byte of any format

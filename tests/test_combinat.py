@@ -54,6 +54,29 @@ def test_parkize_examples():
     assert cb.parkize((1, 3)) == (1, 2)
 
 
+def _parkize_oracle(w):
+    """The closure by its definition: while the word is not parking, find
+    the least i whose prefix count #{j : w_j <= i} falls short of i and
+    decrement every letter above it."""
+    n = len(w)
+    while not cb.is_parking(w):
+        d = next(i for i in range(1, n + 1)
+                 if sum(1 for v in w if v <= i) < i)
+        w = tuple(v - 1 if v > d else v for v in w)
+    return w
+
+
+def test_parkize_matches_the_deficit_loop():
+    count = 0
+    for n in range(6):
+        for w in itertools.product(range(1, 8), repeat=n):
+            assert cb.parkize(w) == _parkize_oracle(w), w
+            count += 1
+    assert count == 19608
+    with pytest.raises(ValueError, match=">= 1"):
+        cb.parkize((2, 0, 1))
+
+
 @given(words)
 def test_parkize_lands_on_parking_and_fixes_them(w):
     p = cb.parkize(w)
@@ -397,6 +420,13 @@ def test_word_text_roundtrip():
     assert cb.text_to_word("1,10,2") == (1, 10, 2)
     assert cb.text_to_word("123") == (1, 2, 3)
     assert cb.text_to_word("") == ()
+    # an empty comma field is an error, not a skipped letter
+    for text in [",,,", "1,,2", "1,2,", ",1"]:
+        with pytest.raises(ValueError, match="empty field"):
+            cb.text_to_word(text)
+    for text in ["1,,2|3", "1,2|", "1,|2"]:
+        with pytest.raises(ValueError, match="empty field"):
+            cb.text_to_ribbon(text)
 
 
 def _words_to_text_agrees(words):

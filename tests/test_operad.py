@@ -186,6 +186,15 @@ def test_dual_dimensions():
         [2 ** n - 1 for n in range(1, 7)]
 
 
+def test_shared_subtree_values_match_tree_by_tree():
+    # the span evaluates each distinct proper subtree once; every tree's
+    # value must still be the one its own walk gives
+    for n in range(1, 5):
+        trees = list(op.all_eval_trees("tri", n))
+        assert list(op._eval_trees_wqsym(trees)) == \
+            list(map(op.eval_tree_wqsym, trees))
+
+
 def test_tridendriform_span_dimensions():
     assert [op.tridendriform_span_dimension(n) for n in range(1, 6)] == \
         [1, 3, 11, 45, 197]
