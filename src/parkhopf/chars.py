@@ -21,7 +21,7 @@ from math import comb, factorial, prod
 from operator import add
 
 from . import hopf
-from .combinat import (comma_ints, is_ndpf, is_parking,
+from .combinat import (_check_size, comma_ints, is_ndpf, is_parking,
                        iter_parking_functions, iter_quasi_ribbons, ndpfs,
                        pack, packed_evaluation, parking_functions,
                        quasi_ribbons, shifted_shuffle)
@@ -150,8 +150,7 @@ def super_narayana_count(n: int) -> Poly:
     with smaj in place of sinv is computed alongside and the equality of the
     two distributions is asserted.
     """
-    if n > 6:
-        raise ValueError("super_narayana_count supports n <= 6")
+    _check_size("super_narayana_count", n)
     # the packed words of each multiplicity share one Counter, which counts
     # the stream of their triples in C; the few hundred distinct triples are
     # then weighted and split into the two distributions
@@ -182,8 +181,7 @@ def super_narayana_sym(n: int) -> Poly:
     with the q-multinomial [n; I]_q = (q)_n / prod_j (q)_(i_j) taken by exact
     division.  Every step is a polynomial product or an exact quotient.
     """
-    if n > 6:
-        raise ValueError("super_narayana_sym supports n <= 6")
+    _check_size("super_narayana_sym", n)
     x, q = Poly.var("x"), Poly.var("q")
     qfact = [_qfact(k) for k in range(n + 1)]
     x_poch = [P_ONE]  # (x;q)_k = (1-x)(1-xq)...(1-xq^(k-1))
@@ -209,57 +207,43 @@ def fsigma_signed_weight(sigma) -> Poly:
     return Poly(map(_signed_term, _signing_stats(sigma)))
 
 
+def _shuffle_identity(a, b) -> bool:
+    """W summed over the shifted shuffles of a and b is
+    [|a|+|b|; |a|]_q W(a) W(b), W the signed weight `fsigma_signed_weight`.
+
+    Signing the letters of each shuffled word gives the signed shifted
+    shuffles of every signing of a with every signing of b, so this is the
+    character identity on signed words."""
+    n = len(a)
+    return (Poly.sum(map(fsigma_signed_weight, shifted_shuffle(a, b, n)))
+            == _qbinom(n + len(b), n) * fsigma_signed_weight(a)
+            * fsigma_signed_weight(b))
+
+
 def qtF_identity_check(sigma) -> bool:
     """The signed-maj weight is a character up to the q-binomial normalization.
 
-    Checks sum of weights over the shifted shuffles of sigma with every small
-    tau against qbinom(n+m, n) * W(sigma) * W(tau), plus the base case
-    W(1) = 1 - x.
+    Checks `_shuffle_identity` for sigma with every small tau, plus the base
+    case W(1) = 1 - x.
     """
     sigma = tuple(sigma)
-    if len(sigma) > 5:
-        raise ValueError("qtF_identity_check supports |sigma| <= 5")
-    if fsigma_signed_weight((1,)) != 1 - Poly.var("x"):
-        return False
-    n = len(sigma)
-    for tau in [(1,), (1, 2), (2, 1)]:
-        m = len(tau)
-        lhs = Poly.sum(map(fsigma_signed_weight,
-                           shifted_shuffle(sigma, tau, n)))
-        rhs = _qbinom(n + m, n) * fsigma_signed_weight(sigma) \
-            * fsigma_signed_weight(tau)
-        if lhs != rhs:
-            return False
-    return True
-
-
-def signed_shifted_shuffle(a, b):
-    """Shifted shuffle of signed words: the letters of b move len(a) away
-    from 0 and keep their signs."""
-    n = len(a)
-    return shifted_shuffle(a, (x + n if x > 0 else x - n for x in b), 0)
+    _check_size("qtF_identity_check", len(sigma))
+    return fsigma_signed_weight((1,)) == 1 - Poly.var("x") and all(
+        _shuffle_identity(sigma, tau) for tau in [(1,), (1, 2), (2, 1)])
 
 
 def s_character_check(n: int) -> bool:
     """The sign-spreading map composed with the signed-weight character.
 
-    Verifies, for all parking-word pairs of total length <= n: the sum of
-    weights over the signed shifted shuffles of all signings equals
-    qbinom * (summed weight of left) * (summed weight of right); and that the
-    full degree-n sum reproduces the super-Narayana polynomial at x = -t.
+    Verifies `_shuffle_identity` for all pairs of parking functions of total
+    length n, and that the full degree-n sum reproduces the super-Narayana
+    polynomial at x = -t.
     """
-    if n > 4:
-        raise ValueError("s_character_check supports n <= 4")
-    for n1 in range(1, n):
-        n2 = n - n1
-        for a in parking_functions(n1):
-            for b in parking_functions(n2):
-                lhs = Poly(_signed_term(signed_stats(s))
-                           for sa in _signings(a) for sb in _signings(b)
-                           for s in signed_shifted_shuffle(sa, sb))
-                if lhs != _qbinom(n, n1) * fsigma_signed_weight(a) \
-                        * fsigma_signed_weight(b):
-                    return False
+    _check_size("s_character_check", n)
+    if not all(_shuffle_identity(a, b) for n1 in range(1, n)
+               for a in parking_functions(n1)
+               for b in parking_functions(n - n1)):
+        return False
     total = Poly.sum(map(fsigma_signed_weight, parking_functions(n)))
     return total.substitute("x", -Poly.var("t")) == super_narayana_count(n)
 
@@ -312,16 +296,14 @@ def schroder_paths(n: int):
     return _paths(n, _STEPS)
 
 
-def _validate_path(path: str, allow_h: bool):
+def _validate_path(path: str):
     height = 0
     for step in path:
         if step == "u":
             height += 1
         elif step == "d":
             height -= 1
-        elif step == "h" and allow_h:
-            pass
-        else:
+        elif step != "h":
             raise ValueError(f"bad step {step!r} in path {path!r}")
         if height < 0:
             raise ValueError(f"path dips below the axis: {path!r}")
@@ -333,7 +315,8 @@ def dyck_encode(path: str) -> tuple:
     """Each up step contributes the number of its diagonal
     (one plus the number of down steps before it); the word is an NDPF.
     This is the Schroeder encoding of a path without h."""
-    _validate_path(path, allow_h=False)
+    if "h" in path:
+        raise ValueError(f"bad step 'h' in path {path!r}")
     return schroder_encode(path)
 
 
@@ -349,7 +332,7 @@ def dyck_decode(pi) -> str:
 def schroder_encode(path: str) -> tuple:
     """Up steps give their diagonal; an h gives the barred diagonal -d of the
     peak it replaces.  The result is a nondecreasing-type signed word."""
-    _validate_path(path, allow_h=True)
+    _validate_path(path)
     word = []
     diag = 1
     for step in path:
@@ -409,8 +392,7 @@ def schroder_polynomials(n: int) -> tuple[Poly, bool]:
     and the square-root generating series.  Returns (P_n(t), ok) where ok
     says that the three routes agree and no sorted word has a signed
     inversion."""
-    if n > 7:
-        raise ValueError("schroder_polynomials supports n <= 7")
+    _check_size("schroder_polynomials", n)
     t = Poly.var("t")
     by_paths = Poly((monomial(t=p.count("h")), 1) for p in schroder_paths(n))
     stats = list(map(signed_stats, _sorted_signed_pfs(n)))
@@ -436,8 +418,7 @@ def narayana_from_pn(pn_t: Poly) -> Poly:
 
 def bar_distribution(n: int) -> Poly:
     """Sum of t^(number of bars) over the parking quasi-ribbons of size n."""
-    if n > 10:
-        raise ValueError("bar_distribution supports n <= 10")
+    _check_size("bar_distribution", n)
     counts = Counter(len(bars) for _, bars in iter_quasi_ribbons(n))
     return Poly((monomial(t=k), c) for k, c in counts.items())
 
@@ -502,8 +483,7 @@ def chi_sqsym(n: int) -> tuple[Poly, bool]:
     character property on products, the Narayana value of the degree-n sum,
     and the path model.
     """
-    if n > 7:
-        raise ValueError("chi_sqsym supports n <= 7")
+    _check_size("chi_sqsym", n)
     t = Poly.var("t")
     dist = bar_distribution(n)
     chi_gn = (1 + t) * dist
@@ -546,8 +526,7 @@ def psi_alpha_value(w) -> Poly:
 def pn_alpha(n: int) -> Poly:
     """P_n(a) = a (prod over k=1..n-1 of ((n+1) a + k)) for n >= 1, and
     P_0(a) = 1, the value on the one empty parking function."""
-    if n > 10:
-        raise ValueError("pn_alpha supports n <= 10")
+    _check_size("pn_alpha", n)
     if n == 0:
         return P_ONE
     alpha = Poly.var("a")
@@ -576,8 +555,7 @@ def fixed_pair_counts(n: int) -> dict[int, int]:
     blocks of equal letters, and the cycles of such a product are the cycles
     of its factors; so only those products are enumerated, block by block.
     """
-    if n > 5:
-        raise ValueError("fixed_pair_counts supports n <= 5")
+    _check_size("fixed_pair_counts", n)
     cycles = {m: [_cycle_count(s) for s in itertools.permutations(range(m))]
               for m in range(n + 1)}
     return Counter(sum(ks) for a in parking_functions(n)
@@ -590,8 +568,7 @@ def psi_alpha(n: int) -> tuple[Poly, bool]:
     the closed product formula for the degree-n sum, n! times the character
     evaluated on g_n, and (for n <= 5) the fixed-pair interpretation of the
     coefficients."""
-    if n > 6:
-        raise ValueError("psi_alpha supports n <= 6")
+    _check_size("psi_alpha", n)
     target = pn_alpha(n)
     by_eval = Counter(packed_evaluation(a) for a in parking_functions(n))
     total = Poly.sum(cycle_enumerator(comp).scale(count)
@@ -613,8 +590,7 @@ def psi_alpha(n: int) -> tuple[Poly, bool]:
 
 def qn_polynomial(n: int) -> Poly:
     """Q_n(q) = prod over k=2..n of ((n+1-k) q + k), a q-analogue of (n+1)^(n-1)."""
-    if n > 10:
-        raise ValueError("qn_polynomial supports n <= 10")
+    _check_size("qn_polynomial", n)
     q = Poly.var("q")
     return prod((q.scale(n + 1 - k) + k for k in range(2, n + 1)), start=P_ONE)
 
@@ -626,8 +602,7 @@ def q_triangle(n_max: int) -> list[list[int]]:
     (P_n has degree n and no constant term, so Q_n has degree n-1)
     and that column 0 is n!.
     """
-    if n_max > 10:
-        raise ValueError("q_triangle supports n_max <= 10")
+    _check_size("q_triangle", n_max)
     q = Poly.var("q")
     rows = []
     for n in range(1, n_max + 1):
@@ -652,8 +627,9 @@ def lassalle_narayana(n: int) -> Poly:
     evaluate(g_n, 1 - x) = h_n((n+1)(1-x))/(n+1); substitute x = 1-q and
     divide by q.  The value is checked against the closed form
     sum_j C(n+1, j) (-x)^j C(2n-j, n-j) / (n+1) of that h_n."""
-    if not 1 <= n <= 8:
-        raise ValueError("lassalle_narayana supports 1 <= n <= 8")
+    if n < 1:
+        raise ValueError(f"lassalle_narayana needs n >= 1, got {n}")
+    _check_size("lassalle_narayana", n)
     x, q = Poly.var("x"), Poly.var("q")
     value = evaluate(solve_g(n)[n], [P_ONE] + [1 - x] * n)
     closed = Poly((monomial(x=j), Fraction((-1) ** j * comb(n + 1, j)

@@ -13,14 +13,15 @@ JSON prints the formula count before it streams the items.  Each block is
 one text, its items joined by newlines, from its rendering to its write;
 JSON and CSV split it into its items.  The word families render a block
 as one byte translation when its letters are all digits, and word by word
-otherwise.  ``_ENUM_BUDGET`` is the one bound on
-enumerate: a family whose count is over it exits 2 before it enumerates
-anything, and a stream whose length differs from its formula exits 1.  ndpf
-and tree also keep the library's n <= 12.
+otherwise.  A family whose count is over ``_ENUM_BUDGET`` items exits 2
+before it enumerates anything, and a stream whose length differs from its
+formula exits 1.
 
-The other commands are bounded by their library functions' size caps, and
-bijection takes at most ``_MAX_INPUT`` characters of input, which keeps the
-recursive tree bijections inside Python's recursion limit.
+Every size bound of the library is one row of ``combinat.LIMITS``, and each
+command checks it before any work: a bounded function checks its row first,
+and table checks the row of its --which before its first row.  bijection
+takes at most ``_MAX_INPUT`` characters of input, which keeps the recursive
+tree bijections inside Python's recursion limit.
 
 Exit codes: 0 ok, 1 a check failed, 2 usage error or malformed input.  A
 reader that closes stdout early is no error: the command stops quietly.  All
@@ -215,34 +216,48 @@ def _cmd_poly(args) -> int:
 # -- bijection --------------------------------------------------------------------
 
 
+# bijection: the text printed for an input text.  Rows look the library up
+# when they run, as the ``_CHECKS`` rows do.
+_BIJECTIONS = {
+    "tree-to-ndpf": lambda text: combinat.word_to_text(
+        lagrange.tree_to_ndpf(combinat.tree_parse(text))),
+    "ndpf-to-tree": lambda text: combinat.tree_to_text(
+        lagrange.ndpf_to_tree(combinat.text_to_word(text))),
+    "dyck-encode": lambda text: combinat.word_to_text(chars.dyck_encode(text)),
+    "schroder-encode": lambda text: chars.signed_to_text(
+        chars.schroder_encode(text)),
+}
+
+
 def _cmd_bijection(args) -> int:
-    text = args.input
-    if args.direction == "tree-to-ndpf":
-        print(combinat.word_to_text(
-            lagrange.tree_to_ndpf(combinat.tree_parse(text))))
-    elif args.direction == "ndpf-to-tree":
-        print(combinat.tree_to_text(
-            lagrange.ndpf_to_tree(combinat.text_to_word(text))))
-    elif args.direction == "dyck-encode":
-        print(combinat.word_to_text(chars.dyck_encode(text)))
-    else:  # schroder-encode
-        print(chars.signed_to_text(chars.schroder_encode(text)))
+    print(_BIJECTIONS[args.direction](args.input))
     return 0
 
 
 # -- table ------------------------------------------------------------------------
 
 
+def _t_rows(poly_of):
+    """The t-coefficient rows of ``poly_of(n)`` for n = 1..n_max."""
+    return lambda n_max: [[int(c) for c in poly_of(n).coeff_row("t")]
+                          for n in range(1, n_max + 1)]
+
+
+# table: (its rows for n = 1..n_max; the ``combinat.LIMITS`` row bounding
+# n_max).  Rows look the library up when they run, as the ``_CHECKS`` rows
+# do.
+_TABLES = {
+    "qn-triangle": (lambda n_max: chars.q_triangle(n_max), "q_triangle"),
+    "a060693": (_t_rows(_schroder_pn), "schroder_polynomials"),
+    "bar-distribution": (_t_rows(lambda n: chars.bar_distribution(n)),
+                         "bar_distribution"),
+}
+
+
 def _cmd_table(args) -> int:
-    if args.which == "qn-triangle":
-        rows = chars.q_triangle(args.n_max)
-    elif args.which == "a060693":
-        rows = [[int(c) for c in _schroder_pn(n).coeff_row("t")]
-                for n in range(1, args.n_max + 1)]
-    else:  # bar-distribution
-        # largest first, so an n_max past the cap fails before any work
-        rows = [[int(c) for c in chars.bar_distribution(n).coeff_row("t")]
-                for n in range(args.n_max, 0, -1)][::-1]
+    rows_of, limit = _TABLES[args.which]
+    combinat._check_size(limit, args.n_max)
+    rows = rows_of(args.n_max)
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, "table": args.which,
                           "rows": rows}))
@@ -461,9 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("bijection", help="apply an encoding or bijection")
-    p.add_argument("--direction", required=True,
-                   choices=("tree-to-ndpf", "ndpf-to-tree",
-                            "dyck-encode", "schroder-encode"))
+    p.add_argument("--direction", required=True, choices=tuple(_BIJECTIONS))
     p.add_argument("--input", type=_text_up_to(_MAX_INPUT), required=True)
     p.set_defaults(func=_cmd_bijection)
 
@@ -475,8 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="emit a coefficient table")
-    p.add_argument("--which", required=True,
-                   choices=("qn-triangle", "a060693", "bar-distribution"))
+    p.add_argument("--which", required=True, choices=tuple(_TABLES))
     p.add_argument("--n-max", type=_int_in(0), required=True)
     p.add_argument("--format", default="csv", choices=("csv", "json"))
     p.set_defaults(func=_cmd_table)

@@ -11,7 +11,9 @@ so each word passes through one `itertools.chain`; `iter_ndpfs`,
 tuples the algebra code reuses (`ndpfs`, `parking_functions`,
 `packed_words`, `quasi_ribbons`, `binary_trees`, ...) are built from the
 same streams.  `words_to_text` renders words a block at a time, each block
-one text.  The supported enumeration range is n <= 12.
+one text.  Every size limit of the library, the enumeration range
+included, is one row of `LIMITS`, checked by `_check_size` as the first
+statement of the function it bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +23,31 @@ from bisect import bisect_left
 from functools import cache, lru_cache
 from operator import itemgetter, le, lt
 
-MAX_ENUM_N = 12
+# the largest size each bounded function accepts, keyed by function name;
+# "enumeration" bounds every enumerator here
+LIMITS = {
+    # chars
+    "super_narayana_count": 6, "super_narayana_sym": 6,
+    "qtF_identity_check": 5, "s_character_check": 4,
+    "schroder_polynomials": 7, "bar_distribution": 10, "chi_sqsym": 7,
+    "pn_alpha": 10, "fixed_pair_counts": 5, "psi_alpha": 6,
+    "qn_polynomial": 10, "q_triangle": 10, "lassalle_narayana": 8,
+    # lagrange
+    "solve_g": 8, "solve_f": 8, "solve_G_cqsym": 8, "solve_X_fqsym": 8,
+    "tamari_poset": 7, "tamari_interval_check": 7,
+    # operad
+    "count_normal_forms(tri)": 8, "count_normal_forms(dup)": 10,
+    "tridendriform_span_dimension": 6,
+    # hopf, symfun
+    "primitive_dimension": 8, "as2_axioms_check": 8,
+    "enumeration": 12,
+}
+
+
+def _check_size(name: str, n: int):
+    """Reject a size n past the row ``name`` of `LIMITS`."""
+    if n > (top := LIMITS[name]):
+        raise ValueError(f"{name} supports n <= {top}, got {n}")
 
 
 class NotInSubalgebraError(ValueError):
@@ -248,10 +274,6 @@ def coarser_leq(i, j) -> bool:
 # or a pair (left, right).  The size is the number of internal nodes.
 
 
-def tree_size(t) -> int:
-    return 0 if t is None else 1 + tree_size(t[0]) + tree_size(t[1])
-
-
 def tree_to_text(t) -> str:
     return "." if t is None else f"({tree_to_text(t[0])},{tree_to_text(t[1])})"
 
@@ -310,8 +332,9 @@ def canopy(t) -> str:
 
 
 def _check_n(n: int):
-    if not (0 <= n <= MAX_ENUM_N):
-        raise ValueError(f"enumeration size must be in 0..{MAX_ENUM_N}, got {n}")
+    if n < 0:
+        raise ValueError(f"enumeration size must be at least 0, got {n}")
+    _check_size("enumeration", n)
 
 
 # The last letters of every word come from a table of tails built once per

@@ -66,7 +66,8 @@ def monomial(**powers: int) -> tuple:
 
 
 def _term_key(exps):
-    # graded lex, q most significant; used for leading terms and printing
+    # graded lex, q most significant; picks the leading term (printing
+    # sorts by degree, then by reversed exponents)
     return (sum(exps), exps)
 
 
@@ -300,10 +301,6 @@ class LinComb:
     @classmethod
     def term(cls, key, coeff=1) -> "LinComb":
         return cls(((key, coeff),))
-
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
 
     def __add__(self, other: "LinComb") -> "LinComb":
         res = LinComb.__new__(LinComb)

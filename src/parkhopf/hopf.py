@@ -29,9 +29,9 @@ from functools import lru_cache
 from math import factorial
 from operator import itemgetter
 
-from .combinat import (NotInSubalgebraError, hypoplactic_quasi_ribbon,
-                       ndpfs, packed_evaluation, packed_words,
-                       parking_functions, parkize, permutations,
+from .combinat import (NotInSubalgebraError, _check_size,
+                       hypoplactic_quasi_ribbon, ndpfs, packed_evaluation,
+                       packed_words, parking_functions, parkize, permutations,
                        quasi_ribbons, shape, shifted_concat_len,
                        shifted_concat_max, shifted_shuffle, sort_ascending,
                        standardize, word_to_text)
@@ -141,8 +141,7 @@ def dup_bracket(a: LinComb, b: LinComb) -> LinComb:
 
 def primitive_dimension(n: int) -> int:
     """Kernel dimension of the duplicial coproduct in degree n."""
-    if n > 8:
-        raise ValueError("primitive_dimension supports n <= 8")
+    _check_size("primitive_dimension", n)
     return kernel_dimension(
         ndpfs(n), lambda pi: dup_coproduct(LinComb.term(pi)))
 

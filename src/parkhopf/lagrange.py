@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from functools import lru_cache, partial, reduce
 
-from .combinat import (binary_trees, canopy, comp_conjugate, is_ndpf, ndpfs,
-                       packed_evaluation, tree_mirror, shifted_concat_len,
-                       shifted_concat_max)
+from .combinat import (_check_size, binary_trees, canopy, comp_conjugate,
+                       is_ndpf, ndpfs, packed_evaluation, tree_mirror,
+                       shifted_concat_len, shifted_concat_max)
 from .exact import LinComb
 from .hopf import (_keys_by_total, cqsym_prec, cqsym_succ, fqsym_left,
                    fqsym_right, istar_on_cqsym, unit)
@@ -62,8 +62,7 @@ def _lagrange_rhs(series: list[LinComb], n: int, extended: bool) -> LinComb:
 
 def solve_g(order: int) -> list[LinComb]:
     """Degreewise solution of g = sum_k S_k g^k (with S_0 = 1), g_0 = 1."""
-    if order > 8:
-        raise ValueError("solve_g supports order <= 8")
+    _check_size("solve_g", order)
     return _solve_degreewise(order, partial(_lagrange_rhs, extended=False))
 
 
@@ -76,8 +75,7 @@ def residual_g(g: list[LinComb]) -> bool:
 def solve_f(order: int) -> list[LinComb]:
     """Degreewise solution of f = S_0 + S_1 f + S_2 f^2 + ... in the algebra
     extended by the degree-zero indeterminate S_0."""
-    if order > 8:
-        raise ValueError("solve_f supports order <= 8")
+    _check_size("solve_f", order)
     return _solve_degreewise(order, partial(_lagrange_rhs, extended=True))
 
 
@@ -148,14 +146,12 @@ def solve_series_B(order: int, algebra: str) -> list[LinComb]:
 
 
 def solve_G_cqsym(order: int) -> list[LinComb]:
-    if order > 8:
-        raise ValueError("solve_G_cqsym supports order <= 8")
+    _check_size("solve_G_cqsym", order)
     return solve_series_B(order, "cqsym")
 
 
 def solve_X_fqsym(order: int) -> list[LinComb]:
-    if order > 8:
-        raise ValueError("solve_X_fqsym supports order <= 8")
+    _check_size("solve_X_fqsym", order)
     return solve_series_B(order, "fqsym")
 
 
@@ -226,8 +222,7 @@ def tamari_poset(n: int):
     The orientation makes the right comb (the word 1^n) minimal and the left
     comb (the word 12...n) maximal; covers go down by one rotation.
     """
-    if n > 7:
-        raise ValueError("tamari_poset supports n <= 7")
+    _check_size("tamari_poset", n)
     trees = binary_trees(n)
     index = {t: i for i, t in enumerate(trees)}
     covers = [[index[s] for s in _down_rotations(t)] for t in trees]
@@ -268,8 +263,7 @@ def tamari_interval_check(i_comp) -> tuple[bool, int]:
     """Is the packed-evaluation class of I an interval, and how large is it?"""
     i_comp = tuple(i_comp)
     n = sum(i_comp)
-    if n > 7:
-        raise ValueError("tamari_interval_check supports |I| <= 7")
+    _check_size("tamari_interval_check", n)
     members = [pi for pi in ndpfs(n) if packed_evaluation(pi) == i_comp]
     if not members:
         return False, 0

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import itertools
 
-from .combinat import binary_trees, shifted_concat_len, shifted_concat_max
+from .combinat import (_check_size, binary_trees, shifted_concat_len,
+                       shifted_concat_max)
 from .exact import LinComb, span_dimension
 from .hopf import (qr_mid, qr_prec, qr_succ, wqsym_left, wqsym_mid,
                    wqsym_right)
@@ -174,9 +175,7 @@ def normal_forms(mode: str, n: int):
 
 
 def count_normal_forms(mode: str, n: int) -> int:
-    limit = 8 if mode == "tri" else 10
-    if n > limit:
-        raise ValueError(f"count_normal_forms({mode}) supports n <= {limit}")
+    _check_size(f"count_normal_forms({mode})", n)
     return sum(1 for _ in normal_forms(mode, n))
 
 
@@ -279,8 +278,7 @@ def tridendriform_span_dimension(n: int) -> int:
     generator under the three tridendriform operations of the packed-word
     algebra.  The trees share the values of their subtrees, so each distinct
     subtree of fewer than n leaves is evaluated once."""
-    if n > 6:
-        raise ValueError("tridendriform_span_dimension supports n <= 6")
+    _check_size("tridendriform_span_dimension", n)
     return span_dimension(_eval_trees_wqsym(all_eval_trees("tri", n)))
 
 

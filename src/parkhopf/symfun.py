@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, prod
 
-from .combinat import (coarser_leq, comp_concat, comp_near_concat,
+from .combinat import (_check_size, coarser_leq, comp_concat, comp_near_concat,
                        compositions)
 from .exact import P_ONE, LinComb, Poly
 
@@ -63,8 +63,7 @@ def as2_axioms_check(n: int) -> bool:
     """(I *1 J) *2 K = I *1 (J *2 K) for *i in {concat, near-concat},
     over all composition triples of total size n, lifted to R-basis elements.
     """
-    if n > 8:
-        raise ValueError("as2_axioms_check supports n <= 8")
+    _check_size("as2_axioms_check", n)
     ops = (comp_concat, comp_near_concat)
     for p in range(1, n - 1):
         for q in range(1, n - p):

@@ -35,16 +35,36 @@ def test_signed_word_basics():
             ch.text_to_signed(text)
 
 
+def signed_shifted_shuffle(a, b):
+    """Shifted shuffle of signed words: the letters of b move len(a) away
+    from 0 and keep their signs."""
+    n = len(a)
+    return shifted_shuffle(a, (x + n if x > 0 else x - n for x in b), 0)
+
+
 def test_signed_shifted_shuffle():
     for a, b in [((-2, 1), (1, -1, -2)), ((-1,), (1, -1))]:
         n = len(a)
-        out = list(ch.signed_shifted_shuffle(a, b))
+        out = list(signed_shifted_shuffle(a, b))
         assert [tuple(map(abs, s)) for s in out] == \
             shifted_shuffle(map(abs, a), map(abs, b), n)
         for s in out:  # letters <= n come from a, the others from b
             assert [x for x in s if abs(x) <= n] == list(a)
             assert [x - n if x > 0 else x + n for x in s if abs(x) > n] == \
                 list(b)
+    # the library signs each shifted shuffle of two parking functions; the
+    # signed shifted shuffles of every pair of their signings give the same
+    # summed signed weight
+    for n in range(2, 5):
+        for k in range(1, n):
+            for a, b in itertools.product(parking_functions(k),
+                                          parking_functions(n - k)):
+                signed = Poly(ch._signed_term(ch.signed_stats(s))
+                              for sa in ch._signings(a)
+                              for sb in ch._signings(b)
+                              for s in signed_shifted_shuffle(sa, sb))
+                assert signed == Poly.sum(map(ch.fsigma_signed_weight,
+                                              shifted_shuffle(a, b, k)))
 
 
 def test_signed_stats_examples():
@@ -133,10 +153,6 @@ def test_unchecked_producers_make_valid_signed_words():
         yield from ch._sorted_signed_pfs(n)
         for w in parking_functions(n):
             yield from ch._signings(w)
-        for k in range(n + 1):
-            for a in signed[k]:
-                for b in signed[n - k]:
-                    yield from ch.signed_shifted_shuffle(a, b)
 
     for n in range(6):
         for s in made(n):
@@ -260,12 +276,17 @@ def test_schroder_counts():
     schroder = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
     rank = "udh".index
     for n in range(9):
-        for paths, allow_h, count in (
-                (list(ch.dyck_paths(n)), False, catalan[n]),
-                (list(ch.schroder_paths(n)), True, schroder[n])):
+        for paths, count in ((list(ch.dyck_paths(n)), catalan[n]),
+                             (list(ch.schroder_paths(n)), schroder[n])):
             assert len(paths) == count
             for p in paths:
-                ch._validate_path(p, allow_h)
+                # both encoders validate the path; dyck_encode rejects h
+                word = ch.schroder_encode(p)
+                if "h" in p:
+                    with pytest.raises(ValueError, match="bad step 'h'"):
+                        ch.dyck_encode(p)
+                else:
+                    assert ch.dyck_encode(p) == word
             keys = [list(map(rank, p)) for p in paths]
             assert all(a < b for a, b in zip(keys, keys[1:]))
 
@@ -406,9 +427,12 @@ def test_lassalle_narayana():
     c8 = ch.lassalle_narayana(8)
     assert c8.coeff_row("q") == [1, 28, 196, 490, 490, 196, 28, 1]
     assert c8.substitute("q", 1) == 1430
-    for n in (0, -1, 9):
-        with pytest.raises(ValueError, match="1 <= n <= 8"):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
             ch.lassalle_narayana(n)
+    with pytest.raises(ValueError,
+                       match="lassalle_narayana supports n <= 8, got 9"):
+        ch.lassalle_narayana(9)
 
 
 def test_narayana_vs_bar_distribution():

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
 from parkhopf import chars, combinat
-from parkhopf.cli import _CHECKS, _ENUM_FAMILIES, _SUITES, build_parser, main
+from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
+                          build_parser, main)
 
 
 def run(capsys, *argv):
@@ -232,6 +233,20 @@ def test_table_a060693(capsys):
     assert rows == ["1,1", "2,3,1", "5,10,6,1"]
 
 
+@pytest.mark.parametrize("which", sorted(_TABLES))
+def test_table_checks_its_size_before_any_row(capsys, monkeypatch, which):
+    # each table's LIMITS row is named after the library function that
+    # builds its rows, which must not run for an --n-max past the top
+    _, limit = _TABLES[which]
+    calls = []
+    monkeypatch.setattr(chars, limit, lambda n: calls.append(n))
+    n_max = combinat.LIMITS[limit] + 1
+    assert main(["table", "--which", which, "--n-max", str(n_max)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == f"error: {limit} supports n <= {n_max - 1}, got {n_max}\n"
+
+
 def test_verify_suite_ok(capsys):
     code, out = run(capsys, "verify", "--suite", "bialgebra", "--max-n", "4")
     assert code == 0
@@ -325,6 +340,8 @@ def _exit_code(argv):
     ["poly", "--which", "pn-alpha", "--n", "11"],
     ["poly", "--which", "qn", "--n", "1500"],
     ["table", "--which", "bar-distribution", "--n-max", "11"],
+    ["table", "--which", "a060693", "--n-max", "8"],
+    ["series", "--which", "g", "--degree", "9"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     start = time.monotonic()

@@ -1,9 +1,12 @@
 import itertools
+import re
+import time
 from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from parkhopf import chars, hopf, lagrange, operad, symfun
 from parkhopf import combinat as cb
 
 words = st.lists(st.integers(1, 8), min_size=0, max_size=6).map(tuple)
@@ -395,6 +398,57 @@ def test_enumeration_cap():
                    cb.iter_binary_trees):
         with pytest.raises(ValueError):
             stream(13)
+
+
+# each row of LIMITS: its top, and a call of the function it bounds at size n
+_BOUNDED = {
+    "super_narayana_count": (6, chars.super_narayana_count),
+    "super_narayana_sym": (6, chars.super_narayana_sym),
+    "qtF_identity_check": (5, lambda n: chars.qtF_identity_check(
+        range(1, n + 1))),
+    "s_character_check": (4, chars.s_character_check),
+    "schroder_polynomials": (7, chars.schroder_polynomials),
+    "bar_distribution": (10, chars.bar_distribution),
+    "chi_sqsym": (7, chars.chi_sqsym),
+    "pn_alpha": (10, chars.pn_alpha),
+    "fixed_pair_counts": (5, chars.fixed_pair_counts),
+    "psi_alpha": (6, chars.psi_alpha),
+    "qn_polynomial": (10, chars.qn_polynomial),
+    "q_triangle": (10, chars.q_triangle),
+    "lassalle_narayana": (8, chars.lassalle_narayana),
+    "solve_g": (8, lagrange.solve_g),
+    "solve_f": (8, lagrange.solve_f),
+    "solve_G_cqsym": (8, lagrange.solve_G_cqsym),
+    "solve_X_fqsym": (8, lagrange.solve_X_fqsym),
+    "tamari_poset": (7, lagrange.tamari_poset),
+    "tamari_interval_check": (7, lambda n: lagrange.tamari_interval_check(
+        (n,))),
+    "count_normal_forms(tri)": (8, lambda n: operad.count_normal_forms(
+        "tri", n)),
+    "count_normal_forms(dup)": (10, lambda n: operad.count_normal_forms(
+        "dup", n)),
+    "tridendriform_span_dimension": (6, operad.tridendriform_span_dimension),
+    "primitive_dimension": (8, hopf.primitive_dimension),
+    "as2_axioms_check": (8, symfun.as2_axioms_check),
+    "enumeration": (12, cb.iter_ndpfs),
+}
+
+
+def test_limits_table():
+    assert cb.LIMITS == {name: top for name, (top, _) in _BOUNDED.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDED))
+def test_size_past_its_limit_is_rejected_at_once(name):
+    # the function checks its row before any work, so a size one past the
+    # top fails fast with the row's name
+    top, call = _BOUNDED[name]
+    assert cb.LIMITS[name] == top
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} supports "
+                                         rf"n <= {top}, got {top + 1}$"):
+        call(top + 1)
+    assert time.monotonic() - start < 1
 
 
 def test_word_streams_are_lazy():

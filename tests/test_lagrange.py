@@ -114,7 +114,7 @@ def test_X_fqsym():
     for n in range(9):
         perms = itertools.permutations(range(1, n + 1))
         assert X[n] == LinComb((p, 1) for p in perms)
-    with pytest.raises(ValueError, match="order <= 8"):
+    with pytest.raises(ValueError, match="solve_X_fqsym supports n <= 8"):
         lg.solve_X_fqsym(9)
     # the 14 tree terms at n=4 partition the 24 permutations
     supports = [set(lg.tree_term(t, "fqsym").terms) for t in binary_trees(4)]

@@ -1,11 +1,14 @@
 """Static checks on the library source: checks that still run under
 ``python -O``, verify sizes clamped in one place, the rewrite and series
-walks written once, and one element format for every algebra."""
+walks written once, one element format for every algebra, and one table of
+size limits."""
 
 import ast
 import pathlib
+import re
 
 import parkhopf
+from parkhopf.combinat import LIMITS
 
 SOURCES = sorted(pathlib.Path(parkhopf.__file__).parent.glob("*.py"))
 
@@ -67,3 +70,43 @@ def test_one_element_format():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.ClassDef) and node.name not in allowed}
     assert SOURCES and not found, f"classes besides {sorted(allowed)}: {found}"
+
+
+def _size_check_names():
+    """The name given to each ``_check_size`` call in the library, as a
+    regular expression: the fields of an f-string match any word.  A name
+    held in a variable is skipped."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and "_check_size" in
+                    (getattr(node.func, "id", None),
+                     getattr(node.func, "attr", None))):
+                continue
+            name = node.args[0]
+            if isinstance(name, ast.Constant):
+                yield re.escape(name.value)
+            elif isinstance(name, ast.JoinedStr):
+                yield "".join(re.escape(part.value)
+                              if isinstance(part, ast.Constant) else r"\w+"
+                              for part in name.values)
+
+
+def test_one_table_of_size_limits():
+    # the one raise of a size error is the guard's, in combinat
+    raises = {f"{path.name}:{node.lineno}"
+              for path in SOURCES
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and "supports" in ast.unparse(node.exc)}
+    guard = next(node for node in _tree_of("combinat.py").body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_check_size")
+    assert raises == {f"combinat.py:{node.lineno}"
+                      for node in ast.walk(guard)
+                      if isinstance(node, ast.Raise)}
+    # every name the guard is called with is a row, and every row is used
+    names = list(_size_check_names())
+    assert all(any(re.fullmatch(name, key) for key in LIMITS)
+               for name in names), names
+    assert all(any(re.fullmatch(name, key) for name in names)
+               for key in LIMITS)
