@@ -3,7 +3,9 @@ bijections, and the verification suites.
 
 Every verify check is one row of ``_CHECKS``: its suite, its name, the
 largest size it runs at, and the check itself.  A check runs at
-min(--max-n, its top), and --max-n takes 1 up to the largest top (8).
+min(--max-n, its top), and --max-n takes 1 up to the largest top (8).  A
+check that raises fails: its row reads false with the message in an "error"
+field, and the other rows still run.
 
 Every enumerate family is one row of ``_ENUM_FAMILIES``: its items as text
 in the library's order, and its count from a closed form.  Every family,
@@ -361,13 +363,16 @@ _CHECKS = (
     ("rewriting", "confluence-empirical", 6,
      _each(lambda k: operad.confluence_check("dup", k)
            and (k > 5 or operad.confluence_check("tri", k)))),
-    ("lagrange", "f-residual", 6,
-     lambda n: lagrange.residual_f(lagrange.solve_f(n))),
+    ("lagrange", "f-unit-specialization", 6,
+     lambda n: all(lagrange.f_unit_specialization(f_k) == g_k
+                   for f_k, g_k in zip(lagrange.solve_f(n),
+                                       lagrange.solve_g(n)))),
     ("lagrange", "f-closed-form", 6,
      lambda n: all(lagrange.f_closed_form(k) == f_k
                    for k, f_k in enumerate(lagrange.solve_f(n)))),
-    ("lagrange", "g-residual", 7,
-     lambda n: lagrange.residual_g(lagrange.solve_g(n))),
+    ("lagrange", "g-closed-form", 7,
+     lambda n: all(lagrange.g_closed_form(k) == g_k
+                   for k, g_k in enumerate(lagrange.solve_g(n)))),
     ("lagrange", "g-symmetry", 7, lambda n: lagrange.symmetry_of_g(n)),
     ("lagrange", "G-is-sum-of-all-ndpf", 7, _G_is_sum_of_all_ndpf),
     ("lagrange", "phi-of-G", 6, lambda n: lagrange.phi_of_G(n)),
@@ -403,10 +408,19 @@ _CHECKS = (
 _SUITES = sorted({suite for suite, *_ in _CHECKS})
 
 
+def _outcome(run, n: int) -> dict:
+    """The result fields of one check: a check that raises fails, and its
+    message goes into the report in place of ending the run."""
+    try:
+        return {"ok": bool(run(n))}
+    except (AssertionError, ArithmeticError, ValueError) as exc:
+        return {"ok": False, "error": str(exc)}
+
+
 def _cmd_verify(args) -> int:
     names = _SUITES if args.suite == "all" else [args.suite]
     results = [{"suite": suite, "check": check,
-                "ok": bool(run(min(args.max_n, top)))}
+                **_outcome(run, min(args.max_n, top))}
                for name in names
                for suite, check, top, run in _CHECKS if suite == name]
     all_ok = all(r["ok"] for r in results)

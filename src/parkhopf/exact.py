@@ -8,9 +8,10 @@ map from dense exponent vectors to rational coefficients.  The only division
 of polynomials is exact division (`poly_divexact`); there are no rational
 functions and no polynomial gcds.
 
-Span and kernel dimensions come from one sparse elimination routine on dict
-rows: integral and rational vectors are eliminated over Python ints with
-fraction-free (Bareiss-style) updates.
+Span dimensions come from one sparse elimination routine on dict rows:
+integral and rational vectors are eliminated over Python ints with
+fraction-free (Bareiss-style) updates.  A kernel dimension is the size of a
+basis less the span dimension of its images.
 """
 
 from __future__ import annotations
@@ -415,16 +416,6 @@ def span_dimension(vectors: Iterable[LinComb]) -> int:
         rows.append({i: c.numerator * (d // c.denominator)
                      for i, c in row.items()})
     return _rank(rows)
-
-
-def kernel_dimension(basis: Iterable, linear_map: Callable[..., LinComb]) -> int:
-    """Kernel dimension of a linear map given on a graded piece by its basis."""
-    basis = list(basis)
-    sized = [k for k in basis if hasattr(k, "__len__")]
-    if sized and len({len(k) for k in sized}) > 1:
-        raise ValueError("mixed gradings in kernel_dimension basis")
-    images = [linear_map(k) for k in basis]
-    return len(basis) - span_dimension(images)
 
 
 # -- truncated power series in z --------------------------------------------

@@ -35,7 +35,7 @@ from .combinat import (NotInSubalgebraError, _check_size,
                        quasi_ribbons, shape, shifted_concat_len,
                        shifted_concat_max, shifted_shuffle, sort_ascending,
                        standardize, word_to_text)
-from .exact import LinComb, kernel_dimension
+from .exact import LinComb, span_dimension
 
 
 def unit() -> LinComb:
@@ -142,8 +142,9 @@ def dup_bracket(a: LinComb, b: LinComb) -> LinComb:
 def primitive_dimension(n: int) -> int:
     """Kernel dimension of the duplicial coproduct in degree n."""
     _check_size("primitive_dimension", n)
-    return kernel_dimension(
-        ndpfs(n), lambda pi: dup_coproduct(LinComb.term(pi)))
+    basis = ndpfs(n)
+    return len(basis) - span_dimension(
+        dup_coproduct(LinComb.term(pi)) for pi in basis)
 
 
 # -- Schroeder subalgebra (P basis on parking quasi-ribbons) -------------------

@@ -66,12 +66,6 @@ def solve_g(order: int) -> list[LinComb]:
     return _solve_degreewise(order, partial(_lagrange_rhs, extended=False))
 
 
-def residual_g(g: list[LinComb]) -> bool:
-    """True iff g - sum_k S_k g^k vanishes through the truncation order."""
-    return all(_lagrange_rhs(g, n, extended=False) == g[n]
-               for n in range(len(g)))
-
-
 def solve_f(order: int) -> list[LinComb]:
     """Degreewise solution of f = S_0 + S_1 f + S_2 f^2 + ... in the algebra
     extended by the degree-zero indeterminate S_0."""
@@ -79,17 +73,17 @@ def solve_f(order: int) -> list[LinComb]:
     return _solve_degreewise(order, partial(_lagrange_rhs, extended=True))
 
 
-def residual_f(f: list[LinComb]) -> bool:
-    """True iff f - S_0 - sum_k S_k f^k vanishes through the truncation order."""
-    return all(_lagrange_rhs(f, n, extended=True) == f[n]
-               for n in range(len(f)))
-
-
 def f_closed_form(n: int) -> LinComb:
     """f_n = sum over nondecreasing parking functions pi of S^(ev(pi).0),
     the evaluation taken over the letters 1..n."""
     return LinComb((tuple(pi.count(v) for v in range(1, n + 1)) + (0,), 1)
                    for pi in ndpfs(n))
+
+
+def g_closed_form(n: int) -> LinComb:
+    """g_n = sum over nondecreasing parking functions pi of S^(t(pi)), t the
+    packed evaluation."""
+    return LinComb((packed_evaluation(pi), 1) for pi in ndpfs(n))
 
 
 def f_unit_specialization(fn: LinComb) -> LinComb:

@@ -5,6 +5,9 @@ between normal forms and the Catalan / Schroeder algebra bases.
 An evaluation tree is either the leaf (the generator), encoded as None, or a
 node (op, left, right) with op one of "<", ">", "o".  Two-operation mode
 ("dup") restricts the ops to {"<", ">"}; three-operation mode is "tri".
+Each mode is one row of ``_MODES``: its operations, and the value of the
+generator and the operation applied at each node when `eval_tree` evaluates
+a tree in that mode's algebra.
 
 Every relation rewrites a left comb into a right comb:
 
@@ -18,13 +21,12 @@ terminates: the sum over nodes of left-subtree sizes strictly decreases.
 
 Rewriting is one walk, `rewrite_all_steps`, which yields every one-step
 rewrite leftmost-outermost first: `rewrite_step` takes its first item and
-`is_normal` asks that it yields none.  Evaluating a tree in any algebra is
-one walk too, given the value at the leaves and a function per operation.
+`is_normal` asks that it yields none.  Evaluating trees in any algebra is
+one walk too, `_evaluations`, given the value at the leaves and a function
+per operation; it evaluates each distinct proper subtree once.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .combinat import (_check_size, binary_trees, shifted_concat_len,
                        shifted_concat_max)
@@ -32,18 +34,26 @@ from .exact import LinComb, span_dimension
 from .hopf import (qr_mid, qr_prec, qr_succ, wqsym_left, wqsym_mid,
                    wqsym_right)
 
-DUP_OPS = ("<", ">")
-TRI_OPS = ("<", ">", "o")
-
 LEAF = None
 
+# mode: (its operations, eval_tree's value of the generator, eval_tree's
+# function per operation): in tri mode the one-letter quasi-ribbon and the
+# three quasi-ribbon operations, in dup mode the word (1) and the two shifted
+# concatenations
+_MODES = {
+    "dup": (("<", ">"), (1,),
+            {"<": shifted_concat_max, ">": shifted_concat_len}),
+    "tri": (("<", ">", "o"), ((1,), ()),
+            {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
+}
+DUP_OPS = _MODES["dup"][0]
+TRI_OPS = _MODES["tri"][0]
 
-def _ops(mode: str):
-    if mode == "dup":
-        return DUP_OPS
-    if mode == "tri":
-        return TRI_OPS
-    raise ValueError(f"unknown mode {mode!r} (use 'dup' or 'tri')")
+
+def _mode(mode: str) -> tuple:
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r} (use 'dup' or 'tri')")
+    return _MODES[mode]
 
 
 def _rule_applies(root_op: str, left_op: str) -> bool:
@@ -51,51 +61,9 @@ def _rule_applies(root_op: str, left_op: str) -> bool:
     return not (left_op == "<" and root_op in (">", "o"))
 
 
-def tree_leaves(t) -> int:
-    return 1 if t is LEAF else tree_leaves(t[1]) + tree_leaves(t[2])
-
-
-def eval_tree_to_text(t) -> str:
-    if t is LEAF:
-        return "x"
-    return f"({eval_tree_to_text(t[1])} {t[0]} {eval_tree_to_text(t[2])})"
-
-
-def eval_tree_parse(text: str):
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def take():
-        nonlocal pos
-        if pos == len(tokens):
-            raise ValueError(f"unexpected end of {text!r}")
-        pos += 1
-        return tokens[pos - 1]
-
-    def rec():
-        tok = take()
-        if tok == "x":
-            return LEAF
-        if tok != "(":
-            raise ValueError(f"bad token {tok!r} in {text!r}")
-        left = rec()
-        op = take()
-        if op not in TRI_OPS:
-            raise ValueError(f"bad operation {op!r} in {text!r}")
-        right = rec()
-        if take() != ")":
-            raise ValueError(f"missing ')' in {text!r}")
-        return (op, left, right)
-
-    out = rec()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return out
-
-
 def all_eval_trees(mode: str, n: int):
     """All op-labeled trees with n leaves, shapes ordered as binary_trees."""
-    ops = _ops(mode)
+    ops, _, _ = _mode(mode)
 
     def label(shape):
         if shape is None:
@@ -132,15 +100,6 @@ def rewrite_step(t):
     return next(rewrite_all_steps(t), None)
 
 
-def rewrite_normal_form(t):
-    """Iterate oriented rules to a fixed point (leftmost-outermost strategy)."""
-    while True:
-        nxt = rewrite_step(t)
-        if nxt is None:
-            return t
-        t = nxt
-
-
 def is_normal(t) -> bool:
     return rewrite_step(t) is None
 
@@ -152,7 +111,7 @@ def normal_forms(mode: str, n: int):
     child; or a root ">"/"o" over a "<"-node with a leaf left child, with
     normal subtrees below.  Only the smaller sizes are kept in memory; the
     size-n trees are streamed."""
-    ops = _ops(mode)
+    ops, _, _ = _mode(mode)
     if n < 1:
         raise ValueError(f"normal forms have at least one leaf, got n={n}")
     roots = [op for op in ops if op != "<"]
@@ -188,76 +147,11 @@ def normal_form_shape_check(mode: str, n: int) -> bool:
         t for t in all_eval_trees(mode, n) if is_normal(t)}
 
 
-def _evaluate(t, leaf, ops):
-    """t with ``leaf`` at every leaf and ``ops[op]`` applied at every node."""
-    if t is LEAF:
-        return leaf
-    op, left, right = t
-    return ops[op](_evaluate(left, leaf, ops), _evaluate(right, leaf, ops))
-
-
-# (leaf value, op table) of eval_tree in each mode
-_EVAL_MODES = {
-    "tri": (((1,), ()), {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
-    "dup": ((1,), {"<": shifted_concat_max, ">": shifted_concat_len}),
-}
-
-
-def eval_tree(t, mode: str):
-    """Evaluate with the generator at the leaves; always a single basis key.
-
-    In tri mode the leaf is the one-letter quasi-ribbon and the nodes apply
-    the three quasi-ribbon operations; in dup mode the leaf is the word (1)
-    and the nodes apply the two shifted concatenations.
-    """
-    if mode not in _EVAL_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _evaluate(t, *_EVAL_MODES[mode])
-
-
-def reachable_normal_forms(t, memo=None) -> frozenset:
-    if memo is None:
-        memo = {}
-    if t in memo:
-        return memo[t]
-    steps = list(rewrite_all_steps(t))
-    if not steps:
-        result = frozenset((t,))
-    else:
-        acc = set()
-        for s in steps:
-            acc |= reachable_normal_forms(s, memo)
-        result = frozenset(acc)
-    memo[t] = result
-    return result
-
-
-def confluence_check(mode: str, n: int) -> bool:
-    """Empirical confluence: every size-n tree reaches a unique normal form."""
-    memo: dict = {}
-    return all(len(reachable_normal_forms(t, memo)) == 1
-               for t in all_eval_trees(mode, n))
-
-
-def _wqsym_ops():
-    """The tridendriform thirds by operation.  The names are read at each
-    call, so a wrapper put on this module's names (a profiler's, say) sees
-    every product."""
-    return {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid}
-
-
-def eval_tree_wqsym(t) -> LinComb:
-    """Evaluate a three-operation tree in the packed-word algebra with the
-    one-letter generator at the leaves and the tridendriform thirds inside."""
-    return _evaluate(t, LinComb.term((1,)), _wqsym_ops())
-
-
-def _eval_trees_wqsym(trees):
-    """`eval_tree_wqsym` of each tree in turn.  The value of each distinct
-    proper subtree is computed once and shared; the trees' own values are
-    yielded, not kept."""
-    ops = _wqsym_ops()
-    values = {LEAF: LinComb.term((1,))}
+def _evaluations(trees, leaf, ops):
+    """Each tree in turn with ``leaf`` at every leaf and ``ops[op]`` applied
+    at every node.  The value of each distinct proper subtree is computed
+    once and shared; the trees' own values are yielded, not kept."""
+    values = {LEAF: leaf}
 
     def value(t):
         if t not in values:
@@ -267,10 +161,36 @@ def _eval_trees_wqsym(trees):
 
     for t in trees:
         if t is LEAF:
-            yield values[LEAF]
+            yield leaf
         else:
             op, left, right = t
             yield ops[op](value(left), value(right))
+    del value  # it refers to itself, so free the shared values now, not at gc
+
+
+def eval_tree(t, mode: str):
+    """Evaluate with the generator at the leaves; always a single basis key."""
+    _, leaf, ops = _mode(mode)
+    (value,) = _evaluations((t,), leaf, ops)
+    return value
+
+
+def confluence_check(mode: str, n: int) -> bool:
+    """Empirical confluence: every size-n tree reaches a unique normal form."""
+    memo: dict = {}
+
+    def reachable(t) -> frozenset:
+        if t not in memo:
+            steps = list(rewrite_all_steps(t))
+            acc = set() if steps else {t}
+            for s in steps:
+                acc |= reachable(s)
+            memo[t] = frozenset(acc)
+        return memo[t]
+
+    confluent = all(len(reachable(t)) == 1 for t in all_eval_trees(mode, n))
+    del reachable  # it refers to itself, so free its memo now, not at gc
+    return confluent
 
 
 def tridendriform_span_dimension(n: int) -> int:
@@ -279,26 +199,8 @@ def tridendriform_span_dimension(n: int) -> int:
     algebra.  The trees share the values of their subtrees, so each distinct
     subtree of fewer than n leaves is evaluated once."""
     _check_size("tridendriform_span_dimension", n)
-    return span_dimension(_eval_trees_wqsym(all_eval_trees("tri", n)))
-
-
-# -- dual-operad dimension statements ------------------------------------------
-
-
-def dup_dual_hooks(n: int):
-    """Hook words x > ... > x < ... < x with n leaves (n of them)."""
-    return [(">",) * k + ("<",) * (n - 1 - k) for k in range(n)]
-
-
-def tridup_dual_hooks(n: int):
-    """Mixed hooks x *...* x < ... < x with * in {>, o}: 2^n - 1 of them."""
-    out = []
-    for k in range(n):
-        for head in itertools.product((">", "o"), repeat=k):
-            out.append(tuple(head) + ("<",) * (n - 1 - k))
-    return out
-
-
-def dual_dimension(mode: str, n: int) -> int:
-    hooks = dup_dual_hooks(n) if mode == "dup" else tridup_dual_hooks(n)
-    return len(set(hooks))
+    # the thirds are read at each call, so a wrapper put on this module's
+    # names (a profiler's, say) sees every product
+    ops = {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid}
+    return span_dimension(_evaluations(all_eval_trees("tri", n),
+                                       LinComb.term((1,)), ops))

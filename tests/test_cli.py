@@ -287,6 +287,40 @@ def test_check_table(capsys):
     assert err.count("error:") == 1 and "must be at most 8" in err
 
 
+def _plant_qn_plus_one(monkeypatch):
+    qn = chars.qn_polynomial
+    monkeypatch.setattr(chars, "qn_polynomial", lambda n: qn(n) + 1)
+
+
+def _plant_pn_not_divisible(monkeypatch):
+    # P_n(t) + 1 has a constant term, so t no longer divides P_n(t - 1)
+    divide = chars.narayana_from_pn
+    monkeypatch.setattr(chars, "narayana_from_pn", lambda pn: divide(pn + 1))
+
+
+@pytest.mark.parametrize("plant, faulty", [
+    (_plant_qn_plus_one, {"q-triangle": "reciprocal identity fails"}),
+    (_plant_pn_not_divisible, {"chi-checks": "is not divisible by",
+                               "narayana-cross-check": "is not divisible by"}),
+], ids=["qn-plus-one", "pn-not-divisible"])
+def test_raising_check_fails_its_row_only(capsys, monkeypatch, plant, faulty):
+    plant(monkeypatch)
+    assert main(["verify", "--suite", "characters", "--max-n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    results = report["results"]
+    assert [r["check"] for r in results] == \
+        [check for suite, check, _, _ in _CHECKS if suite == "characters"]
+    for r in results:
+        if r["check"] in faulty:
+            assert r["ok"] is False
+            assert faulty[r["check"]] in r["error"]
+        else:
+            assert r["ok"] is True and "error" not in r
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--family", "bogus", "--n", "2"])

@@ -1,7 +1,8 @@
 """Static checks on the library source: checks that still run under
 ``python -O``, verify sizes clamped in one place, the rewrite and series
-walks written once, one element format for every algebra, and one table of
-size limits."""
+walks written once, one element format for every algebra, one table of
+size limits, one operad evaluation walk, and a caller for every public
+operad function."""
 
 import ast
 import pathlib
@@ -110,3 +111,45 @@ def test_one_table_of_size_limits():
                for name in names), names
     assert all(any(re.fullmatch(name, key) for name in names)
                for key in LIMITS)
+
+
+def test_operad_evaluates_in_one_walk():
+    # every application of an operation table, ops[op](...), is in the one
+    # evaluation walk
+    tree = _tree_of("operad.py")
+    walk = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_evaluations")
+    applications = {id(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Subscript)}
+    assert applications and applications == {
+        id(node) for node in ast.walk(walk)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Subscript)}
+
+
+def _uses_by_definition():
+    """(module, top-level definition, name) for every name or attribute the
+    library reads, top-level statements counting as the definition None."""
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Load):
+                    yield path.name, where, node.id
+                elif isinstance(node, ast.Attribute):
+                    yield path.name, where, node.attr
+
+
+def test_every_public_operad_function_has_a_caller():
+    # a call from inside the function itself does not count
+    public = [node.name for node in _tree_of("operad.py").body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")]
+    uses = list(_uses_by_definition())
+    uncalled = [name for name in public
+                if not any(used == name and (module, where)
+                           != ("operad.py", name)
+                           for module, where, used in uses)]
+    assert public and not uncalled, f"no caller in the library: {uncalled}"

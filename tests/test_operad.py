@@ -2,13 +2,11 @@ import pytest
 
 from parkhopf.combinat import (is_quasi_ribbon, ndpfs, quasi_ribbons,
                                text_to_ribbon)
+from parkhopf.exact import LinComb
+from parkhopf.hopf import wqsym_left, wqsym_mid, wqsym_right
 from parkhopf import operad as op
 
-
-def test_tree_text_roundtrip():
-    for n in range(1, 5):
-        for t in op.all_eval_trees("tri", n):
-            assert op.eval_tree_parse(op.eval_tree_to_text(t)) == t
+X = op.LEAF
 
 
 def test_tree_counts():
@@ -17,16 +15,20 @@ def test_tree_counts():
     assert sum(1 for _ in op.all_eval_trees("dup", 4)) == 5 * 8
 
 
+def _normal_form(t):
+    """Iterate the leftmost-outermost rewrite to its fixed point."""
+    while (s := op.rewrite_step(t)) is not None:
+        t = s
+    return t
+
+
 def test_rewrite_single_steps():
-    t = op.eval_tree_parse("((x < x) < x)")
-    assert op.rewrite_normal_form(t) == \
-        op.eval_tree_parse("(x < (x < x))")
-    t = op.eval_tree_parse("((x o x) < x)")
-    assert op.rewrite_normal_form(t) == \
-        op.eval_tree_parse("(x o (x < x))")
-    nf = op.eval_tree_parse("(x o (x < x))")
+    # ((x < x) < x) -> (x < (x < x)) and ((x o x) < x) -> (x o (x < x))
+    assert _normal_form(("<", ("<", X, X), X)) == ("<", X, ("<", X, X))
+    assert _normal_form(("<", ("o", X, X), X)) == ("o", X, ("<", X, X))
+    nf = ("o", X, ("<", X, X))
     assert op.rewrite_step(nf) is None
-    assert op.rewrite_normal_form(nf) == nf
+    assert _normal_form(nf) == nf
 
 
 def test_rewrite_preserves_evaluation():
@@ -129,10 +131,13 @@ def test_normal_form_shape_characterization():
 def test_normal_forms_at_the_caps():
     # every generated tree is a fixed point of the rules, with no repeats;
     # the counts are little Schroeder (A001003) and Catalan (A000108)
-    for mode, n, count in (("tri", 8, 20793), ("dup", 10, 16796)):
+    # (a tree's value has one letter per leaf)
+    for mode, n, count, letters in (("tri", 8, 20793, lambda v: len(v[0])),
+                                    ("dup", 10, 16796, len)):
         forms = list(op.normal_forms(mode, n))
         assert len(forms) == len(set(forms)) == count
-        assert all(op.is_normal(t) and op.tree_leaves(t) == n for t in forms)
+        assert all(op.is_normal(t) and letters(op.eval_tree(t, mode)) == n
+                   for t in forms)
         assert op.count_normal_forms(mode, n) == count
     assert op.normal_form_shape_check("tri", 6)
     with pytest.raises(ValueError):
@@ -142,10 +147,8 @@ def test_normal_forms_at_the_caps():
 
 
 def test_eval_tree_values():
-    assert op.eval_tree(op.eval_tree_parse("(x o x)"), "tri") == \
-        text_to_ribbon("1|2")
-    assert op.eval_tree(op.eval_tree_parse("(x > (x < x))"), "dup") == \
-        (1, 2, 2)
+    assert op.eval_tree(("o", X, X), "tri") == text_to_ribbon("1|2")
+    assert op.eval_tree((">", X, ("<", X, X)), "dup") == (1, 2, 2)
     assert op.eval_tree(op.LEAF, "dup") == (1,)
 
 
@@ -179,20 +182,46 @@ def test_confluence_empirically():
         assert op.confluence_check("tri", n)
 
 
-def test_dual_dimensions():
-    assert [op.dual_dimension("dup", n) for n in range(1, 7)] == \
-        [1, 2, 3, 4, 5, 6]
-    assert [op.dual_dimension("tri", n) for n in range(1, 7)] == \
-        [2 ** n - 1 for n in range(1, 7)]
+def _compose(f, g, order):
+    """The coefficients of f(g(x)) through x^order, for coefficient lists f
+    and g with no constant term."""
+    out = [0] * (order + 1)
+    power = [1] + [0] * order
+    for k in range(1, order + 1):
+        power = [sum(power[i] * g[d - i] for i in range(d + 1))
+                 for d in range(order + 1)]
+        out = [a + f[k] * b for a, b in zip(out, power)]
+    return out
+
+
+def test_koszul_dual_series():
+    # Ginzburg-Kapranov: the generating series of a Koszul operad and of its
+    # dual satisfy f(-f!(-x)) = x.  f counts the normal forms; the dual
+    # dimensions are n (dup) and 2^n - 1 (tri).
+    order = 8
+    for mode, dual in (("dup", lambda n: n), ("tri", lambda n: 2 ** n - 1)):
+        f = [0] + [op.count_normal_forms(mode, n) for n in range(1, order + 1)]
+        g = [0] + [(-1) ** (n + 1) * dual(n) for n in range(1, order + 1)]
+        assert _compose(f, g, order) == [0, 1] + [0] * (order - 1)
+
+
+def _evaluate(t, leaf, ops):
+    """Oracle: t evaluated by plain recursion, nothing shared."""
+    if t is X:
+        return leaf
+    o, left, right = t
+    return ops[o](_evaluate(left, leaf, ops), _evaluate(right, leaf, ops))
 
 
 def test_shared_subtree_values_match_tree_by_tree():
     # the span evaluates each distinct proper subtree once; every tree's
     # value must still be the one its own walk gives
+    leaf = LinComb.term((1,))
+    ops = {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid}
     for n in range(1, 5):
         trees = list(op.all_eval_trees("tri", n))
-        assert list(op._eval_trees_wqsym(trees)) == \
-            list(map(op.eval_tree_wqsym, trees))
+        assert list(op._evaluations(trees, leaf, ops)) == \
+            [_evaluate(t, leaf, ops) for t in trees]
 
 
 def test_tridendriform_span_dimensions():
