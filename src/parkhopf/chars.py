@@ -5,10 +5,13 @@ generic solution g_n of g = sum_k S_k g^k (`lagrange.solve_g`), through
 `symfun.evaluate` on the character's complete functions h_k: the binomial
 element (`psi_alpha`), the alphabet 1 - x (`lassalle_narayana`), and the
 alphabet (1-x)/(1-q), whose h_k are not polynomials and so are applied by
-the q-binomial theorem (`super_narayana_sym`).  Each has a second,
-combinatorial route: signed parking functions and their statistics, Dyck and
-Schroeder path encodings, the bar character on quasi-ribbons, fixed pairs of
-parking functions, and the q-analogue triangle of (n+1)^(n-1).
+the q-binomial theorem (`super_narayana_sym`).  On the algebras, the
+characters are `evaluate` after a morphism of `hopf`: psi after
+`morphism_psi`, chi after `istar_on_sqsym` and `symfun.R_to_S`.  Each has a
+second, combinatorial route: signed parking functions and their statistics,
+Dyck and Schroeder path encodings, the bars of quasi-ribbons, fixed pairs of
+parking functions, and the q-analogue triangle of (n+1)^(n-1).  A value
+raises AssertionError when its routes disagree; a check returns a bool.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from math import comb, factorial, prod
 from operator import add
 
 from . import hopf
-from .combinat import (_check_size, comma_ints, is_ndpf, is_parking,
-                       iter_parking_functions, iter_quasi_ribbons, ndpfs,
-                       pack, packed_evaluation, parking_functions,
+from .combinat import (_check_size, iter_parking_functions,
+                       iter_quasi_ribbons, ndpfs, pack, parking_functions,
                        quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
 from .lagrange import solve_g
-from .symfun import binomial_poly, cycle_enumerator, evaluate
+from .symfun import R_to_S, evaluate, rising_factorial
 
 
 # -- signed words --------------------------------------------------------------
@@ -39,22 +41,9 @@ from .symfun import binomial_poly, cycle_enumerator, evaluate
 # integer order, so -4 < -1 < 1 < 2.
 
 
-def is_signed_parking(v) -> bool:
-    """True iff the absolute values are parking, so that no letter is 0."""
-    return is_parking(map(abs, v))
-
-
 def signed_to_text(v) -> str:
     """The letters joined by commas, a barred letter x written as -x."""
     return ",".join(map(str, v))
-
-
-def text_to_signed(text: str) -> tuple:
-    """The signed parking function written by `signed_to_text`."""
-    v = comma_ints(text) if text.strip() else ()
-    if not is_signed_parking(v):
-        raise ValueError(f"not a signed parking function: {text!r}")
-    return v
 
 
 def _signings(word):
@@ -220,18 +209,6 @@ def _shuffle_identity(a, b) -> bool:
             * fsigma_signed_weight(b))
 
 
-def qtF_identity_check(sigma) -> bool:
-    """The signed-maj weight is a character up to the q-binomial normalization.
-
-    Checks `_shuffle_identity` for sigma with every small tau, plus the base
-    case W(1) = 1 - x.
-    """
-    sigma = tuple(sigma)
-    _check_size("qtF_identity_check", len(sigma))
-    return fsigma_signed_weight((1,)) == 1 - Poly.var("x") and all(
-        _shuffle_identity(sigma, tau) for tau in [(1,), (1, 2), (2, 1)])
-
-
 def s_character_check(n: int) -> bool:
     """The sign-spreading map composed with the signed-weight character.
 
@@ -296,21 +273,6 @@ def schroder_paths(n: int):
     return _paths(n, _STEPS)
 
 
-def _validate_path(path: str):
-    height = 0
-    for step in path:
-        if step == "u":
-            height += 1
-        elif step == "d":
-            height -= 1
-        elif step != "h":
-            raise ValueError(f"bad step {step!r} in path {path!r}")
-        if height < 0:
-            raise ValueError(f"path dips below the axis: {path!r}")
-    if height != 0:
-        raise ValueError(f"path does not return to the axis: {path!r}")
-
-
 def dyck_encode(path: str) -> tuple:
     """Each up step contributes the number of its diagonal
     (one plus the number of down steps before it); the word is an NDPF.
@@ -320,54 +282,29 @@ def dyck_encode(path: str) -> tuple:
     return schroder_encode(path)
 
 
-def dyck_decode(pi) -> str:
-    """The Dyck path of a nondecreasing parking function: its Schroeder
-    decoding, every letter signed +."""
-    pi = tuple(pi)
-    if not is_ndpf(pi):
-        raise ValueError(f"not a nondecreasing parking function: {pi}")
-    return schroder_decode(pi)
-
-
 def schroder_encode(path: str) -> tuple:
     """Up steps give their diagonal; an h gives the barred diagonal -d of the
-    peak it replaces.  The result is a nondecreasing-type signed word."""
-    _validate_path(path)
+    peak it replaces.  The result is a nondecreasing-type signed word.  A
+    bad step, a dip below the axis or an end off it raises ValueError."""
     word = []
-    diag = 1
+    diag, height = 1, 0
     for step in path:
         if step == "u":
             word.append(diag)
+            height += 1
         elif step == "d":
             diag += 1
-        else:
+            height -= 1
+        elif step == "h":
             word.append(-diag)
             diag += 1
-    return tuple(word)
-
-
-def schroder_decode(v) -> str:
-    path = []
-    diag = 1
-    height = 0
-    for x in v:
-        letter = abs(x)
-        if letter < diag:
-            raise ValueError(
-                f"letters out of order for a path: {signed_to_text(v)}")
-        path.append("d" * (letter - diag))
-        height -= letter - diag
-        diag = letter
-        if x > 0:
-            path.append("u")
-            height += 1
         else:
-            path.append("h")
-            diag += 1
+            raise ValueError(f"bad step {step!r} in path {path!r}")
         if height < 0:
-            raise ValueError(f"not a path encoding: {signed_to_text(v)}")
-    path.append("d" * height)
-    return "".join(path)
+            raise ValueError(f"path dips below the axis: {path!r}")
+    if height:
+        raise ValueError(f"path does not return to the axis: {path!r}")
+    return tuple(word)
 
 
 def _sorted_signed_pfs(n: int):
@@ -386,12 +323,11 @@ def _sorted_signed_pfs(n: int):
                 yield tuple(-x for x in reversed(negs)) + tuple(remaining)
 
 
-def schroder_polynomials(n: int) -> tuple[Poly, bool]:
+def schroder_polynomials(n: int) -> Poly:
     """P_n(t) = P_n(t, 0) by three routes: Schroeder paths by horizontal
     steps; signed parking functions without signed inversions by minus signs;
-    and the square-root generating series.  Returns (P_n(t), ok) where ok
-    says that the three routes agree and no sorted word has a signed
-    inversion."""
+    and the square-root generating series.  Raises AssertionError unless the
+    three routes agree and no sorted word has a signed inversion."""
     _check_size("schroder_polynomials", n)
     t = Poly.var("t")
     by_paths = Poly((monomial(t=p.count("h")), 1) for p in schroder_paths(n))
@@ -403,7 +339,9 @@ def schroder_polynomials(n: int) -> tuple[Poly, bool]:
     sqrt = series_sqrt_expand(inner, n + 1)
     numerator = 1 - t * z - sqrt
     by_series = numerator.coeffs_in("z").get(n + 1, P_ZERO).scale(Fraction(1, 2))
-    return by_paths, sorted_ok and (by_paths == by_words == by_series)
+    if not (sorted_ok and by_paths == by_words == by_series):
+        raise AssertionError(f"the three routes to P_{n}(t) disagree")
+    return by_paths
 
 
 def narayana_from_pn(pn_t: Poly) -> Poly:
@@ -476,51 +414,42 @@ def chi_path_model_check(n: int) -> bool:
     return True
 
 
-def chi_sqsym(n: int) -> tuple[Poly, bool]:
-    """The bar character chi(P_q) = (1+t) t^(bars).
-
-    Returns ((1+t) * bar distribution, checks) where the checks cover the
-    character property on products, the Narayana value of the degree-n sum,
-    and the path model.
+def chi_sqsym(n: int) -> bool:
+    """The bar character chi(P_q) = (1+t) t^(bars) is `evaluate` after
+    `istar_on_sqsym` and `R_to_S` with h_k = 1+t, since summing
+    (-1)^(l(I)-l(J)) (1+t)^l(J) over J <= I gives (1+t) t^(l(I)-1).  Checks
+    chi of the degree-n sum against (1+t) times the bar distribution and
+    (1+t) c_n(1+t), the path model, and multiplicativity on small products.
     """
+    if n < 1:
+        raise ValueError(f"chi_sqsym needs n >= 1, got {n}")
     _check_size("chi_sqsym", n)
     t = Poly.var("t")
+    h = [P_ONE] + [1 + t] * n
+
+    def chi(x: LinComb) -> Poly:
+        return evaluate(R_to_S(hopf.istar_on_sqsym(x)), h)
+
     dist = bar_distribution(n)
-    chi_gn = (1 + t) * dist
-    pn, routes_ok = schroder_polynomials(n)
-    cn = narayana_from_pn(pn)
-    ok = routes_ok
-    # chi(G_n) = (1+t) dist = (1+t) c_n(1+t)
-    ok = ok and dist == cn.substitute("t", 1 + t)
-    ok = ok and chi_path_model_check(n)
-    ok = ok and _multiplicative(quasi_ribbons, hopf.sqsym_product, _chi_value,
-                                min(n, 4))
-    return chi_gn, ok
+    cn = narayana_from_pn(schroder_polynomials(n))
+    total = LinComb((q, 1) for q in quasi_ribbons(n))
+    return (chi(total) == (1 + t) * dist
+            and dist == cn.substitute("t", 1 + t)
+            and chi_path_model_check(n)
+            and _multiplicative(quasi_ribbons, hopf.sqsym_product, chi,
+                                min(n, 4)))
 
 
-def _chi_value(q) -> Poly:
-    t = Poly.var("t")
-    return (1 + t) * t ** len(q[1])
-
-
-def _multiplicative(family, product, value, n: int) -> bool:
-    """value(x y) = value(x) value(y) for basis keys x, y of total degree
-    <= n, where x y is expanded by ``product`` and ``value`` is applied
-    linearly."""
-    return all(
-        Poly.sum(value(k).scale(c)
-                 for k, c in product(LinComb.term(x), LinComb.term(y)))
-        == value(x) * value(y)
-        for x, y in hopf._keys_by_total(family, n, 2))
+def _multiplicative(family, product, character, n: int) -> bool:
+    """character(x y) = character(x) character(y) for basis keys x, y of
+    total degree <= n, where x y is expanded by ``product`` and
+    ``character`` is a linear map on LinComb values."""
+    return all(character(product(x, y)) == character(x) * character(y)
+               for x, y in (map(LinComb.term, pair)
+                            for pair in hopf._keys_by_total(family, n, 2)))
 
 
 # -- the binomial-element character ------------------------------------------------
-
-
-def psi_alpha_value(w) -> Poly:
-    """psi_a(F_w) = Z_t(w)(a) / n!."""
-    return cycle_enumerator(packed_evaluation(w)).scale(
-        Fraction(1, factorial(len(w))))
 
 
 def pn_alpha(n: int) -> Poly:
@@ -563,26 +492,31 @@ def fixed_pair_counts(n: int) -> dict[int, int]:
                        *(cycles[m] for m in Counter(a).values())))
 
 
-def psi_alpha(n: int) -> tuple[Poly, bool]:
-    """Returns (P_n(a), checks): the character property on small products,
-    the closed product formula for the degree-n sum, n! times the character
-    evaluated on g_n, and (for n <= 5) the fixed-pair interpretation of the
-    coefficients."""
+def psi_alpha(n: int) -> bool:
+    """The binomial character psi_a is `evaluate` after `morphism_psi` with
+    h_k = (a)_k the rising factorial, so psi_a(F_w) = Z_t(w)(a) / n!.
+    Checks that n! psi_a of the degree-n sum and n! times the character on
+    g_n (h_k = (a)_k / k!) are `pn_alpha(n)`, multiplicativity on small
+    products, and (for n <= 5) the fixed-pair counts of its coefficients.
+    """
     _check_size("psi_alpha", n)
+    alpha = Poly.var("a")
+    rising = [rising_factorial(alpha, k) for k in range(n + 1)]
+
+    def psi(x: LinComb) -> Poly:
+        return evaluate(hopf.morphism_psi(x), rising)
+
     target = pn_alpha(n)
-    by_eval = Counter(packed_evaluation(a) for a in parking_functions(n))
-    total = Poly.sum(cycle_enumerator(comp).scale(count)
-                     for comp, count in by_eval.items())
-    # n! psi_a(g_n) = P_n(a), with h_k(binomial element) = C(a + k - 1, k)
-    on_g = evaluate(solve_g(n)[n], [binomial_poly(k - 1, k)
-                                    for k in range(n + 1)])
-    ok = total == target == on_g.scale(factorial(n))
-    ok = ok and _multiplicative(parking_functions, hopf.pqsym_product,
-                                psi_alpha_value, min(n, 4))
-    if n <= 5:
+    total = psi(LinComb((w, 1) for w in parking_functions(n)))
+    on_g = evaluate(solve_g(n)[n], [r.scale(Fraction(1, factorial(k)))
+                                    for k, r in enumerate(rising)])
+    ok = (total.scale(factorial(n)) == target == on_g.scale(factorial(n))
+          and _multiplicative(parking_functions, hopf.pqsym_product, psi,
+                              min(n, 4)))
+    if ok and n <= 5:
         counts = fixed_pair_counts(n)
-        ok = ok and target.coeff_row("a") == [counts[k] for k in range(n + 1)]
-    return target, ok
+        ok = target.coeff_row("a") == [counts[k] for k in range(n + 1)]
+    return ok
 
 
 # -- the q-triangle -----------------------------------------------------------------

@@ -190,19 +190,11 @@ def _cmd_series(args) -> int:
 # -- poly -----------------------------------------------------------------------
 
 
-def _schroder_pn(n: int) -> Poly:
-    """P_n(t), once its three routes agree; AssertionError otherwise."""
-    pn, ok = chars.schroder_polynomials(n)
-    if not ok:
-        raise AssertionError(f"the three routes to P_{n}(t) disagree")
-    return pn
-
-
 # poly: the text printed for size n.  Rows look the library up when they
 # run, as the ``_CHECKS`` rows do.
 _POLY = {
     "super-narayana": lambda n: chars.super_narayana_sym(n),
-    "pn-t": _schroder_pn,
+    "pn-t": lambda n: chars.schroder_polynomials(n),
     "narayana": lambda n: chars.lassalle_narayana(n),
     "pn-alpha": lambda n: chars.pn_alpha(n),
     "qn": lambda n: ",".join(str(int(c)) for c in
@@ -250,7 +242,8 @@ def _t_rows(poly_of):
 # do.
 _TABLES = {
     "qn-triangle": (lambda n_max: chars.q_triangle(n_max), "q_triangle"),
-    "a060693": (_t_rows(_schroder_pn), "schroder_polynomials"),
+    "a060693": (_t_rows(lambda n: chars.schroder_polynomials(n)),
+                "schroder_polynomials"),
     "bar-distribution": (_t_rows(lambda n: chars.bar_distribution(n)),
                          "bar_distribution"),
 }
@@ -364,9 +357,9 @@ _CHECKS = (
      _each(lambda k: operad.confluence_check("dup", k)
            and (k > 5 or operad.confluence_check("tri", k)))),
     ("lagrange", "f-unit-specialization", 6,
-     lambda n: all(lagrange.f_unit_specialization(f_k) == g_k
-                   for f_k, g_k in zip(lagrange.solve_f(n),
-                                       lagrange.solve_g(n)))),
+     lambda n: all(lagrange.f_unit_specialization(f_k)
+                   == lagrange.g_closed_form(k)
+                   for k, f_k in enumerate(lagrange.solve_f(n)))),
     ("lagrange", "f-closed-form", 6,
      lambda n: all(lagrange.f_closed_form(k) == f_k
                    for k, f_k in enumerate(lagrange.solve_f(n)))),
@@ -392,12 +385,13 @@ _CHECKS = (
      _each(lambda k: chars.super_narayana_count(k)
            == chars.super_narayana_sym(k))),
     ("characters", "schroder-polynomial-routes", 6,
-     _each(lambda k: chars.schroder_polynomials(k)[1])),
-    ("characters", "chi-checks", 6, lambda n: chars.chi_sqsym(n)[1]),
-    ("characters", "psi-alpha-checks", 5, lambda n: chars.psi_alpha(n)[1]),
+     _each(lambda k: chars.schroder_polynomials(k).substitute("t", 1)
+           == _large_schroder(k))),
+    ("characters", "chi-checks", 6, lambda n: chars.chi_sqsym(n)),
+    ("characters", "psi-alpha-checks", 5, lambda n: chars.psi_alpha(n)),
     ("characters", "narayana-cross-check", 6,
      _each(lambda k: chars.lassalle_narayana(k)
-           == chars.narayana_from_pn(chars.schroder_polynomials(k)[0])
+           == chars.narayana_from_pn(chars.schroder_polynomials(k))
            .substitute("t", Poly.var("q")))),
     ("characters", "q-triangle", 6,
      lambda n: chars.q_triangle(n)[:4]

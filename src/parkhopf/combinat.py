@@ -28,7 +28,7 @@ from operator import itemgetter, le, lt
 LIMITS = {
     # chars
     "super_narayana_count": 6, "super_narayana_sym": 6,
-    "qtF_identity_check": 5, "s_character_check": 4,
+    "s_character_check": 4,
     "schroder_polynomials": 7, "bar_distribution": 10, "chi_sqsym": 7,
     "pn_alpha": 10, "fixed_pair_counts": 5, "psi_alpha": 6,
     "qn_polynomial": 10, "q_triangle": 10, "lassalle_narayana": 8,

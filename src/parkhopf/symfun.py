@@ -17,8 +17,7 @@ through which the characters are applied to the generic solution g_n.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 from .combinat import (_check_size, coarser_leq, comp_concat, comp_near_concat,
                        compositions)
@@ -91,26 +90,14 @@ def evaluate(a: LinComb, h) -> Poly:
     """Commutative evaluation S^I -> prod_k h[i_k] of an S-basis LinComb on
     composition keys, for a character given by its complete-function values
     h[0] = 1, h[1], h[2], ... (polynomials or scalars), e.g.
-    ``[binomial_poly(k - 1, k) for k in range(n + 1)]`` for the binomial
-    element, or ``[1] + [1 - x] * n`` for the alphabet 1 - x.  A key with a
-    part 0 (the extended generator S_0) raises ValueError."""
+    ``[rising_factorial(a, k) for k in range(n + 1)]`` for the binomial
+    character after `hopf.morphism_psi`, or ``[1] + [1 - x] * n`` for the
+    alphabet 1 - x.  A key with a part 0 (the extended generator S_0) raises
+    ValueError."""
     return Poly.sum(prod((h[part] for part in key), start=Poly.coerce(c))
                     for key, c in _without_part_0(a, "evaluate"))
 
 
 def rising_factorial(base: Poly, m: int) -> Poly:
+    """(base)_m = base (base+1) ... (base+m-1)."""
     return prod((base + j for j in range(m)), start=P_ONE)
-
-
-def cycle_enumerator(i) -> Poly:
-    """Z_I(a) = prod_k a(a+1)...(a+i_k-1), the cycle enumerator of the
-    Young subgroup S_(i_1) x ... x S_(i_r)."""
-    alpha = Poly.var("a")
-    return prod((rising_factorial(alpha, part) for part in i), start=P_ONE)
-
-
-def binomial_poly(shift: int, n: int) -> Poly:
-    """C(a + shift, n) as a polynomial in a."""
-    alpha = Poly.var("a")
-    return prod((alpha + (shift - j) for j in range(n)),
-                start=P_ONE).scale(Fraction(1, factorial(n)))

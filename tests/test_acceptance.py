@@ -189,23 +189,23 @@ def test_ac11_super_narayana():
 
 
 def test_ac12_schroder_paths():
-    rows = [chars.schroder_polynomials(n)[0] for n in range(1, 4)]
-    ok = rows == [1 + t, 2 + 3 * t + t ** 2,
-                  5 + 10 * t + 6 * t ** 2 + t ** 3]
-    ok = ok and all(chars.schroder_polynomials(n)[1] for n in range(1, 7))
+    # schroder_polynomials raises unless its three routes agree
+    rows = [chars.schroder_polynomials(n) for n in range(1, 7)]
+    ok = rows[:3] == [1 + t, 2 + 3 * t + t ** 2,
+                      5 + 10 * t + 6 * t ** 2 + t ** 3]
     for n in range(7):
-        for p in chars.schroder_paths(n):
-            ok = ok and chars.schroder_decode(chars.schroder_encode(p)) == p
+        words = {chars.schroder_encode(p) for p in chars.schroder_paths(n)}
+        ok = ok and len(words) == [1, 2, 6, 22, 90, 394, 1806][n]
     sorted_example = tuple(sorted(chars.schroder_encode("uuhuddhd")))
     ok = ok and chars.signed_to_text(sorted_example) == "-4,-1,1,1,2"
     _report(12, "P_n(t,0) rows, three route agreement to n = 6, "
-                "encode/decode round trips, sorted example", ok)
+                "injective path encoding, sorted example", ok)
 
 
 def test_ac13_narayana_cross_check():
     ok = chars.lassalle_narayana(3) == q ** 2 + 3 * q + 1
     for n in range(1, 7):
-        pn = chars.schroder_polynomials(n)[0]
+        pn = chars.schroder_polynomials(n)
         cn_paths = chars.narayana_from_pn(pn).substitute("t", q)
         cn_lassalle = chars.lassalle_narayana(n)
         ok = ok and cn_lassalle == cn_paths
@@ -218,9 +218,9 @@ def test_ac13_narayana_cross_check():
 def test_ac14_chi_suite():
     ok = True
     for n in range(1, 8):
-        chi_gn, checks = chars.chi_sqsym(n)
-        ok = ok and checks
-        cn = chars.narayana_from_pn(chars.schroder_polynomials(n)[0])
+        ok = ok and chars.chi_sqsym(n)
+        chi_gn = (1 + t) * chars.bar_distribution(n)
+        cn = chars.narayana_from_pn(chars.schroder_polynomials(n))
         ok = ok and chi_gn == (1 + t) * cn.substitute("t", 1 + t)
     for n in range(1, 7):
         ok = ok and chars.chi_path_model_check(n)
@@ -245,8 +245,7 @@ def test_ac15_psi_characters():
     for n, expected in closed.items():
         ok = ok and chars.pn_alpha(n) == expected
     for n in range(1, 7):
-        poly, checks = chars.psi_alpha(n)
-        ok = ok and checks and poly == chars.pn_alpha(n)
+        ok = ok and chars.psi_alpha(n)
     for n in range(1, 6):
         counts = chars.fixed_pair_counts(n)
         coeffs = chars.pn_alpha(n).coeffs_in("a")

@@ -6,9 +6,12 @@ from math import comb, factorial
 import pytest
 
 from parkhopf import chars as ch
-from parkhopf.combinat import (is_ndpf, iter_parking_functions, ndpfs, pack,
-                               parking_functions, shifted_shuffle)
-from parkhopf.exact import Poly, monomial
+from parkhopf import hopf
+from parkhopf.combinat import (is_parking, iter_parking_functions, ndpfs,
+                               pack, parking_functions, quasi_ribbons,
+                               shifted_shuffle)
+from parkhopf.exact import LinComb, Poly, monomial
+from parkhopf.symfun import R_to_S, evaluate, rising_factorial
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
@@ -18,21 +21,14 @@ t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
 def test_signed_word_basics():
     s = (-1, -1)
-    assert ch.is_signed_parking(s) and ch.signed_stats(s)[0] == 2
+    assert ch.signed_stats(s)[0] == 2
     assert ch.signed_to_text((-4, -1, 1, 1, 2)) == "-4,-1,1,1,2"
-    assert ch.text_to_signed("-4,-1,1,1,2") == (-4, -1, 1, 1, 2)
-    assert not ch.is_signed_parking((2, 2))  # base word must be parking
-    assert not ch.is_signed_parking((0, 1))  # letters start at 1
-    with pytest.raises(ValueError):
-        ch.text_to_signed("2,2")
-    with pytest.raises(ValueError):
-        ch.text_to_signed("0,1")
-    with pytest.raises(ValueError):
-        ch.text_to_signed("1,x")
-    assert ch.text_to_signed("") == ()
-    for text in ["1,,2", "1,", ",", "-1,,1"]:
-        with pytest.raises(ValueError, match="empty field"):
-            ch.text_to_signed(text)
+    assert ch.signed_to_text(()) == ""
+    # the signed parking functions are the signings of the parking functions
+    for n in range(5):
+        assert sorted(ch.signed_parking_functions(n)) == sorted(
+            v for v in itertools.product(range(-n, n + 1), repeat=n)
+            if 0 not in v and is_parking(map(abs, v)))
 
 
 def signed_shifted_shuffle(a, b):
@@ -157,8 +153,9 @@ def test_unchecked_producers_make_valid_signed_words():
     for n in range(6):
         for s in made(n):
             assert type(s) is tuple and len(s) == n
-            assert ch.is_signed_parking(s)
-            assert ch.text_to_signed(ch.signed_to_text(s)) == s
+            assert 0 not in s and is_parking(map(abs, s))
+            assert tuple(map(int, ch.signed_to_text(s).split(",")
+                             if s else ())) == s
 
 
 # -- super-Narayana ----------------------------------------------------------------
@@ -193,7 +190,7 @@ def test_symmetric_route_at_six():
     # counted by minus signs
     p6 = ch.super_narayana_sym(6)
     assert p6 == ch.super_narayana_count(6)
-    assert p6.substitute("q", 0) == ch.schroder_polynomials(6)[0]
+    assert p6.substitute("q", 0) == ch.schroder_polynomials(6)
     assert p6.substitute("q", 1) == (1 + t) ** 6 * 7 ** 5
     with pytest.raises(ValueError):
         ch.super_narayana_sym(7)
@@ -204,8 +201,12 @@ def test_signed_weight_base_case():
 
 
 def test_qtF_identity():
+    # the signed-maj weight is a character up to the q-binomial
+    # normalization, with the base case W(1) = 1 - x
+    assert ch.fsigma_signed_weight((1,)) == 1 - x
     for sigma in [(1,), (1, 2), (2, 1), (1, 3, 2), (3, 1, 2)]:
-        assert ch.qtF_identity_check(sigma)
+        for tau in [(1,), (1, 2), (2, 1)]:
+            assert ch._shuffle_identity(sigma, tau)
 
 
 def test_s_character():
@@ -226,23 +227,11 @@ def test_dyck_encode_examples():
 
 
 def test_dyck_bijection():
-    for n in range(7):
-        paths = list(ch.dyck_paths(n))
-        words = [ch.dyck_encode(p) for p in paths]
-        assert sorted(words) == sorted(ndpfs(n))
-        for p in paths:
-            assert ch.dyck_decode(ch.dyck_encode(p)) == p
-
-
-def test_dyck_decode_rejects_what_is_not_an_ndpf():
-    for k in range(5):
-        for w in itertools.product(range(-2, 6), repeat=k):
-            if not is_ndpf(w):
-                with pytest.raises(ValueError):
-                    ch.dyck_decode(w)
-    for k in range(8):
-        for pi in ndpfs(k):
-            assert ch.dyck_encode(ch.dyck_decode(pi)) == pi
+    # the encoding is injective, Catalan many words, and onto the NDPFs
+    for n in range(8):
+        words = [ch.dyck_encode(p) for p in ch.dyck_paths(n)]
+        assert len(set(words)) == len(words) == len(ndpfs(n))
+        assert set(words) == set(ndpfs(n))
 
 
 def test_schroder_encode_examples():
@@ -255,12 +244,25 @@ def test_schroder_encode_examples():
 
 
 def test_schroder_roundtrip_and_sorted_no_inversions():
+    # the encoding is injective, large-Schroeder many words, and each word
+    # sorts to a signed parking function with no signed inversion
+    schroder = [1, 2, 6, 22, 90, 394, 1806]
     for n in range(7):
-        for p in ch.schroder_paths(n):
-            enc = ch.schroder_encode(p)
-            assert ch.schroder_decode(enc) == p
-            assert ch.is_signed_parking(enc)
+        words = [ch.schroder_encode(p) for p in ch.schroder_paths(n)]
+        assert len(set(words)) == len(words) == schroder[n]
+        for enc in words:
+            assert is_parking(map(abs, enc))
             assert ch.signed_stats(tuple(sorted(enc)))[1] == 0
+
+
+def test_schroder_encode_rejects_bad_paths():
+    # the messages name the first fault met on the walk
+    for path, message in [("udd", "dips below"), ("uhu", "does not return"),
+                          ("uxd", "bad step 'x'"), ("du", "dips below"),
+                          ("hx", "bad step 'x'"), ("uu", "does not return"),
+                          ("dx", "dips below")]:
+        with pytest.raises(ValueError, match=message):
+            ch.schroder_encode(path)
 
 
 def test_schroder_counts():
@@ -292,11 +294,7 @@ def test_schroder_counts():
 
 
 def test_schroder_polynomial_rows():
-    rows = []
-    for n in range(1, 4):
-        pn, ok = ch.schroder_polynomials(n)
-        assert ok
-        rows.append(pn)
+    rows = [ch.schroder_polynomials(n) for n in range(1, 4)]
     assert rows[0] == 1 + t
     assert rows[1] == 2 + 3 * t + t ** 2
     assert rows[2] == 5 + 10 * t + 6 * t ** 2 + t ** 3
@@ -313,11 +311,11 @@ def test_sorted_signed_pfs_against_brute_force():
 def test_count_route_q0_matches_path_route():
     for n in range(1, 6):
         sliced = ch.super_narayana_count(n).substitute("q", 0)
-        assert sliced == ch.schroder_polynomials(n)[0]
+        assert sliced == ch.schroder_polynomials(n)
 
 
 def test_narayana_from_pn():
-    p3 = ch.schroder_polynomials(3)[0]
+    p3 = ch.schroder_polynomials(3)
     assert ch.narayana_from_pn(p3) == t ** 2 + 3 * t + 1
     # (t+1)((t+1)^2 + 3(t+1) + 1) reproduces P_3(t)
     c3 = ch.narayana_from_pn(p3)
@@ -335,13 +333,33 @@ def test_bar_distribution():
         assert coeffs[0].constant_value() == len(ndpfs(n))
 
 
+def _chi(x):
+    """The bar character as the library applies it: evaluate after the
+    morphism to ribbons and the change to the S basis, with h_k = 1 + t."""
+    return evaluate(R_to_S(hopf.istar_on_sqsym(x)), [1] + [1 + t] * 8)
+
+
 def test_chi_values_and_checks():
-    chi_g3, ok = ch.chi_sqsym(3)
-    assert ok
+    assert ch.chi_sqsym(3) is True
+    chi_g3 = (1 + t) * ch.bar_distribution(3)
     assert chi_g3 == 5 + 10 * t + 6 * t ** 2 + t ** 3
-    two_bars = (1 + t) * t ** 2
+    assert _chi(LinComb((q, 1) for q in quasi_ribbons(3))) == chi_g3
     from parkhopf.combinat import text_to_ribbon
-    assert ch._chi_value(text_to_ribbon("1|2|3")) == two_bars
+    assert _chi(LinComb.term(text_to_ribbon("1|2|3"))) == (1 + t) * t ** 2
+
+
+def test_chi_is_bar_weight_on_every_quasi_ribbon():
+    # the oracle (1+t) t^(bars) against the evaluation, key by key
+    for n in range(1, 6):
+        for q in quasi_ribbons(n):
+            assert _chi(LinComb.term(q)) == (1 + t) * t ** len(q[1])
+
+
+def test_chi_rejects_size_zero():
+    # P_0 = 1 has no Narayana polynomial: t does not divide it
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            ch.chi_sqsym(n)
 
 
 def test_chi_path_model():
@@ -351,7 +369,7 @@ def test_chi_path_model():
 
 def test_chi_character_checks_through_degree_five():
     for n in range(1, 6):
-        assert ch.chi_sqsym(n)[1]
+        assert ch.chi_sqsym(n) is True
 
 
 # -- the binomial-element character --------------------------------------------------------
@@ -368,16 +386,24 @@ def test_pn_alpha_values():
         ch.pn_alpha(11)
 
 
+def _psi(x):
+    """The binomial character as the library applies it: evaluate after
+    morphism_psi, with h_k the rising factorial (a)_k."""
+    return evaluate(hopf.morphism_psi(x),
+                    [rising_factorial(a, k) for k in range(9)])
+
+
 def test_psi_alpha_value():
-    assert ch.psi_alpha_value((1, 1)) == (a ** 2 + a).scale(Fraction(1, 2))
+    assert _psi(LinComb.term((1, 1))) == (a ** 2 + a).scale(Fraction(1, 2))
 
 
 def test_psi_alpha_checks():
-    assert ch.psi_alpha(0) == (1, True)
+    assert ch.psi_alpha(0) is True
     for n in range(1, 6):
-        poly, ok = ch.psi_alpha(n)
-        assert ok
-        assert poly == ch.pn_alpha(n)
+        assert ch.psi_alpha(n) is True
+        # its value half: n! psi_a of the degree-n sum is P_n(a)
+        total = _psi(LinComb((w, 1) for w in parking_functions(n)))
+        assert total.scale(factorial(n)) == ch.pn_alpha(n)
 
 
 def test_fixed_pair_counts_match_coefficients():
@@ -421,7 +447,7 @@ def test_lassalle_narayana():
     assert ch.lassalle_narayana(1) == Poly.const(1)
     assert ch.lassalle_narayana(3) == q ** 2 + 3 * q + 1
     for n in range(1, 6):
-        via_paths = ch.narayana_from_pn(ch.schroder_polynomials(n)[0])
+        via_paths = ch.narayana_from_pn(ch.schroder_polynomials(n))
         assert ch.lassalle_narayana(n) == via_paths.substitute("t", q)
     # n = 8: the Narayana numbers C(8,k) C(8,k-1) / 8, and Catalan at q = 1
     c8 = ch.lassalle_narayana(8)

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
-from parkhopf import chars, combinat
+from parkhopf import chars, combinat, hopf, lagrange
 from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
-                          build_parser, main)
+                          _outcome, build_parser, main)
+from parkhopf.exact import LinComb
 
 
 def run(capsys, *argv):
@@ -321,6 +322,56 @@ def test_raising_check_fails_its_row_only(capsys, monkeypatch, plant, faulty):
             assert r["ok"] is True and "error" not in r
 
 
+def _plant_psi_without_factorial(monkeypatch):
+    # F_w -> S^t(w), without the 1/n!
+    monkeypatch.setattr(hopf, "morphism_psi", lambda a: LinComb(
+        (combinat.packed_evaluation(w), c) for w, c in a))
+
+
+def _plant_istar_one_part(monkeypatch):
+    # every quasi-ribbon q -> R_(len(word)), its bars ignored
+    monkeypatch.setattr(hopf, "istar_on_sqsym",
+                        lambda a: a.map_keys(lambda q: (len(q[0]),)))
+
+
+def _plant_schroder_path_dropped(monkeypatch):
+    paths = chars.schroder_paths
+    monkeypatch.setattr(chars, "schroder_paths",
+                        lambda n: list(paths(n))[:-1])
+
+
+def _plant_narayana_off_by_one(monkeypatch):
+    divide = chars.narayana_from_pn
+    monkeypatch.setattr(chars, "narayana_from_pn", lambda pn: divide(pn) + 1)
+
+
+def _plant_s_product_reversed(monkeypatch):
+    # S^I S^J = S^(J.I): f and g are both solved with the faulty product
+    s_product = lagrange.s_product
+    monkeypatch.setattr(lagrange, "s_product", lambda a, b: s_product(b, a))
+
+
+@pytest.mark.parametrize("check, plant, raises", [
+    ("psi-alpha-checks", _plant_psi_without_factorial, False),
+    ("chi-checks", _plant_istar_one_part, False),
+    ("schroder-polynomial-routes", _plant_schroder_path_dropped, True),
+    ("narayana-cross-check", _plant_narayana_off_by_one, False),
+    ("f-unit-specialization", _plant_s_product_reversed, False),
+])
+def test_rewritten_row_fails_under_its_fault(monkeypatch, check, plant,
+                                             raises):
+    # each row holds at its top, and a planted fault in a library function
+    # it reads turns it false; a fault that breaks a value's own routes
+    # fails the row with the message in "error"
+    top, run = next((top, run) for _, name, top, run in _CHECKS
+                    if name == check)
+    assert _outcome(run, top) == {"ok": True}
+    plant(monkeypatch)
+    result = _outcome(run, top)
+    assert result["ok"] is False
+    assert ("error" in result) is raises
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--family", "bogus", "--n", "2"])
@@ -410,19 +461,19 @@ def test_failed_check_exits_1(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("poly", "--which", "pn-t", "--n", "3"),
-    ("table", "--which", "a060693", "--n-max", "3"),
+@pytest.mark.parametrize("argv, n", [
+    (("poly", "--which", "pn-t", "--n", "3"), 3),
+    (("table", "--which", "a060693", "--n-max", "3"), 1),
 ], ids=["poly-pn-t", "table-a060693"])
-def test_disagreeing_schroder_routes_exit_1(capsys, monkeypatch, argv):
-    pn = chars.schroder_polynomials(3)[0]
-    monkeypatch.setattr(chars, "schroder_polynomials", lambda n: (pn, False))
+def test_disagreeing_schroder_routes_exit_1(capsys, monkeypatch, argv, n):
+    # the path route loses a path, so it disagrees with the other two; the
+    # table fails at its first row
+    _plant_schroder_path_dropped(monkeypatch)
     assert main(list(argv)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert captured.err == \
+        f"error: a check failed: the three routes to P_{n}(t) disagree\n"
 
 
 def _module_env():

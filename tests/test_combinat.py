@@ -404,8 +404,6 @@ def test_enumeration_cap():
 _BOUNDED = {
     "super_narayana_count": (6, chars.super_narayana_count),
     "super_narayana_sym": (6, chars.super_narayana_sym),
-    "qtF_identity_check": (5, lambda n: chars.qtF_identity_check(
-        range(1, n + 1))),
     "s_character_check": (4, chars.s_character_check),
     "schroder_polynomials": (7, chars.schroder_polynomials),
     "bar_distribution": (10, chars.bar_distribution),

@@ -1,12 +1,15 @@
 """Static checks on the library source: checks that still run under
 ``python -O``, verify sizes clamped in one place, the rewrite and series
 walks written once, one element format for every algebra, one table of
-size limits, one operad evaluation walk, and a caller for every public
-operad function."""
+size limits, one operad evaluation walk, a caller for every public operad
+and character function, and a library caller for the morphisms through
+which the characters are applied."""
 
 import ast
 import pathlib
 import re
+
+import pytest
 
 import parkhopf
 from parkhopf.combinat import LIMITS
@@ -142,14 +145,25 @@ def _uses_by_definition():
                     yield path.name, where, node.attr
 
 
-def test_every_public_operad_function_has_a_caller():
+@pytest.mark.parametrize("module", ["operad.py", "chars.py"])
+def test_every_public_function_has_a_caller(module):
     # a call from inside the function itself does not count
-    public = [node.name for node in _tree_of("operad.py").body
+    public = [node.name for node in _tree_of(module).body
               if isinstance(node, ast.FunctionDef)
               and not node.name.startswith("_")]
     uses = list(_uses_by_definition())
     uncalled = [name for name in public
-                if not any(used == name and (module, where)
-                           != ("operad.py", name)
-                           for module, where, used in uses)]
+                if not any(used == name and (where_module, where)
+                           != (module, name)
+                           for where_module, where, used in uses)]
     assert public and not uncalled, f"no caller in the library: {uncalled}"
+
+
+def test_character_morphisms_have_a_caller_outside_their_module():
+    # psi and chi are evaluate after these morphisms
+    uses = list(_uses_by_definition())
+    for module, name in [("hopf.py", "morphism_psi"),
+                         ("hopf.py", "istar_on_sqsym"),
+                         ("symfun.py", "R_to_S")]:
+        assert any(used == name and where_module != module
+                   for where_module, _, used in uses), name

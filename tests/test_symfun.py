@@ -4,11 +4,12 @@ from math import comb, factorial, prod
 
 import pytest
 
-from parkhopf.combinat import compositions
+from parkhopf import hopf
+from parkhopf.combinat import (compositions, packed_evaluation,
+                               parking_functions)
 from parkhopf.exact import P_ONE, LinComb, Poly, monomial, poly_divexact
 from parkhopf.lagrange import solve_g
-from parkhopf.symfun import (R_to_S, S_to_R, as2_axioms_check,
-                             binomial_poly, cycle_enumerator, evaluate,
+from parkhopf.symfun import (R_to_S, S_to_R, as2_axioms_check, evaluate,
                              ribbon_product, rising_factorial, s_product)
 
 x, a = Poly.var("x"), Poly.var("a")
@@ -111,8 +112,10 @@ def _newton_h(p, n: int) -> list:
 
 
 def _binomial_h(n: int) -> list:
-    """h_k of the binomial element, C(a + k - 1, k)."""
-    return [binomial_poly(k - 1, k) for k in range(n + 1)]
+    """h_k of the binomial element, C(a + k - 1, k) as a polynomial in a."""
+    return [prod((a + (k - 1 - j) for j in range(k)),
+                 start=P_ONE).scale(Fraction(1, factorial(k)))
+            for k in range(n + 1)]
 
 
 def _rank_one_h(m: int, n: int) -> list:
@@ -214,19 +217,38 @@ def _cycle_count(sigma):
     return k
 
 
+def _young_cycle_enumerator(parts) -> Poly:
+    """Z_I(a): a^(cycles) summed over the Young subgroup S_(i_1) x ...,
+    by brute force."""
+    pools = [list(itertools.permutations(range(1, p + 1))) for p in parts]
+    total = Poly()
+    for pieces in itertools.product(*pools):
+        total = total + a ** sum(_cycle_count(s) for s in pieces)
+    return total
+
+
+def _rising(n: int) -> list:
+    return [rising_factorial(a, k) for k in range(n + 1)]
+
+
 def test_cycle_enumerator_against_brute_force():
-    alpha = Poly.var("a")
+    # the cycle enumerator Z_I(a) is evaluate(S^I) with h_k = (a)_k
     for parts in [(2,), (3,), (1, 1), (2, 1), (2, 2), (3, 1)]:
-        # brute force over the Young subgroup
-        pools = [list(itertools.permutations(range(1, p + 1))) for p in parts]
-        total = Poly()
-        for pieces in itertools.product(*pools):
-            cycles = sum(_cycle_count(s) for s in pieces)
-            total = total + alpha ** cycles
-        assert cycle_enumerator(parts) == total
-    assert cycle_enumerator((2,)) == alpha ** 2 + alpha
-    assert cycle_enumerator((1, 1)) == alpha ** 2
-    assert cycle_enumerator((3,)) == alpha ** 3 + 3 * alpha ** 2 + 2 * alpha
+        assert evaluate(S(parts), _rising(3)) == \
+            _young_cycle_enumerator(parts)
+    assert evaluate(S((2,)), _rising(2)) == a ** 2 + a
+    assert evaluate(S((1, 1)), _rising(1)) == a ** 2
+    assert evaluate(S((3,)), _rising(3)) == a ** 3 + 3 * a ** 2 + 2 * a
+
+
+def test_psi_of_F_w_is_cycle_enumerator_over_n_factorial():
+    # the binomial character is evaluate after morphism_psi with h_k = (a)_k:
+    # psi_a(F_w) = Z_t(w)(a) / n! for every parking function w of size <= 4
+    for n in range(5):
+        for w in parking_functions(n):
+            psi = evaluate(hopf.morphism_psi(LinComb.term(w)), _rising(n))
+            assert psi == _young_cycle_enumerator(packed_evaluation(w)).scale(
+                Fraction(1, factorial(n)))
 
 
 def test_cycle_enumerator_vs_binomial_character():
@@ -235,7 +257,7 @@ def test_cycle_enumerator_vs_binomial_character():
     for n in range(1, 7):
         for i in compositions(n):
             denom = prod(factorial(part) for part in i)
-            lhs = cycle_enumerator(i).scale(Fraction(1, denom))
+            lhs = _young_cycle_enumerator(i).scale(Fraction(1, denom))
             assert lhs == evaluate(S(i), h)
 
 
