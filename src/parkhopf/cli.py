@@ -326,9 +326,9 @@ _CHECKS = (
      lambda n: hopf.triduplicial_axioms(n)),
     ("triduplicial", "wqsym-tridendriform-axioms", 5,
      lambda n: hopf.tridendriform_axioms_wqsym(n)),
-    ("triduplicial", "wqsym-tridendriform-span", 4,
+    ("triduplicial", "wqsym-tridendriform-span", 5,
      _starts(lambda k: operad.tridendriform_span_dimension(k),
-             [1, 3, 11, 45])),
+             [1, 3, 11, 45, 197])),
     ("bialgebra", "generator-primitive", 1,
      lambda n: not hopf.dup_coproduct(LinComb.term((1,)))),
     ("bialgebra", "small-primitives-in-kernel", 1, _brackets_primitive),

@@ -37,7 +37,7 @@ LIMITS = {
     "tamari_poset": 7, "tamari_interval_check": 7,
     # operad
     "count_normal_forms(tri)": 8, "count_normal_forms(dup)": 10,
-    "tridendriform_span_dimension": 6,
+    "tridendriform_span_dimension": 7,
     # hopf, symfun
     "primitive_dimension": 8, "as2_axioms_check": 8,
     "enumeration": 12,

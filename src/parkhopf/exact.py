@@ -1,17 +1,19 @@
 """Exact coefficient arithmetic: multivariate polynomials over Q,
 free-module linear combinations, and exact linear algebra.
 
-Coefficients are `fractions.Fraction` throughout; there is no floating point
+Coefficients are exact rationals: a `Poly` stores an `int` where the value is
+integral and a `fractions.Fraction` otherwise; there is no floating point
 anywhere in this package.  Polynomials live in the fixed variable set
 q, t, x, z, a (``a`` is the binomial-element parameter), stored as a sparse
 map from dense exponent vectors to rational coefficients.  The only division
 of polynomials is exact division (`poly_divexact`); there are no rational
 functions and no polynomial gcds.
 
-Span dimensions come from one sparse elimination routine on dict rows:
+Linear algebra is one sparse elimination routine on dict rows, `independent`:
 integral and rational vectors are eliminated over Python ints with
-fraction-free (Bareiss-style) updates.  A kernel dimension is the size of a
-basis less the span dimension of its images.
+fraction-free (Bareiss-style) updates, and the vectors that raise the rank
+are kept.  A span dimension is the number kept; a kernel dimension is the
+size of a basis less the span dimension of its images.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ class NotDivisibleError(ArithmeticError):
     """Exact polynomial division requested for a non-divisor."""
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+def _as_scalar(c) -> int | Fraction:
+    """A rational scalar as an `int` when it is integral (``True`` becomes
+    ``1``), else as a `Fraction`; TypeError for any other type."""
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"not a rational scalar: {c!r}")
 
 
@@ -78,7 +82,8 @@ class Poly:
     ``Poly(pairs)`` is how a polynomial is collected: it takes a mapping or
     any iterable of ``(exponent tuple, coeff)`` pairs in one pass, merges
     repeated exponents by adding their coefficients, drops the exponents
-    whose sum is zero and coerces the surviving coefficients to `Fraction`.
+    whose sum is zero and stores each surviving coefficient as an `int` when
+    it is integral, else as a `Fraction`.
     Exponent tuples come from `monomial`.  Build a sum as one generator of
     pairs rather than by adding Poly values in a loop, which copies the
     whole polynomial on every step.
@@ -87,7 +92,7 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms = {e: _as_fraction(c) for e, c in _collect(terms).items()}
+        self.terms = {e: _as_scalar(c) for e, c in _collect(terms).items()}
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -163,12 +168,12 @@ class Poly:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if any(e != _ZERO for e in self.terms):
             raise ValueError(f"not a constant: {self}")
-        return self.terms.get(_ZERO, Fraction(0))
+        return self.terms.get(_ZERO, 0)
 
-    def leading(self) -> tuple[tuple, Fraction]:
+    def leading(self) -> tuple[tuple, int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_term_key)
@@ -183,12 +188,12 @@ class Poly:
             out.setdefault(e[i], {})[rest] = c
         return {k: Poly(v) for k, v in out.items()}
 
-    def coeff_row(self, name: str) -> list[Fraction]:
+    def coeff_row(self, name: str) -> list[int | Fraction]:
         """Scalar coefficients of v^0, v^1, ..., v^degree for the variable v
         called ``name``, constant term first; ValueError if another variable
         occurs."""
         i = _VAR_INDEX[name]
-        row = [Fraction(0)] * (self.degree() + 1)
+        row = [0] * (self.degree() + 1)
         for e, c in self.terms.items():
             if sum(e) != e[i]:
                 raise ValueError(f"not a polynomial in {name} alone: {self}")
@@ -205,7 +210,7 @@ class Poly:
         return Poly.sum(coeff * powers[k] for k, coeff in parts.items())
 
     def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
+        c = _as_scalar(c)
         return Poly({e: c * v for e, v in self.terms.items()})
 
     # -- printing ----------------------------------------------------------
@@ -259,7 +264,7 @@ def poly_divexact(num: Poly, den: Poly) -> Poly:
         raise ZeroDivisionError("polynomial division by zero")
     if not num:
         return Poly()
-    quot: dict[tuple, Fraction] = {}
+    quot: dict[tuple, int | Fraction] = {}
     rem = num
     de, dc = den.leading()
     while rem:
@@ -267,7 +272,7 @@ def poly_divexact(num: Poly, den: Poly) -> Poly:
         me = tuple(a - b for a, b in zip(re, de))
         if any(p < 0 for p in me):
             raise NotDivisibleError(f"({num}) is not divisible by ({den})")
-        mc = rc / dc
+        mc = Fraction(rc, dc)
         quot[me] = mc
         rem = rem - Poly({me: mc}) * den
     return Poly(quot)
@@ -363,59 +368,57 @@ def tensor(a: LinComb, b: LinComb) -> LinComb:
 # -- exact linear algebra ----------------------------------------------------
 
 
-def _rank(rows: Iterable[dict]) -> int:
-    """Rank of sparse integer rows ``{column: entry}`` by echelon insertion.
+def independent(vectors: Iterable[LinComb]) -> list[LinComb]:
+    """The vectors, in input order, that are not in the span over Q of the
+    vectors before them: a basis of the span, taken from the input.
 
-    Each row is reduced by its leading (smallest) column against the stored
-    pivot with that leading column, until it is zero or leads in a column
-    with no pivot, where it is stored.  The update is fraction-free in the
-    style of Bareiss (1968), ``row = a*row - b*pivot`` with ``b/a`` the ratio
-    of the two leading entries in lowest terms, and pivots are kept
+    Coefficients must be `int` or `Fraction`; any other type raises
+    TypeError.  Each vector's denominators are cleared and its row is
+    reduced by sparse echelon insertion, with columns numbered in order of
+    first appearance, so no order on the keys is needed.  A row is reduced
+    by its leading (smallest) column against the stored pivot with that
+    leading column, until it is zero or leads in a column with no pivot,
+    where it is stored and its vector kept.  The update is fraction-free in
+    the style of Bareiss (1968), ``row = a*row - b*pivot`` with ``b/a`` the
+    ratio of the two leading entries in lowest terms, and pivots are kept
     primitive.
     """
+    index: dict = {}
     pivots: dict = {}
-    for row in rows:
+    kept = []
+    for v in vectors:
+        row = {index.setdefault(k, len(index)): c
+               for k, c in v.terms.items() if c}
+        if not all(isinstance(c, (int, Fraction)) for c in row.values()):
+            raise TypeError("independent needs int or Fraction "
+                            f"coefficients, got {v!r}")
+        d = lcm(*(c.denominator for c in row.values()))
+        row = {i: c.numerator * (d // c.denominator) for i, c in row.items()}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 g = gcd(*row.values())
-                pivots[lead] = {c: v // g for c, v in row.items()}
+                pivots[lead] = {c: x // g for c, x in row.items()}
+                kept.append(v)
                 break
             a, b = pivot[lead], row[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
-            new = {c: a * v for c, v in row.items()}
-            for c, v in pivot.items():
-                s = new.get(c, 0) - b * v
+            new = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                s = new.get(c, 0) - b * x
                 if s:
                     new[c] = s
                 else:
                     del new[c]
             row = new
-    return len(pivots)
+    return kept
 
 
 def span_dimension(vectors: Iterable[LinComb]) -> int:
-    """Dimension over Q of the span of the given free-module elements.
-
-    Coefficients must be `int` or `Fraction`; any other type raises
-    TypeError.  Each vector's denominators are cleared and the rank is taken
-    by sparse fraction-free elimination.  Columns are numbered in order of
-    first appearance, so no order on the keys is needed.
-    """
-    index: dict = {}
-    rows = []
-    for v in vectors:
-        row = {index.setdefault(k, len(index)): c
-               for k, c in v.terms.items() if c}
-        if not all(isinstance(c, (int, Fraction)) for c in row.values()):
-            raise TypeError("span_dimension needs int or Fraction "
-                            f"coefficients, got {v!r}")
-        d = lcm(*(c.denominator for c in row.values()))
-        rows.append({i: c.numerator * (d // c.denominator)
-                     for i, c in row.items()})
-    return _rank(rows)
+    """Dimension over Q of the span of the given free-module elements."""
+    return len(independent(vectors))
 
 
 # -- truncated power series in z --------------------------------------------

@@ -21,16 +21,22 @@ terminates: the sum over nodes of left-subtree sizes strictly decreases.
 
 Rewriting is one walk, `rewrite_all_steps`, which yields every one-step
 rewrite leftmost-outermost first: `rewrite_step` takes its first item and
-`is_normal` asks that it yields none.  Evaluating trees in any algebra is
-one walk too, `_evaluations`, given the value at the leaves and a function
-per operation; it evaluates each distinct proper subtree once.
+`is_normal` asks that it yields none.  `eval_tree` evaluates a tree by one
+walk, `_evaluations`, given the value at the leaves and a function per
+operation; it evaluates each distinct proper subtree once.
+
+The span of the degree-n products of the generator under the three
+tridendriform operations of the packed-word algebra is built without trees:
+the operations are bilinear, so it is spanned by the products of a basis of
+each smaller degree, and `tridendriform_span_dimension` keeps a basis per
+degree.
 """
 
 from __future__ import annotations
 
 from .combinat import (_check_size, binary_trees, shifted_concat_len,
                        shifted_concat_max)
-from .exact import LinComb, span_dimension
+from .exact import LinComb, independent
 from .hopf import (qr_mid, qr_prec, qr_succ, wqsym_left, wqsym_mid,
                    wqsym_right)
 
@@ -196,11 +202,23 @@ def confluence_check(mode: str, n: int) -> bool:
 def tridendriform_span_dimension(n: int) -> int:
     """Dimension of the span of all degree-n products of the one-letter
     generator under the three tridendriform operations of the packed-word
-    algebra.  The trees share the values of their subtrees, so each distinct
-    subtree of fewer than n leaves is evaluated once."""
+    algebra.
+
+    The operations are bilinear, so the degree-m products are spanned by
+    op(u, v) for u in a basis of degree k, v in a basis of degree m - k and
+    each of the three operations.  Starting from the generator in degree 1,
+    each degree's basis is the products that `independent` keeps; no tree
+    list is built."""
+    if n < 1:
+        raise ValueError(f"products of the generator have degree at least "
+                         f"1, got n={n}")
     _check_size("tridendriform_span_dimension", n)
     # the thirds are read at each call, so a wrapper put on this module's
     # names (a profiler's, say) sees every product
-    ops = {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid}
-    return span_dimension(_evaluations(all_eval_trees("tri", n),
-                                       LinComb.term((1,)), ops))
+    ops = (wqsym_left, wqsym_right, wqsym_mid)
+    bases = [[], [LinComb.term((1,))]]
+    for m in range(2, n + 1):
+        bases.append(independent(op(u, v) for k in range(1, m)
+                                 for u in bases[k] for v in bases[m - k]
+                                 for op in ops))
+    return len(bases[n])

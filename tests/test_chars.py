@@ -16,6 +16,23 @@ from parkhopf.symfun import R_to_S, evaluate, rising_factorial
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
 
+def test_no_poly_holds_a_float(monkeypatch):
+    # every Poly is built through __init__: record the coefficient types of
+    # each one the three routes build
+    types = set()
+    init = Poly.__init__
+
+    def recording_init(self, terms=()):
+        init(self, terms)
+        types.update(map(type, self.terms.values()))
+
+    monkeypatch.setattr(Poly, "__init__", recording_init)
+    ch.super_narayana_sym(5)
+    ch.schroder_polynomials(5)
+    ch.lassalle_narayana(5)
+    assert int in types and types <= {int, Fraction}
+
+
 # -- signed statistics ------------------------------------------------------------
 
 

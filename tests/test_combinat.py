@@ -425,7 +425,7 @@ _BOUNDED = {
         "tri", n)),
     "count_normal_forms(dup)": (10, lambda n: operad.count_normal_forms(
         "dup", n)),
-    "tridendriform_span_dimension": (6, operad.tridendriform_span_dimension),
+    "tridendriform_span_dimension": (7, operad.tridendriform_span_dimension),
     "primitive_dimension": (8, hopf.primitive_dimension),
     "as2_axioms_check": (8, symfun.as2_axioms_check),
     "enumeration": (12, cb.iter_ndpfs),

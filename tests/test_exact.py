@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from parkhopf.exact import (LinComb, NotDivisibleError, Poly, monomial,
-                            poly_divexact, series_sqrt_expand, span_dimension,
-                            tensor)
+from parkhopf.exact import (LinComb, NotDivisibleError, Poly, independent,
+                            monomial, poly_divexact, series_sqrt_expand,
+                            span_dimension, tensor)
 
 q, t, x, z, a = (Poly.var(v) for v in ("q", "t", "x", "z", "a"))
 
@@ -38,6 +38,19 @@ def test_substitute_and_coeffs():
     with pytest.raises(ValueError):
         p.coeff_row("t")
     assert Poly({monomial(t=2, q=1): 3}) == 3 * q * t ** 2
+
+
+def test_poly_coefficients_are_int_when_integral():
+    assert [type(c) for c in Poly.const(Fraction(4, 2)).terms.values()] == \
+        [int]
+    assert [type(c) for c in Poly.const(True).terms.values()] == [int]
+    assert Poly.const(True) == Poly.const(1) == 1
+    assert [type(c) for c in Poly.const(Fraction(1, 2)).terms.values()] == \
+        [Fraction]
+    # a quotient with a fractional coefficient holds a Fraction, not a float
+    half = poly_divexact(Poly.var("q", 1, 3), Poly.const(2))
+    assert list(half.terms.values()) == [Fraction(3, 2)]
+    assert type(half.terms[monomial(q=1)]) is Fraction
 
 
 def test_divexact():
@@ -87,10 +100,25 @@ def test_span_dimension_rejects_poly_coefficients():
     # the rank is taken over Q; polynomial entries are an unsupported type
     v1 = LinComb.term("k1", q) + LinComb.term("k2", q ** 2)
     v2 = LinComb.term("k1", 1) + LinComb.term("k2", q)
-    with pytest.raises(TypeError):
-        span_dimension([v1, v2])
-    with pytest.raises(TypeError):
-        span_dimension([LinComb.term("k1", 1), LinComb.term("k1", 1.5)])
+    for eliminate in (span_dimension, independent):
+        with pytest.raises(TypeError):
+            eliminate([v1, v2])
+        with pytest.raises(TypeError):
+            eliminate([LinComb.term("k1", 1), LinComb.term("k1", 1.5)])
+
+
+def test_independent_keeps_the_first_of_each_dependency():
+    v = LinComb.term("e1", Fraction(1, 2)) + LinComb.term("e2", 3)
+    w = LinComb.term("e2", 1) + LinComb.term("e3", -1)
+    zero = LinComb()
+    vectors = [zero, v, v.scale(-4), w, v + w.scale(2), zero,
+               LinComb.term("e1", 7)]
+    kept = independent(vectors)
+    # the kept vectors are the input objects themselves, in input order
+    assert [id(k) for k in kept] == [id(vectors[i]) for i in (1, 3, 6)]
+    assert independent([]) == [] and independent([zero, zero]) == []
+    # of two parallel vectors the first is kept, whichever it is
+    assert independent([v.scale(-4), v]) == [v.scale(-4)]
 
 
 def _dense_rank(vectors) -> int:
@@ -127,7 +155,11 @@ def test_span_dimension_matches_dense_rank(vectors, data):
             vectors.append(v)
         elif pick == "scale":
             vectors.append(v.scale(data.draw(_scalars.filter(bool))))
-    assert span_dimension(vectors) == _dense_rank(vectors)
+    rank = _dense_rank(vectors)
+    assert span_dimension(vectors) == rank
+    # the kept vectors alone have full rank
+    kept = independent(vectors)
+    assert len(kept) == rank == _dense_rank(kept)
 
 
 def test_tensor():
@@ -184,7 +216,8 @@ def test_poly_collects_pairs(terms, data):
                          for i, j, c in picked]
     p = Poly((monomial(q=i, t=j), c) for i, j, c in terms)
     assert p == _term_sum(terms)
-    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) and c
+               for c in p.terms.values())
     assert Poly(p.terms) == p
     # Poly.sum collects a list of polynomials like a +-fold, cancelling
     # terms included

@@ -2,7 +2,7 @@ import pytest
 
 from parkhopf.combinat import (is_quasi_ribbon, ndpfs, quasi_ribbons,
                                text_to_ribbon)
-from parkhopf.exact import LinComb
+from parkhopf.exact import LinComb, span_dimension
 from parkhopf.hopf import wqsym_left, wqsym_mid, wqsym_right
 from parkhopf import operad as op
 
@@ -225,10 +225,24 @@ def test_shared_subtree_values_match_tree_by_tree():
 
 
 def test_tridendriform_span_dimensions():
-    assert [op.tridendriform_span_dimension(n) for n in range(1, 6)] == \
-        [1, 3, 11, 45, 197]
-    # the top size, against the little Schroeder number (OEIS A001003)
-    assert op.tridendriform_span_dimension(6) == 903 == \
-        op.count_normal_forms("tri", 6)
-    with pytest.raises(ValueError, match="n <= 6"):
-        op.tridendriform_span_dimension(7)
+    # the little Schroeder numbers (OEIS A001003), which the count of tri
+    # normal forms gives by a second route, up to the top size 7
+    counts = [op.count_normal_forms("tri", n) for n in range(1, 8)]
+    assert counts == [1, 3, 11, 45, 197, 903, 4279]
+    assert [op.tridendriform_span_dimension(n) for n in range(1, 8)] == counts
+    with pytest.raises(ValueError, match="n <= 7"):
+        op.tridendriform_span_dimension(8)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            op.tridendriform_span_dimension(n)
+
+
+def test_tridendriform_span_matches_all_trees():
+    # oracle: the span of the values of every labelled tree, which the
+    # basis recursion never builds
+    leaf = LinComb.term((1,))
+    ops = {"<": wqsym_left, ">": wqsym_right, "o": wqsym_mid}
+    for n in range(1, 6):
+        trees = op.all_eval_trees("tri", n)
+        assert span_dimension(op._evaluations(trees, leaf, ops)) == \
+            op.tridendriform_span_dimension(n)
