@@ -9,13 +9,15 @@ field, and the other rows still run.
 
 Every enumerate family is one row of ``_ENUM_FAMILIES``: its items as text
 in the library's order, and its count from a closed form.  Every family,
-tree included, streams: enumerate renders and writes its items in fixed
-blocks as they are produced, so no format holds the family in memory, and
-JSON prints the formula count before it streams the items.  Each block is
-one text, its items joined by newlines, from its rendering to its write;
-JSON and CSV split it into its items.  The word families render a block
-as one byte translation when its letters are all digits, and word by word
-otherwise.  A family whose count is over ``_ENUM_BUDGET`` items exits 2
+tree included, streams: enumerate renders and writes its items in blocks
+as they are produced, so no format holds the family in memory, and JSON
+prints the formula count before it streams the items.  Each block is one
+text, its items joined by newlines, from its rendering to its write; JSON
+and CSV split it into its items.  A block of a word family (pf, ndpf,
+packed, perm) is one run of words that share all but their last letters,
+rendered as the run's prefix text joined to tail texts cached per state
+(``combinat.word_texts``); every other family is cut into blocks of
+``_BLOCK`` items.  A family whose count is over ``_ENUM_BUDGET`` items exits 2
 before it enumerates anything, and a stream whose length differs from its
 formula exits 1.
 
@@ -75,29 +77,36 @@ def _parking_count(n: int) -> int:
     return (n + 1) ** (n - 1) if n else 1
 
 
+# items per write of `enumerate` for the families rendered an item at a
+# time: enough to spread the per-call costs over many items, while larger
+# blocks raise peak memory and gain no speed.  A block stays one text from
+# its rendering to its write.
+_BLOCK = 256
+
+
+def _chunks(items):
+    """The items in lists of `_BLOCK`, the last list shorter."""
+    items = iter(items)
+    return iter(lambda: list(itertools.islice(items, _BLOCK)), [])
+
+
 def _joined(texts):
-    """The texts joined by newlines, ``combinat._BLOCK`` at a time."""
-    return map("\n".join, combinat._chunks(texts))
+    """The texts joined by newlines, `_BLOCK` at a time."""
+    return map("\n".join, _chunks(texts))
 
 
 # family: (its items of size n as text in the library's order, in blocks,
 # each block one str of items joined by newlines, with every size check made
-# before the first block; their number, from a closed form)
+# before the first block; their number, from a closed form).  A word
+# family's block is one run of words sharing a prefix (`word_texts`).
 _ENUM_FAMILIES = {
-    "pf": (lambda n: combinat.words_to_text(
-               combinat.iter_parking_functions(n)),
-           _parking_count),
-    "ndpf": (lambda n: combinat.words_to_text(combinat.iter_ndpfs(n)),
-             _catalan),
+    "pf": (lambda n: combinat.word_texts("pf", n), _parking_count),
+    "ndpf": (lambda n: combinat.word_texts("ndpf", n), _catalan),
     "qribbon": (lambda n: _joined(combinat.ribbons_to_text(
                     combinat.iter_quasi_ribbons(n))),
                 _little_schroder),
-    "packed": (lambda n: combinat.words_to_text(
-                   combinat.iter_packed_words(n)),
-               _ordered_bell),
-    "perm": (lambda n: combinat.words_to_text(
-                 itertools.permutations(range(1, n + 1))),
-             factorial),
+    "packed": (lambda n: combinat.word_texts("packed", n), _ordered_bell),
+    "perm": (lambda n: combinat.word_texts("perm", n), factorial),
     "signed-pf": (lambda n: _joined(map(chars.signed_to_text,
                                         chars.signed_parking_functions(n))),
                   lambda n: 2 ** n * _parking_count(n)),
@@ -124,9 +133,10 @@ def _cmd_enumerate(args) -> int:
     count = count_of(args.n)
     # the family checks its size here, before anything is written
     blocks = render(args.n)
-    # each block is one text from its rendering to its write, so no list of
-    # all the lines is built, and no family is held in memory; no item text
-    # holds a newline, so json and csv split a block into its items there
+    # each block (a run of words, or `_BLOCK` items) is one text from its
+    # rendering to its write, so no list of all the lines is built, and no
+    # family is held in memory; no item text holds a newline, so json and
+    # csv split a block into its items there
     write = sys.stdout.write
     written = 0
     if args.format == "lines":
@@ -302,6 +312,17 @@ def _G_is_sum_of_all_ndpf(n: int) -> bool:
                for k, g_k in enumerate(lagrange.solve_G_cqsym(n)))
 
 
+def _iota_involution(k: int) -> bool:
+    """iota is an involution on the ndpfs of size k, and conjugates their
+    packed evaluations."""
+    def holds(pi) -> bool:
+        image = lagrange.iota(pi)
+        return lagrange.iota(image) == pi \
+            and combinat.packed_evaluation(image) \
+            == combinat.comp_conjugate(combinat.packed_evaluation(pi))
+    return all(map(holds, combinat.ndpfs(k)))
+
+
 def _classes_are_intervals(n: int) -> bool:
     """Each packed-evaluation class of size k <= n is a Tamari interval
     whose size is the coefficient of its composition in g_k."""
@@ -372,9 +393,7 @@ _CHECKS = (
     ("lagrange", "tree-bijection-roundtrip", 8,
      lambda n: all(lagrange.tree_to_ndpf(lagrange.ndpf_to_tree(pi)) == pi
                    for k in range(n + 1) for pi in combinat.ndpfs(k))),
-    ("lagrange", "iota-involution", 8,
-     _each(lambda k: all(lagrange.iota(lagrange.iota(pi)) == pi
-                         for pi in combinat.ndpfs(k)))),
+    ("lagrange", "iota-involution", 8, _each(_iota_involution)),
     ("lagrange", "q-basis-product", 5,
      lambda n: lagrange.q_basis_product_check(n)),
     ("intervals", "packed-evaluation-classes-are-intervals", 6,

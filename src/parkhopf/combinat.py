@@ -3,17 +3,20 @@
 Words are 1-indexed tuples of machine integers.  All values are immutable and
 all operations are pure functions.  Every family comes in a fixed canonical
 order, free of duplicates: lexicographic on letter sequences, and for binary
-trees by left-subtree size then recursively.  The word families are walked
-one letter at a time by `_words`, which chains one run of words per prefix,
-so each word passes through one `itertools.chain`; `iter_ndpfs`,
-`iter_parking_functions`, `iter_packed_words`, `iter_quasi_ribbons` and
-`iter_binary_trees` yield their items as they are found, and the cached
-tuples the algebra code reuses (`ndpfs`, `parking_functions`,
-`packed_words`, `quasi_ribbons`, `binary_trees`, ...) are built from the
-same streams.  `words_to_text` renders words a block at a time, each block
-one text.  Every size limit of the library, the enumeration range
-included, is one row of `LIMITS`, checked by `_check_size` as the first
-statement of the function it bounds.
+trees by left-subtree size then recursively.  The word families (ndpfs,
+parking functions, packed words, permutations) are walked one letter at a
+time by `_words`, which gives one run of words per prefix: the prefix and
+the tails of its state, cached per state.  The tuple streams chain one
+run of words per prefix, so each word passes through one `itertools.chain`,
+and `word_texts` renders each run as one text, the prefix text joined to
+tail texts also cached per state.  `iter_ndpfs`, `iter_parking_functions`,
+`iter_packed_words`, `iter_quasi_ribbons` and `iter_binary_trees` yield
+their items as they are found, and the tuples the algebra code reuses
+(`ndpfs`, `parking_functions`, `packed_words`, `quasi_ribbons`,
+`binary_trees`, cached, and `permutations`) are built from the same
+streams.  Every size limit of the library, the enumeration range included,
+is one row of `LIMITS`, checked by `_check_size` as the first statement of
+the function it bounds.
 """
 
 from __future__ import annotations
@@ -338,38 +341,54 @@ def _check_n(n: int):
 
 
 # The last letters of every word come from a table of tails built once per
-# state, so most words cost one tuple concatenation; three letters keep the
-# table small (at most n^3 tails per state).
+# state, so most words cost one tuple concatenation, or a share of one text
+# join; three letters keep the table small (at most n^3 tails per state).
 _TAIL = 3
 
 
 def _words(n: int, start, moves):
-    """The words of length n spelled from the state ``start``, one at a time
-    in lexicographic order.
+    """The words of length n spelled from the state ``start``, in
+    lexicographic order, as runs: one (prefix, key) per prefix of
+    n - `_TAIL` letters (one run with the empty prefix when n <= `_TAIL`),
+    whose words are the prefix followed by each of ``tails(key)``.
 
-    ``moves(state)`` lists the (letter, next state) pairs by increasing
-    letter, and is called once per state.  Each move should lead to a state
-    that can finish the word, so that no time goes to dead ends.
+    Returns the runs, ``tails`` and ``tail_texts(key, wide_prefix)``, the
+    tails' texts after a prefix with no letter past 9 or with one; both are
+    cached, so each is built once per state.  ``moves(state)`` lists the
+    (letter, next state) pairs by increasing letter, and is called once per
+    state.  Each move should lead to a state that can finish the word, so
+    that no time goes to dead ends.
     """
     moves = cache(moves)
 
     @cache
-    def tails(state, r):
+    def tails(key):
+        state, r = key
         if r == 0:
             return ((),)
         return tuple((v,) + t for v, after in moves(state)
-                     for t in tails(after, r - 1))
+                     for t in tails((after, r - 1)))
+
+    @cache
+    def tail_texts(key, wide_prefix):
+        # the tails' texts, cut where their format changes: (False, digit
+        # texts) for tails of digits, (True, comma texts) for tails holding
+        # a letter past 9, or after a prefix that holds one
+        return tuple(
+            (wide, tuple(("," if wide else "").join(map(str, t))
+                         for t in group))
+            for wide, group in itertools.groupby(
+                tails(key),
+                key=lambda t: wide_prefix or max(t, default=0) >= 10))
 
     def runs(prefix, state, r):
-        # one run of words per prefix of n - _TAIL letters, so a word passes
-        # through the one chain below and no generator frame
         if r <= _TAIL:
-            yield map(prefix.__add__, tails(state, r))
+            yield prefix, (state, r)
             return
         for v, after in moves(state):
             yield from runs(prefix + (v,), after, r - 1)
 
-    return itertools.chain.from_iterable(runs((), start, n))
+    return runs((), start, n), tails, tail_texts
 
 
 def _ndpf_moves(state):
@@ -401,11 +420,39 @@ def _packed_moves(state):
     return out
 
 
+def _perm_moves(unused):
+    # unused: the letters not placed yet, increasing
+    return [(v, unused[:i] + unused[i + 1:]) for i, v in enumerate(unused)]
+
+
+# word family: (its start state at length n, its moves)
+_WORD_FAMILIES = {
+    "ndpf": (lambda n: (1, 1), _ndpf_moves),
+    "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves),
+    "packed": (lambda n: (n, 0, ()), _packed_moves),
+    "perm": (lambda n: tuple(range(1, n + 1)), _perm_moves),
+}
+
+
+def _spell(family: str, n: int):
+    """`_words` of the words of ``family`` of length n, n checked first."""
+    _check_n(n)
+    start, moves = _WORD_FAMILIES[family]
+    return _words(n, start(n), moves)
+
+
+def _word_stream(spelled):
+    # each run is one map over the cached tails, so a word passes through
+    # the one chain below and no generator frame
+    runs, tails, _ = spelled
+    return itertools.chain.from_iterable(
+        map(prefix.__add__, tails(key)) for prefix, key in runs)
+
+
 def iter_ndpfs(n: int):
     """The nondecreasing parking functions of length n, lexicographically,
     one at a time."""
-    _check_n(n)
-    return _words(n, (1, 1), _ndpf_moves)
+    return _word_stream(_spell("ndpf", n))
 
 
 @lru_cache(maxsize=None)
@@ -422,8 +469,7 @@ def iter_parking_functions(n: int):
     letter is a car that parks at the first free spot at or after it, the
     letters allowed next are 1 up to the last free spot.
     """
-    _check_n(n)
-    return _words(n, tuple(range(1, n + 1)), _parking_moves)
+    return _word_stream(_spell("pf", n))
 
 
 @lru_cache(maxsize=None)
@@ -438,8 +484,7 @@ def iter_packed_words(n: int):
     A letter may come next iff the letters still to place can fill every
     gap below the largest letter so far.
     """
-    _check_n(n)
-    return _words(n, (n, 0, ()), _packed_moves)
+    return _word_stream(_spell("packed", n))
 
 
 @lru_cache(maxsize=None)
@@ -449,8 +494,8 @@ def packed_words(n: int) -> tuple:
 
 
 def permutations(n: int) -> tuple:
-    _check_n(n)
-    return tuple(itertools.permutations(range(1, n + 1)))
+    """All permutations of 1..n, lexicographically."""
+    return tuple(_word_stream(_spell("perm", n)))
 
 
 def iter_quasi_ribbons(n: int):
@@ -523,43 +568,37 @@ def word_to_text(w) -> str:
     return bytes(w).translate(_DIGITS).decode()
 
 
-# words per block of `words_to_text` (and items per write of `enumerate`):
-# enough to spread the per-call costs over many words, while larger blocks
-# raise peak memory and gain no speed.  A block stays one text from its
-# rendering to its write.
-_BLOCK = 256
+def word_texts(family: str, n: int):
+    """The texts `word_to_text` gives the words of length n of ``family``
+    ("ndpf", "pf", "packed" or "perm"), in order, one text per run of words
+    that share their first n - `_TAIL` letters: the words' texts joined by
+    newlines, with no newline at the end.  n is checked before this
+    returns.
 
-# the bytes 0 up to the newline 10: deleting them from a block leaves
-# nothing exactly when no byte of the block is above 10
-_SMALL = bytes(range(11))
-
-
-def _chunks(items):
-    """The items in lists of `_BLOCK`, the last list shorter."""
-    items = iter(items)
-    return iter(lambda: list(itertools.islice(items, _BLOCK)), [])
-
-
-def words_to_text(words):
-    """The texts `word_to_text` gives the words, one block of up to `_BLOCK`
-    words at a time: each block is one str, its words' texts joined by
-    newlines, with no newline at the end.
-
-    A block is one `bytes.translate` when the block shows that every letter
-    is a digit: `bytes` takes each letter as a byte (no letter is below 0 or
-    above 255), no byte is above the newline 10 that joins the words, and
-    the only newlines are the joins.  Any other block goes word by word.
+    A run is its prefix text joined to each of its state's tail texts,
+    rendered once per state: the prefix's digits before a tail of digits,
+    and its letters each followed by a comma before a tail holding a letter
+    past 9, or after a prefix that holds one, so that each word's text is
+    the digit text or the comma text as `word_to_text` chooses.
     """
-    for block in _chunks(words):
-        try:
-            joined = b"\n".join(map(bytes, block))
-        except ValueError:
-            joined = None
-        if joined is not None and not joined.translate(None, _SMALL) \
-                and joined.count(10) == len(block) - 1:
-            yield joined.translate(_DIGITS).decode()
+    return _run_texts(_spell(family, n))
+
+
+def _run_texts(spelled):
+    runs, _, tail_texts = spelled
+    for prefix, key in runs:
+        # letters are positive, so a letter's text is one character iff
+        # the letter is a digit
+        p = "".join(map(str, prefix))
+        segments = tail_texts(key, len(p) > len(prefix))
+        if len(segments) == 1:
+            wide, texts = segments[0]
+            q = "".join(f"{v}," for v in prefix) if wide else p
+            yield q + ("\n" + q).join(texts)
         else:
-            yield "\n".join(map(word_to_text, block))
+            pc = "".join(f"{v}," for v in prefix)
+            yield "\n".join((q := pc if wide else p) + ("\n" + q).join(texts)
+                            for wide, texts in segments)
 
 
 def comma_ints(text: str, source: str = "") -> tuple:

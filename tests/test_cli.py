@@ -351,12 +351,30 @@ def _plant_s_product_reversed(monkeypatch):
     monkeypatch.setattr(lagrange, "s_product", lambda a, b: s_product(b, a))
 
 
+def _plant_ndpf_dropped(monkeypatch):
+    ndpfs = combinat.ndpfs
+    monkeypatch.setattr(combinat, "ndpfs", lambda n: ndpfs(n)[:-1])
+
+
+def _plant_quasi_ribbon_dropped(monkeypatch):
+    ribbons = combinat.quasi_ribbons
+    monkeypatch.setattr(combinat, "quasi_ribbons", lambda n: ribbons(n)[:-1])
+
+
+def _plant_iota_identity(monkeypatch):
+    monkeypatch.setattr(lagrange, "iota", lambda pi: pi)
+
+
 @pytest.mark.parametrize("check, plant, raises", [
     ("psi-alpha-checks", _plant_psi_without_factorial, False),
     ("chi-checks", _plant_istar_one_part, False),
     ("schroder-polynomial-routes", _plant_schroder_path_dropped, True),
     ("narayana-cross-check", _plant_narayana_off_by_one, False),
     ("f-unit-specialization", _plant_s_product_reversed, False),
+    ("G-is-sum-of-all-ndpf", _plant_ndpf_dropped, False),
+    ("dup-eval-bijection", _plant_ndpf_dropped, False),
+    ("tri-eval-bijection", _plant_quasi_ribbon_dropped, False),
+    ("iota-involution", _plant_iota_identity, False),
 ])
 def test_rewritten_row_fails_under_its_fault(monkeypatch, check, plant,
                                              raises):

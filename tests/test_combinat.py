@@ -481,44 +481,48 @@ def test_word_text_roundtrip():
             cb.text_to_ribbon(text)
 
 
-def _words_to_text_agrees(words):
-    # the lines of all blocks are the texts of the words, and block i holds
-    # the lines of words i * _BLOCK up to (i + 1) * _BLOCK
-    words = list(words)
-    blocks = list(cb.words_to_text(words))
-    assert [line for text in blocks for line in text.split("\n")] \
-        == list(map(cb.word_to_text, words))
-    assert [len(text.split("\n")) for text in blocks] \
-        == [len(words[i:i + cb._BLOCK])
-            for i in range(0, len(words), cb._BLOCK)]
+def _word_texts_agree(family, n, words, runs=None):
+    # each text is one whole run: the texts word_to_text gives the next
+    # words of the sorted oracle stream, joined by newlines, the first and
+    # the last (so all) of which share their first n - _TAIL letters, a
+    # prefix the run before did not have
+    words, cut = iter(words), max(n - cb._TAIL, 0)
+    last = None
+    for text in itertools.islice(cb.word_texts(family, n), runs):
+        run = list(itertools.islice(words, text.count("\n") + 1))
+        assert text == "\n".join(map(cb.word_to_text, run))
+        assert run[0][:cut] == run[-1][:cut] != last
+        last = run[0][:cut]
+    if runs is None:
+        assert next(words, None) is None
 
 
-def test_words_to_text_matches_word_to_text():
-    # blocks that take the one-translate path, and each way of leaving it
-    for block in ([()], [(), (), ()], [(0,)], [(9,), (0, 9)], [(10,)],
-                  [(1, 10, 2), (3,)], [(), (10,), ()], [(11,), (255, 1)],
-                  [(256,)], [(1,), (300, 2)], [(-12,)], [(1,), (-1, 2)],
-                  [(5,)] * 3 + [(10, 1)]):
-        _words_to_text_agrees(block)
-    # around one block: the last word of a block, or the first of the next,
-    # leaves the fast path
-    for size in (cb._BLOCK - 1, cb._BLOCK, cb._BLOCK + 1):
-        digits = [(1 + i % 9, i % 10) for i in range(size)]
-        _words_to_text_agrees(digits)
-        _words_to_text_agrees([()] * size)
-        for bad in (0, size - 1, cb._BLOCK - 1):
-            if bad < size:
-                for letter in (10, 11, 256, -3):
-                    _words_to_text_agrees(
-                        digits[:bad] + [(2, letter)] + digits[bad + 1:])
+def test_word_texts_matches_word_to_text():
+    # ndpfs of 10 to 12 letters end in runs that mix digit and comma words,
+    # after a prefix of digits
+    for n in (10, 11, 12):
+        _word_texts_agree("ndpf", n, cb.iter_ndpfs(n))
+    # permutations of 10 letters are comma words only, the prefix holding
+    # the letter 10 from the fourth run on
+    _word_texts_agree("perm", 10, itertools.permutations(range(1, 11)), 900)
 
 
-def test_words_to_text_on_every_family():
-    for n in range(8):
-        for stream in (cb.iter_ndpfs, cb.iter_parking_functions,
-                       cb.iter_packed_words, cb.permutations):
-            _words_to_text_agrees(stream(n))
-    # at n = 10 some blocks hold only digits and some a letter 10
-    _words_to_text_agrees(cb.iter_ndpfs(10))
-    _words_to_text_agrees(itertools.islice(
-        itertools.permutations(range(1, 11)), 5000))
+def test_word_texts_on_every_family():
+    for n in range(9):
+        _word_texts_agree("ndpf", n, cb.iter_ndpfs(n))
+        # the 4,782,969 parking functions of size 8 (26,244 runs) cost
+        # seconds of word_to_text, so size 8 reads its first 3,000 runs
+        _word_texts_agree("pf", n, cb.iter_parking_functions(n),
+                          3000 if n == 8 else None)
+        _word_texts_agree("packed", n, cb.iter_packed_words(n))
+        _word_texts_agree("perm", n, itertools.permutations(range(1, n + 1)))
+    # the size is checked when called, before the first text
+    for n in (-1, 13):
+        with pytest.raises(ValueError):
+            cb.word_texts("pf", n)
+
+
+def test_permutations_match_itertools():
+    for n in range(9):
+        assert cb.permutations(n) \
+            == tuple(itertools.permutations(range(1, n + 1)))
