@@ -142,17 +142,17 @@ def sort_ascending(w) -> tuple:
 
 
 def shifted_concat_len(alpha, beta) -> tuple:
-    """alpha . beta[k] with k = |alpha| (the bullet concatenation)."""
-    k = len(alpha)
-    return tuple(alpha) + tuple(v + k for v in beta)
+    """alpha . beta[k] with k = |alpha| (the bullet concatenation); beta is
+    shifted by one ``map`` of ``k.__add__``."""
+    return tuple(alpha) + tuple(map(len(alpha).__add__, beta))
 
 
 def shifted_concat_max(alpha, beta) -> tuple:
-    """alpha . beta[max(alpha) - 1] (the circle concatenation)."""
+    """alpha . beta[max(alpha) - 1] (the circle concatenation); beta is
+    shifted as in `shifted_concat_len`."""
     if not alpha:
         raise ValueError("left factor of the max-shifted concatenation is empty")
-    k = max(alpha) - 1
-    return tuple(alpha) + tuple(v + k for v in beta)
+    return tuple(alpha) + tuple(map((max(alpha) - 1).__add__, beta))
 
 
 def shifted_shuffle(a, b, shift: int):

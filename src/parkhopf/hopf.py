@@ -18,7 +18,11 @@ module-level functions; everything is pure.
 The permutation and packed-word products relabel each pair of keys through
 index tables that depend on the pair's shape only and are cached per shape
 (never per word).  The tables are split by the tag that selects a half or a
-third, so a partial product walks only the terms it keeps.
+third, so a partial product walks only the terms it keeps.  The terms of
+one pair of keys and one tag share a coefficient and form a run, which is
+merged into the result whole by one ``dict.fromkeys`` and one ``update``.
+A run that repeats a term, or meets a term already in the result, goes
+through `exact._collect` instead, so sums and cancellations stay exact.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .combinat import (NotInSubalgebraError, _check_size,
                        quasi_ribbons, shape, shifted_concat_len,
                        shifted_concat_max, shifted_shuffle, sort_ascending,
                        standardize, word_to_text)
-from .exact import LinComb, span_dimension
+from .exact import LinComb, _collect, span_dimension
 
 
 def unit() -> LinComb:
@@ -188,15 +192,18 @@ def sqsym_product(a: LinComb, b: LinComb) -> LinComb:
 def qr_succ(q1, q2) -> tuple:
     """Shift the second factor by the length of the first; bars carried along."""
     (w1, b1), (w2, b2) = q1, q2
-    k = len(w1)
-    return shifted_concat_len(w1, w2), b1 + tuple(b + k for b in b2)
+    shift = len(w1).__add__
+    return w1 + tuple(map(shift, w2)), b1 + tuple(map(shift, b2))
 
 
 def qr_prec(q1, q2) -> tuple:
     """Shift the second factor by max - 1; bars carried along, none added."""
     (w1, b1), (w2, b2) = q1, q2
-    k = len(w1)
-    return shifted_concat_max(w1, w2), b1 + tuple(b + k for b in b2)
+    if not w1:
+        raise ValueError(
+            "left factor of the max-shifted concatenation is empty")
+    return (w1 + tuple(map((max(w1) - 1).__add__, w2)),
+            b1 + tuple(map(len(w1).__add__, b2)))
 
 
 def qr_mid(q1, q2) -> tuple:
@@ -205,7 +212,8 @@ def qr_mid(q1, q2) -> tuple:
     if not (w1 and w2):
         raise ValueError("the middle operation needs two nonempty factors")
     k = len(w1)
-    return shifted_concat_len(w1, w2), b1 + (k,) + tuple(b + k for b in b2)
+    shift = k.__add__
+    return w1 + tuple(map(shift, w2)), b1 + (k,) + tuple(map(shift, b2))
 
 
 # -- products by relabelling: the permutation and packed-word algebras --------
@@ -220,22 +228,38 @@ def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
     tables depend on the shape (s1, s2) only and are cached.  One
     ``itemgetter(*w)`` per pair of keys reads every row; a w of fewer than
     two letters, for which itemgetter gives no tuple, maps each row directly.
+
+    The terms of one pair and tag form a run with one coefficient.  A run
+    whose terms are distinct and new to the result is merged whole, by
+    ``dict.fromkeys`` and ``update``; a run that repeats a term or meets one
+    already in the result is added term by term through `exact._collect`, so
+    coefficients add and zero sums drop as in any LinComb.
     """
     b_terms = [(k2, max(k2, default=0), c2) for k2, c2 in b]
-
-    def runs():
-        for k1, c1 in a:
-            s1 = max(k1, default=0)
-            for k2, s2, c2 in b_terms:
-                w = k1 + tuple(s1 + x for x in k2)
-                c = itertools.repeat(c1 * c2)
-                rows = tables(s1, s2)
-                get = itemgetter(*w) if len(w) > 1 else \
-                    (lambda row, w=w: tuple(map(row.__getitem__, w)))
-                for tag in keep:
-                    yield zip(map(get, rows[tag]), c)
-
-    return LinComb(itertools.chain.from_iterable(runs()))
+    data: dict = {}
+    seen = data.keys()
+    for k1, c1 in a:
+        s1 = max(k1, default=0)
+        shift = s1.__add__
+        for k2, s2, c2 in b_terms:
+            w = k1 + tuple(map(shift, k2))
+            c = c1 * c2
+            rows = tables(s1, s2)
+            get = itemgetter(*w) if len(w) > 1 else \
+                (lambda row, w=w: tuple(map(row.__getitem__, w)))
+            for tag in keep:
+                tag_rows = rows[tag]
+                run = dict.fromkeys(map(get, tag_rows), c)
+                if len(run) < len(tag_rows):
+                    _collect(zip(map(get, tag_rows), itertools.repeat(c)),
+                             data)
+                elif run.keys().isdisjoint(seen):
+                    data.update(run)
+                else:
+                    _collect(run, data)
+    res = LinComb.__new__(LinComb)
+    res.terms = data
+    return res
 
 
 # -- permutation algebra (G basis) --------------------------------------------
@@ -459,7 +483,12 @@ def duplicial_axioms_pqsym(max_total: int = 5) -> bool:
 
 
 def triduplicial_axioms(max_total: int = 6) -> bool:
-    """Three associativities and the four mixed relations on quasi-ribbons."""
+    """Three associativities and the four mixed relations on quasi-ribbons,
+    with the three operations pairwise distinct on the generator: all seven
+    relations also hold when two of them coincide."""
+    one = ((1,), ())
+    if len({op(one, one) for op in (qr_prec, qr_succ, qr_mid)}) != 3:
+        return False
     return _relations_hold(quasi_ribbons, max_total, [
         *((op, op, op, op) for op in (qr_prec, qr_succ, qr_mid)),
         *((f, g, f, g) for f, g in [(qr_succ, qr_prec), (qr_mid, qr_prec),

@@ -162,13 +162,25 @@ def tree_term(t, algebra: str = "cqsym") -> LinComb:
 
 def tree_to_ndpf(t) -> tuple:
     """Label the root by (size of left subtree) + 1 and read the tree in order,
-    right-subtree labels shifted by that size."""
+    right-subtree labels shifted by that size.
+
+    One walk appends every label to one list: a subtree is read with the
+    shift its ancestors give it, so no label is shifted twice."""
+    labels: list = []
+    _append_labels(t, 0, labels)
+    return tuple(labels)
+
+
+def _append_labels(t, offset: int, labels: list):
+    """Append the labels of the subtree t, each plus offset, to labels."""
     if t is None:
-        return ()
+        return
     left, right = t
-    lw = tree_to_ndpf(left)
-    m = len(lw) + 1
-    return lw + (m,) + tuple(v + m - 1 for v in tree_to_ndpf(right))
+    start = len(labels)
+    _append_labels(left, offset, labels)
+    m = len(labels) - start + 1
+    labels.append(m + offset)
+    _append_labels(right, offset + m - 1, labels)
 
 
 def ndpf_to_tree(pi):
@@ -176,18 +188,25 @@ def ndpf_to_tree(pi):
     pi = tuple(pi)
     if not is_ndpf(pi):
         raise ValueError(f"not a nondecreasing parking function: {pi}")
-    return _ndpf_to_tree(pi)
+    return _ndpf_to_tree(pi, 0, len(pi), 0)
 
 
-def _ndpf_to_tree(pi):
-    """`ndpf_to_tree` of an NDPF: alpha and beta are NDPFs whenever pi is,
-    so the check at the outer call covers the recursion."""
-    if not pi:
+def _ndpf_to_tree(pi, lo: int, hi: int, offset: int):
+    """`ndpf_to_tree` of the NDPF p = (pi[j] - offset for lo <= j < hi):
+    alpha and beta are NDPFs whenever p is, so the check at the outer call
+    covers the recursion.
+
+    The split point k, the largest with p[k - 1] = k, is found by a scan
+    from the right that starts at the last letter of p, since p is
+    nondecreasing; alpha and beta are read through their bounds and
+    offsets, so no slice is built."""
+    if lo == hi:
         return None
-    k = max(i for i in range(1, len(pi) + 1) if pi[i - 1] == i)
-    alpha = pi[:k - 1]
-    beta = tuple(v - (k - 1) for v in pi[k:])
-    return (_ndpf_to_tree(alpha), _ndpf_to_tree(beta))
+    k = pi[hi - 1] - offset
+    while pi[lo + k - 1] - offset != k:
+        k -= 1
+    return (_ndpf_to_tree(pi, lo, lo + k - 1, offset),
+            _ndpf_to_tree(pi, lo + k, hi, offset + k - 1))
 
 
 # -- the Tamari order -----------------------------------------------------------

@@ -365,6 +365,53 @@ def _plant_iota_identity(monkeypatch):
     monkeypatch.setattr(lagrange, "iota", lambda pi: pi)
 
 
+def _plant_shuffle_row_dropped(monkeypatch):
+    # the left half of every convolution loses its last term
+    tables = hopf._shuffle_tables
+    monkeypatch.setattr(hopf, "_shuffle_tables", lambda n, m: {
+        True: tables(n, m)[True][:-1], False: tables(n, m)[False]})
+
+
+def _plant_packed_row_dropped(monkeypatch):
+    # the middle third of every packed-word product loses its last term
+    tables = hopf._packed_tables
+    monkeypatch.setattr(hopf, "_packed_tables", lambda k1, k2: {
+        **tables(k1, k2), 0: tables(k1, k2)[0][:-1]})
+
+
+def _plant_max_shift_too_far(monkeypatch):
+    # a left word of two or more letters shifts beta by max, not max - 1
+    concat = hopf.shifted_concat_max
+    monkeypatch.setattr(hopf, "shifted_concat_max", lambda alpha, beta: (
+        concat(alpha, beta) if len(alpha) < 2
+        else tuple(alpha) + tuple(v + max(alpha) for v in beta)))
+
+
+def _plant_right_labels_shifted_by_m(monkeypatch):
+    # right-subtree labels shifted by m, not m - 1
+    def tree_to_ndpf(t):
+        if t is None:
+            return ()
+        left, right = t
+        lw = tree_to_ndpf(left)
+        m = len(lw) + 1
+        return lw + (m,) + tuple(v + m for v in tree_to_ndpf(right))
+
+    monkeypatch.setattr(lagrange, "tree_to_ndpf", tree_to_ndpf)
+
+
+def _plant_mid_is_succ(monkeypatch):
+    # every relation of the row also holds with this degenerate middle
+    monkeypatch.setattr(hopf, "qr_mid", hopf.qr_succ)
+
+
+# the size a row runs at in the test below when not at its top: the two
+# top-8 rows cost about 2.6 s a run at 8
+_FAULT_SIZES = {"fqsym-dendriform-axioms": 5, "wqsym-tridendriform-axioms": 5,
+                "cqsym-duplicial-axioms": 6, "tree-bijection-roundtrip": 6,
+                "sqsym-triduplicial-axioms": 6}
+
+
 @pytest.mark.parametrize("check, plant, raises", [
     ("psi-alpha-checks", _plant_psi_without_factorial, False),
     ("chi-checks", _plant_istar_one_part, False),
@@ -375,17 +422,23 @@ def _plant_iota_identity(monkeypatch):
     ("dup-eval-bijection", _plant_ndpf_dropped, False),
     ("tri-eval-bijection", _plant_quasi_ribbon_dropped, False),
     ("iota-involution", _plant_iota_identity, False),
+    ("fqsym-dendriform-axioms", _plant_shuffle_row_dropped, False),
+    ("wqsym-tridendriform-axioms", _plant_packed_row_dropped, False),
+    ("cqsym-duplicial-axioms", _plant_max_shift_too_far, False),
+    ("tree-bijection-roundtrip", _plant_right_labels_shifted_by_m, False),
+    ("sqsym-triduplicial-axioms", _plant_mid_is_succ, False),
 ])
 def test_rewritten_row_fails_under_its_fault(monkeypatch, check, plant,
                                              raises):
-    # each row holds at its top, and a planted fault in a library function
+    # each row holds at its size, and a planted fault in a library function
     # it reads turns it false; a fault that breaks a value's own routes
     # fails the row with the message in "error"
     top, run = next((top, run) for _, name, top, run in _CHECKS
                     if name == check)
-    assert _outcome(run, top) == {"ok": True}
+    n = _FAULT_SIZES.get(check, top)
+    assert _outcome(run, n) == {"ok": True}
     plant(monkeypatch)
-    result = _outcome(run, top)
+    result = _outcome(run, n)
     assert result["ok"] is False
     assert ("error" in result) is raises
 
@@ -457,10 +510,14 @@ def test_malformed_input_exits_2(capsys, argv):
 
 
 def test_bijection_input_at_the_bound(capsys):
-    # 500 characters is the longest input, and the deepest recursion
+    # 500 characters is the longest input, and the deepest recursion: a word
+    # of ones is a right comb, in digits or with commas
     code, out = run(capsys, "bijection", "--direction", "ndpf-to-tree",
                     "--input", "1" * 500)
-    assert code == 0
+    assert code == 0 and out == "(.," * 500 + "." + ")" * 500 + "\n"
+    code, out = run(capsys, "bijection", "--direction", "ndpf-to-tree",
+                    "--input", ",".join(["1"] * 250))
+    assert code == 0 and out == "(.," * 250 + "." + ")" * 250 + "\n"
     code, back = run(capsys, "bijection", "--direction", "tree-to-ndpf",
                      "--input", "(" * 124 + "." + ",.)" * 124)
     assert code == 0 and back == ",".join(map(str, range(1, 125))) + "\n"

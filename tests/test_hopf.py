@@ -306,6 +306,55 @@ def test_products_with_empty_and_one_letter_keys():
         assert [piece(both, both) for piece in pieces] == expected
 
 
+def _brute_pieces(a, b, words_of):
+    """The terms of a b under the tags -1, 0 and 1, by bilinear expansion of
+    the words `_words_by_factors` files for each pair of keys."""
+    pieces = ([], [], [])
+    for u, cu in a:
+        for v, cv in b:
+            filed = _filed(words_of, len(u) + len(v), len(u))
+            for piece, tag in zip(pieces, (-1, 0, 1)):
+                piece.extend((w, cu * cv) for w in filed[u, v, tag])
+    return [LinComb(piece) for piece in pieces]
+
+
+def test_merged_runs_add_and_cancel_exactly():
+    # a and b hold every key of size <= 3 with coefficients of both signs, so
+    # the run of one pair of keys meets the terms of earlier pairs of the
+    # same total size.  A word of total size N is filed under one pair of
+    # keys per split 0..N whose sizes are both <= 3, and the sign of a's
+    # coefficient alternates with the split: every term of odd total size
+    # cancels in the full product.
+    for words_of, pieces, full in [
+            (_perms, (hopf.fqsym_left, hopf.fqsym_right), hopf.fqsym_product),
+            (_packed, (hopf.wqsym_left, hopf.wqsym_mid, hopf.wqsym_right),
+             hopf.wqsym_product)]:
+        keys = [w for n in range(4) for w in words_of(n)]
+        a = LinComb((w, 2 * (-1) ** len(w)) for w in keys)
+        b = LinComb((w, Fraction(1, 3)) for w in keys)
+        left, mid, right = _brute_pieces(a, b, words_of)
+        expected = [left, mid + right] if len(pieces) == 2 else \
+            [left, mid, right]
+        got = [piece(a, b) for piece in pieces]
+        assert got == expected
+        product = full(a, b)
+        assert product == left + mid + right
+        assert {len(w) for w, _ in product} == {0, 2, 4, 6}
+        for element in [*got, product]:
+            assert all(c != 0 for _, c in element)
+
+
+def test_run_with_a_repeated_term_adds_it():
+    # (2,) is no permutation: w = (2, 4) skips letters of the rows of
+    # _shuffle_tables(2, 2), so two rows give the term (3, 4) in one run
+    rows = hopf._shuffle_tables(2, 2)
+    expected = LinComb(((T[2], T[4]), -3)
+                       for tag in (True, False) for T in rows[tag])
+    assert expected.coeff((3, 4)) == -6
+    assert hopf.fqsym_product(G((2,)).scale(3), G((2,)).scale(-1)) == \
+        expected
+
+
 def test_product_tables_are_cached_per_shape():
     # one cache entry per pair of key maxima, never one per pair of words
     tables = (hopf._shuffle_tables, hopf._packed_tables)

@@ -149,6 +149,36 @@ def test_bijection_edge_cases_and_roundtrip():
         lg.ndpf_to_tree((2, 2))
 
 
+# The tree bijection as slices and shifted copies, one per subtree: an oracle
+# for the walks of `lagrange`, which build neither.
+
+
+def _tree_to_ndpf_oracle(t) -> tuple:
+    if t is None:
+        return ()
+    left, right = t
+    lw = _tree_to_ndpf_oracle(left)
+    m = len(lw) + 1
+    return lw + (m,) + tuple(v + m - 1 for v in _tree_to_ndpf_oracle(right))
+
+
+def _ndpf_to_tree_oracle(pi):
+    if not pi:
+        return None
+    k = max(i for i in range(1, len(pi) + 1) if pi[i - 1] == i)
+    alpha = pi[:k - 1]
+    beta = tuple(v - (k - 1) for v in pi[k:])
+    return (_ndpf_to_tree_oracle(alpha), _ndpf_to_tree_oracle(beta))
+
+
+def test_bijection_matches_the_slicing_oracle():
+    for n in range(9):
+        for pi in ndpfs(n):
+            assert lg.ndpf_to_tree(pi) == _ndpf_to_tree_oracle(pi)
+        for t in binary_trees(n):
+            assert lg.tree_to_ndpf(t) == _tree_to_ndpf_oracle(t)
+
+
 def test_tamari_orientation():
     # the all-ones word is minimal, the staircase maximal
     for n in range(2, 6):
