@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
-from operator import add
+from operator import add, mul
 
 from . import hopf
 from .combinat import (_check_size, iter_parking_functions,
@@ -30,7 +30,7 @@ from .combinat import (_check_size, iter_parking_functions,
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
 from .lagrange import solve_g
-from .symfun import R_to_S, evaluate, rising_factorial
+from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
 
 
 # -- signed words --------------------------------------------------------------
@@ -419,7 +419,9 @@ def chi_sqsym(n: int) -> bool:
     `istar_on_sqsym` and `R_to_S` with h_k = 1+t, since summing
     (-1)^(l(I)-l(J)) (1+t)^l(J) over J <= I gives (1+t) t^(l(I)-1).  Checks
     chi of the degree-n sum against (1+t) times the bar distribution and
-    (1+t) c_n(1+t), the path model, and multiplicativity on small products.
+    (1+t) c_n(1+t), the path model, and on small products that
+    `istar_on_sqsym` sends the product to `ribbon_product` and that chi is
+    multiplicative.
     """
     if n < 1:
         raise ValueError(f"chi_sqsym needs n >= 1, got {n}")
@@ -433,20 +435,13 @@ def chi_sqsym(n: int) -> bool:
     dist = bar_distribution(n)
     cn = narayana_from_pn(schroder_polynomials(n))
     total = LinComb((q, 1) for q in quasi_ribbons(n))
+    product, small = hopf.sqsym_product, min(n, 4)
     return (chi(total) == (1 + t) * dist
             and dist == cn.substitute("t", 1 + t)
             and chi_path_model_check(n)
-            and _multiplicative(quasi_ribbons, hopf.sqsym_product, chi,
-                                min(n, 4)))
-
-
-def _multiplicative(family, product, character, n: int) -> bool:
-    """character(x y) = character(x) character(y) for basis keys x, y of
-    total degree <= n, where x y is expanded by ``product`` and
-    ``character`` is a linear map on LinComb values."""
-    return all(character(product(x, y)) == character(x) * character(y)
-               for x, y in (map(LinComb.term, pair)
-                            for pair in hopf._keys_by_total(family, n, 2)))
+            and hopf._is_morphism(quasi_ribbons, product, hopf.istar_on_sqsym,
+                                  ribbon_product, small)
+            and hopf._is_morphism(quasi_ribbons, product, chi, mul, small))
 
 
 # -- the binomial-element character ------------------------------------------------
@@ -497,6 +492,7 @@ def psi_alpha(n: int) -> bool:
     h_k = (a)_k the rising factorial, so psi_a(F_w) = Z_t(w)(a) / n!.
     Checks that n! psi_a of the degree-n sum and n! times the character on
     g_n (h_k = (a)_k / k!) are `pn_alpha(n)`, multiplicativity on small
+    products, that i* (F_a -> F_std(a)) is an algebra morphism on the same
     products, and (for n <= 5) the fixed-pair counts of its coefficients.
     """
     _check_size("psi_alpha", n)
@@ -510,9 +506,11 @@ def psi_alpha(n: int) -> bool:
     total = psi(LinComb((w, 1) for w in parking_functions(n)))
     on_g = evaluate(solve_g(n)[n], [r.scale(Fraction(1, factorial(k)))
                                     for k, r in enumerate(rising)])
+    product, small = hopf.pqsym_product, min(n, 4)
     ok = (total.scale(factorial(n)) == target == on_g.scale(factorial(n))
-          and _multiplicative(parking_functions, hopf.pqsym_product, psi,
-                              min(n, 4)))
+          and hopf._is_morphism(parking_functions, product, psi, mul, small)
+          and hopf._is_morphism(parking_functions, product,
+                                hopf.morphism_istar, product, small))
     if ok and n <= 5:
         counts = fixed_pair_counts(n)
         ok = target.coeff_row("a") == [counts[k] for k in range(n + 1)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from functools import cache, lru_cache
-from operator import itemgetter, le, lt
+from operator import itemgetter, le
 
 # the largest size each bounded function accepts, keyed by function name;
 # "enumeration" bounds every enumerator here
@@ -41,8 +41,8 @@ LIMITS = {
     # operad
     "count_normal_forms(tri)": 8, "count_normal_forms(dup)": 10,
     "tridendriform_span_dimension": 7,
-    # hopf, symfun
-    "primitive_dimension": 8, "as2_axioms_check": 8,
+    # hopf
+    "primitive_dimension": 8,
     "enumeration": 12,
 }
 
@@ -69,15 +69,6 @@ def is_ndpf(w) -> bool:
     """True iff 1 <= w_1 <= w_2 <= ... and w_i <= i for every position i."""
     return not w or (w[0] >= 1 and all(map(le, w, w[1:]))
                      and all(map(le, w, range(1, len(w) + 1))))
-
-
-def is_packed(w) -> bool:
-    letters = set(w)
-    return letters == set(range(1, len(letters) + 1))
-
-
-def is_permutation(w) -> bool:
-    return sorted(w) == list(range(1, len(w) + 1))
 
 
 # -- basic word operations ---------------------------------------------------
@@ -191,16 +182,8 @@ def recoils(sigma) -> frozenset:
 # function and the increasing tuple of its bar positions, a bar at i sitting
 # between letters i and i + 1, at a strict ascent.  Tuple order is the
 # canonical order: by word, then by bars.  The enumerators and the
-# operations on quasi-ribbons build valid pairs without checking them; the
-# checks sit at the boundary, in `is_quasi_ribbon` and `text_to_ribbon`.
-
-
-def is_quasi_ribbon(q) -> bool:
-    """True iff q = (word, bars) with word a nondecreasing parking function
-    and bars increasing positions of its strict ascents."""
-    word, bars = q
-    return is_ndpf(word) and all(map(lt, bars, bars[1:])) and all(
-        0 < i < len(word) and word[i - 1] < word[i] for i in bars)
+# operations on quasi-ribbons build valid pairs without checking them, and
+# no input is read as a quasi-ribbon.
 
 
 def shape(q) -> tuple:
@@ -601,13 +584,12 @@ def _run_texts(spelled):
                             for wide, texts in segments)
 
 
-def comma_ints(text: str, source: str = "") -> tuple:
+def comma_ints(text: str) -> tuple:
     """The ints of the comma-separated fields of text.  ValueError on an
-    empty field, so "1,,2" and "1,2," are rejected, not read as (1, 2).  The
-    error names ``source``, when given, as the input text is a part of."""
+    empty field, so "1,,2" and "1,2," are rejected, not read as (1, 2)."""
     fields = text.split(",")
     if not all(map(str.strip, fields)):
-        raise ValueError(f"empty field in {source or text!r}")
+        raise ValueError(f"empty field in {text!r}")
     return tuple(map(int, fields))
 
 
@@ -622,15 +604,10 @@ def text_to_word(s: str) -> tuple:
     return tuple(int(ch) for ch in s)
 
 
-def ribbon_to_text(q) -> str:
-    """The word's text with "|" at each bar: "11|3", or
-    "1,2,3,4,5,6,7,8,9|10" once a letter exceeds 9."""
-    return next(ribbons_to_text((q,)))
-
-
 def ribbons_to_text(ribbons):
-    """The texts `ribbon_to_text` gives the quasi-ribbons, one at a time:
-    each run of ribbons on one word renders the word once and cuts that
+    """The texts of the quasi-ribbons, one at a time: the word's text with
+    "|" at each bar, "11|3", or "1,2,3,4,5,6,7,8,9|10" once a letter exceeds
+    9.  Each run of ribbons on one word renders the word once and cuts that
     text at the bars of each."""
     for word, run in itertools.groupby(ribbons, key=itemgetter(0)):
         text = word_to_text(word)
@@ -642,18 +619,3 @@ def ribbons_to_text(ribbons):
         else:
             yield from ("|".join(map(text.__getitem__, map(
                 slice, (0, *bars), bars + ends))) for _, bars in run)
-
-
-def text_to_ribbon(s: str) -> tuple:
-    """The quasi-ribbon `ribbon_to_text` writes as s: letters split at
-    commas if s holds one, else one digit each.  ValueError unless valid."""
-    comma = "," in s
-    word, bars = [], []
-    for i, segment in enumerate(s.split("|")):
-        if i:
-            bars.append(len(word))
-        word.extend(comma_ints(segment, s) if comma else map(int, segment))
-    q = tuple(word), tuple(bars)
-    if not is_quasi_ribbon(q):
-        raise ValueError(f"not a quasi-ribbon: {s!r}")
-    return q

@@ -358,13 +358,6 @@ class LinComb:
         return f"LinComb({self})"
 
 
-def tensor(a: LinComb, b: LinComb) -> LinComb:
-    """Tensor product: LinComb over ordered key pairs."""
-    return LinComb(((k1, k2), c1 * c2)
-                   for k1, c1 in a.terms.items()
-                   for k2, c2 in b.terms.items())
-
-
 # -- exact linear algebra ----------------------------------------------------
 
 

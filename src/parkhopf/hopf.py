@@ -5,7 +5,7 @@ Elements are LinComb values over the natural basis keys of each algebra:
 * parking-word algebra, F basis, keys = parking functions (tuples);
 * Catalan subalgebra, P basis, keys = nondecreasing parking functions;
 * Schroeder subalgebra, P basis, keys = parking quasi-ribbons (word, bars);
-* permutation algebra, G basis (F handled through inversion), keys = permutations;
+* permutation algebra, G basis, keys = permutations;
 * packed-word algebra, M basis, keys = packed words.
 
 The morphisms into noncommutative symmetric functions return LinComb values
@@ -37,8 +37,8 @@ from .combinat import (NotInSubalgebraError, _check_size,
                        hypoplactic_quasi_ribbon, ndpfs, packed_evaluation,
                        packed_words, parking_functions, parkize, permutations,
                        quasi_ribbons, shape, shifted_concat_len,
-                       shifted_concat_max, shifted_shuffle, sort_ascending,
-                       standardize, word_to_text)
+                       shifted_concat_max, shifted_shuffle, standardize,
+                       word_to_text)
 from .exact import LinComb, _collect, span_dimension
 
 
@@ -103,30 +103,6 @@ def cqsym_expand_F(a: LinComb) -> LinComb:
                    for w in set(itertools.permutations(pi)))
 
 
-def _regroup(a: LinComb, class_of, members_of, kind: str) -> LinComb:
-    """Regroup an F-expansion on the classes ``class_of``; fail unless each
-    class met is all of ``members_of(cls)`` with one constant coefficient."""
-    groups: dict = {}
-    for w, c in a:
-        groups.setdefault(class_of(w), {})[w] = c
-
-    def terms():
-        for cls, members in groups.items():
-            coeffs = set(members.values())
-            if set(members) != members_of(cls) or len(coeffs) != 1:
-                raise NotInSubalgebraError(
-                    f"not constant on the {kind} class of {cls}")
-            yield cls, coeffs.pop()
-
-    return LinComb(terms())
-
-
-def pqsym_project_P(a: LinComb) -> LinComb:
-    """Regroup an F-expansion on reordering classes; fail if not constant."""
-    return _regroup(a, sort_ascending,
-                    lambda pi: set(itertools.permutations(pi)), "reordering")
-
-
 def dup_coproduct(a: LinComb) -> LinComb:
     """The reduced duplicial coproduct on the P basis.
 
@@ -177,10 +153,22 @@ def sqsym_expand_F(a: LinComb) -> LinComb:
 
 
 def pqsym_project_sqsym(a: LinComb) -> LinComb:
-    """Regroup an F-expansion on hypoplactic classes; fail if not closed."""
-    return _regroup(a, hypoplactic_quasi_ribbon,
-                    lambda q: set(_hypoplactic_classes(len(q[0]))[q]),
-                    "hypoplactic")
+    """Regroup an F-expansion on hypoplactic classes; fail unless each class
+    met is all of its members with one constant coefficient."""
+    groups: dict = {}
+    for w, c in a:
+        groups.setdefault(hypoplactic_quasi_ribbon(w), {})[w] = c
+
+    def terms():
+        for q, members in groups.items():
+            coeffs = set(members.values())
+            if set(members) != set(_hypoplactic_classes(len(q[0]))[q]) \
+                    or len(coeffs) != 1:
+                raise NotInSubalgebraError(
+                    f"not constant on the hypoplactic class of {q}")
+            yield q, coeffs.pop()
+
+    return LinComb(terms())
 
 
 def sqsym_product(a: LinComb, b: LinComb) -> LinComb:
@@ -265,13 +253,6 @@ def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
 # -- permutation algebra (G basis) --------------------------------------------
 
 
-def perm_inverse(sigma) -> tuple:
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
-
-
 @lru_cache(maxsize=None)
 def _shuffle_tables(n: int, m: int) -> dict:
     """Index rows (0,) + chosen + rest over the n-subsets ``chosen`` of
@@ -297,21 +278,6 @@ def fqsym_left(a: LinComb, b: LinComb) -> LinComb:
 def fqsym_right(a: LinComb, b: LinComb) -> LinComb:
     """Complementary half: the maximum letter falls in the right factor."""
     return _relabelled(a, b, _shuffle_tables, (False,))
-
-
-def fqsym_F(sigma) -> LinComb:
-    """F_sigma = G_(sigma^-1) as an element in G coordinates."""
-    return LinComb.term(perm_inverse(tuple(sigma)))
-
-
-def fqsym_scalar(a: LinComb, b: LinComb):
-    """<G_sigma, G_tau> = [sigma = tau^-1], extended bilinearly."""
-    total = 0
-    for k1, c1 in a:
-        c2 = b.coeff(perm_inverse(k1))
-        if c2:
-            total = total + c1 * c2
-    return total
 
 
 # -- packed-word algebra (M basis) --------------------------------------------
@@ -428,6 +394,15 @@ def _keys_by_total(family, max_total: int, arity: int):
         yield from itertools.product(*map(family, split))
 
 
+def _is_morphism(family, product, f, target_product, n: int) -> bool:
+    """f(x y) = f(x) f(y) for basis keys x, y of total degree <= n, where
+    x y is ``product`` and f(x) f(y) is ``target_product``; f is a linear
+    map on LinComb values, and a character passes `operator.mul`."""
+    return all(f(product(x, y)) == target_product(f(x), f(y))
+               for x, y in (map(LinComb.term, pair)
+                            for pair in _keys_by_total(family, n, 2)))
+
+
 def _relations_hold(family, max_total: int, relations, lift=None) -> bool:
     """(a f b) g c == a h (b k c) for every (f, g, h, k) in ``relations`` and
     every triple of basis keys of total size <= max_total, each key passed
@@ -475,11 +450,16 @@ def cross_relation_fails_cqsym() -> bool:
 
 
 def duplicial_axioms_pqsym(max_total: int = 5) -> bool:
-    """The normalized duplicial pair on parking words, on basis triples."""
+    """The normalized duplicial pair on parking words, on basis triples, and
+    the Catalan subalgebra as a duplicial subalgebra: P^pi -> sum of F_a
+    over the rearrangements a of pi sends < to the normalized < and > to
+    the product, on basis pairs."""
     prec, prod = pqsym_dup_prec, pqsym_product
     return _relations_hold(parking_functions, max_total, [
         (prec, prec, prec, prec), (prod, prod, prod, prod),
-        (prod, prec, prod, prec)], LinComb.term)
+        (prod, prec, prod, prec)], LinComb.term) and all(
+            _is_morphism(ndpfs, op, cqsym_expand_F, image, max_total)
+            for op, image in [(cqsym_prec, prec), (cqsym_succ, prod)])
 
 
 def triduplicial_axioms(max_total: int = 6) -> bool:
@@ -504,13 +484,17 @@ def dendriform_axioms_fqsym(max_total: int = 6) -> bool:
 
 
 def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
-    """The seven relations of the three-piece splitting on packed words."""
+    """The seven relations of the three-piece splitting on packed words, and
+    the embedding of the permutation algebra as an algebra morphism on
+    basis pairs."""
     left, mid, right = wqsym_left, wqsym_mid, wqsym_right
     return _relations_hold(packed_words, max_total, [
         (left, left, left, wqsym_product), (right, left, right, left),
         (wqsym_product, right, right, right), (right, mid, right, mid),
         (left, mid, mid, right), (mid, left, mid, left),
-        (mid, mid, mid, mid)], LinComb.term)
+        (mid, mid, mid, mid)], LinComb.term) and _is_morphism(
+            permutations, fqsym_product, embed_fqsym_wqsym, wqsym_product,
+            max_total)
 
 
 def bialgebra_axiom_check(max_total: int = 5) -> bool:

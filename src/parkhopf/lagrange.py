@@ -7,7 +7,7 @@ are S-basis LinComb values on composition keys, multiplied by
 `symfun.s_product`.  f lives in the algebra extended by the degree-zero
 generator S_0, written as the part 0 of a key; the ``extended`` flag of
 `_lagrange_rhs` is the one place that algebra is chosen.  Such keys are for
-`s_product` only: `symfun.evaluate` and the basis changes reject them, and
+`s_product` only: `symfun.evaluate` and `symfun.R_to_S` reject them, and
 `f_unit_specialization` sets S_0 to 1 to leave the extended algebra.
 """
 
@@ -149,12 +149,16 @@ def solve_X_fqsym(order: int) -> list[LinComb]:
     return solve_series_B(order, "fqsym")
 
 
-def tree_term(t, algebra: str = "cqsym") -> LinComb:
-    """B_T(1): evaluate the binary tree T with 1 at the leaves and B inside."""
-    if t is None:
-        return unit()
-    return bilinear_B(tree_term(t[0], algebra), tree_term(t[1], algebra),
-                      algebra)
+def tree_terms(n: int, algebra: str = "cqsym") -> dict:
+    """B_T(1) for every binary tree T with at most n nodes, keyed by T: T
+    evaluated with 1 at the leaves and B inside.  The trees are taken by
+    size, so each subtree's term is computed once and read by every tree
+    that holds it."""
+    terms = {None: unit()}
+    for k in range(1, n + 1):
+        for t in binary_trees(k):
+            terms[t] = bilinear_B(terms[t[0]], terms[t[1]], algebra)
+    return terms
 
 
 # -- the tree <-> nondecreasing parking function bijection ---------------------
@@ -230,7 +234,7 @@ def _down_rotations(t):
 
 @lru_cache(maxsize=None)
 def tamari_poset(n: int):
-    """(trees, index, descendant bitmasks, cover edge list) for size n.
+    """(trees, index, descendant bitmasks) for size n.
 
     The orientation makes the right comb (the word 1^n) minimal and the left
     comb (the word 12...n) maximal; covers go down by one rotation.
@@ -252,24 +256,7 @@ def tamari_poset(n: int):
 
     for i in range(len(trees)):
         mask(i)
-    edges = [(i, j) for i in range(len(trees)) for j in covers[i]]
-    return trees, index, masks, edges
-
-
-def tamari_leq(t1, t2) -> bool:
-    """t1 <= t2 in the Tamari order (same size required)."""
-    n1 = tree_to_ndpf(t1)
-    n2 = tree_to_ndpf(t2)
-    if len(n1) != len(n2):
-        raise ValueError("tamari_leq compares trees of equal size")
-    trees, index, masks, _ = tamari_poset(len(n1))
-    return bool(masks[index[t2]] >> index[t1] & 1)
-
-
-def tamari_hasse_ndpf(n: int):
-    """Cover pairs (upper word, lower word) transported through the bijection."""
-    trees, _, _, edges = tamari_poset(n)
-    return [(tree_to_ndpf(trees[i]), tree_to_ndpf(trees[j])) for i, j in edges]
+    return trees, index, masks
 
 
 def tamari_interval_check(i_comp) -> tuple[bool, int]:
@@ -280,7 +267,7 @@ def tamari_interval_check(i_comp) -> tuple[bool, int]:
     members = [pi for pi in ndpfs(n) if packed_evaluation(pi) == i_comp]
     if not members:
         return False, 0
-    trees, index, masks, _ = tamari_poset(n)
+    trees, index, masks = tamari_poset(n)
     ids = [index[ndpf_to_tree(pi)] for pi in members]
     bot = [i for i in ids if all(masks[j] >> i & 1 for j in ids)]
     top = [i for i in ids if all(masks[i] >> j & 1 for j in ids)]

@@ -4,11 +4,11 @@ An element is a LinComb on composition keys, like an element of every other
 algebra here; the basis is the caller's to know.  In the S basis the key I
 stands for S^I = S_(i_1) S_(i_2) ..., and the product is `s_product`; in the
 R basis it stands for the ribbon R_I, and the product is `ribbon_product`.
-`S_to_R` and `R_to_S` change between the two.
+`R_to_S` takes the R basis to the S basis.
 
 A part 0 stands for S_0, the degree-zero generator of the extended algebra
 that `lagrange.solve_f` works in.  Only `s_product` is defined there:
-`evaluate`, `S_to_R` and `R_to_S` raise ValueError on a key with a part 0.
+`evaluate` and `R_to_S` raise ValueError on a key with a part 0.
 
 `evaluate` is the one commutative specialization S^I -> h_(i_1) h_(i_2) ...
 through which the characters are applied to the generic solution g_n.
@@ -16,10 +16,9 @@ through which the characters are applied to the generic solution g_n.
 
 from __future__ import annotations
 
-import itertools
 from math import prod
 
-from .combinat import (_check_size, coarser_leq, comp_concat, comp_near_concat,
+from .combinat import (coarser_leq, comp_concat, comp_near_concat,
                        compositions)
 from .exact import P_ONE, LinComb, Poly
 
@@ -45,42 +44,11 @@ def _without_part_0(a: LinComb, name: str) -> LinComb:
     return a
 
 
-def S_to_R(a: LinComb) -> LinComb:
-    """S^I = sum of R_J over all J coarser than or equal to I."""
-    return LinComb((j, c) for i, c in _without_part_0(a, "S_to_R")
-                   for j in compositions(sum(i)) if coarser_leq(j, i))
-
-
 def R_to_S(a: LinComb) -> LinComb:
     """R_I = sum over J <= I of (-1)^(l(I)-l(J)) S^J (Moebius inversion)."""
     return LinComb((j, (-1) ** (len(i) - len(j)) * c)
                    for i, c in _without_part_0(a, "R_to_S")
                    for j in compositions(sum(i)) if coarser_leq(j, i))
-
-
-def as2_axioms_check(n: int) -> bool:
-    """(I *1 J) *2 K = I *1 (J *2 K) for *i in {concat, near-concat},
-    over all composition triples of total size n, lifted to R-basis elements.
-    """
-    _check_size("as2_axioms_check", n)
-    ops = (comp_concat, comp_near_concat)
-    for p in range(1, n - 1):
-        for q in range(1, n - p):
-            r = n - p - q
-            if r < 1:
-                continue
-            for i in compositions(p):
-                for j in compositions(q):
-                    for k in compositions(r):
-                        for op1, op2 in itertools.product(ops, repeat=2):
-                            if op2(op1(i, j), k) != op1(i, op2(j, k)):
-                                return False
-                        ri, rj, rk = (LinComb.term(key)
-                                      for key in (i, j, k))
-                        if ribbon_product(ribbon_product(ri, rj), rk) \
-                                != ribbon_product(ri, ribbon_product(rj, rk)):
-                            return False
-    return True
 
 
 # -- commutative evaluation ---------------------------------------------------

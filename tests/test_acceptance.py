@@ -67,9 +67,10 @@ def test_ac04_G_equation_and_bijection():
         for i in range(n):
             rhs = rhs + lagrange.bilinear_B(G[i], G[n - 1 - i], "cqsym")
         ok = ok and rhs == G[n]
+    terms = lagrange.tree_terms(6, "cqsym")
     for n in range(7):
         for tree in combinat.binary_trees(n):
-            term = lagrange.tree_term(tree, "cqsym")
+            term = terms[tree]
             ok = ok and len(term) == 1
             ((key, coeff),) = list(term)
             ok = ok and coeff == 1 and key == lagrange.tree_to_ndpf(tree)
@@ -146,9 +147,9 @@ def test_ac09_tamari():
             is_interval, size = lagrange.tamari_interval_check(comp)
             ok = ok and is_interval and size == g[n].coeff(comp)
         ok = ok and lagrange.canopy_evaluation_correspondence(n)[0]
-    from test_lagrange import FIGURE_COVERS_N4
+    from test_lagrange import FIGURE_COVERS_N4, tamari_hasse_ndpf
     grouped: dict = {}
-    for upper, lower in lagrange.tamari_hasse_ndpf(4):
+    for upper, lower in tamari_hasse_ndpf(4):
         grouped.setdefault(upper, set()).add(lower)
     ok = ok and grouped == FIGURE_COVERS_N4
     _report(9, "interval property = g coefficients, canopy partition, "
@@ -282,8 +283,8 @@ def test_ac18_fqsym_solution():
         for i in range(n):
             rhs = rhs + lagrange.bilinear_B(X[i], X[n - 1 - i], "fqsym")
         ok = ok and rhs == X[n]
-    supports = [set(lagrange.tree_term(s, "fqsym").terms)
-                for s in combinat.binary_trees(4)]
+    terms = lagrange.tree_terms(4, "fqsym")
+    supports = [set(terms[s].terms) for s in combinat.binary_trees(4)]
     ok = ok and sum(len(s) for s in supports) == comb(4, 2) * 4  # 24 perms
     union: set = set()
     disjoint = True

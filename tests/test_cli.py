@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
-from parkhopf import chars, combinat, hopf, lagrange
+from parkhopf import chars, combinat, hopf, lagrange, symfun
 from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
                           _outcome, build_parser, main)
 from parkhopf.exact import LinComb
@@ -54,8 +54,8 @@ def test_enumerate_csv(capsys):
 _LIBRARY_ITEMS = {
     "pf": lambda n: map(combinat.word_to_text, combinat.parking_functions(n)),
     "ndpf": lambda n: map(combinat.word_to_text, combinat.ndpfs(n)),
-    "qribbon": lambda n: map(combinat.ribbon_to_text,
-                             combinat.quasi_ribbons(n)),
+    "qribbon": lambda n: (next(combinat.ribbons_to_text([q]))
+                          for q in combinat.quasi_ribbons(n)),
     "packed": lambda n: map(combinat.word_to_text, combinat.packed_words(n)),
     "perm": lambda n: map(combinat.word_to_text, combinat.permutations(n)),
     "signed-pf": lambda n: (
@@ -405,6 +405,46 @@ def _plant_mid_is_succ(monkeypatch):
     monkeypatch.setattr(hopf, "qr_mid", hopf.qr_succ)
 
 
+def _plant_coproduct_unreduced(monkeypatch):
+    # the cuts at either end are kept, so not even the generator is primitive
+    monkeypatch.setattr(hopf, "dup_coproduct", lambda a: LinComb(
+        ((combinat.parkize(pi[:k]), combinat.parkize(pi[k:])), c)
+        for pi, c in a for k in range(len(pi) + 1)))
+
+
+def _plant_bracket_is_sum(monkeypatch):
+    # {a, b} = a < b + a > b, which takes primitives out of the kernel
+    monkeypatch.setattr(hopf, "dup_bracket", lambda a, b: (
+        hopf.cqsym_prec(a, b) + hopf.cqsym_succ(a, b)))
+
+
+def _plant_prec_is_succ(monkeypatch):
+    # both concatenations shift by the length, so the cross relation holds
+    monkeypatch.setattr(hopf, "shifted_concat_max", hopf.shifted_concat_len)
+
+
+def _plant_expand_to_one_word(monkeypatch):
+    # P^pi -> F_pi, the sorted word alone
+    monkeypatch.setattr(hopf, "cqsym_expand_F", lambda a: a)
+
+
+def _plant_embed_permutations_only(monkeypatch):
+    # G_sigma -> M_sigma, the packed words with repeated letters left out
+    monkeypatch.setattr(hopf, "embed_fqsym_wqsym", lambda a: a)
+
+
+def _plant_istar_packs(monkeypatch):
+    # F_a -> F_pack(a), which keeps ties: the identity would still be a
+    # morphism
+    monkeypatch.setattr(hopf, "morphism_istar",
+                        lambda a: a.map_keys(combinat.pack))
+
+
+def _plant_ribbon_product_concat_only(monkeypatch):
+    # R_I R_J = R_(I.J), the near-concatenation dropped
+    monkeypatch.setattr(chars, "ribbon_product", symfun.s_product)
+
+
 # the size a row runs at in the test below when not at its top: the two
 # top-8 rows cost about 2.6 s a run at 8
 _FAULT_SIZES = {"fqsym-dendriform-axioms": 5, "wqsym-tridendriform-axioms": 5,
@@ -412,7 +452,8 @@ _FAULT_SIZES = {"fqsym-dendriform-axioms": 5, "wqsym-tridendriform-axioms": 5,
                 "sqsym-triduplicial-axioms": 6}
 
 
-@pytest.mark.parametrize("check, plant, raises", [
+# (row, a fault in a library function it reads, whether the row raises)
+_FAULTS = [
     ("psi-alpha-checks", _plant_psi_without_factorial, False),
     ("chi-checks", _plant_istar_one_part, False),
     ("schroder-polynomial-routes", _plant_schroder_path_dropped, True),
@@ -427,7 +468,20 @@ _FAULT_SIZES = {"fqsym-dendriform-axioms": 5, "wqsym-tridendriform-axioms": 5,
     ("cqsym-duplicial-axioms", _plant_max_shift_too_far, False),
     ("tree-bijection-roundtrip", _plant_right_labels_shifted_by_m, False),
     ("sqsym-triduplicial-axioms", _plant_mid_is_succ, False),
-])
+    ("generator-primitive", _plant_coproduct_unreduced, False),
+    ("small-primitives-in-kernel", _plant_bracket_is_sum, False),
+    ("cqsym-cross-relation-counterexample", _plant_prec_is_succ, False),
+    ("q-triangle", _plant_qn_plus_one, True),
+    # the morphisms folded into rows that also check other statements
+    ("pqsym-duplicial-axioms", _plant_expand_to_one_word, False),
+    ("wqsym-tridendriform-axioms", _plant_embed_permutations_only, False),
+    ("psi-alpha-checks", _plant_istar_packs, False),
+    ("chi-checks", _plant_ribbon_product_concat_only, False),
+    ("G-is-sum-of-all-ndpf", _plant_right_labels_shifted_by_m, False),
+]
+
+
+@pytest.mark.parametrize("check, plant, raises", _FAULTS)
 def test_rewritten_row_fails_under_its_fault(monkeypatch, check, plant,
                                              raises):
     # each row holds at its size, and a planted fault in a library function
@@ -441,6 +495,29 @@ def test_rewritten_row_fails_under_its_fault(monkeypatch, check, plant,
     result = _outcome(run, n)
     assert result["ok"] is False
     assert ("error" in result) is raises
+
+
+def test_rows_without_a_planted_fault():
+    # a new row comes with its fault in _FAULTS, and a row leaves this set
+    # when it gets one
+    assert {name for _, name, _, _ in _CHECKS} \
+        - {check for check, _, _ in _FAULTS} == {
+            "wqsym-tridendriform-span", "bialgebra-axiom", "coassociativity",
+            "primitive-dimensions", "tri-normal-form-counts",
+            "dup-normal-form-counts", "shape-characterization",
+            "confluence-empirical", "f-closed-form", "g-closed-form",
+            "g-symmetry", "phi-of-G", "q-basis-product",
+            "packed-evaluation-classes-are-intervals", "canopy-partition",
+            "super-narayana-routes", "signed-character"}
+
+
+@pytest.mark.parametrize("check, n", [
+    ("primitive-dimensions", 8), ("tri-normal-form-counts", 6),
+    ("dup-normal-form-counts", 7), ("wqsym-tridendriform-span", 6)])
+def test_sequence_row_holds_past_its_top(check, n):
+    # each row is gated by a closed form, not a list that ends at its top
+    run = next(run for _, name, _, run in _CHECKS if name == check)
+    assert _outcome(run, n) == {"ok": True}
 
 
 def test_usage_errors_exit_2(capsys):

@@ -2,14 +2,55 @@ import itertools
 import re
 import time
 from math import comb
+from operator import lt
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from parkhopf import chars, hopf, lagrange, operad, symfun
+from parkhopf import chars, hopf, lagrange, operad
 from parkhopf import combinat as cb
 
 words = st.lists(st.integers(1, 8), min_size=0, max_size=6).map(tuple)
+
+
+# -- oracles, also read by the other test modules --------------------------------
+
+
+def is_packed(w) -> bool:
+    letters = set(w)
+    return letters == set(range(1, len(letters) + 1))
+
+
+def is_permutation(w) -> bool:
+    return sorted(w) == list(range(1, len(w) + 1))
+
+
+def is_quasi_ribbon(q) -> bool:
+    """True iff q = (word, bars) with word a nondecreasing parking function
+    and bars increasing positions of its strict ascents."""
+    word, bars = q
+    return cb.is_ndpf(word) and all(map(lt, bars, bars[1:])) and all(
+        0 < i < len(word) and word[i - 1] < word[i] for i in bars)
+
+
+def text_to_ribbon(s: str) -> tuple:
+    """The quasi-ribbon `combinat.ribbons_to_text` writes as s: letters
+    split at commas if s holds one, else one digit each.  ValueError unless
+    valid."""
+    comma = "," in s
+    word, bars = [], []
+    for i, segment in enumerate(s.split("|")):
+        if i:
+            bars.append(len(word))
+        word.extend(cb.comma_ints(segment) if comma else map(int, segment))
+    q = tuple(word), tuple(bars)
+    if not is_quasi_ribbon(q):
+        raise ValueError(f"not a quasi-ribbon: {s!r}")
+    return q
+
+
+def _ribbon_text(q) -> str:
+    return next(cb.ribbons_to_text([q]))
 
 
 # -- predicates and closures ---------------------------------------------------
@@ -115,7 +156,7 @@ def test_standardize_examples_against_oracle():
 @given(words)
 def test_standardize_idempotent_order_isomorphic(w):
     s = cb.standardize(w)
-    assert cb.is_permutation(s)
+    assert is_permutation(s)
     assert cb.standardize(s) == s
     for i in range(len(w)):
         for j in range(len(w)):
@@ -132,7 +173,7 @@ def test_pack_and_evaluations():
 
 @given(words)
 def test_pack_is_packed(w):
-    assert cb.is_packed(cb.pack(w))
+    assert is_packed(cb.pack(w))
 
 
 def test_shifted_concats():
@@ -166,7 +207,7 @@ def test_hypoplactic_examples():
     q1 = cb.hypoplactic_quasi_ribbon((1, 3, 1))
     q2 = cb.hypoplactic_quasi_ribbon((3, 1, 1))
     assert q1 == q2 == ((1, 1, 3), (2,))
-    assert cb.ribbon_to_text(q1) == "11|3"
+    assert _ribbon_text(q1) == "11|3"
     assert cb.hypoplactic_quasi_ribbon((1, 1, 3)) == ((1, 1, 3), ())
     classes = {cb.hypoplactic_quasi_ribbon(w) for w in cb.parking_functions(3)}
     assert len(classes) == 11
@@ -176,31 +217,31 @@ def test_quasi_ribbon_invariant_never_violated():
     # recoil positions of std(a) always sit at strict ascents of sorted(a)
     for n in range(7):
         for w in cb.parking_functions(n):
-            assert cb.is_quasi_ribbon(cb.hypoplactic_quasi_ribbon(w))
+            assert is_quasi_ribbon(cb.hypoplactic_quasi_ribbon(w))
 
 
 def test_quasi_ribbon_validation_and_text():
-    assert cb.is_quasi_ribbon(((1, 1, 3), (2,)))
-    assert cb.is_quasi_ribbon(((), ()))
-    assert not cb.is_quasi_ribbon(((1, 1, 3), (1,)))  # not a strict ascent
-    assert not cb.is_quasi_ribbon(((2, 2), ()))  # not a parking word
-    assert not cb.is_quasi_ribbon(((1, 2, 3), (2, 1)))  # bars out of order
-    assert not cb.is_quasi_ribbon(((1, 2, 3), (1, 1)))  # a repeated bar
+    assert is_quasi_ribbon(((1, 1, 3), (2,)))
+    assert is_quasi_ribbon(((), ()))
+    assert not is_quasi_ribbon(((1, 1, 3), (1,)))  # not a strict ascent
+    assert not is_quasi_ribbon(((2, 2), ()))  # not a parking word
+    assert not is_quasi_ribbon(((1, 2, 3), (2, 1)))  # bars out of order
+    assert not is_quasi_ribbon(((1, 2, 3), (1, 1)))  # a repeated bar
     for word in [(0,), (1, 3), (2, 1), (1, 1, 0)]:
-        assert not cb.is_quasi_ribbon((word, ()))
+        assert not is_quasi_ribbon((word, ()))
     for bar in [0, 1, 3, -1]:  # outside the word or at a tie
-        assert not cb.is_quasi_ribbon(((1, 1, 2), (bar,)))
+        assert not is_quasi_ribbon(((1, 1, 2), (bar,)))
     for text in ["1|13", "22", "0", "1|", "|1", "1||2", "12|", "1a", "-1"]:
         with pytest.raises(ValueError, match="not a quasi-ribbon|invalid"):
-            cb.text_to_ribbon(text)
-    q = cb.text_to_ribbon("1|2|3")
+            text_to_ribbon(text)
+    q = text_to_ribbon("1|2|3")
     assert q == ((1, 2, 3), (1, 2))
-    assert cb.text_to_ribbon(cb.ribbon_to_text(q)) == q
+    assert text_to_ribbon(_ribbon_text(q)) == q
     assert cb.shape(q) == (1, 1, 1)
     assert cb.shape(((1, 1, 3), (2,))) == (2, 1)
     big = (tuple(range(1, 12)), (10,))
-    assert cb.ribbon_to_text(big) == "1,2,3,4,5,6,7,8,9,10|11"
-    assert cb.text_to_ribbon(cb.ribbon_to_text(big)) == big
+    assert _ribbon_text(big) == "1,2,3,4,5,6,7,8,9,10|11"
+    assert text_to_ribbon(_ribbon_text(big)) == big
 
 
 def _segment_text(q):
@@ -219,8 +260,8 @@ def test_quasi_ribbon_text_matches_segment_formula():
     texts = list(map(_segment_text, ribbons))
     assert list(cb.ribbons_to_text(ribbons)) == texts
     for q, text in zip(ribbons, texts):
-        assert cb.ribbon_to_text(q) == text
-        assert cb.text_to_ribbon(text) == q
+        assert _ribbon_text(q) == text
+        assert text_to_ribbon(text) == q
     assert texts[-1] == "1,1|3,4,5,6,7,8,9|10,10"
 
 
@@ -238,11 +279,11 @@ def test_quasi_ribbon_accepts_exactly_the_valid_pairs(letters, bars, commas):
     valid = _is_ndpf_by_generators(letters) and all(
         1 <= i < len(letters) and letters[i - 1] < letters[i] for i in bars)
     if valid:
-        assert cb.text_to_ribbon(text) == (tuple(letters),
+        assert text_to_ribbon(text) == (tuple(letters),
                                            tuple(sorted(bars)))
     else:
         with pytest.raises(ValueError):
-            cb.text_to_ribbon(text)
+            text_to_ribbon(text)
 
 
 # -- compositions ----------------------------------------------------------------
@@ -347,7 +388,7 @@ def test_quasi_ribbon_stream_matches_sorted_build():
                 [i for i in range(1, n) if pi[i - 1] < pi[i]], r))
         stream = list(cb.iter_quasi_ribbons(n))
         assert stream == built
-        assert all(map(cb.is_quasi_ribbon, stream))
+        assert all(map(is_quasi_ribbon, stream))
 
 
 def _parking_by_brute_force(n):
@@ -427,7 +468,6 @@ _BOUNDED = {
         "dup", n)),
     "tridendriform_span_dimension": (7, operad.tridendriform_span_dimension),
     "primitive_dimension": (8, hopf.primitive_dimension),
-    "as2_axioms_check": (8, symfun.as2_axioms_check),
     "enumeration": (12, cb.iter_ndpfs),
 }
 
@@ -460,7 +500,7 @@ def test_word_streams_are_lazy():
 def test_quasi_ribbon_list_n3_matches_known_list():
     expected = {"111", "112", "11|2", "113", "11|3", "122", "1|22",
                 "123", "1|23", "12|3", "1|2|3"}
-    assert set(map(cb.ribbon_to_text, cb.quasi_ribbons(3))) == expected
+    assert set(cb.ribbons_to_text(cb.quasi_ribbons(3))) == expected
 
 
 def test_word_text_roundtrip():
@@ -478,7 +518,7 @@ def test_word_text_roundtrip():
             cb.text_to_word(text)
     for text in ["1,,2|3", "1,2|", "1,|2"]:
         with pytest.raises(ValueError, match="empty field"):
-            cb.text_to_ribbon(text)
+            text_to_ribbon(text)
 
 
 def _word_texts_agree(family, n, words, runs=None):

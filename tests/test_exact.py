@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from parkhopf.exact import (LinComb, NotDivisibleError, Poly, independent,
                             monomial, poly_divexact, series_sqrt_expand,
-                            span_dimension, tensor)
+                            span_dimension)
 
 q, t, x, z, a = (Poly.var(v) for v in ("q", "t", "x", "z", "a"))
 
@@ -160,13 +160,6 @@ def test_span_dimension_matches_dense_rank(vectors, data):
     # the kept vectors alone have full rank
     kept = independent(vectors)
     assert len(kept) == rank == _dense_rank(kept)
-
-
-def test_tensor():
-    v = LinComb.term("a") + LinComb.term("b")
-    w = LinComb.term("c", 2)
-    assert tensor(v, w) == LinComb.term(("a", "c"), 2) + \
-        LinComb.term(("b", "c"), 2)
 
 
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=5),

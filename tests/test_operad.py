@@ -1,10 +1,10 @@
 import pytest
 
-from parkhopf.combinat import (is_quasi_ribbon, ndpfs, quasi_ribbons,
-                               text_to_ribbon)
+from parkhopf.combinat import ndpfs, quasi_ribbons
 from parkhopf.exact import LinComb, span_dimension
 from parkhopf.hopf import wqsym_left, wqsym_mid, wqsym_right
 from parkhopf import operad as op
+from test_combinat import is_quasi_ribbon, text_to_ribbon
 
 X = op.LEAF
 
