@@ -323,16 +323,10 @@ def _check_n(n: int):
     _check_size("enumeration", n)
 
 
-# The last letters of every word come from a table of tails built once per
-# state, so most words cost one tuple concatenation, or a share of one text
-# join; three letters keep the table small (at most n^3 tails per state).
-_TAIL = 3
-
-
-def _words(n: int, start, moves):
+def _words(n: int, start, moves, tail: int):
     """The words of length n spelled from the state ``start``, in
     lexicographic order, as runs: one (prefix, key) per prefix of
-    n - `_TAIL` letters (one run with the empty prefix when n <= `_TAIL`),
+    n - ``tail`` letters (one run with the empty prefix when n <= ``tail``),
     whose words are the prefix followed by each of ``tails(key)``.
 
     Returns the runs, ``tails`` and ``tail_texts(key, wide_prefix)``, the
@@ -365,7 +359,7 @@ def _words(n: int, start, moves):
                 key=lambda t: wide_prefix or max(t, default=0) >= 10))
 
     def runs(prefix, state, r):
-        if r <= _TAIL:
+        if r <= tail:
             yield prefix, (state, r)
             return
         for v, after in moves(state):
@@ -408,20 +402,26 @@ def _perm_moves(unused):
     return [(v, unused[:i] + unused[i + 1:]) for i, v in enumerate(unused)]
 
 
-# word family: (its start state at length n, its moves)
+# word family: (its start state at length n, its moves, its tail length).
+# The last letters of every word come from a table of tails built once per
+# state, so most words cost one tuple concatenation, or a share of one text
+# join.  Each family's tail length makes its runs long while its tables
+# stay small: 3 for ndpf and pf, whose tail tables grow fastest with the
+# length; 4 for packed (about 190 words a run at n = 9); 5 for perm, whose
+# runs are the 5! = 120 orders of the letters left.
 _WORD_FAMILIES = {
-    "ndpf": (lambda n: (1, 1), _ndpf_moves),
-    "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves),
-    "packed": (lambda n: (n, 0, ()), _packed_moves),
-    "perm": (lambda n: tuple(range(1, n + 1)), _perm_moves),
+    "ndpf": (lambda n: (1, 1), _ndpf_moves, 3),
+    "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 3),
+    "packed": (lambda n: (n, 0, ()), _packed_moves, 4),
+    "perm": (lambda n: tuple(range(1, n + 1)), _perm_moves, 5),
 }
 
 
 def _spell(family: str, n: int):
     """`_words` of the words of ``family`` of length n, n checked first."""
     _check_n(n)
-    start, moves = _WORD_FAMILIES[family]
-    return _words(n, start(n), moves)
+    start, moves, tail = _WORD_FAMILIES[family]
+    return _words(n, start(n), moves, tail)
 
 
 def _word_stream(spelled):
@@ -554,9 +554,9 @@ def word_to_text(w) -> str:
 def word_texts(family: str, n: int):
     """The texts `word_to_text` gives the words of length n of ``family``
     ("ndpf", "pf", "packed" or "perm"), in order, one text per run of words
-    that share their first n - `_TAIL` letters: the words' texts joined by
-    newlines, with no newline at the end.  n is checked before this
-    returns.
+    that share all but their last letters, as many as the family's tail
+    length in `_WORD_FAMILIES`: the words' texts joined by newlines, with
+    no newline at the end.  n is checked before this returns.
 
     A run is its prefix text joined to each of its state's tail texts,
     rendered once per state: the prefix's digits before a tail of digits,

@@ -23,6 +23,16 @@ one pair of keys and one tag share a coefficient and form a run, which is
 merged into the result whole by one ``dict.fromkeys`` and one ``update``.
 A run that repeats a term, or meets a term already in the result, goes
 through `exact._collect` instead, so sums and cancellations stay exact.
+
+The dendriform relations of the permutation algebra and the tridendriform
+relations of the packed-word algebra are proven without walking the key
+triples (`_relations_proven`).  Each of their operations is checked to be
+natural on every pair of keys up to the size: op(x, y) is op(id, id) on the
+identity words of the same maxima, relabelled by x and y.  Relabelling then
+carries each relation from one identity triple per split of maxima to every
+triple.  The other axiom suites walk their triples (`_relations_hold`):
+their operations shift by a length or a max - 1, not by the maxima alone,
+so they are not natural in this sense.
 """
 
 from __future__ import annotations
@@ -475,26 +485,98 @@ def triduplicial_axioms(max_total: int = 6) -> bool:
                                     (qr_succ, qr_mid), (qr_mid, qr_succ)])])
 
 
+def _identities(m: int) -> tuple:
+    """The one identity word of max m, as a family of basis keys."""
+    return (tuple(range(1, m + 1)),)
+
+
+def _natural(family, max_total: int, pieces, product) -> bool:
+    """Each of ``pieces`` and ``product`` is natural, and the pieces sum to
+    the product, on every pair of basis keys of total size <= max_total.
+
+    Natural means op(x, y) is op(id_s1, id_s2) relabelled by w = x followed
+    by y shifted by s1, where s1, s2 are the maxima of x and y: each term u
+    becomes tuple(u[v - 1] for v in w).  The identity products are built
+    once per pair of maxima, and the pieces are checked to sum to the
+    product there; naturality carries that sum to every pair.
+    """
+    ops = (*pieces, product)
+    images = {}
+    for s1, s2 in _splits(max_total, 2):
+        ids = [LinComb.term(*_identities(s)) for s in (s1, s2)]
+        values = [op(*ids) for op in ops]
+        if sum(values[:-1], LinComb()) != values[-1]:
+            return False
+        images[s1, s2] = [(op, list(value.terms), list(value.terms.values()))
+                          for op, value in zip(ops, values)]
+    pools = {size: [(x, max(x), LinComb.term(x)) for x in family(size)]
+             for size in range(1, max_total)}
+    for l1, l2 in _splits(max_total, 2):
+        for x, s1, a in pools[l1]:
+            head = [v - 1 for v in x]
+            shift = (s1 - 1).__add__
+            for y, s2, b in pools[l2]:
+                get = itemgetter(*head, *map(shift, y))
+                for op, keys, coeffs in images[s1, s2]:
+                    if op(a, b).terms != dict(zip(map(get, keys), coeffs)):
+                        return False
+    return True
+
+
+def _relations_proven(family, max_total: int, pieces, product,
+                      relations) -> bool:
+    """`_relations_hold` on ``family`` with every key lifted to its basis
+    element, proven from the identity triples.
+
+    Relabelling by a followed by b shifted by max(a) and c shifted by
+    max(a) + max(b) is linear and injective on terms, and, when every
+    operation is `_natural` on pairs of total size <= max_total, it carries
+    both sides of each relation on (id_m1, id_m2, id_m3) to the same side on
+    (a, b, c) for the keys a, b, c of maxima m1, m2, m3.  So the relations
+    are checked on one identity triple per split of maxima.
+    """
+    return _natural(family, max_total, pieces, product) and _relations_hold(
+        _identities, max_total, relations, LinComb.term)
+
+
+def _distinct_on_generator(pieces) -> bool:
+    """The pieces are nonzero and pairwise distinct on the generator pair,
+    so no piece is empty and none is another piece again."""
+    one = LinComb.term((1,))
+    values = [piece(one, one) for piece in pieces]
+    return all(values) and all(
+        u != v for u, v in itertools.combinations(values, 2))
+
+
 def dendriform_axioms_fqsym(max_total: int = 6) -> bool:
-    """(x<y)<z = x<(yz), (x>y)<z = x>(y<z) and (xy)>z = x>(y>z)."""
+    """(x<y)<z = x<(yz), (x>y)<z = x>(y<z) and (xy)>z = x>(y>z), proven for
+    every triple of basis keys of total size <= max_total by
+    `_relations_proven`, with the halves nonzero and distinct.  Naturality
+    is checked on every pair of total size <= max_total, so no size is
+    sampled."""
     left, right, prod = fqsym_left, fqsym_right, fqsym_product
-    return _relations_hold(permutations, max_total, [
-        (left, left, left, prod), (right, left, right, left),
-        (prod, right, right, right)], LinComb.term)
+    return _distinct_on_generator((left, right)) and _relations_proven(
+        permutations, max_total, (left, right), prod, [
+            (left, left, left, prod), (right, left, right, left),
+            (prod, right, right, right)])
 
 
 def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
-    """The seven relations of the three-piece splitting on packed words, and
-    the embedding of the permutation algebra as an algebra morphism on
-    basis pairs."""
+    """The seven relations of the three-piece splitting on packed words,
+    proven for every triple of basis keys of total size <= max_total by
+    `_relations_proven`, with the thirds nonzero and distinct; and the
+    embedding of the permutation algebra as an algebra morphism, checked on
+    every basis pair of total size <= max_total."""
     left, mid, right = wqsym_left, wqsym_mid, wqsym_right
-    return _relations_hold(packed_words, max_total, [
-        (left, left, left, wqsym_product), (right, left, right, left),
-        (wqsym_product, right, right, right), (right, mid, right, mid),
-        (left, mid, mid, right), (mid, left, mid, left),
-        (mid, mid, mid, mid)], LinComb.term) and _is_morphism(
-            permutations, fqsym_product, embed_fqsym_wqsym, wqsym_product,
-            max_total)
+    prod = wqsym_product
+    return _distinct_on_generator((left, mid, right)) and _relations_proven(
+        packed_words, max_total, (left, mid, right), prod, [
+            (left, left, left, prod), (right, left, right, left),
+            (prod, right, right, right), (right, mid, right, mid),
+            (left, mid, mid, right), (mid, left, mid, left),
+            (mid, mid, mid, mid)]) and _is_morphism(
+                permutations, fqsym_product, embed_fqsym_wqsym, prod,
+                max_total)
 
 
 def bialgebra_axiom_check(max_total: int = 5) -> bool:

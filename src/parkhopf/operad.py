@@ -18,6 +18,8 @@ In tri mode the seven oriented rules are the pairs (r, l) other than
 than (">", "<").  A dup tree holds no "o", so one rule table serves both
 modes and the rewriting functions take no mode.  Rewriting always
 terminates: the sum over nodes of left-subtree sizes strictly decreases.
+So confluence on the trees with 4 leaves proves confluence at every size
+(see `confluence_check`).
 
 Rewriting is one walk, `rewrite_all_steps`, which yields every one-step
 rewrite leftmost-outermost first: `rewrite_step` takes its first item and
@@ -182,7 +184,13 @@ def eval_tree(t, mode: str):
 
 
 def confluence_check(mode: str, n: int) -> bool:
-    """Empirical confluence: every size-n tree reaches a unique normal form."""
+    """Every tree with n leaves reaches a unique normal form.
+
+    At n = 4 this is a proof for every n: the rules are quadratic and
+    terminate, and the trees with 4 leaves hold every critical monomial, so
+    by the diamond lemma for operads (Dotsenko-Khoroshkin 2010;
+    Loday-Vallette 2012, ch. 8) their confluence is confluence in every
+    arity.  Other sizes check that consequence."""
     memo: dict = {}
 
     def reachable(t) -> frozenset:

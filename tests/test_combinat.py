@@ -524,9 +524,10 @@ def test_word_text_roundtrip():
 def _word_texts_agree(family, n, words, runs=None):
     # each text is one whole run: the texts word_to_text gives the next
     # words of the sorted oracle stream, joined by newlines, the first and
-    # the last (so all) of which share their first n - _TAIL letters, a
-    # prefix the run before did not have
-    words, cut = iter(words), max(n - cb._TAIL, 0)
+    # the last (so all) of which share all but their last letters, as many
+    # as the family's tail length, a prefix the run before did not have
+    words = iter(words)
+    cut = max(n - cb._WORD_FAMILIES[family][2], 0)
     last = None
     for text in itertools.islice(cb.word_texts(family, n), runs):
         run = list(itertools.islice(words, text.count("\n") + 1))
@@ -543,7 +544,7 @@ def test_word_texts_matches_word_to_text():
     for n in (10, 11, 12):
         _word_texts_agree("ndpf", n, cb.iter_ndpfs(n))
     # permutations of 10 letters are comma words only, the prefix holding
-    # the letter 10 from the fourth run on
+    # the letter 10 from the sixth run on
     _word_texts_agree("perm", 10, itertools.permutations(range(1, 11)), 900)
 
 

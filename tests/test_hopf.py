@@ -5,12 +5,16 @@ from functools import lru_cache
 
 import pytest
 
-from parkhopf.combinat import (NotInSubalgebraError, ndpfs, parking_functions,
-                               permutations, quasi_ribbons, shifted_concat_len,
-                               shifted_concat_max, sort_ascending)
+from parkhopf.combinat import (NotInSubalgebraError, ndpfs, packed_words,
+                               parking_functions, permutations, quasi_ribbons,
+                               shifted_concat_len, shifted_concat_max,
+                               sort_ascending)
 from parkhopf.exact import LinComb
 from parkhopf import hopf, operad
 from parkhopf.symfun import ribbon_product, s_product
+from test_cli import (_plant_packed_all_left, _plant_packed_row_dropped,
+                      _plant_relabelled_off_identity, _plant_shuffle_all_left,
+                      _plant_shuffle_row_dropped)
 from test_combinat import is_quasi_ribbon, text_to_ribbon
 
 
@@ -490,6 +494,75 @@ def test_relation_checker_pairs_inner_products_with_their_keys():
                 doubled = list(relation)
                 doubled[i] = _wrong_on(relation[i], pair, lambda v: v.scale(2))
                 assert not hopf._relations_hold(permutations, 5, [doubled], G)
+
+
+# The permutation and packed-word splittings as the rows check them: (the
+# keys, the pieces, the product, the relations), read from hopf when called.
+
+
+def _fqsym_splitting():
+    left, right, prod = hopf.fqsym_left, hopf.fqsym_right, hopf.fqsym_product
+    return permutations, (left, right), prod, [
+        (left, left, left, prod), (right, left, right, left),
+        (prod, right, right, right)]
+
+
+def _wqsym_splitting():
+    left, mid, right = hopf.wqsym_left, hopf.wqsym_mid, hopf.wqsym_right
+    prod = hopf.wqsym_product
+    return packed_words, (left, mid, right), prod, [
+        (left, left, left, prod), (right, left, right, left),
+        (prod, right, right, right), (right, mid, right, mid),
+        (left, mid, mid, right), (mid, left, mid, left),
+        (mid, mid, mid, mid)]
+
+
+@pytest.mark.parametrize("splitting, top, plant, holds", [
+    (_fqsym_splitting, 6, None, True),
+    (_fqsym_splitting, 6, _plant_shuffle_row_dropped, False),
+    (_fqsym_splitting, 6, _plant_shuffle_all_left, True),
+    (_fqsym_splitting, 6, _plant_relabelled_off_identity, False),
+    (_wqsym_splitting, 5, None, True),
+    (_wqsym_splitting, 5, _plant_packed_row_dropped, False),
+    (_wqsym_splitting, 5, _plant_packed_all_left, True),
+    (_wqsym_splitting, 5, _plant_relabelled_off_identity, False)])
+def test_identity_route_matches_the_walks(monkeypatch, splitting, top, plant,
+                                          holds):
+    # naturality plus the identity triples reads what both triple walks
+    # read, at every size to the top, clean and under each planted fault;
+    # the all-left splittings keep every relation (the rows catch them by
+    # their zero pieces)
+    if plant is not None:
+        plant(monkeypatch)
+    family, pieces, product, relations = splitting()
+    for n in range(top + 1):
+        proven = hopf._relations_proven(family, n, pieces, product, relations)
+        assert proven == hopf._relations_hold(family, n, relations, G) \
+            == _relations_hold_by_brute_force(family, n, relations, G)
+    assert proven is holds
+
+
+def test_naturality_catches_a_fault_off_the_identity_keys(monkeypatch):
+    # the fault spares every product with an identity factor, so the
+    # identity triples still pass: naturality alone reads it
+    _plant_relabelled_off_identity(monkeypatch)
+    for splitting, n in [(_fqsym_splitting, 6), (_wqsym_splitting, 5)]:
+        family, pieces, product, relations = splitting()
+        assert hopf._relations_hold(hopf._identities, n, relations, G)
+        assert not hopf._natural(family, n, pieces, product)
+    assert not hopf.dendriform_axioms_fqsym(6)
+    assert not hopf.tridendriform_axioms_wqsym(5)
+
+
+def test_pieces_must_sum_to_the_product():
+    # a product that is one piece short is natural, but the sum on the
+    # identity pairs reads it
+    family, pieces, product, _ = _fqsym_splitting()
+    assert hopf._natural(family, 4, pieces, product)
+    assert not hopf._natural(family, 4, pieces, pieces[0])
+    family, pieces, product, _ = _wqsym_splitting()
+    assert hopf._natural(family, 4, pieces, product)
+    assert not hopf._natural(family, 4, pieces[:2], product)
 
 
 # -- packed-word algebra -----------------------------------------------------------------
