@@ -406,9 +406,10 @@ def _perm_moves(unused):
 # The last letters of every word come from a table of tails built once per
 # state, so most words cost one tuple concatenation, or a share of one text
 # join.  Each family's tail length makes its runs long while its tables
-# stay small: 3 for ndpf and pf, whose tail tables grow fastest with the
-# length; 4 for packed (about 190 words a run at n = 9); 5 for perm, whose
-# runs are the 5! = 120 orders of the letters left.
+# stay small: 3 for ndpf, and for pf, whose tables grow fastest (at tail 5,
+# pf of size 8 peaks at 108 MB); 4 for packed (about 190 words a run at
+# n = 9); 5 for perm, whose runs are the 5! = 120 orders of the letters
+# left.
 _WORD_FAMILIES = {
     "ndpf": (lambda n: (1, 1), _ndpf_moves, 3),
     "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 3),
