@@ -10,8 +10,12 @@ characters are `evaluate` after a morphism of `hopf`: psi after
 `morphism_psi`, chi after `istar_on_sqsym` and `symfun.R_to_S`.  Each has a
 second, combinatorial route: signed parking functions and their statistics,
 Dyck and Schroeder path encodings, the bars of quasi-ribbons, fixed pairs of
-parking functions, and the q-analogue triangle of (n+1)^(n-1).  A value
-raises AssertionError when its routes disagree; a check returns a bool.
+parking functions, and the q-analogue triangle of (n+1)^(n-1).  The
+statistics of signed words come from one prefix walk over the signings of
+a word (`_signing_stats`); the words route of `schroder_polynomials` reads
+none, since a word has no signed inversion exactly when it is
+nondecreasing with no negative letter repeated.  A value raises
+AssertionError when its routes disagree; a check returns a bool.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import add, eq, methodcaller, mul
 
 from . import hopf
 from .combinat import (_check_size, iter_parking_functions,
@@ -63,18 +67,6 @@ def _beaten_by(b):
     b when a > b, or when a == b and the common sign is negative.  It is a
     bound comparison, so that ``map`` runs it without a Python call."""
     return b.__le__ if b < 0 else b.__lt__
-
-
-def signed_stats(v):
-    """(minus count, signed inversions, signed descent set, signed major index).
-
-    (i, j) with i < j is a signed inversion when v_i beats v_j: v_i > v_j, or
-    v_i = v_j with the common sign negative; descents are the adjacent version.
-    """
-    beaten = [_beaten_by(b) for b in v]
-    sinv = sum(sum(map(beaten[j], v[:j])) for j in range(len(v)))
-    sdes = frozenset(j for j in range(1, len(v)) if beaten[j](v[j - 1]))
-    return sum(x < 0 for x in v), sinv, sdes, sum(sdes)
 
 
 def _signing_stats(word):
@@ -323,17 +315,45 @@ def _sorted_signed_pfs(n: int):
                 yield tuple(-x for x in reversed(negs)) + tuple(remaining)
 
 
+def _minus_counts(words) -> Counter:
+    """The number of signed words of a stream by (no signed inversion, minus
+    count), by the test of `schroder_polynomials`: nondecreasing, with no
+    negative letter repeated.
+
+    The words stream once through C-level passes, keyed by whether each
+    equals its sorted copy and by its tuple of negative letters; the few
+    distinct keys then give the minus counts and the repeat test."""
+    words, copy, again = itertools.tee(words, 3)
+    negatives = map(tuple, map(filter, itertools.repeat((0).__gt__), again))
+    keys = Counter(zip(map(eq, words, map(tuple, map(sorted, copy))),
+                       negatives))
+    counts = Counter()
+    for (nondecreasing, negs), c in keys.items():
+        counts[nondecreasing and len(set(negs)) == len(negs), len(negs)] += c
+    return counts
+
+
 def schroder_polynomials(n: int) -> Poly:
     """P_n(t) = P_n(t, 0) by three routes: Schroeder paths by horizontal
     steps; signed parking functions without signed inversions by minus signs;
     and the square-root generating series.  Raises AssertionError unless the
-    three routes agree and no sorted word has a signed inversion."""
+    three routes agree and no sorted word has a signed inversion.
+
+    A signed word has no signed inversion exactly when it is nondecreasing
+    and no negative letter repeats.  "a does not beat b" (a <= b, with
+    equality only when a > 0) is transitive: a <= b <= c with a == c forces
+    a == b, so a > 0.  Hence no pair of the word beats when no adjacent pair
+    does, that is when the word is nondecreasing with no two equal negative
+    letters side by side; and in a nondecreasing word equal letters are side
+    by side.  `_minus_counts` applies this test.
+    """
     _check_size("schroder_polynomials", n)
     t = Poly.var("t")
-    by_paths = Poly((monomial(t=p.count("h")), 1) for p in schroder_paths(n))
-    stats = list(map(signed_stats, _sorted_signed_pfs(n)))
-    by_words = Poly((monomial(t=m), 1) for m, *_ in stats)
-    sorted_ok = not any(sinv for _, sinv, _, _ in stats)
+    by_paths = Poly((monomial(t=k), c) for k, c in Counter(
+        map(methodcaller("count", "h"), schroder_paths(n))).items())
+    counts = _minus_counts(_sorted_signed_pfs(n))
+    by_words = Poly((monomial(t=m), c) for (_, m), c in counts.items())
+    sorted_ok = all(free for free, _ in counts)
     z = Poly.var("z")
     inner = (1 - t * z) ** 2 - 4 * z
     sqrt = series_sqrt_expand(inner, n + 1)

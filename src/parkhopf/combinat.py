@@ -32,7 +32,7 @@ LIMITS = {
     # chars
     "super_narayana_count": 6, "super_narayana_sym": 6,
     "s_character_check": 4,
-    "schroder_polynomials": 7, "bar_distribution": 10, "chi_sqsym": 7,
+    "schroder_polynomials": 8, "bar_distribution": 10, "chi_sqsym": 7,
     "pn_alpha": 10, "fixed_pair_counts": 5, "psi_alpha": 6,
     "qn_polynomial": 10, "q_triangle": 10, "lassalle_narayana": 8,
     # lagrange
@@ -146,28 +146,33 @@ def shifted_concat_max(alpha, beta) -> tuple:
     return tuple(alpha) + tuple(map((max(alpha) - 1).__add__, beta))
 
 
+@lru_cache(maxsize=None)
+def _interleavings(n: int, m: int) -> tuple:
+    """One ``itemgetter`` per interleaving of n letters with m, for n + m >= 2,
+    reading a word of n + m letters: the first n go to the positions chosen
+    by `itertools.combinations`, in that order, and the last m to the rest."""
+    getters = []
+    for chosen in itertools.combinations(range(n + m), n):
+        slots = chosen + tuple(sorted(set(range(n + m)).difference(chosen)))
+        getters.append(itemgetter(*sorted(range(n + m),
+                                          key=slots.__getitem__)))
+    return tuple(getters)
+
+
 def shifted_shuffle(a, b, shift: int):
     """All interleavings of a and b shifted by ``shift``, as a list (multiset).
 
-    The result has C(|a|+|b|, |a|) entries counted with multiplicity.
+    The result has C(|a|+|b|, |a|) entries counted with multiplicity, with
+    a's positions in `itertools.combinations` order.  Each is one cached
+    getter of `_interleavings` applied to a followed by the shifted b; a
+    word of fewer than two letters, for which itemgetter gives no tuple, is
+    its own one interleaving.
     """
-    a = tuple(a)
-    b = tuple(v + shift for v in b)
-    n, m = len(a), len(b)
-    out = []
-    for positions in itertools.combinations(range(n + m), n):
-        posset = set(positions)
-        word = []
-        ia = ib = 0
-        for i in range(n + m):
-            if i in posset:
-                word.append(a[ia])
-                ia += 1
-            else:
-                word.append(b[ib])
-                ib += 1
-        out.append(tuple(word))
-    return out
+    a, b = tuple(a), tuple(b)
+    word = a + tuple(map(shift.__add__, b))
+    if len(word) < 2:
+        return [word]
+    return [get(word) for get in _interleavings(len(a), len(b))]
 
 
 def recoils(sigma) -> frozenset:

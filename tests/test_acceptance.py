@@ -177,11 +177,12 @@ def test_ac11_super_narayana():
                        + q ** 3 + 5 * q ** 2 + 5 * q + 5)
     for n in range(1, 6):
         ok = ok and chars.super_narayana_count(n) == chars.super_narayana_sym(n)
+    from test_chars import signed_stats
     for n in range(1, 5):
         by_sinv: dict = {}
         by_smaj: dict = {}
         for s in chars.signed_parking_functions(n):
-            m, sinv, _, smaj = chars.signed_stats(s)
+            m, sinv, _, smaj = signed_stats(s)
             by_sinv[m, sinv] = by_sinv.get((m, sinv), 0) + 1
             by_smaj[m, smaj] = by_smaj.get((m, smaj), 0) + 1
         ok = ok and by_sinv == by_smaj

@@ -7,13 +7,30 @@ import pytest
 
 from parkhopf import chars as ch
 from parkhopf import hopf
+from parkhopf.cli import _large_schroder
 from parkhopf.combinat import (is_parking, iter_parking_functions, ndpfs,
                                pack, parking_functions, quasi_ribbons,
                                shifted_shuffle)
 from parkhopf.exact import LinComb, Poly, monomial
 from parkhopf.symfun import R_to_S, evaluate, rising_factorial
+from test_cli import _plant_sorted_word_inverted
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
+
+
+# -- oracles, also read by the other test modules --------------------------------
+
+
+def signed_stats(v):
+    """(minus count, signed inversions, signed descent set, signed major index).
+
+    (i, j) with i < j is a signed inversion when v_i beats v_j: v_i > v_j, or
+    v_i = v_j with the common sign negative; descents are the adjacent version.
+    """
+    beaten = [ch._beaten_by(b) for b in v]
+    sinv = sum(sum(map(beaten[j], v[:j])) for j in range(len(v)))
+    sdes = frozenset(j for j in range(1, len(v)) if beaten[j](v[j - 1]))
+    return sum(x < 0 for x in v), sinv, sdes, sum(sdes)
 
 
 def test_no_poly_holds_a_float(monkeypatch):
@@ -38,7 +55,7 @@ def test_no_poly_holds_a_float(monkeypatch):
 
 def test_signed_word_basics():
     s = (-1, -1)
-    assert ch.signed_stats(s)[0] == 2
+    assert signed_stats(s)[0] == 2
     assert ch.signed_to_text((-4, -1, 1, 1, 2)) == "-4,-1,1,1,2"
     assert ch.signed_to_text(()) == ""
     # the signed parking functions are the signings of the parking functions
@@ -72,7 +89,7 @@ def test_signed_shifted_shuffle():
         for k in range(1, n):
             for a, b in itertools.product(parking_functions(k),
                                           parking_functions(n - k)):
-                signed = Poly(ch._signed_term(ch.signed_stats(s))
+                signed = Poly(ch._signed_term(signed_stats(s))
                               for sa in ch._signings(a)
                               for sb in ch._signings(b)
                               for s in signed_shifted_shuffle(sa, sb))
@@ -81,10 +98,10 @@ def test_signed_shifted_shuffle():
 
 
 def test_signed_stats_examples():
-    m, sinv, sdes, smaj = ch.signed_stats((-1, -1))
+    m, sinv, sdes, smaj = signed_stats((-1, -1))
     assert (m, sinv) == (2, 1)
-    assert ch.signed_stats((2, 1))[1] == 1
-    m, sinv, sdes, smaj = ch.signed_stats((1, 2))
+    assert signed_stats((2, 1))[1] == 1
+    m, sinv, sdes, smaj = signed_stats((1, 2))
     assert sinv == 0 and smaj == 0
 
 
@@ -107,7 +124,7 @@ def test_signed_stats_as_standardized_inversions():
     # signed inversions are ordinary inversions of (std of values with sign
     # tie-break); spot-check the package statistics against the brute one
     for s in ch.signed_parking_functions(3):
-        _, sinv, _, smaj = ch.signed_stats(s)
+        _, sinv, _, smaj = signed_stats(s)
         bs, bm = _brute_stats(s)
         assert sinv == bs and smaj == bm
 
@@ -120,7 +137,7 @@ def test_signing_walk_matches_signed_words():
             map(ch._signing_stats, iter_parking_functions(n))))
         words = list(ch.signed_parking_functions(n))
         by_words = Counter((m, sinv, smaj) for m, sinv, _, smaj
-                           in map(ch.signed_stats, words))
+                           in map(signed_stats, words))
         brute = Counter((sum(x < 0 for x in s), *_brute_stats(s))
                         for s in words)
         assert walk == by_words == brute
@@ -151,7 +168,7 @@ def test_signed_weight_matches_signed_words():
         for w in parking_functions(n):
             by_words = Poly((monomial(x=m, q=smaj), (-1) ** m)
                             for m, _, _, smaj
-                            in map(ch.signed_stats, ch._signings(w)))
+                            in map(signed_stats, ch._signings(w)))
             assert ch.fsigma_signed_weight(w) == by_words
 
 
@@ -269,7 +286,7 @@ def test_schroder_roundtrip_and_sorted_no_inversions():
         assert len(set(words)) == len(words) == schroder[n]
         for enc in words:
             assert is_parking(map(abs, enc))
-            assert ch.signed_stats(tuple(sorted(enc)))[1] == 0
+            assert signed_stats(tuple(sorted(enc)))[1] == 0
 
 
 def test_schroder_encode_rejects_bad_paths():
@@ -315,14 +332,45 @@ def test_schroder_polynomial_rows():
     assert rows[0] == 1 + t
     assert rows[1] == 2 + 3 * t + t ** 2
     assert rows[2] == 5 + 10 * t + 6 * t ** 2 + t ** 3
+    # the top: P_8(t) holds by its three routes inside the call, and P_8(1)
+    # is the large Schroeder number of the cli's closed form
+    p8 = ch.schroder_polynomials(8)
+    assert p8.substitute("t", 1) == _large_schroder(8) == 41586
 
 
 def test_sorted_signed_pfs_against_brute_force():
     for n in range(1, 5):
         brute = sorted(s for s in ch.signed_parking_functions(n)
-                       if ch.signed_stats(s)[1] == 0)
+                       if signed_stats(s)[1] == 0)
         direct = sorted(ch._sorted_signed_pfs(n))
         assert brute == direct
+
+
+def test_minus_counts_read_signed_inversions():
+    # the lemma of schroder_polynomials: a signed word has no signed
+    # inversion exactly when it is nondecreasing with no negative letter
+    # repeated, both ways, on every signing of every parking function; and
+    # the streamed counts of a whole family are the counts word by word
+    kinds = set()
+    for n in range(5):
+        expected = Counter()
+        for v in ch.signed_parking_functions(n):
+            m, sinv, _, _ = signed_stats(v)
+            assert ch._minus_counts([v]) == {(sinv == 0, m): 1}, v
+            expected[sinv == 0, m] += 1
+            kinds.add(sinv == 0)
+        assert ch._minus_counts(ch.signed_parking_functions(n)) == expected
+    assert kinds == {True, False}
+
+
+def test_inverted_sorted_word_fails_the_words_route(monkeypatch):
+    # one sorted word reversed keeps its minus count, so only the inversion
+    # test sees it, at every size up to the top of 8
+    _plant_sorted_word_inverted(monkeypatch)
+    for n in range(2, 9):
+        with pytest.raises(AssertionError,
+                           match=rf"^the three routes to P_{n}\(t\) disagree$"):
+            ch.schroder_polynomials(n)
 
 
 def test_count_route_q0_matches_path_route():

@@ -16,7 +16,7 @@ import parkhopf
 from parkhopf import chars, combinat, hopf, lagrange, operad, symfun
 from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
                           _outcome, build_parser, main)
-from parkhopf.exact import LinComb
+from parkhopf.exact import LinComb, Poly
 
 
 def run(capsys, *argv):
@@ -194,6 +194,10 @@ def test_poly_outputs(capsys):
     assert code == 0 and out.strip() == "24,58,37,6"
     code, out = run(capsys, "poly", "--which", "pn-t", "--n", "3")
     assert out.strip() == "5 + 10t + 6t^2 + t^3"
+    # the top of schroder_polynomials, gated in tests/test_chars.py
+    code, out = run(capsys, "poly", "--which", "pn-t", "--n", "8")
+    assert code == 0 and out == ("1430 + 6435t + 12012t^2 + 12012t^3 + "
+                                 "6930t^4 + 2310t^5 + 420t^6 + 36t^7 + t^8\n")
     code, out = run(capsys, "poly", "--which", "narayana", "--n", "3")
     assert out.strip() == "1 + 3q + q^2"
     code, out = run(capsys, "poly", "--which", "pn-alpha", "--n", "2")
@@ -338,6 +342,32 @@ def _plant_schroder_path_dropped(monkeypatch):
     paths = chars.schroder_paths
     monkeypatch.setattr(chars, "schroder_paths",
                         lambda n: list(paths(n))[:-1])
+
+
+def _plant_sorted_word_inverted(monkeypatch):
+    # the last sorted word, n..1 all barred, comes reversed: its minus count
+    # is kept, so the three counts still agree and only the inversion test
+    # sees it
+    words = chars._sorted_signed_pfs
+
+    def last_reversed(n):
+        *rest, last = words(n)
+        return [*rest, last[::-1]]
+
+    monkeypatch.setattr(chars, "_sorted_signed_pfs", last_reversed)
+
+
+def _plant_signing_dropped(monkeypatch):
+    # the prefix walk loses the last signing of every word
+    stats = chars._signing_stats
+    monkeypatch.setattr(chars, "_signing_stats",
+                        lambda word: list(stats(word))[:-1])
+
+
+def _plant_qbinom_plus_qn(monkeypatch):
+    qbinom = chars._qbinom
+    monkeypatch.setattr(chars, "_qbinom", lambda n, k: (
+        qbinom(n, k) + Poly.var("q") ** n))
 
 
 def _plant_narayana_off_by_one(monkeypatch):
@@ -511,6 +541,10 @@ _FAULTS = [
     ("psi-alpha-checks", _plant_psi_without_factorial, False),
     ("chi-checks", _plant_istar_one_part, False),
     ("schroder-polynomial-routes", _plant_schroder_path_dropped, True),
+    ("schroder-polynomial-routes", _plant_sorted_word_inverted, True),
+    ("super-narayana-routes", _plant_signing_dropped, False),
+    ("signed-character", _plant_signing_dropped, False),
+    ("signed-character", _plant_qbinom_plus_qn, False),
     ("narayana-cross-check", _plant_narayana_off_by_one, False),
     ("f-unit-specialization", _plant_s_product_reversed, False),
     ("G-is-sum-of-all-ndpf", _plant_ndpf_dropped, False),
@@ -566,8 +600,7 @@ def test_rows_without_a_planted_fault():
             "dup-normal-form-counts", "shape-characterization",
             "f-closed-form", "g-closed-form",
             "g-symmetry", "phi-of-G", "q-basis-product",
-            "packed-evaluation-classes-are-intervals", "canopy-partition",
-            "super-narayana-routes", "signed-character"}
+            "packed-evaluation-classes-are-intervals", "canopy-partition"}
 
 
 @pytest.mark.parametrize("check, n", [
@@ -632,7 +665,7 @@ def _exit_code(argv):
     ["poly", "--which", "pn-alpha", "--n", "11"],
     ["poly", "--which", "qn", "--n", "1500"],
     ["table", "--which", "bar-distribution", "--n-max", "11"],
-    ["table", "--which", "a060693", "--n-max", "8"],
+    ["table", "--which", "a060693", "--n-max", "9"],
     ["series", "--which", "g", "--degree", "9"],
 ])
 def test_malformed_input_exits_2(capsys, argv):

@@ -194,6 +194,43 @@ def test_shifted_shuffle():
     assert len(out) == comb(4, 2)
 
 
+def _shuffle_oracle(a, b, shift):
+    """The interleavings of a and b shifted by ``shift``, letter by letter,
+    with a's positions in ``itertools.combinations`` order."""
+    a = tuple(a)
+    b = tuple(v + shift for v in b)
+    n, m = len(a), len(b)
+    out = []
+    for positions in itertools.combinations(range(n + m), n):
+        posset = set(positions)
+        word = []
+        ia = ib = 0
+        for i in range(n + m):
+            if i in posset:
+                word.append(a[ia])
+                ia += 1
+            else:
+                word.append(b[ib])
+                ib += 1
+        out.append(tuple(word))
+    return out
+
+
+def test_shifted_shuffle_against_oracle():
+    # the same list, order included, for every pair of words over 1..3 of
+    # at most 4 letters, at each shift the library uses, and with b given
+    # as a generator
+    small = [w for k in range(5) for w in itertools.product(range(1, 4),
+                                                             repeat=k)]
+    for a in small:
+        for shift in {0, len(a), max(a, default=1) - 1}:
+            for b in small:
+                expected = _shuffle_oracle(a, b, shift)
+                assert cb.shifted_shuffle(a, b, shift) == expected
+                assert cb.shifted_shuffle(iter(a), (v for v in b),
+                                          shift) == expected
+
+
 @given(st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple),
        st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple))
 def test_shuffle_multiset_size(u, v):
@@ -446,7 +483,7 @@ _BOUNDED = {
     "super_narayana_count": (6, chars.super_narayana_count),
     "super_narayana_sym": (6, chars.super_narayana_sym),
     "s_character_check": (4, chars.s_character_check),
-    "schroder_polynomials": (7, chars.schroder_polynomials),
+    "schroder_polynomials": (8, chars.schroder_polynomials),
     "bar_distribution": (10, chars.bar_distribution),
     "chi_sqsym": (7, chars.chi_sqsym),
     "pn_alpha": (10, chars.pn_alpha),
