@@ -3,29 +3,32 @@
 The generating functions of the paper are characters evaluated on the
 generic solution g_n of g = sum_k S_k g^k (`lagrange.solve_g`), through
 `symfun.evaluate` on the character's complete functions h_k: the binomial
-element (`psi_alpha`), the alphabet 1 - x (`lassalle_narayana`), and the
-alphabet (1-x)/(1-q), whose h_k are not polynomials and so are applied by
-the q-binomial theorem (`super_narayana_sym`).  On the algebras, the
-characters are `evaluate` after a morphism of `hopf`: psi after
+element (`psi_alpha`) and the alphabet 1 - x (`lassalle_narayana`).  The
+alphabet (1-x)/(1-q), whose h_k are not polynomials, is applied by the
+q-binomial theorem to the commutative image of g_n, one term per partition
+of n (`lagrange.g_partitions`, in `super_narayana_sym`).  On the algebras,
+the characters are `evaluate` after a morphism of `hopf`: psi after
 `morphism_psi`, chi after `istar_on_sqsym` and `symfun.R_to_S`.  Each has a
 second, combinatorial route: signed parking functions and their statistics,
 Dyck and Schroeder path encodings, the bars of quasi-ribbons, fixed pairs of
 parking functions, and the q-analogue triangle of (n+1)^(n-1).  The
-statistics of signed words come from one prefix walk over the signings of
-a word (`_signing_stats`); the words route of `schroder_polynomials` reads
-none, since a word has no signed inversion exactly when it is
-nondecreasing with no negative letter repeated.  A value raises
-AssertionError when its routes disagree; a check returns a bool.
+statistics of signed words come from a walk over the signings of a word,
+one `_signing_step` per letter; `super_narayana_count` walks the tree of
+prefixes of all its words, so each distinct prefix is stepped once.  The
+words route of `schroder_polynomials` reads no statistic, since a word has
+no signed inversion exactly when it is nondecreasing with no negative
+letter repeated.  A value raises AssertionError when its routes disagree;
+a check returns a bool.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import comb, factorial, prod
-from operator import add, eq, methodcaller, mul
+from operator import add, eq, methodcaller, mul, ne
 
 from . import hopf
 from .combinat import (_check_size, iter_parking_functions,
@@ -33,7 +36,7 @@ from .combinat import (_check_size, iter_parking_functions,
                        quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
-from .lagrange import solve_g
+from .lagrange import g_partitions, solve_g
 from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
 
 
@@ -69,9 +72,14 @@ def _beaten_by(b):
     return b.__le__ if b < 0 else b.__lt__
 
 
-def _signing_stats(word):
-    """(minus count, sinv, smaj) of each of the 2^len(word) signings of a
-    word, by one walk over its prefixes.
+# the state of the signings of the empty word: its letters signed +, its
+# letters signed -, the bit of each letter, and sinv and smaj of each signing
+_NO_SIGNING = ((), (), (), (0,), (0,))
+
+
+def _signing_step(state, x):
+    """The state of the signings of a word followed by the letter x, from
+    the state of the word's signings (`_NO_SIGNING` for the empty word).
 
     Letter j enters as +x or -x.  The new value adds to sinv the number of
     earlier values that beat it, and adds j to smaj when the value just
@@ -79,31 +87,35 @@ def _signing_stats(word):
     their sets of minus signs (bit i set: letter i is negative), so the
     earlier values that beat v in column k form the bit set
     pos ^ (k & (pos ^ neg)), where pos and neg hold the earlier letters that
-    beat v when signed + and when signed -.
+    beat v when signed + and when signed -.  A state is never changed, so
+    the words that share a prefix can share its state.
     """
-    sinv, smaj = [0], [0]
-    plus, minus, bits = [], [], []
-    for j, x in enumerate(word):
-        columns = range(1 << j)
-        next_sinv, next_smaj = [], []
-        for v in (x, -x):  # +x makes the first half of the new columns
-            beaten = _beaten_by(v)
-            pos = sum(itertools.compress(bits, map(beaten, plus)))
-            neg = sum(itertools.compress(bits, map(beaten, minus)))
-            beaters = map(pos.__xor__, map((pos ^ neg).__and__, columns))
-            next_sinv += map(add, sinv, map(int.bit_count, beaters))
-            if not j:
-                next_smaj += smaj
-                continue
-            # letter j-1 is signed + in the first half of the columns and
-            # - in the second, so the descent at j is fixed on each half
-            half = 1 << (j - 1)
-            for part, beats in ((smaj[:half], pos), (smaj[half:], neg)):
-                next_smaj += map(j.__add__, part) if beats & half else part
-        sinv, smaj = next_sinv, next_smaj
-        plus.append(x)
-        minus.append(-x)
-        bits.append(1 << j)
+    plus, minus, bits, sinv, smaj = state
+    j = len(plus)
+    columns = range(1 << j)
+    next_sinv, next_smaj = [], []
+    for v in (x, -x):  # +x makes the first half of the new columns
+        beaten = _beaten_by(v)
+        pos = sum(itertools.compress(bits, map(beaten, plus)))
+        neg = sum(itertools.compress(bits, map(beaten, minus)))
+        beaters = map(pos.__xor__, map((pos ^ neg).__and__, columns))
+        next_sinv += map(add, sinv, map(int.bit_count, beaters))
+        if not j:
+            next_smaj += smaj
+            continue
+        # letter j-1 is signed + in the first half of the columns and
+        # - in the second, so the descent at j is fixed on each half
+        half = 1 << (j - 1)
+        for part, beats in ((smaj[:half], pos), (smaj[half:], neg)):
+            next_smaj += map(j.__add__, part) if beats & half else part
+    return (plus + (x,), minus + (-x,), bits + (1 << j,), next_sinv,
+            next_smaj)
+
+
+def _signing_stats(word):
+    """(minus count, sinv, smaj) of each of the 2^len(word) signings of a
+    word, by one `_signing_step` per letter."""
+    *_, sinv, smaj = reduce(_signing_step, word, _NO_SIGNING)
     return zip(map(int.bit_count, range(1 << len(word))), sinv, smaj)
 
 
@@ -123,25 +135,37 @@ def _qbinom(n: int, k: int) -> Poly:
 def super_narayana_count(n: int) -> Poly:
     """Sum of t^(minus) q^(sinv) over all signed parking functions of length n.
 
-    The prefix walk `_signing_stats` compares the letters only with one
-    another, so the statistics of the signings of a parking function depend
-    only on its packed word.  Every parking function is packed and counted,
-    and each distinct packed word is walked once, its statistics weighted by
-    the number of parking functions that pack to it.  The same polynomial
-    with smaj in place of sinv is computed alongside and the equality of the
-    two distributions is asserted.
+    The signing walk compares the letters only with one another, so the
+    statistics of the signings of a parking function depend only on its
+    packed word.  Every parking function is packed and counted, and the
+    distinct packed words are walked in sorted order down a stack of prefix
+    states: a word pops the states past the prefix it shares with the word
+    before it and takes one `_signing_step` per letter after that prefix, so
+    each distinct prefix is stepped once.  The statistics of each word go
+    straight into the `Counter` of its multiplicity, the number of parking
+    functions that pack to it.  The same polynomial with smaj in place of
+    sinv is computed alongside and the equality of the two distributions is
+    asserted.
     """
     _check_size("super_narayana_count", n)
+    mults = Counter(map(pack, iter_parking_functions(n)))
+    minus = list(map(int.bit_count, range(1 << n)))
     # the packed words of each multiplicity share one Counter, which counts
     # the stream of their triples in C; the few hundred distinct triples are
     # then weighted and split into the two distributions
-    groups = {}
-    for word, mult in Counter(map(pack, iter_parking_functions(n))).items():
-        groups.setdefault(mult, []).append(word)
+    groups = defaultdict(Counter)
+    states, last = [_NO_SIGNING], ()
+    for word, mult in sorted(mults.items()):
+        shared = next(itertools.compress(itertools.count(),
+                                         map(ne, word, last)), 0)
+        del states[shared + 1:]
+        for x in word[shared:]:
+            states.append(_signing_step(states[-1], x))
+        *_, sinv, smaj = states[-1]
+        groups[mult].update(zip(minus, sinv, smaj))
+        last = word
     by_sinv, by_smaj = Counter(), Counter()
-    for mult, words in groups.items():
-        stats = Counter(itertools.chain.from_iterable(
-            map(_signing_stats, words)))
+    for mult, stats in groups.items():
         for (m, sinv, smaj), c in stats.items():
             by_sinv[m, sinv] += mult * c
             by_smaj[m, smaj] += mult * c
@@ -154,13 +178,16 @@ def super_narayana_sym(n: int) -> Poly:
     """The symmetric-function route: (q)_n times the commutative image of g_n
     on the alphabet (1-x)/(1-q), then x -> -t.
 
-    By the q-binomial theorem h_k((1-x)/(1-q)) = (x;q)_k / (q;q)_k, so for
-    g_n = sum_I c_I S^I
+    The commutative image is `g_partitions`, sum_lambda w_lambda h_lambda
+    over the partitions lambda of n.  By the q-binomial theorem
+    h_k((1-x)/(1-q)) = (x;q)_k / (q;q)_k, so
 
-        (q)_n g_n((1-x)/(1-q)) = sum_I c_I [n; I]_q prod_j (x;q)_(i_j),
+        (q)_n g_n((1-x)/(1-q)) = sum_lambda w_lambda [n; lambda]_q
+                                 prod_j (x;q)_(lambda_j),
 
-    with the q-multinomial [n; I]_q = (q)_n / prod_j (q)_(i_j) taken by exact
-    division.  Every step is a polynomial product or an exact quotient.
+    with the q-multinomial [n; lambda]_q = (q)_n / prod_j (q)_(lambda_j)
+    taken by exact division.  Every step is a polynomial product or an exact
+    quotient.
     """
     _check_size("super_narayana_sym", n)
     x, q = Poly.var("x"), Poly.var("q")
@@ -169,9 +196,9 @@ def super_narayana_sym(n: int) -> Poly:
     for k in range(n):
         x_poch.append(x_poch[-1] * (1 - x * q ** k))
     value = Poly.sum(
-        (poly_divexact(qfact[n], prod((qfact[i] for i in key), start=P_ONE))
-         * prod((x_poch[i] for i in key), start=P_ONE)).scale(c)
-        for key, c in solve_g(n)[n])
+        (poly_divexact(qfact[n], prod((qfact[i] for i in lam), start=P_ONE))
+         * prod((x_poch[i] for i in lam), start=P_ONE)).scale(w)
+        for lam, w in g_partitions(n))
     return value.substitute("x", -Poly.var("t"))
 
 
@@ -303,16 +330,20 @@ def _sorted_signed_pfs(n: int):
     """All signed parking functions with zero signed inversions.
 
     These are exactly the sorted words: distinct negative letters descending
-    in absolute value, then the positive letters ascending.
+    in absolute value, then the positive letters ascending.  Barring a
+    letter of an NDPF takes one copy off its run of equal letters, so the
+    words of each NDPF are built in one pass over its runs: each run extends
+    every word so far once with the run whole and once with it one copy
+    short, that copy barred in front.
     """
     for pi in ndpfs(n):
-        distinct = sorted(set(pi))
-        for r in range(len(distinct) + 1):
-            for negs in itertools.combinations(distinct, r):
-                remaining = list(pi)
-                for v in negs:
-                    remaining.remove(v)
-                yield tuple(-x for x in reversed(negs)) + tuple(remaining)
+        words = [((), ())]
+        for v, run in itertools.groupby(pi):
+            whole = tuple(run)
+            short = whole[1:]
+            words = ([(negs, pos + whole) for negs, pos in words]
+                     + [((-v,) + negs, pos + short) for negs, pos in words])
+        yield from itertools.starmap(add, words)
 
 
 def _minus_counts(words) -> Counter:

@@ -312,6 +312,16 @@ def _G_is_sum_of_all_ndpf(n: int) -> bool:
                         for t, term in lagrange.tree_terms(n).items())
 
 
+def _g_closed_forms(n: int) -> bool:
+    """g_k is its closed form, and its coefficients summed over the
+    compositions with the same parts are `lagrange.g_partitions`, for
+    k <= n."""
+    return all(lagrange.g_closed_form(k) == g_k
+               and g_k.map_keys(lambda key: tuple(sorted(key, reverse=True)))
+               == lagrange.g_partitions(k)
+               for k, g_k in enumerate(lagrange.solve_g(n)))
+
+
 def _iota_involution(k: int) -> bool:
     """iota is an involution on the ndpfs of size k, and conjugates their
     packed evaluations."""
@@ -384,9 +394,7 @@ _CHECKS = (
     ("lagrange", "f-closed-form", 6,
      lambda n: all(lagrange.f_closed_form(k) == f_k
                    for k, f_k in enumerate(lagrange.solve_f(n)))),
-    ("lagrange", "g-closed-form", 7,
-     lambda n: all(lagrange.g_closed_form(k) == g_k
-                   for k, g_k in enumerate(lagrange.solve_g(n)))),
+    ("lagrange", "g-closed-form", 7, _g_closed_forms),
     ("lagrange", "g-symmetry", 7, lambda n: lagrange.symmetry_of_g(n)),
     ("lagrange", "G-is-sum-of-all-ndpf", 7, _G_is_sum_of_all_ndpf),
     ("lagrange", "phi-of-G", 6, lambda n: lagrange.phi_of_G(n)),

@@ -12,8 +12,9 @@ functions and no polynomial gcds.
 Linear algebra is one sparse elimination routine on dict rows, `independent`:
 integral and rational vectors are eliminated over Python ints with
 fraction-free (Bareiss-style) updates, and the vectors that raise the rank
-are kept.  A span dimension is the number kept; a kernel dimension is the
-size of a basis less the span dimension of its images.
+are kept.  Each row pivots on its smallest key, so the keys of one call must
+be mutually comparable.  A span dimension is the number kept; a kernel
+dimension is the size of a basis less the span dimension of its images.
 """
 
 from __future__ import annotations
@@ -366,45 +367,45 @@ def independent(vectors: Iterable[LinComb]) -> list[LinComb]:
     vectors before them: a basis of the span, taken from the input.
 
     Coefficients must be `int` or `Fraction`; any other type raises
-    TypeError.  Each vector's denominators are cleared and its row is
-    reduced by sparse echelon insertion, with columns numbered in order of
-    first appearance, so no order on the keys is needed.  A row is reduced
-    by its leading (smallest) column against the stored pivot with that
-    leading column, until it is zero or leads in a column with no pivot,
-    where it is stored and its vector kept.  The update is fraction-free in
-    the style of Bareiss (1968), ``row = a*row - b*pivot`` with ``b/a`` the
-    ratio of the two leading entries in lowest terms, and pivots are kept
-    primitive.
+    TypeError.  The keys must be mutually comparable, since they order the
+    columns.  Each vector's denominators are cleared and its row is reduced
+    by sparse echelon insertion: a row is reduced by its leading (smallest)
+    key against the stored pivot with that leading key, until it is zero
+    or leads in a key with no pivot, where it is stored and its vector
+    kept.  Which vectors are kept does not depend on the column order, but
+    the fill-in does: on the coproduct rows of `hopf.primitive_dimension`
+    the smallest key makes far less of it than the first key met.  The
+    update is fraction-free in the style of Bareiss (1968),
+    ``row = a*row - b*pivot`` with ``b/a`` the ratio of the two leading
+    entries in lowest terms, and pivots are kept primitive.
     """
-    index: dict = {}
     pivots: dict = {}
     kept = []
     for v in vectors:
-        row = {index.setdefault(k, len(index)): c
-               for k, c in v.terms.items() if c}
+        row = {k: c for k, c in v.terms.items() if c}
         if not all(isinstance(c, (int, Fraction)) for c in row.values()):
             raise TypeError("independent needs int or Fraction "
                             f"coefficients, got {v!r}")
         d = lcm(*(c.denominator for c in row.values()))
-        row = {i: c.numerator * (d // c.denominator) for i, c in row.items()}
+        row = {k: c.numerator * (d // c.denominator) for k, c in row.items()}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 g = gcd(*row.values())
-                pivots[lead] = {c: x // g for c, x in row.items()}
+                pivots[lead] = {k: x // g for k, x in row.items()}
                 kept.append(v)
                 break
             a, b = pivot[lead], row[lead]
             g = gcd(a, b)
             a, b = a // g, b // g
-            new = {c: a * x for c, x in row.items()}
-            for c, x in pivot.items():
-                s = new.get(c, 0) - b * x
+            new = {k: a * x for k, x in row.items()}
+            for k, x in pivot.items():
+                s = new.get(k, 0) - b * x
                 if s:
-                    new[c] = s
+                    new[k] = s
                 else:
-                    del new[c]
+                    del new[k]
             row = new
     return kept
 

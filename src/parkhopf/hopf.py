@@ -114,13 +114,14 @@ def cqsym_expand_F(a: LinComb) -> LinComb:
 
 
 def dup_coproduct(a: LinComb) -> LinComb:
-    """The reduced duplicial coproduct on the P basis.
+    """The reduced duplicial coproduct on the P basis, whose keys are NDPFs.
 
     delta(P^pi) = sum over proper cuts k of
     P^park(prefix) (x) P^park(suffix starting at k+1); single letters are
-    primitive.
+    primitive.  A prefix of an NDPF is an NDPF, which parkize leaves as it
+    is, so only the suffix is parkized.
     """
-    return LinComb(((parkize(pi[:k]), parkize(pi[k:])), c)
+    return LinComb(((pi[:k], parkize(pi[k:])), c)
                    for pi, c in a for k in range(1, len(pi)))
 
 

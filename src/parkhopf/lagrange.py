@@ -1,5 +1,5 @@
 """Noncommutative Lagrange inversion: the graded series g, f, G, X; the
-bilinear map B; the bijection between binary trees and nondecreasing parking
+commutative image of g in closed form; the bilinear map B; the bijection between binary trees and nondecreasing parking
 functions; Tamari intervals; and the mirror involution.
 
 A series is the list of its degree components.  The components of g and f
@@ -13,7 +13,9 @@ generator S_0, written as the part 0 of a key; the ``extended`` flag of
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache, partial, reduce
+from math import factorial, prod
 
 from .combinat import (_check_size, binary_trees, canopy, comp_conjugate,
                        is_ndpf, ndpfs, packed_evaluation, tree_mirror,
@@ -71,6 +73,37 @@ def solve_f(order: int) -> list[LinComb]:
     extended by the degree-zero indeterminate S_0."""
     _check_size("solve_f", order)
     return _solve_degreewise(order, partial(_lagrange_rhs, extended=True))
+
+
+def _partitions(n: int, largest: int):
+    """The partitions of n with every part at most ``largest``, parts in
+    decreasing order, in decreasing lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def g_partitions(n: int) -> LinComb:
+    """The commutative image of g_n: the coefficients of ``solve_g(n)[n]``
+    summed over the compositions with the same parts, keyed by the
+    partition (parts in decreasing order).
+
+    By Lagrange inversion g_n goes to h_n((n+1)A)/(n+1) (Novelli-Thibon,
+    *Noncommutative symmetric functions and Lagrange inversion*, 2008), so
+    the partition lambda has the weight
+
+        w_lambda = n! / ((n+1-l(lambda))! prod_i m_i(lambda)!),
+
+    m_i the multiplicity of the part i: p(n) keys against 2^(n-1)
+    compositions.  A character that factors through Sym reads only these.
+    """
+    return LinComb(
+        (lam, factorial(n) // (factorial(n + 1 - len(lam)) * prod(
+            map(factorial, Counter(lam).values()))))
+        for lam in _partitions(n, n))
 
 
 def f_closed_form(n: int) -> LinComb:

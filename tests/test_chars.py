@@ -163,6 +163,39 @@ def test_grouped_count_matches_every_signing_walked():
             (monomial(t=m, q=j), c) for (m, j), c in by_sinv.items())
 
 
+def _count_by_whole_words(n):
+    """super_narayana_count with each distinct packed word walked whole by
+    `_signing_stats`, its (minus, sinv, smaj) triples weighted by the number
+    of parking functions that pack to it."""
+    stats = Counter()
+    for word, mult in Counter(map(pack, iter_parking_functions(n))).items():
+        for triple in ch._signing_stats(word):
+            stats[triple] += mult
+    return stats
+
+
+def test_prefix_walk_matches_the_whole_word_walks(monkeypatch):
+    steps = []
+    step = ch._signing_step
+    monkeypatch.setattr(ch, "_signing_step", lambda state, x: (
+        steps.append(x) or step(state, x)))
+    for n in range(7):
+        by_sinv, by_smaj = Counter(), Counter()
+        for (m, sinv, smaj), c in _count_by_whole_words(n).items():
+            by_sinv[m, sinv] += c
+            by_smaj[m, smaj] += c
+        assert by_sinv == by_smaj
+        steps.clear()
+        assert ch.super_narayana_count(n) == Poly(
+            (monomial(t=m, q=j), c) for (m, j), c in by_sinv.items())
+        # one step per distinct prefix of a packed word
+        words = set(map(pack, iter_parking_functions(n)))
+        prefixes = {w[:k] for w in words for k in range(1, n + 1)}
+        assert len(steps) == len(prefixes)
+        if n == 5:
+            assert (len(steps), len(words) * n) == (977, 2_705)
+
+
 def test_signed_weight_matches_signed_words():
     for n in range(5):
         for w in parking_functions(n):

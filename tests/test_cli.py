@@ -358,10 +358,17 @@ def _plant_sorted_word_inverted(monkeypatch):
 
 
 def _plant_signing_dropped(monkeypatch):
-    # the prefix walk loses the last signing of every word
-    stats = chars._signing_stats
-    monkeypatch.setattr(chars, "_signing_stats",
-                        lambda word: list(stats(word))[:-1])
+    # the first step of the signing walk drops the signing with the first
+    # letter barred; the count route and the signed weight both read it
+    step = chars._signing_step
+
+    def first_barred_dropped(state, x):
+        *letters, sinv, smaj = step(state, x)
+        if len(letters[0]) == 1:
+            return (*letters, sinv[:1], smaj[:1])
+        return (*letters, sinv, smaj)
+
+    monkeypatch.setattr(chars, "_signing_step", first_barred_dropped)
 
 
 def _plant_qbinom_plus_qn(monkeypatch):
@@ -379,6 +386,13 @@ def _plant_s_product_reversed(monkeypatch):
     # S^I S^J = S^(J.I): f and g are both solved with the faulty product
     s_product = lagrange.s_product
     monkeypatch.setattr(lagrange, "s_product", lambda a, b: s_product(b, a))
+
+
+def _plant_partition_weight_off_by_one(monkeypatch):
+    # the first partition, (n), weighs one more
+    partitions = lagrange.g_partitions
+    monkeypatch.setattr(lagrange, "g_partitions", lambda n: (
+        partitions(n) + LinComb.term((n,) if n else ())))
 
 
 def _plant_ndpf_dropped(monkeypatch):
@@ -547,6 +561,7 @@ _FAULTS = [
     ("signed-character", _plant_qbinom_plus_qn, False),
     ("narayana-cross-check", _plant_narayana_off_by_one, False),
     ("f-unit-specialization", _plant_s_product_reversed, False),
+    ("g-closed-form", _plant_partition_weight_off_by_one, False),
     ("G-is-sum-of-all-ndpf", _plant_ndpf_dropped, False),
     ("dup-eval-bijection", _plant_ndpf_dropped, False),
     ("tri-eval-bijection", _plant_quasi_ribbon_dropped, False),
@@ -598,8 +613,7 @@ def test_rows_without_a_planted_fault():
         - {check for check, _, _ in _FAULTS} == {
             "wqsym-tridendriform-span", "tri-normal-form-counts",
             "dup-normal-form-counts", "shape-characterization",
-            "f-closed-form", "g-closed-form",
-            "g-symmetry", "phi-of-G", "q-basis-product",
+            "f-closed-form", "g-symmetry", "phi-of-G", "q-basis-product",
             "packed-evaluation-classes-are-intervals", "canopy-partition"}
 
 

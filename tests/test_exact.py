@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+from parkhopf import hopf
+from parkhopf.combinat import ndpfs
 from parkhopf.exact import (LinComb, NotDivisibleError, Poly, independent,
                             monomial, poly_divexact, series_sqrt_expand,
                             span_dimension)
@@ -119,6 +122,72 @@ def test_independent_keeps_the_first_of_each_dependency():
     assert independent([]) == [] and independent([zero, zero]) == []
     # of two parallel vectors the first is kept, whichever it is
     assert independent([v.scale(-4), v]) == [v.scale(-4)]
+
+
+def _independent_by_first_appearance(vectors) -> list:
+    """The elimination of `independent` with the columns numbered in order
+    of first appearance, so the keys need no order: an oracle for which
+    vectors are kept."""
+    index, pivots, kept = {}, {}, []
+    for v in vectors:
+        row = {index.setdefault(k, len(index)): c
+               for k, c in v.terms.items() if c}
+        if not all(isinstance(c, (int, Fraction)) for c in row.values()):
+            raise TypeError(f"not int or Fraction: {v!r}")
+        d = lcm(*(c.denominator for c in row.values()))
+        row = {i: c.numerator * (d // c.denominator) for i, c in row.items()}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[lead] = {c: x // g for c, x in row.items()}
+                kept.append(v)
+                break
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            new = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                new[c] = new.get(c, 0) - b * x
+            row = {c: x for c, x in new.items() if x}
+    return kept
+
+
+def _same_vectors_kept(vectors) -> bool:
+    vectors = list(vectors)
+    return [id(v) for v in independent(vectors)] == \
+        [id(v) for v in _independent_by_first_appearance(vectors)]
+
+
+def test_independent_keeps_the_first_appearance_vectors_on_kernel_input():
+    # the coproduct rows of primitive_dimension, n <= 7
+    for n in range(1, 8):
+        assert _same_vectors_kept(
+            hopf.dup_coproduct(LinComb.term(pi)) for pi in ndpfs(n))
+    # the tridendriform products, each degree built on the kept bases
+    ops = (hopf.wqsym_left, hopf.wqsym_right, hopf.wqsym_mid)
+    bases = [[], [LinComb.term((1,))]]
+    for m in range(2, 6):
+        products = [op(u, v) for k in range(1, m) for u in bases[k]
+                    for v in bases[m - k] for op in ops]
+        assert _same_vectors_kept(products)
+        bases.append(independent(products))
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(0, 5), st.fractions(
+    min_value=-6, max_value=6, max_denominator=7)), max_size=6).map(LinComb),
+    max_size=8))
+def test_independent_keeps_the_first_appearance_vectors_on_fractions(vectors):
+    vectors += [v.scale(Fraction(-3, 2)) for v in vectors[::2]]
+    assert _same_vectors_kept(vectors)
+
+
+def test_independent_rejects_what_first_appearance_rejects():
+    for coeff in (1.5, Poly.var("q"), "1"):
+        vectors = [LinComb.term("k1", 1), LinComb.term("k2", coeff)]
+        for eliminate in (independent, _independent_by_first_appearance):
+            with pytest.raises(TypeError):
+                eliminate(vectors)
 
 
 def _dense_rank(vectors) -> int:

@@ -6,9 +6,9 @@ from functools import lru_cache
 import pytest
 
 from parkhopf.combinat import (NotInSubalgebraError, ndpfs, packed_words,
-                               parking_functions, permutations, quasi_ribbons,
-                               shifted_concat_len, shifted_concat_max,
-                               sort_ascending)
+                               parking_functions, parkize, permutations,
+                               quasi_ribbons, shifted_concat_len,
+                               shifted_concat_max, sort_ascending)
 from parkhopf.exact import LinComb
 from parkhopf import hopf, operad
 from parkhopf.symfun import ribbon_product, s_product
@@ -109,6 +109,15 @@ def test_dup_coproduct():
     pure = LinComb.term(((1,), (1,)))
     assert hopf.dup_coproduct(P((1, 1))) == pure
     assert hopf.dup_coproduct(P((1, 2))) == pure
+
+
+def test_dup_coproduct_against_parkizing_both_sides():
+    # a prefix of an NDPF is an NDPF, so parkizing it changes nothing
+    for n in range(8):
+        for pi in ndpfs(n):
+            assert hopf.dup_coproduct(P(pi)) == LinComb(
+                ((parkize(pi[:k]), parkize(pi[k:])), 1)
+                for k in range(1, n))
 
 
 def test_dup_bracket_values():

@@ -34,6 +34,18 @@ def test_g_counts_ndpf_by_packed_evaluation():
             assert g[n].coeff(comp) == count
 
 
+def test_g_partitions_is_the_grouped_solution():
+    g = lg.solve_g(8)
+    for n in range(1, 9):
+        grouped = g[n].map_keys(lambda key: tuple(sorted(key, reverse=True)))
+        assert lg.g_partitions(n) == grouped
+        # one key per partition, each weight a positive int
+        assert all(type(w) is int and w > 0 for _, w in lg.g_partitions(n))
+    assert [len(lg.g_partitions(n)) for n in range(13)] == \
+        [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    assert lg.g_partitions(0) == S(())
+
+
 def test_f_small_components():
     f = lg.solve_f(3)
     assert f[0] == S((0,))
