@@ -1,24 +1,23 @@
 """Characters and their combinatorial payloads.
 
 The generating functions of the paper are characters evaluated on the
-generic solution g_n of g = sum_k S_k g^k (`lagrange.solve_g`), through
-`symfun.evaluate` on the character's complete functions h_k: the binomial
-element (`psi_alpha`) and the alphabet 1 - x (`lassalle_narayana`).  The
-alphabet (1-x)/(1-q), whose h_k are not polynomials, is applied by the
-q-binomial theorem to the commutative image of g_n, one term per partition
-of n (`lagrange.g_partitions`, in `super_narayana_sym`).  On the algebras,
-the characters are `evaluate` after a morphism of `hopf`: psi after
-`morphism_psi`, chi after `istar_on_sqsym` and `symfun.R_to_S`.  Each has a
-second, combinatorial route: signed parking functions and their statistics,
-Dyck and Schroeder path encodings, the bars of quasi-ribbons, fixed pairs of
-parking functions, and the q-analogue triangle of (n+1)^(n-1).  The
-statistics of signed words come from a walk over the signings of a word,
-one `_signing_step` per letter; `super_narayana_count` walks the tree of
-prefixes of all its words, so each distinct prefix is stepped once.  The
-words route of `schroder_polynomials` reads no statistic, since a word has
-no signed inversion exactly when it is nondecreasing with no negative
-letter repeated.  A value raises AssertionError when its routes disagree;
-a check returns a bool.
+generic solution g_n of g = sum_k S_k g^k, read through its commutative
+image, one term per partition of n (`lagrange.g_partitions`): `evaluate` on
+the character's h_k gives the binomial element (`psi_alpha`) and the
+alphabet 1 - x (`lassalle_narayana`); the alphabet (1-x)/(1-q), whose h_k
+are not polynomials, goes by the q-binomial theorem (`super_narayana_sym`).
+On the algebras, the characters are `evaluate` after a morphism of `hopf`:
+psi after `morphism_psi`, chi after `istar_on_sqsym` and `symfun.R_to_S`.
+Each has a second, combinatorial route: signed parking functions and their
+statistics, Dyck and Schroeder path encodings, the bars of quasi-ribbons,
+fixed pairs of parking functions, and the q-analogue triangle of
+(n+1)^(n-1).  The statistics of signed words come from a walk over the
+signings of a word, one `_signing_step` per letter; `super_narayana_count`
+walks the tree of prefixes of all its words, so each distinct prefix is
+stepped once.  The words route of `schroder_polynomials` reads no statistic,
+since a word has no signed inversion exactly when it is nondecreasing with
+no negative letter repeated.  A value raises AssertionError when its routes
+disagree; a check returns a bool.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from operator import add, eq, methodcaller, mul, ne
 from . import hopf
 from .combinat import (_check_size, iter_parking_functions,
                        iter_quasi_ribbons, ndpfs, pack, parking_functions,
-                       quasi_ribbons, shifted_shuffle)
+                       permutations, quasi_ribbons, shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
-from .lagrange import g_partitions, solve_g
+from .lagrange import g_partitions
 from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
 
 
@@ -122,14 +121,15 @@ def _signing_stats(word):
 # -- super-Narayana polynomials --------------------------------------------------
 
 
-def _qfact(n: int) -> Poly:
-    """(q)_n = (1-q)(1-q^2)...(1-q^n)."""
+def _poch(a: Poly, k: int) -> Poly:
+    """The q-Pochhammer symbol (a;q)_k = (1-a)(1-aq)...(1-aq^(k-1))."""
     q = Poly.var("q")
-    return prod((1 - q ** k for k in range(1, n + 1)), start=P_ONE)
+    return prod((1 - a * q ** j for j in range(k)), start=P_ONE)
 
 
 def _qbinom(n: int, k: int) -> Poly:
-    return poly_divexact(_qfact(n), _qfact(k) * _qfact(n - k))
+    q = Poly.var("q")
+    return poly_divexact(_poch(q, n), _poch(q, k) * _poch(q, n - k))
 
 
 def super_narayana_count(n: int) -> Poly:
@@ -185,18 +185,15 @@ def super_narayana_sym(n: int) -> Poly:
         (q)_n g_n((1-x)/(1-q)) = sum_lambda w_lambda [n; lambda]_q
                                  prod_j (x;q)_(lambda_j),
 
-    with the q-multinomial [n; lambda]_q = (q)_n / prod_j (q)_(lambda_j)
-    taken by exact division.  Every step is a polynomial product or an exact
-    quotient.
+    with (q)_k = (q;q)_k and the q-multinomial
+    [n; lambda]_q = (q)_n / prod_j (q)_(lambda_j) taken by exact division.
+    Every step is a polynomial product or an exact quotient.
     """
     _check_size("super_narayana_sym", n)
     x, q = Poly.var("x"), Poly.var("q")
-    qfact = [_qfact(k) for k in range(n + 1)]
-    x_poch = [P_ONE]  # (x;q)_k = (1-x)(1-xq)...(1-xq^(k-1))
-    for k in range(n):
-        x_poch.append(x_poch[-1] * (1 - x * q ** k))
+    q_poch, x_poch = ([_poch(a, k) for k in range(n + 1)] for a in (q, x))
     value = Poly.sum(
-        (poly_divexact(qfact[n], prod((qfact[i] for i in lam), start=P_ONE))
+        (poly_divexact(q_poch[n], prod((q_poch[i] for i in lam), start=P_ONE))
          * prod((x_poch[i] for i in lam), start=P_ONE)).scale(w)
         for lam, w in g_partitions(n))
     return value.substitute("x", -Poly.var("t"))
@@ -231,17 +228,21 @@ def _shuffle_identity(a, b) -> bool:
 def s_character_check(n: int) -> bool:
     """The sign-spreading map composed with the signed-weight character.
 
-    Verifies `_shuffle_identity` for all pairs of parking functions of total
-    length n, and that the full degree-n sum reproduces the super-Narayana
-    polynomial at x = -t.
+    Verifies that the weight of each permutation of size n is q^maj at
+    x = 0 (maj the sum of its descent positions), `_shuffle_identity` for all
+    pairs of parking functions of total length n, and that the full degree-n
+    sum reproduces the super-Narayana polynomial at x = -t.
     """
     _check_size("s_character_check", n)
-    if not all(_shuffle_identity(a, b) for n1 in range(1, n)
-               for a in parking_functions(n1)
-               for b in parking_functions(n - n1)):
-        return False
-    total = Poly.sum(map(fsigma_signed_weight, parking_functions(n)))
-    return total.substitute("x", -Poly.var("t")) == super_narayana_count(n)
+    q, t = Poly.var("q"), Poly.var("t")
+    return (all(fsigma_signed_weight(s).substitute("x", 0)
+                == q ** sum(i for i in range(1, n) if s[i - 1] > s[i])
+                for s in permutations(n))
+            and all(_shuffle_identity(a, b) for n1 in range(1, n)
+                    for a in parking_functions(n1)
+                    for b in parking_functions(n - n1))
+            and Poly.sum(map(fsigma_signed_weight, parking_functions(n)))
+            .substitute("x", -t) == super_narayana_count(n))
 
 
 # -- Dyck and Schroeder paths ----------------------------------------------------
@@ -453,16 +454,9 @@ def chi_path_model_check(n: int) -> bool:
         npeaks, level_one = _peaks(p)
         if not level_one:
             by_peaks[npeaks] += 1
-    kmax = max(bar_counts, default=0)
-    for k in range(kmax + 2):
-        expected = bar_counts.get(k, 0)
-        if with_peak[k] != expected:
-            return False
-        if without_peak[k + 1] != expected:
-            return False
-        if by_peaks[k] != expected:
-            return False
-    return True
+    return all(with_peak[k] == without_peak[k + 1] == by_peaks[k]
+               == bar_counts.get(k, 0)
+               for k in range(max(bar_counts, default=0) + 2))
 
 
 def chi_sqsym(n: int) -> bool:
@@ -542,9 +536,10 @@ def psi_alpha(n: int) -> bool:
     """The binomial character psi_a is `evaluate` after `morphism_psi` with
     h_k = (a)_k the rising factorial, so psi_a(F_w) = Z_t(w)(a) / n!.
     Checks that n! psi_a of the degree-n sum and n! times the character on
-    g_n (h_k = (a)_k / k!) are `pn_alpha(n)`, multiplicativity on small
-    products, that i* (F_a -> F_std(a)) is an algebra morphism on the same
-    products, and (for n <= 5) the fixed-pair counts of its coefficients.
+    g_n (`evaluate` on `g_partitions(n)` with h_k = (a)_k / k!) are
+    `pn_alpha(n)`, multiplicativity on small products, that i*
+    (F_a -> F_std(a)) is an algebra morphism on the same products, and (for
+    n <= 5) the fixed-pair counts of its coefficients.
     """
     _check_size("psi_alpha", n)
     alpha = Poly.var("a")
@@ -555,8 +550,8 @@ def psi_alpha(n: int) -> bool:
 
     target = pn_alpha(n)
     total = psi(LinComb((w, 1) for w in parking_functions(n)))
-    on_g = evaluate(solve_g(n)[n], [r.scale(Fraction(1, factorial(k)))
-                                    for k, r in enumerate(rising)])
+    on_g = evaluate(g_partitions(n), [r.scale(Fraction(1, factorial(k)))
+                                      for k, r in enumerate(rising)])
     product, small = hopf.pqsym_product, min(n, 4)
     ok = (total.scale(factorial(n)) == target == on_g.scale(factorial(n))
           and hopf._is_morphism(parking_functions, product, psi, mul, small)
@@ -607,14 +602,14 @@ def q_triangle(n_max: int) -> list[list[int]]:
 
 def lassalle_narayana(n: int) -> Poly:
     """c_n(q) from the character 1 - x on g_n: by Lagrange inversion
-    evaluate(g_n, 1 - x) = h_n((n+1)(1-x))/(n+1); substitute x = 1-q and
-    divide by q.  The value is checked against the closed form
-    sum_j C(n+1, j) (-x)^j C(2n-j, n-j) / (n+1) of that h_n."""
+    `evaluate` on `g_partitions(n)` with h_k = 1 - x is h_n((n+1)(1-x))/(n+1);
+    substitute x = 1-q and divide by q.  The value is checked against the
+    closed form sum_j C(n+1, j) (-x)^j C(2n-j, n-j) / (n+1) of that h_n."""
     if n < 1:
         raise ValueError(f"lassalle_narayana needs n >= 1, got {n}")
     _check_size("lassalle_narayana", n)
     x, q = Poly.var("x"), Poly.var("q")
-    value = evaluate(solve_g(n)[n], [P_ONE] + [1 - x] * n)
+    value = evaluate(g_partitions(n), [P_ONE] + [1 - x] * n)
     closed = Poly((monomial(x=j), Fraction((-1) ** j * comb(n + 1, j)
                                            * comb(2 * n - j, n - j), n + 1))
                   for j in range(n + 1))

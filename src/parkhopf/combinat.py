@@ -30,11 +30,11 @@ from operator import itemgetter, le
 # "enumeration" bounds every enumerator here
 LIMITS = {
     # chars
-    "super_narayana_count": 6, "super_narayana_sym": 6,
+    "super_narayana_count": 6, "super_narayana_sym": 12,
     "s_character_check": 4,
     "schroder_polynomials": 8, "bar_distribution": 10, "chi_sqsym": 7,
     "pn_alpha": 10, "fixed_pair_counts": 5, "psi_alpha": 6,
-    "qn_polynomial": 10, "q_triangle": 10, "lassalle_narayana": 8,
+    "qn_polynomial": 10, "q_triangle": 10, "lassalle_narayana": 12,
     # lagrange
     "solve_g": 8, "solve_f": 8, "solve_G_cqsym": 8, "solve_X_fqsym": 8,
     "tamari_poset": 7, "tamari_interval_check": 7,
@@ -128,10 +128,6 @@ def packed_evaluation(w) -> tuple:
     return tuple(c for c in evaluation(w) if c)
 
 
-def sort_ascending(w) -> tuple:
-    return tuple(sorted(w))
-
-
 def shifted_concat_len(alpha, beta) -> tuple:
     """alpha . beta[k] with k = |alpha| (the bullet concatenation); beta is
     shifted by one ``map`` of ``k.__add__``."""
@@ -202,7 +198,7 @@ def hypoplactic_quasi_ribbon(a) -> tuple:
     """The hypoplactic class P(a): sorted word with bars at the recoils of std(a)."""
     if not is_parking(a):
         raise ValueError(f"not a parking function: {a}")
-    return sort_ascending(a), tuple(sorted(recoils(standardize(a))))
+    return tuple(sorted(a)), tuple(sorted(recoils(standardize(a))))
 
 
 # -- compositions ------------------------------------------------------------

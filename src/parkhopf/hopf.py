@@ -444,7 +444,7 @@ def _relations_hold(family, max_total: int, relations, lift=None) -> bool:
     return True
 
 
-def duplicial_axioms_cqsym(max_total: int = 6) -> bool:
+def duplicial_axioms_cqsym(max_total: int) -> bool:
     """Both associativities and (x>y)<z = x>(y<z) on the multiplicative basis."""
     prec, succ = shifted_concat_max, shifted_concat_len
     return _relations_hold(ndpfs, max_total, [
@@ -460,7 +460,7 @@ def cross_relation_fails_cqsym() -> bool:
     return lhs == (1, 1, 3) and rhs == (1, 1, 2) and lhs != rhs
 
 
-def duplicial_axioms_pqsym(max_total: int = 5) -> bool:
+def duplicial_axioms_pqsym(max_total: int) -> bool:
     """The normalized duplicial pair on parking words, on basis triples, and
     the Catalan subalgebra as a duplicial subalgebra: P^pi -> sum of F_a
     over the rearrangements a of pi sends < to the normalized < and > to
@@ -473,7 +473,7 @@ def duplicial_axioms_pqsym(max_total: int = 5) -> bool:
             for op, image in [(cqsym_prec, prec), (cqsym_succ, prod)])
 
 
-def triduplicial_axioms(max_total: int = 6) -> bool:
+def triduplicial_axioms(max_total: int) -> bool:
     """Three associativities and the four mixed relations on quasi-ribbons,
     with the three operations pairwise distinct on the generator: all seven
     relations also hold when two of them coincide."""
@@ -549,7 +549,7 @@ def _distinct_on_generator(pieces) -> bool:
         u != v for u, v in itertools.combinations(values, 2))
 
 
-def dendriform_axioms_fqsym(max_total: int = 6) -> bool:
+def dendriform_axioms_fqsym(max_total: int) -> bool:
     """(x<y)<z = x<(yz), (x>y)<z = x>(y<z) and (xy)>z = x>(y>z), proven for
     every triple of basis keys of total size <= max_total by
     `_relations_proven`, with the halves nonzero and distinct.  Naturality
@@ -562,7 +562,7 @@ def dendriform_axioms_fqsym(max_total: int = 6) -> bool:
             (prod, right, right, right)])
 
 
-def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
+def tridendriform_axioms_wqsym(max_total: int) -> bool:
     """The seven relations of the three-piece splitting on packed words,
     proven for every triple of basis keys of total size <= max_total by
     `_relations_proven`, with the thirds nonzero and distinct; and the
@@ -580,7 +580,7 @@ def tridendriform_axioms_wqsym(max_total: int = 5) -> bool:
                 max_total)
 
 
-def bialgebra_axiom_check(max_total: int = 5) -> bool:
+def bialgebra_axiom_check(max_total: int) -> bool:
     """delta(x*y) = x(x)y + sum x1 (x) (x2*y) + sum (x*y1) (x) y2
     for * in {<, >} on pairs of basis keys of total degree <= max_total."""
     for op in (cqsym_prec, cqsym_succ):
@@ -598,7 +598,7 @@ def bialgebra_axiom_check(max_total: int = 5) -> bool:
     return True
 
 
-def coassociativity_check(max_degree: int = 5) -> bool:
+def coassociativity_check(max_degree: int) -> bool:
     """(delta (x) id) delta = (id (x) delta) delta, flattened to triples."""
     for n in range(1, max_degree + 1):
         for pi in ndpfs(n):

@@ -54,8 +54,6 @@ _MODES = {
     "tri": (("<", ">", "o"), ((1,), ()),
             {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
 }
-DUP_OPS = _MODES["dup"][0]
-TRI_OPS = _MODES["tri"][0]
 
 
 def _mode(mode: str) -> tuple:

@@ -251,16 +251,22 @@ def test_counting_equals_symmetric_route():
             (ch.super_narayana_count(n) if n else Poly.const(1))
 
 
-def test_symmetric_route_at_six():
-    # gate P_6(t, q) by the counting route, by its q = 0 slice (Schroeder
-    # paths) and by its value at q = 1, the 2^6 7^5 signed parking functions
-    # counted by minus signs
-    p6 = ch.super_narayana_sym(6)
-    assert p6 == ch.super_narayana_count(6)
-    assert p6.substitute("q", 0) == ch.schroder_polynomials(6)
-    assert p6.substitute("q", 1) == (1 + t) ** 6 * 7 ** 5
-    with pytest.raises(ValueError):
-        ch.super_narayana_sym(7)
+def test_symmetric_route_to_twelve():
+    # gate P_n(t, q) up to its top by its value at q = 1, the 2^n (n+1)^(n-1)
+    # signed parking functions counted by minus signs, by its q = 0 slice,
+    # the closed form of the Schroeder polynomial P_n(t), and by the
+    # counting route for n <= 6
+    for n in range(1, 13):
+        pn = ch.super_narayana_sym(n)
+        assert pn.substitute("q", 1) == (1 + t) ** n * (n + 1) ** (n - 1)
+        assert pn.substitute("q", 0) == sum(
+            (Fraction(comb(n + 1, j) * comb(2 * n - j, n - j), n + 1) * t ** j
+             for j in range(n + 1)), Poly.const(0))
+        if n <= 6:
+            assert pn == ch.super_narayana_count(n)
+    with pytest.raises(ValueError,
+                       match="super_narayana_sym supports n <= 12, got 13"):
+        ch.super_narayana_sym(13)
 
 
 def test_signed_weight_base_case():
@@ -546,27 +552,28 @@ def test_lassalle_narayana():
     for n in range(1, 6):
         via_paths = ch.narayana_from_pn(ch.schroder_polynomials(n))
         assert ch.lassalle_narayana(n) == via_paths.substitute("t", q)
-    # n = 8: the Narayana numbers C(8,k) C(8,k-1) / 8, and Catalan at q = 1
-    c8 = ch.lassalle_narayana(8)
-    assert c8.coeff_row("q") == [1, 28, 196, 490, 490, 196, 28, 1]
-    assert c8.substitute("q", 1) == 1430
+    # up to the top: the Narayana numbers C(n,k) C(n,k-1) / n, and Catalan
+    # at q = 1
+    for n in range(1, 13):
+        cn = ch.lassalle_narayana(n)
+        assert cn.coeff_row("q") == [comb(n, k) * comb(n, k - 1) // n
+                                     for k in range(1, n + 1)]
+        assert cn.substitute("q", 1) == comb(2 * n, n) // (n + 1)
     for n in (0, -1):
         with pytest.raises(ValueError, match="n >= 1"):
             ch.lassalle_narayana(n)
     with pytest.raises(ValueError,
-                       match="lassalle_narayana supports n <= 8, got 9"):
-        ch.lassalle_narayana(9)
+                       match="lassalle_narayana supports n <= 12, got 13"):
+        ch.lassalle_narayana(13)
 
 
 def test_narayana_vs_bar_distribution():
-    # lassalle_narayana gates bar_distribution up to its top size, and the
-    # Narayana closed form sum_p N(n, p) (1+t)^(p-1) beyond it
-    for n in range(1, 9):
-        cn = ch.lassalle_narayana(n)
-        assert ch.bar_distribution(n) == cn.substitute("q", 1 + t)
+    # lassalle_narayana and the Narayana closed form
+    # sum_p N(n, p) (1+t)^(p-1) both gate bar_distribution up to its top
     for n in range(1, 11):
         closed = sum((comb(n, p) * comb(n, p - 1) // n * (1 + t) ** (p - 1)
                       for p in range(1, n + 1)), Poly.const(0))
-        assert ch.bar_distribution(n) == closed
+        assert ch.bar_distribution(n) == closed \
+            == ch.lassalle_narayana(n).substitute("q", 1 + t)
     with pytest.raises(ValueError, match="n <= 10"):
         ch.bar_distribution(11)

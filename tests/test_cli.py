@@ -371,6 +371,18 @@ def _plant_signing_dropped(monkeypatch):
     monkeypatch.setattr(chars, "_signing_step", first_barred_dropped)
 
 
+def _plant_smaj_reads_sinv(monkeypatch):
+    # every signing step gives sinv in place of smaj: the two distributions
+    # of the count route then agree trivially
+    step = chars._signing_step
+
+    def sinv_as_smaj(state, x):
+        *letters, sinv, _ = step(state, x)
+        return (*letters, sinv, sinv)
+
+    monkeypatch.setattr(chars, "_signing_step", sinv_as_smaj)
+
+
 def _plant_qbinom_plus_qn(monkeypatch):
     qbinom = chars._qbinom
     monkeypatch.setattr(chars, "_qbinom", lambda n, k: (
@@ -389,10 +401,15 @@ def _plant_s_product_reversed(monkeypatch):
 
 
 def _plant_partition_weight_off_by_one(monkeypatch):
-    # the first partition, (n), weighs one more
+    # the first partition, (n), weighs one more, in lagrange and in the
+    # characters that import it
     partitions = lagrange.g_partitions
-    monkeypatch.setattr(lagrange, "g_partitions", lambda n: (
-        partitions(n) + LinComb.term((n,) if n else ())))
+
+    def off_by_one(n):
+        return partitions(n) + LinComb.term((n,) if n else ())
+
+    monkeypatch.setattr(lagrange, "g_partitions", off_by_one)
+    monkeypatch.setattr(chars, "g_partitions", off_by_one)
 
 
 def _plant_ndpf_dropped(monkeypatch):
@@ -558,8 +575,11 @@ _FAULTS = [
     ("schroder-polynomial-routes", _plant_sorted_word_inverted, True),
     ("super-narayana-routes", _plant_signing_dropped, False),
     ("signed-character", _plant_signing_dropped, False),
+    ("signed-character", _plant_smaj_reads_sinv, False),
     ("signed-character", _plant_qbinom_plus_qn, False),
     ("narayana-cross-check", _plant_narayana_off_by_one, False),
+    ("narayana-cross-check", _plant_partition_weight_off_by_one, True),
+    ("psi-alpha-checks", _plant_partition_weight_off_by_one, False),
     ("f-unit-specialization", _plant_s_product_reversed, False),
     ("g-closed-form", _plant_partition_weight_off_by_one, False),
     ("G-is-sum-of-all-ndpf", _plant_ndpf_dropped, False),
@@ -677,6 +697,8 @@ def _exit_code(argv):
     ["bijection", "--direction", "tree-to-ndpf", "--input", _DEEP_TREE],
     ["bijection", "--direction", "dyck-encode", "--input", "u" * 501],
     ["poly", "--which", "pn-alpha", "--n", "11"],
+    ["poly", "--which", "super-narayana", "--n", "13"],
+    ["poly", "--which", "narayana", "--n", "13"],
     ["poly", "--which", "qn", "--n", "1500"],
     ["table", "--which", "bar-distribution", "--n-max", "11"],
     ["table", "--which", "a060693", "--n-max", "9"],
@@ -690,6 +712,20 @@ def test_malformed_input_exits_2(capsys, argv):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.count("error:") == 1
+
+
+@pytest.mark.parametrize("which, row", [
+    ("super-narayana", "super_narayana_sym"),
+    ("narayana", "lassalle_narayana")])
+def test_character_poly_at_its_top(capsys, which, row):
+    # n = 12 is the top of the row, gated in tests/test_chars.py; 13 is
+    # rejected with the row's name
+    code, out = run(capsys, "poly", "--which", which, "--n", "12")
+    assert code == 0 and out.count("\n") == 1
+    assert _exit_code(["poly", "--which", which, "--n", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{row} supports n <= 12, got 13" in captured.err
 
 
 def test_bijection_input_at_the_bound(capsys):

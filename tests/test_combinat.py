@@ -167,7 +167,6 @@ def test_pack_and_evaluations():
     assert cb.pack((2, 4, 4)) == (1, 2, 2)
     assert cb.evaluation((1, 1, 3)) == (2, 0, 1)
     assert cb.packed_evaluation((1, 2, 2)) == (1, 2)
-    assert cb.sort_ascending((3, 1, 2)) == (1, 2, 3)
     assert cb.evaluation(()) == ()
 
 
@@ -481,7 +480,7 @@ def test_enumeration_cap():
 # each row of LIMITS: its top, and a call of the function it bounds at size n
 _BOUNDED = {
     "super_narayana_count": (6, chars.super_narayana_count),
-    "super_narayana_sym": (6, chars.super_narayana_sym),
+    "super_narayana_sym": (12, chars.super_narayana_sym),
     "s_character_check": (4, chars.s_character_check),
     "schroder_polynomials": (8, chars.schroder_polynomials),
     "bar_distribution": (10, chars.bar_distribution),
@@ -491,7 +490,7 @@ _BOUNDED = {
     "psi_alpha": (6, chars.psi_alpha),
     "qn_polynomial": (10, chars.qn_polynomial),
     "q_triangle": (10, chars.q_triangle),
-    "lassalle_narayana": (8, chars.lassalle_narayana),
+    "lassalle_narayana": (12, chars.lassalle_narayana),
     "solve_g": (8, lagrange.solve_g),
     "solve_f": (8, lagrange.solve_f),
     "solve_G_cqsym": (8, lagrange.solve_G_cqsym),

@@ -8,7 +8,7 @@ import pytest
 from parkhopf.combinat import (NotInSubalgebraError, ndpfs, packed_words,
                                parking_functions, parkize, permutations,
                                quasi_ribbons, shifted_concat_len,
-                               shifted_concat_max, sort_ascending)
+                               shifted_concat_max)
 from parkhopf.exact import LinComb
 from parkhopf import hopf, operad
 from parkhopf.symfun import ribbon_product, s_product
@@ -34,7 +34,7 @@ def pqsym_project_P(a: LinComb) -> LinComb:
     each class met is whole with one coefficient."""
     groups: dict = {}
     for w, c in a:
-        groups.setdefault(sort_ascending(w), {})[w] = c
+        groups.setdefault(tuple(sorted(w)), {})[w] = c
     for pi, members in groups.items():
         if set(members) != set(itertools.permutations(pi)) \
                 or len(set(members.values())) != 1:

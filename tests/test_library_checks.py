@@ -2,8 +2,9 @@
 ``python -O``, verify sizes clamped in one place, the rewrite and series
 walks written once, one element format for every algebra, one table of
 size limits, one operad evaluation walk, a library caller for every public
-function of every module, and a caller outside their module for the
-morphisms through which the characters are applied."""
+function of every module, a caller outside their module for the
+morphisms through which the characters are applied, and one route from
+the generic solution into the characters."""
 
 import ast
 import pathlib
@@ -168,3 +169,12 @@ def test_character_morphisms_have_a_caller_outside_their_module():
                          ("symfun.py", "R_to_S")]:
         assert any(used == name and where_module != module
                    for where_module, _, used in uses), name
+
+
+def test_characters_read_g_through_its_partitions():
+    # the composition route solve_g is not named in chars at all, so every
+    # character reads g_n through its commutative image
+    path = next(p for p in SOURCES if p.name == "chars.py")
+    assert "solve_g" not in path.read_text()
+    assert any(module == "chars.py" and used == "g_partitions"
+               for module, _, used in _uses_by_definition())

@@ -40,9 +40,11 @@ def test_rewrite_preserves_evaluation():
                     assert op.eval_tree(t, mode) == op.eval_tree(s, mode)
 
 
-# the oriented rules as (root op, left-child op) pairs, from the module docs
-_RULES = {(r, l) for r in op.TRI_OPS for l in op.TRI_OPS} - {("o", "<"),
-                                                             (">", "<")}
+# the operations of each mode, and the oriented rules as (root op,
+# left-child op) pairs, from the module docs
+_OPS = {"dup": ("<", ">"), "tri": ("<", ">", "o")}
+_RULES = {(r, l) for r in _OPS["tri"] for l in _OPS["tri"]} - {("o", "<"),
+                                                               (">", "<")}
 
 
 def _one_step_rewrites(t):
@@ -98,7 +100,7 @@ def test_rewrite_termination_sampled_at_larger_sizes():
     import random
     rng = random.Random(1234)
     for mode, n in (("tri", 7), ("tri", 8), ("dup", 8), ("dup", 10)):
-        ops = op.TRI_OPS if mode == "tri" else op.DUP_OPS
+        ops = _OPS[mode]
         for _ in range(400):
             _steps_to_normal(_random_tree(rng, ops, n), n ** 3)
 
