@@ -12,12 +12,15 @@ Each has a second, combinatorial route: signed parking functions and their
 statistics, Dyck and Schroeder path encodings, the bars of quasi-ribbons,
 fixed pairs of parking functions, and the q-analogue triangle of
 (n+1)^(n-1).  The statistics of signed words come from a walk over the
-signings of a word, one `_signing_step` per letter; `super_narayana_count`
-walks the tree of prefixes of all its words, so each distinct prefix is
-stepped once.  The words route of `schroder_polynomials` reads no statistic,
-since a word has no signed inversion exactly when it is nondecreasing with
-no negative letter repeated.  A value raises AssertionError when its routes
-disagree; a check returns a bool.
+signings of a word, one `_signing_step` per letter, which holds sinv and
+smaj of all signings in the byte lanes of two ints; `super_narayana_count`
+walks the tree of prefixes of the packed words, so each distinct prefix is
+stepped once, and weights each word by the number of parking functions
+that pack to it, counted from its evaluation.  The words route of
+`schroder_polynomials` reads no statistic, since a word has no signed
+inversion exactly when it is nondecreasing with no negative letter
+repeated.  A value raises AssertionError when its routes disagree; a check
+returns a bool.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, reduce
 from math import comb, factorial, prod
-from operator import add, eq, methodcaller, mul, ne
+from operator import add, eq, gt, methodcaller, mul, ne
 
 from . import hopf
-from .combinat import (_check_size, iter_parking_functions,
-                       iter_quasi_ribbons, ndpfs, pack, parking_functions,
-                       permutations, quasi_ribbons, shifted_shuffle)
+from .combinat import (_check_size, evaluation, iter_packed_words,
+                       iter_parking_functions, iter_quasi_ribbons, ndpfs,
+                       parking_functions, permutations, quasi_ribbons,
+                       shifted_shuffle)
 from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
                     series_sqrt_expand)
 from .lagrange import g_partitions
@@ -64,58 +68,76 @@ def signed_parking_functions(n: int):
         map(_signings, iter_parking_functions(n)))
 
 
-def _beaten_by(b):
-    """The test of an earlier signed value a against a later one b: a beats
-    b when a > b, or when a == b and the common sign is negative.  It is a
-    bound comparison, so that ``map`` runs it without a Python call."""
-    return b.__le__ if b < 0 else b.__lt__
+# The statistics of all signings of a word are kept in byte lanes: byte k
+# of an int holds the statistic of signing k, the signing whose set of
+# barred letters is the bit set k (bit i set: letter i is -).  Both sinv and
+# smaj of a word of n letters are at most C(n, 2), below 256 up to n = 23.
 
 
-# the state of the signings of the empty word: its letters signed +, its
-# letters signed -, the bit of each letter, and sinv and smaj of each signing
-_NO_SIGNING = ((), (), (), (0,), (0,))
+@cache
+def _sinv_increments(j: int, above: int) -> int:
+    """The lanes of what letter j adds to sinv, given the bit set ``above``
+    of the earlier letters greater than it.
+
+    In column k, +x is beaten by the earlier letters above it that are not
+    barred, and -x by the earlier letters signed + and the barred ones not
+    above it; with p the number of barred letters above x, these are
+    |above| - p and j - p."""
+    barred_above = [(k & above).bit_count() for k in range(1 << j)]
+    n_above = above.bit_count()
+    return int.from_bytes(bytes([n_above - p for p in barred_above]
+                                + [j - p for p in barred_above]), "little")
+
+
+@cache
+def _smaj_increments(j: int, last_above: bool) -> int:
+    """The lanes of what letter j adds to smaj: j in the columns where the
+    letter before it beats it.  That letter is + in the first half of the
+    columns and - in the second.  It beats +x when it is + and above x,
+    and beats -x when it is + or is - and not above x."""
+    if not j:
+        return 0
+    half = [j] * (1 << (j - 1))
+    none = [0] * len(half)
+    lanes = ((half if last_above else none) + none + half
+             + (none if last_above else half))
+    return int.from_bytes(bytes(lanes), "little")
+
+
+# the state of the signings of the empty word: its letters, the bit of each
+# letter, and the sinv and smaj lanes of its one signing
+_NO_SIGNING = ((), (), 0, 0)
 
 
 def _signing_step(state, x):
     """The state of the signings of a word followed by the letter x, from
     the state of the word's signings (`_NO_SIGNING` for the empty word).
 
-    Letter j enters as +x or -x.  The new value adds to sinv the number of
+    Letter j enters as +x or -x, which doubles the columns: +x keeps column
+    k and -x makes column k + 2^j.  The new value adds to sinv the number of
     earlier values that beat it, and adds j to smaj when the value just
-    before it beats it.  The signings of a prefix are columns numbered by
-    their sets of minus signs (bit i set: letter i is negative), so the
-    earlier values that beat v in column k form the bit set
-    pos ^ (k & (pos ^ neg)), where pos and neg hold the earlier letters that
-    beat v when signed + and when signed -.  A state is never changed, so
-    the words that share a prefix can share its state.
+    before it beats it, where a beats b when a > b, or a == b and both are
+    negative.  So a statistic becomes ``stat * (1 + 2^(8*2^j))`` plus its
+    increments, cached per (j, the earlier letters above x) for sinv and
+    per (j, whether the last letter is above x) for smaj.  A state is never
+    changed, so the words that share a prefix can share its state.
     """
-    plus, minus, bits, sinv, smaj = state
-    j = len(plus)
-    columns = range(1 << j)
-    next_sinv, next_smaj = [], []
-    for v in (x, -x):  # +x makes the first half of the new columns
-        beaten = _beaten_by(v)
-        pos = sum(itertools.compress(bits, map(beaten, plus)))
-        neg = sum(itertools.compress(bits, map(beaten, minus)))
-        beaters = map(pos.__xor__, map((pos ^ neg).__and__, columns))
-        next_sinv += map(add, sinv, map(int.bit_count, beaters))
-        if not j:
-            next_smaj += smaj
-            continue
-        # letter j-1 is signed + in the first half of the columns and
-        # - in the second, so the descent at j is fixed on each half
-        half = 1 << (j - 1)
-        for part, beats in ((smaj[:half], pos), (smaj[half:], neg)):
-            next_smaj += map(j.__add__, part) if beats & half else part
-    return (plus + (x,), minus + (-x,), bits + (1 << j,), next_sinv,
-            next_smaj)
+    word, bits, sinv, smaj = state
+    j = len(word)
+    spread = 1 + (1 << (8 << j))  # copies the 2^j lanes into the next 2^j
+    above = sum(itertools.compress(bits, map(x.__lt__, word)))
+    return (word + (x,), bits + (1 << j,),
+            sinv * spread + _sinv_increments(j, above),
+            smaj * spread + _smaj_increments(j, j > 0 and word[-1] > x))
 
 
 def _signing_stats(word):
     """(minus count, sinv, smaj) of each of the 2^len(word) signings of a
-    word, by one `_signing_step` per letter."""
+    word, by one `_signing_step` per letter, the lanes read as bytes."""
     *_, sinv, smaj = reduce(_signing_step, word, _NO_SIGNING)
-    return zip(map(int.bit_count, range(1 << len(word))), sinv, smaj)
+    size = 1 << len(word)
+    return zip(map(int.bit_count, range(size)), sinv.to_bytes(size, "little"),
+               smaj.to_bytes(size, "little"))
 
 
 # -- super-Narayana polynomials --------------------------------------------------
@@ -132,37 +154,60 @@ def _qbinom(n: int, k: int) -> Poly:
     return poly_divexact(_poch(q, n), _poch(q, k) * _poch(q, n - k))
 
 
+@cache
+def _packings(ev: tuple) -> int:
+    """The number of parking functions that pack to a packed word of
+    evaluation ev = (c_1, ..., c_m): the letters v_1 < ... < v_m that its
+    letters 1..m become must satisfy v_1 = 1 and
+    v_i <= 1 + c_1 + ... + c_(i-1).  Counted by v_i, one letter at a time.
+    """
+    ways, top = [0, 1], 1  # ways[v]: the choices so far with last letter v
+    for c in ev[:-1]:
+        top += c
+        below = list(itertools.accumulate(ways))
+        ways = [0] + below + below[-1:] * (top - len(ways))
+    return sum(ways)
+
+
 def super_narayana_count(n: int) -> Poly:
     """Sum of t^(minus) q^(sinv) over all signed parking functions of length n.
 
     The signing walk compares the letters only with one another, so the
     statistics of the signings of a parking function depend only on its
-    packed word.  Every parking function is packed and counted, and the
-    distinct packed words are walked in sorted order down a stack of prefix
-    states: a word pops the states past the prefix it shares with the word
-    before it and takes one `_signing_step` per letter after that prefix, so
-    each distinct prefix is stepped once.  The statistics of each word go
-    straight into the `Counter` of its multiplicity, the number of parking
-    functions that pack to it.  The same polynomial with smaj in place of
-    sinv is computed alongside and the equality of the two distributions is
-    asserted.
+    packed word, and every packed word is the packing of at least one
+    parking function.  The packed words are walked in order down a stack of
+    prefix states: a word pops the states past the prefix it shares with
+    the word before it and takes one `_signing_step` per letter after that
+    prefix, so each distinct prefix is stepped once.  The statistics of each
+    word go straight into the `Counter` of its multiplicity, the number of
+    parking functions that pack to it (`_packings` of its evaluation).  The
+    same polynomial with smaj in place of sinv is computed alongside and
+    the equality of the two distributions is asserted, as is smaj = maj of
+    the word in the signing with no bar.
     """
     _check_size("super_narayana_count", n)
-    mults = Counter(map(pack, iter_parking_functions(n)))
-    minus = list(map(int.bit_count, range(1 << n)))
+    size = 1 << n
+    minus = list(map(int.bit_count, range(size)))
+    descents = range(1, n)
     # the packed words of each multiplicity share one Counter, which counts
     # the stream of their triples in C; the few hundred distinct triples are
     # then weighted and split into the two distributions
     groups = defaultdict(Counter)
     states, last = [_NO_SIGNING], ()
-    for word, mult in sorted(mults.items()):
+    for word in iter_packed_words(n):
         shared = next(itertools.compress(itertools.count(),
                                          map(ne, word, last)), 0)
         del states[shared + 1:]
         for x in word[shared:]:
             states.append(_signing_step(states[-1], x))
         *_, sinv, smaj = states[-1]
-        groups[mult].update(zip(minus, sinv, smaj))
+        # lane 0 is the signing with no bar, where smaj is the major index
+        if smaj & 255 != sum(itertools.compress(descents,
+                                                 map(gt, word, word[1:]))):
+            raise AssertionError(f"smaj of {word} unbarred is not its maj")
+        groups[_packings(evaluation(word))].update(zip(
+            minus, sinv.to_bytes(size, "little"),
+            smaj.to_bytes(size, "little")))
         last = word
     by_sinv, by_smaj = Counter(), Counter()
     for mult, stats in groups.items():

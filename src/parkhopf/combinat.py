@@ -30,7 +30,7 @@ from operator import itemgetter, le
 # "enumeration" bounds every enumerator here
 LIMITS = {
     # chars
-    "super_narayana_count": 6, "super_narayana_sym": 12,
+    "super_narayana_count": 7, "super_narayana_sym": 12,
     "s_character_check": 4,
     "schroder_polynomials": 8, "bar_distribution": 10, "chi_sqsym": 7,
     "pn_alpha": 10, "fixed_pair_counts": 5, "psi_alpha": 6,
@@ -105,12 +105,6 @@ def standardize(w) -> tuple:
     for rank, i in enumerate(order, start=1):
         std[i] = rank
     return tuple(std)
-
-
-def pack(w) -> tuple:
-    """Relabel the occurring letters b_1 < ... < b_r to 1..r."""
-    relabel = {b: i for i, b in enumerate(sorted(set(w)), start=1)}
-    return tuple(relabel[v] for v in w)
 
 
 def evaluation(w) -> tuple:

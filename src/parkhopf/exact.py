@@ -362,16 +362,17 @@ class LinComb:
 # -- exact linear algebra ----------------------------------------------------
 
 
-def independent(vectors: Iterable[LinComb]) -> list[LinComb]:
+def independent(vectors: list[LinComb]) -> list[LinComb]:
     """The vectors, in input order, that are not in the span over Q of the
     vectors before them: a basis of the span, taken from the input.
 
     Coefficients must be `int` or `Fraction`; any other type raises
-    TypeError.  The keys must be mutually comparable, since they order the
-    columns.  Each vector's denominators are cleared and its row is reduced
-    by sparse echelon insertion: a row is reduced by its leading (smallest)
-    key against the stored pivot with that leading key, until it is zero
-    or leads in a key with no pivot, where it is stored and its vector
+    TypeError.  The keys must be mutually comparable: they are numbered
+    once, in sorted order, and the rows are held on those column numbers.
+    Each vector's denominators are cleared and its row is reduced by sparse
+    echelon insertion: a row is reduced by its leading (smallest) column
+    against the stored pivot with that leading column, until it is zero or
+    leads in a column with no pivot, where it is stored and its vector
     kept.  Which vectors are kept does not depend on the column order, but
     the fill-in does: on the coproduct rows of `hopf.primitive_dimension`
     the smallest key makes far less of it than the first key met.  The
@@ -379,10 +380,12 @@ def independent(vectors: Iterable[LinComb]) -> list[LinComb]:
     ``row = a*row - b*pivot`` with ``b/a`` the ratio of the two leading
     entries in lowest terms, and pivots are kept primitive.
     """
+    column = {k: i for i, k in enumerate(sorted(
+        {k for v in vectors for k in v.terms}))}
     pivots: dict = {}
     kept = []
     for v in vectors:
-        row = {k: c for k, c in v.terms.items() if c}
+        row = {column[k]: c for k, c in v.terms.items() if c}
         if not all(isinstance(c, (int, Fraction)) for c in row.values()):
             raise TypeError("independent needs int or Fraction "
                             f"coefficients, got {v!r}")
@@ -412,7 +415,7 @@ def independent(vectors: Iterable[LinComb]) -> list[LinComb]:
 
 def span_dimension(vectors: Iterable[LinComb]) -> int:
     """Dimension over Q of the span of the given free-module elements."""
-    return len(independent(vectors))
+    return len(independent(list(vectors)))
 
 
 # -- truncated power series in z --------------------------------------------

@@ -224,7 +224,7 @@ def tridendriform_span_dimension(n: int) -> int:
     ops = (wqsym_left, wqsym_right, wqsym_mid)
     bases = [[], [LinComb.term((1,))]]
     for m in range(2, n + 1):
-        bases.append(independent(op(u, v) for k in range(1, m)
-                                 for u in bases[k] for v in bases[m - k]
-                                 for op in ops))
+        bases.append(independent([op(u, v) for k in range(1, m)
+                                  for u in bases[k] for v in bases[m - k]
+                                  for op in ops]))
     return len(bases[n])

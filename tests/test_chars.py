@@ -6,14 +6,16 @@ from math import comb, factorial
 import pytest
 
 from parkhopf import chars as ch
-from parkhopf import hopf
+from parkhopf import combinat, hopf
 from parkhopf.cli import _large_schroder
-from parkhopf.combinat import (is_parking, iter_parking_functions, ndpfs,
-                               pack, parking_functions, quasi_ribbons,
+from parkhopf.combinat import (evaluation, is_parking, iter_packed_words,
+                               iter_parking_functions, ndpfs,
+                               parking_functions, quasi_ribbons,
                                shifted_shuffle)
 from parkhopf.exact import LinComb, Poly, monomial
 from parkhopf.symfun import R_to_S, evaluate, rising_factorial
 from test_cli import _plant_sorted_word_inverted
+from test_combinat import pack
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
@@ -27,9 +29,11 @@ def signed_stats(v):
     (i, j) with i < j is a signed inversion when v_i beats v_j: v_i > v_j, or
     v_i = v_j with the common sign negative; descents are the adjacent version.
     """
-    beaten = [ch._beaten_by(b) for b in v]
-    sinv = sum(sum(map(beaten[j], v[:j])) for j in range(len(v)))
-    sdes = frozenset(j for j in range(1, len(v)) if beaten[j](v[j - 1]))
+    def beats(a, b):
+        return a > b or a == b < 0
+
+    sinv = sum(beats(v[i], v[j]) for j in range(len(v)) for i in range(j))
+    sdes = frozenset(j for j in range(1, len(v)) if beats(v[j - 1], v[j]))
     return sum(x < 0 for x in v), sinv, sdes, sum(sdes)
 
 
@@ -196,6 +200,21 @@ def test_prefix_walk_matches_the_whole_word_walks(monkeypatch):
             assert (len(steps), len(words) * n) == (977, 2_705)
 
 
+def test_packings_count_the_parking_functions_of_each_packed_word():
+    for n in range(7):
+        assert Counter(map(pack, iter_parking_functions(n))) == {
+            u: ch._packings(evaluation(u)) for u in iter_packed_words(n)}
+
+
+def test_count_enumerates_no_parking_function(monkeypatch):
+    def refuse(n):
+        raise AssertionError("parking functions enumerated")
+
+    monkeypatch.setattr(ch, "iter_parking_functions", refuse)
+    monkeypatch.setattr(combinat, "iter_parking_functions", refuse)
+    assert ch.super_narayana_count(4) == ch.super_narayana_sym(4)
+
+
 def test_signed_weight_matches_signed_words():
     for n in range(5):
         for w in parking_functions(n):
@@ -255,14 +274,14 @@ def test_symmetric_route_to_twelve():
     # gate P_n(t, q) up to its top by its value at q = 1, the 2^n (n+1)^(n-1)
     # signed parking functions counted by minus signs, by its q = 0 slice,
     # the closed form of the Schroeder polynomial P_n(t), and by the
-    # counting route for n <= 6
+    # counting route up to its top of 7
     for n in range(1, 13):
         pn = ch.super_narayana_sym(n)
         assert pn.substitute("q", 1) == (1 + t) ** n * (n + 1) ** (n - 1)
         assert pn.substitute("q", 0) == sum(
             (Fraction(comb(n + 1, j) * comb(2 * n - j, n - j), n + 1) * t ** j
              for j in range(n + 1)), Poly.const(0))
-        if n <= 6:
+        if n <= 7:
             assert pn == ch.super_narayana_count(n)
     with pytest.raises(ValueError,
                        match="super_narayana_sym supports n <= 12, got 13"):

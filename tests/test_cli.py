@@ -17,6 +17,7 @@ from parkhopf import chars, combinat, hopf, lagrange, operad, symfun
 from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
                           _outcome, build_parser, main)
 from parkhopf.exact import LinComb, Poly
+from test_combinat import pack
 
 
 def run(capsys, *argv):
@@ -358,17 +359,18 @@ def _plant_sorted_word_inverted(monkeypatch):
 
 
 def _plant_signing_dropped(monkeypatch):
-    # the first step of the signing walk drops the signing with the first
-    # letter barred; the count route and the signed weight both read it
+    # every step of the signing walk zeroes the lanes of the signings with
+    # the first letter barred, as if they had been dropped; the count route
+    # and the signed weight both read them
     step = chars._signing_step
 
-    def first_barred_dropped(state, x):
-        *letters, sinv, smaj = step(state, x)
-        if len(letters[0]) == 1:
-            return (*letters, sinv[:1], smaj[:1])
-        return (*letters, sinv, smaj)
+    def first_barred_zeroed(state, x):
+        word, bits, sinv, smaj = step(state, x)
+        unbarred = int.from_bytes(b"\xff\x00" * (1 << (len(word) - 1)),
+                                  "little")
+        return word, bits, sinv & unbarred, smaj & unbarred
 
-    monkeypatch.setattr(chars, "_signing_step", first_barred_dropped)
+    monkeypatch.setattr(chars, "_signing_step", first_barred_zeroed)
 
 
 def _plant_smaj_reads_sinv(monkeypatch):
@@ -552,7 +554,7 @@ def _plant_istar_packs(monkeypatch):
     # F_a -> F_pack(a), which keeps ties: the identity would still be a
     # morphism
     monkeypatch.setattr(hopf, "morphism_istar",
-                        lambda a: a.map_keys(combinat.pack))
+                        lambda a: a.map_keys(pack))
 
 
 def _plant_ribbon_product_concat_only(monkeypatch):
@@ -574,6 +576,7 @@ _FAULTS = [
     ("schroder-polynomial-routes", _plant_schroder_path_dropped, True),
     ("schroder-polynomial-routes", _plant_sorted_word_inverted, True),
     ("super-narayana-routes", _plant_signing_dropped, False),
+    ("super-narayana-routes", _plant_smaj_reads_sinv, True),
     ("signed-character", _plant_signing_dropped, False),
     ("signed-character", _plant_smaj_reads_sinv, False),
     ("signed-character", _plant_qbinom_plus_qn, False),
