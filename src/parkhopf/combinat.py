@@ -33,8 +33,8 @@ LIMITS = {
     "super_narayana_count": 7, "super_narayana_sym": 12,
     "s_character_check": 4,
     "schroder_polynomials": 8, "bar_distribution": 10, "chi_sqsym": 7,
-    "pn_alpha": 10, "fixed_pair_counts": 5, "psi_alpha": 6,
-    "qn_polynomial": 10, "q_triangle": 10, "lassalle_narayana": 12,
+    "pn_alpha": 12, "fixed_pair_counts": 5, "psi_alpha": 6,
+    "qn_polynomial": 12, "q_triangle": 12, "lassalle_narayana": 12,
     # lagrange
     "solve_g": 8, "solve_f": 8, "solve_G_cqsym": 8, "solve_X_fqsym": 8,
     "tamari_poset": 7, "tamari_interval_check": 7,
@@ -42,7 +42,7 @@ LIMITS = {
     "count_normal_forms(tri)": 8, "count_normal_forms(dup)": 10,
     "tridendriform_span_dimension": 7,
     # hopf
-    "primitive_dimension": 8,
+    "primitive_dimension": 9,
     "enumeration": 12,
 }
 

@@ -3,11 +3,13 @@ free-module linear combinations, and exact linear algebra.
 
 Coefficients are exact rationals: a `Poly` stores an `int` where the value is
 integral and a `fractions.Fraction` otherwise; there is no floating point
-anywhere in this package.  Polynomials live in the fixed variable set
-q, t, x, z, a (``a`` is the binomial-element parameter), stored as a sparse
-map from dense exponent vectors to rational coefficients.  The only division
-of polynomials is exact division (`poly_divexact`); there are no rational
-functions and no polynomial gcds.
+anywhere in this package.  Coefficients that are all plain `int` are already
+in that form, so `Poly` and `independent` take them as they are, without the
+normalising pass that a `bool` or a `Fraction` needs.  Polynomials live in
+the fixed variable set q, t, x, z, a (``a`` is the binomial-element
+parameter), stored as a sparse map from dense exponent vectors to rational
+coefficients.  The only division of polynomials is exact division
+(`poly_divexact`); there are no rational functions and no polynomial gcds.
 
 Linear algebra is one sparse elimination routine on dict rows, `independent`:
 integral and rational vectors are eliminated over Python ints with
@@ -29,6 +31,9 @@ VARS = ("q", "t", "x", "z", "a")
 NVARS = len(VARS)
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _ZERO = (0,) * NVARS
+# the coefficient types that need no normalising: a set of the types met in
+# a dict's values that is a subset of this one holds plain ints only
+_INT = frozenset((int,))
 
 
 class NotDivisibleError(ArithmeticError):
@@ -52,7 +57,9 @@ def _collect(pairs, data=None) -> dict:
     sum and product through this one loop."""
     if data is None:
         data = {}
-    for k, c in (pairs.items() if isinstance(pairs, Mapping) else pairs):
+    if type(pairs) is dict or isinstance(pairs, Mapping):
+        pairs = pairs.items()
+    for k, c in pairs:
         s = data.get(k)
         s = c if s is None else s + c
         if s:
@@ -93,7 +100,10 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        self.terms = {e: _as_scalar(c) for e, c in _collect(terms).items()}
+        terms = _collect(terms)
+        if not set(map(type, terms.values())) <= _INT:
+            terms = {e: _as_scalar(c) for e, c in terms.items()}
+        self.terms = terms
 
     @classmethod
     def const(cls, c) -> "Poly":
@@ -369,7 +379,8 @@ def independent(vectors: list[LinComb]) -> list[LinComb]:
     Coefficients must be `int` or `Fraction`; any other type raises
     TypeError.  The keys must be mutually comparable: they are numbered
     once, in sorted order, and the rows are held on those column numbers.
-    Each vector's denominators are cleared and its row is reduced by sparse
+    Each vector's denominators are cleared (a row of plain ints is taken as
+    it is, with no type scan and no lcm) and its row is reduced by sparse
     echelon insertion: a row is reduced by its leading (smallest) column
     against the stored pivot with that leading column, until it is zero or
     leads in a column with no pivot, where it is stored and its vector
@@ -386,11 +397,13 @@ def independent(vectors: list[LinComb]) -> list[LinComb]:
     kept = []
     for v in vectors:
         row = {column[k]: c for k, c in v.terms.items() if c}
-        if not all(isinstance(c, (int, Fraction)) for c in row.values()):
-            raise TypeError("independent needs int or Fraction "
-                            f"coefficients, got {v!r}")
-        d = lcm(*(c.denominator for c in row.values()))
-        row = {k: c.numerator * (d // c.denominator) for k, c in row.items()}
+        if not set(map(type, row.values())) <= _INT:
+            if not all(isinstance(c, (int, Fraction)) for c in row.values()):
+                raise TypeError("independent needs int or Fraction "
+                                f"coefficients, got {v!r}")
+            d = lcm(*(c.denominator for c in row.values()))
+            row = {k: c.numerator * (d // c.denominator)
+                   for k, c in row.items()}
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

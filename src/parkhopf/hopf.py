@@ -113,6 +113,28 @@ def cqsym_expand_F(a: LinComb) -> LinComb:
                    for w in set(itertools.permutations(pi)))
 
 
+# parkize of every NDPF suffix met so far, and every cut key met so far,
+# interned (see `dup_coproduct`)
+_PARKED: dict = {}
+_CUT_KEYS: dict = {}
+
+
+def _cut_keys(pi):
+    """The keys (prefix, parkize(suffix)) of the proper cuts of an NDPF, in
+    order of the prefix length: distinct, as their prefixes have different
+    lengths, and each the one object `_CUT_KEYS` holds for its value."""
+    parked, keys = _PARKED, _CUT_KEYS
+    for k in range(1, len(pi)):
+        suffix = pi[k:]
+        p = parked.get(suffix)
+        if p is None:
+            # parkize is a closure, so its value is a word it fixes
+            p = parkize(suffix)
+            p = parked[suffix] = parked.setdefault(p, p)
+        key = (pi[:k], p)
+        yield keys.setdefault(key, key)
+
+
 def dup_coproduct(a: LinComb) -> LinComb:
     """The reduced duplicial coproduct on the P basis, whose keys are NDPFs.
 
@@ -120,9 +142,25 @@ def dup_coproduct(a: LinComb) -> LinComb:
     P^park(prefix) (x) P^park(suffix starting at k+1); single letters are
     primitive.  A prefix of an NDPF is an NDPF, which parkize leaves as it
     is, so only the suffix is parkized.
+
+    ``parkize`` runs once per distinct suffix in the process, and equal keys
+    are one object across calls (`_cut_keys`), so the rows of a rank hold
+    each key once.  The cuts of one NDPF are distinct keys, so a one-term
+    input becomes its term dict directly; any other input collects its
+    terms through `exact._collect`, where repeated keys add and cancel.
+
+    The two tables outlive a call and grow with the suffixes met.  They
+    hold only values of the pure `parkize` and pairs of a prefix with one,
+    never a coproduct: a check that runs clean and then with a fault
+    planted in this function or its callers recomputes every value, as
+    `primitive_dimension` looks this function up for each basis element.
     """
-    return LinComb(((pi[:k], parkize(pi[k:])), c)
-                   for pi, c in a for k in range(1, len(pi)))
+    if len(a.terms) != 1:
+        return LinComb((key, c) for pi, c in a for key in _cut_keys(pi))
+    ((pi, c),) = a.terms.items()
+    res = LinComb.__new__(LinComb)
+    res.terms = dict.fromkeys(_cut_keys(pi), c) if c else {}
+    return res
 
 
 def dup_bracket(a: LinComb, b: LinComb) -> LinComb:

@@ -13,6 +13,7 @@ from parkhopf.combinat import (evaluation, is_parking, iter_packed_words,
                                parking_functions, quasi_ribbons,
                                shifted_shuffle)
 from parkhopf.exact import LinComb, Poly, monomial
+from parkhopf.lagrange import g_partitions
 from parkhopf.symfun import R_to_S, evaluate, rising_factorial
 from test_cli import _plant_sorted_word_inverted
 from test_combinat import pack
@@ -504,8 +505,18 @@ def test_pn_alpha_values():
     assert ch.pn_alpha(3) == 16 * a ** 3 + 12 * a ** 2 + 2 * a
     assert ch.pn_alpha(4) == \
         125 * a ** 4 + 150 * a ** 3 + 55 * a ** 2 + 6 * a
-    with pytest.raises(ValueError, match="n <= 10"):
-        ch.pn_alpha(11)
+    with pytest.raises(ValueError, match="n <= 12"):
+        ch.pn_alpha(13)
+
+
+def test_pn_alpha_is_the_binomial_character_on_g():
+    # a second route to every size up to the top: n! times the character
+    # h_k = (a)_k / k! on the commutative image of g_n
+    for n in range(13):
+        h = [rising_factorial(a, k).scale(Fraction(1, factorial(k)))
+             for k in range(n + 1)]
+        assert evaluate(g_partitions(n), h).scale(factorial(n)) == \
+            ch.pn_alpha(n)
 
 
 def _psi(x):
@@ -552,14 +563,19 @@ def test_q_triangle_rows():
     assert rows[:4] == [[1], [2, 1], [6, 8, 2], [24, 58, 37, 6]]
     assert [r[0] for r in rows] == [factorial(n) for n in range(1, 6)]
     assert [rows[n][1] for n in range(1, 5)] == [1, 8, 58, 444]
-    # the check of Q_n against P_n holds up to their top size, n = 10
-    assert len(ch.q_triangle(10)) == 10
+    # the check of Q_n against P_n holds up to their top size, n = 12, and
+    # the rows sum to Q_n(1) = (n+1)^(n-1)
+    rows = ch.q_triangle(12)
+    assert [sum(row) for row in rows] == [(n + 1) ** (n - 1)
+                                          for n in range(1, 13)]
 
 
 def test_qn_polynomial():
     assert ch.qn_polynomial(2) == q + 2
-    with pytest.raises(ValueError, match="n <= 10"):
-        ch.qn_polynomial(11)
+    for n in range(1, 13):
+        assert ch.qn_polynomial(n).substitute("q", 1) == (n + 1) ** (n - 1)
+    with pytest.raises(ValueError, match="n <= 12"):
+        ch.qn_polynomial(13)
 
 
 # -- the Narayana cross-check --------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
-from parkhopf import chars, combinat, hopf, lagrange, operad, symfun
+from parkhopf import chars, combinat, exact, hopf, lagrange, operad, symfun
 from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
                           _outcome, build_parser, main)
 from parkhopf.exact import LinComb, Poly
@@ -514,6 +514,12 @@ def _plant_last_cut_dropped(monkeypatch):
         for pi, c in a for k in range(1, len(pi) - 1)))
 
 
+def _plant_span_one_short(monkeypatch):
+    # the elimination keeps one vector too few; operad imports it by name
+    monkeypatch.setattr(operad, "independent",
+                        lambda vectors: exact.independent(vectors)[:-1])
+
+
 def _plant_o_over_succ_kept(monkeypatch):
     # o(>(A, B), C) rewrites to o(A, >(B, C)), each operation kept at its
     # depth, in place of >(A, o(B, C)); the rules still terminate
@@ -604,6 +610,7 @@ _FAULTS = [
     ("coassociativity", _plant_last_cut_dropped, False),
     ("bialgebra-axiom", _plant_last_cut_dropped, False),
     ("confluence-empirical", _plant_o_over_succ_kept, False),
+    ("wqsym-tridendriform-span", _plant_span_one_short, False),
     # the morphisms folded into rows that also check other statements
     ("pqsym-duplicial-axioms", _plant_expand_to_one_word, False),
     ("wqsym-tridendriform-axioms", _plant_embed_permutations_only, False),
@@ -634,9 +641,9 @@ def test_rows_without_a_planted_fault():
     # when it gets one
     assert {name for _, name, _, _ in _CHECKS} \
         - {check for check, _, _ in _FAULTS} == {
-            "wqsym-tridendriform-span", "tri-normal-form-counts",
-            "dup-normal-form-counts", "shape-characterization",
-            "f-closed-form", "g-symmetry", "phi-of-G", "q-basis-product",
+            "tri-normal-form-counts", "dup-normal-form-counts",
+            "shape-characterization", "f-closed-form", "g-symmetry",
+            "phi-of-G", "q-basis-product",
             "packed-evaluation-classes-are-intervals", "canopy-partition"}
 
 
@@ -699,7 +706,7 @@ def _exit_code(argv):
     ["bijection", "--direction", "ndpf-to-tree", "--input", "1" * 1200],
     ["bijection", "--direction", "tree-to-ndpf", "--input", _DEEP_TREE],
     ["bijection", "--direction", "dyck-encode", "--input", "u" * 501],
-    ["poly", "--which", "pn-alpha", "--n", "11"],
+    ["poly", "--which", "pn-alpha", "--n", "13"],
     ["poly", "--which", "super-narayana", "--n", "13"],
     ["poly", "--which", "narayana", "--n", "13"],
     ["poly", "--which", "qn", "--n", "1500"],

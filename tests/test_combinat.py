@@ -491,11 +491,11 @@ _BOUNDED = {
     "schroder_polynomials": (8, chars.schroder_polynomials),
     "bar_distribution": (10, chars.bar_distribution),
     "chi_sqsym": (7, chars.chi_sqsym),
-    "pn_alpha": (10, chars.pn_alpha),
+    "pn_alpha": (12, chars.pn_alpha),
     "fixed_pair_counts": (5, chars.fixed_pair_counts),
     "psi_alpha": (6, chars.psi_alpha),
-    "qn_polynomial": (10, chars.qn_polynomial),
-    "q_triangle": (10, chars.q_triangle),
+    "qn_polynomial": (12, chars.qn_polynomial),
+    "q_triangle": (12, chars.q_triangle),
     "lassalle_narayana": (12, chars.lassalle_narayana),
     "solve_g": (8, lagrange.solve_g),
     "solve_f": (8, lagrange.solve_f),
@@ -509,7 +509,7 @@ _BOUNDED = {
     "count_normal_forms(dup)": (10, lambda n: operad.count_normal_forms(
         "dup", n)),
     "tridendriform_span_dimension": (7, operad.tridendriform_span_dimension),
-    "primitive_dimension": (8, hopf.primitive_dimension),
+    "primitive_dimension": (9, hopf.primitive_dimension),
     "enumeration": (12, cb.iter_ndpfs),
 }
 

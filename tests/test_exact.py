@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from parkhopf import hopf
 from parkhopf.combinat import ndpfs
-from parkhopf.exact import (LinComb, NotDivisibleError, Poly, independent,
-                            monomial, poly_divexact, series_sqrt_expand,
-                            span_dimension)
+from parkhopf.exact import (_ZERO, LinComb, NotDivisibleError, Poly,
+                            independent, monomial, poly_divexact,
+                            series_sqrt_expand, span_dimension)
 
 q, t, x, z, a = (Poly.var(v) for v in ("q", "t", "x", "z", "a"))
 
@@ -54,6 +54,21 @@ def test_poly_coefficients_are_int_when_integral():
     half = poly_divexact(Poly.var("q", 1, 3), Poly.const(2))
     assert list(half.terms.values()) == [Fraction(3, 2)]
     assert type(half.terms[monomial(q=1)]) is Fraction
+    # pairs of plain ints are stored as they are; a bool or an integral
+    # Fraction among them becomes an int
+    for pairs in ({monomial(q=1): 2, _ZERO: -1},
+                  [(monomial(q=1), True), (_ZERO, 3), (_ZERO, -4)],
+                  {monomial(t=2): Fraction(6, 3), monomial(q=1): 5},
+                  {monomial(a=1): False, monomial(q=1): True}):
+        assert all(type(c) is int for c in Poly(pairs).terms.values())
+    assert Poly({_ZERO: True, monomial(q=1): 2}).terms == \
+        {_ZERO: 1, monomial(q=1): 2}
+    assert Poly({monomial(t=2): Fraction(6, 3)}).terms == {monomial(t=2): 2}
+    assert Poly([(_ZERO, True), (_ZERO, -1)]).terms == {}
+    assert [type(c) for c in Poly({_ZERO: 1, monomial(q=1): Fraction(
+        1, 2)}).terms.values()] == [int, Fraction]
+    with pytest.raises(TypeError):
+        Poly({_ZERO: 1, monomial(q=1): 0.5})
 
 
 def test_divexact():
@@ -122,6 +137,40 @@ def test_independent_keeps_the_first_of_each_dependency():
     assert independent([]) == [] and independent([zero, zero]) == []
     # of two parallel vectors the first is kept, whichever it is
     assert independent([v.scale(-4), v]) == [v.scale(-4)]
+
+
+def test_independent_on_int_fraction_and_bool_rows():
+    # the same rows given with int, integral Fraction and bool coefficients
+    # keep the same vectors
+    rows = [{"e1": 1, "e2": 1}, {"e2": 1, "e3": 1}, {"e1": 1, "e3": -1},
+            {"e1": 1, "e2": 1}, {"e3": 2}, {"e1": 0, "e4": 1}]
+    as_int = [LinComb(r) for r in rows]
+    as_fraction = [LinComb((k, Fraction(c, 1)) for k, c in r.items())
+                   for r in rows]
+    kept = [[vectors.index(v) for v in independent(vectors)]
+            for vectors in (as_int, as_fraction)]
+    assert kept[0] == kept[1] == [0, 1, 4, 5]
+    assert all(type(c) is int for v in as_int for c in v.terms.values())
+    assert all(type(c) is Fraction
+               for v in as_fraction for c in v.terms.values())
+    bools = [{"e1": True, "e2": True}, {"e2": True, "e3": True},
+             {"e1": True, "e3": True}, {"e2": True}]
+    as_bool = [LinComb(r) for r in bools]
+    assert all(type(c) is bool for v in as_bool for c in v.terms.values())
+    for vectors in (as_bool, [LinComb((k, int(c)) for k, c in r.items())
+                              for r in bools]):
+        assert [vectors.index(v) for v in independent(vectors)] == [0, 1, 2]
+    # one bool among ints is eliminated as 1
+    mixed = [LinComb({"e1": 2, "e2": True}), LinComb({"e1": 4, "e2": 2})]
+    assert independent(mixed) == mixed[:1]
+
+
+def test_independent_rejects_one_bad_coefficient_in_an_int_row():
+    for bad in (1.0, Poly.const(1), q):
+        vectors = [LinComb({"e1": 1, "e2": 2}),
+                   LinComb({"e1": 3, "e2": bad, "e3": 4})]
+        with pytest.raises(TypeError):
+            independent(vectors)
 
 
 def _independent_by_first_appearance(vectors) -> list:

@@ -120,6 +120,49 @@ def test_dup_coproduct_against_parkizing_both_sides():
                 for k in range(1, n))
 
 
+def _dup_coproduct_by_generator(a: LinComb) -> LinComb:
+    """Oracle: every cut of every term parked afresh and collected."""
+    return LinComb(((pi[:k], parkize(pi[k:])), c)
+                   for pi, c in a for k in range(1, len(pi)))
+
+
+def test_dup_coproduct_matches_the_generator_form():
+    for n in range(7):
+        for pi in ndpfs(n):
+            for c in (1, -3, Fraction(2, 3)):
+                assert hopf.dup_coproduct(P(pi).scale(c)) == \
+                    _dup_coproduct_by_generator(P(pi).scale(c))
+    # several terms whose cuts meet on the same keys, which add or cancel
+    x = P((1,))
+    xx = hopf.dup_bracket(x, x)
+    for a in (P((1, 1, 3)) + P((1, 2, 2)).scale(2) - P((1, 1, 2)),
+              hopf.dup_bracket(xx, x), P((1, 1)) - P((1, 2)),
+              LinComb((pi, k) for k, pi in enumerate(ndpfs(5), start=1))):
+        assert len(a) > 1
+        assert hopf.dup_coproduct(a) == _dup_coproduct_by_generator(a)
+    assert not hopf.dup_coproduct(P((1, 1)) - P((1, 2)))
+    # a one-term input with a zero coefficient has no terms
+    zero = LinComb()
+    zero.terms[(1, 1, 2)] = 0
+    assert hopf.dup_coproduct(zero).terms == {} == \
+        _dup_coproduct_by_generator(zero).terms
+
+
+def test_dup_coproduct_parks_each_suffix_once(monkeypatch):
+    # from empty tables, the rows of primitive_dimension(7) park each of the
+    # 1,000 distinct suffixes once and share one object per distinct key
+    monkeypatch.setattr(hopf, "_PARKED", {})
+    monkeypatch.setattr(hopf, "_CUT_KEYS", {})
+    calls = []
+    monkeypatch.setattr(hopf, "parkize", lambda w: calls.append(w) or
+                        parkize(w))
+    rows = [hopf.dup_coproduct(P(pi)) for pi in ndpfs(7)]
+    keys = [key for row in rows for key in row.terms]
+    assert len(keys) == 2574 and len(calls) == len(set(calls)) == 1000
+    assert len({id(key) for key in keys}) == len(set(keys)) == 572
+    assert rows == [_dup_coproduct_by_generator(P(pi)) for pi in ndpfs(7)]
+
+
 def test_dup_bracket_values():
     x = P((1,))
     b = hopf.dup_bracket
@@ -135,11 +178,13 @@ def test_dup_bracket_values():
 def test_primitive_dimension():
     assert [hopf.primitive_dimension(n) for n in range(1, 7)] == \
         [1, 1, 2, 5, 14, 42]
-    # the top size, against duplicial normal forms with 7 leaves (C_7)
+    # the top sizes, against duplicial normal forms with n - 1 leaves
     assert hopf.primitive_dimension(8) == 429 == \
         operad.count_normal_forms("dup", 7)
-    with pytest.raises(ValueError, match="n <= 8"):
-        hopf.primitive_dimension(9)
+    assert hopf.primitive_dimension(9) == 1430 == \
+        operad.count_normal_forms("dup", 8)
+    with pytest.raises(ValueError, match="n <= 9"):
+        hopf.primitive_dimension(10)
 
 
 def test_bialgebra_axiom_and_coassociativity():
