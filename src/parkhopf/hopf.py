@@ -27,12 +27,16 @@ through `exact._collect` instead, so sums and cancellations stay exact.
 The dendriform relations of the permutation algebra and the tridendriform
 relations of the packed-word algebra are proven without walking the key
 triples (`_relations_proven`).  Each of their operations is checked to be
-natural on every pair of keys up to the size: op(x, y) is op(id, id) on the
-identity words of the same maxima, relabelled by x and y.  Relabelling then
-carries each relation from one identity triple per split of maxima to every
-triple.  The other axiom suites walk their triples (`_relations_hold`):
-their operations shift by a length or a max - 1, not by the maxima alone,
-so they are not natural in this sense.
+natural on the pairs of keys the relations apply it to: op(x, y) is
+op(id, id) on the identity words of the same maxima, relabelled by x and y.
+A relation (a f b) g c = a h (b k c) up to size n applies g and h to pairs
+of total size <= n, and f and k to pairs of total size <= n - 1; so the
+pieces, which some relation applies outermost, are checked up to n, and
+the product, which the relations apply only inside, up to n - 1.
+Relabelling then carries each relation from one identity triple per split
+of maxima to every triple.  The other axiom suites walk their triples
+(`_relations_hold`): their operations shift by a length or a max - 1, not
+by the maxima alone, so they are not natural in this sense.
 """
 
 from __future__ import annotations
@@ -266,15 +270,15 @@ def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
     ``itemgetter(*w)`` per pair of keys reads every row; a w of fewer than
     two letters, for which itemgetter gives no tuple, maps each row directly.
 
-    The terms of one pair and tag form a run with one coefficient.  A run
-    whose terms are distinct and new to the result is merged whole, by
-    ``dict.fromkeys`` and ``update``; a run that repeats a term or meets one
+    The terms of one pair and tag form a run with one coefficient, built by
+    ``dict.fromkeys``.  A run whose terms are distinct becomes the result
+    when the result is still empty, and is merged whole by ``update`` when
+    its terms are new to the result; a run that repeats a term or meets one
     already in the result is added term by term through `exact._collect`, so
     coefficients add and zero sums drop as in any LinComb.
     """
     b_terms = [(k2, max(k2, default=0), c2) for k2, c2 in b]
     data: dict = {}
-    seen = data.keys()
     for k1, c1 in a:
         s1 = max(k1, default=0)
         shift = s1.__add__
@@ -290,7 +294,9 @@ def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
                 if len(run) < len(tag_rows):
                     _collect(zip(map(get, tag_rows), itertools.repeat(c)),
                              data)
-                elif run.keys().isdisjoint(seen):
+                elif not data:
+                    data = run
+                elif run.keys().isdisjoint(data.keys()):
                     data.update(run)
                 else:
                     _collect(run, data)
@@ -446,10 +452,15 @@ def _keys_by_total(family, max_total: int, arity: int):
 def _is_morphism(family, product, f, target_product, n: int) -> bool:
     """f(x y) = f(x) f(y) for basis keys x, y of total degree <= n, where
     x y is ``product`` and f(x) f(y) is ``target_product``; f is a linear
-    map on LinComb values, and a character passes `operator.mul`."""
-    return all(f(product(x, y)) == target_product(f(x), f(y))
-               for x, y in (map(LinComb.term, pair)
-                            for pair in _keys_by_total(family, n, 2)))
+    map on LinComb values, and a character passes `operator.mul`.
+
+    f runs once on each basis key of degree < n, and the images are kept
+    for this call only, so a patched f is the one read on the next call."""
+    images = {key: f(LinComb.term(key))
+              for size in range(1, n) for key in family(size)}
+    return all(f(product(LinComb.term(x), LinComb.term(y)))
+               == target_product(images[x], images[y])
+               for x, y in _keys_by_total(family, n, 2))
 
 
 def _relations_hold(family, max_total: int, relations, lift=None) -> bool:
@@ -529,15 +540,18 @@ def _identities(m: int) -> tuple:
     return (tuple(range(1, m + 1)),)
 
 
-def _natural(family, max_total: int, pieces, product) -> bool:
-    """Each of ``pieces`` and ``product`` is natural, and the pieces sum to
-    the product, on every pair of basis keys of total size <= max_total.
+def _natural(family, max_total: int, pieces, product, inner=()) -> bool:
+    """Each of ``pieces`` and ``product`` is natural on every pair of basis
+    keys of total size <= max_total, or <= max_total - 1 for an operation in
+    ``inner``; and the pieces sum to the product on the identity pairs of
+    every split of total <= max_total.
 
     Natural means op(x, y) is op(id_s1, id_s2) relabelled by w = x followed
     by y shifted by s1, where s1, s2 are the maxima of x and y: each term u
     becomes tuple(u[v - 1] for v in w).  The identity products are built
     once per pair of maxima, and the pieces are checked to sum to the
-    product there; naturality carries that sum to every pair.
+    product there; naturality carries that sum to every pair on which all
+    of them are checked.
     """
     ops = (*pieces, product)
     images = {}
@@ -546,17 +560,21 @@ def _natural(family, max_total: int, pieces, product) -> bool:
         values = [op(*ids) for op in ops]
         if sum(values[:-1], LinComb()) != values[-1]:
             return False
-        images[s1, s2] = [(op, list(value.terms), list(value.terms.values()))
-                          for op, value in zip(ops, values)]
+        checks = [(op, list(value.terms), list(value.terms.values()))
+                  for op, value in zip(ops, values)]
+        # indexed by whether the pair is of total max_total
+        images[s1, s2] = checks, [check for check in checks
+                                  if check[0] not in inner]
     pools = {size: [(x, max(x), LinComb.term(x)) for x in family(size)]
              for size in range(1, max_total)}
     for l1, l2 in _splits(max_total, 2):
+        at_top = l1 + l2 == max_total
         for x, s1, a in pools[l1]:
             head = [v - 1 for v in x]
             shift = (s1 - 1).__add__
             for y, s2, b in pools[l2]:
                 get = itemgetter(*head, *map(shift, y))
-                for op, keys, coeffs in images[s1, s2]:
+                for op, keys, coeffs in images[s1, s2][at_top]:
                     if op(a, b).terms != dict(zip(map(get, keys), coeffs)):
                         return False
     return True
@@ -568,14 +586,22 @@ def _relations_proven(family, max_total: int, pieces, product,
     element, proven from the identity triples.
 
     Relabelling by a followed by b shifted by max(a) and c shifted by
-    max(a) + max(b) is linear and injective on terms, and, when every
-    operation is `_natural` on pairs of total size <= max_total, it carries
-    both sides of each relation on (id_m1, id_m2, id_m3) to the same side on
-    (a, b, c) for the keys a, b, c of maxima m1, m2, m3.  So the relations
-    are checked on one identity triple per split of maxima.
+    max(a) + max(b) is linear and injective on terms.  In each relation
+    (a f b) g c = a h (b k c) on keys of total size <= max_total, the outer
+    operations g and h meet pairs of total size <= max_total, and the inner
+    operations f and k meet pairs of total size <= max_total - 1, as the
+    third key has size >= 1.  So when every operation is `_natural` on the
+    pairs it meets, relabelling carries both sides of each relation on
+    (id_m1, id_m2, id_m3) to the same side on (a, b, c) for the keys a, b, c
+    of maxima m1, m2, m3, and the relations are checked on one identity
+    triple per split of maxima.  An operation that no relation applies
+    outermost is checked only on the smaller pairs, as nothing reads it on
+    the others.
     """
-    return _natural(family, max_total, pieces, product) and _relations_hold(
-        _identities, max_total, relations, LinComb.term)
+    outer = {op for _, g, h, _ in relations for op in (g, h)}
+    inner = [op for op in (*pieces, product) if op not in outer]
+    return _natural(family, max_total, pieces, product, inner) \
+        and _relations_hold(_identities, max_total, relations, LinComb.term)
 
 
 def _distinct_on_generator(pieces) -> bool:
@@ -590,9 +616,13 @@ def _distinct_on_generator(pieces) -> bool:
 def dendriform_axioms_fqsym(max_total: int) -> bool:
     """(x<y)<z = x<(yz), (x>y)<z = x>(y<z) and (xy)>z = x>(y>z), proven for
     every triple of basis keys of total size <= max_total by
-    `_relations_proven`, with the halves nonzero and distinct.  Naturality
-    is checked on every pair of total size <= max_total, so no size is
-    sampled."""
+    `_relations_proven`, with the halves nonzero and distinct.  The halves,
+    which some relation applies outermost, are checked natural on every pair
+    of total size <= max_total; the product, which the relations apply only
+    inside, on every pair of total size <= max_total - 1, the largest pair
+    a triple feeds it.  So no size is sampled, and the halves sum to the
+    product on every pair of total size < max_total and on the identity
+    pairs of total max_total."""
     left, right, prod = fqsym_left, fqsym_right, fqsym_product
     return _distinct_on_generator((left, right)) and _relations_proven(
         permutations, max_total, (left, right), prod, [
@@ -605,7 +635,10 @@ def tridendriform_axioms_wqsym(max_total: int) -> bool:
     proven for every triple of basis keys of total size <= max_total by
     `_relations_proven`, with the thirds nonzero and distinct; and the
     embedding of the permutation algebra as an algebra morphism, checked on
-    every basis pair of total size <= max_total."""
+    every basis pair of total size <= max_total.  Each third is applied
+    outermost by some relation and is checked natural on every pair of
+    total size <= max_total; the product is applied only inside, and is
+    checked natural on every pair of total size <= max_total - 1."""
     left, mid, right = wqsym_left, wqsym_mid, wqsym_right
     prod = wqsym_product
     return _distinct_on_generator((left, mid, right)) and _relations_proven(

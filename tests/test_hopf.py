@@ -571,21 +571,50 @@ def _wqsym_splitting():
         (mid, mid, mid, mid)]
 
 
+def _product_doubled_at(monkeypatch, name, total):
+    # the product ``name`` alone comes out doubled on the pairs of basis
+    # keys of this total size, except the identity pairs that `_natural`
+    # sums the pieces on
+    product = getattr(hopf, name)
+
+    def doubled(a, b):
+        value = product(a, b)
+        keys = [k for k, _ in [*a, *b]]
+        if sum(map(len, keys)) != total or all(
+                k == tuple(range(1, len(k) + 1)) for k in keys):
+            return value
+        return value.scale(2)
+
+    monkeypatch.setattr(hopf, name, doubled)
+
+
+def _plant_shuffle_product_doubled_at_5(monkeypatch):
+    _product_doubled_at(monkeypatch, "fqsym_product", 5)
+
+
+def _plant_packed_product_doubled_at_4(monkeypatch):
+    _product_doubled_at(monkeypatch, "wqsym_product", 4)
+
+
 @pytest.mark.parametrize("splitting, top, plant, holds", [
     (_fqsym_splitting, 6, None, True),
     (_fqsym_splitting, 6, _plant_shuffle_row_dropped, False),
     (_fqsym_splitting, 6, _plant_shuffle_all_left, True),
     (_fqsym_splitting, 6, _plant_relabelled_off_identity, False),
+    (_fqsym_splitting, 6, _plant_shuffle_product_doubled_at_5, False),
     (_wqsym_splitting, 5, None, True),
     (_wqsym_splitting, 5, _plant_packed_row_dropped, False),
     (_wqsym_splitting, 5, _plant_packed_all_left, True),
-    (_wqsym_splitting, 5, _plant_relabelled_off_identity, False)])
+    (_wqsym_splitting, 5, _plant_relabelled_off_identity, False),
+    (_wqsym_splitting, 5, _plant_packed_product_doubled_at_4, False)])
 def test_identity_route_matches_the_walks(monkeypatch, splitting, top, plant,
                                           holds):
     # naturality plus the identity triples reads what both triple walks
     # read, at every size to the top, clean and under each planted fault;
     # the all-left splittings keep every relation (the rows catch them by
-    # their zero pieces)
+    # their zero pieces); the relations apply the product only inside, to
+    # pairs of total n - 1 at most, so a product wrong at top - 1 alone
+    # reads true at top - 1 and false at the top on every route
     if plant is not None:
         plant(monkeypatch)
     family, pieces, product, relations = splitting()
@@ -606,6 +635,24 @@ def test_naturality_catches_a_fault_off_the_identity_keys(monkeypatch):
         assert not hopf._natural(family, n, pieces, product)
     assert not hopf.dendriform_axioms_fqsym(6)
     assert not hopf.tridendriform_axioms_wqsym(5)
+
+
+def test_only_the_outer_operations_are_checked_at_the_top():
+    # the product is the one operation that no relation applies outermost,
+    # so it alone is checked one size lower: a product wrong at the top
+    # total alone (identity pairs spared) is not read, a half is
+    for splitting, n in [(_fqsym_splitting, 5), (_wqsym_splitting, 4)]:
+        family, pieces, product, _ = splitting()
+        assert hopf._natural(family, n, pieces, product, [product])
+        for i, op in enumerate((*pieces, product)):
+            wrong = _wrong_on(op, (G((2, 1)), G(tuple(range(1, n - 1)))),
+                              lambda v: v.scale(2))
+            ops = [*pieces, product]
+            ops[i] = wrong
+            assert hopf._natural(family, n, ops[:-1], ops[-1],
+                                 [ops[-1]]) is (op is product)
+            assert not hopf._natural(family, n + 1, ops[:-1], ops[-1],
+                                     [ops[-1]])
 
 
 def test_pieces_must_sum_to_the_product():
@@ -650,6 +697,31 @@ def test_embed_fqsym_wqsym():
         rhs = hopf.wqsym_product(hopf.embed_fqsym_wqsym(G(a)),
                                  hopf.embed_fqsym_wqsym(G(b)))
         assert lhs == rhs
+
+
+def test_is_morphism_maps_each_basis_key_once(monkeypatch):
+    # f runs once per basis key of degree < n and once per product of a
+    # pair, and keeps nothing past the call: patched, it is read afresh
+    calls = []
+    embed = hopf.embed_fqsym_wqsym
+
+    def counted(a):
+        calls.append(a)
+        return embed(a)
+
+    n = 4
+    args = (permutations, hopf.fqsym_product, counted, hopf.wqsym_product, n)
+    assert hopf._is_morphism(*args)
+    keys = [k for size in range(1, n) for k in permutations(size)]
+    pairs = list(hopf._keys_by_total(permutations, n, 2))
+    assert len(calls) == len(keys) + len(pairs) == 9 + 21
+    assert calls[:len(keys)] == list(map(G, keys))
+    monkeypatch.setattr(hopf, "embed_fqsym_wqsym", lambda a: a)
+    assert not hopf._is_morphism(permutations, hopf.fqsym_product,
+                                 hopf.embed_fqsym_wqsym, hopf.wqsym_product,
+                                 n)
+    calls.clear()
+    assert hopf._is_morphism(*args) and len(calls) == 30
 
 
 # -- morphisms ------------------------------------------------------------------------------
