@@ -3,8 +3,9 @@
 The generating functions of the paper are characters evaluated on the
 generic solution g_n of g = sum_k S_k g^k, read through its commutative
 image, one term per partition of n (`lagrange.g_partitions`): `evaluate` on
-the character's h_k gives the binomial element (`psi_alpha`) and the
-alphabet 1 - x (`lassalle_narayana`); the alphabet (1-x)/(1-q), whose h_k
+the character's h_k gives the binomial element (`psi_alpha`), the alphabet
+1 - x (`lassalle_narayana`, gated by `lagrange.lagrange_coefficient`) and
+h_k = 1 + t (`schroder_polynomials`); the alphabet (1-x)/(1-q), whose h_k
 are not polynomials, goes by the q-binomial theorem (`super_narayana_sym`).
 On the algebras, the characters are `evaluate` after a morphism of `hopf`:
 psi after `morphism_psi`, chi after `istar_on_sqsym` and `symfun.R_to_S`.
@@ -29,7 +30,7 @@ import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, reduce
-from math import comb, factorial, prod
+from math import factorial, prod
 from operator import add, eq, gt, methodcaller, mul, ne
 
 from . import hopf
@@ -37,9 +38,8 @@ from .combinat import (_check_size, evaluation, iter_packed_words,
                        iter_parking_functions, iter_quasi_ribbons, ndpfs,
                        parking_functions, permutations, quasi_ribbons,
                        shifted_shuffle)
-from .exact import (P_ONE, P_ZERO, LinComb, Poly, monomial, poly_divexact,
-                    series_sqrt_expand)
-from .lagrange import g_partitions
+from .exact import P_ONE, LinComb, Poly, monomial, poly_divexact
+from .lagrange import g_partitions, lagrange_coefficient
 from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
 
 
@@ -413,8 +413,10 @@ def _minus_counts(words) -> Counter:
 def schroder_polynomials(n: int) -> Poly:
     """P_n(t) = P_n(t, 0) by three routes: Schroeder paths by horizontal
     steps; signed parking functions without signed inversions by minus signs;
-    and the square-root generating series.  Raises AssertionError unless the
-    three routes agree and no sorted word has a signed inversion.
+    and the character h_k = 1 + t on g_n, since u = sum_n P_n(t) z^n solves
+    u = 1 + t z u + z u^2, that is u = 1 + (1 + t) sum_(k>=1) (z u)^k.
+    Raises AssertionError unless the three routes agree and no sorted word
+    has a signed inversion.
 
     A signed word has no signed inversion exactly when it is nondecreasing
     and no negative letter repeats.  "a does not beat b" (a <= b, with
@@ -431,12 +433,8 @@ def schroder_polynomials(n: int) -> Poly:
     counts = _minus_counts(_sorted_signed_pfs(n))
     by_words = Poly((monomial(t=m), c) for (_, m), c in counts.items())
     sorted_ok = all(free for free, _ in counts)
-    z = Poly.var("z")
-    inner = (1 - t * z) ** 2 - 4 * z
-    sqrt = series_sqrt_expand(inner, n + 1)
-    numerator = 1 - t * z - sqrt
-    by_series = numerator.coeffs_in("z").get(n + 1, P_ZERO).scale(Fraction(1, 2))
-    if not (sorted_ok and by_paths == by_words == by_series):
+    by_character = evaluate(g_partitions(n), [P_ONE] + [1 + t] * n)
+    if not (sorted_ok and by_paths == by_words == by_character):
         raise AssertionError(f"the three routes to P_{n}(t) disagree")
     return by_paths
 
@@ -584,7 +582,9 @@ def psi_alpha(n: int) -> bool:
     g_n (`evaluate` on `g_partitions(n)` with h_k = (a)_k / k!) are
     `pn_alpha(n)`, multiplicativity on small products, that i*
     (F_a -> F_std(a)) is an algebra morphism on the same products, and (for
-    n <= 5) the fixed-pair counts of its coefficients.
+    n <= 5) the fixed-pair counts of its coefficients.  psi_a(F_w) reads
+    only the letters of w, so the degree-n sum is taken over the NDPFs, each
+    weighted by its n! / prod_i m_i! rearrangements.
     """
     _check_size("psi_alpha", n)
     alpha = Poly.var("a")
@@ -594,7 +594,8 @@ def psi_alpha(n: int) -> bool:
         return evaluate(hopf.morphism_psi(x), rising)
 
     target = pn_alpha(n)
-    total = psi(LinComb((w, 1) for w in parking_functions(n)))
+    total = psi(LinComb((pi, factorial(n) // prod(
+        map(factorial, Counter(pi).values()))) for pi in ndpfs(n)))
     on_g = evaluate(g_partitions(n), [r.scale(Fraction(1, factorial(k)))
                                       for k, r in enumerate(rising)])
     product, small = hopf.pqsym_product, min(n, 4)
@@ -646,19 +647,18 @@ def q_triangle(n_max: int) -> list[list[int]]:
 
 
 def lassalle_narayana(n: int) -> Poly:
-    """c_n(q) from the character 1 - x on g_n: by Lagrange inversion
-    `evaluate` on `g_partitions(n)` with h_k = 1 - x is h_n((n+1)(1-x))/(n+1);
-    substitute x = 1-q and divide by q.  The value is checked against the
-    closed form sum_j C(n+1, j) (-x)^j C(2n-j, n-j) / (n+1) of that h_n."""
+    """c_n(q) from the character 1 - x on g_n: `evaluate` on
+    `g_partitions(n)` with h_k = 1 - x, then x = 1-q and a division by q.
+    The value is checked against the Lagrange coefficient
+    [z^n] phi^(n+1)/(n+1) of phi = 1 + (1-x)(z + z^2 + ...)
+    (`lagrange_coefficient`), which does not read the partition weights."""
     if n < 1:
         raise ValueError(f"lassalle_narayana needs n >= 1, got {n}")
     _check_size("lassalle_narayana", n)
     x, q = Poly.var("x"), Poly.var("q")
-    value = evaluate(g_partitions(n), [P_ONE] + [1 - x] * n)
-    closed = Poly((monomial(x=j), Fraction((-1) ** j * comb(n + 1, j)
-                                           * comb(2 * n - j, n - j), n + 1))
-                  for j in range(n + 1))
-    if value != closed:
-        raise AssertionError(f"evaluate(g_n, 1-x) is not h_n((n+1)(1-x))/(n+1) "
-                             f"at n={n}")
+    h = [P_ONE] + [1 - x] * n
+    value = evaluate(g_partitions(n), h)
+    if value != lagrange_coefficient(h, n):
+        raise AssertionError(f"evaluate(g_n, 1-x) is not its Lagrange "
+                             f"coefficient at n={n}")
     return poly_divexact(value.substitute("x", 1 - q), q)

@@ -33,7 +33,7 @@ LIMITS = {
     "super_narayana_count": 7, "super_narayana_sym": 12,
     "s_character_check": 4,
     "schroder_polynomials": 8, "bar_distribution": 10, "chi_sqsym": 7,
-    "pn_alpha": 12, "fixed_pair_counts": 5, "psi_alpha": 6,
+    "pn_alpha": 12, "fixed_pair_counts": 5, "psi_alpha": 10,
     "qn_polynomial": 12, "q_triangle": 12, "lassalle_narayana": 12,
     # lagrange
     "solve_g": 8, "solve_f": 8, "solve_G_cqsym": 8, "solve_X_fqsym": 8,

@@ -6,10 +6,11 @@ integral and a `fractions.Fraction` otherwise; there is no floating point
 anywhere in this package.  Coefficients that are all plain `int` are already
 in that form, so `Poly` and `independent` take them as they are, without the
 normalising pass that a `bool` or a `Fraction` needs.  Polynomials live in
-the fixed variable set q, t, x, z, a (``a`` is the binomial-element
+the fixed variable set q, t, x, a (``a`` is the binomial-element
 parameter), stored as a sparse map from dense exponent vectors to rational
 coefficients.  The only division of polynomials is exact division
-(`poly_divexact`); there are no rational functions and no polynomial gcds.
+(`poly_divexact`); there are no rational functions, no polynomial gcds and
+no power series (a series elsewhere is the list of its coefficients).
 
 Linear algebra is one sparse elimination routine on dict rows, `independent`:
 integral and rational vectors are eliminated over Python ints with
@@ -27,7 +28,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Iterator
 
-VARS = ("q", "t", "x", "z", "a")
+VARS = ("q", "t", "x", "a")
 NVARS = len(VARS)
 _VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 _ZERO = (0,) * NVARS
@@ -85,7 +86,7 @@ def _term_key(exps):
 
 
 class Poly:
-    """Sparse multivariate polynomial over Q in the variables q,t,x,z,a.
+    """Sparse multivariate polynomial over Q in the variables q,t,x,a.
 
     ``Poly(pairs)`` is how a polynomial is collected: it takes a mapping or
     any iterable of ``(exponent tuple, coeff)`` pairs in one pass, merges
@@ -262,7 +263,6 @@ class Poly:
         return f"Poly({self})"
 
 
-P_ZERO = Poly()
 P_ONE = Poly.const(1)
 
 
@@ -287,11 +287,6 @@ def poly_divexact(num: Poly, den: Poly) -> Poly:
         quot[me] = mc
         rem = rem - Poly({me: mc}) * den
     return Poly(quot)
-
-
-def _from_univariate(coeffs: dict[int, Poly], i: int) -> Poly:
-    return Poly((e[:i] + (k,) + e[i + 1:], c)
-                for k, p in coeffs.items() for e, c in p.terms.items())
 
 
 # -- linear combinations ----------------------------------------------------
@@ -430,24 +425,3 @@ def span_dimension(vectors: Iterable[LinComb]) -> int:
     """Dimension over Q of the span of the given free-module elements."""
     return len(independent(list(vectors)))
 
-
-# -- truncated power series in z --------------------------------------------
-
-
-def series_sqrt_expand(p: Poly, order: int) -> Poly:
-    """Square root of a z-series with constant term 1, truncated at z^order.
-
-    Coefficients are computed degreewise from y*y = p (Newton's identity for
-    the square), entirely in exact arithmetic.
-    """
-    coeffs = p.coeffs_in("z")
-    c0 = coeffs.get(0, P_ZERO)
-    if c0 != P_ONE:
-        raise ValueError(f"series square root needs constant term 1, got {c0}")
-    y = [P_ONE]
-    half = Fraction(1, 2)
-    for n in range(1, order + 1):
-        acc = coeffs.get(n, P_ZERO) - Poly.sum(
-            y[i] * y[n - i] for i in range(1, n))
-        y.append(acc.scale(half))
-    return _from_univariate(dict(enumerate(y)), _VAR_INDEX["z"])

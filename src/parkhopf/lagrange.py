@@ -1,6 +1,7 @@
 """Noncommutative Lagrange inversion: the graded series g, f, G, X; the
-commutative image of g in closed form; the bilinear map B; the bijection between binary trees and nondecreasing parking
-functions; Tamari intervals; and the mirror involution.
+commutative image of g in closed form and its gate, the Lagrange
+coefficient; the bilinear map B; the bijection between binary trees and
+nondecreasing parking functions; Tamari intervals; and the mirror involution.
 
 A series is the list of its degree components.  The components of g and f
 are S-basis LinComb values on composition keys, multiplied by
@@ -14,13 +15,14 @@ generator S_0, written as the part 0 of a key; the ``extended`` flag of
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, prod
 
 from .combinat import (_check_size, binary_trees, canopy, comp_conjugate,
                        is_ndpf, ndpfs, packed_evaluation, tree_mirror,
                        shifted_concat_len, shifted_concat_max)
-from .exact import LinComb
+from .exact import P_ONE, LinComb, Poly
 from .hopf import (_keys_by_total, cqsym_prec, cqsym_succ, fqsym_left,
                    fqsym_right, istar_on_cqsym, unit)
 from .symfun import s_product
@@ -104,6 +106,21 @@ def g_partitions(n: int) -> LinComb:
         (lam, factorial(n) // (factorial(n + 1 - len(lam)) * prod(
             map(factorial, Counter(lam).values()))))
         for lam in _partitions(n, n))
+
+
+def lagrange_coefficient(c, n: int) -> Poly:
+    """[z^n] phi^(n+1)/(n+1) for phi = sum_k c_k z^k, given c_0 = 1 and
+    c_1..c_n (polynomials or scalars): by Lagrange inversion the value on g_n
+    of the character h_k -> c_k, read without `g_partitions`.  The powers
+    a = phi^(n+1) satisfy phi a' = (n+1) phi' a, J.C.P. Miller's recurrence
+    a_k = (1/k) sum_(j=1..k) ((n+2) j - k) c_j a_(k-j) from a_0 = 1."""
+    if len(c) <= n or c[0] != 1:
+        raise ValueError(f"lagrange_coefficient needs c_0 = 1 and c_1..c_{n}")
+    a = [P_ONE]
+    for k in range(1, n + 1):
+        a.append(Poly.sum(c[j] * a[k - j] * ((n + 2) * j - k)
+                          for j in range(1, k + 1)).scale(Fraction(1, k)))
+    return a[n].scale(Fraction(1, n + 1))
 
 
 def f_closed_form(n: int) -> LinComb:

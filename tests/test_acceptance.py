@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from parkhopf import chars, combinat, hopf, lagrange, operad
-from parkhopf.exact import LinComb, Poly, series_sqrt_expand
+from parkhopf.exact import LinComb, Poly
 from parkhopf.symfun import s_product
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
@@ -119,14 +119,12 @@ def test_ac08_rewriting():
     dup = [operad.count_normal_forms("dup", n) for n in range(1, 7)]
     ok = tri == [1, 3, 11, 45, 197]
     ok = ok and dup == CATALAN[1:7]
-    # coefficients of the quadratic functional equation via the square root
-    z = Poly.var("z")
-    sqrt = series_sqrt_expand(1 - 6 * z + z ** 2, 7)
-    numerator = 1 - 3 * z - sqrt
-    series = numerator.coeffs_in("z")
-    from_series = [int(series[n + 1].scale(Fraction(1, 4)).constant_value())
-                   for n in range(1, 6)]
-    ok = ok and from_series == tri
+    # the large Schroeder numbers by Lagrange inversion of
+    # phi = 1 + 2z + 2z^2 + ... = (1+z)/(1-z); half of each is the little one
+    large = [lagrange.lagrange_coefficient([1] + [2] * n, n).constant_value()
+             for n in range(7)]
+    ok = ok and large == [1, 2, 6, 22, 90, 394, 1806]
+    ok = ok and [Fraction(r, 2) for r in large[1:6]] == tri
     for mode, limit, keys in (("tri", 6, combinat.quasi_ribbons),
                               ("dup", 6, combinat.ndpfs)):
         for n in range(1, limit + 1):

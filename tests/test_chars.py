@@ -1,7 +1,7 @@
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -531,12 +531,17 @@ def test_psi_alpha_value():
 
 
 def test_psi_alpha_checks():
-    assert ch.psi_alpha(0) is True
-    for n in range(1, 6):
+    for n in range(11):
         assert ch.psi_alpha(n) is True
-        # its value half: n! psi_a of the degree-n sum is P_n(a)
-        total = _psi(LinComb((w, 1) for w in parking_functions(n)))
-        assert total.scale(factorial(n)) == ch.pn_alpha(n)
+    # its value half by the brute sum: n! psi_a of the sum of all parking
+    # functions is P_n(a), and psi reads the sum over the NDPFs weighted by
+    # their rearrangements as the same element
+    for n in range(1, 7):
+        brute = LinComb((w, 1) for w in parking_functions(n))
+        assert _psi(brute).scale(factorial(n)) == ch.pn_alpha(n)
+        weighted = LinComb((pi, factorial(n) // prod(
+            map(factorial, Counter(pi).values()))) for pi in ndpfs(n))
+        assert hopf.morphism_psi(brute) == hopf.morphism_psi(weighted)
 
 
 def test_fixed_pair_counts_match_coefficients():

@@ -493,7 +493,7 @@ _BOUNDED = {
     "chi_sqsym": (7, chars.chi_sqsym),
     "pn_alpha": (12, chars.pn_alpha),
     "fixed_pair_counts": (5, chars.fixed_pair_counts),
-    "psi_alpha": (6, chars.psi_alpha),
+    "psi_alpha": (10, chars.psi_alpha),
     "qn_polynomial": (12, chars.qn_polynomial),
     "q_triangle": (12, chars.q_triangle),
     "lassalle_narayana": (12, chars.lassalle_narayana),

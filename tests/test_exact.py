@@ -8,9 +8,9 @@ from parkhopf import hopf
 from parkhopf.combinat import ndpfs
 from parkhopf.exact import (_ZERO, LinComb, NotDivisibleError, Poly,
                             independent, monomial, poly_divexact,
-                            series_sqrt_expand, span_dimension)
+                            span_dimension)
 
-q, t, x, z, a = (Poly.var(v) for v in ("q", "t", "x", "z", "a"))
+q, t, x, a = (Poly.var(v) for v in ("q", "t", "x", "a"))
 
 
 def test_poly_ring_axioms():
@@ -79,27 +79,6 @@ def test_divexact():
         poly_divexact(1 + q + t, 1 + q)
     with pytest.raises(ZeroDivisionError):
         poly_divexact(q, Poly())
-
-
-def test_series_sqrt_catalan():
-    # (1 - sqrt(1-4z))/(2z) has the Catalan numbers as coefficients
-    s = series_sqrt_expand(Poly.const(1) - 4 * z, 6)
-    numerator = Poly.const(1) - s
-    coeffs = numerator.coeffs_in("z")
-    catalan = [int(coeffs[k].scale(Fraction(1, 2)).constant_value())
-               for k in range(1, 7)]
-    assert catalan == [1, 1, 2, 5, 14, 42]
-
-
-def test_series_sqrt_squares_back():
-    p = Poly.const(1) + z * (1 + t) + z ** 2 * (2 - t)
-    y = series_sqrt_expand(p, 5)
-    z_idx = ("q", "t", "x", "z", "a").index("z")
-    square = {e: c for e, c in (y * y).terms.items() if e[z_idx] <= 5}
-    expect = {e: c for e, c in p.terms.items() if e[z_idx] <= 5}
-    assert square == expect
-    with pytest.raises(ValueError):
-        series_sqrt_expand(2 + z, 3)
 
 
 def test_span_and_kernel_dimension():

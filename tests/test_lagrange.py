@@ -1,10 +1,15 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import pytest
 
+from parkhopf.chars import pn_alpha, schroder_polynomials
 from parkhopf.combinat import (binary_trees, compositions, ndpfs,
                                packed_evaluation, tree_parse)
-from parkhopf.exact import LinComb
+from parkhopf.exact import P_ONE, LinComb, Poly, monomial
 from parkhopf import lagrange as lg
 from parkhopf.hopf import istar_on_cqsym, unit
+from parkhopf.symfun import evaluate, rising_factorial
 
 # an S-basis element is a LinComb on composition keys; a part 0 is S_0
 S = LinComb.term
@@ -44,6 +49,38 @@ def test_g_partitions_is_the_grouped_solution():
     assert [len(lg.g_partitions(n)) for n in range(13)] == \
         [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
     assert lg.g_partitions(0) == S(())
+
+
+# c_1..c_12 of a character with integer h_k, drawn once at random
+_RANDOM_H = [4, -7, 0, 3, 9, -2, 5, -5, 1, 8, -3, 6]
+
+
+def test_lagrange_coefficient_is_the_character_on_g():
+    # [z^n] phi^(n+1)/(n+1) by the power recurrence against the partition
+    # weights of g_n, for the characters 1 - x, the binomial element and
+    # integers; each value also meets a route that reads neither
+    x, t, a = (Poly.var(v) for v in "xta")
+    for n in range(1, 13):
+        g = lg.g_partitions(n)
+        narayana = [P_ONE] + [1 - x] * n
+        binomial = [rising_factorial(a, k).scale(Fraction(1, factorial(k)))
+                    for k in range(n + 1)]
+        for h in (narayana, binomial, [1] + _RANDOM_H[:n]):
+            assert lg.lagrange_coefficient(h, n) == evaluate(g, h)
+        # h_n((n+1)(1-x))/(n+1) in closed form
+        assert lg.lagrange_coefficient(narayana, n) == Poly(
+            (monomial(x=j), Fraction((-1) ** j * comb(n + 1, j)
+                                     * comb(2 * n - j, n - j), n + 1))
+            for j in range(n + 1))
+        assert lg.lagrange_coefficient(binomial, n).scale(factorial(n)) == \
+            pn_alpha(n)
+        if n <= 8:
+            assert lg.lagrange_coefficient([P_ONE] + [1 + t] * n, n) == \
+                schroder_polynomials(n)
+    assert lg.lagrange_coefficient([1], 0) == 1
+    for h, n in (([2, 1], 1), ([1, 1], 2)):
+        with pytest.raises(ValueError, match="needs c_0 = 1"):
+            lg.lagrange_coefficient(h, n)
 
 
 def test_f_small_components():
