@@ -12,14 +12,16 @@ in the library's order, and its count from a closed form.  Every family,
 tree included, streams: enumerate renders and writes its items in blocks
 as they are produced, so no format holds the family in memory, and JSON
 prints the formula count before it streams the items.  Each block is one
-text, its items joined by newlines, from its rendering to its write; JSON
-and CSV split it into its items.  A block of a word family (pf, ndpf,
-packed, perm) is one run of words that share all but their last letters,
-rendered as the run's prefix text joined to tail texts cached per state
-(``combinat.word_texts``); every other family is cut into blocks of
-``_BLOCK`` items.  A family whose count is over ``_ENUM_BUDGET`` items exits 2
-before it enumerates anything, and a stream whose length differs from its
-formula exits 1.
+text, its items joined by newlines, until ``_coalesced`` joins blocks into
+writes of at least ``_WRITE`` characters; JSON and CSV split a write into
+its items.  A block of a word family (pf, ndpf, packed, perm) is one run
+of words that share all but their last letters, as many as the family's
+tail length: the run's prefix text put before each line of its state's
+block, the texts of the state's tails cached per state, by one
+``str.replace`` (``combinat.word_texts``).  Every other family is cut into
+blocks of ``_BLOCK`` items.  A family whose count is over ``_ENUM_BUDGET``
+items exits 2 before it enumerates anything, and a stream whose length
+differs from its formula exits 1.
 
 Every size bound of the library is one row of ``combinat.LIMITS``, and each
 command checks it before any work: a bounded function checks its row first,
@@ -77,10 +79,10 @@ def _parking_count(n: int) -> int:
     return (n + 1) ** (n - 1) if n else 1
 
 
-# items per write of `enumerate` for the families rendered an item at a
+# items per block of `enumerate` for the families rendered an item at a
 # time: enough to spread the per-call costs over many items, while larger
 # blocks raise peak memory and gain no speed.  A block stays one text from
-# its rendering to its write.
+# its rendering until `_coalesced` joins it into a write.
 _BLOCK = 256
 
 
@@ -95,10 +97,31 @@ def _joined(texts):
     return map("\n".join, _chunks(texts))
 
 
+# the least text per write of `enumerate`, the default capacity of a Linux
+# pipe: each write to a pipe may wake its reader, which costs more than the
+# bytes of a run of a few hundred words (about 1 KB for pf of size 7)
+_WRITE = 1 << 16
+
+
+def _coalesced(blocks):
+    """The blocks joined by newlines into texts of at least `_WRITE`
+    characters each, the last one shorter."""
+    pending, size = [], 0
+    for text in blocks:
+        pending.append(text)
+        size += len(text)
+        if size >= _WRITE:
+            yield "\n".join(pending)
+            pending, size = [], 0
+    if pending:
+        yield "\n".join(pending)
+
+
 # family: (its items of size n as text in the library's order, in blocks,
 # each block one str of items joined by newlines, with every size check made
 # before the first block; their number, from a closed form).  A word
-# family's block is one run of words sharing a prefix (`word_texts`).
+# family's block is one run of words sharing a prefix, rendered from the
+# cached block of its state's tail texts (`word_texts`).
 _ENUM_FAMILIES = {
     "pf": (lambda n: combinat.word_texts("pf", n), _parking_count),
     "ndpf": (lambda n: combinat.word_texts("ndpf", n), _catalan),
@@ -132,11 +155,11 @@ def _cmd_enumerate(args) -> int:
         return 2
     count = count_of(args.n)
     # the family checks its size here, before anything is written
-    blocks = render(args.n)
+    blocks = _coalesced(render(args.n))
     # each block (a run of words, or `_BLOCK` items) is one text from its
-    # rendering to its write, so no list of all the lines is built, and no
-    # family is held in memory; no item text holds a newline, so json and
-    # csv split a block into its items there
+    # rendering until `_coalesced` joins it into a write, so no list of all
+    # the lines is built, and no family is held in memory; no item text
+    # holds a newline, so json and csv split a write into its items there
     write = sys.stdout.write
     written = 0
     if args.format == "lines":

@@ -6,17 +6,20 @@ order, free of duplicates: lexicographic on letter sequences, and for binary
 trees by left-subtree size then recursively.  The word families (ndpfs,
 parking functions, packed words, permutations) are walked one letter at a
 time by `_words`, which gives one run of words per prefix: the prefix and
-the tails of its state, cached per state.  The tuple streams chain one
-run of words per prefix, so each word passes through one `itertools.chain`,
-and `word_texts` renders each run as one text, the prefix text joined to
-tail texts also cached per state.  `iter_ndpfs`, `iter_parking_functions`,
-`iter_packed_words`, `iter_quasi_ribbons` and `iter_binary_trees` yield
-their items as they are found, and the tuples the algebra code reuses
-(`ndpfs`, `parking_functions`, `packed_words`, `quasi_ribbons`,
-`binary_trees`, cached, and `permutations`) are built from the same
-streams.  Every size limit of the library, the enumeration range included,
-is one row of `LIMITS`, checked by `_check_size` as the first statement of
-the function it bounds.
+the state it leads to, whose tails end the run's words.  The tuple streams
+chain one map of the prefix over the state's tails, a table built once per
+state, so each word passes through one `itertools.chain`.  `word_texts`
+renders each run as one text: the prefix text put before each line of the
+state's block, the texts of all its tails, built once per state from the
+blocks of the next states by `str.replace` (`_tail_blocks`).
+`iter_ndpfs`, `iter_parking_functions`, `iter_packed_words`,
+`iter_quasi_ribbons` and `iter_binary_trees` yield their items as they are
+found, and the tuples the algebra code reuses (`ndpfs`,
+`parking_functions`, `packed_words`, `quasi_ribbons`, `binary_trees`,
+cached, and `permutations`) are built from the same streams.  Every size
+limit of the library, the enumeration range included, is one row of
+`LIMITS`, checked by `_check_size` as the first statement of the function
+it bounds.
 """
 
 from __future__ import annotations
@@ -318,49 +321,31 @@ def _check_n(n: int):
     _check_size("enumeration", n)
 
 
-def _words(n: int, start, moves, tail: int):
-    """The words of length n spelled from the state ``start``, in
-    lexicographic order, as runs: one (prefix, key) per prefix of
-    n - ``tail`` letters (one run with the empty prefix when n <= ``tail``),
-    whose words are the prefix followed by each of ``tails(key)``.
+def _words(family: str, n: int, heads, empty):
+    """The words of length n of ``family``, in lexicographic order, as runs:
+    one (prefix, state, r) per prefix of n - r letters, r being the
+    family's tail length (r = n and the empty prefix when n is at most it),
+    whose words are the prefix followed by each r-letter tail of ``state``.
+    A prefix is ``empty`` plus ``heads[v]`` for each of its letters v in
+    turn, so the walk carries it in the form its caller renders.
 
-    Returns the runs, ``tails`` and ``tail_texts(key, wide_prefix)``, the
-    tails' texts after a prefix with no letter past 9 or with one; both are
-    cached, so each is built once per state.  ``moves(state)`` lists the
-    (letter, next state) pairs by increasing letter, and is called once per
-    state.  Each move should lead to a state that can finish the word, so
-    that no time goes to dead ends.
+    n is checked before this returns.  Returns the runs and the family's
+    ``moves(state)``, cached, which list the (letter, next state) pairs by
+    increasing letter.  Each move should lead to a state that can finish
+    the word, so that no time goes to dead ends.
     """
+    _check_n(n)
+    start, moves, tail = _WORD_FAMILIES[family]
     moves = cache(moves)
-
-    @cache
-    def tails(key):
-        state, r = key
-        if r == 0:
-            return ((),)
-        return tuple((v,) + t for v, after in moves(state)
-                     for t in tails((after, r - 1)))
-
-    @cache
-    def tail_texts(key, wide_prefix):
-        # the tails' texts, cut where their format changes: (False, digit
-        # texts) for tails of digits, (True, comma texts) for tails holding
-        # a letter past 9, or after a prefix that holds one
-        return tuple(
-            (wide, tuple(("," if wide else "").join(map(str, t))
-                         for t in group))
-            for wide, group in itertools.groupby(
-                tails(key),
-                key=lambda t: wide_prefix or max(t, default=0) >= 10))
 
     def runs(prefix, state, r):
         if r <= tail:
-            yield prefix, (state, r)
+            yield prefix, state, r
             return
         for v, after in moves(state):
-            yield from runs(prefix + (v,), after, r - 1)
+            yield from runs(prefix + heads[v], after, r - 1)
 
-    return runs((), start, n), tails, tail_texts
+    return runs(empty, start(n), n), moves
 
 
 def _ndpf_moves(state):
@@ -398,13 +383,14 @@ def _perm_moves(unused):
 
 
 # word family: (its start state at length n, its moves, its tail length).
-# The last letters of every word come from a table of tails built once per
-# state, so most words cost one tuple concatenation, or a share of one text
-# join.  Each family's tail length makes its runs long while its tables
-# stay small: 3 for ndpf, and for pf, whose tables grow fastest (at tail 5,
-# pf of size 8 peaks at 108 MB); 4 for packed (about 190 words a run at
-# n = 9); 5 for perm, whose runs are the 5! = 120 orders of the letters
-# left.
+# The last letters of every word come from its state's tails, a table of
+# tuples or a block of texts built once per state, so most words cost one
+# tuple concatenation, or a share of one `str.replace`.  Each family's tail
+# length makes its runs long while its tables stay small: 3 for ndpf, and
+# for pf, whose tables grow fastest (at tail 4, the tuple stream of pf of
+# size 7 runs slower and peaks 2 MB higher); 4 for packed (about 190 words
+# a run at n = 9); 5 for perm, whose runs are the 5! = 120 orders of the
+# letters left.
 _WORD_FAMILIES = {
     "ndpf": (lambda n: (1, 1), _ndpf_moves, 3),
     "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 3),
@@ -413,25 +399,28 @@ _WORD_FAMILIES = {
 }
 
 
-def _spell(family: str, n: int):
-    """`_words` of the words of ``family`` of length n, n checked first."""
-    _check_n(n)
-    start, moves, tail = _WORD_FAMILIES[family]
-    return _words(n, start(n), moves, tail)
+def _word_stream(family: str, n: int):
+    """The words of length n of ``family`` as tuples, one at a time, n
+    checked first: each run is one map over its state's tails, a table
+    built once per state, so a word passes through one `itertools.chain`
+    and no generator frame."""
+    runs, moves = _words(family, n, [(v,) for v in range(n + 1)], ())
 
+    @cache
+    def tails(state, r):
+        if r == 0:
+            return ((),)
+        return tuple((v,) + t for v, after in moves(state)
+                     for t in tails(after, r - 1))
 
-def _word_stream(spelled):
-    # each run is one map over the cached tails, so a word passes through
-    # the one chain below and no generator frame
-    runs, tails, _ = spelled
     return itertools.chain.from_iterable(
-        map(prefix.__add__, tails(key)) for prefix, key in runs)
+        map(prefix.__add__, tails(state, r)) for prefix, state, r in runs)
 
 
 def iter_ndpfs(n: int):
     """The nondecreasing parking functions of length n, lexicographically,
     one at a time."""
-    return _word_stream(_spell("ndpf", n))
+    return _word_stream("ndpf", n)
 
 
 @lru_cache(maxsize=None)
@@ -448,7 +437,7 @@ def iter_parking_functions(n: int):
     letter is a car that parks at the first free spot at or after it, the
     letters allowed next are 1 up to the last free spot.
     """
-    return _word_stream(_spell("pf", n))
+    return _word_stream("pf", n)
 
 
 @lru_cache(maxsize=None)
@@ -463,7 +452,7 @@ def iter_packed_words(n: int):
     A letter may come next iff the letters still to place can fill every
     gap below the largest letter so far.
     """
-    return _word_stream(_spell("packed", n))
+    return _word_stream("packed", n)
 
 
 @lru_cache(maxsize=None)
@@ -474,7 +463,7 @@ def packed_words(n: int) -> tuple:
 
 def permutations(n: int) -> tuple:
     """All permutations of 1..n, lexicographically."""
-    return tuple(_word_stream(_spell("perm", n)))
+    return tuple(_word_stream("perm", n))
 
 
 def iter_quasi_ribbons(n: int):
@@ -547,6 +536,47 @@ def word_to_text(w) -> str:
     return bytes(w).translate(_DIGITS).decode()
 
 
+def _comma_lines(text: str) -> str:
+    """The lines of ``text``, words whose letters are all digits, each
+    rewritten as its comma text: the line "12" becomes "1,2"."""
+    return ",".join(text).replace(",\n,", "\n")
+
+
+def _tail_blocks(moves):
+    """``block(state, r, wide_prefix)``, cached: the texts `word_to_text`
+    gives the r-letter tails of ``state``, in order, joined by newlines, as
+    (wide, text) segments cut where their format changes.  A segment is
+    wide when its tails hold a letter past 9, and then its texts are comma
+    texts, "1,10"; else they are digit texts, "12".  After a ``wide_prefix``
+    (a prefix holding a letter past 9) every tail takes commas, and the
+    block is one wide segment.
+
+    Each block is built once, from the blocks of the next states: a move
+    to letter v puts its head, "v" or "v," before each line of the next
+    state's block by one ``replace``, and a letter past 9 takes the wide
+    block of its next state.
+    """
+    @cache
+    def block(state, r, wide_prefix):
+        if wide_prefix:
+            return ((True, "\n".join(
+                text if wide else _comma_lines(text)
+                for wide, text in block(state, r, False))),)
+        if r == 0:
+            return ((False, ""),)
+        segments = []
+        for v, after in moves(state):
+            for wide, text in block(after, r - 1, v >= 10):
+                # the last letter of a tail takes no comma after it
+                head = f"{v}," if wide and r > 1 else str(v)
+                segments.append((wide, head + text.replace("\n", "\n" + head)))
+        return tuple((wide, "\n".join(map(itemgetter(1), group)))
+                     for wide, group in itertools.groupby(
+                         segments, key=itemgetter(0)))
+
+    return block
+
+
 def word_texts(family: str, n: int):
     """The texts `word_to_text` gives the words of length n of ``family``
     ("ndpf", "pf", "packed" or "perm"), in order, one text per run of words
@@ -554,30 +584,31 @@ def word_texts(family: str, n: int):
     length in `_WORD_FAMILIES`: the words' texts joined by newlines, with
     no newline at the end.  n is checked before this returns.
 
-    A run is its prefix text joined to each of its state's tail texts,
-    rendered once per state: the prefix's digits before a tail of digits,
-    and its letters each followed by a comma before a tail holding a letter
-    past 9, or after a prefix that holds one, so that each word's text is
-    the digit text or the comma text as `word_to_text` chooses.
+    A run is its prefix text put before each line of its state's block
+    (`_tail_blocks`) by one ``replace`` per segment: the prefix's digits
+    before a segment of digit texts, and its letters each followed by a
+    comma before a segment of comma texts.  The walk carries the prefix's
+    comma text, "1,10,", and its digit text is that with the commas taken
+    out, so no run joins its letters one by one.
     """
-    return _run_texts(_spell(family, n))
+    runs, moves = _words(family, n, [f"{v}," for v in range(n + 1)], "")
+    return _run_texts(runs, _tail_blocks(moves), n)
 
 
-def _run_texts(spelled):
-    runs, _, tail_texts = spelled
-    for prefix, key in runs:
-        # letters are positive, so a letter's text is one character iff
-        # the letter is a digit
-        p = "".join(map(str, prefix))
-        segments = tail_texts(key, len(p) > len(prefix))
+def _run_texts(runs, block, n):
+    for comma_prefix, state, r in runs:
+        digit_prefix = comma_prefix.replace(",", "")
+        # the prefix has n - r letters, so its digit text is longer than
+        # that iff one of them is past 9
+        segments = block(state, r, len(digit_prefix) > n - r)
         if len(segments) == 1:
-            wide, texts = segments[0]
-            q = "".join(f"{v}," for v in prefix) if wide else p
-            yield q + ("\n" + q).join(texts)
+            wide, text = segments[0]
+            q = comma_prefix if wide else digit_prefix
+            yield q + text.replace("\n", "\n" + q)
         else:
-            pc = "".join(f"{v}," for v in prefix)
-            yield "\n".join((q := pc if wide else p) + ("\n" + q).join(texts)
-                            for wide, texts in segments)
+            yield "\n".join(
+                (q := comma_prefix if wide else digit_prefix)
+                + text.replace("\n", "\n" + q) for wide, text in segments)
 
 
 def comma_ints(text: str) -> tuple:

@@ -22,7 +22,6 @@ dimension is the size of a basis less the span dimension of its images.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -52,13 +51,13 @@ def _as_scalar(c) -> int | Fraction:
 
 
 def _collect(pairs, data=None) -> dict:
-    """Merge ``(key, coeff)`` pairs, given as a mapping or any iterable, into
+    """Merge ``(key, coeff)`` pairs, given as a dict or any iterable, into
     ``data`` (a new dict by default): coefficients of repeated keys are added
     and keys whose sum is zero are dropped.  `LinComb` and `Poly` build every
     sum and product through this one loop."""
     if data is None:
         data = {}
-    if type(pairs) is dict or isinstance(pairs, Mapping):
+    if isinstance(pairs, dict):
         pairs = pairs.items()
     for k, c in pairs:
         s = data.get(k)
@@ -88,7 +87,7 @@ def _term_key(exps):
 class Poly:
     """Sparse multivariate polynomial over Q in the variables q,t,x,a.
 
-    ``Poly(pairs)`` is how a polynomial is collected: it takes a mapping or
+    ``Poly(pairs)`` is how a polynomial is collected: it takes a dict or
     any iterable of ``(exponent tuple, coeff)`` pairs in one pass, merges
     repeated exponents by adding their coefficients, drops the exponents
     whose sum is zero and stores each surviving coefficient as an `int` when
@@ -312,7 +311,10 @@ class LinComb:
 
     @classmethod
     def term(cls, key, coeff=1) -> "LinComb":
-        return cls(((key, coeff),))
+        """``coeff`` times the basis element ``key``; zero for a zero coeff."""
+        res = cls.__new__(cls)
+        res.terms = {key: coeff} if coeff else {}
+        return res
 
     def __add__(self, other: "LinComb") -> "LinComb":
         res = LinComb.__new__(LinComb)

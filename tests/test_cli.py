@@ -100,6 +100,8 @@ def test_block_rendering_matches_item_rendering(capsys):
     # sizes with many blocks of items, a last partial block among them
     sizes = [(family, n) for family in ("pf", "ndpf", "packed", "perm")
              for n in (6, 7)]
+    # ndpfs of 10 and 11 letters: runs that mix digit and comma words
+    sizes += [("ndpf", 10), ("ndpf", 11)]
     sizes += [("qribbon", 7), ("tree", 8), ("dyck", 8), ("schroder", 6),
               ("signed-pf", 4)]
     for family, n in sizes:

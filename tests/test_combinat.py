@@ -1,8 +1,9 @@
+import functools
 import itertools
 import re
 import time
 from math import comb
-from operator import lt
+from operator import le, lt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -603,6 +604,41 @@ def test_word_texts_on_every_family():
     for n in (-1, 13):
         with pytest.raises(ValueError):
             cb.word_texts("pf", n)
+
+
+def test_comma_lines_rewrites_digit_lines():
+    assert cb._comma_lines("") == ""
+    assert cb._comma_lines("7") == "7"
+    assert cb._comma_lines("123") == "1,2,3"
+    assert cb._comma_lines("12\n345\n6\n78") == "1,2\n3,4,5\n6\n7,8"
+
+
+def test_tail_blocks_straddling_9_and_10():
+    # the ndpf state (8, 10): a nondecreasing tail from 8 whose i-th letter
+    # is at most 9 + i, so its tails hold digit and comma words, in turn
+    state, r = (8, 10), 3
+    tails = [t for t in itertools.product(range(8, 13), repeat=r)
+             if all(map(le, t, t[1:])) and all(v <= 9 + i
+                                              for i, v in enumerate(t, 1))]
+    block = cb._tail_blocks(functools.cache(cb._ndpf_moves))
+    segments = block(state, r, False)
+    # the segments alternate, cut where the tails' format changes
+    assert [wide for wide, _ in segments] == [
+        wide for wide, _ in itertools.groupby(tails, key=lambda t: max(t) > 9)]
+    assert len(segments) > 2
+    lines = "\n".join(text for _, text in segments).split("\n")
+    assert lines == [cb.word_to_text(t) for t in tails]
+    # the digit segments rewritten with commas, and the block after a
+    # prefix holding 10, all comma words
+    for wide, text in segments:
+        if not wide:
+            assert cb._comma_lines(text).split("\n") == [
+                cb.word_to_text((10,) + cb.text_to_word(line))[3:]
+                for line in text.split("\n")]
+    ((wide, text),) = block(state, r, True)
+    assert wide
+    assert ["10," + line for line in text.split("\n")] == [
+        cb.word_to_text((10,) + t) for t in tails]
 
 
 def test_permutations_match_itertools():
