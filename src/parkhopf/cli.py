@@ -14,11 +14,12 @@ as they are produced, so no format holds the family in memory, and JSON
 prints the formula count before it streams the items.  Each block is one
 text, its items joined by newlines, until ``_coalesced`` joins blocks into
 writes of at least ``_WRITE`` characters; JSON and CSV split a write into
-its items.  A block of a word family (pf, ndpf, packed, perm) is one run
-of words that share all but their last letters, as many as the family's
-tail length: the run's prefix text put before each line of its state's
-block, the texts of the state's tails cached per state, by one
-``str.replace`` (``combinat.word_texts``).  Every other family is cut into
+its items, and CSV renders them into one buffer that is written once.  A
+block of a word family (pf, ndpf, packed, perm) is one run of words that
+share all but their last letters, as many as the family's tail length:
+the run's prefix text put before each line of its state's block, the
+texts of the state's tails cached per state, by one ``str.replace``
+(``combinat.word_texts``).  Every other family is cut into
 blocks of ``_BLOCK`` items.  A family whose count is over ``_ENUM_BUDGET``
 items exits 2 before it enumerates anything, and a stream whose length
 differs from its formula exits 1.
@@ -177,11 +178,18 @@ def _cmd_enumerate(args) -> int:
             written += text.count("\n") + 1
         write("]}\n")
     else:
-        writer = csv.writer(sys.stdout)
+        # the rows of a text go into one buffer, written once per text
+        out = io.StringIO()
+        writer = csv.writer(out)
         writer.writerow(["item"])
         for text in blocks:
             writer.writerows(zip(text.split("\n")))
+            write(out.getvalue())
+            out.seek(0)
+            out.truncate()
             written += text.count("\n") + 1
+        if out.tell():
+            write(out.getvalue())
     if written != count:
         raise AssertionError(f"{args.family} of size {args.n} gave {written} "
                              f"items, its closed form {count}")

@@ -127,8 +127,9 @@ def packed_evaluation(w) -> tuple:
 
 def shifted_concat_len(alpha, beta) -> tuple:
     """alpha . beta[k] with k = |alpha| (the bullet concatenation); beta is
-    shifted by one ``map`` of ``k.__add__``."""
-    return tuple(alpha) + tuple(map(len(alpha).__add__, beta))
+    shifted by one list comprehension."""
+    k = len(alpha)
+    return tuple(alpha) + tuple([v + k for v in beta])
 
 
 def shifted_concat_max(alpha, beta) -> tuple:
@@ -136,7 +137,8 @@ def shifted_concat_max(alpha, beta) -> tuple:
     shifted as in `shifted_concat_len`."""
     if not alpha:
         raise ValueError("left factor of the max-shifted concatenation is empty")
-    return tuple(alpha) + tuple(map((max(alpha) - 1).__add__, beta))
+    k = max(alpha) - 1
+    return tuple(alpha) + tuple([v + k for v in beta])
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +164,7 @@ def shifted_shuffle(a, b, shift: int):
     its own one interleaving.
     """
     a, b = tuple(a), tuple(b)
-    word = a + tuple(map(shift.__add__, b))
+    word = a + tuple([v + shift for v in b])
     if len(word) < 2:
         return [word]
     return [get(word) for get in _interleavings(len(a), len(b))]
@@ -294,7 +296,13 @@ def tree_parse(text: str):
 
 
 def tree_mirror(t):
-    return None if t is None else (tree_mirror(t[1]), tree_mirror(t[0]))
+    """The tree with left and right swapped at every node; no call is made
+    on an empty subtree."""
+    if t is None:
+        return None
+    left, right = t
+    return (None if right is None else tree_mirror(right),
+            None if left is None else tree_mirror(left))
 
 
 def canopy(t) -> str:

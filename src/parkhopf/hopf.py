@@ -23,6 +23,22 @@ one pair of keys and one tag share a coefficient and form a run, which is
 merged into the result whole by one ``dict.fromkeys`` and one ``update``.
 A run that repeats a term, or meets a term already in the result, goes
 through `exact._collect` instead, so sums and cancellations stay exact.
+A product of two basis elements, which is every product the axiom checks
+form, is one run over the rows of all its kept tags: its result is one
+``dict.fromkeys``, kept when it has a term per row and taken through the
+runs above otherwise (a repeated term, two tags that share a term, or
+coefficients whose product is 0).
+
+Two caches spare the per-key work of the checks: `_packed_fibers`, the
+packed words over a permutation, per permutation; and `_dup_weight`, the
+weight of `pqsym_dup_prec`, per pair of letter counts.  Each holds values
+of a pure function of its arguments that calls no function of the
+package (only itertools and integer factorials), and neither holds a
+product, a table or a morphism.  So a check run clean and then with a
+fault planted in a library function, as the fault tests of the verify
+rows do, calls the faulty function on every key it reads, and no cached
+value can hide the fault.  The index tables are looked up through the
+module on every product, so a patched table function is the one read.
 
 The dendriform relations of the permutation algebra and the tridendriform
 relations of the packed-word algebra are proven without walking the key
@@ -70,11 +86,19 @@ def pqsym_product(a: LinComb, b: LinComb) -> LinComb:
                    for w in shifted_shuffle(k1, k2, len(k1)))
 
 
+@lru_cache(maxsize=None)
+def _dup_weight(am: int, b1: int) -> Fraction:
+    """The weight |a|_m! |b|_1! / (|a|_m + |b|_1)! of `pqsym_dup_prec`."""
+    return Fraction(factorial(am) * factorial(b1), factorial(am + b1))
+
+
 def pqsym_dup_prec(a: LinComb, b: LinComb) -> LinComb:
     """The normalized left duplicial operation on parking words.
 
     With m = max(a): F_a < F_b = (|a|_m! |b|_1! / (|a|_m + |b|_1)!) times the
-    sum over the shuffle of a with b shifted by m - 1.
+    sum over the shuffle of a with b shifted by m - 1.  The weight is read
+    from `_dup_weight`, cached per (|a|_m, |b|_1), and scaled by c1 * c2
+    only when that product is not 1.
     """
     def terms():
         for k1, c1 in a:
@@ -87,9 +111,10 @@ def pqsym_dup_prec(a: LinComb, b: LinComb) -> LinComb:
                 if not k2:
                     raise ValueError(
                         "duplicial operations live on the augmentation ideal")
-                b1 = k2.count(1)
-                coeff = Fraction(factorial(am) * factorial(b1),
-                                 factorial(am + b1)) * c1 * c2
+                coeff = _dup_weight(am, k2.count(1))
+                c = c1 * c2
+                if c != 1:
+                    coeff *= c
                 for w in shifted_shuffle(k1, k2, m - 1):
                     yield w, coeff
 
@@ -233,8 +258,8 @@ def sqsym_product(a: LinComb, b: LinComb) -> LinComb:
 def qr_succ(q1, q2) -> tuple:
     """Shift the second factor by the length of the first; bars carried along."""
     (w1, b1), (w2, b2) = q1, q2
-    shift = len(w1).__add__
-    return w1 + tuple(map(shift, w2)), b1 + tuple(map(shift, b2))
+    k = len(w1)
+    return w1 + tuple([v + k for v in w2]), b1 + tuple([v + k for v in b2])
 
 
 def qr_prec(q1, q2) -> tuple:
@@ -243,8 +268,8 @@ def qr_prec(q1, q2) -> tuple:
     if not w1:
         raise ValueError(
             "left factor of the max-shifted concatenation is empty")
-    return (w1 + tuple(map((max(w1) - 1).__add__, w2)),
-            b1 + tuple(map(len(w1).__add__, b2)))
+    m, k = max(w1) - 1, len(w1)
+    return w1 + tuple([v + m for v in w2]), b1 + tuple([v + k for v in b2])
 
 
 def qr_mid(q1, q2) -> tuple:
@@ -253,8 +278,8 @@ def qr_mid(q1, q2) -> tuple:
     if not (w1 and w2):
         raise ValueError("the middle operation needs two nonempty factors")
     k = len(w1)
-    shift = k.__add__
-    return w1 + tuple(map(shift, w2)), b1 + (k,) + tuple(map(shift, b2))
+    return (w1 + tuple([v + k for v in w2]),
+            b1 + (k,) + tuple([v + k for v in b2]))
 
 
 # -- products by relabelling: the permutation and packed-word algebras --------
@@ -270,21 +295,45 @@ def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
     ``itemgetter(*w)`` per pair of keys reads every row; a w of fewer than
     two letters, for which itemgetter gives no tuple, maps each row directly.
 
-    The terms of one pair and tag form a run with one coefficient, built by
-    ``dict.fromkeys``.  A run whose terms are distinct becomes the result
-    when the result is still empty, and is merged whole by ``update`` when
-    its terms are new to the result; a run that repeats a term or meets one
-    already in the result is added term by term through `exact._collect`, so
-    coefficients add and zero sums drop as in any LinComb.
+    A pair of basis elements (one term each, as every operation of the
+    axiom checks receives) takes the rows of all the kept tags as one run:
+    its result is one ``dict.fromkeys``, kept when its terms are as many as
+    the rows.  Otherwise, and on any other input, the terms of one pair and
+    tag form a run with one coefficient, built by ``dict.fromkeys``.  A run
+    whose terms are distinct becomes the result when the result is still
+    empty, and is merged whole by ``update`` when its terms are new to the
+    result; a run that repeats a term or meets one already in the result is
+    added term by term through `exact._collect`, so coefficients add and
+    zero sums drop as in any LinComb.  A pair whose coefficients multiply
+    to 0 adds nothing.
     """
+    if len(a.terms) == 1 == len(b.terms):
+        ((k1, c1),) = a.terms.items()
+        ((k2, c2),) = b.terms.items()
+        c = c1 * c2
+        if c:
+            s1 = max(k1, default=0)
+            w = k1 + tuple([v + s1 for v in k2])
+            rows = tables(s1, max(k2, default=0))
+            kept = rows[keep[0]]
+            for tag in keep[1:]:
+                kept = kept + rows[tag]
+            get = itemgetter(*w) if len(w) > 1 else \
+                (lambda row: tuple(map(row.__getitem__, w)))
+            data = dict.fromkeys(map(get, kept), c)
+            if len(data) == len(kept):
+                res = LinComb.__new__(LinComb)
+                res.terms = data
+                return res
     b_terms = [(k2, max(k2, default=0), c2) for k2, c2 in b]
-    data: dict = {}
+    data = {}
     for k1, c1 in a:
         s1 = max(k1, default=0)
-        shift = s1.__add__
         for k2, s2, c2 in b_terms:
-            w = k1 + tuple(map(shift, k2))
             c = c1 * c2
+            if not c:
+                continue
+            w = k1 + tuple([v + s1 for v in k2])
             rows = tables(s1, s2)
             get = itemgetter(*w) if len(w) > 1 else \
                 (lambda row, w=w: tuple(map(row.__getitem__, w)))
@@ -376,19 +425,19 @@ def wqsym_right(a, b):
     return _relabelled(a, b, _packed_tables, (1,))
 
 
-def _packed_fibers(sigma):
-    """All packed words u with std(u) = sigma.
+@lru_cache(maxsize=None)
+def _packed_fibers(sigma: tuple) -> tuple:
+    """All packed words u with std(u) = sigma, cached per permutation.
 
     Merging the values j and j+1 of sigma is allowed exactly when j+1 occurs
     to the right of j (left-to-right tie breaking).
     """
-    sigma = tuple(sigma)
     n = len(sigma)
     if n == 0:
-        yield ()
-        return
+        return ((),)
     pos = {v: i for i, v in enumerate(sigma)}
     mergeable = [j for j in range(1, n) if pos[j + 1] > pos[j]]
+    fibers = []
     for r in range(len(mergeable) + 1):
         for merges in itertools.combinations(mergeable, r):
             label = {}
@@ -399,7 +448,8 @@ def _packed_fibers(sigma):
                 else:
                     nxt += 1
                     label[v] = nxt
-            yield tuple(label[v] for v in sigma)
+            fibers.append(tuple(label[v] for v in sigma))
+    return tuple(fibers)
 
 
 def embed_fqsym_wqsym(a: LinComb) -> LinComb:
@@ -571,9 +621,9 @@ def _natural(family, max_total: int, pieces, product, inner=()) -> bool:
         at_top = l1 + l2 == max_total
         for x, s1, a in pools[l1]:
             head = [v - 1 for v in x]
-            shift = (s1 - 1).__add__
+            shift = s1 - 1
             for y, s2, b in pools[l2]:
-                get = itemgetter(*head, *map(shift, y))
+                get = itemgetter(*head, *[v + shift for v in y])
                 for op, keys, coeffs in images[s1, s2][at_top]:
                     if op(a, b).terms != dict(zip(map(get, keys), coeffs)):
                         return False

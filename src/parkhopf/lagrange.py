@@ -165,8 +165,8 @@ def bilinear_B(f: LinComb, g: LinComb, algebra: str = "cqsym") -> LinComb:
     x = LinComb.term((1,))
     cf = f.coeff(())
     cg = g.coeff(())
-    fplus = f - LinComb.term((), cf)
-    gplus = g - LinComb.term((), cg)
+    fplus = f - LinComb.term((), cf) if cf else f
+    gplus = g - LinComb.term((), cg) if cg else g
     out = x.scale(cf * cg)
     if fplus:
         out = out + succ(fplus, x).scale(cg)
@@ -221,20 +221,22 @@ def tree_to_ndpf(t) -> tuple:
     One walk appends every label to one list: a subtree is read with the
     shift its ancestors give it, so no label is shifted twice."""
     labels: list = []
-    _append_labels(t, 0, labels)
+    if t is not None:
+        _append_labels(t, 0, labels)
     return tuple(labels)
 
 
 def _append_labels(t, offset: int, labels: list):
-    """Append the labels of the subtree t, each plus offset, to labels."""
-    if t is None:
-        return
+    """Append the labels of the nonempty subtree t, each plus offset, to
+    labels; no call is made on an empty subtree."""
     left, right = t
     start = len(labels)
-    _append_labels(left, offset, labels)
+    if left is not None:
+        _append_labels(left, offset, labels)
     m = len(labels) - start + 1
     labels.append(m + offset)
-    _append_labels(right, offset + m - 1, labels)
+    if right is not None:
+        _append_labels(right, offset + m - 1, labels)
 
 
 def ndpf_to_tree(pi):
@@ -242,7 +244,7 @@ def ndpf_to_tree(pi):
     pi = tuple(pi)
     if not is_ndpf(pi):
         raise ValueError(f"not a nondecreasing parking function: {pi}")
-    return _ndpf_to_tree(pi, 0, len(pi), 0)
+    return _ndpf_to_tree(pi, 0, len(pi), 0) if pi else None
 
 
 def _ndpf_to_tree(pi, lo: int, hi: int, offset: int):
@@ -253,13 +255,13 @@ def _ndpf_to_tree(pi, lo: int, hi: int, offset: int):
     The split point k, the largest with p[k - 1] = k, is found by a scan
     from the right that starts at the last letter of p, since p is
     nondecreasing; alpha and beta are read through their bounds and
-    offsets, so no slice is built."""
-    if lo == hi:
-        return None
+    offsets, so no slice is built.  p is nonempty, and no call is made on
+    an empty alpha or beta."""
     k = pi[hi - 1] - offset
     while pi[lo + k - 1] - offset != k:
         k -= 1
-    return (_ndpf_to_tree(pi, lo, lo + k - 1, offset),
+    return (None if k == 1 else _ndpf_to_tree(pi, lo, lo + k - 1, offset),
+            None if lo + k == hi else
             _ndpf_to_tree(pi, lo + k, hi, offset + k - 1))
 
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import parkhopf
 from parkhopf import chars, combinat, exact, hopf, lagrange, operad, symfun
 from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
-                          _outcome, build_parser, main)
+                          _coalesced, _outcome, build_parser, main)
 from parkhopf.exact import P_ONE, LinComb, Poly
 from test_combinat import pack
 
@@ -110,6 +110,25 @@ def test_block_rendering_matches_item_rendering(capsys):
                             "--n", str(n), "--format", fmt)
             assert code == 0
             assert out == _rendered(family, n, fmt), (family, n, fmt)
+
+
+def test_enumerate_csv_writes_once_per_text(monkeypatch):
+    # the rows of each coalesced text, the header with the first, go out
+    # in one write, not one write per item
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["enumerate", "--family", "pf", "--n", "6",
+                 "--format", "csv"]) == 0
+    texts = list(_coalesced(combinat.word_texts("pf", 6)))
+    assert len(texts) > 1 and len(writes) == len(texts)
+    assert out.getvalue() == _rendered("pf", 6, "csv")
 
 
 def test_enumerate_counts_come_from_closed_forms():

@@ -387,6 +387,16 @@ def test_tree_text_roundtrip():
     assert cb.tree_to_text((None, None)) == "(.,.)"
 
 
+def test_tree_mirror_reads_the_text_backwards():
+    # the text of the mirror is the text reversed, brackets swapped, at
+    # every size from the empty tree on
+    swap = str.maketrans("()", ")(")
+    for n in range(7):
+        for t in cb.binary_trees(n):
+            assert cb.tree_to_text(cb.tree_mirror(t)) == \
+                cb.tree_to_text(t)[::-1].translate(swap)
+
+
 def test_canopy():
     assert cb.canopy((None, None)) == ""
     left_comb = (((None, None), None), None)

@@ -2,13 +2,14 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
 from parkhopf.combinat import (NotInSubalgebraError, ndpfs, packed_words,
                                parking_functions, parkize, permutations,
                                quasi_ribbons, shifted_concat_len,
-                               shifted_concat_max)
+                               shifted_concat_max, standardize)
 from parkhopf.exact import LinComb
 from parkhopf import hopf, operad
 from parkhopf.symfun import ribbon_product, s_product
@@ -190,6 +191,22 @@ def test_primitive_dimension():
 def test_bialgebra_axiom_and_coassociativity():
     assert hopf.bialgebra_axiom_check(5)
     assert hopf.coassociativity_check(5)
+
+
+def test_coassociativity_check_reaches_its_top_degree(monkeypatch):
+    # the cut before the last letter dropped on 5-letter keys alone: a
+    # check that stopped below its top degree would not see it
+    coproduct = hopf.dup_coproduct
+
+    def cuts(pi, c):
+        if len(pi) != 5:
+            return coproduct(LinComb.term(pi, c))
+        return [((pi[:k], parkize(pi[k:])), c) for k in range(1, 4)]
+
+    monkeypatch.setattr(hopf, "dup_coproduct", lambda a: LinComb(
+        pair for pi, c in a for pair in cuts(pi, c)))
+    assert hopf.coassociativity_check(4)
+    assert not hopf.coassociativity_check(5)
 
 
 # -- quasi-ribbon algebra ----------------------------------------------------------
@@ -425,6 +442,82 @@ def test_run_with_a_repeated_term_adds_it():
     assert expected.coeff((3, 4)) == -6
     assert hopf.fqsym_product(G((2,)).scale(3), G((2,)).scale(-1)) == \
         expected
+
+
+def _collected(a, b, tables, keep) -> LinComb:
+    """The terms of `hopf._relabelled`, summed one by one by LinComb."""
+    return LinComb(
+        (tuple(T[x] for x in k1 + tuple(v + s1 for v in k2)), c1 * c2)
+        for k1, c1 in a for k2, c2 in b
+        for s1 in [max(k1, default=0)]
+        for tag in keep for T in tables(s1, max(k2, default=0))[tag])
+
+
+# the tags of each table set, with the tags of `_brute_pieces` they keep:
+# the permutation product files its one empty word under tag 0, as right
+_TAG_SETS = [
+    (_perms, hopf._shuffle_tables,
+     {(True,): (-1,), (False,): (0, 1), (True, False): (-1, 0, 1)}),
+    (_packed, hopf._packed_tables,
+     {(-1,): (-1,), (0,): (0,), (1,): (1,), (-1, 0, 1): (-1, 0, 1)}),
+]
+
+
+def test_basis_pairs_match_brute_force_on_every_tag_set():
+    # a pair of basis elements is one run over the rows of the kept tags,
+    # on every pair of keys of total size <= 5, empty keys included
+    for words_of, tables, tag_sets in _TAG_SETS:
+        for total in range(6):
+            for n in range(total + 1):
+                for u, v in itertools.product(words_of(n),
+                                              words_of(total - n)):
+                    pieces = dict(zip((-1, 0, 1),
+                                      _brute_pieces(G(u), G(v), words_of)))
+                    for keep, tags in tag_sets.items():
+                        expected = LinComb(pair for tag in tags
+                                           for pair in pieces[tag])
+                        assert hopf._relabelled(G(u), G(v), tables,
+                                                keep) == expected
+
+
+def test_basis_pair_fallbacks_sum_term_by_term():
+    # a run that repeats a term, two tags that share a term, and a zero
+    # coefficient each leave the one-run path for the term-by-term sum
+    rows = hopf._shuffle_tables(2, 1)
+    repeated = lambda s1, s2: {0: rows[True] + rows[True][:1]}
+    shared = lambda s1, s2: {0: rows[True], 1: rows[False] + rows[True]}
+    a, b = G((2, 1)).scale(3), G((1,)).scale(Fraction(-1, 2))
+    for tables, keep in [(repeated, (0,)), (shared, (0, 1))]:
+        got = hopf._relabelled(a, b, tables, keep)
+        assert got == _collected(a, b, tables, keep)
+        # a term met twice has twice the coefficient
+        assert len(got) < sum(len(tables(2, 1)[tag]) for tag in keep)
+        assert set(got.terms.values()) == {Fraction(-3, 2), -3}
+    zero = LinComb.__new__(LinComb)
+    zero.terms = {(2, 1): 0}
+    for x, y in [(zero, b), (a, zero)]:
+        assert hopf._relabelled(x, y, hopf._shuffle_tables, (True, False)) \
+            == _collected(x, y, hopf._shuffle_tables, (True, False)) \
+            == LinComb()
+
+
+def test_packed_fibers_are_the_standardization_classes():
+    # cached per permutation: the packed words u with std(u) = sigma, once
+    for n in range(6):
+        fibers = defaultdict(set)
+        for u in packed_words(n):
+            fibers[standardize(u)].add(u)
+        for sigma in permutations(n):
+            got = hopf._packed_fibers(sigma)
+            assert type(got) is tuple and len(set(got)) == len(got)
+            assert set(got) == fibers[sigma]
+            assert hopf._packed_fibers(sigma) is got
+
+
+def test_dup_weight_table():
+    for am, b1 in itertools.product(range(7), repeat=2):
+        assert hopf._dup_weight(am, b1) == Fraction(
+            factorial(am) * factorial(b1), factorial(am + b1))
 
 
 def test_product_tables_are_cached_per_shape():
