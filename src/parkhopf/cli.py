@@ -178,7 +178,9 @@ def _cmd_enumerate(args) -> int:
             written += text.count("\n") + 1
         write("]}\n")
     else:
-        # the rows of a text go into one buffer, written once per text
+        # the rows of a text go into one buffer, written once per text; the
+        # header goes out with the first text, as every family has at least
+        # one item at every n >= 0
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["item"])
@@ -188,8 +190,6 @@ def _cmd_enumerate(args) -> int:
             out.seek(0)
             out.truncate()
             written += text.count("\n") + 1
-        if out.tell():
-            write(out.getvalue())
     if written != count:
         raise AssertionError(f"{args.family} of size {args.n} gave {written} "
                              f"items, its closed form {count}")

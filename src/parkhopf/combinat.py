@@ -296,13 +296,7 @@ def tree_parse(text: str):
 
 
 def tree_mirror(t):
-    """The tree with left and right swapped at every node; no call is made
-    on an empty subtree."""
-    if t is None:
-        return None
-    left, right = t
-    return (None if right is None else tree_mirror(right),
-            None if left is None else tree_mirror(left))
+    return None if t is None else (tree_mirror(t[1]), tree_mirror(t[0]))
 
 
 def canopy(t) -> str:

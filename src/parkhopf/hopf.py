@@ -19,22 +19,21 @@ The permutation and packed-word products relabel each pair of keys through
 index tables that depend on the pair's shape only and are cached per shape
 (never per word).  The tables are split by the tag that selects a half or a
 third, so a partial product walks only the terms it keeps.  The terms of
-one pair of keys and one tag share a coefficient and form a run, which is
-merged into the result whole by one ``dict.fromkeys`` and one ``update``.
-A run that repeats a term, or meets a term already in the result, goes
-through `exact._collect` instead, so sums and cancellations stay exact.
-A product of two basis elements, which is every product the axiom checks
-form, is one run over the rows of all its kept tags: its result is one
-``dict.fromkeys``, kept when it has a term per row and taken through the
-runs above otherwise (a repeated term, two tags that share a term, or
-coefficients whose product is 0).
+one pair of keys, over the rows of all its kept tags, share a coefficient
+and form a run, which is merged into the result whole by one
+``dict.fromkeys`` and one ``update``; for a product of two basis elements,
+which is every product the axiom checks form, that run is the result.  A
+run that repeats a term (two tags may share one), or meets a term already
+in the result, goes through `exact._collect` instead, so sums and
+cancellations stay exact; a pair whose coefficients multiply to 0 adds
+nothing.
 
 Two caches spare the per-key work of the checks: `_packed_fibers`, the
-packed words over a permutation, per permutation; and `_dup_weight`, the
-weight of `pqsym_dup_prec`, per pair of letter counts.  Each holds values
-of a pure function of its arguments that calls no function of the
-package (only itertools and integer factorials), and neither holds a
-product, a table or a morphism.  So a check run clean and then with a
+packed words over a permutation, per permutation (the last 256 read); and
+`_dup_weight`, the weight of `pqsym_dup_prec`, per pair of letter counts.
+Each holds values of a pure function of its arguments that calls no
+function of the package (only itertools and integer factorials), and
+neither holds a product, a table or a morphism.  So a check run clean and then with a
 fault planted in a library function, as the fault tests of the verify
 rows do, calls the faulty function on every key it reads, and no cached
 value can hide the fault.  The index tables are looked up through the
@@ -97,8 +96,7 @@ def pqsym_dup_prec(a: LinComb, b: LinComb) -> LinComb:
 
     With m = max(a): F_a < F_b = (|a|_m! |b|_1! / (|a|_m + |b|_1)!) times the
     sum over the shuffle of a with b shifted by m - 1.  The weight is read
-    from `_dup_weight`, cached per (|a|_m, |b|_1), and scaled by c1 * c2
-    only when that product is not 1.
+    from `_dup_weight`, cached per (|a|_m, |b|_1).
     """
     def terms():
         for k1, c1 in a:
@@ -111,10 +109,7 @@ def pqsym_dup_prec(a: LinComb, b: LinComb) -> LinComb:
                 if not k2:
                     raise ValueError(
                         "duplicial operations live on the augmentation ideal")
-                coeff = _dup_weight(am, k2.count(1))
-                c = c1 * c2
-                if c != 1:
-                    coeff *= c
+                coeff = _dup_weight(am, k2.count(1)) * c1 * c2
                 for w in shifted_shuffle(k1, k2, m - 1):
                     yield w, coeff
 
@@ -295,60 +290,39 @@ def _relabelled(a: LinComb, b: LinComb, tables, keep) -> LinComb:
     ``itemgetter(*w)`` per pair of keys reads every row; a w of fewer than
     two letters, for which itemgetter gives no tuple, maps each row directly.
 
-    A pair of basis elements (one term each, as every operation of the
-    axiom checks receives) takes the rows of all the kept tags as one run:
-    its result is one ``dict.fromkeys``, kept when its terms are as many as
-    the rows.  Otherwise, and on any other input, the terms of one pair and
-    tag form a run with one coefficient, built by ``dict.fromkeys``.  A run
-    whose terms are distinct becomes the result when the result is still
-    empty, and is merged whole by ``update`` when its terms are new to the
-    result; a run that repeats a term or meets one already in the result is
-    added term by term through `exact._collect`, so coefficients add and
-    zero sums drop as in any LinComb.  A pair whose coefficients multiply
-    to 0 adds nothing.
+    The terms of one pair of keys form a run with one coefficient, built by
+    one ``dict.fromkeys`` over the rows of all the kept tags.  A run whose
+    terms are distinct becomes the result when the result is still empty,
+    as for every pair of basis elements, and is merged whole by ``update``
+    when its terms are new to the result; a run that repeats a term (within
+    a tag, or across two tags) or meets one already in the result is added
+    term by term through `exact._collect`, so coefficients add and zero
+    sums drop as in any LinComb.  A pair whose coefficients multiply to 0
+    adds nothing.
     """
-    if len(a.terms) == 1 == len(b.terms):
-        ((k1, c1),) = a.terms.items()
-        ((k2, c2),) = b.terms.items()
-        c = c1 * c2
-        if c:
-            s1 = max(k1, default=0)
+    data = {}
+    for k1, c1 in a.terms.items():
+        s1 = max(k1, default=0)
+        for k2, c2 in b.terms.items():
+            c = c1 * c2
+            if not c:
+                continue
             w = k1 + tuple([v + s1 for v in k2])
             rows = tables(s1, max(k2, default=0))
             kept = rows[keep[0]]
             for tag in keep[1:]:
                 kept = kept + rows[tag]
             get = itemgetter(*w) if len(w) > 1 else \
-                (lambda row: tuple(map(row.__getitem__, w)))
-            data = dict.fromkeys(map(get, kept), c)
-            if len(data) == len(kept):
-                res = LinComb.__new__(LinComb)
-                res.terms = data
-                return res
-    b_terms = [(k2, max(k2, default=0), c2) for k2, c2 in b]
-    data = {}
-    for k1, c1 in a:
-        s1 = max(k1, default=0)
-        for k2, s2, c2 in b_terms:
-            c = c1 * c2
-            if not c:
-                continue
-            w = k1 + tuple([v + s1 for v in k2])
-            rows = tables(s1, s2)
-            get = itemgetter(*w) if len(w) > 1 else \
                 (lambda row, w=w: tuple(map(row.__getitem__, w)))
-            for tag in keep:
-                tag_rows = rows[tag]
-                run = dict.fromkeys(map(get, tag_rows), c)
-                if len(run) < len(tag_rows):
-                    _collect(zip(map(get, tag_rows), itertools.repeat(c)),
-                             data)
-                elif not data:
-                    data = run
-                elif run.keys().isdisjoint(data.keys()):
-                    data.update(run)
-                else:
-                    _collect(run, data)
+            run = dict.fromkeys(map(get, kept), c)
+            if len(run) < len(kept):
+                _collect(zip(map(get, kept), itertools.repeat(c)), data)
+            elif not data:
+                data = run
+            elif run.keys().isdisjoint(data.keys()):
+                data.update(run)
+            else:
+                _collect(run, data)
     res = LinComb.__new__(LinComb)
     res.terms = data
     return res
@@ -425,9 +399,14 @@ def wqsym_right(a, b):
     return _relabelled(a, b, _packed_tables, (1,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _packed_fibers(sigma: tuple) -> tuple:
     """All packed words u with std(u) = sigma, cached per permutation.
+
+    The cache keeps the 256 permutations last read, more than the 154 of
+    sizes 0 to 5 that the WQSym morphism check reads; a fibre of size n
+    holds up to 2^(n-1) words, so an unbounded cache would grow with
+    every permutation ever embedded.
 
     Merging the values j and j+1 of sigma is allowed exactly when j+1 occurs
     to the right of j (left-to-right tie breaking).

@@ -221,22 +221,20 @@ def tree_to_ndpf(t) -> tuple:
     One walk appends every label to one list: a subtree is read with the
     shift its ancestors give it, so no label is shifted twice."""
     labels: list = []
-    if t is not None:
-        _append_labels(t, 0, labels)
+    _append_labels(t, 0, labels)
     return tuple(labels)
 
 
 def _append_labels(t, offset: int, labels: list):
-    """Append the labels of the nonempty subtree t, each plus offset, to
-    labels; no call is made on an empty subtree."""
+    """Append the labels of the subtree t, each plus offset, to labels."""
+    if t is None:
+        return
     left, right = t
     start = len(labels)
-    if left is not None:
-        _append_labels(left, offset, labels)
+    _append_labels(left, offset, labels)
     m = len(labels) - start + 1
     labels.append(m + offset)
-    if right is not None:
-        _append_labels(right, offset + m - 1, labels)
+    _append_labels(right, offset + m - 1, labels)
 
 
 def ndpf_to_tree(pi):
@@ -244,7 +242,7 @@ def ndpf_to_tree(pi):
     pi = tuple(pi)
     if not is_ndpf(pi):
         raise ValueError(f"not a nondecreasing parking function: {pi}")
-    return _ndpf_to_tree(pi, 0, len(pi), 0) if pi else None
+    return _ndpf_to_tree(pi, 0, len(pi), 0)
 
 
 def _ndpf_to_tree(pi, lo: int, hi: int, offset: int):
@@ -255,13 +253,13 @@ def _ndpf_to_tree(pi, lo: int, hi: int, offset: int):
     The split point k, the largest with p[k - 1] = k, is found by a scan
     from the right that starts at the last letter of p, since p is
     nondecreasing; alpha and beta are read through their bounds and
-    offsets, so no slice is built.  p is nonempty, and no call is made on
-    an empty alpha or beta."""
+    offsets, so no slice is built."""
+    if lo == hi:
+        return None
     k = pi[hi - 1] - offset
     while pi[lo + k - 1] - offset != k:
         k -= 1
-    return (None if k == 1 else _ndpf_to_tree(pi, lo, lo + k - 1, offset),
-            None if lo + k == hi else
+    return (_ndpf_to_tree(pi, lo, lo + k - 1, offset),
             _ndpf_to_tree(pi, lo + k, hi, offset + k - 1))
 
 

@@ -465,7 +465,8 @@ _TAG_SETS = [
 
 def test_basis_pairs_match_brute_force_on_every_tag_set():
     # a pair of basis elements is one run over the rows of the kept tags,
-    # on every pair of keys of total size <= 5, empty keys included
+    # which is the whole result, on every pair of keys of total size <= 5,
+    # empty keys included
     for words_of, tables, tag_sets in _TAG_SETS:
         for total in range(6):
             for n in range(total + 1):
@@ -480,9 +481,9 @@ def test_basis_pairs_match_brute_force_on_every_tag_set():
                                                 keep) == expected
 
 
-def test_basis_pair_fallbacks_sum_term_by_term():
-    # a run that repeats a term, two tags that share a term, and a zero
-    # coefficient each leave the one-run path for the term-by-term sum
+def test_repeated_runs_and_zero_pairs_sum_term_by_term():
+    # a run that repeats a term within a tag or across two tags is summed
+    # term by term, and a pair whose coefficient is zero adds nothing
     rows = hopf._shuffle_tables(2, 1)
     repeated = lambda s1, s2: {0: rows[True] + rows[True][:1]}
     shared = lambda s1, s2: {0: rows[True], 1: rows[False] + rows[True]}
