@@ -38,7 +38,7 @@ from .combinat import (_check_size, evaluation, iter_packed_words,
                        iter_parking_functions, iter_quasi_ribbons, ndpfs,
                        parking_functions, permutations, quasi_ribbons,
                        shifted_shuffle)
-from .exact import P_ONE, LinComb, Poly, monomial, poly_divexact
+from .exact import P_ONE, LinComb, Poly, monomial
 from .lagrange import g_partitions, lagrange_coefficient
 from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
 
@@ -149,9 +149,22 @@ def _poch(a: Poly, k: int) -> Poly:
     return prod((1 - a * q ** j for j in range(k)), start=P_ONE)
 
 
+@cache
+def _qpascal_row(n: int) -> tuple:
+    """Row n of the q-Pascal table, ([n; 0]_q, ..., [n; n]_q), iterated from
+    row 0 by [n; k] = [n-1; k-1] + q^k [n-1; k].  The rows are built here
+    and never read through `_qbinom` or the module, so a fault patched into
+    `_qbinom` cannot reach this cache."""
+    row = (P_ONE,)
+    for _ in range(n):
+        row = (P_ONE, *(row[k - 1] + row[k] * Poly.var("q", k)
+                        for k in range(1, len(row))), P_ONE)
+    return row
+
+
 def _qbinom(n: int, k: int) -> Poly:
-    q = Poly.var("q")
-    return poly_divexact(_poch(q, n), _poch(q, k) * _poch(q, n - k))
+    """The q-binomial [n; k]_q, 0 <= k <= n, from the q-Pascal table."""
+    return _qpascal_row(n)[k]
 
 
 @cache
@@ -185,6 +198,8 @@ def super_narayana_count(n: int) -> Poly:
     the equality of the two distributions is asserted, as is smaj = maj of
     the word in the signing with no bar.
     """
+    if n < 0:
+        raise ValueError(f"super_narayana_count needs n >= 0, got {n}")
     _check_size("super_narayana_count", n)
     size = 1 << n
     minus = list(map(int.bit_count, range(size)))
@@ -231,14 +246,16 @@ def super_narayana_sym(n: int) -> Poly:
                                  prod_j (x;q)_(lambda_j),
 
     with (q)_k = (q;q)_k and the q-multinomial
-    [n; lambda]_q = (q)_n / prod_j (q)_(lambda_j) taken by exact division.
-    Every step is a polynomial product or an exact quotient.
+    [n; lambda]_q = (q)_n / prod_j (q)_(lambda_j), which is the product
+    prod_j [lambda_1 + ... + lambda_j; lambda_j]_q of entries of the
+    q-Pascal table (`_qbinom`).  Every step is a polynomial sum or product.
     """
+    if n < 0:
+        raise ValueError(f"super_narayana_sym needs n >= 0, got {n}")
     _check_size("super_narayana_sym", n)
-    x, q = Poly.var("x"), Poly.var("q")
-    q_poch, x_poch = ([_poch(a, k) for k in range(n + 1)] for a in (q, x))
+    x_poch = [_poch(Poly.var("x"), k) for k in range(n + 1)]
     value = Poly.sum(
-        (poly_divexact(q_poch[n], prod((q_poch[i] for i in lam), start=P_ONE))
+        (prod(map(_qbinom, itertools.accumulate(lam), lam), start=P_ONE)
          * prod((x_poch[i] for i in lam), start=P_ONE)).scale(w)
         for lam, w in g_partitions(n))
     return value.substitute("x", -Poly.var("t"))
@@ -305,6 +322,9 @@ def _paths(n: int, steps):
     """The paths of width 2n over ``steps`` from the axis back to it that
     never dip below it, one at a time in lexicographic order of the step
     table."""
+    if n < 0:
+        raise ValueError(f"enumeration size must be at least 0, got {n}")
+
     def moves(width, height):
         return [(name, width - dw, height + dh) for name, dw, dh in steps
                 if dw <= width and 0 <= height + dh <= width - dw]
@@ -441,9 +461,7 @@ def schroder_polynomials(n: int) -> Poly:
 
 def narayana_from_pn(pn_t: Poly) -> Poly:
     """c_n with t c_n(t) = P_n(t - 1): substitute and divide by t exactly."""
-    t = Poly.var("t")
-    shifted = pn_t.substitute("t", t - 1)
-    return poly_divexact(shifted, t)
+    return pn_t.substitute("t", Poly.var("t") - 1).divided_by("t")
 
 
 # -- the bar character on quasi-ribbons -------------------------------------------
@@ -538,6 +556,8 @@ def chi_sqsym(n: int) -> bool:
 def pn_alpha(n: int) -> Poly:
     """P_n(a) = a (prod over k=1..n-1 of ((n+1) a + k)) for n >= 1, and
     P_0(a) = 1, the value on the one empty parking function."""
+    if n < 0:
+        raise ValueError(f"pn_alpha needs n >= 0, got {n}")
     _check_size("pn_alpha", n)
     if n == 0:
         return P_ONE
@@ -614,6 +634,8 @@ def psi_alpha(n: int) -> bool:
 
 def qn_polynomial(n: int) -> Poly:
     """Q_n(q) = prod over k=2..n of ((n+1-k) q + k), a q-analogue of (n+1)^(n-1)."""
+    if n < 0:
+        raise ValueError(f"qn_polynomial needs n >= 0, got {n}")
     _check_size("qn_polynomial", n)
     q = Poly.var("q")
     return prod((q.scale(n + 1 - k) + k for k in range(2, n + 1)), start=P_ONE)
@@ -661,4 +683,4 @@ def lassalle_narayana(n: int) -> Poly:
     if value != lagrange_coefficient(h, n):
         raise AssertionError(f"evaluate(g_n, 1-x) is not its Lagrange "
                              f"coefficient at n={n}")
-    return poly_divexact(value.substitute("x", 1 - q), q)
+    return value.substitute("x", 1 - q).divided_by("q")

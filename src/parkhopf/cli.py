@@ -201,7 +201,7 @@ def _cmd_enumerate(args) -> int:
 
 def _nsym_json(elem: LinComb) -> list[dict]:
     """The terms of a LinComb on composition keys, in key order."""
-    return [{"key": "".join(str(p) for p in k), "coeff": str(c)}
+    return [{"key": combinat.word_to_text(k), "coeff": str(c)}
             for k, c in sorted(elem)]
 
 

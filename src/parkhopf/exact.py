@@ -8,9 +8,10 @@ in that form, so `Poly` and `independent` take them as they are, without the
 normalising pass that a `bool` or a `Fraction` needs.  Polynomials live in
 the fixed variable set q, t, x, a (``a`` is the binomial-element
 parameter), stored as a sparse map from dense exponent vectors to rational
-coefficients.  The only division of polynomials is exact division
-(`poly_divexact`); there are no rational functions, no polynomial gcds and
-no power series (a series elsewhere is the list of its coefficients).
+coefficients.  A `Poly` has sums, products, substitution and one exact
+division, by a single variable (`Poly.divided_by`, an exponent shift);
+there are no rational functions, no polynomial gcds and no power series (a
+series elsewhere is the list of its coefficients).
 
 Linear algebra is one sparse elimination routine on dict rows, `independent`:
 integral and rational vectors are eliminated over Python ints with
@@ -76,12 +77,6 @@ def monomial(**powers: int) -> tuple:
     for name, p in powers.items():
         exps[_VAR_INDEX[name]] = p
     return tuple(exps)
-
-
-def _term_key(exps):
-    # graded lex, q most significant; picks the leading term (printing
-    # sorts by degree, then by reversed exponents)
-    return (sum(exps), exps)
 
 
 class Poly:
@@ -167,9 +162,6 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -183,12 +175,6 @@ class Poly:
         if any(e != _ZERO for e in self.terms):
             raise ValueError(f"not a constant: {self}")
         return self.terms.get(_ZERO, 0)
-
-    def leading(self) -> tuple[tuple, int | Fraction]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_term_key)
-        return e, self.terms[e]
 
     def coeffs_in(self, name: str) -> dict[int, "Poly"]:
         """Split into coefficients of powers of one variable."""
@@ -223,6 +209,15 @@ class Poly:
     def scale(self, c) -> "Poly":
         c = _as_scalar(c)
         return Poly({e: c * v for e, v in self.terms.items()})
+
+    def divided_by(self, name: str) -> "Poly":
+        """The exact quotient by the variable ``name``: its exponent lowered
+        by one in every term; NotDivisibleError if a term lacks it."""
+        i = _VAR_INDEX[name]
+        if not all(e[i] for e in self.terms):
+            raise NotDivisibleError(f"({self}) is not divisible by {name}")
+        return Poly({e[:i] + (e[i] - 1,) + e[i + 1:]: c
+                     for e, c in self.terms.items()})
 
     # -- printing ----------------------------------------------------------
 
@@ -263,29 +258,6 @@ class Poly:
 
 
 P_ONE = Poly.const(1)
-
-
-# -- exact polynomial division --------------------------------------------
-
-
-def poly_divexact(num: Poly, den: Poly) -> Poly:
-    """Exact multivariate division; raises NotDivisibleError on failure."""
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not num:
-        return Poly()
-    quot: dict[tuple, int | Fraction] = {}
-    rem = num
-    de, dc = den.leading()
-    while rem:
-        re, rc = rem.leading()
-        me = tuple(a - b for a, b in zip(re, de))
-        if any(p < 0 for p in me):
-            raise NotDivisibleError(f"({num}) is not divisible by ({den})")
-        mc = Fraction(rc, dc)
-        quot[me] = mc
-        rem = rem - Poly({me: mc}) * den
-    return Poly(quot)
 
 
 # -- linear combinations ----------------------------------------------------

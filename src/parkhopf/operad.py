@@ -140,6 +140,7 @@ def normal_forms(mode: str, n: int):
 
 
 def count_normal_forms(mode: str, n: int) -> int:
+    _mode(mode)
     _check_size(f"count_normal_forms({mode})", n)
     return sum(1 for _ in normal_forms(mode, n))
 

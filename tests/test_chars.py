@@ -15,7 +15,7 @@ from parkhopf.combinat import (evaluation, is_parking, iter_packed_words,
 from parkhopf.exact import LinComb, Poly, monomial
 from parkhopf.lagrange import g_partitions
 from parkhopf.symfun import R_to_S, evaluate, rising_factorial
-from test_cli import _plant_sorted_word_inverted
+from test_cli import _plant_qbinom_plus_qn, _plant_sorted_word_inverted
 from test_combinat import pack
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
@@ -289,6 +289,39 @@ def test_symmetric_route_to_twelve():
         ch.super_narayana_sym(13)
 
 
+def test_q_pascal_table_times_pochhammers():
+    # [n; k]_q (q;q)_k (q;q)_(n-k) = (q;q)_n gates the table by multiplication
+    for n in range(13):
+        for k in range(n + 1):
+            assert ch._qbinom(n, k) * ch._poch(q, k) * ch._poch(q, n - k) \
+                == ch._poch(q, n)
+
+
+def test_q_pascal_table_outlives_no_plant(monkeypatch):
+    # a fault patched into _qbinom shows in the value while it is in place,
+    # and every table row cached under it is clean once it is undone
+    clean = ch.super_narayana_sym(6)
+    ch._qpascal_row.cache_clear()
+    _plant_qbinom_plus_qn(monkeypatch)
+    assert ch.super_narayana_sym(6) != clean
+    monkeypatch.undo()
+    # the q-multinomials of n = 6 read rows 1 to 6
+    assert ch._qpascal_row.cache_info().currsize == 6
+    for n in range(1, 7):
+        assert [p * ch._poch(q, k) * ch._poch(q, n - k)
+                for k, p in enumerate(ch._qpascal_row(n))] == \
+            [ch._poch(q, n)] * (n + 1)
+    assert ch.super_narayana_sym(6) == clean
+
+
+@pytest.mark.parametrize("name", ["pn_alpha", "qn_polynomial",
+                                  "super_narayana_sym",
+                                  "super_narayana_count"])
+def test_polynomial_values_reject_negative_sizes(name):
+    with pytest.raises(ValueError, match=f"^{name} needs n >= 0, got -1$"):
+        getattr(ch, name)(-1)
+
+
 def test_signed_weight_base_case():
     assert ch.fsigma_signed_weight((1,)) == 1 - x
 
@@ -356,6 +389,16 @@ def test_schroder_encode_rejects_bad_paths():
                           ("dx", "dips below")]:
         with pytest.raises(ValueError, match=message):
             ch.schroder_encode(path)
+
+
+def test_paths_reject_a_negative_size():
+    for paths in (ch.dyck_paths, ch.schroder_paths):
+        for n in (-1, -2):
+            with pytest.raises(ValueError,
+                               match="enumeration size must be at least 0"):
+                paths(n)
+    # and keep no cap of their own past the enumerators' 12
+    assert next(ch.dyck_paths(15)) == "u" * 15 + "d" * 15
 
 
 def test_schroder_counts():

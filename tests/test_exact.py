@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 
 from parkhopf import hopf
 from parkhopf.combinat import ndpfs
-from parkhopf.exact import (_ZERO, LinComb, NotDivisibleError, Poly,
-                            independent, monomial, poly_divexact,
-                            span_dimension)
+from parkhopf.exact import (_ZERO, VARS, LinComb, NotDivisibleError, Poly,
+                            independent, monomial, span_dimension)
 
 q, t, x, a = (Poly.var(v) for v in ("q", "t", "x", "a"))
 
@@ -50,8 +49,8 @@ def test_poly_coefficients_are_int_when_integral():
     assert Poly.const(True) == Poly.const(1) == 1
     assert [type(c) for c in Poly.const(Fraction(1, 2)).terms.values()] == \
         [Fraction]
-    # a quotient with a fractional coefficient holds a Fraction, not a float
-    half = poly_divexact(Poly.var("q", 1, 3), Poly.const(2))
+    # a halved coefficient that is not integral holds a Fraction, not a float
+    half = Poly.var("q", 1, 3).scale(Fraction(1, 2))
     assert list(half.terms.values()) == [Fraction(3, 2)]
     assert type(half.terms[monomial(q=1)]) is Fraction
     # pairs of plain ints are stored as they are; a bool or an integral
@@ -71,14 +70,16 @@ def test_poly_coefficients_are_int_when_integral():
         Poly({_ZERO: 1, monomial(q=1): 0.5})
 
 
-def test_divexact():
-    assert poly_divexact(1 - x ** 2, 1 - x) == 1 + x
-    assert poly_divexact((1 - x) * (1 + q * t), 1 - x) == 1 + q * t
-    assert poly_divexact((1 - q) ** 2 * (1 + x), (q - 1) * (1 + x)) == q - 1
+def test_divided_by():
+    assert (t ** 2 + 3 * t).divided_by("t") == t + 3
+    assert (q * t - q ** 3 * x).divided_by("q") == t - q ** 2 * x
+    assert a.scale(Fraction(1, 2)).divided_by("a") == Fraction(1, 2)
+    assert Poly().divided_by("x") == Poly()
+    with pytest.raises(NotDivisibleError,
+                       match=r"^\(1 \+ t\) is not divisible by t$"):
+        (1 + t).divided_by("t")
     with pytest.raises(NotDivisibleError):
-        poly_divexact(1 + q + t, 1 + q)
-    with pytest.raises(ZeroDivisionError):
-        poly_divexact(q, Poly())
+        (q * t).divided_by("x")
 
 
 def test_span_and_kernel_dimension():
@@ -318,14 +319,10 @@ def test_poly_collects_pairs(terms, data):
     assert not Poly.sum([]).terms
 
 
-@given(_polys, _polys)
-def test_divexact_inverts_product(p1, p2):
-    if not p2:
-        with pytest.raises(ZeroDivisionError):
-            poly_divexact(p1, p2)
-        return
-    assert poly_divexact(p1 * p2, p2) == p1
-    if p2.degree() > 0:
-        # p2 would divide 1
-        with pytest.raises(NotDivisibleError):
-            poly_divexact(p1 * p2 + 1, p2)
+@given(_polys, st.sampled_from(VARS))
+def test_divided_by_inverts_product(p, name):
+    v = Poly.var(name)
+    assert (p * v).divided_by(name) == p
+    # the constant term 1 has no factor v
+    with pytest.raises(NotDivisibleError):
+        (p * v + 1).divided_by(name)

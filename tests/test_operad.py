@@ -112,6 +112,8 @@ def test_normal_form_counts():
         [1, 2, 5, 14, 42, 132]
     with pytest.raises(ValueError):
         op.count_normal_forms("tri", 9)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        op.count_normal_forms("bogus", 3)
 
 
 def test_counts_match_quadratic_functional_equation():

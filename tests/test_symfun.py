@@ -8,7 +8,7 @@ from parkhopf import hopf
 from parkhopf.combinat import (coarser_leq, comp_concat, comp_near_concat,
                                compositions, packed_evaluation,
                                parking_functions)
-from parkhopf.exact import P_ONE, LinComb, Poly, monomial, poly_divexact
+from parkhopf.exact import P_ONE, LinComb, Poly, monomial
 from parkhopf.lagrange import solve_g
 from parkhopf.symfun import (R_to_S, evaluate, ribbon_product,
                              rising_factorial, s_product)
@@ -162,16 +162,26 @@ def _q_pochhammer(base: Poly, n: int) -> Poly:
     return prod((1 - base * q ** j for j in range(n)), start=P_ONE)
 
 
+def _q_binomial(n: int, k: int) -> Poly:
+    """[n; k]_q = sum of q^inv over the 0/1 words of length n with k ones,
+    inv the number of pairs of a one before a zero."""
+    words = (tuple(int(i in ones) for i in range(n))
+             for ones in itertools.combinations(range(n), k))
+    return Poly.sum(Poly.var("q", sum(b > c for b, c in
+                                      itertools.combinations(w, 2)))
+                    for w in words)
+
+
 def test_q_binomial_closed_form_newton_identity():
     # h_n((1-x)/(1-q)) = (x;q)_n / (q;q)_n satisfies Newton's identity
     # n h_n = sum_k p_k h_(n-k) with p_k = (1-x^k)/(1-q^k); times (q)_n:
-    # n (x;q)_n = sum_k (1-x^k) [(q)_n / ((1-q^k)(q)_(n-k))] (x;q)_(n-k)
+    # n (x;q)_n = sum_k (1-x^k) [(q)_n / ((1-q^k)(q)_(n-k))] (x;q)_(n-k),
+    # where the bracket is [n; k]_q (q)_(k-1)
     x, q = Poly.var("x"), Poly.var("q")
     for n in range(1, 9):
         rhs = Poly()
         for k in range(1, n + 1):
-            bracket = poly_divexact(_q_pochhammer(q, n),
-                                    (1 - q ** k) * _q_pochhammer(q, n - k))
+            bracket = _q_binomial(n, k) * _q_pochhammer(q, k - 1)
             rhs = rhs + (1 - x ** k) * bracket * _q_pochhammer(x, n - k)
         assert rhs == n * _q_pochhammer(x, n)
 
