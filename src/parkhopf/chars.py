@@ -37,7 +37,7 @@ from . import hopf
 from .combinat import (_check_size, evaluation, iter_packed_words,
                        iter_parking_functions, iter_quasi_ribbons, ndpfs,
                        parking_functions, permutations, quasi_ribbons,
-                       shifted_shuffle)
+                       shifted_shuffle, word_texts)
 from .exact import P_ONE, LinComb, Poly, monomial
 from .lagrange import g_partitions, lagrange_coefficient
 from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
@@ -310,52 +310,25 @@ def s_character_check(n: int) -> bool:
 # -- Dyck and Schroeder paths ----------------------------------------------------
 
 
-# (name, width, rise) of each lattice step; paths are listed in this order
-_STEPS = (("u", 1, 1), ("d", 1, -1), ("h", 2, 0))
-# The last columns of every path come from a table of endings built once per
-# point, so most paths cost one string concatenation; eight columns keep the
-# table small (at most 146 endings per point).
-_TAIL = 8
-
-
-def _paths(n: int, steps):
-    """The paths of width 2n over ``steps`` from the axis back to it that
-    never dip below it, one at a time in lexicographic order of the step
-    table."""
-    if n < 0:
-        raise ValueError(f"enumeration size must be at least 0, got {n}")
-
-    def moves(width, height):
-        return [(name, width - dw, height + dh) for name, dw, dh in steps
-                if dw <= width and 0 <= height + dh <= width - dw]
-
-    @cache
-    def ends(width, height):
-        # every way to finish from a point of the last columns
-        if width == 0:
-            return ("",)
-        return tuple(name + rest for name, w, h in moves(width, height)
-                     for rest in ends(w, h))
-
-    def walk(prefix, width, height):
-        if width <= _TAIL:
-            yield from map(prefix.__add__, ends(width, height))
-            return
-        for name, w, h in moves(width, height):
-            yield from walk(prefix + name, w, h)
-
-    return walk("", 2 * n, 0)
+# a path's word in `combinat.word_texts` to its steps: 1 is u, 2 is d, and
+# the two columns 3 4 of a flat step are one h
+_STEP_NAMES = str.maketrans({"1": "u", "2": "d", "3": "h", "4": None})
 
 
 def dyck_paths(n: int):
-    """The Dyck paths of semi-length n as strings over u, d, one at a time."""
-    return _paths(n, _STEPS[:2])
+    """The Dyck paths of semi-length n as strings over u, d, one at a time
+    in the order u < d."""
+    return itertools.chain.from_iterable(
+        text.translate(_STEP_NAMES).split("\n")
+        for text in word_texts("dyck", n))
 
 
 def schroder_paths(n: int):
     """The Schroeder paths of semi-length n (h has width 2) as strings, one
-    at a time."""
-    return _paths(n, _STEPS)
+    at a time in the order u < d < h."""
+    return itertools.chain.from_iterable(
+        text.translate(_STEP_NAMES).split("\n")
+        for text in word_texts("schroder", n))
 
 
 def dyck_encode(path: str) -> tuple:

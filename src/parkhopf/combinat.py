@@ -4,11 +4,14 @@ Words are 1-indexed tuples of machine integers.  All values are immutable and
 all operations are pure functions.  Every family comes in a fixed canonical
 order, free of duplicates: lexicographic on letter sequences, and for binary
 trees by left-subtree size then recursively.  The word families (ndpfs,
-parking functions, packed words, permutations) are walked one letter at a
-time by `_words`, which gives one run of words per prefix: the prefix and
-the state it leads to, whose tails end the run's words.  The tuple streams
-chain one map of the prefix over the state's tails, a table built once per
-state, so each word passes through one `itertools.chain`.  `word_texts`
+parking functions, packed words, permutations, and the Dyck and Schroeder
+paths, one letter per column) are walked one letter at a time by `_words`,
+which gives one run of words per prefix: the prefix and the state it leads
+to, whose tails end the run's words.  The tuple streams chain one map of
+the prefix over the state's tails, a table built once per state, so each
+word passes through one `itertools.chain`.  The walks recurse through
+module-level functions that take their caches as arguments, so a stream
+frees its caches by reference counting.  `word_texts`
 renders each run as one text: the prefix text put before each line of the
 state's block, the texts of all its tails, built once per state from the
 blocks of the next states by `str.replace` (`_tail_blocks`).
@@ -301,16 +304,13 @@ def tree_mirror(t):
 
 def canopy(t) -> str:
     """Left/right word of the internal leaves (first and last leaf dropped)."""
-    sides = []
-
-    def rec(node, side):
+    sides, stack = [], [(t, "L")]
+    while stack:
+        node, side = stack.pop()
         if node is None:
             sides.append(side)
         else:
-            rec(node[0], "L")
-            rec(node[1], "R")
-
-    rec(t, "L")
+            stack += (node[1], "R"), (node[0], "L")
     return "".join(sides[1:-1])
 
 
@@ -323,31 +323,39 @@ def _check_n(n: int):
     _check_size("enumeration", n)
 
 
-def _words(family: str, n: int, heads, empty):
-    """The words of length n of ``family``, in lexicographic order, as runs:
-    one (prefix, state, r) per prefix of n - r letters, r being the
-    family's tail length (r = n and the empty prefix when n is at most it),
-    whose words are the prefix followed by each r-letter tail of ``state``.
-    A prefix is ``empty`` plus ``heads[v]`` for each of its letters v in
-    turn, so the walk carries it in the form its caller renders.
+def _words(family: str, n: int, head, empty):
+    """The words of size n of ``family``, in lexicographic order, as runs:
+    one (prefix, state, r) per prefix of all but r letters, r being the
+    family's tail length, whose words are the prefix followed by each
+    r-letter tail of ``state``.  A prefix is ``empty`` plus ``head(v)`` for
+    each of its letters v in turn, so the walk carries it in the form its
+    caller renders.
 
-    n is checked before this returns.  Returns the runs and the family's
-    ``moves(state)``, cached, which list the (letter, next state) pairs by
-    increasing letter.  Each move should lead to a state that can finish
-    the word, so that no time goes to dead ends.
+    n is checked before this returns: it is at least 0, and at most the
+    enumeration cap unless the family is a path family, whose words have 2n
+    letters.  Returns the runs and the family's ``moves(state)``, cached,
+    which list the (letter, next state) pairs by increasing letter.  Each
+    move should lead to a state that can finish the word, so that no time
+    goes to dead ends.
     """
-    _check_n(n)
+    if n < 0:
+        raise ValueError(f"enumeration size must be at least 0, got {n}")
     start, moves, tail = _WORD_FAMILIES[family]
+    if family in ("dyck", "schroder"):
+        n *= 2
+    else:
+        _check_size("enumeration", n)
     moves = cache(moves)
+    return _runs(moves, cache(head), tail, empty, start(n), n), moves
 
-    def runs(prefix, state, r):
-        if r <= tail:
-            yield prefix, state, r
-            return
-        for v, after in moves(state):
-            yield from runs(prefix + heads[v], after, r - 1)
 
-    return runs(empty, start(n), n), moves
+def _runs(moves, head, tail, prefix, state, r):
+    # the runs of `_words` below one prefix
+    if r <= tail:
+        yield prefix, state, r
+        return
+    for v, after in moves(state):
+        yield from _runs(moves, head, tail, prefix + head(v), after, r - 1)
 
 
 def _ndpf_moves(state):
@@ -384,6 +392,19 @@ def _perm_moves(unused):
     return [(v, unused[:i] + unused[i + 1:]) for i, v in enumerate(unused)]
 
 
+def _path_moves(state):
+    # state (r, h, flat): r columns left at height h, and whether flat
+    # steps may come.  The state between the letters 3 and 4 of a flat step
+    # is (r, ~h, flat).  The path stays between the axis and the height it
+    # can come down from in r columns.
+    r, h, flat = state
+    if h < 0:
+        return [(4, (r - 1, ~h, flat))]
+    out = [(v, (r - 1, h + rise, flat)) for v, rise in ((1, 1), (2, -1))
+           if 0 <= h + rise < r]
+    return out + [(3, (r - 1, ~h, flat))] if flat and h + 2 <= r else out
+
+
 # word family: (its start state at length n, its moves, its tail length).
 # The last letters of every word come from its state's tails, a table of
 # tuples or a block of texts built once per state, so most words cost one
@@ -392,12 +413,15 @@ def _perm_moves(unused):
 # for pf, whose tables grow fastest (at tail 4, the tuple stream of pf of
 # size 7 runs slower and peaks 2 MB higher); 4 for packed (about 190 words
 # a run at n = 9); 5 for perm, whose runs are the 5! = 120 orders of the
-# letters left.
+# letters left.  A path's word has a letter per column, u 1, d 2 and h 3 4,
+# so u < d < h; 8 columns keep at most 90 tails a state.
 _WORD_FAMILIES = {
     "ndpf": (lambda n: (1, 1), _ndpf_moves, 3),
     "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 3),
     "packed": (lambda n: (n, 0, ()), _packed_moves, 4),
     "perm": (lambda n: tuple(range(1, n + 1)), _perm_moves, 5),
+    "dyck": (lambda n: (n, 0, False), _path_moves, 8),
+    "schroder": (lambda n: (n, 0, True), _path_moves, 8),
 }
 
 
@@ -406,17 +430,20 @@ def _word_stream(family: str, n: int):
     checked first: each run is one map over its state's tails, a table
     built once per state, so a word passes through one `itertools.chain`
     and no generator frame."""
-    runs, moves = _words(family, n, [(v,) for v in range(n + 1)], ())
-
-    @cache
-    def tails(state, r):
-        if r == 0:
-            return ((),)
-        return tuple((v,) + t for v, after in moves(state)
-                     for t in tails(after, r - 1))
-
+    runs, moves = _words(family, n, lambda v: (v,), ())
+    tails = {}
     return itertools.chain.from_iterable(
-        map(prefix.__add__, tails(state, r)) for prefix, state, r in runs)
+        map(prefix.__add__, _tails(tails, moves, state, r))
+        for prefix, state, r in runs)
+
+
+def _tails(tails, moves, state, r):
+    # the r-letter tails of state as tuples, memoised in the dict tails
+    if (state, r) not in tails:
+        tails[state, r] = ((),) if r == 0 else tuple(
+            (v,) + t for v, after in moves(state)
+            for t in _tails(tails, moves, after, r - 1))
+    return tails[state, r]
 
 
 def iter_ndpfs(n: int):
@@ -490,22 +517,11 @@ def quasi_ribbons(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def compositions(n: int) -> tuple:
+    """The compositions of n, lexicographically: each first part p, then
+    the cached compositions of n - p."""
     _check_n(n)
-    if n == 0:
-        return ((),)
-    out = []
-
-    def rec(prefix, rest):
-        if rest == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(1, rest + 1):
-            prefix.append(p)
-            rec(prefix, rest - p)
-            prefix.pop()
-
-    rec([], n)
-    return tuple(out)
+    return ((),) if n == 0 else tuple(
+        (p, *rest) for p in range(1, n + 1) for rest in compositions(n - p))
 
 
 def iter_binary_trees(n: int):
@@ -544,47 +560,49 @@ def _comma_lines(text: str) -> str:
     return ",".join(text).replace(",\n,", "\n")
 
 
-def _tail_blocks(moves):
-    """``block(state, r, wide_prefix)``, cached: the texts `word_to_text`
-    gives the r-letter tails of ``state``, in order, joined by newlines, as
-    (wide, text) segments cut where their format changes.  A segment is
-    wide when its tails hold a letter past 9, and then its texts are comma
-    texts, "1,10"; else they are digit texts, "12".  After a ``wide_prefix``
-    (a prefix holding a letter past 9) every tail takes commas, and the
-    block is one wide segment.
+def _tail_blocks(blocks, moves, state, r, wide_prefix):
+    """The texts `word_to_text` gives the r-letter tails of ``state``, in
+    order, joined by newlines, as (wide, text) segments cut where their
+    format changes, memoised in the dict ``blocks``.  A segment is wide
+    when its tails hold a letter past 9, and then its texts are comma
+    texts, "1,10"; else they are digit texts, "12".  After a
+    ``wide_prefix`` (a prefix holding a letter past 9) every tail takes
+    commas, and the block is one wide segment.
 
     Each block is built once, from the blocks of the next states: a move
     to letter v puts its head, "v" or "v," before each line of the next
     state's block by one ``replace``, and a letter past 9 takes the wide
     block of its next state.
     """
-    @cache
-    def block(state, r, wide_prefix):
-        if wide_prefix:
-            return ((True, "\n".join(
-                text if wide else _comma_lines(text)
-                for wide, text in block(state, r, False))),)
-        if r == 0:
-            return ((False, ""),)
+    if (key := (state, r, wide_prefix)) in blocks:
+        return blocks[key]
+    if wide_prefix:
+        out = ((True, "\n".join(
+            text if wide else _comma_lines(text)
+            for wide, text in _tail_blocks(blocks, moves, state, r, False))),)
+    elif r == 0:
+        out = ((False, ""),)
+    else:
         segments = []
         for v, after in moves(state):
-            for wide, text in block(after, r - 1, v >= 10):
+            for wide, text in _tail_blocks(blocks, moves, after, r - 1,
+                                           v >= 10):
                 # the last letter of a tail takes no comma after it
                 head = f"{v}," if wide and r > 1 else str(v)
                 segments.append((wide, head + text.replace("\n", "\n" + head)))
-        return tuple((wide, "\n".join(map(itemgetter(1), group)))
-                     for wide, group in itertools.groupby(
-                         segments, key=itemgetter(0)))
-
-    return block
+        out = tuple((wide, "\n".join(map(itemgetter(1), group)))
+                    for wide, group in itertools.groupby(
+                        segments, key=itemgetter(0)))
+    blocks[key] = out
+    return out
 
 
 def word_texts(family: str, n: int):
-    """The texts `word_to_text` gives the words of length n of ``family``
-    ("ndpf", "pf", "packed" or "perm"), in order, one text per run of words
-    that share all but their last letters, as many as the family's tail
-    length in `_WORD_FAMILIES`: the words' texts joined by newlines, with
-    no newline at the end.  n is checked before this returns.
+    """The texts `word_to_text` gives the words of size n of ``family``
+    (a row of `_WORD_FAMILIES`), in order, one text per run of words that
+    share all but their last letters, as many as the family's tail length:
+    the words' texts joined by newlines, with no newline at the end.  n is
+    checked before this returns.
 
     A run is its prefix text put before each line of its state's block
     (`_tail_blocks`) by one ``replace`` per segment: the prefix's digits
@@ -593,16 +611,16 @@ def word_texts(family: str, n: int):
     comma text, "1,10,", and its digit text is that with the commas taken
     out, so no run joins its letters one by one.
     """
-    runs, moves = _words(family, n, [f"{v}," for v in range(n + 1)], "")
-    return _run_texts(runs, _tail_blocks(moves), n)
+    runs, moves = _words(family, n, "{},".format, "")
+    return _run_texts(runs, {}, moves)
 
 
-def _run_texts(runs, block, n):
+def _run_texts(runs, blocks, moves):
     for comma_prefix, state, r in runs:
         digit_prefix = comma_prefix.replace(",", "")
-        # the prefix has n - r letters, so its digit text is longer than
-        # that iff one of them is past 9
-        segments = block(state, r, len(digit_prefix) > n - r)
+        # a digit text longer than the prefix's commas holds a 10 or more
+        segments = _tail_blocks(blocks, moves, state, r,
+                                2 * len(digit_prefix) > len(comma_prefix))
         if len(segments) == 1:
             wide, text = segments[0]
             q = comma_prefix if wide else digit_prefix

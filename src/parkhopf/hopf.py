@@ -80,9 +80,10 @@ def unit() -> LinComb:
 
 
 def pqsym_product(a: LinComb, b: LinComb) -> LinComb:
-    """F_a F_b: length-shifted shuffle."""
-    return LinComb((w, c1 * c2) for k1, c1 in a for k2, c2 in b
-                   for w in shifted_shuffle(k1, k2, len(k1)))
+    """F_a F_b: length-shifted shuffle, one c1 * c2 per pair of keys."""
+    return LinComb(itertools.chain.from_iterable(
+        zip(shifted_shuffle(k1, k2, len(k1)), itertools.repeat(c1 * c2))
+        for k1, c1 in a for k2, c2 in b))
 
 
 @lru_cache(maxsize=None)
@@ -109,7 +110,7 @@ def pqsym_dup_prec(a: LinComb, b: LinComb) -> LinComb:
                 if not k2:
                     raise ValueError(
                         "duplicial operations live on the augmentation ideal")
-                coeff = _dup_weight(am, k2.count(1)) * c1 * c2
+                coeff = _dup_weight(am, k2.count(1)) * (c1 * c2)
                 for w in shifted_shuffle(k1, k2, m - 1):
                     yield w, coeff
 
@@ -254,7 +255,8 @@ def qr_succ(q1, q2) -> tuple:
     """Shift the second factor by the length of the first; bars carried along."""
     (w1, b1), (w2, b2) = q1, q2
     k = len(w1)
-    return w1 + tuple([v + k for v in w2]), b1 + tuple([v + k for v in b2])
+    return (w1 + tuple([v + k for v in w2]),
+            b1 + tuple([v + k for v in b2]) if b2 else b1)
 
 
 def qr_prec(q1, q2) -> tuple:
@@ -264,7 +266,8 @@ def qr_prec(q1, q2) -> tuple:
         raise ValueError(
             "left factor of the max-shifted concatenation is empty")
     m, k = max(w1) - 1, len(w1)
-    return w1 + tuple([v + m for v in w2]), b1 + tuple([v + k for v in b2])
+    return (w1 + tuple([v + m for v in w2]),
+            b1 + tuple([v + k for v in b2]) if b2 else b1)
 
 
 def qr_mid(q1, q2) -> tuple:
@@ -273,8 +276,7 @@ def qr_mid(q1, q2) -> tuple:
     if not (w1 and w2):
         raise ValueError("the middle operation needs two nonempty factors")
     k = len(w1)
-    return (w1 + tuple([v + k for v in w2]),
-            b1 + (k,) + tuple([v + k for v in b2]))
+    return w1 + tuple([v + k for v in w2]), b1 + (k, *[v + k for v in b2])
 
 
 # -- products by relabelling: the permutation and packed-word algebras --------

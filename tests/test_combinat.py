@@ -1,4 +1,6 @@
+import collections
 import functools
+import gc
 import itertools
 import re
 import time
@@ -550,6 +552,23 @@ def test_word_streams_are_lazy():
         assert next(iter(stream(12))) == (1,) * 12
 
 
+def test_walkers_leave_no_reference_cycles():
+    # the walks keep their caches in arguments, not in closures that refer
+    # to themselves, so a drained stream frees them by reference counting
+    # and the collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        for stream in (cb.iter_ndpfs(6), cb.iter_parking_functions(5),
+                       cb.word_texts("pf", 5), chars.schroder_paths(4)):
+            collections.deque(stream, maxlen=0)
+        for t in cb.binary_trees(5):
+            cb.canopy(t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_quasi_ribbon_list_n3_matches_known_list():
     expected = {"111", "112", "11|2", "113", "11|3", "122", "1|22",
                 "123", "1|23", "12|3", "1|2|3"}
@@ -630,7 +649,8 @@ def test_tail_blocks_straddling_9_and_10():
     tails = [t for t in itertools.product(range(8, 13), repeat=r)
              if all(map(le, t, t[1:])) and all(v <= 9 + i
                                               for i, v in enumerate(t, 1))]
-    block = cb._tail_blocks(functools.cache(cb._ndpf_moves))
+    block = functools.partial(cb._tail_blocks, {},
+                              functools.cache(cb._ndpf_moves))
     segments = block(state, r, False)
     # the segments alternate, cut where the tails' format changes
     assert [wide for wide, _ in segments] == [
