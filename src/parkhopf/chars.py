@@ -71,7 +71,8 @@ def signed_parking_functions(n: int):
 # The statistics of all signings of a word are kept in byte lanes: byte k
 # of an int holds the statistic of signing k, the signing whose set of
 # barred letters is the bit set k (bit i set: letter i is -).  Both sinv and
-# smaj of a word of n letters are at most C(n, 2), below 256 up to n = 23.
+# smaj of a word of n letters are at most C(n, 2), below 256 up to n = 23,
+# the top of the row "fsigma_signed_weight" of `combinat.LIMITS`.
 
 
 @cache
@@ -198,8 +199,6 @@ def super_narayana_count(n: int) -> Poly:
     the equality of the two distributions is asserted, as is smaj = maj of
     the word in the signing with no bar.
     """
-    if n < 0:
-        raise ValueError(f"super_narayana_count needs n >= 0, got {n}")
     _check_size("super_narayana_count", n)
     size = 1 << n
     minus = list(map(int.bit_count, range(size)))
@@ -250,8 +249,6 @@ def super_narayana_sym(n: int) -> Poly:
     prod_j [lambda_1 + ... + lambda_j; lambda_j]_q of entries of the
     q-Pascal table (`_qbinom`).  Every step is a polynomial sum or product.
     """
-    if n < 0:
-        raise ValueError(f"super_narayana_sym needs n >= 0, got {n}")
     _check_size("super_narayana_sym", n)
     x_poch = [_poch(Poly.var("x"), k) for k in range(n + 1)]
     value = Poly.sum(
@@ -270,7 +267,10 @@ def _signed_term(stats: tuple) -> tuple:
 
 
 def fsigma_signed_weight(sigma) -> Poly:
-    """Sum over sign words of (-x)^(minus) q^(smaj of the signed permutation)."""
+    """Sum over sign words of (-x)^(minus) q^(smaj of the signed permutation).
+
+    Its statistics are byte lanes, so a word has at most 23 letters."""
+    _check_size("fsigma_signed_weight", len(sigma))
     return Poly(map(_signed_term, _signing_stats(sigma)))
 
 
@@ -502,8 +502,6 @@ def chi_sqsym(n: int) -> bool:
     `istar_on_sqsym` sends the product to `ribbon_product` and that chi is
     multiplicative.
     """
-    if n < 1:
-        raise ValueError(f"chi_sqsym needs n >= 1, got {n}")
     _check_size("chi_sqsym", n)
     t = Poly.var("t")
     h = [P_ONE] + [1 + t] * n
@@ -529,8 +527,6 @@ def chi_sqsym(n: int) -> bool:
 def pn_alpha(n: int) -> Poly:
     """P_n(a) = a (prod over k=1..n-1 of ((n+1) a + k)) for n >= 1, and
     P_0(a) = 1, the value on the one empty parking function."""
-    if n < 0:
-        raise ValueError(f"pn_alpha needs n >= 0, got {n}")
     _check_size("pn_alpha", n)
     if n == 0:
         return P_ONE
@@ -607,8 +603,6 @@ def psi_alpha(n: int) -> bool:
 
 def qn_polynomial(n: int) -> Poly:
     """Q_n(q) = prod over k=2..n of ((n+1-k) q + k), a q-analogue of (n+1)^(n-1)."""
-    if n < 0:
-        raise ValueError(f"qn_polynomial needs n >= 0, got {n}")
     _check_size("qn_polynomial", n)
     q = Poly.var("q")
     return prod((q.scale(n + 1 - k) + k for k in range(2, n + 1)), start=P_ONE)
@@ -647,8 +641,6 @@ def lassalle_narayana(n: int) -> Poly:
     The value is checked against the Lagrange coefficient
     [z^n] phi^(n+1)/(n+1) of phi = 1 + (1-x)(z + z^2 + ...)
     (`lagrange_coefficient`), which does not read the partition weights."""
-    if n < 1:
-        raise ValueError(f"lassalle_narayana needs n >= 1, got {n}")
     _check_size("lassalle_narayana", n)
     x, q = Poly.var("x"), Poly.var("q")
     h = [P_ONE] + [1 - x] * n

@@ -24,9 +24,11 @@ blocks of ``_BLOCK`` items.  A family whose count is over ``_ENUM_BUDGET``
 items exits 2 before it enumerates anything, and a stream whose length
 differs from its formula exits 1.
 
-Every size bound of the library is one row of ``combinat.LIMITS``, and each
-command checks it before any work: a bounded function checks its row first,
-and table checks the row of its --which before its first row.  bijection
+Every size bound of the library is one row of ``combinat.LIMITS``, a pair
+(low, top), and each command checks it before any work: a bounded function
+checks its row first, and table checks the row of its --which before its
+first row.  Below a low the error reads "<row> needs n >= <low>, got <n>",
+past a top "<row> supports n <= <top>, got <n>".  bijection
 takes at most ``_MAX_INPUT`` characters of input, which keeps the recursive
 tree bijections inside Python's recursion limit.
 

@@ -21,8 +21,11 @@ found, and the tuples the algebra code reuses (`ndpfs`,
 `parking_functions`, `packed_words`, `quasi_ribbons`, `binary_trees`,
 cached, and `permutations`) are built from the same streams.  Every size
 limit of the library, the enumeration range included, is one row of
-`LIMITS`, checked by `_check_size` as the first statement of the function
-it bounds.
+`LIMITS`, a pair (low, top) with None for no bound at that end, checked by
+`_check_size` as the first statement of the function it bounds: below the
+low it raises "<row> needs n >= <low>, got <n>", past the top
+"<row> supports n <= <top>, got <n>", and no other code raises a size
+error.
 """
 
 from __future__ import annotations
@@ -32,30 +35,37 @@ from bisect import bisect_left
 from functools import cache, lru_cache
 from operator import itemgetter, le
 
-# the largest size each bounded function accepts, keyed by function name;
-# "enumeration" bounds every enumerator here
+# the sizes each bounded function accepts, keyed by function name: a pair
+# (low, top), None for no bound at that end; "enumeration" bounds every
+# enumerator here, and "paths" the Dyck and Schroeder paths
 LIMITS = {
     # chars
-    "super_narayana_count": 7, "super_narayana_sym": 12,
-    "s_character_check": 4,
-    "schroder_polynomials": 8, "bar_distribution": 10, "chi_sqsym": 7,
-    "pn_alpha": 12, "fixed_pair_counts": 5, "psi_alpha": 10,
-    "qn_polynomial": 12, "q_triangle": 12, "lassalle_narayana": 12,
+    "super_narayana_count": (0, 7), "super_narayana_sym": (0, 12),
+    "s_character_check": (0, 4), "fsigma_signed_weight": (None, 23),
+    "schroder_polynomials": (0, 8), "bar_distribution": (0, 10),
+    "chi_sqsym": (1, 7), "pn_alpha": (0, 12), "fixed_pair_counts": (0, 5),
+    "psi_alpha": (0, 10), "qn_polynomial": (0, 12),
+    "q_triangle": (None, 12), "lassalle_narayana": (1, 12),
     # lagrange
-    "solve_g": 8, "solve_f": 8, "solve_G_cqsym": 8, "solve_X_fqsym": 8,
-    "tamari_poset": 7, "tamari_interval_check": 7,
+    "solve_g": (None, 8), "solve_f": (None, 8), "solve_G_cqsym": (None, 8),
+    "solve_X_fqsym": (None, 8), "tamari_poset": (0, 7),
+    "tamari_interval_check": (0, 7),
     # operad
-    "count_normal_forms(tri)": 8, "count_normal_forms(dup)": 10,
-    "tridendriform_span_dimension": 7,
+    "normal_forms": (1, None),
+    "count_normal_forms(tri)": (1, 8), "count_normal_forms(dup)": (1, 10),
+    "tridendriform_span_dimension": (1, 7),
     # hopf
-    "primitive_dimension": 9,
-    "enumeration": 12,
+    "primitive_dimension": (0, 9),
+    "enumeration": (0, 12), "paths": (0, None),
 }
 
 
 def _check_size(name: str, n: int):
-    """Reject a size n past the row ``name`` of `LIMITS`."""
-    if n > (top := LIMITS[name]):
+    """Reject a size n outside the row ``name`` of `LIMITS`."""
+    low, top = LIMITS[name]
+    if low is not None and n < low:
+        raise ValueError(f"{name} needs n >= {low}, got {n}")
+    if top is not None and n > top:
         raise ValueError(f"{name} supports n <= {top}, got {n}")
 
 
@@ -268,34 +278,26 @@ def tree_to_text(t) -> str:
 
 
 def tree_parse(text: str):
-    pos = 0
-
-    def char():
-        # the empty string past the end, so truncated text is a ValueError
-        return text[pos:pos + 1]
-
-    def rec():
-        nonlocal pos
-        if char() == ".":
-            pos += 1
-            return None
-        if char() != "(":
-            raise ValueError(f"bad tree text at {pos}: {text!r}")
-        pos += 1
-        left = rec()
-        if char() != ",":
-            raise ValueError(f"expected ',' at {pos}: {text!r}")
-        pos += 1
-        right = rec()
-        if char() != ")":
-            raise ValueError(f"expected ')' at {pos}: {text!r}")
-        pos += 1
-        return (left, right)
-
-    out = rec()
+    out, pos = _parse_tree(text, 0)
     if pos != len(text):
         raise ValueError(f"trailing characters in tree text: {text!r}")
     return out
+
+
+def _parse_tree(text: str, pos: int):
+    # the tree whose text starts at pos, and the position past it; a slice
+    # past the end is empty, so truncated text is a ValueError
+    if text[pos:pos + 1] == ".":
+        return None, pos + 1
+    if text[pos:pos + 1] != "(":
+        raise ValueError(f"bad tree text at {pos}: {text!r}")
+    left, pos = _parse_tree(text, pos + 1)
+    if text[pos:pos + 1] != ",":
+        raise ValueError(f"expected ',' at {pos}: {text!r}")
+    right, pos = _parse_tree(text, pos + 1)
+    if text[pos:pos + 1] != ")":
+        raise ValueError(f"expected ')' at {pos}: {text!r}")
+    return (left, right), pos + 1
 
 
 def tree_mirror(t):
@@ -317,12 +319,6 @@ def canopy(t) -> str:
 # -- enumerators -------------------------------------------------------------
 
 
-def _check_n(n: int):
-    if n < 0:
-        raise ValueError(f"enumeration size must be at least 0, got {n}")
-    _check_size("enumeration", n)
-
-
 def _words(family: str, n: int, head, empty):
     """The words of size n of ``family``, in lexicographic order, as runs:
     one (prefix, state, r) per prefix of all but r letters, r being the
@@ -331,21 +327,16 @@ def _words(family: str, n: int, head, empty):
     each of its letters v in turn, so the walk carries it in the form its
     caller renders.
 
-    n is checked before this returns: it is at least 0, and at most the
-    enumeration cap unless the family is a path family, whose words have 2n
-    letters.  Returns the runs and the family's ``moves(state)``, cached,
+    n is checked against the family's row of `LIMITS` before this
+    returns.  Returns the runs and the family's ``moves(state)``, cached,
     which list the (letter, next state) pairs by increasing letter.  Each
     move should lead to a state that can finish the word, so that no time
     goes to dead ends.
     """
-    if n < 0:
-        raise ValueError(f"enumeration size must be at least 0, got {n}")
-    start, moves, tail = _WORD_FAMILIES[family]
-    if family in ("dyck", "schroder"):
-        n *= 2
-    else:
-        _check_size("enumeration", n)
+    start, moves, tail, limit, letters = _WORD_FAMILIES[family]
+    _check_size(limit, n)
     moves = cache(moves)
+    n *= letters
     return _runs(moves, cache(head), tail, empty, start(n), n), moves
 
 
@@ -405,7 +396,8 @@ def _path_moves(state):
     return out + [(3, (r - 1, ~h, flat))] if flat and h + 2 <= r else out
 
 
-# word family: (its start state at length n, its moves, its tail length).
+# word family: (its start state at length n, its moves, its tail length,
+# the row of `LIMITS` its size is checked on, its letters per unit of size).
 # The last letters of every word come from its state's tails, a table of
 # tuples or a block of texts built once per state, so most words cost one
 # tuple concatenation, or a share of one `str.replace`.  Each family's tail
@@ -414,14 +406,17 @@ def _path_moves(state):
 # size 7 runs slower and peaks 2 MB higher); 4 for packed (about 190 words
 # a run at n = 9); 5 for perm, whose runs are the 5! = 120 orders of the
 # letters left.  A path's word has a letter per column, u 1, d 2 and h 3 4,
-# so u < d < h; 8 columns keep at most 90 tails a state.
+# so u < d < h, and a path of semi-length n has 2n; 8 columns keep at most
+# 90 tails a state.
 _WORD_FAMILIES = {
-    "ndpf": (lambda n: (1, 1), _ndpf_moves, 3),
-    "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 3),
-    "packed": (lambda n: (n, 0, ()), _packed_moves, 4),
-    "perm": (lambda n: tuple(range(1, n + 1)), _perm_moves, 5),
-    "dyck": (lambda n: (n, 0, False), _path_moves, 8),
-    "schroder": (lambda n: (n, 0, True), _path_moves, 8),
+    "ndpf": (lambda n: (1, 1), _ndpf_moves, 3, "enumeration", 1),
+    "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 3,
+           "enumeration", 1),
+    "packed": (lambda n: (n, 0, ()), _packed_moves, 4, "enumeration", 1),
+    "perm": (lambda n: tuple(range(1, n + 1)), _perm_moves, 5,
+             "enumeration", 1),
+    "dyck": (lambda n: (n, 0, False), _path_moves, 8, "paths", 2),
+    "schroder": (lambda n: (n, 0, True), _path_moves, 8, "paths", 2),
 }
 
 
@@ -519,7 +514,7 @@ def quasi_ribbons(n: int) -> tuple:
 def compositions(n: int) -> tuple:
     """The compositions of n, lexicographically: each first part p, then
     the cached compositions of n - p."""
-    _check_n(n)
+    _check_size("enumeration", n)
     return ((),) if n == 0 else tuple(
         (p, *rest) for p in range(1, n + 1) for rest in compositions(n - p))
 
@@ -527,7 +522,7 @@ def compositions(n: int) -> tuple:
 def iter_binary_trees(n: int):
     """The binary trees with n internal nodes, by left-subtree size, one at
     a time, each built from the cached trees of the smaller sizes."""
-    _check_n(n)
+    _check_size("enumeration", n)
     if n == 0:
         return iter((None,))
     return ((left, right) for k in range(n) for left in binary_trees(k)

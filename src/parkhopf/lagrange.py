@@ -294,19 +294,20 @@ def tamari_poset(n: int):
     index = {t: i for i, t in enumerate(trees)}
     covers = [[index[s] for s in _down_rotations(t)] for t in trees]
     masks = [0] * len(trees)
+    for i in range(len(trees)):
+        _descendant_mask(masks, covers, i)
+    return trees, index, masks
 
-    def mask(i):
-        if masks[i]:
-            return masks[i]
+
+def _descendant_mask(masks, covers, i) -> int:
+    # the bitmask of tree i and every tree below it, memoised in the list
+    # masks, where 0 marks a mask not yet known
+    if not masks[i]:
         m = 1 << i
         for j in covers[i]:
-            m |= mask(j)
+            m |= _descendant_mask(masks, covers, j)
         masks[i] = m
-        return m
-
-    for i in range(len(trees)):
-        mask(i)
-    return trees, index, masks
+    return masks[i]
 
 
 def tamari_interval_check(i_comp) -> tuple[bool, int]:

@@ -70,19 +70,20 @@ def _rule_applies(root_op: str, left_op: str) -> bool:
 def all_eval_trees(mode: str, n: int):
     """All op-labeled trees with n leaves, shapes ordered as binary_trees."""
     ops, _, _ = _mode(mode)
-
-    def label(shape):
-        if shape is None:
-            yield LEAF
-            return
-        left_shape, right_shape = shape
-        for op in ops:
-            for left in label(left_shape):
-                for right in label(right_shape):
-                    yield (op, left, right)
-
     for shape in binary_trees(n - 1):
-        yield from label(shape)
+        yield from _labellings(shape, ops)
+
+
+def _labellings(shape, ops):
+    # every labelling of the nodes of shape by ops, the root's op first
+    if shape is None:
+        yield LEAF
+        return
+    left_shape, right_shape = shape
+    for op in ops:
+        for left in _labellings(left_shape, ops):
+            for right in _labellings(right_shape, ops):
+                yield (op, left, right)
 
 
 def rewrite_all_steps(t):
@@ -118,8 +119,7 @@ def normal_forms(mode: str, n: int):
     normal subtrees below.  Only the smaller sizes are kept in memory; the
     size-n trees are streamed."""
     ops, _, _ = _mode(mode)
-    if n < 1:
-        raise ValueError(f"normal forms have at least one leaf, got n={n}")
+    _check_size("normal_forms", n)
     roots = [op for op in ops if op != "<"]
     forms = [[], [LEAF]]
 
@@ -154,25 +154,22 @@ def normal_form_shape_check(mode: str, n: int) -> bool:
         t for t in all_eval_trees(mode, n) if is_normal(t)}
 
 
-def _evaluations(trees, leaf, ops):
+def _evaluations(trees, leaf, ops, values=None):
     """Each tree in turn with ``leaf`` at every leaf and ``ops[op]`` applied
     at every node.  The value of each distinct proper subtree is computed
-    once and shared; the trees' own values are yielded, not kept."""
-    values = {LEAF: leaf}
-
-    def value(t):
-        if t not in values:
-            op, left, right = t
-            values[t] = ops[op](value(left), value(right))
-        return values[t]
-
+    once, by this walk on that subtree alone, and shared through the dict
+    ``values``; the trees' own values are yielded, not kept."""
+    if values is None:
+        values = {LEAF: leaf}
     for t in trees:
         if t is LEAF:
             yield leaf
-        else:
-            op, left, right = t
-            yield ops[op](value(left), value(right))
-    del value  # it refers to itself, so free the shared values now, not at gc
+            continue
+        op, left, right = t
+        for sub in (left, right):
+            if sub not in values:
+                (values[sub],) = _evaluations((sub,), leaf, ops, values)
+        yield ops[op](values[left], values[right])
 
 
 def eval_tree(t, mode: str):
@@ -191,19 +188,19 @@ def confluence_check(mode: str, n: int) -> bool:
     Loday-Vallette 2012, ch. 8) their confluence is confluence in every
     arity.  Other sizes check that consequence."""
     memo: dict = {}
+    return all(len(_normal_forms_of(memo, t)) == 1
+               for t in all_eval_trees(mode, n))
 
-    def reachable(t) -> frozenset:
-        if t not in memo:
-            steps = list(rewrite_all_steps(t))
-            acc = set() if steps else {t}
-            for s in steps:
-                acc |= reachable(s)
-            memo[t] = frozenset(acc)
-        return memo[t]
 
-    confluent = all(len(reachable(t)) == 1 for t in all_eval_trees(mode, n))
-    del reachable  # it refers to itself, so free its memo now, not at gc
-    return confluent
+def _normal_forms_of(memo, t) -> frozenset:
+    # the normal forms t rewrites to, memoised in the dict memo
+    if t not in memo:
+        steps = list(rewrite_all_steps(t))
+        acc = set() if steps else {t}
+        for s in steps:
+            acc |= _normal_forms_of(memo, s)
+        memo[t] = frozenset(acc)
+    return memo[t]
 
 
 def tridendriform_span_dimension(n: int) -> int:
@@ -216,9 +213,6 @@ def tridendriform_span_dimension(n: int) -> int:
     each of the three operations.  Starting from the generator in degree 1,
     each degree's basis is the products that `independent` keeps; no tree
     list is built."""
-    if n < 1:
-        raise ValueError(f"products of the generator have degree at least "
-                         f"1, got n={n}")
     _check_size("tridendriform_span_dimension", n)
     # the thirds are read at each call, so a wrapper put on this module's
     # names (a profiler's, say) sees every product

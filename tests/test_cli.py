@@ -268,7 +268,7 @@ def test_table_checks_its_size_before_any_row(capsys, monkeypatch, which):
     _, limit = _TABLES[which]
     calls = []
     monkeypatch.setattr(chars, limit, lambda n: calls.append(n))
-    n_max = combinat.LIMITS[limit] + 1
+    n_max = combinat.LIMITS[limit][1] + 1
     assert main(["table", "--which", which, "--n-max", str(n_max)]) == 2
     assert calls == []
     err = capsys.readouterr().err

@@ -496,51 +496,74 @@ def test_enumeration_cap():
             stream(13)
 
 
-# each row of LIMITS: its top, and a call of the function it bounds at size n
+# each row of LIMITS: its (low, top), and a call of the function it bounds
+# at size n
 _BOUNDED = {
-    "super_narayana_count": (7, chars.super_narayana_count),
-    "super_narayana_sym": (12, chars.super_narayana_sym),
-    "s_character_check": (4, chars.s_character_check),
-    "schroder_polynomials": (8, chars.schroder_polynomials),
-    "bar_distribution": (10, chars.bar_distribution),
-    "chi_sqsym": (7, chars.chi_sqsym),
-    "pn_alpha": (12, chars.pn_alpha),
-    "fixed_pair_counts": (5, chars.fixed_pair_counts),
-    "psi_alpha": (10, chars.psi_alpha),
-    "qn_polynomial": (12, chars.qn_polynomial),
-    "q_triangle": (12, chars.q_triangle),
-    "lassalle_narayana": (12, chars.lassalle_narayana),
-    "solve_g": (8, lagrange.solve_g),
-    "solve_f": (8, lagrange.solve_f),
-    "solve_G_cqsym": (8, lagrange.solve_G_cqsym),
-    "solve_X_fqsym": (8, lagrange.solve_X_fqsym),
-    "tamari_poset": (7, lagrange.tamari_poset),
-    "tamari_interval_check": (7, lambda n: lagrange.tamari_interval_check(
+    "super_narayana_count": ((0, 7), chars.super_narayana_count),
+    "super_narayana_sym": ((0, 12), chars.super_narayana_sym),
+    "s_character_check": ((0, 4), chars.s_character_check),
+    # the size of a signed weight is its word's length, never negative
+    "fsigma_signed_weight": ((None, 23), lambda n: chars.fsigma_signed_weight(
+        tuple(range(n, 0, -1)))),
+    "schroder_polynomials": ((0, 8), chars.schroder_polynomials),
+    "bar_distribution": ((0, 10), chars.bar_distribution),
+    "chi_sqsym": ((1, 7), chars.chi_sqsym),
+    "pn_alpha": ((0, 12), chars.pn_alpha),
+    "fixed_pair_counts": ((0, 5), chars.fixed_pair_counts),
+    "psi_alpha": ((0, 10), chars.psi_alpha),
+    "qn_polynomial": ((0, 12), chars.qn_polynomial),
+    # no low: q_triangle and the solvers give [] at a negative size
+    "q_triangle": ((None, 12), chars.q_triangle),
+    "lassalle_narayana": ((1, 12), chars.lassalle_narayana),
+    "solve_g": ((None, 8), lagrange.solve_g),
+    "solve_f": ((None, 8), lagrange.solve_f),
+    "solve_G_cqsym": ((None, 8), lagrange.solve_G_cqsym),
+    "solve_X_fqsym": ((None, 8), lagrange.solve_X_fqsym),
+    "tamari_poset": ((0, 7), lagrange.tamari_poset),
+    "tamari_interval_check": ((0, 7), lambda n: lagrange.tamari_interval_check(
         (n,))),
-    "count_normal_forms(tri)": (8, lambda n: operad.count_normal_forms(
+    # normal_forms is a generator, which checks its size at its first item
+    "normal_forms": ((1, None), lambda n: next(operad.normal_forms("tri", n))),
+    "count_normal_forms(tri)": ((1, 8), lambda n: operad.count_normal_forms(
         "tri", n)),
-    "count_normal_forms(dup)": (10, lambda n: operad.count_normal_forms(
+    "count_normal_forms(dup)": ((1, 10), lambda n: operad.count_normal_forms(
         "dup", n)),
-    "tridendriform_span_dimension": (7, operad.tridendriform_span_dimension),
-    "primitive_dimension": (9, hopf.primitive_dimension),
-    "enumeration": (12, cb.iter_ndpfs),
+    "tridendriform_span_dimension": ((1, 7),
+                                     operad.tridendriform_span_dimension),
+    "primitive_dimension": ((0, 9), hopf.primitive_dimension),
+    "enumeration": ((0, 12), cb.iter_ndpfs),
+    "paths": ((0, None), chars.dyck_paths),
 }
 
 
 def test_limits_table():
-    assert cb.LIMITS == {name: top for name, (top, _) in _BOUNDED.items()}
+    assert cb.LIMITS == {name: ends for name, (ends, _) in _BOUNDED.items()}
 
 
-@pytest.mark.parametrize("name", sorted(_BOUNDED))
+@pytest.mark.parametrize("name", sorted(
+    name for name, ((_, top), _) in _BOUNDED.items() if top is not None))
 def test_size_past_its_limit_is_rejected_at_once(name):
     # the function checks its row before any work, so a size one past the
     # top fails fast with the row's name
-    top, call = _BOUNDED[name]
-    assert cb.LIMITS[name] == top
+    (_, top), call = _BOUNDED[name]
+    assert cb.LIMITS[name][1] == top
     start = time.monotonic()
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} supports "
                                          rf"n <= {top}, got {top + 1}$"):
         call(top + 1)
+    assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, ((low, _), _) in _BOUNDED.items() if low is not None))
+def test_size_below_its_limit_is_rejected_at_once(name):
+    # the same guard rejects a size one below the low, with the row's name
+    (low, _), call = _BOUNDED[name]
+    assert cb.LIMITS[name][0] == low
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} needs "
+                                         rf"n >= {low}, got {low - 1}$"):
+        call(low - 1)
     assert time.monotonic() - start < 1
 
 
@@ -564,6 +587,10 @@ def test_walkers_leave_no_reference_cycles():
             collections.deque(stream, maxlen=0)
         for t in cb.binary_trees(5):
             cb.canopy(t)
+        collections.deque(operad.all_eval_trees("tri", 4), maxlen=0)
+        operad.confluence_check("dup", 4)
+        lagrange.tamari_poset.__wrapped__(4)
+        cb.tree_parse("((.,.),.)")
         assert gc.collect() == 0
     finally:
         gc.enable()

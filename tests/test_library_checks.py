@@ -13,7 +13,7 @@ import re
 import pytest
 
 import parkhopf
-from parkhopf.combinat import LIMITS
+from parkhopf.combinat import _WORD_FAMILIES, LIMITS
 
 SOURCES = sorted(pathlib.Path(parkhopf.__file__).parent.glob("*.py"))
 
@@ -97,20 +97,27 @@ def _size_check_names():
 
 
 def test_one_table_of_size_limits():
-    # the one raise of a size error is the guard's, in combinat
+    # the one raise of a size error, at either end, is the guard's, in
+    # combinat; argparse's checks of command-line integers are usage errors
+    # of the parser, not library size errors
     raises = {f"{path.name}:{node.lineno}"
               for path in SOURCES
               for node in ast.walk(ast.parse(path.read_text(), str(path)))
               if isinstance(node, ast.Raise) and node.exc is not None
-              and "supports" in ast.unparse(node.exc)}
+              and "ArgumentTypeError" not in ast.unparse(node.exc)
+              and any(words in ast.unparse(node.exc)
+                      for words in ("supports", "needs n >=", "at least"))}
     guard = next(node for node in _tree_of("combinat.py").body
                  if isinstance(node, ast.FunctionDef)
                  and node.name == "_check_size")
     assert raises == {f"combinat.py:{node.lineno}"
                       for node in ast.walk(guard)
                       if isinstance(node, ast.Raise)}
-    # every name the guard is called with is a row, and every row is used
-    names = list(_size_check_names())
+    # every name the guard is called with, directly or through the row a
+    # word family names, is a row, and every row is used
+    names = [*_size_check_names(),
+             *(re.escape(limit) for _, _, _, limit, _ in
+               _WORD_FAMILIES.values())]
     assert all(any(re.fullmatch(name, key) for key in LIMITS)
                for name in names), names
     assert all(any(re.fullmatch(name, key) for name in names)

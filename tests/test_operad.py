@@ -238,7 +238,8 @@ def test_tridendriform_span_dimensions():
     with pytest.raises(ValueError, match="n <= 7"):
         op.tridendriform_span_dimension(8)
     for n in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="^tridendriform_span_dimension "
+                                             f"needs n >= 1, got {n}$"):
             op.tridendriform_span_dimension(n)
 
 
