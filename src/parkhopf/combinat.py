@@ -49,9 +49,9 @@ LIMITS = {
     # lagrange
     "solve_g": (None, 8), "solve_f": (None, 8), "solve_G_cqsym": (None, 8),
     "solve_X_fqsym": (None, 8), "tamari_poset": (0, 7),
-    "tamari_interval_check": (0, 7),
+    "tamari_intervals": (0, 7),
     # operad
-    "normal_forms": (1, None),
+    "all_eval_trees": (1, 13), "normal_forms": (1, None),
     "count_normal_forms(tri)": (1, 8), "count_normal_forms(dup)": (1, 10),
     "tridendriform_span_dimension": (1, 7),
     # hopf

@@ -310,23 +310,31 @@ def _descendant_mask(masks, covers, i) -> int:
     return masks[i]
 
 
-def tamari_interval_check(i_comp) -> tuple[bool, int]:
-    """Is the packed-evaluation class of I an interval, and how large is it?"""
-    i_comp = tuple(i_comp)
-    n = sum(i_comp)
-    _check_size("tamari_interval_check", n)
-    members = [pi for pi in ndpfs(n) if packed_evaluation(pi) == i_comp]
-    if not members:
-        return False, 0
-    trees, index, masks = tamari_poset(n)
-    ids = [index[ndpf_to_tree(pi)] for pi in members]
+def tamari_intervals(n: int) -> dict[tuple, tuple[bool, int]]:
+    """{composition: (is interval, size)} for the packed-evaluation classes
+    of the NDPFs of size n: is the class a Tamari interval of the trees,
+    through the bijection, and how many NDPFs it holds.  A composition with
+    no NDPF has no entry.  The NDPFs are grouped in one pass, and the poset
+    is read once for all the classes."""
+    _check_size("tamari_intervals", n)
+    classes: dict[tuple, list] = {}
+    for pi in ndpfs(n):
+        classes.setdefault(packed_evaluation(pi), []).append(pi)
+    _, index, masks = tamari_poset(n)
+    return {comp: (_is_interval([index[ndpf_to_tree(pi)] for pi in members],
+                                masks), len(members))
+            for comp, members in classes.items()}
+
+
+def _is_interval(ids, masks) -> bool:
+    # the trees ids of the poset with descendant bitmasks masks hold a least
+    # and a greatest tree and every tree between them
     bot = [i for i in ids if all(masks[j] >> i & 1 for j in ids)]
     top = [i for i in ids if all(masks[i] >> j & 1 for j in ids)]
     if len(bot) != 1 or len(top) != 1:
-        return False, len(members)
-    interval = {i for i in range(len(trees))
-                if masks[top[0]] >> i & 1 and masks[i] >> bot[0] & 1}
-    return interval == set(ids), len(members)
+        return False
+    return set(ids) == {i for i in range(len(masks))
+                        if masks[top[0]] >> i & 1 and masks[i] >> bot[0] & 1}
 
 
 def canopy_evaluation_correspondence(n: int) -> tuple[bool, int]:

@@ -68,8 +68,10 @@ def _rule_applies(root_op: str, left_op: str) -> bool:
 
 
 def all_eval_trees(mode: str, n: int):
-    """All op-labeled trees with n leaves, shapes ordered as binary_trees."""
+    """All op-labeled trees with n leaves, shapes ordered as binary_trees.
+    A generator: it checks its size at its first item."""
     ops, _, _ = _mode(mode)
+    _check_size("all_eval_trees", n)
     for shape in binary_trees(n - 1):
         yield from _labellings(shape, ops)
 

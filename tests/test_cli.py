@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -174,10 +175,15 @@ def test_enumerate_trees_past_the_old_cap(capsys):
                                 for t in combinat.binary_trees(9)]
 
 
-def test_enumerate_short_stream_exits_1(capsys, monkeypatch):
+def _plant_ndpf_stream_short(monkeypatch):
+    # the ndpf stream loses its first block, one short of its formula
     items, count = _ENUM_FAMILIES["ndpf"]
     monkeypatch.setitem(_ENUM_FAMILIES, "ndpf",
                         (lambda n: itertools.islice(items(n), 1, None), count))
+
+
+def test_enumerate_short_stream_exits_1(capsys, monkeypatch):
+    _plant_ndpf_stream_short(monkeypatch)
     assert main(["enumerate", "--family", "ndpf", "--n", "3"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: a check failed") and err.count("\n") == 1
@@ -716,6 +722,26 @@ def test_usage_errors_exit_2(capsys):
     assert err.value.code == 2
     code = main(["bijection", "--direction", "ndpf-to-tree", "--input", "21"])
     assert code == 2  # 21 is not nondecreasing
+
+
+@pytest.mark.parametrize("argv, plant, code", [
+    (["enumerate", "--family", "ndpf", "--n", "3"], None, 0),
+    (["enumerate", "--family", "ndpf", "--n", "3"], _plant_ndpf_stream_short,
+     1),
+    (["bijection", "--direction", "ndpf-to-tree", "--input", "21"], None, 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_main_freezes_the_collector_at_every_exit(capsys, monkeypatch, argv,
+                                                  plant, code):
+    # the collections at interpreter exit skip frozen objects, so main
+    # freezes the heap once its output is out, whatever it returns
+    if plant:
+        plant(monkeypatch)
+    gc.unfreeze()
+    try:
+        assert main(argv) == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_help_runs(capsys):

@@ -520,9 +520,11 @@ _BOUNDED = {
     "solve_G_cqsym": ((None, 8), lagrange.solve_G_cqsym),
     "solve_X_fqsym": ((None, 8), lagrange.solve_X_fqsym),
     "tamari_poset": ((0, 7), lagrange.tamari_poset),
-    "tamari_interval_check": ((0, 7), lambda n: lagrange.tamari_interval_check(
-        (n,))),
-    # normal_forms is a generator, which checks its size at its first item
+    "tamari_intervals": ((0, 7), lagrange.tamari_intervals),
+    # all_eval_trees and normal_forms are generators, which check their size
+    # at their first item
+    "all_eval_trees": ((1, 13), lambda n: next(operad.all_eval_trees("dup",
+                                                                       n))),
     "normal_forms": ((1, None), lambda n: next(operad.normal_forms("tri", n))),
     "count_normal_forms(tri)": ((1, 8), lambda n: operad.count_normal_forms(
         "tri", n)),

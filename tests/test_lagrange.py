@@ -257,16 +257,19 @@ def test_tamari_orientation():
 def test_tamari_intervals_match_g_coefficients():
     g = lg.solve_g(6)
     for n in range(1, 7):
+        classes = lg.tamari_intervals(n)
+        assert set(classes) == set(compositions(n))
         for comp in compositions(n):
-            is_interval, size = lg.tamari_interval_check(comp)
+            is_interval, size = classes[comp]
             assert is_interval
             assert size == g[n].coeff(comp)
 
 
 def test_tamari_interval_examples():
-    assert lg.tamari_interval_check((3, 1)) == (True, 3)
-    assert lg.tamari_interval_check((1, 1, 1, 1)) == (True, 1)
-    assert lg.tamari_interval_check((2, 1, 1)) == (True, 3)
+    classes = lg.tamari_intervals(4)
+    assert classes[(3, 1)] == (True, 3)
+    assert classes[(1, 1, 1, 1)] == (True, 1)
+    assert classes[(2, 1, 1)] == (True, 3)
 
 
 # Hasse diagram of the order at n = 4, transported to words: frozen cover list
