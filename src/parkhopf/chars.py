@@ -6,7 +6,8 @@ image, one term per partition of n (`lagrange.g_partitions`): `evaluate` on
 the character's h_k gives the binomial element (`psi_alpha`), the alphabet
 1 - x (`lassalle_narayana`, gated by `lagrange.lagrange_coefficient`) and
 h_k = 1 + t (`schroder_polynomials`); the alphabet (1-x)/(1-q), whose h_k
-are not polynomials, goes by the q-binomial theorem (`super_narayana_sym`).
+are not polynomials, goes by the q-binomial theorem (`super_narayana_sym`),
+summed as one packed int (`exact.pack`) and unpacked once.
 On the algebras, the characters are `evaluate` after a morphism of `hopf`:
 psi after `morphism_psi`, chi after `istar_on_sqsym` and `symfun.R_to_S`.
 Each has a second, combinatorial route: signed parking functions and their
@@ -14,10 +15,11 @@ statistics, Dyck and Schroeder path encodings, the bars of quasi-ribbons,
 fixed pairs of parking functions, and the q-analogue triangle of
 (n+1)^(n-1).  The statistics of signed words come from a walk over the
 signings of a word, one `_signing_step` per letter, which holds sinv and
-smaj of all signings in the byte lanes of two ints; `super_narayana_count`
-walks the tree of prefixes of the packed words, so each distinct prefix is
-stepped once, and weights each word by the number of parking functions
-that pack to it, counted from its evaluation.  The words route of
+smaj of all signings in the byte lanes of two ints; a parking function has
+the statistics of its standardization, so `super_narayana_count` walks the
+tree of prefixes of the permutations, each distinct prefix stepped once,
+and weights each permutation by the number of parking functions that
+standardize to it, counted from its recoil set.  The words route of
 `schroder_polynomials` reads no statistic, since a word has no signed
 inversion exactly when it is nondecreasing with no negative letter
 repeated.  A value raises AssertionError when its routes disagree; a check
@@ -34,11 +36,11 @@ from math import factorial, prod
 from operator import add, eq, gt, methodcaller, mul, ne
 
 from . import hopf
-from .combinat import (_check_size, evaluation, iter_packed_words,
-                       iter_parking_functions, iter_quasi_ribbons, ndpfs,
-                       parking_functions, permutations, quasi_ribbons,
-                       shifted_shuffle, word_texts)
-from .exact import P_ONE, LinComb, Poly, monomial
+from .combinat import (_check_size, iter_parking_functions, iter_permutations,
+                       iter_quasi_ribbons, ndpfs, parking_functions,
+                       permutations, quasi_ribbons, shifted_shuffle,
+                       word_texts)
+from .exact import P_ONE, LinComb, Poly, monomial, pack, unpack
 from .lagrange import g_partitions, lagrange_coefficient
 from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
 
@@ -144,12 +146,6 @@ def _signing_stats(word):
 # -- super-Narayana polynomials --------------------------------------------------
 
 
-def _poch(a: Poly, k: int) -> Poly:
-    """The q-Pochhammer symbol (a;q)_k = (1-a)(1-aq)...(1-aq^(k-1))."""
-    q = Poly.var("q")
-    return prod((1 - a * q ** j for j in range(k)), start=P_ONE)
-
-
 @cache
 def _qpascal_row(n: int) -> tuple:
     """Row n of the q-Pascal table, ([n; 0]_q, ..., [n; n]_q), iterated from
@@ -169,68 +165,84 @@ def _qbinom(n: int, k: int) -> Poly:
 
 
 @cache
-def _packings(ev: tuple) -> int:
-    """The number of parking functions that pack to a packed word of
-    evaluation ev = (c_1, ..., c_m): the letters v_1 < ... < v_m that its
-    letters 1..m become must satisfy v_1 = 1 and
-    v_i <= 1 + c_1 + ... + c_(i-1).  Counted by v_i, one letter at a time.
+def _standardizing(n: int, recoils: int) -> int:
+    """The number of parking functions of length n that standardize to a
+    permutation with the recoil set ``recoils`` (bit i set: i + 1 comes
+    before i).
+
+    Such a parking function gives the letter at the place of i the value
+    b_i, with b_1 <= ... <= b_n, since standardizing breaks ties left to
+    right, and b_i < b_(i+1) at each recoil i; it parks iff b_i <= i.  So
+    the count is that of the nondecreasing b_1..b_n with 1 <= b_i <= i,
+    strict at the recoils, taken by b_i one value at a time.
     """
-    ways, top = [0, 1], 1  # ways[v]: the choices so far with last letter v
-    for c in ev[:-1]:
-        top += c
+    ways = [1]  # ways[v - 1]: the choices of b_1..b_i with b_i = v
+    for i in range(1, n):
         below = list(itertools.accumulate(ways))
-        ways = [0] + below + below[-1:] * (top - len(ways))
+        ways = [0] + below if recoils >> i & 1 else below + below[-1:]
     return sum(ways)
 
 
 def super_narayana_count(n: int) -> Poly:
     """Sum of t^(minus) q^(sinv) over all signed parking functions of length n.
 
-    The signing walk compares the letters only with one another, so the
-    statistics of the signings of a parking function depend only on its
-    packed word, and every packed word is the packing of at least one
-    parking function.  The packed words are walked in order down a stack of
-    prefix states: a word pops the states past the prefix it shares with
-    the word before it and takes one `_signing_step` per letter after that
-    prefix, so each distinct prefix is stepped once.  The statistics of each
-    word go straight into the `Counter` of its multiplicity, the number of
-    parking functions that pack to it (`_packings` of its evaluation).  The
-    same polynomial with smaj in place of sinv is computed alongside and
-    the equality of the two distributions is asserted, as is smaj = maj of
-    the word in the signing with no bar.
+    A beats b when a > b, or a == b and both are negative: this is the order
+    of the standardized letters, ties broken left to right, so the signings
+    of a parking function have the statistics of the signings of its
+    standardization, lane by lane.  The permutations are walked in order
+    down a stack of prefix frames: a permutation pops the frames past the
+    prefix it shares with the one before it and takes one `_signing_step`
+    per letter after that prefix, so each distinct prefix is stepped once.
+    A frame also holds the letters of its prefix and the recoils among them
+    as bits, and the statistics of each permutation go straight into the
+    `Counter` of its weight, the number of parking functions that
+    standardize to it, which depends only on its recoil set
+    (`_standardizing`).  The same polynomial with smaj in place of sinv is
+    computed alongside and the equality of the two distributions is
+    asserted, as is smaj = maj of the permutation in the signing with no
+    bar.
     """
     _check_size("super_narayana_count", n)
     size = 1 << n
-    minus = list(map(int.bit_count, range(size)))
+    # a lane's key is its minus count times 256 plus its statistic, a byte
+    minus = [m << 8 for m in map(int.bit_count, range(size))]
     descents = range(1, n)
-    # the packed words of each multiplicity share one Counter, which counts
-    # the stream of their triples in C; the few hundred distinct triples are
-    # then weighted and split into the two distributions
-    groups = defaultdict(Counter)
-    states, last = [_NO_SIGNING], ()
-    for word in iter_packed_words(n):
+    # the permutations of each weight share one Counter per statistic,
+    # which counts the stream of their keys in C; the few hundred distinct
+    # keys are then weighted
+    sinvs, smajs = defaultdict(Counter), defaultdict(Counter)
+    # a frame: the signing state of a prefix, its letters as bits (bit 0
+    # set, as if a letter 0 came first, so that the letter 1 makes no
+    # recoil) and its recoils as bits: placing x makes x a recoil if x + 1
+    # came before, and x - 1 one if it did not
+    frames, last = [(_NO_SIGNING, 1, 0)], ()
+    for word in iter_permutations(n):
         shared = next(itertools.compress(itertools.count(),
                                          map(ne, word, last)), 0)
-        del states[shared + 1:]
+        del frames[shared + 1:]
         for x in word[shared:]:
-            states.append(_signing_step(states[-1], x))
-        *_, sinv, smaj = states[-1]
+            state, used, recoils = frames[-1]
+            frames.append((_signing_step(state, x), used | 1 << x,
+                           recoils | used >> 1 & 1 << x
+                           | ~used & 1 << (x - 1)))
+        (*_, sinv, smaj), _, recoils = frames[-1]
         # lane 0 is the signing with no bar, where smaj is the major index
         if smaj & 255 != sum(itertools.compress(descents,
                                                  map(gt, word, word[1:]))):
             raise AssertionError(f"smaj of {word} unbarred is not its maj")
-        groups[_packings(evaluation(word))].update(zip(
-            minus, sinv.to_bytes(size, "little"),
-            smaj.to_bytes(size, "little")))
+        weight = _standardizing(n, recoils)
+        sinvs[weight].update(map(add, minus, sinv.to_bytes(size, "little")))
+        smajs[weight].update(map(add, minus, smaj.to_bytes(size, "little")))
         last = word
     by_sinv, by_smaj = Counter(), Counter()
-    for mult, stats in groups.items():
-        for (m, sinv, smaj), c in stats.items():
-            by_sinv[m, sinv] += mult * c
-            by_smaj[m, smaj] += mult * c
+    for groups, total in ((sinvs, by_sinv), (smajs, by_smaj)):
+        for weight, keys in groups.items():
+            for key, c in keys.items():
+                total[key] += weight * c
     if by_sinv != by_smaj:
         raise AssertionError("sinv and smaj distributions must agree")
-    return Poly((monomial(t=m, q=j), c) for (m, j), c in by_sinv.items())
+    return Poly((monomial(t=key >> 8, q=key & 255), c)
+                for key, c in by_sinv.items())
 
 
 def super_narayana_sym(n: int) -> Poly:
@@ -247,15 +259,33 @@ def super_narayana_sym(n: int) -> Poly:
     with (q)_k = (q;q)_k and the q-multinomial
     [n; lambda]_q = (q)_n / prod_j (q)_(lambda_j), which is the product
     prod_j [lambda_1 + ... + lambda_j; lambda_j]_q of entries of the
-    q-Pascal table (`_qbinom`).  Every step is a polynomial sum or product.
+    q-Pascal table (`_qbinom`).  The sum is one int, in the frame of
+    `exact.pack` with q inner and x outer: each q-binomial is packed once
+    per call, (x;q)_k is built packed, (1 - x q^(k-1)) times (x;q)_(k-1)
+    being a shift and a subtraction, and the int is unpacked once, at
+    x = -t.  Every q-degree is at most n(n-1)/2, the sum of the q-degrees
+    sum_(i<j) lambda_i lambda_j of the q-multinomial and
+    sum_j lambda_j (lambda_j - 1)/2 of the Pochhammers, so n(n-1)/2 + 1
+    slots hold them.  Every |coefficient| is at most
+    2^n sum_lambda |w_lambda| n!/prod_j lambda_j!, the value at q = x = 1
+    of the sum with each factor's coefficients taken absolutely: the
+    q-multinomial has nonnegative coefficients summing to the multinomial,
+    and (x;q)_k has 2^k terms of coefficient +-1.  The width keeps this
+    bound below half a digit.
     """
     _check_size("super_narayana_sym", n)
-    x_poch = [_poch(Poly.var("x"), k) for k in range(n + 1)]
-    value = Poly.sum(
-        (prod(map(_qbinom, itertools.accumulate(lam), lam), start=P_ONE)
-         * prod((x_poch[i] for i in lam), start=P_ONE)).scale(w)
-        for lam, w in g_partitions(n))
-    return value.substitute("x", -Poly.var("t"))
+    weights = g_partitions(n)
+    bound = sum(abs(w) * factorial(n) // prod(map(factorial, lam))
+                for lam, w in weights) << n
+    width, slots = 8 * (bound.bit_length() // 8 + 1), n * (n - 1) // 2 + 1
+    frame = (width, slots)
+    qbinom = cache(lambda m, k: pack(_qbinom(m, k), frame))
+    x_poch = [1]
+    for k in range(n):
+        x_poch.append(x_poch[k] - (x_poch[k] << width * (slots + k)))
+    value = sum(w * prod(map(qbinom, itertools.accumulate(lam), lam))
+                * prod(map(x_poch.__getitem__, lam)) for lam, w in weights)
+    return unpack(value, frame, "q", "t", -1)
 
 
 def _signed_term(stats: tuple) -> tuple:

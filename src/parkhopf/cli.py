@@ -454,7 +454,7 @@ _CHECKS = (
      _classes_are_intervals),
     ("intervals", "canopy-partition", 6,
      _each(lambda k: lagrange.canopy_evaluation_correspondence(k)[0])),
-    ("characters", "super-narayana-routes", 4,
+    ("characters", "super-narayana-routes", 5,
      _each(lambda k: chars.super_narayana_count(k)
            == chars.super_narayana_sym(k))),
     ("characters", "schroder-polynomial-routes", 6,

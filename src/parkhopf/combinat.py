@@ -16,8 +16,8 @@ renders each run as one text: the prefix text put before each line of the
 state's block, the texts of all its tails, built once per state from the
 blocks of the next states by `str.replace` (`_tail_blocks`).
 `iter_ndpfs`, `iter_parking_functions`, `iter_packed_words`,
-`iter_quasi_ribbons` and `iter_binary_trees` yield their items as they are
-found, and the tuples the algebra code reuses (`ndpfs`,
+`iter_permutations`, `iter_quasi_ribbons` and `iter_binary_trees` yield
+their items as they are found, and the tuples the algebra code reuses (`ndpfs`,
 `parking_functions`, `packed_words`, `quasi_ribbons`, `binary_trees`,
 cached, and `permutations`) are built from the same streams.  Every size
 limit of the library, the enumeration range included, is one row of
@@ -40,7 +40,7 @@ from operator import itemgetter, le
 # enumerator here, and "paths" the Dyck and Schroeder paths
 LIMITS = {
     # chars
-    "super_narayana_count": (0, 7), "super_narayana_sym": (0, 12),
+    "super_narayana_count": (0, 8), "super_narayana_sym": (0, 12),
     "s_character_check": (0, 4), "fsigma_signed_weight": (None, 23),
     "schroder_polynomials": (0, 8), "bar_distribution": (0, 10),
     "chi_sqsym": (1, 7), "pn_alpha": (0, 12), "fixed_pair_counts": (0, 5),
@@ -485,9 +485,14 @@ def packed_words(n: int) -> tuple:
     return tuple(iter_packed_words(n))
 
 
+def iter_permutations(n: int):
+    """The permutations of 1..n, lexicographically, one at a time."""
+    return _word_stream("perm", n)
+
+
 def permutations(n: int) -> tuple:
     """All permutations of 1..n, lexicographically."""
-    return tuple(_word_stream("perm", n))
+    return tuple(iter_permutations(n))
 
 
 def iter_quasi_ribbons(n: int):

@@ -11,7 +11,10 @@ parameter), stored as a sparse map from dense exponent vectors to rational
 coefficients.  A `Poly` has sums, products, substitution and one exact
 division, by a single variable (`Poly.divided_by`, an exponent shift);
 there are no rational functions, no polynomial gcds and no power series (a
-series elsewhere is the list of its coefficients).
+series elsewhere is the list of its coefficients).  An integral polynomial
+in two variables can also be held as one int, by Kronecker substitution in
+a frame (width, slots) (`pack`, `unpack`): a long sum of products then
+costs int arithmetic only, and is decoded into a `Poly` once.
 
 Linear algebra is one sparse elimination routine on dict rows, `independent`:
 integral and rational vectors are eliminated over Python ints with
@@ -258,6 +261,63 @@ class Poly:
 
 
 P_ONE = Poly.const(1)
+
+
+# -- packed polynomials ------------------------------------------------------
+#
+# Kronecker substitution in a frame (width, slots): a polynomial in an inner
+# variable u and an outer variable v, every u-degree below ``slots``, is the
+# int of its value at u = 2^width, v = 2^(width * slots), so the coefficient
+# of u^i v^j is the digit i + slots * j in base 2^width.  Ring operations on
+# the ints are the ring operations on the polynomials, exactly, and the
+# balanced digits of a result decode uniquely while each of its coefficients
+# is below 2^(width - 1) in absolute value.  The width is a multiple of 8, so
+# the digits are read as whole bytes.
+
+
+def pack(poly: Poly, frame: tuple, inner: str = "q", outer: str = "x") -> int:
+    """The int of an integral polynomial in ``inner`` and ``outer`` in the
+    frame (width, slots); ValueError for any other variable, an inner
+    degree of ``slots`` or more, or a coefficient that is not an `int`."""
+    width, slots = frame
+    i, o = _VAR_INDEX[inner], _VAR_INDEX[outer]
+    value = 0
+    for e, c in poly.terms.items():
+        if type(c) is not int or e[i] >= slots or e[i] + e[o] != sum(e):
+            raise ValueError(f"({poly}) does not pack in {inner} below "
+                             f"degree {slots} and {outer}")
+        value += c << width * (e[i] + slots * e[o])
+    return value
+
+
+def unpack(value: int, frame: tuple, inner: str = "q", outer: str = "x",
+           sign: int = 1) -> Poly:
+    """The polynomial in ``inner`` and ``outer`` of a packed int, read as
+    balanced digits in the frame (width, slots), each power outer^j
+    multiplied by sign^j: with ``sign=-1`` the int packed from P(u, v)
+    reads as P(inner, -outer).  Exact when every coefficient is below
+    2^(width - 1) in absolute value.
+
+    One addition of the int with half of every digit makes every digit
+    nonnegative; its bytes are then cut into the digits."""
+    width, slots = frame
+    size, half = width // 8, 1 << (width - 1)
+    if width % 8:
+        raise ValueError(f"frame width {width} is not a multiple of 8")
+    count = value.bit_length() // width + 1
+    digits = (value + int.from_bytes((bytes(size - 1) + b"\x80") * count,
+                                     "little")).to_bytes(size * count,
+                                                         "little")
+    i, o = _VAR_INDEX[inner], _VAR_INDEX[outer]
+    terms = {}
+    for k in range(count):
+        c = int.from_bytes(digits[k * size:(k + 1) * size], "little") - half
+        if c:
+            j, d = divmod(k, slots)
+            e = [0] * NVARS
+            e[i], e[o] = d, j
+            terms[tuple(e)] = c * sign ** j
+    return Poly(terms)
 
 
 # -- linear combinations ----------------------------------------------------

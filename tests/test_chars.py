@@ -8,15 +8,15 @@ import pytest
 from parkhopf import chars as ch
 from parkhopf import combinat, hopf
 from parkhopf.cli import _large_schroder
-from parkhopf.combinat import (evaluation, is_parking, iter_packed_words,
-                               iter_parking_functions, ndpfs,
-                               parking_functions, quasi_ribbons,
-                               shifted_shuffle)
+from parkhopf.combinat import (is_parking, iter_parking_functions, ndpfs,
+                               parking_functions, permutations, quasi_ribbons,
+                               recoils, shifted_shuffle, standardize)
 from parkhopf.exact import LinComb, Poly, monomial
 from parkhopf.lagrange import g_partitions
 from parkhopf.symfun import R_to_S, evaluate, rising_factorial
 from test_cli import _plant_qbinom_plus_qn, _plant_sorted_word_inverted
 from test_combinat import pack
+from test_symfun import _q_pochhammer
 
 t, q, x, a = (Poly.var(v) for v in ("t", "q", "x", "a"))
 
@@ -149,12 +149,14 @@ def test_signing_walk_matches_signed_words():
         assert sum(walk.values()) == 2 ** n * (n + 1) ** (n - 1)
 
 
-def test_signing_walk_depends_only_on_the_packed_word():
-    # the lemma behind super_narayana_count's grouping by packed word
+def test_signing_lanes_are_those_of_the_standardization():
+    # the lemma behind super_narayana_count's walk over the permutations:
+    # the beat rule orders the letters as their standardization does, ties
+    # broken left to right, so the statistics agree signing by signing
     for n in range(6):
         for w in iter_parking_functions(n):
-            assert Counter(ch._signing_stats(w)) == \
-                Counter(ch._signing_stats(pack(w)))
+            assert list(ch._signing_stats(w)) == \
+                list(ch._signing_stats(standardize(w)))
 
 
 def test_grouped_count_matches_every_signing_walked():
@@ -180,6 +182,8 @@ def _count_by_whole_words(n):
 
 
 def test_prefix_walk_matches_the_whole_word_walks(monkeypatch):
+    # the oracle walks each distinct packed word whole; the library walks
+    # the permutations by prefix
     steps = []
     step = ch._signing_step
     monkeypatch.setattr(ch, "_signing_step", lambda state, x: (
@@ -193,18 +197,21 @@ def test_prefix_walk_matches_the_whole_word_walks(monkeypatch):
         steps.clear()
         assert ch.super_narayana_count(n) == Poly(
             (monomial(t=m, q=j), c) for (m, j), c in by_sinv.items())
-        # one step per distinct prefix of a packed word
-        words = set(map(pack, iter_parking_functions(n)))
+        # one step per distinct prefix of a permutation
+        words = permutations(n)
         prefixes = {w[:k] for w in words for k in range(1, n + 1)}
         assert len(steps) == len(prefixes)
         if n == 5:
-            assert (len(steps), len(words) * n) == (977, 2_705)
+            assert (len(steps), len(words) * n) == (325, 600)
 
 
-def test_packings_count_the_parking_functions_of_each_packed_word():
+def test_standardizing_counts_the_parking_functions_of_each_permutation():
+    # the recoil DP against the parking functions standardized one by one
     for n in range(7):
-        assert Counter(map(pack, iter_parking_functions(n))) == {
-            u: ch._packings(evaluation(u)) for u in iter_packed_words(n)}
+        brute = Counter(map(standardize, iter_parking_functions(n)))
+        assert brute == {
+            sigma: ch._standardizing(n, sum(1 << i for i in recoils(sigma)))
+            for sigma in permutations(n)}
 
 
 def test_count_enumerates_no_parking_function(monkeypatch):
@@ -275,14 +282,14 @@ def test_symmetric_route_to_twelve():
     # gate P_n(t, q) up to its top by its value at q = 1, the 2^n (n+1)^(n-1)
     # signed parking functions counted by minus signs, by its q = 0 slice,
     # the closed form of the Schroeder polynomial P_n(t), and by the
-    # counting route up to its top of 7
+    # counting route up to its top of 8
     for n in range(1, 13):
         pn = ch.super_narayana_sym(n)
         assert pn.substitute("q", 1) == (1 + t) ** n * (n + 1) ** (n - 1)
         assert pn.substitute("q", 0) == sum(
             (Fraction(comb(n + 1, j) * comb(2 * n - j, n - j), n + 1) * t ** j
              for j in range(n + 1)), Poly.const(0))
-        if n <= 7:
+        if n <= 8:
             assert pn == ch.super_narayana_count(n)
     with pytest.raises(ValueError,
                        match="super_narayana_sym supports n <= 12, got 13"):
@@ -293,8 +300,8 @@ def test_q_pascal_table_times_pochhammers():
     # [n; k]_q (q;q)_k (q;q)_(n-k) = (q;q)_n gates the table by multiplication
     for n in range(13):
         for k in range(n + 1):
-            assert ch._qbinom(n, k) * ch._poch(q, k) * ch._poch(q, n - k) \
-                == ch._poch(q, n)
+            assert ch._qbinom(n, k) * _q_pochhammer(q, k) \
+                * _q_pochhammer(q, n - k) == _q_pochhammer(q, n)
 
 
 def test_q_pascal_table_outlives_no_plant(monkeypatch):
@@ -308,9 +315,9 @@ def test_q_pascal_table_outlives_no_plant(monkeypatch):
     # the q-multinomials of n = 6 read rows 1 to 6
     assert ch._qpascal_row.cache_info().currsize == 6
     for n in range(1, 7):
-        assert [p * ch._poch(q, k) * ch._poch(q, n - k)
+        assert [p * _q_pochhammer(q, k) * _q_pochhammer(q, n - k)
                 for k, p in enumerate(ch._qpascal_row(n))] == \
-            [ch._poch(q, n)] * (n + 1)
+            [_q_pochhammer(q, n)] * (n + 1)
     assert ch.super_narayana_sym(6) == clean
 
 

@@ -490,8 +490,8 @@ def test_enumeration_cap():
         cb.ndpfs(13)
     # the streams check their size when called, before the first item
     for stream in (cb.iter_ndpfs, cb.iter_parking_functions,
-                   cb.iter_packed_words, cb.iter_quasi_ribbons,
-                   cb.iter_binary_trees):
+                   cb.iter_packed_words, cb.iter_permutations,
+                   cb.iter_quasi_ribbons, cb.iter_binary_trees):
         with pytest.raises(ValueError):
             stream(13)
 
@@ -499,7 +499,7 @@ def test_enumeration_cap():
 # each row of LIMITS: its (low, top), and a call of the function it bounds
 # at size n
 _BOUNDED = {
-    "super_narayana_count": ((0, 7), chars.super_narayana_count),
+    "super_narayana_count": ((0, 8), chars.super_narayana_count),
     "super_narayana_sym": ((0, 12), chars.super_narayana_sym),
     "s_character_check": ((0, 4), chars.s_character_check),
     # the size of a signed weight is its word's length, never negative
@@ -575,6 +575,7 @@ def test_word_streams_are_lazy():
     for stream in (cb.iter_parking_functions, cb.iter_ndpfs,
                    cb.iter_packed_words):
         assert next(iter(stream(12))) == (1,) * 12
+    assert next(cb.iter_permutations(12)) == tuple(range(1, 13))
 
 
 def test_walkers_leave_no_reference_cycles():
@@ -702,5 +703,5 @@ def test_tail_blocks_straddling_9_and_10():
 
 def test_permutations_match_itertools():
     for n in range(9):
-        assert cb.permutations(n) \
+        assert cb.permutations(n) == tuple(cb.iter_permutations(n)) \
             == tuple(itertools.permutations(range(1, n + 1)))

@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from parkhopf import hopf
 from parkhopf.combinat import ndpfs
 from parkhopf.exact import (_ZERO, VARS, LinComb, NotDivisibleError, Poly,
-                            independent, monomial, span_dimension)
+                            independent, monomial, pack, span_dimension,
+                            unpack)
 
 q, t, x, a = (Poly.var(v) for v in ("q", "t", "x", "a"))
 
@@ -326,3 +327,42 @@ def test_divided_by_inverts_product(p, name):
     # the constant term 1 has no factor v
     with pytest.raises(NotDivisibleError):
         (p * v + 1).divided_by(name)
+
+
+# -- packed polynomials ------------------------------------------------------
+
+
+_edge = 1 << 15  # half a digit of width 16
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                          st.sampled_from((-_edge, -_edge + 1, -1, 1,
+                                           _edge - 2, _edge - 1))),
+                max_size=12))
+def test_pack_round_trips_to_the_edge_of_the_balanced_digit(terms):
+    # coefficients from -2^15 to 2^15 - 1 fill a 16-bit digit, and a
+    # negative one borrows from the digit above it
+    p = Poly({monomial(q=i, x=j): c for i, j, c in terms})
+    assert unpack(pack(p, (16, 4)), (16, 4)) == p
+    # read at x = -t
+    assert unpack(pack(p, (16, 4)), (16, 4), "q", "t", -1) == \
+        p.substitute("x", -t)
+
+
+def test_pack_is_a_ring_map_and_past_the_edge_wraps():
+    p, r = (1 - x * q) * (q ** 2 - 3), 2 - q * x ** 2
+    frame = (8, 5)
+    assert pack(p * r, frame) == pack(p, frame) * pack(r, frame)
+    assert unpack(pack(p, frame) * pack(r, frame), frame) == p * r
+    assert unpack(pack(p, frame) - pack(p, frame), frame) == Poly()
+    # 2^7 is past the digit: it reads as -2^7 with a carry of 1
+    assert unpack(pack(Poly.const(128), frame), frame) == q - 128
+    assert unpack(pack(Poly.const(-128), frame), frame) == -128
+
+
+def test_pack_rejects_what_the_frame_cannot_hold():
+    for bad in (q ** 4, t, q.scale(Fraction(1, 2))):
+        with pytest.raises(ValueError, match="does not pack"):
+            pack(bad, (8, 4))
+    with pytest.raises(ValueError, match="not a multiple of 8"):
+        unpack(5, (12, 4))
