@@ -29,6 +29,7 @@ returns a bool.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache, reduce
@@ -36,10 +37,10 @@ from math import factorial, prod
 from operator import add, eq, gt, methodcaller, mul, ne
 
 from . import hopf
-from .combinat import (_check_size, iter_parking_functions, iter_permutations,
-                       iter_quasi_ribbons, ndpfs, parking_functions,
-                       permutations, quasi_ribbons, shifted_shuffle,
-                       word_texts)
+from .combinat import (LIMITS, _check_size, iter_parking_functions,
+                       iter_permutations, iter_quasi_ribbons, ndpfs,
+                       parking_functions, permutations, quasi_ribbons,
+                       shifted_shuffle, word_texts)
 from .exact import P_ONE, LinComb, Poly, monomial, pack, unpack
 from .lagrange import g_partitions, lagrange_coefficient
 from .symfun import R_to_S, evaluate, ribbon_product, rising_factorial
@@ -194,23 +195,27 @@ def super_narayana_count(n: int) -> Poly:
     prefix it shares with the one before it and takes one `_signing_step`
     per letter after that prefix, so each distinct prefix is stepped once.
     A frame also holds the letters of its prefix and the recoils among them
-    as bits, and the statistics of each permutation go straight into the
-    `Counter` of its weight, the number of parking functions that
-    standardize to it, which depends only on its recoil set
-    (`_standardizing`).  The same polynomial with smaj in place of sinv is
-    computed alongside and the equality of the two distributions is
+    as bits, and the joint (minus, sinv, smaj) key of each lane of each
+    permutation goes straight into the `Counter` of its weight, the number
+    of parking functions that standardize to it, which depends only on its
+    recoil set (`_standardizing`).  The distributions of sinv and of smaj
+    are both read off the weighted joint counts, and their equality is
     asserted, as is smaj = maj of the permutation in the signing with no
     bar.
     """
     _check_size("super_narayana_count", n)
     size = 1 << n
-    # a lane's key is its minus count times 256 plus its statistic, a byte
-    minus = [m << 8 for m in map(int.bit_count, range(size))]
+    # the joint key of a lane is the native int of the four bytes smaj,
+    # sinv, minus count and 0, read from one buffer whose minus bytes are
+    # written once; the keys of a permutation are counted straight from it
+    joint = bytearray(4 * size)
+    joint[2::4] = bytes(map(int.bit_count, range(size)))
+    keys = memoryview(joint).cast("I")
     descents = range(1, n)
-    # the permutations of each weight share one Counter per statistic,
-    # which counts the stream of their keys in C; the few hundred distinct
-    # keys are then weighted
-    sinvs, smajs = defaultdict(Counter), defaultdict(Counter)
+    # the permutations of each weight share one Counter, which counts the
+    # stream of their joint keys in C; the distinct keys are then weighted,
+    # and both distributions read off them
+    by_weight = defaultdict(Counter)
     # a frame: the signing state of a prefix, its letters as bits (bit 0
     # set, as if a letter 0 came first, so that the letter 1 makes no
     # recoil) and its recoils as bits: placing x makes x a recoil if x + 1
@@ -230,19 +235,22 @@ def super_narayana_count(n: int) -> Poly:
         if smaj & 255 != sum(itertools.compress(descents,
                                                  map(gt, word, word[1:]))):
             raise AssertionError(f"smaj of {word} unbarred is not its maj")
-        weight = _standardizing(n, recoils)
-        sinvs[weight].update(map(add, minus, sinv.to_bytes(size, "little")))
-        smajs[weight].update(map(add, minus, smaj.to_bytes(size, "little")))
+        joint[0::4] = smaj.to_bytes(size, "little")
+        joint[1::4] = sinv.to_bytes(size, "little")
+        by_weight[_standardizing(n, recoils)].update(keys)
         last = word
+    weighted = Counter()
+    for weight, counts in by_weight.items():
+        for key, c in counts.items():
+            weighted[key] += weight * c
     by_sinv, by_smaj = Counter(), Counter()
-    for groups, total in ((sinvs, by_sinv), (smajs, by_smaj)):
-        for weight, keys in groups.items():
-            for key, c in keys.items():
-                total[key] += weight * c
+    for key, c in weighted.items():
+        smaj, sinv, m, _ = key.to_bytes(4, sys.byteorder)
+        by_sinv[m, sinv] += c
+        by_smaj[m, smaj] += c
     if by_sinv != by_smaj:
         raise AssertionError("sinv and smaj distributions must agree")
-    return Poly((monomial(t=key >> 8, q=key & 255), c)
-                for key, c in by_sinv.items())
+    return Poly((monomial(t=m, q=i), c) for (m, i), c in by_sinv.items())
 
 
 def super_narayana_sym(n: int) -> Poly:
@@ -345,20 +353,22 @@ def s_character_check(n: int) -> bool:
 _STEP_NAMES = str.maketrans({"1": "u", "2": "d", "3": "h", "4": None})
 
 
-def dyck_paths(n: int):
-    """The Dyck paths of semi-length n as strings over u, d, one at a time
-    in the order u < d."""
-    return itertools.chain.from_iterable(
-        text.translate(_STEP_NAMES).split("\n")
-        for text in word_texts("dyck", n))
+def path_texts(family: str, n: int, sep: str = "\n", quote: str = ""):
+    """The paths of semi-length n of ``family`` ("dyck" or "schroder") as
+    strings over u, d and h, in the order u < d < h, in counted blocks: one
+    pair (text, lines) per run of the walker (`word_texts`, which takes
+    ``sep`` and ``quote``), its paths made by one ``translate`` of the
+    run's letters.  n is checked before this returns."""
+    return ((text.translate(_STEP_NAMES), lines)
+            for text, lines in word_texts(family, n, sep, quote))
 
 
-def schroder_paths(n: int):
-    """The Schroeder paths of semi-length n (h has width 2) as strings, one
-    at a time in the order u < d < h."""
+def paths(family: str, n: int):
+    """The paths of semi-length n of ``family`` as strings, one at a time:
+    "dyck" over u and d, in the order u < d, and "schroder" with h of width
+    2 too, in the order u < d < h."""
     return itertools.chain.from_iterable(
-        text.translate(_STEP_NAMES).split("\n")
-        for text in word_texts("schroder", n))
+        text.split("\n") for text, _ in path_texts(family, n))
 
 
 def dyck_encode(path: str) -> tuple:
@@ -452,7 +462,7 @@ def schroder_polynomials(n: int) -> Poly:
     _check_size("schroder_polynomials", n)
     t = Poly.var("t")
     by_paths = Poly((monomial(t=k), c) for k, c in Counter(
-        map(methodcaller("count", "h"), schroder_paths(n))).items())
+        map(methodcaller("count", "h"), paths("schroder", n))).items())
     counts = _minus_counts(_sorted_signed_pfs(n))
     by_words = Poly((monomial(t=m), c) for (_, m), c in counts.items())
     sorted_ok = all(free for free, _ in counts)
@@ -507,9 +517,8 @@ def chi_path_model_check(n: int) -> bool:
     the last h}; and also #{paths, k peaks, none at level one}.
     """
     bar_counts = dict(enumerate(bar_distribution(n).coeff_row("t")))
-    paths = schroder_paths(n)
     with_peak, without_peak, by_peaks = Counter(), Counter(), Counter()
-    for p in paths:
+    for p in paths("schroder", n):
         k = p.count("h")
         if "h" not in p or _peak_after_last_h(p):
             with_peak[k] += 1
@@ -584,14 +593,23 @@ def fixed_pair_counts(n: int) -> dict[int, int]:
 
     The permutations fixing a are the products of permutations inside its
     blocks of equal letters, and the cycles of such a product are the cycles
-    of its factors; so only those products are enumerated, block by block.
+    of its factors; so the counts of a depend only on its block sizes, which
+    its rearrangements share.  The parking functions are walked as their
+    classes, the ndpfs, each weighted by its n! / prod_i m_i! rearrangements,
+    and the counts of a class combine the cycle counts of the permutations
+    of each block size, each listed once.
     """
     _check_size("fixed_pair_counts", n)
-    cycles = {m: [_cycle_count(s) for s in itertools.permutations(range(m))]
+    cycles = {m: Counter(map(_cycle_count, itertools.permutations(range(m))))
               for m in range(n + 1)}
-    return Counter(sum(ks) for a in parking_functions(n)
-                   for ks in itertools.product(
-                       *(cycles[m] for m in Counter(a).values())))
+    counts = Counter()
+    for pi in ndpfs(n):
+        sizes = Counter(pi).values()
+        weight = factorial(n) // prod(map(factorial, sizes))
+        for blocks in itertools.product(*(cycles[m].items() for m in sizes)):
+            counts[sum(k for k, _ in blocks)] += weight * prod(
+                ways for _, ways in blocks)
+    return counts
 
 
 def psi_alpha(n: int) -> bool:
@@ -600,8 +618,9 @@ def psi_alpha(n: int) -> bool:
     Checks that n! psi_a of the degree-n sum and n! times the character on
     g_n (`evaluate` on `g_partitions(n)` with h_k = (a)_k / k!) are
     `pn_alpha(n)`, multiplicativity on small products, that i*
-    (F_a -> F_std(a)) is an algebra morphism on the same products, and (for
-    n <= 5) the fixed-pair counts of its coefficients.  psi_a(F_w) reads
+    (F_a -> F_std(a)) is an algebra morphism on the same products, and (up
+    to the top of `fixed_pair_counts`) the fixed-pair counts of its
+    coefficients.  psi_a(F_w) reads
     only the letters of w, so the degree-n sum is taken over the NDPFs, each
     weighted by its n! / prod_i m_i! rearrangements.
     """
@@ -622,7 +641,7 @@ def psi_alpha(n: int) -> bool:
           and hopf._is_morphism(parking_functions, product, psi, mul, small)
           and hopf._is_morphism(parking_functions, product,
                                 hopf.morphism_istar, product, small))
-    if ok and n <= 5:
+    if ok and n <= LIMITS["fixed_pair_counts"][1]:
         counts = fixed_pair_counts(n)
         ok = target.coeff_row("a") == [counts[k] for k in range(n + 1)]
     return ok

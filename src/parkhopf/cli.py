@@ -8,21 +8,30 @@ check that raises fails: its row reads false with the message in an "error"
 field, and the other rows still run.
 
 Every enumerate family is one row of ``_ENUM_FAMILIES``: its items as text
-in the library's order, and its count from a closed form.  Every family,
-tree included, streams: enumerate renders and writes its items in blocks
-as they are produced, so no format holds the family in memory, and JSON
-prints the formula count before it streams the items.  Each block is one
-text, its items joined by newlines, until ``_coalesced`` joins blocks into
-writes of at least ``_WRITE`` characters; JSON and CSV split a write into
-its items, and CSV renders them into one buffer that is written once.  A
+in the library's order, in counted blocks, and its count from a closed
+form.  Every family, tree included, streams: enumerate renders and writes
+its items in blocks as they are produced, so no format holds the family in
+memory, and JSON prints the formula count before it streams the items.  A
+counted block is a pair (text, lines): its items already in the output
+format, joined by the format's separator ("\\n", CRLF, or '", "' in JSON;
+in CSV the items that hold a comma, and the empty item, between quotes),
+and their number.  ``_coalesced`` joins blocks into writes of at
+least ``_WRITE`` characters and sums their counts, and one write loop puts
+them out after the format's head and before its end: the bytes of
+``json.dumps`` and of ``csv.writer``, which is not imported.  No item holds
+a quote, a backslash or a line end, so no other escaping is needed, and no
+text is scanned or rewritten after its rendering.  A
 block of a word family (pf, ndpf, packed, perm) is one run of words that
-share all but their last letters, as many as the family's tail length:
-the run's prefix text put before each line of its state's block, the
-texts of the state's tails cached per state, by one ``str.replace``
-(``combinat.word_texts``).  Every other family is cut into
-blocks of ``_BLOCK`` items.  A family whose count is over ``_ENUM_BUDGET``
-items exits 2 before it enumerates anything, and a stream whose length
-differs from its formula exits 1.
+share all but their last letters, as many as the family's tail length: the
+run's prefix text put before each line of its state's block, the texts of
+the state's tails cached per state with their line count, by one
+``str.replace`` that also puts in the separators and quotes
+(``combinat.word_texts``); a Dyck or Schroeder path block
+is such a run turned into steps by one ``str.translate``
+(``chars.path_texts``).  Every other family is cut into blocks of
+``_BLOCK`` items.  A family whose count is over ``_ENUM_BUDGET`` items
+exits 2 before it enumerates anything, and a stream whose counts sum to
+other than its formula exits 1.
 
 Every size bound of the library is one row of ``combinat.LIMITS``, a pair
 (low, top), and each command checks it before any work: a bounded function
@@ -48,13 +57,12 @@ do: the collections at exit do not read that flag.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import itertools
 import json
 import os
 import sys
+from functools import partial
 from math import comb, factorial
 
 from . import chars, combinat, hopf, lagrange, operad
@@ -98,15 +106,16 @@ def _parking_count(n: int) -> int:
 _BLOCK = 256
 
 
-def _chunks(items):
-    """The items in lists of `_BLOCK`, the last list shorter."""
-    items = iter(items)
-    return iter(lambda: list(itertools.islice(items, _BLOCK)), [])
-
-
-def _joined(texts):
-    """The texts joined by newlines, `_BLOCK` at a time."""
-    return map("\n".join, _chunks(texts))
+def _joined(texts, sep, quote):
+    """The texts as counted blocks: `_BLOCK` at a time joined by ``sep``,
+    each text holding a comma, and the empty text, between two
+    ``quote``s, with their number."""
+    texts = iter(texts)
+    for chunk in iter(lambda: list(itertools.islice(texts, _BLOCK)), []):
+        if quote:
+            chunk = [f"{quote}{text}{quote}" if "," in text or not text
+                     else text for text in chunk]
+        yield sep.join(chunk), len(chunk)
 
 
 # the least text per write of `enumerate`, the default capacity of a Linux
@@ -115,40 +124,55 @@ def _joined(texts):
 _WRITE = 1 << 16
 
 
-def _coalesced(blocks):
-    """The blocks joined by newlines into texts of at least `_WRITE`
-    characters each, the last one shorter."""
-    pending, size = [], 0
-    for text in blocks:
+def _coalesced(blocks, sep):
+    """The counted blocks joined by ``sep`` into counted texts of at least
+    `_WRITE` characters each, the last one shorter, every text but the
+    first starting with ``sep``, and the sum of their lines."""
+    pending, size, lines = [], 0, 0
+    for text, k in blocks:
         pending.append(text)
         size += len(text)
+        lines += k
         if size >= _WRITE:
-            yield "\n".join(pending)
-            pending, size = [], 0
-    if pending:
-        yield "\n".join(pending)
+            yield sep.join(pending), lines
+            pending, size, lines = [""], 0, 0
+    if lines:
+        yield sep.join(pending), lines
 
 
-# family: (its items of size n as text in the library's order, in blocks,
-# each block one str of items joined by newlines, with every size check made
-# before the first block; their number, from a closed form).  A word
-# family's block is one run of words sharing a prefix, rendered from the
-# cached block of its state's tail texts (`word_texts`).
+# format: (the text before its items, the text between two items, the
+# quote around an item that holds a comma or is empty, the text after its
+# items); json puts the report's other fields before its items.  These are
+# the bytes of json.dumps of the whole report and of csv.writer, as no item
+# holds a quote, a backslash or a control character.
+_FORMATS = {"lines": ("", "\n", "", "\n"),
+            "json": ('"', '", "', "", '"]}\n'),
+            "csv": ("item\r\n", "\r\n", '"', "\r\n")}
+
+# family: (its items of size n, joined by a format's separator and quote,
+# as text in the library's order, in counted blocks, with every size check
+# made before the first block; their number, from a closed form).  A
+# counted block is a pair (text, lines): the text of its items and their
+# number.  A word or path family's block is one run of words sharing a
+# prefix, rendered from the cached block of its state's tail texts, which
+# carries its count (`word_texts`); every other family's is `_BLOCK` items.
 _ENUM_FAMILIES = {
-    "pf": (lambda n: combinat.word_texts("pf", n), _parking_count),
-    "ndpf": (lambda n: combinat.word_texts("ndpf", n), _catalan),
-    "qribbon": (lambda n: _joined(combinat.ribbons_to_text(
-                    combinat.iter_quasi_ribbons(n))),
+    "pf": (partial(combinat.word_texts, "pf"), _parking_count),
+    "ndpf": (partial(combinat.word_texts, "ndpf"), _catalan),
+    "qribbon": (lambda n, *form: _joined(combinat.ribbons_to_text(
+                    combinat.iter_quasi_ribbons(n)), *form),
                 _little_schroder),
-    "packed": (lambda n: combinat.word_texts("packed", n), _ordered_bell),
-    "perm": (lambda n: combinat.word_texts("perm", n), factorial),
-    "signed-pf": (lambda n: _joined(map(chars.signed_to_text,
-                                        chars.signed_parking_functions(n))),
+    "packed": (partial(combinat.word_texts, "packed"), _ordered_bell),
+    "perm": (partial(combinat.word_texts, "perm"), factorial),
+    "signed-pf": (lambda n, *form: _joined(map(
+                      chars.signed_to_text,
+                      chars.signed_parking_functions(n)), *form),
                   lambda n: 2 ** n * _parking_count(n)),
-    "dyck": (lambda n: _joined(chars.dyck_paths(n)), _catalan),
-    "schroder": (lambda n: _joined(chars.schroder_paths(n)), _large_schroder),
-    "tree": (lambda n: _joined(map(combinat.tree_to_text,
-                                   combinat.iter_binary_trees(n))),
+    "dyck": (partial(chars.path_texts, "dyck"), _catalan),
+    "schroder": (partial(chars.path_texts, "schroder"), _large_schroder),
+    "tree": (lambda n, *form: _joined(map(combinat.tree_to_text,
+                                          combinat.iter_binary_trees(n)),
+                                      *form),
              _catalan),
 }
 # the most items one enumerate run may print: parking functions of size 8
@@ -166,41 +190,23 @@ def _cmd_enumerate(args) -> int:
               file=sys.stderr)
         return 2
     count = count_of(args.n)
+    head, sep, quote, end = _FORMATS[args.format]
+    if args.format == "json":
+        head = json.dumps({"schema": SCHEMA, "family": args.family,
+                           "n": args.n, "count": count, "items": []})[:-2] \
+            + head
     # the family checks its size here, before anything is written
-    blocks = _coalesced(render(args.n))
-    # each block (a run of words, or `_BLOCK` items) is one text from its
-    # rendering until `_coalesced` joins it into a write, so no list of all
-    # the lines is built, and no family is held in memory; no item text
-    # holds a newline, so json and csv split a write into its items there
+    blocks = _coalesced(render(args.n, sep, quote), sep)
+    # each write is one text of `_coalesced`, already in the format, with
+    # the head before the first; the items are counted from the blocks'
+    # counts, so no text is scanned again and no family is held in memory
     write = sys.stdout.write
     written = 0
-    if args.format == "lines":
-        for text in blocks:
-            write(text + "\n")
-            written += text.count("\n") + 1
-    elif args.format == "json":
-        # the bytes of json.dumps of the whole report, items streamed last
-        head = json.dumps({"schema": SCHEMA, "family": args.family,
-                           "n": args.n, "count": count, "items": []})
-        write(head[:-2])
-        for text in blocks:
-            write(("" if written == 0 else ", ")
-                  + json.dumps(text.split("\n"))[1:-1])
-            written += text.count("\n") + 1
-        write("]}\n")
-    else:
-        # the rows of a text go into one buffer, written once per text; the
-        # header goes out with the first text, as every family has at least
-        # one item at every n >= 0
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["item"])
-        for text in blocks:
-            writer.writerows(zip(text.split("\n")))
-            write(out.getvalue())
-            out.seek(0)
-            out.truncate()
-            written += text.count("\n") + 1
+    for text, lines in blocks:
+        write(head + text)
+        head = ""
+        written += lines
+    write(end)
     if written != count:
         raise AssertionError(f"{args.family} of size {args.n} gave {written} "
                              f"items, its closed form {count}")
@@ -309,11 +315,9 @@ def _cmd_table(args) -> int:
         print(json.dumps({"schema": SCHEMA, "table": args.which,
                           "rows": rows}))
     else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in rows:
-            writer.writerow(row)
-        sys.stdout.write(out.getvalue())
+        # the bytes of csv.writer: the ints of each row joined by commas
+        sys.stdout.write("".join(",".join(map(str, row)) + "\r\n"
+                                 for row in rows))
     return 0
 
 

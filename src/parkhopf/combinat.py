@@ -12,9 +12,10 @@ the prefix over the state's tails, a table built once per state, so each
 word passes through one `itertools.chain`.  The walks recurse through
 module-level functions that take their caches as arguments, so a stream
 frees its caches by reference counting.  `word_texts`
-renders each run as one text: the prefix text put before each line of the
-state's block, the texts of all its tails, built once per state from the
-blocks of the next states by `str.replace` (`_tail_blocks`).
+renders each run as one counted block, a text and its number of lines: the
+prefix text put before each line of the state's block, the texts of all
+its tails, built once per state from the blocks of the next states by
+`str.replace`, its lines counted once when it is built (`_tail_blocks`).
 `iter_ndpfs`, `iter_parking_functions`, `iter_packed_words`,
 `iter_permutations`, `iter_quasi_ribbons` and `iter_binary_trees` yield
 their items as they are found, and the tuples the algebra code reuses (`ndpfs`,
@@ -43,7 +44,7 @@ LIMITS = {
     "super_narayana_count": (0, 8), "super_narayana_sym": (0, 12),
     "s_character_check": (0, 4), "fsigma_signed_weight": (None, 23),
     "schroder_polynomials": (0, 8), "bar_distribution": (0, 10),
-    "chi_sqsym": (1, 7), "pn_alpha": (0, 12), "fixed_pair_counts": (0, 5),
+    "chi_sqsym": (1, 7), "pn_alpha": (0, 12), "fixed_pair_counts": (0, 7),
     "psi_alpha": (0, 10), "qn_polynomial": (0, 12),
     "q_triangle": (None, 12), "lassalle_narayana": (1, 12),
     # lagrange
@@ -401,16 +402,19 @@ def _path_moves(state):
 # The last letters of every word come from its state's tails, a table of
 # tuples or a block of texts built once per state, so most words cost one
 # tuple concatenation, or a share of one `str.replace`.  Each family's tail
-# length makes its runs long while its tables stay small: 3 for ndpf, and
-# for pf, whose tables grow fastest (at tail 4, the tuple stream of pf of
-# size 7 runs slower and peaks 2 MB higher); 4 for packed (about 190 words
-# a run at n = 9); 5 for perm, whose runs are the 5! = 120 orders of the
-# letters left.  A path's word has a letter per column, u 1, d 2 and h 3 4,
+# length makes its runs long while its tables stay small: 3 for ndpf; 4 for
+# pf, whose tables grow fastest, where the text stream `enumerate` prints
+# runs about a fifth faster than at tail 3 at sizes 7 and 8 at the same
+# peak memory, while the tuple stream of size 7 runs about a tenth slower
+# and peaks 2 MB higher, a price paid only by the signed parking functions
+# (n <= 6) and the checks at n <= 5 that read it; 4 for packed (about 190
+# words a run at n = 9); 5 for perm, whose runs are the 5! = 120 orders of
+# the letters left.  A path's word has a letter per column, u 1, d 2 and h 3 4,
 # so u < d < h, and a path of semi-length n has 2n; 8 columns keep at most
 # 90 tails a state.
 _WORD_FAMILIES = {
     "ndpf": (lambda n: (1, 1), _ndpf_moves, 3, "enumeration", 1),
-    "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 3,
+    "pf": (lambda n: tuple(range(1, n + 1)), _parking_moves, 4,
            "enumeration", 1),
     "packed": (lambda n: (n, 0, ()), _packed_moves, 4, "enumeration", 1),
     "perm": (lambda n: tuple(range(1, n + 1)), _perm_moves, 5,
@@ -562,11 +566,12 @@ def _comma_lines(text: str) -> str:
 
 def _tail_blocks(blocks, moves, state, r, wide_prefix):
     """The texts `word_to_text` gives the r-letter tails of ``state``, in
-    order, joined by newlines, as (wide, text) segments cut where their
-    format changes, memoised in the dict ``blocks``.  A segment is wide
-    when its tails hold a letter past 9, and then its texts are comma
-    texts, "1,10"; else they are digit texts, "12".  After a
-    ``wide_prefix`` (a prefix holding a letter past 9) every tail takes
+    order, joined by newlines, as (wide, text, lines) segments cut where
+    their format changes, memoised in the dict ``blocks``; lines is the
+    number of lines of the text, counted once when the segment is built.
+    A segment is wide when its tails hold a letter past 9, and then its
+    texts are comma texts, "1,10"; else they are digit texts, "12".  After
+    a ``wide_prefix`` (a prefix holding a letter past 9) every tail takes
     commas, and the block is one wide segment.
 
     Each block is built once, from the blocks of the next states: a move
@@ -577,58 +582,78 @@ def _tail_blocks(blocks, moves, state, r, wide_prefix):
     if (key := (state, r, wide_prefix)) in blocks:
         return blocks[key]
     if wide_prefix:
-        out = ((True, "\n".join(
+        out = (_segment(True, (
             text if wide else _comma_lines(text)
-            for wide, text in _tail_blocks(blocks, moves, state, r, False))),)
+            for wide, text, _ in _tail_blocks(blocks, moves, state, r,
+                                              False))),)
     elif r == 0:
-        out = ((False, ""),)
+        out = ((False, "", 1),)
     else:
         segments = []
         for v, after in moves(state):
-            for wide, text in _tail_blocks(blocks, moves, after, r - 1,
-                                           v >= 10):
+            for wide, text, _ in _tail_blocks(blocks, moves, after, r - 1,
+                                              v >= 10):
                 # the last letter of a tail takes no comma after it
                 head = f"{v}," if wide and r > 1 else str(v)
                 segments.append((wide, head + text.replace("\n", "\n" + head)))
-        out = tuple((wide, "\n".join(map(itemgetter(1), group)))
+        out = tuple(_segment(wide, map(itemgetter(1), group))
                     for wide, group in itertools.groupby(
                         segments, key=itemgetter(0)))
     blocks[key] = out
     return out
 
 
-def word_texts(family: str, n: int):
+def _segment(wide, texts):
+    # a segment of `_tail_blocks`: its texts joined, and their lines counted
+    text = "\n".join(texts)
+    return wide, text, text.count("\n") + 1
+
+
+def word_texts(family: str, n: int, sep: str = "\n", quote: str = ""):
     """The texts `word_to_text` gives the words of size n of ``family``
-    (a row of `_WORD_FAMILIES`), in order, one text per run of words that
-    share all but their last letters, as many as the family's tail length:
-    the words' texts joined by newlines, with no newline at the end.  n is
-    checked before this returns.
+    (a row of `_WORD_FAMILIES`), in order, as counted blocks: one pair
+    (text, lines) per run of words that share all but their last letters,
+    as many as the family's tail length, the text being the words' texts
+    joined by ``sep``, with no ``sep`` at the end, each text that holds a
+    comma, and the empty text, between two ``quote``s, and lines their
+    number.  n is checked before this returns.
 
     A run is its prefix text put before each line of its state's block
     (`_tail_blocks`) by one ``replace`` per segment: the prefix's digits
     before a segment of digit texts, and its letters each followed by a
-    comma before a segment of comma texts.  The walk carries the prefix's
-    comma text, "1,10,", and its digit text is that with the commas taken
-    out, so no run joins its letters one by one.
+    comma before a segment of comma texts; the same ``replace`` puts in
+    the separators and quotes.  Its lines are the counts its segments
+    carry.  The walk carries the prefix's comma text, "1,10,", and its
+    digit text is that with the commas taken out, so no run joins its
+    letters one by one.
     """
     runs, moves = _words(family, n, "{},".format, "")
-    return _run_texts(runs, {}, moves)
+    return _run_texts(runs, {}, moves, sep, quote)
 
 
-def _run_texts(runs, blocks, moves):
+def _run_texts(runs, blocks, moves, sep, quote):
     for comma_prefix, state, r in runs:
         digit_prefix = comma_prefix.replace(",", "")
         # a digit text longer than the prefix's commas holds a 10 or more
         segments = _tail_blocks(blocks, moves, state, r,
                                 2 * len(digit_prefix) > len(comma_prefix))
         if len(segments) == 1:
-            wide, text = segments[0]
-            q = comma_prefix if wide else digit_prefix
-            yield q + text.replace("\n", "\n" + q)
+            wide, text, lines = segments[0]
+            yield _run_segment(wide, text, comma_prefix, digit_prefix, sep,
+                               quote), lines
         else:
-            yield "\n".join(
-                (q := comma_prefix if wide else digit_prefix)
-                + text.replace("\n", "\n" + q) for wide, text in segments)
+            yield sep.join(
+                _run_segment(wide, text, comma_prefix, digit_prefix, sep,
+                             quote) for wide, text, _ in segments
+            ), sum(map(itemgetter(2), segments))
+
+
+def _run_segment(wide, text, comma_prefix, digit_prefix, sep, quote):
+    # the lines of a segment after the run's prefix, joined by sep, comma
+    # texts (and the empty word, alone at size 0) between quotes
+    q = comma_prefix if wide else digit_prefix
+    b = quote if wide or not (q or text) else ""
+    return b + q + text.replace("\n", b + sep + b + q) + b
 
 
 def comma_ints(text: str) -> tuple:

@@ -304,7 +304,10 @@ def unpack(value: int, frame: tuple, inner: str = "q", outer: str = "x",
     size, half = width // 8, 1 << (width - 1)
     if width % 8:
         raise ValueError(f"frame width {width} is not a multiple of 8")
-    count = value.bit_length() // width + 1
+    # one digit more than the bits of the value fill: a top digit of 1 over
+    # a digit of -2^(width - 1) leaves a value just below 2^(width*k - 1),
+    # whose k digits, each raised by half, carry into one more
+    count = value.bit_length() // width + 2
     digits = (value + int.from_bytes((bytes(size - 1) + b"\x80") * count,
                                      "little")).to_bytes(size * count,
                                                          "little")

@@ -19,6 +19,9 @@ their stdout is identical:
     python tests/stdout_digests.py --root NEW > new.txt
     diff old.txt new.txt
 
+``--only PREFIX`` runs only the commands whose text starts with PREFIX,
+for example ``--only enumerate`` or ``--only "verify --suite all"``.
+
 The name has no ``test_`` prefix, so pytest does not collect it.
 """
 
@@ -102,9 +105,14 @@ def main(argv=None) -> int:
                         default=Path(__file__).resolve().parent.parent,
                         help="the checkout whose src/ is run "
                              "(default: this one)")
+    parser.add_argument("--only", default="", metavar="PREFIX",
+                        help="run only the commands that start with PREFIX "
+                             "(default: all of them)")
     args = parser.parse_args(argv)
     src = (args.root / "src").resolve()
     for command in _commands(src):
+        if not " ".join(command).startswith(args.only):
+            continue
         start = time.perf_counter()
         md5, err_md5, code = _digest(src, command)
         print(md5, err_md5, code, " ".join(command), flush=True)

@@ -195,7 +195,7 @@ def test_ac12_schroder_paths():
     ok = rows[:3] == [1 + t, 2 + 3 * t + t ** 2,
                       5 + 10 * t + 6 * t ** 2 + t ** 3]
     for n in range(7):
-        words = {chars.schroder_encode(p) for p in chars.schroder_paths(n)}
+        words = {chars.schroder_encode(p) for p in chars.paths("schroder", n)}
         ok = ok and len(words) == [1, 2, 6, 22, 90, 394, 1806][n]
     sorted_example = tuple(sorted(chars.schroder_encode("uuhuddhd")))
     ok = ok and chars.signed_to_text(sorted_example) == "-4,-1,1,1,2"

@@ -362,7 +362,7 @@ def test_dyck_encode_examples():
 def test_dyck_bijection():
     # the encoding is injective, Catalan many words, and onto the NDPFs
     for n in range(8):
-        words = [ch.dyck_encode(p) for p in ch.dyck_paths(n)]
+        words = [ch.dyck_encode(p) for p in ch.paths("dyck", n)]
         assert len(set(words)) == len(words) == len(ndpfs(n))
         assert set(words) == set(ndpfs(n))
 
@@ -381,7 +381,7 @@ def test_schroder_roundtrip_and_sorted_no_inversions():
     # sorts to a signed parking function with no signed inversion
     schroder = [1, 2, 6, 22, 90, 394, 1806]
     for n in range(7):
-        words = [ch.schroder_encode(p) for p in ch.schroder_paths(n)]
+        words = [ch.schroder_encode(p) for p in ch.paths("schroder", n)]
         assert len(set(words)) == len(words) == schroder[n]
         for enc in words:
             assert is_parking(map(abs, enc))
@@ -399,30 +399,30 @@ def test_schroder_encode_rejects_bad_paths():
 
 
 def test_paths_reject_a_negative_size():
-    for paths in (ch.dyck_paths, ch.schroder_paths):
+    for family in ("dyck", "schroder"):
         for n in (-1, -2):
             with pytest.raises(ValueError,
                                match=f"^paths needs n >= 0, got {n}$"):
-                paths(n)
+                ch.paths(family, n)
     # and keep no cap of their own past the enumerators' 12
-    assert next(ch.dyck_paths(15)) == "u" * 15 + "d" * 15
+    assert next(ch.paths("dyck", 15)) == "u" * 15 + "d" * 15
 
 
 def test_schroder_counts():
-    assert [len(list(ch.schroder_paths(n))) for n in range(5)] == \
+    assert [len(list(ch.paths("schroder", n))) for n in range(5)] == \
         [1, 2, 6, 22, 90]
     # 0 horizontal steps: exactly the Dyck paths
     for n in range(5):
-        no_h = [p for p in ch.schroder_paths(n) if "h" not in p]
-        assert sorted(no_h) == sorted(ch.dyck_paths(n))
+        no_h = [p for p in ch.paths("schroder", n) if "h" not in p]
+        assert sorted(no_h) == sorted(ch.paths("dyck", n))
     # Catalan and large Schroeder (OEIS A006318) counts through n = 8; both
     # lists are valid paths in strictly increasing order under u < d < h
     catalan = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
     schroder = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
     rank = "udh".index
     for n in range(9):
-        for paths, count in ((list(ch.dyck_paths(n)), catalan[n]),
-                             (list(ch.schroder_paths(n)), schroder[n])):
+        for paths, count in ((list(ch.paths("dyck", n)), catalan[n]),
+                             (list(ch.paths("schroder", n)), schroder[n])):
             assert len(paths) == count
             for p in paths:
                 # both encoders validate the path; dyck_encode rejects h
@@ -601,6 +601,30 @@ def test_fixed_pair_counts_match_coefficients():
         for k in range(1, n + 1):
             assert counts.get(k, 0) == \
                 coeffs.get(k, Poly()).constant_value()
+
+
+def _fixed_pairs_brute(n):
+    # the pairs (a, sigma) counted one by one: every permutation sigma of
+    # every parking function a with a o sigma = a, keyed by its cycles
+    counts = Counter()
+    for w in parking_functions(n):
+        for sigma in itertools.permutations(range(n)):
+            if all(w[sigma[i]] == w[i] for i in range(n)):
+                counts[ch._cycle_count(sigma)] += 1
+    return counts
+
+
+def test_fixed_pair_counts_to_their_top():
+    # the ndpf classes, each weighted by its rearrangements, count the pairs
+    # that the brute force over parking functions finds one by one up to 5,
+    # and past it the coefficients of P_n(a) gate them to the top of 7
+    for n in range(6):
+        assert ch.fixed_pair_counts(n) == _fixed_pairs_brute(n)
+    for n in (6, 7):
+        counts = ch.fixed_pair_counts(n)
+        assert ch.pn_alpha(n).coeff_row("a") == [counts[k]
+                                                 for k in range(n + 1)]
+    assert combinat.LIMITS["fixed_pair_counts"] == (0, 7)
 
 
 def test_psi_alpha_coefficients_nonnegative_integers():

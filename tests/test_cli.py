@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import parkhopf
-from parkhopf import chars, combinat, exact, hopf, lagrange, operad, symfun
-from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _SUITES, _TABLES,
-                          _coalesced, _outcome, build_parser, main)
+from parkhopf import (chars, cli, combinat, exact, hopf, lagrange, operad,
+                      symfun)
+from parkhopf.cli import (_CHECKS, _ENUM_FAMILIES, _FORMATS, _SUITES, _TABLES,
+                          _WRITE, _coalesced, _outcome, build_parser, main)
 from parkhopf.exact import P_ONE, LinComb, Poly
 from test_combinat import pack
 
@@ -65,8 +66,8 @@ _LIBRARY_ITEMS = {
         chars.signed_to_text(e * x for e, x in zip(signs, w))
         for w in combinat.parking_functions(n)
         for signs in itertools.product((-1, 1), repeat=n)),
-    "dyck": chars.dyck_paths,
-    "schroder": chars.schroder_paths,
+    "dyck": lambda n: chars.paths("dyck", n),
+    "schroder": lambda n: chars.paths("schroder", n),
     "tree": lambda n: map(combinat.tree_to_text, combinat.binary_trees(n)),
 }
 
@@ -114,22 +115,81 @@ def test_block_rendering_matches_item_rendering(capsys):
 
 
 def test_enumerate_csv_writes_once_per_text(monkeypatch):
-    # the rows of each coalesced text, the header with the first, go out
-    # in one write, not one write per item
-    writes = []
-
+    # each coalesced text goes out in one write in every format, the head
+    # (the csv header, the json fields before the items) with the first,
+    # and the end after the last, not one write per item
     class Recorder(io.StringIO):
         def write(self, text):
             writes.append(text)
             return super().write(text)
 
-    out = Recorder()
-    monkeypatch.setattr(sys, "stdout", out)
-    assert main(["enumerate", "--family", "pf", "--n", "6",
-                 "--format", "csv"]) == 0
-    texts = list(_coalesced(combinat.word_texts("pf", 6)))
-    assert len(texts) > 1 and len(writes) == len(texts)
-    assert out.getvalue() == _rendered("pf", 6, "csv")
+    for fmt, (_, sep, quote, end) in _FORMATS.items():
+        texts = list(_coalesced(combinat.word_texts("pf", 6, sep, quote),
+                                sep))
+        assert len(texts) > 1
+        writes = []
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["enumerate", "--family", "pf", "--n", "6",
+                     "--format", fmt]) == 0
+        assert writes[1:] == [text for text, _ in texts[1:]] + [end]
+        assert out.getvalue() == _rendered("pf", 6, fmt)
+
+
+def test_coalesced_texts_join_their_blocks_and_sum_their_counts():
+    blocks = [("1\n2", 2), ("3", 1), ("", 1), ("4\n5\n6", 3)]
+    assert list(_coalesced(blocks, "\n")) == [("1\n2\n3\n\n4\n5\n6", 7)]
+    texts = list(_coalesced(combinat.word_texts("pf", 7), "\n"))
+    assert all(len(text) > _WRITE for text, _ in texts[:-1])
+    # every text but the first starts with the separator
+    assert [text.startswith("\n") for text, _ in texts] == \
+        [False] + [True] * (len(texts) - 1)
+    assert all(lines == text.count("\n") + (i == 0)
+               for i, (text, lines) in enumerate(texts))
+    assert sum(lines for _, lines in texts) == 8 ** 6
+
+
+def test_every_block_counts_its_items():
+    # the count a block carries is the number of its items, in every
+    # format: read from the tail blocks of the word and path families, and
+    # from the chunk's length for the others
+    for family, (render, count) in _ENUM_FAMILIES.items():
+        for n in range(6 if family == "signed-pf" else 7):
+            for _, sep, quote, _ in _FORMATS.values():
+                blocks = list(render(n, sep, quote))
+                assert all(lines == text.count(sep) + 1
+                           for text, lines in blocks), (family, n, sep)
+                assert sum(lines for _, lines in blocks) == count(n)
+
+
+def test_no_item_needs_escaping():
+    # json and csv put an item's text between quotes as it is: no item
+    # holds a quote, a backslash, a line end or any character json.dumps
+    # escapes, so a text holds printable ASCII and its newlines
+    allowed = set(map(chr, range(32, 127))) - set('"\\') | {"\n"}
+    for family, (render, _) in _ENUM_FAMILIES.items():
+        for n in range(6):
+            for text, _ in render(n, "\n", ""):
+                assert set(text) <= allowed, (family, n)
+
+
+def test_joined_quotes_exactly_the_comma_and_empty_items():
+    # digit items, comma items and the empty item, in one block: the rows
+    # csv.writer writes for them
+    items = ["12", "1,10", "", "(.,.)", "-1,2", "3"]
+    out = io.StringIO()
+    csv.writer(out).writerows(zip(items))
+    assert list(cli._joined(items, "\r\n", '"')) == [
+        (out.getvalue()[:-2], len(items))]
+
+
+def test_cli_does_not_import_csv():
+    # enumerate and table write their csv rows themselves
+    code = "import sys, parkhopf.cli; print('csv' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_enumerate_counts_come_from_closed_forms():
@@ -179,7 +239,8 @@ def _plant_ndpf_stream_short(monkeypatch):
     # the ndpf stream loses its first block, one short of its formula
     items, count = _ENUM_FAMILIES["ndpf"]
     monkeypatch.setitem(_ENUM_FAMILIES, "ndpf",
-                        (lambda n: itertools.islice(items(n), 1, None), count))
+                        (lambda *args: itertools.islice(items(*args), 1, None),
+                         count))
 
 
 def test_enumerate_short_stream_exits_1(capsys, monkeypatch):
@@ -368,9 +429,9 @@ def _plant_istar_one_part(monkeypatch):
 
 
 def _plant_schroder_path_dropped(monkeypatch):
-    paths = chars.schroder_paths
-    monkeypatch.setattr(chars, "schroder_paths",
-                        lambda n: list(paths(n))[:-1])
+    paths = chars.paths
+    monkeypatch.setattr(chars, "paths",
+                        lambda family, n: list(paths(family, n))[:-1])
 
 
 def _plant_sorted_word_inverted(monkeypatch):

@@ -509,7 +509,7 @@ _BOUNDED = {
     "bar_distribution": ((0, 10), chars.bar_distribution),
     "chi_sqsym": ((1, 7), chars.chi_sqsym),
     "pn_alpha": ((0, 12), chars.pn_alpha),
-    "fixed_pair_counts": ((0, 5), chars.fixed_pair_counts),
+    "fixed_pair_counts": ((0, 7), chars.fixed_pair_counts),
     "psi_alpha": ((0, 10), chars.psi_alpha),
     "qn_polynomial": ((0, 12), chars.qn_polynomial),
     # no low: q_triangle and the solvers give [] at a negative size
@@ -534,7 +534,7 @@ _BOUNDED = {
                                      operad.tridendriform_span_dimension),
     "primitive_dimension": ((0, 9), hopf.primitive_dimension),
     "enumeration": ((0, 12), cb.iter_ndpfs),
-    "paths": ((0, None), chars.dyck_paths),
+    "paths": ((0, None), lambda n: chars.paths("dyck", n)),
 }
 
 
@@ -586,7 +586,7 @@ def test_walkers_leave_no_reference_cycles():
     gc.disable()
     try:
         for stream in (cb.iter_ndpfs(6), cb.iter_parking_functions(5),
-                       cb.word_texts("pf", 5), chars.schroder_paths(4)):
+                       cb.word_texts("pf", 5), chars.paths("schroder", 4)):
             collections.deque(stream, maxlen=0)
         for t in cb.binary_trees(5):
             cb.canopy(t)
@@ -625,15 +625,17 @@ def test_word_text_roundtrip():
 
 def _word_texts_agree(family, n, words, runs=None):
     # each text is one whole run: the texts word_to_text gives the next
-    # words of the sorted oracle stream, joined by newlines, the first and
-    # the last (so all) of which share all but their last letters, as many
-    # as the family's tail length, a prefix the run before did not have
+    # words of the sorted oracle stream, as many as the run's count, joined
+    # by newlines, the first and the last (so all) of which share all but
+    # their last letters, as many as the family's tail length, a prefix the
+    # run before did not have
     words = iter(words)
     cut = max(n - cb._WORD_FAMILIES[family][2], 0)
     last = None
-    for text in itertools.islice(cb.word_texts(family, n), runs):
-        run = list(itertools.islice(words, text.count("\n") + 1))
+    for text, lines in itertools.islice(cb.word_texts(family, n), runs):
+        run = list(itertools.islice(words, lines))
         assert text == "\n".join(map(cb.word_to_text, run))
+        assert lines == text.count("\n") + 1
         assert run[0][:cut] == run[-1][:cut] != last
         last = run[0][:cut]
     if runs is None:
@@ -653,10 +655,11 @@ def test_word_texts_matches_word_to_text():
 def test_word_texts_on_every_family():
     for n in range(9):
         _word_texts_agree("ndpf", n, cb.iter_ndpfs(n))
-        # the 4,782,969 parking functions of size 8 (26,244 runs) cost
-        # seconds of word_to_text, so size 8 reads its first 3,000 runs
+        # the 4,782,969 parking functions of size 8 (3,645 runs) cost
+        # seconds of word_to_text, so size 8 reads its first 391 runs, the
+        # 933,913 words up to those that start 1725
         _word_texts_agree("pf", n, cb.iter_parking_functions(n),
-                          3000 if n == 8 else None)
+                          391 if n == 8 else None)
         _word_texts_agree("packed", n, cb.iter_packed_words(n))
         _word_texts_agree("perm", n, itertools.permutations(range(1, n + 1)))
     # the size is checked when called, before the first text
@@ -682,21 +685,23 @@ def test_tail_blocks_straddling_9_and_10():
     block = functools.partial(cb._tail_blocks, {},
                               functools.cache(cb._ndpf_moves))
     segments = block(state, r, False)
-    # the segments alternate, cut where the tails' format changes
-    assert [wide for wide, _ in segments] == [
+    # the segments alternate, cut where the tails' format changes, and
+    # each carries the number of its lines
+    assert [wide for wide, _, _ in segments] == [
         wide for wide, _ in itertools.groupby(tails, key=lambda t: max(t) > 9)]
     assert len(segments) > 2
-    lines = "\n".join(text for _, text in segments).split("\n")
+    assert all(lines == text.count("\n") + 1 for _, text, lines in segments)
+    lines = "\n".join(text for _, text, _ in segments).split("\n")
     assert lines == [cb.word_to_text(t) for t in tails]
     # the digit segments rewritten with commas, and the block after a
     # prefix holding 10, all comma words
-    for wide, text in segments:
+    for wide, text, _ in segments:
         if not wide:
             assert cb._comma_lines(text).split("\n") == [
                 cb.word_to_text((10,) + cb.text_to_word(line))[3:]
                 for line in text.split("\n")]
-    ((wide, text),) = block(state, r, True)
-    assert wide
+    ((wide, text, count),) = block(state, r, True)
+    assert wide and count == len(tails)
     assert ["10," + line for line in text.split("\n")] == [
         cb.word_to_text((10,) + t) for t in tails]
 

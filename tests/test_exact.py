@@ -349,6 +349,16 @@ def test_pack_round_trips_to_the_edge_of_the_balanced_digit(terms):
         p.substitute("x", -t)
 
 
+def test_unpack_carries_into_the_digit_past_the_value_bits():
+    # a top digit of 1 over a digit of -2^15 packs to an int just below
+    # 2^239, 15 digits of bits, whose balanced digits, each raised by half,
+    # carry into a 16th
+    p = Poly({monomial(): -_edge, monomial(q=2, x=3): -_edge,
+              monomial(q=3, x=3): 1})
+    assert pack(p, (16, 4)).bit_length() == 239
+    assert unpack(pack(p, (16, 4)), (16, 4)) == p
+
+
 def test_pack_is_a_ring_map_and_past_the_edge_wraps():
     p, r = (1 - x * q) * (q ** 2 - 3), 2 - q * x ** 2
     frame = (8, 5)

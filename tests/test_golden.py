@@ -2,12 +2,16 @@
 compared byte for byte with the files under ``tests/golden/``.
 
 The files pin the output of the library as it was before the algebra layer
-was refactored.  Rewrite them only for an intended change of output:
+was refactored.  ``enumerate-digests.txt`` pins the bytes of `enumerate`
+more widely, one stdout md5 per command: every family in every format at
+n = 0..4, ndpf of size 10 (runs that mix digit and comma words) and trees
+of size 6.  Rewrite them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -19,6 +23,7 @@ from parkhopf.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 EXIT_CODES = GOLDEN / "exit_codes.json"
+ENUMERATE_DIGESTS = GOLDEN / "enumerate-digests.txt"
 
 COMMANDS = {
     "verify-all-6": ["verify", "--suite", "all", "--max-n", "6"],
@@ -50,6 +55,29 @@ def _run(argv) -> tuple[int, bytes]:
     return code, buf.getvalue().encode("utf-8")
 
 
+FAMILIES = ("pf", "ndpf", "qribbon", "packed", "perm", "signed-pf", "dyck",
+            "schroder", "tree")
+ENUMERATE = [["enumerate", "--family", family, "--n", str(n),
+              "--format", fmt]
+             for family, n in [*((f, n) for f in FAMILIES for n in range(5)),
+                               ("ndpf", 10), ("tree", 6)]
+             for fmt in ("lines", "json", "csv")]
+
+
+def _enumerate_digests() -> str:
+    """One line "<stdout md5> <command>" per command of ENUMERATE."""
+    lines = []
+    for argv in ENUMERATE:
+        code, out = _run(argv)
+        assert code == 0, argv
+        lines.append(f"{hashlib.md5(out).hexdigest()} {' '.join(argv)}\n")
+    return "".join(lines)
+
+
+def test_enumerate_digests():
+    assert _enumerate_digests() == ENUMERATE_DIGESTS.read_text()
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_stdout(name):
     code, out = _run(COMMANDS[name])
@@ -64,6 +92,7 @@ def _write() -> None:
         codes[name], out = _run(argv)
         (GOLDEN / f"{name}.stdout").write_bytes(out)
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    ENUMERATE_DIGESTS.write_text(_enumerate_digests())
 
 
 if __name__ == "__main__":
