@@ -398,7 +398,7 @@ _CHECKS = (
     ("duplicial", "cqsym-duplicial-axioms", 8,
      lambda n: hopf.duplicial_axioms_cqsym(n)),
     ("duplicial", "cqsym-cross-relation-counterexample", 1,
-     lambda n: hopf.cross_relation_fails_cqsym()),
+     lambda n: hopf.non_rules_fail()),
     ("duplicial", "pqsym-duplicial-axioms", 5,
      lambda n: hopf.duplicial_axioms_pqsym(n)),
     ("duplicial", "fqsym-dendriform-axioms", 8,

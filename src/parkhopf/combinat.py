@@ -657,23 +657,29 @@ def _run_segment(wide, text, comma_prefix, digit_prefix, sep, quote):
 
 
 def comma_ints(text: str) -> tuple:
-    """The ints of the comma-separated fields of text.  ValueError on an
-    empty field, so "1,,2" and "1,2," are rejected, not read as (1, 2)."""
-    fields = text.split(",")
-    if not all(map(str.strip, fields)):
+    """The ints of the comma-separated fields of text.  ValueError unless
+    every field, stripped, is ASCII digits: "1,,2" and "1,2," are not read
+    as (1, 2), nor "+1", "1_0" or a non-ASCII digit as int reads them."""
+    fields = [field.strip() for field in text.split(",")]
+    if not all(fields):
         raise ValueError(f"empty field in {text!r}")
-    return tuple(map(int, fields))
+    return tuple(map(int, map(_ascii_digits, fields)))
+
+
+def _ascii_digits(text: str) -> str:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return text
 
 
 def text_to_word(s: str) -> tuple:
     """The word `word_to_text` writes as s: letters split at commas if s
-    holds one, else one digit each; the empty text is the empty word."""
+    holds one, else one ASCII digit each; the empty text is the empty
+    word."""
     s = s.strip()
-    if not s:
-        return ()
     if "," in s:
         return comma_ints(s)
-    return tuple(int(ch) for ch in s)
+    return tuple(map(int, _ascii_digits(s))) if s else ()
 
 
 def ribbons_to_text(ribbons):

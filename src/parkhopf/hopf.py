@@ -15,6 +15,11 @@ Products, the duplicial / dendriform / tridendriform partial operations, the
 duplicial coproduct, and the morphisms between the algebras all live here as
 module-level functions; everything is pure.
 
+The duplicial (dup) and triduplicial (tri) rules are defined here once,
+for the axiom suites and for `operad`'s rewriting: `NOT_RULES` holds the
+(root, left) pairs that are not rules, and `DUPLICIAL_ALGEBRAS` the
+operation of each symbol in each algebra the suites cover.
+
 The permutation and packed-word products relabel each pair of keys through
 index tables that depend on the pair's shape only and are cached per shape
 (never per word).  The tables are split by the tag that selects a half or a
@@ -464,6 +469,52 @@ def morphism_psi(a: LinComb) -> LinComb:
                    for w, c in a)
 
 
+# -- the duplicial and triduplicial rules ---------------------------------------
+
+
+# The (root, left) pairs (r, l) of operation symbols that are not rules; for
+# every other pair, (A l B) r C = A l (B r C), oriented left to right.  A dup
+# tree holds no "o", so the one set serves both modes.
+NOT_RULES = frozenset({(">", "<"), ("o", "<")})
+
+# algebra: (its basis keys of a size, the lift of a key to its element or
+# None, symbol -> operation) for each algebra a duplicial or triduplicial
+# suite covers; the keys of the map are its mode's symbols.  A row is built
+# when it is read, so a patched operation is the one called.
+DUPLICIAL_ALGEBRAS = {
+    "cqsym": lambda: (ndpfs, None,
+                      {"<": shifted_concat_max, ">": shifted_concat_len}),
+    "pqsym": lambda: (parking_functions, LinComb.term,
+                      {"<": pqsym_dup_prec, ">": pqsym_product}),
+    "sqsym": lambda: (quasi_ribbons, None,
+                      {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
+}
+
+
+def is_rule(root: str, left: str) -> bool:
+    return (root, left) not in NOT_RULES
+
+
+def mode_operations(mode: str) -> tuple:
+    """(the generator, symbol -> operation) of the algebra of words of
+    ``mode``: CQSym's in "dup" mode, the quasi-ribbons in "tri" mode."""
+    if mode not in ("dup", "tri"):
+        raise ValueError(f"unknown mode {mode!r} (use 'dup' or 'tri')")
+    family, _, ops = DUPLICIAL_ALGEBRAS["cqsym" if mode == "dup"
+                                       else "sqsym"]()
+    (generator,) = family(1)
+    return generator, ops
+
+
+def _pair_relations(ops: dict, rules: bool = True) -> list:
+    """(l, r, l, r) through ``ops``, that is (a l b) r c = a l (b r c), for
+    each pair (r, l) of its symbols that is a rule, or is not one when
+    ``rules`` is False."""
+    return [(ops[left], ops[root], ops[left], ops[root])
+            for root in ops for left in ops
+            if is_rule(root, left) is rules]
+
+
 # -- axiom suites ---------------------------------------------------------------
 
 
@@ -525,45 +576,41 @@ def _relations_hold(family, max_total: int, relations, lift=None) -> bool:
 
 
 def duplicial_axioms_cqsym(max_total: int) -> bool:
-    """Both associativities and (x>y)<z = x>(y<z) on the multiplicative basis."""
-    prec, succ = shifted_concat_max, shifted_concat_len
-    return _relations_hold(ndpfs, max_total, [
-        (prec, prec, prec, prec), (succ, succ, succ, succ),
-        (succ, prec, succ, prec)])
-
-
-def cross_relation_fails_cqsym() -> bool:
-    """The absent relation (x<y)>z = x<(y>z) breaks on the single generator."""
-    one = (1,)
-    lhs = shifted_concat_len(shifted_concat_max(one, one), one)
-    rhs = shifted_concat_max(one, shifted_concat_len(one, one))
-    return lhs == (1, 1, 3) and rhs == (1, 1, 2) and lhs != rhs
+    """The dup rules on the multiplicative basis."""
+    family, lift, ops = DUPLICIAL_ALGEBRAS["cqsym"]()
+    return _relations_hold(family, max_total, _pair_relations(ops), lift)
 
 
 def duplicial_axioms_pqsym(max_total: int) -> bool:
-    """The normalized duplicial pair on parking words, on basis triples, and
-    the Catalan subalgebra as a duplicial subalgebra: P^pi -> sum of F_a
-    over the rearrangements a of pi sends < to the normalized < and > to
-    the product, on basis pairs."""
-    prec, prod = pqsym_dup_prec, pqsym_product
-    return _relations_hold(parking_functions, max_total, [
-        (prec, prec, prec, prec), (prod, prod, prod, prod),
-        (prod, prec, prod, prec)], LinComb.term) and all(
-            _is_morphism(ndpfs, op, cqsym_expand_F, image, max_total)
-            for op, image in [(cqsym_prec, prec), (cqsym_succ, prod)])
+    """The dup rules for the normalized duplicial pair on parking words, on
+    basis triples, and the Catalan subalgebra as a duplicial subalgebra:
+    P^pi -> sum of F_a over the rearrangements a of pi sends < to the
+    normalized < and > to the product, on basis pairs."""
+    family, lift, ops = DUPLICIAL_ALGEBRAS["pqsym"]()
+    return _relations_hold(family, max_total, _pair_relations(ops),
+                           lift) and all(
+        _is_morphism(ndpfs, op, cqsym_expand_F, ops[symbol], max_total)
+        for op, symbol in [(cqsym_prec, "<"), (cqsym_succ, ">")])
 
 
 def triduplicial_axioms(max_total: int) -> bool:
-    """Three associativities and the four mixed relations on quasi-ribbons,
-    with the three operations pairwise distinct on the generator: all seven
-    relations also hold when two of them coincide."""
-    one = ((1,), ())
-    if len({op(one, one) for op in (qr_prec, qr_succ, qr_mid)}) != 3:
-        return False
-    return _relations_hold(quasi_ribbons, max_total, [
-        *((op, op, op, op) for op in (qr_prec, qr_succ, qr_mid)),
-        *((f, g, f, g) for f, g in [(qr_succ, qr_prec), (qr_mid, qr_prec),
-                                    (qr_succ, qr_mid), (qr_mid, qr_succ)])])
+    """The seven tri rules on quasi-ribbons, with the three operations
+    pairwise distinct on the generator: all seven relations also hold when
+    two of them coincide."""
+    family, lift, ops = DUPLICIAL_ALGEBRAS["sqsym"]()
+    return _distinct_on_generator(ops.values(), *family(1)) and \
+        _relations_hold(family, max_total, _pair_relations(ops), lift)
+
+
+def non_rules_fail() -> bool:
+    """Each pair (r, l) of an algebra's symbols that is not a rule fails on
+    the generator x, (x l x) r x != x l (x r x), in every algebra of
+    `DUPLICIAL_ALGEBRAS`: x is the one key of size 1, so the triples of
+    total size 3 are the one triple (x, x, x)."""
+    return not any(_relations_hold(family, 3, [relation], lift)
+                   for family, lift, ops in (
+                       row() for row in DUPLICIAL_ALGEBRAS.values())
+                   for relation in _pair_relations(ops, rules=False))
 
 
 def _identities(m: int) -> tuple:
@@ -635,10 +682,9 @@ def _relations_proven(family, max_total: int, pieces, product,
         and _relations_hold(_identities, max_total, relations, LinComb.term)
 
 
-def _distinct_on_generator(pieces) -> bool:
+def _distinct_on_generator(pieces, one=LinComb.term((1,))) -> bool:
     """The pieces are nonzero and pairwise distinct on the generator pair,
     so no piece is empty and none is another piece again."""
-    one = LinComb.term((1,))
     values = [piece(one, one) for piece in pieces]
     return all(values) and all(
         u != v for u, v in itertools.combinations(values, 2))

@@ -5,17 +5,18 @@ between normal forms and the Catalan / Schroeder algebra bases.
 An evaluation tree is either the leaf (the generator), encoded as None, or a
 node (op, left, right) with op one of "<", ">", "o".  Two-operation mode
 ("dup") restricts the ops to {"<", ">"}; three-operation mode is "tri".
-Each mode is one row of ``_MODES``: its operations, and the value of the
-generator and the operation applied at each node when `eval_tree` evaluates
-a tree in that mode's algebra.
+The modes, their rules and their operations are defined once, in `hopf`:
+`hopf.mode_operations` gives a mode's symbols, and the generator and the
+operation of each symbol with which `eval_tree` evaluates a tree in that
+mode's algebra of words.
 
 Every relation rewrites a left comb into a right comb:
 
     node(r, node(l, A, B), C)  ->  node(l, A, node(r, B, C))
 
-In tri mode the seven oriented rules are the pairs (r, l) other than
-("o", "<") and (">", "<"); in dup mode the three rules are the pairs other
-than (">", "<").  A dup tree holds no "o", so one rule table serves both
+The rules are the pairs (r, l) of a mode's symbols that `hopf.is_rule`
+accepts: every pair but those of `hopf.NOT_RULES`, seven in tri mode and
+three in dup mode.  A dup tree holds no "o", so the one set serves both
 modes and the rewriting functions take no mode.  Rewriting always
 terminates: the sum over nodes of left-subtree sizes strictly decreases.
 So confluence on the trees with 4 leaves proves confluence at every size
@@ -36,41 +37,18 @@ degree.
 
 from __future__ import annotations
 
-from .combinat import (_check_size, binary_trees, shifted_concat_len,
-                       shifted_concat_max)
+from .combinat import _check_size, binary_trees
 from .exact import LinComb, independent
-from .hopf import (qr_mid, qr_prec, qr_succ, wqsym_left, wqsym_mid,
+from .hopf import (is_rule, mode_operations, wqsym_left, wqsym_mid,
                    wqsym_right)
 
 LEAF = None
-
-# mode: (its operations, eval_tree's value of the generator, eval_tree's
-# function per operation): in tri mode the one-letter quasi-ribbon and the
-# three quasi-ribbon operations, in dup mode the word (1) and the two shifted
-# concatenations
-_MODES = {
-    "dup": (("<", ">"), (1,),
-            {"<": shifted_concat_max, ">": shifted_concat_len}),
-    "tri": (("<", ">", "o"), ((1,), ()),
-            {"<": qr_prec, ">": qr_succ, "o": qr_mid}),
-}
-
-
-def _mode(mode: str) -> tuple:
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r} (use 'dup' or 'tri')")
-    return _MODES[mode]
-
-
-def _rule_applies(root_op: str, left_op: str) -> bool:
-    # the surviving (root, left-child) pairs are exactly ("o","<") and (">","<")
-    return not (left_op == "<" and root_op in (">", "o"))
 
 
 def all_eval_trees(mode: str, n: int):
     """All op-labeled trees with n leaves, shapes ordered as binary_trees.
     A generator: it checks its size at its first item."""
-    ops, _, _ = _mode(mode)
+    _, ops = mode_operations(mode)
     _check_size("all_eval_trees", n)
     for shape in binary_trees(n - 1):
         yield from _labellings(shape, ops)
@@ -95,7 +73,7 @@ def rewrite_all_steps(t):
     if t is LEAF:
         return
     op, left, right = t
-    if left is not LEAF and _rule_applies(op, left[0]):
+    if left is not LEAF and is_rule(op, left[0]):
         lop, a, b = left
         yield (lop, a, (op, b, right))
     for nl in rewrite_all_steps(left):
@@ -120,7 +98,7 @@ def normal_forms(mode: str, n: int):
     child; or a root ">"/"o" over a "<"-node with a leaf left child, with
     normal subtrees below.  Only the smaller sizes are kept in memory; the
     size-n trees are streamed."""
-    ops, _, _ = _mode(mode)
+    _, ops = mode_operations(mode)
     _check_size("normal_forms", n)
     roots = [op for op in ops if op != "<"]
     forms = [[], [LEAF]]
@@ -142,7 +120,7 @@ def normal_forms(mode: str, n: int):
 
 
 def count_normal_forms(mode: str, n: int) -> int:
-    _mode(mode)
+    mode_operations(mode)
     _check_size(f"count_normal_forms({mode})", n)
     return sum(1 for _ in normal_forms(mode, n))
 
@@ -176,7 +154,7 @@ def _evaluations(trees, leaf, ops, values=None):
 
 def eval_tree(t, mode: str):
     """Evaluate with the generator at the leaves; always a single basis key."""
-    _, leaf, ops = _mode(mode)
+    leaf, ops = mode_operations(mode)
     (value,) = _evaluations((t,), leaf, ops)
     return value
 

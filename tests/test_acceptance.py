@@ -96,9 +96,26 @@ def test_ac06_axiom_suites():
     ok = ok and hopf.triduplicial_axioms(6)
     ok = ok and hopf.dendriform_axioms_fqsym(6)
     ok = ok and hopf.tridendriform_axioms_wqsym(5)
-    ok = ok and hopf.cross_relation_fails_cqsym()
+    # each absent relation (x l x) r x = x l (x r x) breaks on the
+    # generator x: on CQSym words and PQSym at (r, l) = (>, <), and on
+    # quasi-ribbons at (>, <) and (o, <)
+    word, ribbon, element = (1,), ((1,), ()), LinComb.term((1,))
+    for root, left, x, lhs, rhs in [
+            (combinat.shifted_concat_len, combinat.shifted_concat_max, word,
+             (1, 1, 3), (1, 1, 2)),
+            (hopf.pqsym_product, hopf.pqsym_dup_prec, element,
+             LinComb.term((1, 1, 3)) + LinComb.term((1, 3, 1))
+             + LinComb.term((3, 1, 1)),
+             LinComb.term((1, 1, 2)) + LinComb.term((1, 2, 1))
+             + LinComb.term((2, 1, 1))),
+            (hopf.qr_succ, hopf.qr_prec, ribbon,
+             ((1, 1, 3), ()), ((1, 1, 2), ())),
+            (hopf.qr_mid, hopf.qr_prec, ribbon,
+             ((1, 1, 3), (2,)), ((1, 1, 2), (2,)))]:
+        ok = ok and root(left(x, x), x) == lhs and left(x, root(x, x)) == rhs
+    ok = ok and hopf.non_rules_fail()
     _report(6, "duplicial/triduplicial/dendriform/tridendriform suites; "
-               "113 != 112 counterexample", ok)
+               "113 != 112 counterexamples", ok)
 
 
 def test_ac07_coproduct_and_primitives():

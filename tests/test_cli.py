@@ -684,6 +684,31 @@ def _plant_ribbon_product_concat_only(monkeypatch):
     monkeypatch.setattr(chars, "ribbon_product", symfun.s_product)
 
 
+def _plant_rule_dropped(monkeypatch):
+    # the associativity of "<" taken out of the rule table
+    monkeypatch.setattr(hopf, "NOT_RULES", hopf.NOT_RULES | {("<", "<")})
+
+
+def _plant_prec_root_over_prec(monkeypatch):
+    # "<" allowed as the root over a "<"-node, as ">" and "o" are
+    forms = operad.normal_forms
+
+    def normal_forms(mode, n):
+        for t in forms(mode, n):
+            yield t
+            if t is not None and t[0] == ">" and t[1] is not None:
+                yield ("<", *t[1:])
+
+    monkeypatch.setattr(operad, "normal_forms", normal_forms)
+
+
+def _plant_canopy_last_leaf_dropped(monkeypatch):
+    # the last internal leaf left out of the canopy word, which merges the
+    # classes that differ only there; lagrange imports canopy by name
+    canopy = combinat.canopy
+    monkeypatch.setattr(lagrange, "canopy", lambda t: canopy(t)[:-1])
+
+
 # the size a row runs at in the test below when not at its top: the fqsym
 # and sqsym rows cost about 0.4 s and 0.2 s a run at their top of 8
 _FAULT_SIZES = {"fqsym-dendriform-axioms": 5, "wqsym-tridendriform-axioms": 5,
@@ -740,6 +765,10 @@ _FAULTS = [
     ("psi-alpha-checks", _plant_istar_packs, False),
     ("chi-checks", _plant_ribbon_product_concat_only, False),
     ("G-is-sum-of-all-ndpf", _plant_right_labels_shifted_by_m, False),
+    ("shape-characterization", _plant_rule_dropped, False),
+    ("tri-normal-form-counts", _plant_prec_root_over_prec, False),
+    ("dup-normal-form-counts", _plant_prec_root_over_prec, False),
+    ("canopy-partition", _plant_canopy_last_leaf_dropped, False),
 ]
 
 
@@ -763,9 +792,7 @@ def test_rows_without_a_planted_fault():
     # a new row comes with its fault in _FAULTS, and a row leaves this set
     # when it gets one
     assert {name for _, name, _, _ in _CHECKS} \
-        - {check for check, _, _ in _FAULTS} == {
-            "tri-normal-form-counts", "dup-normal-form-counts",
-            "shape-characterization", "canopy-partition"}
+        - {check for check, _, _ in _FAULTS} == set()
 
 
 @pytest.mark.parametrize("check, n", [
@@ -783,6 +810,18 @@ def test_usage_errors_exit_2(capsys):
     assert err.value.code == 2
     code = main(["bijection", "--direction", "ndpf-to-tree", "--input", "21"])
     assert code == 2  # 21 is not nondecreasing
+
+
+@pytest.mark.parametrize("text", [
+    "+1,+1", "1,\u0662", "\uff11\uff12", "\u0662", "1,1,1,1,1,1,1,1,1,1_0",
+    "+1"])
+def test_bijection_reads_ascii_digits_only(capsys, text):
+    # int reads a sign, an underscore and any Unicode digit, none of which
+    # is in a text that word_to_text writes
+    code = main(["bijection", "--direction", "ndpf-to-tree", "--input", text])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "ASCII digits" in err
 
 
 @pytest.mark.parametrize("argv, plant, code", [

@@ -621,6 +621,9 @@ def test_word_text_roundtrip():
     for text in ["1,,2|3", "1,2|", "1,|2"]:
         with pytest.raises(ValueError, match="empty field"):
             text_to_ribbon(text)
+    # every text written for an ndpf of size <= 10 reads back as its word
+    assert all(cb.text_to_word(cb.word_to_text(pi)) == pi
+               for n in range(11) for pi in cb.ndpfs(n))
 
 
 def _word_texts_agree(family, n, words, runs=None):

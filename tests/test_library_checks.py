@@ -1,7 +1,8 @@
 """Static checks on the library source: checks that still run under
 ``python -O``, verify sizes clamped in one place, the rewrite and series
 walks written once, one element format for every algebra, one table of
-size limits, one operad evaluation walk, a library caller for every public
+size limits, one operad evaluation walk, one table of the duplicial
+rules read by every axiom suite, a library caller for every public
 function of every module, a caller outside their module for the
 morphisms through which the characters are applied, and one route from
 the generic solution into the characters."""
@@ -57,7 +58,7 @@ def test_rewrite_and_series_walks_written_once():
     rule_calls = [node for node in ast.walk(_tree_of("operad.py"))
                   if isinstance(node, ast.Call)
                   and isinstance(node.func, ast.Name)
-                  and node.func.id == "_rule_applies"]
+                  and node.func.id == "is_rule"]
     assert len(rule_calls) == 1
     order_loops = [node for node in ast.walk(_tree_of("lagrange.py"))
                    if isinstance(node, (ast.For, ast.comprehension))
@@ -137,6 +138,41 @@ def test_operad_evaluates_in_one_walk():
     assert applications and applications == {
         id(node) for node in ast.walk(walk)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Subscript)}
+
+
+_SYMBOLS = {"<", ">", "o"}
+
+
+def test_duplicial_rules_spelled_once():
+    # a (root, left) pair of operation symbols is spelled only in the one
+    # set of the pairs that are not rules, hopf.NOT_RULES
+    pairs = {f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+             and len(node.elts) == 2
+             and all(isinstance(elt, ast.Constant) and elt.value in _SYMBOLS
+                     for elt in node.elts)}
+    table = next(node for node in _tree_of("hopf.py").body
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.targets[0]) == "NOT_RULES")
+    assert pairs and pairs == {f"hopf.py:{node.lineno}"
+                               for node in ast.walk(table)
+                               if isinstance(node, ast.Tuple)}
+
+
+def test_duplicial_suites_derive_their_relations():
+    # every relation list of a duplicial or triduplicial axiom suite is
+    # derived from the rule table, none written by hand
+    suites = [node for node in _tree_of("hopf.py").body
+              if isinstance(node, ast.FunctionDef)
+              and "duplicial" in node.name]
+    walks = [call for suite in suites for call in ast.walk(suite)
+             if isinstance(call, ast.Call)
+             and ast.unparse(call.func) == "_relations_hold"]
+    assert len(suites) == len(walks) == 3
+    assert all(ast.unparse(call.args[2]).startswith("_pair_relations(")
+               for call in walks)
 
 
 def _uses_by_definition():
